@@ -189,26 +189,34 @@ class BinaryField:
             acc = self.mul(acc, x) ^ self._check(c)
         return acc
 
-    def interpolate_constant(self, points: Sequence[tuple[int, int]]) -> int:
-        """Constant term of the unique degree < len(points) polynomial.
+    def lagrange_weights_at_zero(self, xs: Sequence[int]) -> tuple[int, ...]:
+        """Weights c_i with p(0) = sum_i c_i p(x_i) for every polynomial p
+        of degree < len(xs).
 
-        Lagrange evaluation at zero.  The abscissas must be distinct and
-        nonzero; zero would make the polynomial's own constant term one of
-        the inputs, which no caller here wants.
+        The abscissas must be distinct and nonzero; zero would make the
+        polynomial's own constant term one of the inputs, which no caller
+        here wants.
         """
-        xs = [self._check(x) for x, _ in points]
+        xs = [self._check(x) for x in xs]
         if len(set(xs)) != len(xs):
             raise DomainError("duplicate interpolation abscissas")
         if any(x == 0 for x in xs):
             raise DomainError("interpolation abscissas must be nonzero")
-        acc = 0
-        for i, (xi, yi) in enumerate(points):
-            self._check(yi)
+        weights = []
+        for i, xi in enumerate(xs):
             weight = 1
             for j, xj in enumerate(xs):
                 if j != i:
                     weight = self.mul(weight, self.div(xj, xj ^ xi))
-            acc ^= self.mul(yi, weight)
+            weights.append(weight)
+        return tuple(weights)
+
+    def interpolate_constant(self, points: Sequence[tuple[int, int]]) -> int:
+        """Constant term of the unique degree < len(points) polynomial."""
+        weights = self.lagrange_weights_at_zero([x for x, _ in points])
+        acc = 0
+        for (_, y), weight in zip(points, weights):
+            acc ^= self.mul(y, weight)
         return acc
 
     # ---- typed wrappers ----

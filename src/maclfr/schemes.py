@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
@@ -105,9 +106,10 @@ class SchemeConfig:
         """Field for threshold shares: smallest with more elements than shares."""
         return binary_field(exponent_for_share_count(self.topo.access_degree))
 
-    @property
+    @cached_property
     def key_code(self) -> MdsCode:
-        """The (t + r, r) erasure code used by is-lfr key placement."""
+        """The (t + r, r) erasure code used by is-lfr key placement, built
+        and checked once per config."""
         return build_code(self.topo.replication + self.topo.access_degree,
                           self.topo.access_degree)
 
@@ -286,6 +288,7 @@ class PlacementResult:
     caches: tuple[CacheContent, ...]
     secrets: ServerSecrets
     memory: Fraction  # per-cache size in files; identical across caches
+    table: SubfileTable  # the placed library's subfiles, for delivery
 
 
 @dataclass(frozen=True)
@@ -367,7 +370,9 @@ class Scheme:
                         subfiles[c - 1][(i, T)] = block
         caches, secrets = self._place_keys(randomness, subfiles, table)
         sizes = {c.stored_bits for c in caches}
-        assert len(sizes) == 1, "placement must be symmetric across caches"
+        if len(sizes) != 1:
+            raise IntegrityError(
+                f"placement is not symmetric across caches: sizes {sorted(sizes)}")
         memory = Fraction(sizes.pop(), cfg.file_bits)
         if self.kind.has_payload_keys and cfg.num_files >= self.topo.num_users:
             # The converse for secure delivery assumes every user can demand
@@ -375,8 +380,10 @@ class Scheme:
             # key material may legitimately dip under it.
             bound = Fraction(comb(self.topo.num_caches, self.topo.access_degree),
                              self.topo.num_caches)
-            assert memory >= bound, "secure placement under the memory bound"
-        return PlacementResult(tuple(caches), secrets, memory)
+            if memory < bound:
+                raise IntegrityError(f"secure placement of {memory} files is "
+                                     f"under the memory bound {bound}")
+        return PlacementResult(tuple(caches), secrets, memory, table)
 
     def _place_keys(self, randomness: ServerRandomness,
                     subfiles: list[dict[tuple[int, CacheSet], BitBlock]],
@@ -741,8 +748,7 @@ def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
                                      cfg.num_files)
                         for g in cfg.topo.users())
     placement = scheme.place(library, randomness)
-    table = subpacketize(library, cfg.topo)
-    transcript = scheme.deliver(placement.secrets, table, demands)
+    transcript = scheme.deliver(placement.secrets, placement.table, demands)
     by_user = demands_by_user(demands)
     decoded = {}
     expected = {}

@@ -132,11 +132,13 @@ def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
 def reconstruct(shares: ShareSet) -> BitBlock:
     """Interpolate every symbol's constant term and drop the tail padding."""
     field = shares.field
+    weights = field.lagrange_weights_at_zero(shares.evaluation_points)
     symbols = []
-    for k in range(shares.symbols_per_share):
-        pts = [(x, shares.shares[j][k])
-               for j, x in enumerate(shares.evaluation_points)]
-        symbols.append(field.interpolate_constant(pts))
+    for column in zip(*shares.shares):
+        acc = 0
+        for y, weight in zip(column, weights):
+            acc ^= field.mul(y, weight)
+        symbols.append(acc)
     return BitBlock.from_symbols(symbols, field.exponent, shares.secret_bits)
 
 

@@ -5,8 +5,10 @@ Three questions are answered exactly, never statistically:
 * correctness -- does every user's decode equal the demanded combination,
   for whole batteries of demand tuples and seeds;
 * content security -- is the mutual information between the library and
-  the full transmission exactly zero (for the keyed schemes) and strictly
-  positive for the keyless baseline;
+  the broadcast transmission alone exactly zero (for the keyed schemes)
+  and strictly positive for the keyless baseline.  The eavesdropper sees
+  the broadcast link and no cache: a cache holds subfiles whenever t >= 1
+  (and whole keys under s-lfr), so broadcast plus one cache does leak;
 * demand privacy -- conditioned on an observer's own demand, is the total
   variation distance between the observer-view distributions induced by
   any two assignments of the other users' demands exactly zero.
@@ -17,35 +19,37 @@ rational probabilities.  Two evaluation methods exist:
 
 * "enumerate" runs the real placement and delivery once per state.  It
   assumes nothing and is the gold standard, but state spaces explode.
-* "affine" exploits that, for a fixed library and fixed demands, every
-  transmitted or cached bit is a GF(2)-affine function of the server's
-  randomness bits.  One base run plus one run per randomness bit recover
-  the affine map, after which the exact view distribution is the uniform
-  distribution on an affine coset.  The affinity assumption is not taken
-  on faith: every affine-method invocation spends a few real runs on
-  randomly chosen probe points and fails loudly if the map misbehaves,
-  and the test suite cross-checks the two methods against each other on
-  instances small enough to enumerate.
+* "affine" exploits that every view is a GF(2) polynomial of degree at
+  most two whose only products pair a library bit with a demand or
+  randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
+  e_i + e_j recover that bilinear model, where W is the library and Z the
+  randomness (security) or the demands and the randomness (privacy).  For
+  a fixed library the view is then uniform on an affine coset, and both
+  questions reduce to XOR and rank: security compares canonical cosets
+  across libraries, privacy asks whether the other users' demand columns
+  lie in the span of the randomness columns.  The model is not taken on
+  faith: AFFINITY_PROBES (1 + |W|) real runs at random points must match
+  it, and the test suite cross-checks the two methods against each other
+  on instances small enough to enumerate.
 
 "auto" picks enumerate for small state spaces and affine otherwise.  The
-state cap bounds the states the chosen method actually walks through.
+state cap bounds the states enumeration walks through, and the engine runs
+and coset points of the affine method.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import log2
-from typing import Hashable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, ResourceLimitError, UsageError
 from .library import (DemandVector, FileLibrary, demands_by_user,
-                      linear_combination, subpacketize)
+                      linear_combination)
+from .library import subpacketize  # noqa: F401 - perfbench/tracer.py hooks it
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
                       SchemeConfig, SchemeKind, ServerRandomness, derive_rng,
                       scheme_for)
@@ -54,7 +58,6 @@ from .topology import CacheSet, TopologySpec
 
 DEFAULT_STATE_CAP = 1 << 28
 AUTO_ENUMERATE_LIMIT = 1 << 14
-MATERIALIZE_LIMIT = 1 << 22
 AFFINITY_PROBES = 8
 
 
@@ -206,8 +209,8 @@ class _Runner:
                   randomness: ServerRandomness,
                   with_observers: bool) -> tuple[int, dict[CacheSet, int]]:
         placement = self.scheme.place(library, randomness)
-        table = subpacketize(library, self.cfg.topo)
-        transcript = self.scheme.deliver(placement.secrets, table, demands)
+        transcript = self.scheme.deliver(placement.secrets, placement.table,
+                                         demands)
         tview, _ = self.extractor.transmission(transcript)
         observer_views: dict[CacheSet, int] = {}
         if with_observers:
@@ -218,62 +221,92 @@ class _Runner:
         return tview, observer_views
 
 
-# ---- affine map recovery ----
+# ---- bilinear model recovery ----
 
 @dataclass(frozen=True)
-class AffineView:
-    base: int
-    cols: tuple[int, ...]  # contribution of each randomness bit
+class BilinearModel:
+    """A view as a GF(2) function of library bits w and input bits z:
 
-    def at(self, rand_value: int) -> int:
+        V(w, z) = base ^ XOR_i w_i lib[i] ^ XOR_j z_j inp[j]
+                       ^ XOR_ij w_i z_j cross[i][j]
+
+    Every view of every kind has this shape: the only products pair a
+    library bit with a demand or randomness bit (mask-induced keys and
+    demanded combinations), while Shamir shares and MDS blocks are linear
+    in their random inputs.
+    """
+
+    base: int
+    lib: tuple[int, ...]
+    inp: tuple[int, ...]
+    cross: tuple[tuple[int, ...], ...]
+
+    def at(self, w: int, z: int) -> int:
         acc = self.base
-        i = 0
-        while rand_value:
-            if rand_value & 1:
-                acc ^= self.cols[i]
-            rand_value >>= 1
-            i += 1
+        for i, (a, row) in enumerate(zip(self.lib, self.cross)):
+            if (w >> i) & 1:
+                acc ^= a
+                for j, x in enumerate(row):
+                    if (z >> j) & 1:
+                        acc ^= x
+        for j, c in enumerate(self.inp):
+            if (z >> j) & 1:
+                acc ^= c
         return acc
 
-
-def _recover_affine(runner: _Runner, library: FileLibrary,
-                    demands: Sequence[DemandVector], with_observers: bool
-                    ) -> tuple[AffineView, dict[CacheSet, AffineView]]:
-    """One run at zero randomness plus one per randomness bit."""
-    layout = runner.layout
-    base_t, base_o = runner.run_views(library, demands,
-                                      layout.unpack(0), with_observers)
-    cols_t = []
-    cols_o: dict[CacheSet, list[int]] = {g: [] for g in base_o}
-    for bit in range(layout.total_bits):
-        t, o = runner.run_views(library, demands,
-                                layout.unpack(1 << bit), with_observers)
-        cols_t.append(t ^ base_t)
-        for g in o:
-            cols_o[g].append(o[g] ^ base_o[g])
-    tview = AffineView(base_t, tuple(cols_t))
-    oviews = {g: AffineView(base_o[g], tuple(cols)) for g, cols in cols_o.items()}
-    return tview, oviews
+    def sections(self) -> Iterator[tuple[int, int, list[int]]]:
+        """(w, base, columns) of the affine map z -> V(w, z) for every
+        library value, in Gray-code order so each step XORs in one row."""
+        w, base, cols = 0, self.base, list(self.inp)
+        yield w, base, cols
+        for k in range(1, 1 << len(self.lib)):
+            i = (k & -k).bit_length() - 1
+            w ^= 1 << i
+            base ^= self.lib[i]
+            cols = [c ^ x for c, x in zip(cols, self.cross[i])]
+            yield w, base, cols
 
 
-def _probe_affinity(runner: _Runner, library: FileLibrary,
-                    demands: Sequence[DemandVector],
-                    tview: AffineView, oviews: dict[CacheSet, AffineView],
-                    rng: random.Random, probes: int = AFFINITY_PROBES) -> None:
-    """Spot test the recovered map against real runs at random points."""
-    bits = runner.layout.total_bits
+def _recover_models(run: Callable[[int, int], tuple[int, ...]],
+                    labels: Sequence[str], wbits: int, zbits: int,
+                    seed: int, cap: int) -> tuple[list[BilinearModel], int]:
+    """One bilinear model per view, and the engine runs spent on them.
+
+    `run(w, z)` runs the engine and returns one int per label.  Runs at
+    0, e_i, e_j and e_i + e_j recover every coefficient; real runs at
+    AFFINITY_PROBES (1 + |W|) random points then check the models, and
+    any mismatch raises, since the method's conclusions would not hold.
+    """
+    probes = AFFINITY_PROBES * (1 + wbits)
+    runs = (1 + wbits) * (1 + zbits) + probes
+    if runs > cap:
+        raise ResourceLimitError(
+            f"affine recovery needs {runs} engine runs, over the cap {cap}")
+
+    def delta(point: tuple[int, ...], *known: tuple[int, ...]) -> tuple[int, ...]:
+        out = list(point)
+        for vec in known:
+            out = [a ^ b for a, b in zip(out, vec)]
+        return tuple(out)
+
+    base = run(0, 0)
+    lib = [delta(run(1 << i, 0), base) for i in range(wbits)]
+    inp = [delta(run(0, 1 << j), base) for j in range(zbits)]
+    cross = [[delta(run(1 << i, 1 << j), base, lib[i], inp[j])
+              for j in range(zbits)] for i in range(wbits)]
+    models = [BilinearModel(base[k], tuple(a[k] for a in lib),
+                            tuple(c[k] for c in inp),
+                            tuple(tuple(x[k] for x in row) for row in cross))
+              for k in range(len(labels))]
+    rng = derive_rng(seed, "affinity-probes")
     for _ in range(probes):
-        point = rng.getrandbits(bits) if bits else 0
-        t, o = runner.run_views(library, demands,
-                                runner.layout.unpack(point), bool(oviews))
-        if t != tview.at(point):
-            raise AssertionError(
-                "transmission view is not affine in the server randomness; "
-                "the affine method cannot be used here")
-        for g, view in oviews.items():
-            if o[g] != view.at(point):
+        w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
+        for label, view, model in zip(labels, run(w, z), models):
+            if view != model.at(w, z):
                 raise AssertionError(
-                    f"view of {g} is not affine in the server randomness")
+                    f"the {label} view is not bilinear in the library and "
+                    "the inputs; the affine method cannot be used here")
+    return models, runs
 
 
 def _rref_basis(cols: Iterable[int]) -> tuple[int, ...]:
@@ -300,20 +333,14 @@ def _reduce_point(point: int, basis: tuple[int, ...]) -> int:
     return point
 
 
-def _coset_canonical(view: AffineView) -> tuple[tuple[int, ...], int]:
-    basis = _rref_basis(view.cols)
-    return basis, _reduce_point(view.base, basis)
+def _coset_canonical(base: int, cols: Sequence[int]
+                     ) -> tuple[tuple[int, ...], int]:
+    basis = _rref_basis(cols)
+    return basis, _reduce_point(base, basis)
 
 
-def _expand_span(basis: Sequence[int]) -> "np.ndarray | list[int]":
-    """All 2^rank span points via doubling; numpy when masks fit in 63 bits."""
-    if all(b < (1 << 63) for b in basis):
-        arr = np.zeros(1 << len(basis), dtype=np.uint64)
-        size = 1
-        for b in basis:
-            arr[size:2 * size] = arr[:size] ^ np.uint64(b)
-            size *= 2
-        return arr
+def _expand_span(basis: Sequence[int]) -> list[int]:
+    """All 2^rank span points, by doubling."""
     points = [0]
     for b in basis:
         points += [p ^ b for p in points]
@@ -327,7 +354,7 @@ class SecurityCheckResult:
     cfg: SchemeConfig
     demands: tuple[int, ...]
     method: str
-    states: int
+    states: int  # states enumerated, or engine runs spent by "affine"
     certified_zero: bool
     mi_bits: float
 
@@ -396,32 +423,53 @@ def _parallel_security_counts(cfg: SchemeConfig, demand_coeffs: tuple[int, ...],
     return counts
 
 
+def _security_model(cfg: SchemeConfig, demands: Sequence[DemandVector],
+                    cap: int) -> tuple[BilinearModel, int]:
+    """The transmission view over (library, randomness) for fixed demands."""
+    runner = _Runner(cfg)
+
+    def run(w: int, z: int) -> tuple[int]:
+        library = library_from_int(w, cfg.num_files, cfg.file_bits)
+        tview, _ = runner.run_views(library, demands,
+                                    runner.layout.unpack(z), False)
+        return (tview,)
+
+    models, runs = _recover_models(run, ("transmission",),
+                                   cfg.num_files * cfg.file_bits,
+                                   runner.layout.total_bits, cfg.seed, cap)
+    return models[0], runs
+
+
+def _joint_from_model(model: BilinearModel, cap: int
+                      ) -> dict[tuple[int, int], Fraction]:
+    """Given library value w the view is uniform on the coset
+    base(w) + span(cols(w)); expand every coset, within the cap."""
+    cosets = {w: _coset_canonical(base, cols)
+              for w, base, cols in model.sections()}
+    points = sum(1 << len(basis) for basis, _ in cosets.values())
+    if points > cap:
+        raise ResourceLimitError(
+            f"coset expansion of {points} points exceeds the cap {cap}")
+    lib_states = len(cosets)
+    joint: dict[tuple[int, int], Fraction] = {}
+    for w in range(lib_states):
+        basis, base = cosets[w]
+        p = Fraction(1, lib_states << len(basis))
+        for point in _expand_span(basis):
+            joint[(w, base ^ point)] = p
+    return joint
+
+
 def security_joint_affine(cfg: SchemeConfig, demands: Sequence[DemandVector],
                           cap: int = DEFAULT_STATE_CAP
                           ) -> dict[tuple[int, int], Fraction]:
-    """The same joint distribution, from the per-library affine maps.
+    """The same joint distribution, from the recovered bilinear model.
 
     Exists for cross-checks and for the rare non-factorized case; the
     certified-zero path in check_security_exact never materializes it.
     """
-    lib_states, _ = _security_states(cfg)
-    runner = _Runner(cfg)
-    rng = derive_rng(cfg.seed, "affinity-probes")
-    joint: dict[tuple[int, int], Fraction] = {}
-    budget = 0
-    for w in range(lib_states):
-        library = library_from_int(w, cfg.num_files, cfg.file_bits)
-        tview, _ = _recover_affine(runner, library, demands, False)
-        _probe_affinity(runner, library, demands, tview, {}, rng)
-        basis, base = _coset_canonical(tview)
-        budget += 1 << len(basis)
-        if budget > min(cap, MATERIALIZE_LIMIT):
-            raise ResourceLimitError(
-                "coset expansion exceeds the materialization limit")
-        p = Fraction(1, lib_states * (1 << len(basis)))
-        for point in _expand_span(basis):
-            joint[(w, base ^ int(point))] = p
-    return joint
+    model, _ = _security_model(cfg, demands, cap)
+    return _joint_from_model(model, cap)
 
 
 def check_security_exact(cfg: SchemeConfig,
@@ -439,33 +487,22 @@ def check_security_exact(cfg: SchemeConfig,
     if demands is None:
         from .library import cycling_one_hot_demands
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
+    coeffs = tuple(d.coeffs for d in demands)
     lib_states, rand_states = _security_states(cfg)
     chosen = _choose_method(method, lib_states * rand_states, cap)
     if chosen == "enumerate":
         joint = security_joint_enumerated(cfg, demands, cap, jobs)
         mi = mutual_information(joint)
-        return SecurityCheckResult(cfg, tuple(d.coeffs for d in demands),
-                                   "enumerate", lib_states * rand_states,
+        return SecurityCheckResult(cfg, coeffs, "enumerate",
+                                   lib_states * rand_states,
                                    mi.is_zero, mi.bits)
-    runner = _Runner(cfg)
-    rng = derive_rng(cfg.seed, "affinity-probes")
-    states = lib_states * (runner.layout.total_bits + 1 + AFFINITY_PROBES)
-    if states > cap:
-        raise ResourceLimitError(
-            f"affine recovery needs {states} runs, over the cap {cap}")
-    cosets = []
-    for w in range(lib_states):
-        library = library_from_int(w, cfg.num_files, cfg.file_bits)
-        tview, _ = _recover_affine(runner, library, demands, False)
-        _probe_affinity(runner, library, demands, tview, {}, rng)
-        cosets.append(_coset_canonical(tview))
-    if all(c == cosets[0] for c in cosets):
-        return SecurityCheckResult(cfg, tuple(d.coeffs for d in demands),
-                                   "affine", states, True, 0.0)
-    joint = security_joint_affine(cfg, demands, cap)
-    mi = mutual_information(joint)
-    return SecurityCheckResult(cfg, tuple(d.coeffs for d in demands),
-                               "affine", states, mi.is_zero, mi.bits)
+    model, runs = _security_model(cfg, demands, cap)
+    cosets = (_coset_canonical(base, cols) for _, base, cols in model.sections())
+    first = next(cosets)
+    if all(c == first for c in cosets):
+        return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
+    mi = mutual_information(_joint_from_model(model, cap))
+    return SecurityCheckResult(cfg, coeffs, "affine", runs, mi.is_zero, mi.bits)
 
 
 # ---- privacy ----
@@ -474,7 +511,7 @@ def check_security_exact(cfg: SchemeConfig,
 class PrivacyCheckResult:
     cfg: SchemeConfig
     method: str
-    states: int
+    states: int  # states enumerated, or engine runs spent by "affine"
     max_tv: Fraction
     per_observer: Mapping[CacheSet, Fraction]
 
@@ -573,130 +610,45 @@ def _privacy_enumerated(cfg: SchemeConfig, observers: Sequence[CacheSet],
     return PrivacyCheckResult(cfg, "enumerate", states, max_tv, per_observer)
 
 
-def _tv_from_sorted(ref, cur, denom: int) -> Fraction:
-    if isinstance(ref, np.ndarray):
-        if np.array_equal(ref, cur):
-            return Fraction(0)
-        values_r, counts_r = np.unique(ref, return_counts=True)
-        values_c, counts_c = np.unique(cur, return_counts=True)
-        pr = {int(v): int(n) for v, n in zip(values_r, counts_r)}
-        pc = {int(v): int(n) for v, n in zip(values_c, counts_c)}
-    else:
-        if ref == cur:
-            return Fraction(0)
-        pr, pc = Counter(ref), Counter(cur)
-    keys = set(pr) | set(pc)
-    acc = sum(abs(pr.get(k, 0) - pc.get(k, 0)) for k in keys)
-    return Fraction(acc, 2 * denom)
-
-
-def _expand_images(view: AffineView) -> "np.ndarray | list[int]":
-    """The exact multiset of map outputs over all randomness values, with
-    the base point removed (doubling over every column keeps duplicate
-    contributions, so multiplicities come out right by construction)."""
-    if all(c < (1 << 63) for c in view.cols):
-        arr = np.zeros(1 << len(view.cols), dtype=np.uint64)
-        size = 1
-        for c in view.cols:
-            arr[size:2 * size] = arr[:size] ^ np.uint64(c)
-            size *= 2
-        return arr
-    points = [0]
-    for c in view.cols:
-        points += [p ^ c for p in points]
-    return points
-
-
 def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
                     cap: int) -> PrivacyCheckResult:
-    """For a fixed library and fixed demands the observer view is the
-    image of uniform randomness under an affine map, so its distribution
-    is the image multiset of one base run plus the map's column span.  The
-    linear part depends only on the library (demands shift the base
-    point): the multiset is expanded once per (library, observer) and each
-    demand tuple costs a single base-point run.  Random probes re-validate
-    both facts against real runs."""
+    """Rank test on one bilinear model per observer, over Z = D || R.
+
+    For a fixed library and own demand, an observer's view is uniform on
+    a coset of the span of the randomness columns, shifted by the other
+    users' demand columns they select.  Two cosets of one subspace are
+    equal or disjoint, so the TV is 0 when every other-user demand column
+    lies in that span and 1 as soon as one falls outside it.
+    """
     runner = _Runner(cfg)
     users = cfg.topo.users()
-    positions = {g: users.index(g) for g in observers}
-    lib_states, rand_states, demand_states = _privacy_states(cfg)
-    nbits = runner.layout.total_bits
-    if rand_states > MATERIALIZE_LIMIT:
-        raise ResourceLimitError(
-            f"affine privacy would expand 2^{nbits} randomness values per "
-            f"library, over the materialization limit {MATERIALIZE_LIMIT}")
-    states = lib_states * rand_states * demand_states
-    if states > cap:
-        raise ResourceLimitError(
-            f"privacy state space of {states} states exceeds the cap {cap}")
-    rng = derive_rng(cfg.seed, "affinity-probes")
+    n = cfg.num_files
+    dbits = n * len(users)
 
-    # Image multisets per (observer, library); demands only shift them.
-    images: dict[CacheSet, list] = {g: [] for g in observers}
-    image_sets: dict[CacheSet, list[set[int]]] = {g: [] for g in observers}
-    zero_demands = tuple(DemandVector(g, 0, cfg.num_files) for g in users)
-    for w in range(lib_states):
-        library = library_from_int(w, cfg.num_files, cfg.file_bits)
-        tview, oviews = _recover_affine(runner, library, zero_demands, True)
-        _probe_affinity(runner, library, zero_demands, tview, oviews, rng)
-        for g in observers:
-            img = _expand_images(oviews[g])
-            images[g].append(np.sort(img) if isinstance(img, np.ndarray)
-                             else sorted(img))
-            image_sets[g].append({int(p) for p in img})
+    def run(w: int, z: int) -> tuple[int, ...]:
+        library = library_from_int(w, n, cfg.file_bits)
+        demands = demands_from_int(z & ((1 << dbits) - 1), cfg)
+        _, oviews = runner.run_views(library, demands,
+                                     runner.layout.unpack(z >> dbits), True)
+        return tuple(oviews[g] for g in observers)
 
-    # One base-point run per (demand tuple, library); every observer's base
-    # falls out of the same run.  Occasionally spend an extra run at a
-    # random randomness point to confirm the image set is demand-invariant.
-    bases: dict[CacheSet, dict[tuple[int, int], int]] = {g: {} for g in observers}
-    rest_index: dict[CacheSet, dict[int, dict[tuple[int, ...], int]]] = {
-        g: {} for g in observers}
-    check_every = max(1, (demand_states * lib_states) // (AFFINITY_PROBES * 4))
-    step = 0
-    for dvalue in range(demand_states):
-        demands = demands_from_int(dvalue, cfg)
-        for g in observers:
-            own, rest = _split_demand_value(cfg, dvalue, positions[g])
-            rest_index[g].setdefault(own, {})[rest] = dvalue
-        for w in range(lib_states):
-            library = library_from_int(w, cfg.num_files, cfg.file_bits)
-            _, oviews = runner.run_views(library, demands,
-                                         runner.layout.unpack(0), True)
-            for g in observers:
-                bases[g][(dvalue, w)] = oviews[g]
-            step += 1
-            if step % check_every == 0 and nbits:
-                point = rng.getrandbits(nbits)
-                _, probe = runner.run_views(library, demands,
-                                            runner.layout.unpack(point), True)
-                for g in observers:
-                    if probe[g] ^ oviews[g] not in image_sets[g][w]:
-                        raise AssertionError(
-                            f"view columns of {g} depend on the demands; "
-                            "the affine shortcut does not apply")
-
-    # A sorted image multiset shifted by a base point stays a well-defined
-    # multiset; two conditionals are equal iff the shifted multisets agree.
-    def shifted(g: CacheSet, dvalue: int, w: int):
-        base = bases[g][(dvalue, w)]
-        img = images[g][w]
-        if isinstance(img, np.ndarray):
-            return np.sort(img ^ np.uint64(base))
-        return sorted(p ^ base for p in img)
-
+    labels = [f"observer {g}" for g in observers]
+    models, runs = _recover_models(run, labels, n * cfg.file_bits,
+                                   dbits + runner.layout.total_bits,
+                                   cfg.seed, cap)
     per_observer: dict[CacheSet, Fraction] = {}
-    for g in observers:
-        worst = Fraction(0)
-        for own, rest_map in sorted(rest_index[g].items()):
-            rests = sorted(rest_map)
-            for w in range(lib_states):
-                ref = shifted(g, rest_map[rests[0]], w)
-                for rest in rests[1:]:
-                    cur = shifted(g, rest_map[rest], w)
-                    worst = max(worst, _tv_from_sorted(ref, cur, rand_states))
-        per_observer[g] = worst
-    max_tv = max(per_observer.values()) if per_observer else Fraction(0)
-    return PrivacyCheckResult(cfg, "affine", states, max_tv, per_observer)
+    for g, model in zip(observers, models):
+        own = users.index(g)
+        others = [j for j in range(dbits) if j // n != own]
+        leaks = False
+        for _, _, cols in model.sections():
+            basis = _rref_basis(cols[dbits:])
+            if any(_reduce_point(cols[j], basis) for j in others):
+                leaks = True
+                break
+        per_observer[g] = Fraction(int(leaks))
+    return PrivacyCheckResult(cfg, "affine", runs, max(per_observer.values()),
+                              per_observer)
 
 
 # ---- correctness ----
@@ -739,9 +691,9 @@ def check_correctness(cfg: SchemeConfig,
                                      cfg.num_files, cfg.file_bits)
         randomness = ServerRandomness.draw(run_cfg, derive_rng(seed, "placement"))
         placement = scheme.place(library, randomness)
-        table = subpacketize(library, cfg.topo)
         for bi, battery in enumerate(batteries):
-            transcript = scheme.deliver(placement.secrets, table, battery)
+            transcript = scheme.deliver(placement.secrets, placement.table,
+                                        battery)
             for demand in battery:
                 member_caches = [placement.caches[c - 1] for c in demand.user]
                 decoded = scheme.decode(demand.user, member_caches,
@@ -876,9 +828,8 @@ def security_suite(method: str = "auto", cap: int = DEFAULT_STATE_CAP,
 
 def privacy_suite(method: str = "auto", cap: int = DEFAULT_STATE_CAP
                   ) -> list[PrivacyCheckResult]:
-    """Exact privacy on the instances whose state space fits the exact
-    oracles (C = 3; larger topologies exceed the materialization limit),
-    then the cleartext negative control (expected nonzero)."""
+    """Exact privacy on the C = 3 instances of the tiny sweep, then the
+    cleartext negative control (expected nonzero)."""
     results = []
     for C, r, t in tiny_sweep_topologies():
         if C != 3:

@@ -171,10 +171,10 @@ def test_criterion_04_exhaustive_decode_tiny_instance():
 
 
 def test_criterion_05_security_certified_zero_on_sweep():
-    """Exact mutual information between caches-plus-transcript and the
-    library is zero for every keyed kind on the tiny sweep, and strictly
-    positive for the keyless control.  Each instance stays under its
-    per-instance budget."""
+    """Exact mutual information between the broadcast transmission alone
+    (no cache) and the library is zero for every keyed kind on the tiny
+    sweep, and strictly positive for the keyless control.  Each instance
+    stays under its per-instance budget."""
     started = time.perf_counter()
     per_instance_budget = 300.0
     for C, r, t in tiny_sweep_topologies():

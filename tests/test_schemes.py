@@ -333,3 +333,52 @@ def test_decoded_value_is_the_linear_combination():
     for g, d in zip(users, demands):
         assert result.decoded[g] == linear_combination(d, result.library)
     assert result.ok
+
+
+def test_key_code_is_built_once_per_config():
+    cfg = config(SchemeKind.IS_LFR, 4, 2, 1)
+    assert cfg.key_code is cfg.key_code
+    assert (cfg.key_code.length, cfg.key_code.dimension) == (3, 2)
+
+
+def test_placement_carries_the_table_delivery_uses():
+    cfg = config(SchemeKind.S_LFR, 4, 2, 1)
+    lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
+                             cfg.file_bits)
+    placement = scheme_for(cfg).place(lib)
+    assert placement.table == subpacketize(lib, cfg.topo)
+
+
+def test_asymmetric_placement_is_an_error(monkeypatch):
+    # Raised explicitly, so the check survives python -O.
+    from maclfr.schemes import SLfrScheme
+
+    honest = SLfrScheme._place_keys
+
+    def lopsided(self, randomness, subfiles, table):
+        caches, secrets = honest(self, randomness, subfiles, table)
+        extra = dict(caches[0].whole_keys)
+        extra[("extra",)] = BitBlock.zeros(1)
+        caches[0] = replace(caches[0], whole_keys=extra)
+        return caches, secrets
+
+    monkeypatch.setattr(SLfrScheme, "_place_keys", lopsided)
+    cfg = config(SchemeKind.S_LFR, 3, 2, 1)
+    lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
+                             cfg.file_bits)
+    with pytest.raises(IntegrityError, match="symmetric"):
+        scheme_for(cfg).place(lib)
+
+
+def test_secure_placement_under_the_memory_floor_is_an_error(monkeypatch):
+    from maclfr.schemes import ServerSecrets, SLfrScheme
+
+    def keyless(self, randomness, subfiles, table):
+        return self._bare_caches(subfiles), ServerSecrets(randomness, {}, {})
+
+    monkeypatch.setattr(SLfrScheme, "_place_keys", keyless)
+    cfg = config(SchemeKind.S_LFR, 3, 2, 0)  # t = 0: no subfiles either
+    lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
+                             cfg.file_bits)
+    with pytest.raises(IntegrityError, match="memory bound"):
+        scheme_for(cfg).place(lib)

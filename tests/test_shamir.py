@@ -128,3 +128,31 @@ def test_leakage_check_guards():
         leakage_check(1, 2, field, (1, 2))
     with pytest.raises(ResourceLimitError):
         leakage_check(8, 3, field, (1,), cap=10)
+
+
+def test_reconstruct_inverts_split_for_small_share_counts():
+    # Lagrange weights are computed once per reconstruct; every symbol of
+    # a multi-symbol secret must still come back, for r = 1 ... 4.
+    rng = random.Random(4)
+    for share_count in range(1, 5):
+        field = field_for(share_count)
+        for secret_bits in (1, field.exponent, 5 * field.exponent + 1):
+            for _ in range(20):
+                secret = BitBlock.random(rng, secret_bits)
+                shares = split(secret, share_count, field, rng)
+                assert reconstruct(shares) == secret, (share_count, secret)
+
+
+def test_lagrange_weights_interpolate_at_zero():
+    field = binary_field(3)
+    xs = (1, 2, 5)
+    weights = field.lagrange_weights_at_zero(xs)
+    for coeffs in ((0, 0, 0), (7, 1, 0), (3, 5, 6)):
+        values = [field.poly_eval(coeffs, x) for x in xs]
+        acc = 0
+        for y, w in zip(values, weights):
+            acc ^= field.mul(y, w)
+        assert acc == coeffs[0]
+    for bad in ((1, 1), (0, 2), (1, 8)):
+        with pytest.raises(DomainError):
+            field.lagrange_weights_at_zero(bad)

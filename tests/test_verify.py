@@ -8,16 +8,23 @@ against brute-force enumeration on instances small enough for both.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import maclfr
 from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
-from maclfr.schemes import SchemeKind
-from maclfr.verify import (check_correctness, check_privacy_exact,
+from maclfr.schemes import RandomnessLayout, SchemeKind, scheme_for
+from maclfr.verify import (AFFINITY_PROBES, ViewExtractor, _Runner,
+                           check_correctness, check_privacy_exact,
                            check_security_exact, check_share_placement_secrecy,
                            demands_from_int, library_from_int,
                            mutual_information, pack_demands, pack_library,
@@ -145,6 +152,112 @@ def test_affine_joint_matches_enumeration_exactly():
                     == security_joint_affine(cfg, demands)), (kind, t)
 
 
+def test_affine_matches_every_enumerated_sweep_instance():
+    # Every instance of the default security sweep that "auto" enumerates,
+    # keyless control included, gets the same verdict from the model.
+    instances = [(kind, C, r, t) for C, r, t in tiny_sweep_topologies()
+                 for kind in (SchemeKind.S_LFR, SchemeKind.IS_LFR,
+                              SchemeKind.SP_LFR)]
+    instances.append((SchemeKind.LFR, 3, 2, 1))
+    compared = 0
+    for kind, C, r, t in instances:
+        cfg = tiny_config(kind, C, r, t)
+        enum = check_security_exact(cfg)
+        if enum.method != "enumerate":
+            continue
+        affine = check_security_exact(cfg, method="affine")
+        assert affine.certified_zero == enum.certified_zero, (kind, C, r, t)
+        assert affine.mi_bits == pytest.approx(enum.mi_bits, abs=1e-9)
+        compared += 1
+    assert compared >= 10
+
+
+def test_affine_states_count_recovery_and_probe_runs():
+    cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
+    lib_bits = cfg.num_files * cfg.file_bits
+    rand_bits = RandomnessLayout.for_config(cfg).total_bits
+    res = check_security_exact(cfg, method="affine")
+    assert res.states == ((1 + lib_bits) * (1 + rand_bits)
+                          + AFFINITY_PROBES * (1 + lib_bits))
+
+
+def test_largest_masked_sweep_instance_is_fast():
+    started = time.perf_counter()
+    res = check_security_exact(tiny_config(SchemeKind.SP_LFR, 4, 2, 2))
+    assert res.method == "affine" and res.certified_zero
+    assert time.perf_counter() - started < 2.0
+
+
+def _skew_views(monkeypatch):
+    """Make every view carry a library-by-library product, which no
+    bilinear model over (library, inputs) can express."""
+    honest = _Runner.run_views
+
+    def skewed(self, library, demands, randomness, with_observers):
+        tview, oviews = honest(self, library, demands, randomness,
+                               with_observers)
+        w = pack_library(library)
+        bump = w & (w >> 1) & 1
+        return tview ^ bump, {g: v ^ bump for g, v in oviews.items()}
+
+    monkeypatch.setattr(_Runner, "run_views", skewed)
+
+
+def test_affine_route_rejects_a_library_product(monkeypatch):
+    _skew_views(monkeypatch)
+    cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
+    with pytest.raises(AssertionError, match="not bilinear"):
+        check_security_exact(cfg, method="affine")
+    with pytest.raises(AssertionError, match="not bilinear"):
+        check_privacy_exact(cfg, method="affine")
+
+
+def test_affine_route_respects_the_cap():
+    cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
+    runs = check_security_exact(cfg, method="affine").states
+    with pytest.raises(ResourceLimitError):
+        check_security_exact(cfg, method="affine", cap=runs - 1)
+    assert check_security_exact(cfg, method="affine", cap=runs).certified_zero
+    runs = check_privacy_exact(cfg, method="affine").states
+    with pytest.raises(ResourceLimitError):
+        check_privacy_exact(cfg, method="affine", cap=runs - 1)
+    # The keyless joint expands one point per library value: 64 points
+    # from 63 runs, so a cap of 63 admits the runs but not the expansion.
+    control = tiny_config(SchemeKind.LFR, 3, 2, 1)
+    demands = cycling_one_hot_demands(control.topo, control.num_files)
+    assert len(security_joint_affine(control, demands, cap=64)) == 64
+    with pytest.raises(ResourceLimitError):
+        security_joint_affine(control, demands, cap=63)
+
+
+def test_broadcast_plus_one_cache_leaks():
+    # The security oracle's eavesdropper sees the broadcast alone.  Give
+    # it cache 1 as well and s-lfr leaks: that cache holds subfiles and
+    # the whole payload key.
+    cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
+    assert check_security_exact(cfg).certified_zero
+    scheme = scheme_for(cfg)
+    layout = RandomnessLayout.for_config(cfg)
+    extractor = ViewExtractor(cfg)
+    demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
+    lib_states = 1 << (cfg.num_files * cfg.file_bits)
+    p = F(1, lib_states << layout.total_bits)
+    joint: dict = {}
+    for w in range(lib_states):
+        library = library_from_int(w, cfg.num_files, cfg.file_bits)
+        for rv in range(1 << layout.total_bits):
+            placement = scheme.place(library, layout.unpack(rv))
+            transcript = scheme.deliver(placement.secrets, placement.table,
+                                        demands)
+            cache = placement.caches[0]
+            view = (extractor.transmission(transcript),
+                    tuple(sorted(cache.subfiles.items())),
+                    tuple(sorted(cache.whole_keys.items())))
+            joint[(w, view)] = joint.get((w, view), F(0)) + p
+    mi = mutual_information(joint)
+    assert not mi.is_zero and mi.bits > 0
+
+
 def test_security_respects_the_cap():
     cfg = tiny_config(SchemeKind.S_LFR, 4, 2, 2)
     with pytest.raises(ResourceLimitError):
@@ -159,6 +272,15 @@ def test_privacy_affine_matches_enumeration():
     affine = check_privacy_exact(cfg, method="affine")
     assert enum.max_tv == affine.max_tv == 0
     assert enum.per_observer == affine.per_observer
+
+
+def test_privacy_affine_matches_enumeration_on_the_cleartext_control():
+    cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
+    enum = check_privacy_exact(cfg, method="enumerate")
+    affine = check_privacy_exact(cfg, method="affine")
+    assert affine.method == "affine"
+    assert affine.per_observer == enum.per_observer
+    assert affine.max_tv == enum.max_tv == 1
 
 
 def test_masked_demands_are_private_and_cleartext_ones_are_not():
@@ -224,3 +346,15 @@ def test_security_default_battery_is_cycling_one_hot():
     default = check_security_exact(cfg)
     assert explicit.mi_bits == default.mi_bits
     assert explicit.demands == default.demands
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(maclfr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, maclfr, maclfr.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
