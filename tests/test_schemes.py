@@ -201,6 +201,29 @@ def test_randomness_layout_units(kind):
         layout.unpack(1 << layout.total_bits)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t", ((3, 2, 1), (4, 1, 2), (4, 3, 1)))
+def test_draw_agrees_with_layout_unpack(kind, C, r, t):
+    # draw() and unpack() read one canonical order: replaying the placement
+    # stream one getrandbits(bits) per layout entry and unpacking the packed
+    # value rebuilds exactly what draw() returns.  p-lfr's pinned keys are
+    # drawn and dropped, so the replay consumes them first.
+    cfg = config(kind, C, r, t, N=2)
+    layout = RandomnessLayout.for_config(cfg)
+    for seed in (0, 1, 2):
+        replay = derive_rng(seed, "placement")
+        if kind is SchemeKind.P_LFR:
+            for _ in cfg.topo.transmission_indices():
+                replay.getrandbits(cfg.subfile_bits)
+        value, offset = 0, 0
+        for _, bits in layout.entries:
+            value |= replay.getrandbits(bits) << offset
+            offset += bits
+        assert offset == layout.total_bits
+        drawn = ServerRandomness.draw(cfg, derive_rng(seed, "placement"))
+        assert layout.unpack(value) == drawn
+
+
 def test_randomness_draw_is_deterministic():
     cfg = config(SchemeKind.SP_LFR, 3, 2, 1)
     a = ServerRandomness.draw(cfg, derive_rng(9, "placement"))
