@@ -18,7 +18,7 @@ from .analysis import (GapResult, MemoryRatePoint, TradeoffCurve, curve,
 from .bits import BitBlock
 from .errors import (DomainError, IntegrityError, MaclfrError,
                      ResourceLimitError, UsageError)
-from .gf import BinaryField, FieldElement, binary_field
+from .gf import BinaryField, binary_field
 from .library import (DemandVector, FileLibrary, SubfileTable,
                       exhaustive_demand_tuples, linear_combination,
                       parse_demand_file, random_demands, subpacketize)
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitBlock", "CacheContent", "CorrectnessReport", "DeliveryTranscript",
-    "BinaryField", "DemandVector", "DomainError", "FieldElement",
+    "BinaryField", "DemandVector", "DomainError",
     "FileLibrary", "GapResult", "binary_field",
     "IntegrityError", "MaclfrError", "MdsCode", "MemoryRatePoint",
     "MutualInformationResult", "PlacementResult", "PrivacyCheckResult",

@@ -8,8 +8,8 @@ verification oracles and writes a JSON report.
 Output files are pure functions of the arguments (wall-clock goes to
 stdout only), so identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 1 a check or decode failed, 2 I/O failure,
-3 resource cap exceeded, 4 bad arguments.
+Exit codes: 0 success, 1 a check or decode failed, 2 an OSError or an
+IntegrityError, 3 resource cap exceeded, 4 bad arguments.
 """
 
 from __future__ import annotations

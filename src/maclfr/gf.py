@@ -3,8 +3,7 @@
 Elements are plain ints in [0, 2^l) holding polynomial-basis coordinates:
 bit j of the int is the coefficient of x^j, so the constant term sits in
 the least significant bit.  A BinaryField instance fixes the exponent and
-the reduction polynomial and exposes arithmetic on raw ints; FieldElement
-is a thin typed wrapper for callers that want mismatched-field detection.
+the reduction polynomial and exposes arithmetic on raw ints.
 
 Multiplication and inversion go through log/antilog tables built from a
 generator of the multiplicative group, which is plenty for the exponents
@@ -15,10 +14,9 @@ exhaustive trial division.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError
 
 MAX_EXPONENT = 16
 
@@ -98,11 +96,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class BinaryField:
-    """GF(2^exponent) with a fixed reduction polynomial.
-
-    The arithmetic methods take and return raw ints.  Use element() to get
-    typed FieldElement values when field provenance should be checked.
-    """
+    """GF(2^exponent) with a fixed reduction polynomial; the arithmetic
+    methods take and return raw ints."""
 
     def __init__(self, exponent: int, reduction_poly: int | None = None):
         if not 1 <= exponent <= MAX_EXPONENT:
@@ -211,33 +206,6 @@ class BinaryField:
             weights.append(weight)
         return tuple(weights)
 
-    def interpolate_constant(self, points: Sequence[tuple[int, int]]) -> int:
-        """Constant term of the unique degree < len(points) polynomial."""
-        weights = self.lagrange_weights_at_zero([x for x, _ in points])
-        acc = 0
-        for (_, y), weight in zip(points, weights):
-            acc ^= self.mul(y, weight)
-        return acc
-
-    # ---- typed wrappers ----
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self._check(value), self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(v, self) for v in range(self.order))
-
-    def nonzero_elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(v, self) for v in range(1, self.order))
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BinaryField)
                 and other.exponent == self.exponent
@@ -262,65 +230,3 @@ def exponent_for_share_count(share_count: int) -> int:
     if share_count < 1:
         raise DomainError(f"share count must be positive, got {share_count}")
     return share_count.bit_length()
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    value: int
-    field: BinaryField
-
-    def _peer(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise UsageError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise UsageError(f"field mismatch: {self.field} vs {other.field}")
-        return other
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.value ^ self._peer(other).value, self.field)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.mul(self.value, self._peer(other).value),
-                            self.field)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.div(self.value, self._peer(other).value),
-                            self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    for c in coeffs:
-        x._peer(c)
-    return FieldElement(x.field.poly_eval([c.value for c in coeffs], x.value),
-                        x.field)
-
-
-def interpolate_constant(points: Sequence[tuple[FieldElement, FieldElement]]
-                         ) -> FieldElement:
-    if not points:
-        raise DomainError("no interpolation points")
-    field = points[0][0].field
-    for x, y in points:
-        points[0][0]._peer(x), points[0][0]._peer(y)
-    return FieldElement(
-        field.interpolate_constant([(x.value, y.value) for x, y in points]), field)

@@ -170,14 +170,6 @@ def linear_combination(demand: DemandVector, library: FileLibrary) -> BitBlock:
     return acc
 
 
-def linear_combination_subfile(demand: DemandVector, table: SubfileTable,
-                               index_set: CacheSet) -> BitBlock:
-    acc = BitBlock.zeros(table.subfile_bits)
-    for i in demand.supported_files():
-        acc ^= table.subfile(i, index_set)
-    return acc
-
-
 # ---- demand batteries ----
 
 def parse_demand_file(text: str, topo: TopologySpec, num_files: int

@@ -1,20 +1,20 @@
 """Placement, delivery, and decoding for the five retrieval schemes.
 
-All five schemes share the combinatorial layout: subfiles indexed by
-t-subsets are replicated into the caches they name, and one payload is
-broadcast per (t + r)-subset S, built so that the user on every r-subset
-g of S extracts its missing piece indexed by S minus g.  They differ in
-what protects the payloads and the demands:
+All five kinds run one engine.  Subfiles indexed by t-subsets are
+replicated into the caches they name, and one payload is broadcast per
+(t + r)-subset S, built so that the user on every r-subset g of S
+extracts its missing piece indexed by S minus g.  The kinds differ in two
+facts only, both read off SchemeKind: whether demands travel masked, and
+where the one-time key that protects each payload is stored.
 
-* lfr     -- nothing; payloads are plain XORs of demanded combinations.
-             The keyless baseline.
-* s-lfr   -- each payload is masked by a one-time key, and every cache
-             named in S stores that key whole.  Content-secure against
-             eavesdroppers, but demands travel in clear.
-* is-lfr  -- like s-lfr, except each key is cut into r sub-keys and MDS
-             coded into t + r blocks, one per cache in S; any user inside
-             S still collects r blocks and recovers the key, while the
-             key share of memory shrinks by a factor of r.
+* lfr     -- no key, cleartext demands; payloads are plain XORs of the
+             demanded combinations.  The keyless baseline.
+* s-lfr   -- every cache named in S stores the payload key whole: content
+             security against eavesdroppers, but demands travel in clear.
+* is-lfr  -- the key is cut into r sub-keys and MDS coded into t + r
+             blocks, one per cache in S; any user inside S still collects
+             r blocks and recovers the key, while the key share of memory
+             shrinks by a factor of r.
 * sp-lfr  -- content security plus demand privacy.  Users send demands
              masked by one-time pads; the induced per-user keys are
              superposed with the payload keys and stored as threshold
@@ -22,14 +22,15 @@ what protects the payloads and the demands:
 * p-lfr   -- sp-lfr with the payload keys pinned to zero: privacy without
              content security, at the same memory.  Also admits the
              degenerate broadcast mode that ships the whole library and
-             needs no cache at all.
+             needs no cache at all: the engine's one special case.
 
-Randomness is drawn from seeded streams in a fixed canonical order, so a
-(config, seed) pair fully determines every artifact.
+Randomness is drawn from seeded streams in the one canonical order of
+randomness_order(), so a (config, seed) pair determines every artifact.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bits import BitBlock, concat_blocks
 from .errors import DomainError, IntegrityError, UsageError
@@ -61,7 +63,8 @@ class SchemeKind(str, Enum):
 
     @property
     def masks_demands(self) -> bool:
-        """Demands leave the user only as one-time-padded vectors."""
+        """Demands leave the user only as one-time-padded vectors; the
+        payload keys then travel as threshold shares of superposed keys."""
         return self in (SchemeKind.SP_LFR, SchemeKind.P_LFR)
 
     @property
@@ -126,7 +129,55 @@ def derive_rng(seed: int, purpose: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "little"))
 
 
+# ---- per-topology index lists ----
+
+@functools.lru_cache(maxsize=None)
+def _indices(topo: TopologySpec):
+    """The index lists every round walks, built once per topology.
+
+    slots maps (g, T), for every user g and subfile index T it does not
+    reach, lex in (g, T), to the rank of T and the transmission S = g + T
+    that carries g's piece T.  members maps each transmission S, in lex
+    order, to the triples (g, S minus g, its rank) of the users g inside S.
+    """
+    rank = {T: k for k, T in enumerate(topo.subfile_indices())}
+    slots = {(g, T): (rank[T], tuple(sorted(g + T)))
+             for g in topo.users() for T in topo.subfile_indices()
+             if not set(g) & set(T)}
+    members = {}
+    for S in topo.transmission_indices():
+        rests = [(g, tuple(c for c in S if c not in g))
+                 for g in combinations(S, topo.access_degree)]
+        members[S] = tuple((g, rest, rank[rest]) for g, rest in rests)
+    return MappingProxyType(slots), MappingProxyType(members)
+
+
 # ---- server randomness ----
+
+def randomness_order(cfg: SchemeConfig) -> Iterator[tuple[tuple, int]]:
+    """Every value the server draws before a round, as (label, bits) in
+    the canonical order; draw() takes one getrandbits(bits) per entry.
+
+    Payload keys come first, in lex transmission index, for every kind but
+    lfr; p-lfr draws them and then pins them to zero, which keeps the rest
+    of its stream aligned with sp-lfr.  Mask vectors follow in lex user,
+    then share coefficients in lex (user, index), symbol by symbol and
+    blind by blind.
+    """
+    topo = cfg.topo
+    if cfg.kind is not SchemeKind.LFR:
+        for S in topo.transmission_indices():
+            yield ("key", S), cfg.subfile_bits
+    if cfg.kind.masks_demands:
+        for g in topo.users():
+            yield ("mask", g), cfg.num_files
+        l = cfg.key_field.exponent
+        blinds = topo.access_degree - 1
+        for g, T in _indices(topo)[0]:
+            for s in range(cfg.share_block_bits // l):
+                for b in range(blinds):
+                    yield ("coef", g, T, s, b), l
+
 
 @dataclass(frozen=True)
 class ServerRandomness:
@@ -143,35 +194,45 @@ class ServerRandomness:
 
     @classmethod
     def draw(cls, cfg: SchemeConfig, rng: random.Random) -> "ServerRandomness":
-        """Draw in the canonical order: payload keys (lex transmission index),
-        mask vectors (lex user), then share coefficients (lex (user, index),
-        symbol by symbol).  p-lfr draws payload keys and then pins them to
-        zero, which keeps the remaining stream aligned with sp-lfr."""
+        """Draw every entry of randomness_order(cfg), in that order."""
+        return cls._from_entries(cfg, ((label, rng.getrandbits(bits))
+                                      for label, bits in randomness_order(cfg)))
+
+    @classmethod
+    def _from_entries(cls, cfg: SchemeConfig,
+                     values: Iterable[tuple[tuple, int]]) -> "ServerRandomness":
+        """Assemble labelled values of randomness_order(cfg) entries.
+
+        Payload keys of a kind without key entropy are zero whether or not
+        their entries are given.
+        """
         topo = cfg.topo
         kind = cfg.kind
         payload_keys: dict[CacheSet, BitBlock] = {}
-        if kind.has_payload_keys or kind is SchemeKind.P_LFR:
-            for S in topo.transmission_indices():
-                block = BitBlock.random(rng, cfg.subfile_bits)
-                if kind is SchemeKind.P_LFR:
-                    block = BitBlock.zeros(cfg.subfile_bits)
-                payload_keys[S] = block
+        if kind is SchemeKind.P_LFR:
+            zero = BitBlock.zeros(cfg.subfile_bits)
+            payload_keys = {S: zero for S in topo.transmission_indices()}
         mask_vectors: dict[CacheSet, int] = {}
-        share_coefficients: dict[tuple[CacheSet, CacheSet],
-                                 tuple[tuple[int, ...], ...]] = {}
+        coefs: dict[tuple[CacheSet, CacheSet], list[list[int]]] = {}
         if kind.masks_demands:
-            for g in topo.users():
-                mask_vectors[g] = rng.getrandbits(cfg.num_files)
-            l = cfg.key_field.exponent
+            # Pre-create every coefficient row so that r = 1 (no blinding
+            # coefficients at all) still yields the empty rows split() expects.
             blinds = topo.access_degree - 1
-            symbols = cfg.share_block_bits // l
-            for g in topo.users():
-                for T in topo.subfile_indices():
-                    if set(g) & set(T):
-                        continue
-                    share_coefficients[(g, T)] = tuple(
-                        tuple(rng.getrandbits(l) for _ in range(blinds))
-                        for _ in range(symbols))
+            symbols = cfg.share_block_bits // cfg.key_field.exponent
+            for slot in _indices(topo)[0]:
+                coefs[slot] = [[0] * blinds for _ in range(symbols)]
+        for label, value in values:
+            tag = label[0]
+            if tag == "key":
+                if kind.has_payload_keys:
+                    payload_keys[label[1]] = BitBlock(value, cfg.subfile_bits)
+            elif tag == "mask":
+                mask_vectors[label[1]] = value
+            else:
+                _, g, T, s, b = label
+                coefs[(g, T)][s][b] = value
+        share_coefficients = {key: tuple(tuple(row) for row in rows)
+                              for key, rows in coefs.items()}
         return cls(payload_keys, mask_vectors, share_coefficients)
 
 
@@ -180,75 +241,30 @@ class RandomnessLayout:
     """Bit layout of the entropy behind ServerRandomness.
 
     The verification oracles enumerate server randomness exhaustively; this
-    maps an integer to the ServerRandomness it encodes.  Entries follow the
-    canonical draw order.  Note p-lfr has no payload-key entropy: those
-    blocks are constants, not draws, even though draw() consumes stream
-    bits for them.
+    maps an integer to the ServerRandomness it encodes.  Entries are the
+    randomness_order() entries that carry entropy, so p-lfr's pinned
+    payload keys are left out even though draw() consumes stream bits for
+    them.
     """
 
     cfg: SchemeConfig
-    entries: tuple[tuple[object, int], ...]
+    entries: tuple[tuple[tuple, int], ...]
     total_bits: int
 
     @classmethod
     def for_config(cls, cfg: SchemeConfig) -> "RandomnessLayout":
-        topo = cfg.topo
-        kind = cfg.kind
-        entries: list[tuple[object, int]] = []
-        if kind.has_payload_keys:
-            for S in topo.transmission_indices():
-                entries.append((("key", S), cfg.subfile_bits))
-        if kind.masks_demands:
-            for g in topo.users():
-                entries.append((("mask", g), cfg.num_files))
-            l = cfg.key_field.exponent
-            blinds = topo.access_degree - 1
-            symbols = cfg.share_block_bits // l
-            for g in topo.users():
-                for T in topo.subfile_indices():
-                    if set(g) & set(T):
-                        continue
-                    for s in range(symbols):
-                        for b in range(blinds):
-                            entries.append((("coef", g, T, s, b), l))
-        return cls(cfg, tuple(entries), sum(bits for _, bits in entries))
+        entries = tuple((label, bits) for label, bits in randomness_order(cfg)
+                        if label[0] != "key" or cfg.kind.has_payload_keys)
+        return cls(cfg, entries, sum(bits for _, bits in entries))
 
     def unpack(self, value: int) -> ServerRandomness:
         if value < 0 or value >> self.total_bits:
             raise DomainError(f"value does not fit in {self.total_bits} bits")
-        cfg = self.cfg
-        topo = cfg.topo
-        payload_keys: dict[CacheSet, BitBlock] = {}
-        mask_vectors: dict[CacheSet, int] = {}
-        coefs: dict[tuple[CacheSet, CacheSet], list[list[int]]] = {}
-        if cfg.kind.masks_demands:
-            # Pre-create every coefficient row so that r = 1 (no blinding
-            # coefficients at all) still yields the empty rows split() expects.
-            l = cfg.key_field.exponent
-            blinds = topo.access_degree - 1
-            symbols = cfg.share_block_bits // l
-            for g in topo.users():
-                for T in topo.subfile_indices():
-                    if not set(g) & set(T):
-                        coefs[(g, T)] = [[0] * blinds for _ in range(symbols)]
-        offset = 0
+        chunks = []
         for label, bits in self.entries:
-            chunk = (value >> offset) & ((1 << bits) - 1)
-            offset += bits
-            tag = label[0]
-            if tag == "key":
-                payload_keys[label[1]] = BitBlock(chunk, bits)
-            elif tag == "mask":
-                mask_vectors[label[1]] = chunk
-            else:
-                _, g, T, s, b = label
-                coefs[(g, T)][s][b] = chunk
-        if cfg.kind is SchemeKind.P_LFR:
-            payload_keys = {S: BitBlock.zeros(cfg.subfile_bits)
-                            for S in topo.transmission_indices()}
-        share_coefficients = {key: tuple(tuple(row) for row in rows)
-                              for key, rows in coefs.items()}
-        return ServerRandomness(payload_keys, mask_vectors, share_coefficients)
+            chunks.append((label, value & ((1 << bits) - 1)))
+            value >>= bits
+        return ServerRandomness._from_entries(self.cfg, chunks)
 
 
 # ---- placement / delivery artifacts ----
@@ -270,16 +286,12 @@ class CacheContent:
                 + sum(b.length for b in self.whole_keys.values())
                 + sum(b.length for b in self.coded_subkeys.values()))
 
-    def memory_files(self, file_bits: int) -> Fraction:
-        return Fraction(self.stored_bits, file_bits)
-
 
 @dataclass(frozen=True)
 class ServerSecrets:
     """Server-side state that never leaves the server in clear."""
 
     randomness: ServerRandomness
-    induced_keys: Mapping[tuple[CacheSet, CacheSet], BitBlock]
     superposed_keys: Mapping[tuple[CacheSet, CacheSet], BitBlock]
 
 
@@ -309,11 +321,6 @@ class DeliveryTranscript:
             total += sum(b.length for b in self.broadcast_files)
         return total
 
-    @property
-    def demand_bits(self) -> int:
-        return (len(self.masked_demands) + len(self.cleartext_demands)) \
-            * self.cfg.num_files
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -330,23 +337,16 @@ class SimulationResult:
         return all(self.decoded[g] == self.expected[g] for g in self.decoded)
 
 
-# ---- scheme implementations ----
-
-def _merge_disjoint(a: CacheSet, b: CacheSet) -> CacheSet:
-    return tuple(sorted(a + b))
-
+# ---- the engine ----
 
 class Scheme:
-    """Base class: subfile placement and the plumbing common to all kinds."""
-
-    kind: SchemeKind
+    """Placement, delivery and decoding for every kind of a config."""
 
     def __init__(self, cfg: SchemeConfig):
-        if cfg.kind is not self.kind:
-            raise UsageError(f"config kind {cfg.kind.value} does not match "
-                             f"{self.kind.value}")
         self.cfg = cfg
         self.topo = cfg.topo
+        self.kind = cfg.kind
+        self._slots, self._members = _indices(cfg.topo)
 
     # -- placement --
 
@@ -363,11 +363,10 @@ class Scheme:
         subfiles: list[dict[tuple[int, CacheSet], BitBlock]] = [
             {} for _ in range(self.topo.num_caches)]
         if not cfg.broadcast:
-            for T in self.topo.subfile_indices():
-                for i in range(1, cfg.num_files + 1):
-                    block = table.subfile(i, T)
+            for k, T in enumerate(self.topo.subfile_indices()):
+                for i, row in enumerate(table.rows, 1):
                     for c in T:
-                        subfiles[c - 1][(i, T)] = block
+                        subfiles[c - 1][(i, T)] = row[k]
         caches, secrets = self._place_keys(randomness, subfiles, table)
         sizes = {c.stored_bits for c in caches}
         if len(sizes) != 1:
@@ -389,16 +388,44 @@ class Scheme:
                     subfiles: list[dict[tuple[int, CacheSet], BitBlock]],
                     table: SubfileTable
                     ) -> tuple[list[CacheContent], ServerSecrets]:
-        raise NotImplementedError
-
-    def _bare_caches(self, subfiles, key_shares=None, whole=None, coded=None
-                     ) -> list[CacheContent]:
-        def pick(source, c):
-            return source[c] if source is not None else {}
-
-        return [CacheContent(c + 1, subfiles[c], pick(key_shares, c),
-                             pick(whole, c), pick(coded, c))
-                for c in range(self.topo.num_caches)]
+        """Store each cache's key material: threshold shares of the
+        superposed keys, whole payload keys, MDS-coded ones, or nothing."""
+        cfg = self.cfg
+        kind = self.kind
+        keys = randomness.payload_keys
+        caches = range(self.topo.num_caches)
+        key_shares: list[dict] = [{} for _ in caches]
+        whole: list[dict] = [{} for _ in caches]
+        coded: list[dict] = [{} for _ in caches]
+        superposed: dict[tuple[CacheSet, CacheSet], BitBlock] = {}
+        if kind.masks_demands and not cfg.broadcast:
+            field = cfg.key_field
+            r = self.topo.access_degree
+            for (g, T), (k, S) in self._slots.items():
+                # The g-mask combination of subfile index T, on the key.
+                key = keys[S]
+                mask = randomness.mask_vectors[g]
+                for i, row in enumerate(table.rows):
+                    if (mask >> i) & 1:
+                        key ^= row[k]
+                superposed[(g, T)] = key
+                shares = split(key, r, field,
+                               coefficients=randomness.share_coefficients[(g, T)])
+                for c in g:
+                    j = share_index_of_cache(g, c)
+                    key_shares[c - 1][(g, T)] = shares.share_block(j)
+        elif kind.stores_keys_whole:
+            for S in self.topo.transmission_indices():
+                for c in S:
+                    whole[c - 1][S] = keys[S]
+        elif kind.stores_keys_coded:
+            for S in self.topo.transmission_indices():
+                blocks = encode_key(keys[S], cfg.key_code)
+                for c in S:
+                    coded[c - 1][S] = blocks[share_index_of_cache(S, c) - 1]
+        contents = [CacheContent(c + 1, subfiles[c], key_shares[c], whole[c],
+                                 coded[c]) for c in caches]
+        return contents, ServerSecrets(randomness, superposed)
 
     # -- delivery --
 
@@ -414,26 +441,34 @@ class Scheme:
         for d in demands:
             if d.num_files != cfg.num_files:
                 raise UsageError("demand width does not match the library")
-        return self._deliver(secrets, table, by_user)
-
-    def _deliver(self, secrets, table, by_user) -> DeliveryTranscript:
-        raise NotImplementedError
-
-    def _combination_payload(self, table: SubfileTable, S: CacheSet,
-                             coeffs_of: Mapping[CacheSet, int]) -> BitBlock:
-        """XOR over users g inside S of the g-demanded combination of the
-        subfile indexed by S minus g; the workhorse payload of every kind."""
-        acc = BitBlock.zeros(table.subfile_bits)
-        for g in combinations(S, self.topo.access_degree):
-            rest = tuple(c for c in S if c not in g)
-            coeffs = coeffs_of[g]
-            for i in range(1, self.cfg.num_files + 1):
-                if (coeffs >> (i - 1)) & 1:
-                    acc ^= table.subfile(i, rest)
-        return acc
-
-    def _rate(self) -> Fraction:
-        return Fraction(self.topo.num_transmissions, self.topo.num_subfile_indices)
+        if cfg.broadcast:
+            files = tuple(table.reassemble(i)
+                          for i in range(1, cfg.num_files + 1))
+            return DeliveryTranscript(cfg, {}, {}, {}, files,
+                                      Fraction(cfg.num_files))
+        randomness = secrets.randomness
+        if self.kind.masks_demands:
+            sent = {g: by_user[g].coeffs ^ randomness.mask_vectors[g]
+                    for g in self.topo.users()}
+        else:
+            sent = {g: by_user[g].coeffs for g in self.topo.users()}
+        # Per S: its key, then over users g inside S the
+        # g-sent combination of the subfile indexed by S minus g.
+        keyed = self.kind.has_payload_keys  # p-lfr's keys are all zero
+        zero = BitBlock.zeros(table.subfile_bits)
+        payloads = {}
+        for S, members in self._members.items():
+            acc = randomness.payload_keys[S] if keyed else zero
+            for g, _, k in members:
+                coeffs = sent[g]
+                for i, row in enumerate(table.rows):
+                    if (coeffs >> i) & 1:
+                        acc ^= row[k]
+            payloads[S] = acc
+        masked, clear = (sent, {}) if self.kind.masks_demands else ({}, sent)
+        rate = Fraction(self.topo.num_transmissions,
+                        self.topo.num_subfile_indices)
+        return DeliveryTranscript(cfg, payloads, masked, clear, None, rate)
 
     # -- decoding --
 
@@ -447,7 +482,40 @@ class Scheme:
             raise UsageError(
                 f"decode needs exactly the caches {user}, got {sorted(by_index)}")
         demand = self._resolve_demand(user, transcript, demand)
-        return self._decode(user, by_index, transcript, demand)
+        if self.cfg.broadcast:
+            if transcript.broadcast_files is None:
+                raise IntegrityError("broadcast transcript lacks the library")
+            return linear_combination(demand,
+                                      FileLibrary(transcript.broadcast_files))
+        masks = self.kind.masks_demands
+        sent = transcript.masked_demands if masks else transcript.cleartext_demands
+        store: dict[tuple[int, CacheSet], BitBlock] = {}
+        for content in by_index.values():
+            store.update(content.subfiles)
+        pieces = []
+        for T in self.topo.subfile_indices():
+            slot = self._slots.get((user, T))
+            if slot is None:
+                pieces.append(self._local_combination(store, demand.coeffs, T))
+                continue
+            # payload ^ key ^ the other users' combinations leaves the piece.
+            S = slot[1]
+            acc = transcript.payloads.get(S)
+            if acc is None:
+                raise IntegrityError(f"transcript lacks the payload for {S}")
+            key = self._user_key(user, by_index, S, T)
+            if key is not None:
+                acc ^= key
+            for other, rest, _ in self._members[S]:
+                if other == user:
+                    continue
+                coeffs = sent.get(other)
+                if coeffs is None:
+                    what = "masked demand" if masks else "demand"
+                    raise IntegrityError(f"transcript lacks the {what} of {other}")
+                acc ^= self._local_combination(store, coeffs, rest)
+            pieces.append(acc)
+        return concat_blocks(pieces).truncate(self.cfg.file_bits)
 
     def _resolve_demand(self, user, transcript, demand) -> DemandVector:
         if self.kind.masks_demands:
@@ -466,14 +534,22 @@ class Scheme:
             raise UsageError(f"demand belongs to {demand.user}, not {user}")
         return demand
 
-    def _decode(self, user, by_index, transcript, demand) -> BitBlock:
-        raise NotImplementedError
-
-    def _accessible_subfiles(self, by_index) -> dict[tuple[int, CacheSet], BitBlock]:
-        store: dict[tuple[int, CacheSet], BitBlock] = {}
-        for content in by_index.values():
-            store.update(content.subfiles)
-        return store
+    def _user_key(self, user: CacheSet, by_index: Mapping[int, CacheContent],
+                  S: CacheSet, T: CacheSet) -> BitBlock | None:
+        """The key on payload S as the user's caches hold it: reconstructed
+        from threshold shares, read whole, or MDS decoded; None for lfr."""
+        cfg = self.cfg
+        if self.kind.masks_demands:
+            blocks = [_held(by_index[c].key_shares, (user, T), c) for c in user]
+            return reconstruct(share_set_from_blocks(blocks, cfg.key_field,
+                                                     cfg.subfile_bits))
+        if self.kind.stores_keys_whole:
+            return _held(by_index[user[0]].whole_keys, S, user[0])
+        if self.kind.stores_keys_coded:
+            pairs = [(share_index_of_cache(S, c),
+                      _held(by_index[c].coded_subkeys, S, c)) for c in user]
+            return decode_key(pairs, cfg.key_code, cfg.subfile_bits)
+        return None
 
     def _local_combination(self, store, coeffs: int, T: CacheSet) -> BitBlock:
         acc = BitBlock.zeros(self.cfg.subfile_bits)
@@ -485,253 +561,16 @@ class Scheme:
                 acc ^= block
         return acc
 
-    def _payload(self, transcript, S: CacheSet) -> BitBlock:
-        block = transcript.payloads.get(S)
-        if block is None:
-            raise IntegrityError(f"transcript lacks the payload for {S}")
-        return block
 
-    def _assemble(self, user: CacheSet, store, demand: DemandVector,
-                  recovered: Mapping[CacheSet, BitBlock]) -> BitBlock:
-        """Stitch the demanded combination back together subfile by subfile."""
-        pieces = []
-        for T in self.topo.subfile_indices():
-            if set(user) & set(T):
-                pieces.append(self._local_combination(store, demand.coeffs, T))
-            else:
-                pieces.append(recovered[T])
-        return concat_blocks(pieces).truncate(self.cfg.file_bits)
-
-
-class SpLfrScheme(Scheme):
-    """Threshold-shared superposed keys, masked demands."""
-
-    kind = SchemeKind.SP_LFR
-
-    def _induced_key(self, randomness: ServerRandomness, table: SubfileTable,
-                     g: CacheSet, T: CacheSet) -> BitBlock:
-        """The mask-induced key: the g-mask combination of subfile index T."""
-        acc = BitBlock.zeros(self.cfg.subfile_bits)
-        mask = randomness.mask_vectors[g]
-        for i in range(1, self.cfg.num_files + 1):
-            if (mask >> (i - 1)) & 1:
-                acc ^= table.subfile(i, T)
-        return acc
-
-    def _place_keys(self, randomness, subfiles, table):
-        cfg = self.cfg
-        topo = self.topo
-        field = cfg.key_field
-        r = topo.access_degree
-        induced: dict[tuple[CacheSet, CacheSet], BitBlock] = {}
-        superposed: dict[tuple[CacheSet, CacheSet], BitBlock] = {}
-        key_shares: list[dict[tuple[CacheSet, CacheSet], BitBlock]] = [
-            {} for _ in range(topo.num_caches)]
-        for g in topo.users():
-            for T in topo.subfile_indices():
-                if set(g) & set(T):
-                    continue
-                induced_key = self._induced_key(randomness, table, g, T)
-                payload_key = randomness.payload_keys[_merge_disjoint(g, T)]
-                superposed_key = induced_key ^ payload_key
-                induced[(g, T)] = induced_key
-                superposed[(g, T)] = superposed_key
-                shares = split(superposed_key, r, field,
-                               coefficients=randomness.share_coefficients[(g, T)])
-                for c in g:
-                    j = share_index_of_cache(g, c)
-                    key_shares[c - 1][(g, T)] = shares.share_block(j)
-        caches = self._bare_caches(subfiles, key_shares=key_shares)
-        return caches, ServerSecrets(randomness, induced, superposed)
-
-    def _deliver(self, secrets, table, by_user):
-        randomness = secrets.randomness
-        masked = {g: by_user[g].coeffs ^ randomness.mask_vectors[g]
-                  for g in self.topo.users()}
-        payloads = {}
-        for S in self.topo.transmission_indices():
-            payloads[S] = (randomness.payload_keys[S]
-                           ^ self._combination_payload(table, S, masked))
-        return DeliveryTranscript(self.cfg, payloads, masked, {}, None, self._rate())
-
-    def _superposed_from_shares(self, user, by_index, T) -> BitBlock:
-        blocks = []
-        for c in user:
-            block = by_index[c].key_shares.get((user, T))
-            if block is None:
-                raise IntegrityError(f"cache {c} lacks the share for {(user, T)}")
-            blocks.append(block)
-        shares = share_set_from_blocks(blocks, self.cfg.key_field,
-                                       self.cfg.subfile_bits)
-        return reconstruct(shares)
-
-    def _decode(self, user, by_index, transcript, demand):
-        store = self._accessible_subfiles(by_index)
-        recovered: dict[CacheSet, BitBlock] = {}
-        for T in self.topo.subfile_indices():
-            if set(user) & set(T):
-                continue
-            S = _merge_disjoint(user, T)
-            acc = self._payload(transcript, S)
-            acc ^= self._superposed_from_shares(user, by_index, T)
-            for other in combinations(S, self.topo.access_degree):
-                if other == user:
-                    continue
-                rest = tuple(c for c in S if c not in other)
-                masked = transcript.masked_demands.get(other)
-                if masked is None:
-                    raise IntegrityError(f"transcript lacks the masked demand "
-                                         f"of {other}")
-                acc ^= self._local_combination(store, masked, rest)
-            recovered[T] = acc
-        return self._assemble(user, store, demand, recovered)
-
-
-class PLfrScheme(SpLfrScheme):
-    """sp-lfr with zero payload keys; optionally a pure broadcast."""
-
-    kind = SchemeKind.P_LFR
-
-    def _place_keys(self, randomness, subfiles, table):
-        if self.cfg.broadcast:
-            return self._bare_caches(subfiles), ServerSecrets(randomness, {}, {})
-        return super()._place_keys(randomness, subfiles, table)
-
-    def _deliver(self, secrets, table, by_user):
-        if self.cfg.broadcast:
-            files = tuple(table.reassemble(i)
-                          for i in range(1, self.cfg.num_files + 1))
-            return DeliveryTranscript(self.cfg, {}, {}, {}, files,
-                                      Fraction(self.cfg.num_files))
-        return super()._deliver(secrets, table, by_user)
-
-    def _decode(self, user, by_index, transcript, demand):
-        if self.cfg.broadcast:
-            if transcript.broadcast_files is None:
-                raise IntegrityError("broadcast transcript lacks the library")
-            return linear_combination(demand,
-                                      FileLibrary(transcript.broadcast_files))
-        return super()._decode(user, by_index, transcript, demand)
-
-
-class SLfrScheme(Scheme):
-    """Whole payload keys in every member cache, cleartext demands."""
-
-    kind = SchemeKind.S_LFR
-
-    def _place_keys(self, randomness, subfiles, table):
-        whole: list[dict[CacheSet, BitBlock]] = [
-            {} for _ in range(self.topo.num_caches)]
-        for S in self.topo.transmission_indices():
-            key = randomness.payload_keys[S]
-            for c in S:
-                whole[c - 1][S] = key
-        caches = self._bare_caches(subfiles, whole=whole)
-        return caches, ServerSecrets(randomness, {}, {})
-
-    def _deliver(self, secrets, table, by_user):
-        randomness = secrets.randomness
-        clear = {g: by_user[g].coeffs for g in self.topo.users()}
-        payloads = {}
-        for S in self.topo.transmission_indices():
-            payloads[S] = (randomness.payload_keys[S]
-                           ^ self._combination_payload(table, S, clear))
-        return DeliveryTranscript(self.cfg, payloads, {}, clear, None, self._rate())
-
-    def _payload_key(self, user, by_index, S: CacheSet) -> BitBlock:
-        content = by_index[user[0]]
-        key = content.whole_keys.get(S)
-        if key is None:
-            raise IntegrityError(f"cache {user[0]} lacks the key for {S}")
-        return key
-
-    def _decode(self, user, by_index, transcript, demand):
-        store = self._accessible_subfiles(by_index)
-        recovered: dict[CacheSet, BitBlock] = {}
-        for T in self.topo.subfile_indices():
-            if set(user) & set(T):
-                continue
-            S = _merge_disjoint(user, T)
-            acc = self._payload(transcript, S) ^ self._payload_key(user, by_index, S)
-            for other in combinations(S, self.topo.access_degree):
-                if other == user:
-                    continue
-                rest = tuple(c for c in S if c not in other)
-                coeffs = transcript.cleartext_demands.get(other)
-                if coeffs is None:
-                    raise IntegrityError(f"transcript lacks the demand of {other}")
-                acc ^= self._local_combination(store, coeffs, rest)
-            recovered[T] = acc
-        return self._assemble(user, store, demand, recovered)
-
-
-class IsLfrScheme(SLfrScheme):
-    """s-lfr with MDS-coded key placement: one coded block per member cache."""
-
-    kind = SchemeKind.IS_LFR
-
-    def _place_keys(self, randomness, subfiles, table):
-        code = self.cfg.key_code
-        coded: list[dict[CacheSet, BitBlock]] = [
-            {} for _ in range(self.topo.num_caches)]
-        for S in self.topo.transmission_indices():
-            blocks = encode_key(randomness.payload_keys[S], code)
-            for c in S:
-                coded[c - 1][S] = blocks[share_index_of_cache(S, c) - 1]
-        caches = self._bare_caches(subfiles, coded=coded)
-        return caches, ServerSecrets(randomness, {}, {})
-
-    def _payload_key(self, user, by_index, S):
-        code = self.cfg.key_code
-        pairs = []
-        for c in user:
-            block = by_index[c].coded_subkeys.get(S)
-            if block is None:
-                raise IntegrityError(f"cache {c} lacks its coded block for {S}")
-            pairs.append((share_index_of_cache(S, c), block))
-        return decode_key(pairs, code, self.cfg.subfile_bits)
-
-
-class LfrScheme(Scheme):
-    """The keyless baseline: plain combination payloads, cleartext demands."""
-
-    kind = SchemeKind.LFR
-
-    def _place_keys(self, randomness, subfiles, table):
-        return self._bare_caches(subfiles), ServerSecrets(randomness, {}, {})
-
-    def _deliver(self, secrets, table, by_user):
-        clear = {g: by_user[g].coeffs for g in self.topo.users()}
-        payloads = {S: self._combination_payload(table, S, clear)
-                    for S in self.topo.transmission_indices()}
-        return DeliveryTranscript(self.cfg, payloads, {}, clear, None, self._rate())
-
-    def _decode(self, user, by_index, transcript, demand):
-        store = self._accessible_subfiles(by_index)
-        recovered: dict[CacheSet, BitBlock] = {}
-        for T in self.topo.subfile_indices():
-            if set(user) & set(T):
-                continue
-            S = _merge_disjoint(user, T)
-            acc = self._payload(transcript, S)
-            for other in combinations(S, self.topo.access_degree):
-                if other == user:
-                    continue
-                rest = tuple(c for c in S if c not in other)
-                coeffs = transcript.cleartext_demands.get(other)
-                if coeffs is None:
-                    raise IntegrityError(f"transcript lacks the demand of {other}")
-                acc ^= self._local_combination(store, coeffs, rest)
-            recovered[T] = acc
-        return self._assemble(user, store, demand, recovered)
-
-
-_SCHEME_CLASSES = {cls.kind: cls for cls in
-                   (SpLfrScheme, PLfrScheme, SLfrScheme, IsLfrScheme, LfrScheme)}
+def _held(store: Mapping, label, cache: int) -> BitBlock:
+    block = store.get(label)
+    if block is None:
+        raise IntegrityError(f"cache {cache} lacks the key material for {label}")
+    return block
 
 
 def scheme_for(cfg: SchemeConfig) -> Scheme:
-    return _SCHEME_CLASSES[cfg.kind](cfg)
+    return Scheme(cfg)
 
 
 def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,

@@ -50,26 +50,6 @@ def subset_rank(subset: CacheSet, num_caches: int) -> int:
     return rank
 
 
-def subset_unrank(rank: int, num_caches: int, size: int) -> CacheSet:
-    """Inverse of subset_rank."""
-    total = comb(num_caches, size)
-    if not 0 <= rank < total:
-        raise DomainError(f"rank {rank} outside [0, {total})")
-    out = []
-    prev = 0
-    for i in range(size):
-        c = prev + 1
-        while True:
-            block = comb(num_caches - c, size - i - 1)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        out.append(c)
-        prev = c
-    return tuple(out)
-
-
 def share_index_of_cache(user: CacheSet, cache: int) -> int:
     """1-based position of the cache within the user's sorted access set.
 
@@ -109,11 +89,6 @@ class TopologySpec:
     def num_transmissions(self) -> int:
         return comb(self.num_caches, self.replication + self.access_degree)
 
-    @property
-    def missing_per_user(self) -> int:
-        """Subfile indices disjoint from a user's access set: binom(C-r, t)."""
-        return comb(self.num_caches - self.access_degree, self.replication)
-
     def users(self) -> tuple[CacheSet, ...]:
         return enumerate_subsets(self.num_caches, self.access_degree)
 
@@ -123,7 +98,3 @@ class TopologySpec:
     def transmission_indices(self) -> tuple[CacheSet, ...]:
         return enumerate_subsets(self.num_caches,
                                  self.replication + self.access_degree)
-
-    def accessible(self, user: CacheSet, subfile_index: CacheSet) -> bool:
-        """A user reaches a subfile iff its access set meets the index."""
-        return bool(set(user) & set(subfile_index))

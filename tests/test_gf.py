@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maclfr.errors import DomainError, UsageError
-from maclfr.gf import (MAX_EXPONENT, BinaryField, FieldElement, binary_field,
+from maclfr.errors import DomainError
+from maclfr.gf import (MAX_EXPONENT, BinaryField, binary_field,
                        canonical_reduction_poly, exponent_for_share_count,
-                       interpolate_constant, is_irreducible, poly_eval)
+                       is_irreducible)
 
 SMALL_EXPONENTS = (1, 2, 3, 4)
 
@@ -151,16 +151,20 @@ def test_interpolation_recovers_constant_term(data):
     degree = data.draw(st.integers(1, min(4, f.order - 2)))
     coeffs = [data.draw(st.integers(0, f.order - 1)) for _ in range(degree + 1)]
     xs = data.draw(st.permutations(range(1, f.order)))[:degree + 1]
-    points = [(x, f.poly_eval(coeffs, x)) for x in xs]
-    assert f.interpolate_constant(points) == coeffs[0]
+    constant = 0
+    for x, weight in zip(xs, f.lagrange_weights_at_zero(xs)):
+        constant ^= f.mul(weight, f.poly_eval(coeffs, x))
+    assert constant == coeffs[0]
 
 
 def test_interpolation_rejects_bad_abscissas():
     f = binary_field(3)
     with pytest.raises(DomainError):
-        f.interpolate_constant([(1, 0), (1, 1)])
+        f.lagrange_weights_at_zero([1, 1])
     with pytest.raises(DomainError):
-        f.interpolate_constant([(0, 5)])
+        f.lagrange_weights_at_zero([0])
+    with pytest.raises(DomainError):
+        f.lagrange_weights_at_zero([1, f.order])
 
 
 def test_exponent_for_share_count_is_minimal():
@@ -170,28 +174,3 @@ def test_exponent_for_share_count_is_minimal():
         assert l == 1 or count >= (1 << (l - 1)), "one bit fewer must not fit"
     with pytest.raises(DomainError):
         exponent_for_share_count(0)
-
-
-def test_field_element_wrappers():
-    f = binary_field(3)
-    a, b = f.element(0b010), f.element(0b100)
-    assert (a * b).value == 0b011
-    assert (a + a).value == 0
-    assert (a / a).value == 1
-    assert a.inverse() * a == f.one
-    assert not f.zero and f.one
-    other = binary_field(4)
-    with pytest.raises(UsageError):
-        a + other.element(1)
-    with pytest.raises(UsageError):
-        a * 3  # type: ignore[operator]
-
-
-def test_module_level_helpers_check_fields():
-    f = binary_field(3)
-    coeffs = [f.element(3), f.element(5)]
-    assert poly_eval(coeffs, f.element(2)).value == f.poly_eval([3, 5], 2)
-    pts = [(f.element(x), f.element(f.poly_eval([3, 5], x))) for x in (1, 2)]
-    assert interpolate_constant(pts).value == 3
-    with pytest.raises(DomainError):
-        interpolate_constant([])

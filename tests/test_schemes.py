@@ -21,8 +21,9 @@ from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
 from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
                             linear_combination, random_demands, subpacketize)
-from maclfr.schemes import (RandomnessLayout, SchemeConfig, SchemeKind,
-                            ServerRandomness, derive_rng, scheme_for, simulate)
+from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
+                            SchemeConfig, SchemeKind, ServerRandomness,
+                            ServerSecrets, derive_rng, scheme_for, simulate)
 from maclfr.topology import TopologySpec
 
 ALL_KINDS = tuple(SchemeKind)
@@ -162,23 +163,23 @@ def test_keyless_payload_is_the_plain_combination_xor():
 
 
 def test_masked_payload_unmasks_to_the_keyless_one():
-    # Stripping the payload key and swapping masked for true demands turns
-    # an sp-lfr payload into the keyless payload: the masking is an affine
-    # offset, not a different combination rule.
+    # Stripping the payload key from an sp-lfr payload leaves the keyless
+    # payload of the masked demands: the masking is an affine offset, not a
+    # different combination rule.
     cfg = config(SchemeKind.SP_LFR, 3, 2, 1, N=2)
-    lfr_cfg = replace(cfg, kind=SchemeKind.LFR)
     lib = FileLibrary.random(derive_rng(1, "library"), cfg.num_files,
                              cfg.file_bits)
     demands = random_demands(cfg.topo, cfg.num_files, random.Random(13))
     randomness = ServerRandomness.draw(cfg, derive_rng(4, "placement"))
     sp = simulate(cfg, library=lib, demands=demands, randomness=randomness)
-    table = subpacketize(lib, cfg.topo)
-    scheme = scheme_for(lfr_cfg)
+    lfr = scheme_for(replace(cfg, kind=SchemeKind.LFR))
+    placement = lfr.place(lib)
+    masked = tuple(DemandVector(g, coeffs, cfg.num_files)
+                   for g, coeffs in sp.transcript.masked_demands.items())
+    keyless = lfr.deliver(placement.secrets, placement.table, masked)
     for S in cfg.topo.transmission_indices():
-        masked_comb = scheme._combination_payload(
-            table, S, sp.transcript.masked_demands)
         assert (sp.transcript.payloads[S] ^ randomness.payload_keys[S]
-                == masked_comb)
+                == keyless.payloads[S])
 
 
 # ---- randomness plumbing ----
@@ -332,9 +333,6 @@ def test_config_validation():
         SchemeConfig(topo, 2, 0, SchemeKind.LFR)
     with pytest.raises(UsageError):
         SchemeConfig(topo, 2, 3, SchemeKind.LFR, seed=-1)
-    from maclfr.schemes import SLfrScheme
-    with pytest.raises(UsageError):
-        SLfrScheme(SchemeConfig(topo, 2, 3, SchemeKind.LFR))
 
 
 def test_place_rejects_mismatched_library():
@@ -374,9 +372,7 @@ def test_placement_carries_the_table_delivery_uses():
 
 def test_asymmetric_placement_is_an_error(monkeypatch):
     # Raised explicitly, so the check survives python -O.
-    from maclfr.schemes import SLfrScheme
-
-    honest = SLfrScheme._place_keys
+    honest = Scheme._place_keys
 
     def lopsided(self, randomness, subfiles, table):
         caches, secrets = honest(self, randomness, subfiles, table)
@@ -385,7 +381,7 @@ def test_asymmetric_placement_is_an_error(monkeypatch):
         caches[0] = replace(caches[0], whole_keys=extra)
         return caches, secrets
 
-    monkeypatch.setattr(SLfrScheme, "_place_keys", lopsided)
+    monkeypatch.setattr(Scheme, "_place_keys", lopsided)
     cfg = config(SchemeKind.S_LFR, 3, 2, 1)
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)
@@ -394,12 +390,12 @@ def test_asymmetric_placement_is_an_error(monkeypatch):
 
 
 def test_secure_placement_under_the_memory_floor_is_an_error(monkeypatch):
-    from maclfr.schemes import ServerSecrets, SLfrScheme
-
     def keyless(self, randomness, subfiles, table):
-        return self._bare_caches(subfiles), ServerSecrets(randomness, {}, {})
+        caches = [CacheContent(c + 1, held, {}, {}, {})
+                  for c, held in enumerate(subfiles)]
+        return caches, ServerSecrets(randomness, {})
 
-    monkeypatch.setattr(SLfrScheme, "_place_keys", keyless)
+    monkeypatch.setattr(Scheme, "_place_keys", keyless)
     cfg = config(SchemeKind.S_LFR, 3, 2, 0)  # t = 0: no subfiles either
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)

@@ -1,7 +1,7 @@
 """Subset bookkeeping checks.
 
-Ranking oracles are exhaustive comparisons against itertools.combinations,
-which the ranking code never calls on the rank/unrank path.
+Ranking oracles are comparisons against itertools.combinations, which the
+ranking code never calls on the ranking path.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maclfr.errors import DomainError, UsageError
+from maclfr.schemes import SchemeConfig, SchemeKind, simulate
 from maclfr.topology import (TopologySpec, enumerate_subsets,
-                             share_index_of_cache, subset_rank, subset_unrank,
-                             validate_subset)
+                             share_index_of_cache, subset_rank, validate_subset)
 
 
 def test_enumeration_is_lex_ordered_and_complete():
@@ -29,21 +29,20 @@ def test_enumeration_is_lex_ordered_and_complete():
             assert list(subsets) == sorted(subsets)
 
 
-def test_rank_unrank_round_trip_exhaustive():
+def test_rank_matches_enumeration_exhaustive():
     for n in range(1, 8):
         for k in range(0, n + 1):
             for expected_rank, subset in enumerate(enumerate_subsets(n, k)):
                 assert subset_rank(subset, n) == expected_rank
-                assert subset_unrank(expected_rank, n, k) == subset
 
 
-@given(st.integers(1, 20), st.data())
-def test_rank_unrank_round_trip_sampled(n, data):
-    k = data.draw(st.integers(0, n))
-    rank = data.draw(st.integers(0, comb(n, k) - 1))
-    subset = subset_unrank(rank, n, k)
-    assert len(subset) == k
-    assert subset_rank(subset, n) == rank
+@given(st.integers(1, 12), st.data())
+def test_rank_matches_enumeration_sampled(n, data):
+    subset = tuple(sorted(data.draw(st.sets(st.integers(1, n)))))
+    rank = subset_rank(subset, n)
+    assert 0 <= rank < comb(n, len(subset))
+    assert rank == list(itertools.combinations(range(1, n + 1),
+                                               len(subset))).index(subset)
 
 
 def test_rank_validation():
@@ -53,8 +52,6 @@ def test_rank_validation():
         subset_rank((0, 1), 3)
     with pytest.raises(UsageError):
         subset_rank((1, 4), 3)
-    with pytest.raises(DomainError):
-        subset_unrank(3, 3, 2)
     with pytest.raises(UsageError):
         enumerate_subsets(-1, 2)
     assert validate_subset((1, 3), 3) == (1, 3)
@@ -73,22 +70,23 @@ def test_topology_counts():
     assert topo.num_users == comb(5, 2) == 10
     assert topo.num_subfile_indices == comb(5, 2) == 10
     assert topo.num_transmissions == comb(5, 4) == 5
-    assert topo.missing_per_user == comb(3, 2) == 3
     assert len(topo.users()) == topo.num_users
     assert len(topo.subfile_indices()) == topo.num_subfile_indices
     assert len(topo.transmission_indices()) == topo.num_transmissions
 
 
 def test_accessibility_is_intersection():
-    topo = TopologySpec(4, 2, 1)
-    for user in topo.users():
-        for index in topo.subfile_indices():
-            assert topo.accessible(user, index) == bool(set(user) & set(index))
-    # Every user misses exactly missing_per_user indices.
-    for user in topo.users():
-        missed = sum(not topo.accessible(user, ix)
-                     for ix in topo.subfile_indices())
-        assert missed == topo.missing_per_user
+    # A user reaches, through its caches, exactly the subfile indices that
+    # meet its access set, and so misses binom(C - r, t) of them.
+    for C, r, t in ((4, 2, 1), (5, 2, 2), (5, 3, 1)):
+        topo = TopologySpec(C, r, t)
+        cfg = SchemeConfig(topo, 2, 2 * comb(C, t), SchemeKind.LFR)
+        caches = simulate(cfg).placement.caches
+        for user in topo.users():
+            reached = {T for c in user for _, T in caches[c - 1].subfiles}
+            assert reached == {T for T in topo.subfile_indices()
+                               if set(user) & set(T)}
+            assert topo.num_subfile_indices - len(reached) == comb(C - r, t)
 
 
 def test_every_transmission_serves_each_contained_user_once():
@@ -101,7 +99,7 @@ def test_every_transmission_serves_each_contained_user_once():
         for g in members:
             piece = tuple(sorted(set(S) - set(g)))
             assert len(piece) == topo.replication
-            assert not topo.accessible(g, piece)
+            assert not set(g) & set(piece)
 
 
 def test_parameter_validation():
