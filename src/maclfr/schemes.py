@@ -132,7 +132,7 @@ def derive_rng(seed: int, purpose: str) -> random.Random:
 # ---- per-topology index lists ----
 
 @functools.lru_cache(maxsize=None)
-def _indices(topo: TopologySpec):
+def _indices(topo: TopologySpec) -> tuple[Mapping, Mapping]:
     """The index lists every round walks, built once per topology.
 
     slots maps (g, T), for every user g and subfile index T it does not
