@@ -9,6 +9,7 @@ counting arguments and never looks at a placement.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -308,6 +309,105 @@ def test_doctored_transcript_is_detected():
     silent = replace(result.transcript, cleartext_demands={})
     with pytest.raises(IntegrityError):
         scheme.decode(user, caches, silent, result.demands[0])
+
+
+def decode_setup(kind: SchemeKind, C: int = 4, r: int = 2, t: int = 1,
+                 own: int | None = None):
+    """A round where every user demands every file (user (1, 2) demands
+    `own` if given), and the pieces user (1, 2) needs to decode."""
+    cfg = config(kind, C, r, t)
+    users = cfg.topo.users()
+    full = (1 << cfg.num_files) - 1
+    demands = tuple(DemandVector(g, own if own is not None and k == 0
+                                 else full, cfg.num_files)
+                    for k, g in enumerate(users))
+    result = simulate(cfg, demands=demands)
+    user = users[0]
+    caches = [result.placement.caches[c - 1] for c in user]
+    return scheme_for(cfg), result, user, caches, demands[0]
+
+
+def strip(caches, cache_index, field, label):
+    """The caches with one entry removed from one cache's store."""
+    out = []
+    for content in caches:
+        if content.index == cache_index:
+            held = dict(getattr(content, field))
+            del held[label]
+            content = replace(content, **{field: held})
+        out.append(content)
+    return out
+
+
+def test_decode_reports_a_missing_own_subfile():
+    scheme, result, user, caches, demand = decode_setup(SchemeKind.LFR)
+    gutted = strip(caches, 2, "subfiles", (1, (2,)))
+    with pytest.raises(IntegrityError,
+                       match=re.escape("subfile (1, (2,)) not in reach")):
+        scheme.decode(user, gutted, result.transcript, demand)
+
+
+def test_decode_reports_a_subfile_another_combination_needs():
+    # User (1, 2) demands nothing, so only the other users' combinations
+    # on its transmissions read the stripped subfile.
+    scheme, result, user, caches, demand = decode_setup(SchemeKind.S_LFR,
+                                                        own=0)
+    assert scheme.decode(user, caches, result.transcript, demand).value == 0
+    gutted = strip(caches, 2, "subfiles", (3, (2,)))
+    with pytest.raises(IntegrityError,
+                       match=re.escape("subfile (3, (2,)) not in reach")):
+        scheme.decode(user, gutted, result.transcript, demand)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decode_reports_a_missing_payload(kind):
+    scheme, result, user, caches, demand = decode_setup(kind)
+    payloads = dict(result.transcript.payloads)
+    del payloads[(1, 2, 4)]
+    gutted = replace(result.transcript, payloads=payloads)
+    with pytest.raises(IntegrityError, match=re.escape(
+            "transcript lacks the payload for (1, 2, 4)")):
+        scheme.decode(user, caches, gutted, demand)
+
+
+@pytest.mark.parametrize("kind,field,cache,label", (
+    (SchemeKind.SP_LFR, "key_shares", 2, ((1, 2), (3,))),
+    (SchemeKind.P_LFR, "key_shares", 1, ((1, 2), (4,))),
+    (SchemeKind.S_LFR, "whole_keys", 1, (1, 2, 3)),
+    (SchemeKind.IS_LFR, "coded_subkeys", 2, (1, 2, 4)),
+))
+def test_decode_reports_missing_key_material(kind, field, cache, label):
+    scheme, result, user, caches, demand = decode_setup(kind)
+    gutted = strip(caches, cache, field, label)
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"cache {cache} lacks the key material for {label}")):
+        scheme.decode(user, gutted, result.transcript, demand)
+
+
+@pytest.mark.parametrize("kind,field,what", (
+    (SchemeKind.SP_LFR, "masked_demands", "masked demand"),
+    (SchemeKind.P_LFR, "masked_demands", "masked demand"),
+    (SchemeKind.S_LFR, "cleartext_demands", "demand"),
+    (SchemeKind.IS_LFR, "cleartext_demands", "demand"),
+    (SchemeKind.LFR, "cleartext_demands", "demand"),
+))
+def test_decode_reports_a_missing_demand_of_another_user(kind, field, what):
+    scheme, result, user, caches, demand = decode_setup(kind)
+    sent = dict(getattr(result.transcript, field))
+    del sent[(1, 3)]
+    gutted = replace(result.transcript, **{field: sent})
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"transcript lacks the {what} of (1, 3)")):
+        scheme.decode(user, caches, gutted, demand)
+
+
+def test_decode_reports_the_wrong_caches():
+    scheme, result, user, caches, demand = decode_setup(SchemeKind.SP_LFR)
+    with pytest.raises(UsageError, match=re.escape(
+            "decode needs exactly the caches (1, 2), got [1]")):
+        scheme.decode(user, caches[:1], result.transcript, demand)
+    with pytest.raises(UsageError, match="is not a user"):
+        scheme.decode((1, 2, 3), caches, result.transcript, demand)
 
 
 def test_deliver_validates_demands():
