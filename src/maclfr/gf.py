@@ -7,8 +7,10 @@ the reduction polynomial and exposes arithmetic on raw ints.
 
 Multiplication and inversion go through log/antilog tables built from a
 generator of the multiplicative group, which is plenty for the exponents
-used here (l <= 16).  Reduction polynomials are validated irreducible by
-exhaustive trial division.
+used here (l <= 16).  Shamir shares and MDS blocks are instead scaled a
+whole block at a time: mul_packed multiplies every symbol of an int of
+packed l-bit symbols by one constant with shifts and XORs.  Reduction
+polynomials are validated irreducible by exhaustive trial division.
 """
 
 from __future__ import annotations
@@ -155,9 +157,6 @@ class BinaryField:
             raise DomainError(f"value {a} outside field of order {self.order}")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return self._check(a) ^ self._check(b)
-
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
         if a == 0 or b == 0:
@@ -175,6 +174,30 @@ class BinaryField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def mul_packed(self, c: int, packed: int, symbols: int) -> int:
+        """c times each of the `symbols` l-bit symbols packed in one int,
+        symbol s at bits [s l, (s + 1) l).
+
+        Horner over the bits of c, where each step multiplies every symbol
+        by x at once (Blomer et al., "An XOR-based erasure-resilient coding
+        scheme", 1995): shift the block up a bit and reduce the symbols
+        whose top bit was set, so the block costs a few big-int operations
+        per bit of c instead of one table lookup per symbol.
+        """
+        self._check(c)
+        l = self.exponent
+        if packed < 0 or packed >> (symbols * l):
+            raise DomainError(f"value does not fit in {symbols} symbols")
+        tops = ((1 << (symbols * l)) - 1) // (self.order - 1) << (l - 1)
+        low = self.reduction_poly ^ self.order
+        acc = 0
+        for bit in range(c.bit_length() - 1, -1, -1):
+            hi = acc & tops
+            acc = ((acc ^ hi) << 1) ^ ((hi >> (l - 1)) * low)
+            if (c >> bit) & 1:
+                acc ^= packed
+        return acc
 
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         """Evaluate coeffs[0] + coeffs[1] x + ... by Horner's rule."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .bits import BitBlock, concat_blocks
+from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field
 
@@ -122,37 +122,54 @@ def encode_key(key: BitBlock, code: MdsCode) -> tuple[BitBlock, ...]:
 
     Sub-keys are zero padded to whole field symbols before the matrix
     product, so each coded block is coded_block_bit_length(...) bits; with
-    the binary special cases that equals the raw sub-key size.
+    the binary special cases that equals the raw sub-key size.  Each block
+    is a sum of packed sub-keys scaled by generator entries.
     """
-    k, n = code.dimension, code.length
-    field = code.field
-    m = code.symbol_bits
+    k = code.dimension
     sub_bits = subkey_bit_length(key.length, code)
-    subkeys = [key.take(i * sub_bits, sub_bits).to_symbols(m) for i in range(k)]
-    blocks = []
-    for j in range(n):
-        col = code.column(j + 1)
-        symbols = tuple(
-            _dot(field, col, tuple(subkeys[i][s] for i in range(k)))
-            for s in range(len(subkeys[0])))
-        blocks.append(BitBlock.from_symbols(symbols, m))
-    return tuple(blocks)
+    symbols = -(-sub_bits // code.symbol_bits)
+    mask = (1 << sub_bits) - 1
+    subkeys = [(key.value >> (i * sub_bits)) & mask for i in range(k)]
+    bits = symbols * code.symbol_bits
+    return tuple(BitBlock(_combine(code.field, code.column(j), subkeys,
+                                   symbols), bits)
+                 for j in range(1, code.length + 1))
 
 
-def _dot(field: BinaryField, coeffs: Sequence[int], values: Sequence[int]) -> int:
+def _combine(field: BinaryField, coeffs: Sequence[int], packed: Sequence[int],
+             symbols: int) -> int:
+    """sum_i coeffs[i] * packed[i], symbol by symbol."""
     acc = 0
-    for c, v in zip(coeffs, values):
+    for c, v in zip(coeffs, packed):
         if c:
-            acc ^= field.mul(c, v)
+            acc ^= field.mul_packed(c, v, symbols)
     return acc
 
 
-def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
-               key_bits: int) -> BitBlock:
-    """Recover the key from any k (column index, coded block) pairs."""
+def decoding_matrix(code: MdsCode, positions: Sequence[int]
+                    ) -> tuple[tuple[int, ...], ...]:
+    """The inverse of the generator columns at the received positions:
+    row i gives sub-key i as a combination of the received blocks."""
     k = code.dimension
-    field = code.field
-    m = code.symbol_bits
+    matrix = [list(code.column(p)) for p in positions]  # rows = received blocks
+    identity = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    solved = _solve(code.field, matrix, identity)
+    if solved is None:
+        raise IntegrityError(f"coded blocks at {list(positions)} do not "
+                             "determine the key (singular system)")
+    return tuple(tuple(row) for row in solved)
+
+
+def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
+               key_bits: int,
+               inverse: Sequence[Sequence[int]] | None = None) -> BitBlock:
+    """Recover the key from any k (column index, coded block) pairs.
+
+    inverse is decoding_matrix(code, positions) for the blocks' positions;
+    a caller that decodes many keys from the same positions passes it in
+    instead of having it recomputed.
+    """
+    k = code.dimension
     if len(blocks) != k:
         raise DomainError(f"need exactly {k} blocks, got {len(blocks)}")
     positions = [p for p, _ in blocks]
@@ -166,14 +183,13 @@ def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
         if b.length != expected:
             raise DomainError(f"block at {p} has {b.length} bits, "
                               f"expected {expected}")
-    matrix = [list(code.column(p)) for p in positions]  # rows = received blocks
-    symbol_rows = [b.to_symbols(m) for _, b in blocks]
-    nsym = expected // m
-    rhs = [[symbol_rows[i][s] for s in range(nsym)] for i in range(k)]
-    solved = _solve(field, matrix, rhs)
-    if solved is None:
-        raise IntegrityError(f"coded blocks at {positions} do not determine "
-                             "the key (singular system)")
-    subkeys = [BitBlock.from_symbols(tuple(solved[i]), m).truncate(sub_bits)
-               for i in range(k)]
-    return concat_blocks(subkeys).truncate(key_bits)
+    if inverse is None:
+        inverse = decoding_matrix(code, positions)
+    received = [b.value for _, b in blocks]
+    symbols = expected // code.symbol_bits
+    mask = (1 << sub_bits) - 1
+    key = 0
+    for i, row in enumerate(inverse):
+        subkey = _combine(code.field, row, received, symbols)
+        key |= (subkey & mask) << (i * sub_bits)
+    return BitBlock(key & ((1 << key_bits) - 1), key_bits)

@@ -42,13 +42,14 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bits import BitBlock, concat_blocks
+from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field, exponent_for_share_count
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, subfile_bit_length, subpacketize)
-from .mds import MdsCode, build_code, decode_key, encode_key
-from .shamir import reconstruct, share_set_from_blocks, split
+from .mds import MdsCode, build_code, decode_key, decoding_matrix, encode_key
+from .shamir import (canonical_evaluation_points, reconstruct,
+                     share_set_from_blocks, split)
 from .topology import CacheSet, TopologySpec, share_index_of_cache
 
 MAX_SEED = (1 << 64) - 1
@@ -132,13 +133,14 @@ def derive_rng(seed: int, purpose: str) -> random.Random:
 # ---- per-topology index lists ----
 
 @functools.lru_cache(maxsize=None)
-def _indices(topo: TopologySpec) -> tuple[Mapping, Mapping]:
+def _indices(topo: TopologySpec) -> tuple[Mapping, Mapping, Mapping]:
     """The index lists every round walks, built once per topology.
 
-    slots maps (g, T), for every user g and subfile index T it does not
-    reach, lex in (g, T), to the rank of T and the transmission S = g + T
-    that carries g's piece T.  members maps each transmission S, in lex
-    order, to the triples (g, S minus g, its rank) of the users g inside S.
+    rank maps each subfile index T to its position in lex order.  slots
+    maps (g, T), for every user g and subfile index T it does not reach,
+    lex in (g, T), to the rank of T and the transmission S = g + T that
+    carries g's piece T.  members maps each transmission S, in lex order,
+    to the triples (g, S minus g, its rank) of the users g inside S.
     """
     rank = {T: k for k, T in enumerate(topo.subfile_indices())}
     slots = {(g, T): (rank[T], tuple(sorted(g + T)))
@@ -149,7 +151,25 @@ def _indices(topo: TopologySpec) -> tuple[Mapping, Mapping]:
         rests = [(g, tuple(c for c in S if c not in g))
                  for g in combinations(S, topo.access_degree)]
         members[S] = tuple((g, rest, rank[rest]) for g, rest in rests)
-    return MappingProxyType(slots), MappingProxyType(members)
+    return (MappingProxyType(rank), MappingProxyType(slots),
+            MappingProxyType(members))
+
+
+def _combination(images: Sequence[int], coeffs: int) -> int:
+    """XOR of the images of the files whose coefficient is 1."""
+    acc = 0
+    for i, image in enumerate(images):
+        if (coeffs >> i) & 1:
+            acc ^= image
+    return acc
+
+
+def _sized(block: BitBlock, bits: int, what: str, label) -> int:
+    """The block's value, once its length is checked."""
+    if block.length != bits:
+        raise UsageError(
+            f"{what} {label} has {block.length} bits, expected {bits}")
+    return block.value
 
 
 # ---- server randomness ----
@@ -173,7 +193,7 @@ def randomness_order(cfg: SchemeConfig) -> Iterator[tuple[tuple, int]]:
             yield ("mask", g), cfg.num_files
         l = cfg.key_field.exponent
         blinds = topo.access_degree - 1
-        for g, T in _indices(topo)[0]:
+        for g, T in _indices(topo)[1]:
             for s in range(cfg.share_block_bits // l):
                 for b in range(blinds):
                     yield ("coef", g, T, s, b), l
@@ -219,7 +239,7 @@ class ServerRandomness:
             # coefficients at all) still yields the empty rows split() expects.
             blinds = topo.access_degree - 1
             symbols = cfg.share_block_bits // cfg.key_field.exponent
-            for slot in _indices(topo)[0]:
+            for slot in _indices(topo)[1]:
                 coefs[slot] = [[0] * blinds for _ in range(symbols)]
         for label, value in values:
             tag = label[0]
@@ -340,13 +360,28 @@ class SimulationResult:
 # ---- the engine ----
 
 class Scheme:
-    """Placement, delivery and decoding for every kind of a config."""
+    """Placement, delivery and decoding for every kind of a config.
+
+    The arithmetic runs on plain ints: a file's subfiles sit side by side
+    in one int, the subfile of rank k at bit k * subfile_bits, so one XOR
+    combines a subfile index's worth of every file at once.  BitBlocks
+    appear only where blocks enter and leave.
+    """
 
     def __init__(self, cfg: SchemeConfig):
         self.cfg = cfg
         self.topo = cfg.topo
         self.kind = cfg.kind
-        self._slots, self._members = _indices(cfg.topo)
+        self._rank, self._slots, self._members = _indices(cfg.topo)
+        self._inverses: dict[tuple[int, ...], tuple] = {}
+
+    @cached_property
+    def _weights(self) -> tuple[int, ...]:
+        """Lagrange weights at zero of the canonical share points: every
+        user's r shares sit at the same points."""
+        field = self.cfg.key_field
+        return field.lagrange_weights_at_zero(
+            canonical_evaluation_points(field, self.topo.access_degree))
 
     # -- placement --
 
@@ -363,7 +398,7 @@ class Scheme:
         subfiles: list[dict[tuple[int, CacheSet], BitBlock]] = [
             {} for _ in range(self.topo.num_caches)]
         if not cfg.broadcast:
-            for k, T in enumerate(self.topo.subfile_indices()):
+            for T, k in self._rank.items():
                 for i, row in enumerate(table.rows, 1):
                     for c in T:
                         subfiles[c - 1][(i, T)] = row[k]
@@ -401,13 +436,18 @@ class Scheme:
         if kind.masks_demands and not cfg.broadcast:
             field = cfg.key_field
             r = self.topo.access_degree
+            sb = table.subfile_bits
+            piece = (1 << sb) - 1
+            images = self._images(table)
+            masked: dict[CacheSet, int] = {}
             for (g, T), (k, S) in self._slots.items():
                 # The g-mask combination of subfile index T, on the key.
-                key = keys[S]
-                mask = randomness.mask_vectors[g]
-                for i, row in enumerate(table.rows):
-                    if (mask >> i) & 1:
-                        key ^= row[k]
+                combo = masked.get(g)
+                if combo is None:
+                    combo = masked[g] = _combination(
+                        images, randomness.mask_vectors[g])
+                key = BitBlock(_sized(keys[S], sb, "payload key", S)
+                               ^ ((combo >> (k * sb)) & piece), sb)
                 superposed[(g, T)] = key
                 shares = split(key, r, field,
                                coefficients=randomness.share_coefficients[(g, T)])
@@ -426,6 +466,20 @@ class Scheme:
         contents = [CacheContent(c + 1, subfiles[c], key_shares[c], whole[c],
                                  coded[c]) for c in caches]
         return contents, ServerSecrets(randomness, superposed)
+
+    @staticmethod
+    def _images(table: SubfileTable) -> list[int]:
+        """Each file's subfiles side by side, rank k at k * subfile_bits."""
+        sb = table.subfile_bits
+        if any(block.length != sb for row in table.rows for block in row):
+            raise UsageError(f"subfile table holds blocks of other than {sb} bits")
+        images = []
+        for row in table.rows:
+            image = 0
+            for k, block in enumerate(row):
+                image |= block.value << (k * sb)
+            images.append(image)
+        return images
 
     # -- delivery --
 
@@ -454,17 +508,21 @@ class Scheme:
             sent = {g: by_user[g].coeffs for g in self.topo.users()}
         # Per S: its key, then over users g inside S the
         # g-sent combination of the subfile indexed by S minus g.
+        sb = table.subfile_bits
+        piece = (1 << sb) - 1
+        images = self._images(table)
+        combos: dict[int, int] = {}
+        for coeffs in sent.values():
+            if coeffs not in combos:
+                combos[coeffs] = _combination(images, coeffs)
         keyed = self.kind.has_payload_keys  # p-lfr's keys are all zero
-        zero = BitBlock.zeros(table.subfile_bits)
         payloads = {}
         for S, members in self._members.items():
-            acc = randomness.payload_keys[S] if keyed else zero
+            acc = (_sized(randomness.payload_keys[S], sb, "payload key", S)
+                   if keyed else 0)
             for g, _, k in members:
-                coeffs = sent[g]
-                for i, row in enumerate(table.rows):
-                    if (coeffs >> i) & 1:
-                        acc ^= row[k]
-            payloads[S] = acc
+                acc ^= (combos[sent[g]] >> (k * sb)) & piece
+            payloads[S] = BitBlock(acc, sb)
         masked, clear = (sent, {}) if self.kind.masks_demands else ({}, sent)
         rate = Fraction(self.topo.num_transmissions,
                         self.topo.num_subfile_indices)
@@ -489,33 +547,73 @@ class Scheme:
                                       FileLibrary(transcript.broadcast_files))
         masks = self.kind.masks_demands
         sent = transcript.masked_demands if masks else transcript.cleartext_demands
-        store: dict[tuple[int, CacheSet], BitBlock] = {}
-        for content in by_index.values():
-            store.update(content.subfiles)
-        pieces = []
-        for T in self.topo.subfile_indices():
+        sb = self.cfg.subfile_bits
+        piece = (1 << sb) - 1
+        images, lacking = self._reach(by_index.values())
+        # Combinations by coefficient vector, for this call only: another
+        # user's vector recurs on every transmission the two share.
+        combos: dict[int, int] = {}
+        own = demand.coeffs
+        value = 0
+        reached = 0  # the bits of the pieces the user's caches hold
+        for T, k in self._rank.items():
             slot = self._slots.get((user, T))
             if slot is None:
-                pieces.append(self._local_combination(store, demand.coeffs, T))
+                if own & lacking[k]:
+                    _unreachable(own & lacking[k], T)
+                reached |= piece << (k * sb)
                 continue
             # payload ^ key ^ the other users' combinations leaves the piece.
             S = slot[1]
-            acc = transcript.payloads.get(S)
-            if acc is None:
+            payload = transcript.payloads.get(S)
+            if payload is None:
                 raise IntegrityError(f"transcript lacks the payload for {S}")
             key = self._user_key(user, by_index, S, T)
+            acc = _sized(payload, sb, "payload", S)
             if key is not None:
-                acc ^= key
-            for other, rest, _ in self._members[S]:
+                acc ^= _sized(key, sb, "key of payload", S)
+            for other, rest, j in self._members[S]:
                 if other == user:
                     continue
                 coeffs = sent.get(other)
                 if coeffs is None:
                     what = "masked demand" if masks else "demand"
                     raise IntegrityError(f"transcript lacks the {what} of {other}")
-                acc ^= self._local_combination(store, coeffs, rest)
-            pieces.append(acc)
-        return concat_blocks(pieces).truncate(self.cfg.file_bits)
+                if coeffs & lacking[j]:
+                    _unreachable(coeffs & lacking[j], rest)
+                combo = combos.get(coeffs)
+                if combo is None:
+                    combo = combos[coeffs] = _combination(images, coeffs)
+                acc ^= (combo >> (j * sb)) & piece
+            value |= acc << (k * sb)
+        value |= _combination(images, own) & reached
+        bits = self.cfg.file_bits
+        return BitBlock(value & ((1 << bits) - 1), bits)
+
+    def _reach(self, contents: Iterable[CacheContent]
+               ) -> tuple[list[int], list[int]]:
+        """The subfiles the caches hold, as one image per file (rank k at
+        k * subfile_bits), and per rank the files they lack, one bit per
+        file.  A later cache's copy wins, as in a merged store."""
+        store: dict[tuple[int, CacheSet], BitBlock] = {}
+        for content in contents:
+            store.update(content.subfiles)
+        sb = self.cfg.subfile_bits
+        n = self.cfg.num_files
+        rank = self._rank
+        images = [0] * n
+        held = [0] * len(rank)
+        for (i, T), block in store.items():
+            k = rank.get(T)
+            if k is None or not 1 <= i <= n:
+                continue
+            if block.length != sb:
+                raise UsageError(f"subfile ({i}, {T}) has {block.length} bits, "
+                                 f"expected {sb}")
+            images[i - 1] |= block.value << (k * sb)
+            held[k] |= 1 << (i - 1)
+        every = (1 << n) - 1
+        return images, [every ^ h for h in held]
 
     def _resolve_demand(self, user, transcript, demand) -> DemandVector:
         if self.kind.masks_demands:
@@ -542,24 +640,26 @@ class Scheme:
         if self.kind.masks_demands:
             blocks = [_held(by_index[c].key_shares, (user, T), c) for c in user]
             return reconstruct(share_set_from_blocks(blocks, cfg.key_field,
-                                                     cfg.subfile_bits))
+                                                     cfg.subfile_bits),
+                               self._weights)
         if self.kind.stores_keys_whole:
             return _held(by_index[user[0]].whole_keys, S, user[0])
         if self.kind.stores_keys_coded:
             pairs = [(share_index_of_cache(S, c),
                       _held(by_index[c].coded_subkeys, S, c)) for c in user]
-            return decode_key(pairs, cfg.key_code, cfg.subfile_bits)
+            positions = tuple(p for p, _ in pairs)
+            inverse = self._inverses.get(positions)
+            if inverse is None:
+                inverse = self._inverses[positions] = decoding_matrix(
+                    cfg.key_code, positions)
+            return decode_key(pairs, cfg.key_code, cfg.subfile_bits, inverse)
         return None
 
-    def _local_combination(self, store, coeffs: int, T: CacheSet) -> BitBlock:
-        acc = BitBlock.zeros(self.cfg.subfile_bits)
-        for i in range(1, self.cfg.num_files + 1):
-            if (coeffs >> (i - 1)) & 1:
-                block = store.get((i, T))
-                if block is None:
-                    raise IntegrityError(f"subfile ({i}, {T}) not in reach")
-                acc ^= block
-        return acc
+
+def _unreachable(missing: int, T: CacheSet) -> None:
+    """Raise for the lowest file in the bit mask `missing` at index T."""
+    i = (missing & -missing).bit_length()
+    raise IntegrityError(f"subfile ({i}, {T}) not in reach")
 
 
 def _held(store: Mapping, label, cache: int) -> BitBlock:

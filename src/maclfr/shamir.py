@@ -40,13 +40,15 @@ def canonical_evaluation_points(field: BinaryField, share_count: int
 
 @dataclass(frozen=True)
 class ShareSet:
-    """The r shares of one secret, as parallel symbol vectors."""
+    """The r shares of one secret, each an int of packed l-bit symbols
+    (symbol s at bits [s l, (s + 1) l))."""
 
     field: BinaryField
     share_count: int
     secret_bits: int
     evaluation_points: tuple[int, ...]
-    shares: tuple[tuple[int, ...], ...]  # shares[j-1] = symbols of share j
+    shares: tuple[int, ...]  # shares[j-1] = share j
+    symbols_per_share: int
 
     def __post_init__(self) -> None:
         if len(self.shares) != self.share_count:
@@ -54,27 +56,19 @@ class ShareSet:
                 f"expected {self.share_count} shares, got {len(self.shares)}")
         if len(self.evaluation_points) != self.share_count:
             raise DomainError("one evaluation point per share required")
-        counts = {len(s) for s in self.shares}
-        if len(counts) > 1:
-            raise DomainError("shares must all have the same symbol count")
-
-    @property
-    def symbols_per_share(self) -> int:
-        return len(self.shares[0])
+        if any(s < 0 or s >> self.share_bits for s in self.shares):
+            raise DomainError(
+                f"shares must fit in {self.symbols_per_share} symbols")
 
     @property
     def share_bits(self) -> int:
         return self.symbols_per_share * self.field.exponent
 
     def share_block(self, index: int) -> BitBlock:
-        """Share `index` (1-based) packed into a bit string."""
+        """Share `index` (1-based) as a bit string."""
         if not 1 <= index <= self.share_count:
             raise UsageError(f"share index {index} outside [1, {self.share_count}]")
-        return BitBlock.from_symbols(self.shares[index - 1], self.field.exponent)
-
-
-def _secret_symbols(secret: BitBlock, field: BinaryField) -> tuple[int, ...]:
-    return secret.to_symbols(field.exponent)
+        return BitBlock(self.shares[index - 1], self.share_bits)
 
 
 def split(secret: BitBlock, share_count: int, field: BinaryField,
@@ -85,33 +79,47 @@ def split(secret: BitBlock, share_count: int, field: BinaryField,
     Coefficients of the hiding polynomials come either from rng or from an
     explicit per-symbol list of (share_count - 1) field values; exactly one
     of the two sources must be given (none for share_count == 1, where the
-    polynomial is the constant itself).
+    polynomial is the constant itself).  The polynomials are evaluated on
+    all symbols at once: coefficient b of every symbol is packed into one
+    int, and Horner's rule scales the packed block by the point.
     """
     points = canonical_evaluation_points(field, share_count)
-    symbols = _secret_symbols(secret, field)
+    l = field.exponent
+    symbols = -(-secret.length // l)
     blinds = share_count - 1
     if coefficients is not None:
         if rng is not None:
             raise UsageError("pass either rng or coefficients, not both")
-        if len(coefficients) != len(symbols):
+        if len(coefficients) != symbols:
             raise UsageError(
-                f"expected coefficients for {len(symbols)} symbols, "
+                f"expected coefficients for {symbols} symbols, "
                 f"got {len(coefficients)}")
         rows = [tuple(c) for c in coefficients]
         for row in rows:
             if len(row) != blinds:
                 raise UsageError(f"each symbol needs {blinds} coefficients")
     elif blinds == 0:
-        rows = [() for _ in symbols]
+        rows = [()] * symbols
     elif rng is None:
         raise UsageError("a coefficient source is required for share_count > 1")
     else:
-        rows = [tuple(rng.getrandbits(field.exponent) for _ in range(blinds))
-                for _ in symbols]
-    shares = tuple(
-        tuple(field.poly_eval((sym,) + row, x) for sym, row in zip(symbols, rows))
-        for x in points)
-    return ShareSet(field, share_count, secret.length, points, shares)
+        rows = [tuple(rng.getrandbits(l) for _ in range(blinds))
+                for _ in range(symbols)]
+    planes = [0] * blinds
+    for s, row in enumerate(rows):
+        for b, c in enumerate(row):
+            if not 0 <= c < field.order:
+                raise DomainError(
+                    f"value {c} outside field of order {field.order}")
+            planes[b] |= c << (s * l)
+    shares = []
+    for x in points:
+        acc = 0
+        for plane in reversed(planes):
+            acc = field.mul_packed(x, acc ^ plane, symbols)
+        shares.append(acc ^ secret.value)
+    return ShareSet(field, share_count, secret.length, points, tuple(shares),
+                    symbols)
 
 
 def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
@@ -119,27 +127,32 @@ def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
     """Rebuild a ShareSet from the packed share blocks in index order."""
     share_count = len(blocks)
     points = canonical_evaluation_points(field, share_count)
-    expected = -(-secret_bits // field.exponent) * field.exponent
-    shares = []
+    symbols = -(-secret_bits // field.exponent)
+    expected = symbols * field.exponent
     for b in blocks:
         if b.length != expected:
             raise DomainError(
                 f"share block of {b.length} bits, expected {expected}")
-        shares.append(b.to_symbols(field.exponent))
-    return ShareSet(field, share_count, secret_bits, points, tuple(shares))
+    return ShareSet(field, share_count, secret_bits, points,
+                    tuple(b.value for b in blocks), symbols)
 
 
-def reconstruct(shares: ShareSet) -> BitBlock:
-    """Interpolate every symbol's constant term and drop the tail padding."""
+def reconstruct(shares: ShareSet,
+                weights: Sequence[int] | None = None) -> BitBlock:
+    """Interpolate every symbol's constant term and drop the tail padding.
+
+    weights are the Lagrange weights at zero of the share set's evaluation
+    points; a caller that reconstructs many share sets over the same
+    points passes them in instead of having them recomputed.
+    """
     field = shares.field
-    weights = field.lagrange_weights_at_zero(shares.evaluation_points)
-    symbols = []
-    for column in zip(*shares.shares):
-        acc = 0
-        for y, weight in zip(column, weights):
-            acc ^= field.mul(y, weight)
-        symbols.append(acc)
-    return BitBlock.from_symbols(symbols, field.exponent, shares.secret_bits)
+    if weights is None:
+        weights = field.lagrange_weights_at_zero(shares.evaluation_points)
+    acc = 0
+    for y, weight in zip(shares.shares, weights):
+        acc ^= field.mul_packed(weight, y, shares.symbols_per_share)
+    bits = shares.secret_bits
+    return BitBlock(acc & ((1 << bits) - 1), bits)
 
 
 def leakage_check(num_symbols: int, share_count: int, field: BinaryField,

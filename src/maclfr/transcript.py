@@ -44,9 +44,7 @@ class _Writer:
         self.parts.append(struct.pack("<" + fmt, *values))
 
     def subset(self, s: CacheSet) -> None:
-        self.pack("B", len(s))
-        for c in s:
-            self.pack("H", c)
+        self.parts.append(struct.pack("<B%dH" % len(s), len(s), *s))
 
     def block(self, b: BitBlock) -> None:
         self.pack("Q", b.length)

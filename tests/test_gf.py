@@ -60,14 +60,11 @@ def test_field_axioms_exhaustive(exponent):
     f = binary_field(exponent)
     values = range(f.order)
     for a in values:
-        assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
         assert f.mul(a, 0) == 0
-        assert f.add(a, a) == 0
         if a:
             assert f.mul(a, f.inv(a)) == 1
         for b in values:
-            assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
 
 
@@ -78,9 +75,8 @@ def test_distributivity_and_associativity_exhaustive(exponent):
     for a in values:
         for b in values:
             for c in values:
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
 
 
 @pytest.mark.parametrize("exponent", SMALL_EXPONENTS)

@@ -46,8 +46,8 @@ def test_share_values_match_hand_evaluation():
     field = binary_field(2)
     secret = BitBlock(0b11, 2)
     shares = split(secret, 2, field, coefficients=[(0b01,)])
-    assert shares.shares[0] == (0b11 ^ 0b01,)
-    assert shares.shares[1] == (0b11 ^ field.mul(0b01, 0b10),)
+    assert shares.share_block(1) == BitBlock(0b11 ^ 0b01, 2)
+    assert shares.share_block(2) == BitBlock(0b11 ^ field.mul(0b01, 0b10), 2)
     assert reconstruct(shares) == secret
 
 
