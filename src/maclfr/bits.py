@@ -115,15 +115,6 @@ class BitBlock:
             )
         return BitBlock(self.value ^ other.value, self.length)
 
-    def concat(self, other: "BitBlock") -> "BitBlock":
-        return BitBlock(self.value | (other.value << self.length),
-                        self.length + other.length)
-
-    def pad_to(self, length: int) -> "BitBlock":
-        if length < self.length:
-            raise UsageError(f"cannot pad {self.length} bits down to {length}")
-        return BitBlock(self.value, length)
-
     def truncate(self, length: int) -> "BitBlock":
         """Keep the first `length` bits, discarding the rest (zero padding)."""
         if length > self.length:

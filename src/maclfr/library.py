@@ -116,10 +116,6 @@ class DemandVector:
             coeffs |= (ch == "1") << i
         return cls(user, coeffs, num_files)
 
-    def to_string(self) -> str:
-        return "".join(str(self.coefficient(i))
-                       for i in range(1, self.num_files + 1))
-
 
 @dataclass(frozen=True)
 class SubfileTable:

@@ -97,6 +97,25 @@ def test_table_multiplication_matches_xtime_sampled(exponent):
         assert f.mul(a, b) == xtime_mul(a, b, f.reduction_poly, exponent)
 
 
+@pytest.mark.parametrize("exponent", range(1, MAX_EXPONENT + 1))
+def test_packed_multiply_matches_symbolwise_mul(exponent):
+    f = binary_field(exponent)
+    rng = random.Random(exponent)
+    constants = [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(40)]
+    for c in constants:
+        count = rng.randrange(0, 13)
+        symbols = [rng.randrange(f.order) for _ in range(count)]
+        symbols[:1] = [f.order - 1] * min(count, 1)  # a top bit to reduce
+        packed = sum(v << (i * exponent) for i, v in enumerate(symbols))
+        expected = sum(f.mul(c, v) << (i * exponent)
+                       for i, v in enumerate(symbols))
+        assert f.mul_packed(c, packed, count) == expected, (c, symbols)
+    with pytest.raises(DomainError):
+        f.mul_packed(f.order, 1, 1)
+    with pytest.raises(DomainError):
+        f.mul_packed(1, 1 << exponent, 1)
+
+
 def test_canonical_polynomials_are_minimal():
     # Lowest weight first, then lowest value, among irreducibles of the
     # degree, per the independent factoring oracle.

@@ -15,7 +15,8 @@ import pytest
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
 from maclfr.mds import (MdsCode, build_code, coded_block_bit_length,
-                        decode_key, encode_key, subkey_bit_length)
+                        decode_key, decoding_matrix, encode_key,
+                        subkey_bit_length)
 
 SHAPES = ((1, 1), (2, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4),
           (7, 3), (8, 5))
@@ -127,3 +128,71 @@ def test_singular_submatrix_rejected():
     blocks = encode_key(BitBlock(0b1111, 4), broken)
     with pytest.raises(IntegrityError):
         decode_key([(1, blocks[0]), (3, blocks[2])], broken, 4)
+
+
+CAUCHY_SHAPES = tuple((n, k) for n, k in SHAPES if k >= 2 and n >= k + 2)
+
+
+def symbols_of(value: int, width: int, count: int) -> list[int]:
+    return [(value >> (i * width)) & ((1 << width) - 1) for i in range(count)]
+
+
+def packed(symbols, width: int) -> int:
+    return sum(v << (i * width) for i, v in enumerate(symbols))
+
+
+def solve_symbol(field, matrix, rhs):
+    """Gauss-Jordan over the field for one symbol: matrix @ u = rhs."""
+    k = len(matrix)
+    rows = [list(matrix[i]) + [rhs[i]] for i in range(k)]
+    for col in range(k):
+        pivot = next(i for i in range(col, k) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = field.inv(rows[col][col])
+        rows[col] = [field.mul(inv, v) for v in rows[col]]
+        for i in range(k):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a ^ field.mul(f, b) for a, b in zip(rows[i], rows[col])]
+    return [row[k] for row in rows]
+
+
+@pytest.mark.parametrize("length,dimension", CAUCHY_SHAPES)
+def test_packed_coding_matches_a_per_symbol_reference(length, dimension):
+    code = build_code(length, dimension)
+    assert code.field.exponent > 1
+    field, m, k = code.field, code.symbol_bits, dimension
+    rng = random.Random(length * 7 + dimension)
+    for key_bits in (1, 16, 45):
+        sub_bits = subkey_bit_length(key_bits, code)
+        count = coded_block_bit_length(key_bits, code) // m
+        key = BitBlock.random(rng, key_bits)
+        subkeys = [symbols_of((key.value >> (i * sub_bits))
+                              & ((1 << sub_bits) - 1), m, count)
+                   for i in range(k)]
+        blocks = encode_key(key, code)
+        for j in range(length):
+            expected = []
+            for s in range(count):
+                acc = 0
+                for i in range(k):
+                    acc ^= field.mul(code.generator[i][j], subkeys[i][s])
+                expected.append(acc)
+            assert blocks[j] == BitBlock(packed(expected, m), count * m)
+        # Decoding arbitrary received blocks solves each symbol's system.
+        for cols in combinations(range(1, length + 1), k):
+            received = [BitBlock.random(rng, count * m) for _ in cols]
+            matrix = [code.column(p) for p in cols]
+            ys = [symbols_of(b.value, m, count) for b in received]
+            solved = [solve_symbol(field, matrix, [y[s] for y in ys])
+                      for s in range(count)]
+            value = 0
+            for i in range(k):
+                sub = packed([solved[s][i] for s in range(count)], m)
+                value |= (sub & ((1 << sub_bits) - 1)) << (i * sub_bits)
+            value &= (1 << key_bits) - 1
+            pairs = list(zip(cols, received))
+            assert decode_key(pairs, code, key_bits) == BitBlock(value, key_bits)
+            assert decode_key(pairs, code, key_bits,
+                              decoding_matrix(code, cols)) == BitBlock(value,
+                                                                       key_bits)

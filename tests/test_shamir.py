@@ -156,3 +156,50 @@ def test_lagrange_weights_interpolate_at_zero():
     for bad in ((1, 1), (0, 2), (1, 8)):
         with pytest.raises(DomainError):
             field.lagrange_weights_at_zero(bad)
+
+
+def symbols_of(value: int, width: int, count: int) -> list[int]:
+    return [(value >> (i * width)) & ((1 << width) - 1) for i in range(count)]
+
+
+def packed(symbols, width: int) -> int:
+    return sum(v << (i * width) for i, v in enumerate(symbols))
+
+
+def test_packed_split_and_reconstruct_match_a_per_symbol_reference():
+    # Shares evaluated symbol by symbol with poly_eval, and the secret
+    # interpolated symbol by symbol with mul, for r = 1 ... 4.
+    rng = random.Random(8)
+    for share_count in range(1, 5):
+        field = field_for(share_count)
+        l = field.exponent
+        points = canonical_evaluation_points(field, share_count)
+        weights = field.lagrange_weights_at_zero(points)
+        for secret_bits in (1, l, 7 * l + 1):
+            count = -(-secret_bits // l)
+            secret = BitBlock.random(rng, secret_bits)
+            rows = [tuple(rng.randrange(field.order)
+                          for _ in range(share_count - 1))
+                    for _ in range(count)]
+            shares = split(secret, share_count, field, coefficients=rows)
+            sym = symbols_of(secret.value, l, count)
+            for j, x in enumerate(points, 1):
+                expected = [field.poly_eval((v,) + row, x)
+                            for v, row in zip(sym, rows)]
+                assert shares.share_block(j) == BitBlock(packed(expected, l),
+                                                         count * l)
+            # Reconstruction of arbitrary share values, consistent or not.
+            blocks = [BitBlock.random(rng, count * l) for _ in points]
+            columns = [symbols_of(b.value, l, count) for b in blocks]
+            expected = []
+            for s in range(count):
+                acc = 0
+                for column, w in zip(columns, weights):
+                    acc ^= field.mul(column[s], w)
+                expected.append(acc)
+            rebuilt = reconstruct(share_set_from_blocks(blocks, field,
+                                                        secret_bits))
+            value = packed(expected, l) & ((1 << secret_bits) - 1)
+            assert rebuilt == BitBlock(value, secret_bits)
+            assert reconstruct(share_set_from_blocks(blocks, field, secret_bits),
+                               weights) == rebuilt
