@@ -62,24 +62,6 @@ class BitBlock:
             raise IntegrityError(f"nonzero padding bits beyond length {length}")
         return cls(value, length)
 
-    @classmethod
-    def from_symbols(cls, symbols: "tuple[int, ...] | list[int]", symbol_bits: int,
-                     length: "int | None" = None) -> "BitBlock":
-        """Inverse of to_symbols.  length defaults to len(symbols) * symbol_bits."""
-        value = 0
-        for i, s in enumerate(symbols):
-            if s < 0 or s >> symbol_bits:
-                raise DomainError(f"symbol {i} does not fit in {symbol_bits} bits")
-            value |= s << (i * symbol_bits)
-        full = len(symbols) * symbol_bits
-        if length is None:
-            length = full
-        if length > full:
-            raise UsageError(f"length {length} exceeds {full} symbol bits")
-        # Truncation drops zero padding introduced when the block was built;
-        # any other truncation is a caller error we cannot detect here.
-        return cls(value & ((1 << length) - 1), length)
-
     # ---- accessors ----
 
     def bit(self, i: int) -> int:
@@ -92,14 +74,6 @@ class BitBlock:
         if start < 0 or nbits < 0:
             raise UsageError("negative slice bounds")
         return BitBlock((self.value >> start) & ((1 << nbits) - 1), nbits)
-
-    def to_symbols(self, symbol_bits: int) -> tuple[int, ...]:
-        """Split into ceil(length / symbol_bits) symbols, zero padding the tail."""
-        if symbol_bits <= 0:
-            raise UsageError(f"symbol width must be positive, got {symbol_bits}")
-        count = max(1, -(-self.length // symbol_bits)) if self.length else 0
-        mask = (1 << symbol_bits) - 1
-        return tuple((self.value >> (i * symbol_bits)) & mask for i in range(count))
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes((self.length + 7) // 8, "little")

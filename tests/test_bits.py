@@ -28,13 +28,6 @@ def test_bits_round_trip(b):
     assert BitBlock.from_bits([b.bit(i) for i in range(b.length)]) == b
 
 
-@given(blocks(), st.integers(1, 9))
-def test_symbols_round_trip(b, width):
-    symbols = b.to_symbols(width)
-    assert BitBlock.from_symbols(symbols, width, b.length) == b
-    assert all(0 <= s < (1 << width) for s in symbols)
-
-
 @given(blocks())
 def test_xor_group_laws(b):
     zero = BitBlock.zeros(b.length)
@@ -99,12 +92,6 @@ def test_validation_errors():
         BitBlock.from_bytes(b"\xff", 3)
     with pytest.raises(DomainError):
         BitBlock.from_bits([0, 2])
-    with pytest.raises(DomainError):
-        BitBlock.from_symbols([4], 2)
-    with pytest.raises(UsageError):
-        BitBlock.from_symbols([1], 2, length=3)
-    with pytest.raises(UsageError):
-        BitBlock(0, 4).to_symbols(0)
     with pytest.raises(UsageError):
         BitBlock(0, 4).bit(4)
 
