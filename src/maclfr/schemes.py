@@ -42,7 +42,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bits import BitBlock
+from .bits import BitBlock, concat_blocks
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field, exponent_for_share_count
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
@@ -162,6 +162,14 @@ def _combination(images: Sequence[int], coeffs: int) -> int:
         if (coeffs >> i) & 1:
             acc ^= image
     return acc
+
+
+def _images(table: SubfileTable) -> list[int]:
+    """Each file's subfiles side by side, rank k at k * subfile_bits."""
+    sb = table.subfile_bits
+    if any(block.length != sb for row in table.rows for block in row):
+        raise UsageError(f"subfile table holds blocks of other than {sb} bits")
+    return [concat_blocks(row).value for row in table.rows]
 
 
 def _sized(block: BitBlock, bits: int, what: str, label) -> int:
@@ -438,16 +446,13 @@ class Scheme:
             r = self.topo.access_degree
             sb = table.subfile_bits
             piece = (1 << sb) - 1
-            images = self._images(table)
-            masked: dict[CacheSet, int] = {}
+            images = _images(table)
+            masked = {g: _combination(images, mask)
+                      for g, mask in randomness.mask_vectors.items()}
             for (g, T), (k, S) in self._slots.items():
                 # The g-mask combination of subfile index T, on the key.
-                combo = masked.get(g)
-                if combo is None:
-                    combo = masked[g] = _combination(
-                        images, randomness.mask_vectors[g])
                 key = BitBlock(_sized(keys[S], sb, "payload key", S)
-                               ^ ((combo >> (k * sb)) & piece), sb)
+                               ^ ((masked[g] >> (k * sb)) & piece), sb)
                 superposed[(g, T)] = key
                 shares = split(key, r, field,
                                coefficients=randomness.share_coefficients[(g, T)])
@@ -466,20 +471,6 @@ class Scheme:
         contents = [CacheContent(c + 1, subfiles[c], key_shares[c], whole[c],
                                  coded[c]) for c in caches]
         return contents, ServerSecrets(randomness, superposed)
-
-    @staticmethod
-    def _images(table: SubfileTable) -> list[int]:
-        """Each file's subfiles side by side, rank k at k * subfile_bits."""
-        sb = table.subfile_bits
-        if any(block.length != sb for row in table.rows for block in row):
-            raise UsageError(f"subfile table holds blocks of other than {sb} bits")
-        images = []
-        for row in table.rows:
-            image = 0
-            for k, block in enumerate(row):
-                image |= block.value << (k * sb)
-            images.append(image)
-        return images
 
     # -- delivery --
 
@@ -510,18 +501,15 @@ class Scheme:
         # g-sent combination of the subfile indexed by S minus g.
         sb = table.subfile_bits
         piece = (1 << sb) - 1
-        images = self._images(table)
-        combos: dict[int, int] = {}
-        for coeffs in sent.values():
-            if coeffs not in combos:
-                combos[coeffs] = _combination(images, coeffs)
+        images = _images(table)
+        combos = {g: _combination(images, coeffs) for g, coeffs in sent.items()}
         keyed = self.kind.has_payload_keys  # p-lfr's keys are all zero
         payloads = {}
         for S, members in self._members.items():
             acc = (_sized(randomness.payload_keys[S], sb, "payload key", S)
                    if keyed else 0)
             for g, _, k in members:
-                acc ^= (combos[sent[g]] >> (k * sb)) & piece
+                acc ^= (combos[g] >> (k * sb)) & piece
             payloads[S] = BitBlock(acc, sb)
         masked, clear = (sent, {}) if self.kind.masks_demands else ({}, sent)
         rate = Fraction(self.topo.num_transmissions,
