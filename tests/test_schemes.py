@@ -401,6 +401,29 @@ def test_decode_reports_a_missing_demand_of_another_user(kind, field, what):
         scheme.decode(user, caches, gutted, demand)
 
 
+def test_blocks_of_the_wrong_length_are_rejected():
+    scheme, result, user, caches, demand = decode_setup(SchemeKind.S_LFR)
+    held = dict(caches[1].subfiles)
+    held[(1, (2,))] = BitBlock.zeros(held[(1, (2,))].length + 1)
+    stretched = [caches[0], replace(caches[1], subfiles=held)]
+    with pytest.raises(UsageError, match=re.escape("subfile (1, (2,)) has")):
+        scheme.decode(user, stretched, result.transcript, demand)
+    payloads = dict(result.transcript.payloads)
+    wide = result.cfg.subfile_bits + 1
+    payloads[(1, 2, 3)] = BitBlock.zeros(wide)
+    with pytest.raises(UsageError, match=re.escape(
+            f"payload (1, 2, 3) has {wide} bits")):
+        scheme.decode(user, caches, replace(result.transcript, payloads=payloads),
+                      demand)
+    secrets = result.placement.secrets
+    keys = dict(secrets.randomness.payload_keys)
+    keys[(1, 2, 4)] = BitBlock.zeros(wide)
+    short = replace(secrets, randomness=replace(secrets.randomness,
+                                                payload_keys=keys))
+    with pytest.raises(UsageError, match=re.escape("payload key (1, 2, 4)")):
+        scheme.deliver(short, result.placement.table, result.demands)
+
+
 def test_decode_reports_the_wrong_caches():
     scheme, result, user, caches, demand = decode_setup(SchemeKind.SP_LFR)
     with pytest.raises(UsageError, match=re.escape(
