@@ -4,7 +4,8 @@ Reruns agreeing with each other say nothing about whether a change kept
 the bytes; these constants do.  They cover the transcript container and
 its JSON twin for the three worked presets under every kind and seeds
 0-2 (plus p-lfr in broadcast mode), the ``verify`` reports of the cheap
-suites, and the figure presets' ``curves.csv``.  A change that alters any
+suites and of three security instances, and the figure presets'
+``curves.csv``.  A change that alters any
 of them changes what a (config, seed) pair produces and must say so.
 """
 
@@ -258,8 +259,23 @@ TRANSCRIPT_JSON = {
 REPORTS = {
     "correctness":
         "4dd88820bc0919e5500a1a5c0e544daca4c8719df103b1cb8e13837e24d2715c",
+    "privacy":
+        "fe858867b353228183fdd57e30722d5e050155c5521676369783e66013357e6d",
     "shares":
         "deac384150e38d5e3519b510ca27267172f6c8e1b6bf7b75449e4d95aedcec5d",
+}
+
+# `maclfr verify --suite security --C 3 --r 2 --t 1 --N 2 --scheme <kind>
+# --seed 0` -> digest of report.json.  s-lfr takes the enumerate route,
+# sp-lfr the affine one, and lfr reports a nonzero mi_bits; all three run
+# the engine on randomness unpacked from RandomnessLayout.
+SECURITY_INSTANCES = {
+    "s-lfr":
+        "3e9b9bb7a433a6d425c927d8b3e170ca806b1f0b35a0330df61bf31b4791586e",
+    "sp-lfr":
+        "708b1d59ddbdd93f71b17474eff34cc351d49e96b94d8751b034aa8afd26f93c",
+    "lfr":
+        "bd76262b1556615623e368315eb3aa486cd068aa842096fd96d68eaca444a81b",
 }
 
 # `maclfr curve --figure <n>` -> digest of curves.csv.
@@ -308,6 +324,15 @@ def test_verify_report_matches_golden_digest(suite, tmp_path):
     assert quiet_main("verify", "--suite", suite, "--seed", "0",
                       "--out", str(tmp_path)) == 0
     assert sha256((tmp_path / "report.json").read_bytes()) == REPORTS[suite]
+
+
+@pytest.mark.parametrize("kind", sorted(SECURITY_INSTANCES))
+def test_security_instance_report_matches_golden_digest(kind, tmp_path):
+    assert quiet_main("verify", "--suite", "security", "--C", "3", "--r", "2",
+                      "--t", "1", "--N", "2", "--scheme", kind,
+                      "--seed", "0", "--out", str(tmp_path)) == 0
+    digest = sha256((tmp_path / "report.json").read_bytes())
+    assert digest == SECURITY_INSTANCES[kind]
 
 
 @pytest.mark.parametrize("figure", sorted(CURVES))
