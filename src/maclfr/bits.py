@@ -69,12 +69,6 @@ class BitBlock:
             raise UsageError(f"bit index {i} out of range [0, {self.length})")
         return (self.value >> i) & 1
 
-    def take(self, start: int, nbits: int) -> "BitBlock":
-        """Bits [start, start + nbits); reads beyond the end are zero padding."""
-        if start < 0 or nbits < 0:
-            raise UsageError("negative slice bounds")
-        return BitBlock((self.value >> start) & ((1 << nbits) - 1), nbits)
-
     def to_bytes(self) -> bytes:
         return self.value.to_bytes((self.length + 7) // 8, "little")
 
@@ -89,20 +83,6 @@ class BitBlock:
             )
         return BitBlock(self.value ^ other.value, self.length)
 
-    def truncate(self, length: int) -> "BitBlock":
-        """Keep the first `length` bits, discarding the rest (zero padding)."""
-        if length > self.length:
-            raise UsageError(f"cannot truncate {self.length} bits up to {length}")
-        return BitBlock(self.value & ((1 << length) - 1), length)
-
     def __repr__(self) -> str:  # keep failure output short
         return f"BitBlock({self.length}b:{self.value:x})"
 
-
-def concat_blocks(blocks: "list[BitBlock] | tuple[BitBlock, ...]") -> BitBlock:
-    value = 0
-    offset = 0
-    for b in blocks:
-        value |= b.value << offset
-        offset += b.length
-    return BitBlock(value, offset)

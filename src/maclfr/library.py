@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bits import BitBlock, concat_blocks
+from .bits import BitBlock
 from .errors import DomainError, UsageError
 from .topology import CacheSet, TopologySpec, subset_rank, validate_subset
 
@@ -119,12 +119,20 @@ class DemandVector:
 
 @dataclass(frozen=True)
 class SubfileTable:
-    """All subfiles of all files for one topology, indexed (file, t-subset)."""
+    """All subfiles of all files for one topology, one image per file: the
+    subfile of rank k (lex order of T) sits at bit k * subfile_bits, so a
+    file's image is its value with the padding bits above it."""
 
     topo: TopologySpec
     file_bits: int
     subfile_bits: int
-    rows: tuple[tuple[BitBlock, ...], ...]  # rows[file-1][rank of T]
+    images: tuple[int, ...]  # images[file-1]
+
+    def __post_init__(self) -> None:
+        width = self.topo.num_subfile_indices * self.subfile_bits
+        if any(image < 0 or image >> width for image in self.images):
+            raise UsageError(f"subfile table holds an image wider than "
+                             f"{width} bits")
 
     def subfile(self, file_index: int, index_set: CacheSet) -> BitBlock:
         validate_subset(index_set, self.topo.num_caches)
@@ -132,13 +140,15 @@ class SubfileTable:
             raise UsageError(
                 f"subfile index {index_set} has size {len(index_set)}, "
                 f"expected {self.topo.replication}")
-        return self.rows[file_index - 1][subset_rank(index_set,
-                                                     self.topo.num_caches)]
+        sb = self.subfile_bits
+        k = subset_rank(index_set, self.topo.num_caches)
+        return BitBlock((self.images[file_index - 1] >> (k * sb))
+                        & ((1 << sb) - 1), sb)
 
     def reassemble(self, file_index: int) -> BitBlock:
-        """Concatenate the subfiles in index order and drop the zero padding."""
-        return concat_blocks(list(self.rows[file_index - 1])).truncate(
-            self.file_bits)
+        """The file's image with the zero padding dropped."""
+        bits = self.file_bits
+        return BitBlock(self.images[file_index - 1] & ((1 << bits) - 1), bits)
 
 
 def subfile_bit_length(file_bits: int, topo: TopologySpec) -> int:
@@ -146,12 +156,9 @@ def subfile_bit_length(file_bits: int, topo: TopologySpec) -> int:
 
 
 def subpacketize(library: FileLibrary, topo: TopologySpec) -> SubfileTable:
-    sub_bits = subfile_bit_length(library.file_bits, topo)
-    count = topo.num_subfile_indices
-    rows = tuple(
-        tuple(f.take(k * sub_bits, sub_bits) for k in range(count))
-        for f in library.files)
-    return SubfileTable(topo, library.file_bits, sub_bits, rows)
+    return SubfileTable(topo, library.file_bits,
+                        subfile_bit_length(library.file_bits, topo),
+                        tuple(f.value for f in library.files))
 
 
 def linear_combination(demand: DemandVector, library: FileLibrary) -> BitBlock:

@@ -42,7 +42,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bits import BitBlock, concat_blocks
+from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field, exponent_for_share_count
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
@@ -164,14 +164,6 @@ def _combination(images: Sequence[int], coeffs: int) -> int:
     return acc
 
 
-def _images(table: SubfileTable) -> list[int]:
-    """Each file's subfiles side by side, rank k at k * subfile_bits."""
-    sb = table.subfile_bits
-    if any(block.length != sb for row in table.rows for block in row):
-        raise UsageError(f"subfile table holds blocks of other than {sb} bits")
-    return [concat_blocks(row).value for row in table.rows]
-
-
 def _sized(block: BitBlock, bits: int, what: str, label) -> int:
     """The block's value, once its length is checked."""
     if block.length != bits:
@@ -213,12 +205,14 @@ class ServerRandomness:
 
     payload_keys has an entry per transmission index for every kind that
     masks payloads (all zero under p-lfr); mask_vectors and
-    share_coefficients exist only when demands are masked.
+    share_coefficients exist only when demands are masked.  The share
+    coefficients of a slot (g, T) are packed as split() takes them: one
+    plane per blind, symbol s's coefficient at bits [s l, (s + 1) l).
     """
 
     payload_keys: Mapping[CacheSet, BitBlock]
     mask_vectors: Mapping[CacheSet, int]
-    share_coefficients: Mapping[tuple[CacheSet, CacheSet], tuple[tuple[int, ...], ...]]
+    share_coefficients: Mapping[tuple[CacheSet, CacheSet], tuple[int, ...]]
 
     @classmethod
     def draw(cls, cfg: SchemeConfig, rng: random.Random) -> "ServerRandomness":
@@ -241,14 +235,13 @@ class ServerRandomness:
             zero = BitBlock.zeros(cfg.subfile_bits)
             payload_keys = {S: zero for S in topo.transmission_indices()}
         mask_vectors: dict[CacheSet, int] = {}
-        coefs: dict[tuple[CacheSet, CacheSet], list[list[int]]] = {}
+        planes: dict[tuple[CacheSet, CacheSet], list[int]] = {}
         if kind.masks_demands:
-            # Pre-create every coefficient row so that r = 1 (no blinding
-            # coefficients at all) still yields the empty rows split() expects.
+            # Pre-create every slot so that r = 1 (no blinding coefficients
+            # at all) still yields the empty plane list split() expects.
             blinds = topo.access_degree - 1
-            symbols = cfg.share_block_bits // cfg.key_field.exponent
-            for slot in _indices(topo)[1]:
-                coefs[slot] = [[0] * blinds for _ in range(symbols)]
+            planes = {slot: [0] * blinds for slot in _indices(topo)[1]}
+        l = cfg.key_field.exponent
         for label, value in values:
             tag = label[0]
             if tag == "key":
@@ -258,9 +251,8 @@ class ServerRandomness:
                 mask_vectors[label[1]] = value
             else:
                 _, g, T, s, b = label
-                coefs[(g, T)][s][b] = value
-        share_coefficients = {key: tuple(tuple(row) for row in rows)
-                              for key, rows in coefs.items()}
+                planes[(g, T)][b] |= value << (s * l)
+        share_coefficients = {slot: tuple(p) for slot, p in planes.items()}
         return cls(payload_keys, mask_vectors, share_coefficients)
 
 
@@ -406,10 +398,13 @@ class Scheme:
         subfiles: list[dict[tuple[int, CacheSet], BitBlock]] = [
             {} for _ in range(self.topo.num_caches)]
         if not cfg.broadcast:
+            sb = table.subfile_bits
+            piece = (1 << sb) - 1
             for T, k in self._rank.items():
-                for i, row in enumerate(table.rows, 1):
+                for i, image in enumerate(table.images, 1):
+                    block = BitBlock((image >> (k * sb)) & piece, sb)
                     for c in T:
-                        subfiles[c - 1][(i, T)] = row[k]
+                        subfiles[c - 1][(i, T)] = block
         caches, secrets = self._place_keys(randomness, subfiles, table)
         sizes = {c.stored_bits for c in caches}
         if len(sizes) != 1:
@@ -446,8 +441,7 @@ class Scheme:
             r = self.topo.access_degree
             sb = table.subfile_bits
             piece = (1 << sb) - 1
-            images = _images(table)
-            masked = {g: _combination(images, mask)
+            masked = {g: _combination(table.images, mask)
                       for g, mask in randomness.mask_vectors.items()}
             for (g, T), (k, S) in self._slots.items():
                 # The g-mask combination of subfile index T, on the key.
@@ -477,7 +471,8 @@ class Scheme:
     def deliver(self, secrets: ServerSecrets, table: SubfileTable,
                 demands: Sequence[DemandVector]) -> DeliveryTranscript:
         cfg = self.cfg
-        if table.topo != self.topo or table.file_bits != cfg.file_bits:
+        if ((table.topo, table.file_bits, table.subfile_bits, len(table.images))
+                != (self.topo, cfg.file_bits, cfg.subfile_bits, cfg.num_files)):
             raise UsageError("subfile table does not match the configuration")
         by_user = demands_by_user(demands)
         missing = [g for g in self.topo.users() if g not in by_user]
@@ -501,8 +496,8 @@ class Scheme:
         # g-sent combination of the subfile indexed by S minus g.
         sb = table.subfile_bits
         piece = (1 << sb) - 1
-        images = _images(table)
-        combos = {g: _combination(images, coeffs) for g, coeffs in sent.items()}
+        combos = {g: _combination(table.images, coeffs)
+                  for g, coeffs in sent.items()}
         keyed = self.kind.has_payload_keys  # p-lfr's keys are all zero
         payloads = {}
         for S, members in self._members.items():

@@ -73,15 +73,16 @@ class ShareSet:
 
 def split(secret: BitBlock, share_count: int, field: BinaryField,
           rng: random.Random | None = None,
-          coefficients: Sequence[Sequence[int]] | None = None) -> ShareSet:
+          coefficients: Sequence[int] | None = None) -> ShareSet:
     """Split the secret into share_count shares.
 
-    Coefficients of the hiding polynomials come either from rng or from an
-    explicit per-symbol list of (share_count - 1) field values; exactly one
-    of the two sources must be given (none for share_count == 1, where the
-    polynomial is the constant itself).  The polynomials are evaluated on
-    all symbols at once: coefficient b of every symbol is packed into one
-    int, and Horner's rule scales the packed block by the point.
+    Coefficients of the hiding polynomials come either from rng or from
+    explicit planes, one per blind b = 0 .. share_count - 2, each holding
+    coefficient b of symbol s at bits [s l, (s + 1) l); exactly one of the
+    two sources must be given (none for share_count == 1, where the
+    polynomial is the constant itself).  rng fills the planes symbol by
+    symbol, blind by blind.  Horner's rule then evaluates every symbol's
+    polynomial at once, scaling the packed block by the point.
     """
     points = canonical_evaluation_points(field, share_count)
     l = field.exponent
@@ -90,28 +91,21 @@ def split(secret: BitBlock, share_count: int, field: BinaryField,
     if coefficients is not None:
         if rng is not None:
             raise UsageError("pass either rng or coefficients, not both")
-        if len(coefficients) != symbols:
+        planes = list(coefficients)
+        if len(planes) != blinds:
             raise UsageError(
-                f"expected coefficients for {symbols} symbols, "
-                f"got {len(coefficients)}")
-        rows = [tuple(c) for c in coefficients]
-        for row in rows:
-            if len(row) != blinds:
-                raise UsageError(f"each symbol needs {blinds} coefficients")
-    elif blinds == 0:
-        rows = [()] * symbols
-    elif rng is None:
+                f"expected {blinds} coefficient planes, got {len(planes)}")
+        for plane in planes:
+            if plane < 0 or plane >> (symbols * l):
+                raise DomainError(f"coefficient plane {plane:#x} does not fit "
+                                  f"{symbols} symbols of GF({field.order})")
+    elif blinds and rng is None:
         raise UsageError("a coefficient source is required for share_count > 1")
     else:
-        rows = [tuple(rng.getrandbits(l) for _ in range(blinds))
-                for _ in range(symbols)]
-    planes = [0] * blinds
-    for s, row in enumerate(rows):
-        for b, c in enumerate(row):
-            if not 0 <= c < field.order:
-                raise DomainError(
-                    f"value {c} outside field of order {field.order}")
-            planes[b] |= c << (s * l)
+        planes = [0] * blinds
+        for s in range(symbols):
+            for b in range(blinds):
+                planes[b] |= rng.getrandbits(l) << (s * l)
     shares = []
     for x in points:
         acc = 0

@@ -24,6 +24,9 @@ from .topology import CacheSet, TopologySpec
 
 MAGIC = b"MALF"
 VERSION = 1
+# After the magic and the "H" version: kind code, broadcast flag, C, r, t,
+# N, F and seed.
+_HEADER = "BBHHHIQQ"
 
 _KIND_CODES = {kind: i for i, kind in enumerate(SchemeKind)}
 _KIND_FROM_CODE = {i: kind for kind, i in _KIND_CODES.items()}
@@ -86,14 +89,10 @@ def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
                       transcript: DeliveryTranscript) -> bytes:
     w = _Writer()
     w.parts.append(MAGIC)
-    w.pack("H", VERSION)
-    w.pack("B", _KIND_CODES[cfg.kind])
-    w.pack("B", 1 if cfg.broadcast else 0)
-    w.pack("HHH", cfg.topo.num_caches, cfg.topo.access_degree,
-           cfg.topo.replication)
-    w.pack("I", cfg.num_files)
-    w.pack("Q", cfg.file_bits)
-    w.pack("Q", cfg.seed)
+    topo = cfg.topo
+    w.pack("H" + _HEADER, VERSION, _KIND_CODES[cfg.kind], int(cfg.broadcast),
+           topo.num_caches, topo.access_degree, topo.replication,
+           cfg.num_files, cfg.file_bits, cfg.seed)
 
     w.pack("H", len(caches))
     for cache in caches:
@@ -144,15 +143,12 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
     version = r.unpack("H")
     if version != VERSION:
         raise IntegrityError(f"unsupported artifact version {version}")
-    kind = _KIND_FROM_CODE.get(r.unpack("B"))
+    code, broadcast, C, ar, t, N, F, seed = r.unpack(_HEADER)
+    kind = _KIND_FROM_CODE.get(code)
     if kind is None:
         raise IntegrityError("unknown scheme kind code")
-    broadcast = bool(r.unpack("B"))
-    C, ar, t = r.unpack("HHH")
-    N = r.unpack("I")
-    F = r.unpack("Q")
-    seed = r.unpack("Q")
-    cfg = SchemeConfig(TopologySpec(C, ar, t), N, F, kind, seed, broadcast)
+    cfg = SchemeConfig(TopologySpec(C, ar, t), N, F, kind, seed,
+                       bool(broadcast))
 
     cache_count = r.unpack("H")
     caches = []

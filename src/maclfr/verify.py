@@ -379,6 +379,8 @@ def security_joint_enumerated(cfg: SchemeConfig,
                               jobs: int = 1) -> dict[tuple[int, int], Fraction]:
     """The exact joint distribution of (library, transmission view) by
     running the real scheme on every single state."""
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     lib_states, rand_states = _security_states(cfg)
     states = lib_states * rand_states
     if states > cap:
@@ -413,6 +415,7 @@ def _parallel_security_counts(cfg: SchemeConfig, demand_coeffs: tuple[int, ...],
                               lib_states: int, jobs: int) -> Counter:
     from concurrent.futures import ProcessPoolExecutor
 
+    jobs = min(jobs, lib_states)  # one worker per library value at most
     chunks = [range(start, lib_states, jobs) for start in range(jobs)]
     counts: Counter = Counter()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -484,6 +487,8 @@ def check_security_exact(cfg: SchemeConfig,
     view distribution is uniform on an affine coset, so identical cosets
     for every library value mean the view is independent of the library.
     """
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     if demands is None:
         from .library import cycling_one_hot_demands
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)

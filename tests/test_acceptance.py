@@ -306,7 +306,9 @@ def test_criterion_09_figure_presets_match_closed_forms():
 def test_criterion_10_optimality_gap_at_most_two():
     """At the asserted corners (superposed keys with N = 2Kr at M = rK/C,
     coded keys with N = 2K at M = K/C) the ratio of the achieved rate to
-    the cut-set reference is at most 2 for C in {3,4,5}, r in {2,3}."""
+    the memory-sharing reference is at most 2 for C in {3,4,5}, r in
+    {2,3}.  The reference is an achievable rate, so an upper bound on the
+    optimal R*, not a converse: the ratio is no gap to the optimum."""
     started = time.perf_counter()
     golden = {
         (3, 2): Fraction(9, 5), (3, 3): Fraction(2),

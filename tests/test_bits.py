@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maclfr.bits import BitBlock, concat_blocks
+from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
 
 
@@ -35,29 +35,6 @@ def test_xor_group_laws(b):
     assert b ^ b == zero
 
 
-@given(blocks(), blocks())
-def test_concat_order_and_take(a, b):
-    both = concat_blocks([a, b])
-    assert both.length == a.length + b.length
-    assert both.take(0, a.length) == a
-    assert both.take(a.length, b.length) == b
-
-
-@given(st.lists(blocks(16), max_size=6), st.integers(0, 6))
-def test_concat_blocks_associates(parts, cut):
-    split = [concat_blocks(parts[:cut]), concat_blocks(parts[cut:])]
-    assert concat_blocks(split) == concat_blocks(parts)
-
-
-@settings(deadline=None)
-@given(blocks(), st.integers(0, 80), st.integers(0, 16))
-def test_take_beyond_end_is_zero_padding(b, start, nbits):
-    piece = b.take(start, nbits)
-    expected = [(b.bit(i) if i < b.length else 0)
-                for i in range(start, start + nbits)]
-    assert [piece.bit(i) for i in range(nbits)] == expected
-
-
 def test_first_bit_is_least_significant():
     b = BitBlock(0b01101, 5)
     assert [b.bit(i) for i in range(5)] == [1, 0, 1, 1, 0]
@@ -68,13 +45,6 @@ def test_byte_order_is_little_endian():
     # Bit 8 (the 9th bit) must land in the second byte's low position.
     b = BitBlock(1 << 8, 9)
     assert b.to_bytes() == bytes([0, 1])
-
-
-def test_pad_and_truncate():
-    b = BitBlock(0b101, 3)
-    assert BitBlock(0b101, 5).truncate(3) == b
-    with pytest.raises(UsageError):
-        b.truncate(4)
 
 
 def test_validation_errors():

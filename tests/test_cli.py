@@ -141,6 +141,13 @@ def test_exit_codes():
                "--method", "enumerate", "--cap", "10") == 3  # resource cap
 
 
+def test_jobs_below_one_exit_as_usage_errors(tmp_path):
+    for jobs in ("0", "-5"):
+        assert run("verify", "--suite", "security", "--C", "3", "--r", "2",
+                   "--t", "1", "--N", "2", "--scheme", "s-lfr",
+                   "--jobs", jobs, "--out", str(tmp_path)) == 4
+
+
 def test_broadcast_flag(tmp_path, capsys):
     code = run("simulate", "--C", "3", "--r", "2", "--t", "0", "--N", "2",
                "--F", "3", "--scheme", "p-lfr", "--broadcast",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,16 @@ def test_subfile_is_a_contiguous_slice():
     table = subpacketize(lib, topo)
     indices = topo.subfile_indices()
     assert [table.subfile(1, T).value for T in indices] == [0b101, 0b100, 0b110]
+
+
+def test_subfile_table_rejects_an_image_wider_than_its_grid():
+    topo = TopologySpec(3, 2, 1)
+    table = subpacketize(FileLibrary((BitBlock(0b110100101, 9),)), topo)
+    assert table.images == (0b110100101,)
+    with pytest.raises(UsageError, match="wider than 9 bits"):
+        replace(table, images=(1 << 9,))
+    with pytest.raises(UsageError):
+        replace(table, images=(-1,))
 
 
 def test_subpacketization_commutes_with_linear_combination():

@@ -43,9 +43,9 @@ def test_systematic_blocks_are_the_subkeys():
     key = BitBlock(0b101100111, 9)
     blocks = encode_key(key, code)
     sub = subkey_bit_length(9, code)
+    mask = (1 << sub) - 1
     for i in range(3):
-        expected = key.take(i * sub, sub)
-        assert blocks[i].truncate(sub) == expected
+        assert blocks[i].value & mask == (key.value >> (i * sub)) & mask
 
 
 def test_single_parity_shape_is_the_xor():

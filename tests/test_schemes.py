@@ -448,6 +448,24 @@ def test_deliver_validates_demands():
         scheme.deliver(placement.secrets, table, bad_width)
 
 
+def test_deliver_rejects_a_table_of_another_library_shape():
+    # A table short of a file once delivered payload 0 for a demand of the
+    # missing file, where the true payload is that file's subfile.
+    cfg = config(SchemeKind.LFR, 3, 2, 1, N=3)
+    scheme = scheme_for(cfg)
+    lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
+                             cfg.file_bits)
+    placement = scheme.place(lib)
+    demands = tuple(DemandVector.one_hot(g, 3, cfg.num_files)
+                    for g in cfg.topo.users())
+    short = subpacketize(FileLibrary(lib.files[:2]), cfg.topo)
+    with pytest.raises(UsageError, match="does not match the configuration"):
+        scheme.deliver(placement.secrets, short, demands)
+    narrow = replace(placement.table, subfile_bits=cfg.subfile_bits + 1)
+    with pytest.raises(UsageError, match="does not match the configuration"):
+        scheme.deliver(placement.secrets, narrow, demands)
+
+
 def test_config_validation():
     topo = TopologySpec(3, 2, 1)
     with pytest.raises(DomainError):

@@ -45,7 +45,7 @@ def test_share_values_match_hand_evaluation():
     # share1 = s ^ c, share2 = s ^ (c * x) with x = 0b10.
     field = binary_field(2)
     secret = BitBlock(0b11, 2)
-    shares = split(secret, 2, field, coefficients=[(0b01,)])
+    shares = split(secret, 2, field, coefficients=[0b01])
     assert shares.share_block(1) == BitBlock(0b11 ^ 0b01, 2)
     assert shares.share_block(2) == BitBlock(0b11 ^ field.mul(0b01, 0b10), 2)
     assert reconstruct(shares) == secret
@@ -55,7 +55,7 @@ def test_single_share_is_the_secret():
     field = field_for(1)
     secret = BitBlock(0b1011, 4)
     shares = split(secret, 1, field)
-    assert shares.share_block(1).truncate(4) == secret
+    assert shares.share_block(1) == secret
     assert reconstruct(shares) == secret
 
 
@@ -83,7 +83,7 @@ def test_all_shares_determine_the_secret():
     for secret_value in range(4):
         secret = BitBlock(secret_value, 2)
         for c in range(4):
-            shares = split(secret, 2, field, coefficients=[(c,)])
+            shares = split(secret, 2, field, coefficients=[c])
             assert reconstruct(shares) == secret
 
 
@@ -96,17 +96,32 @@ def test_tail_padding_is_dropped():
     assert reconstruct(shares) == secret
 
 
+def test_rng_fills_the_planes_symbol_by_symbol_then_blind_by_blind():
+    field = field_for(3)
+    l = field.exponent
+    secret = BitBlock(0b101101, 6)
+    replay = random.Random(4)
+    planes = [0, 0]
+    for s in range(-(-secret.length // l)):
+        for b in range(2):
+            planes[b] |= replay.getrandbits(l) << (s * l)
+    assert (split(secret, 3, field, random.Random(4))
+            == split(secret, 3, field, coefficients=planes))
+
+
 def test_validation_errors():
     field = binary_field(2)
     secret = BitBlock(0b1, 2)
     with pytest.raises(UsageError):
         split(secret, 2, field)  # no coefficient source
     with pytest.raises(UsageError):
-        split(secret, 2, field, random.Random(0), coefficients=[(1,)])
+        split(secret, 2, field, random.Random(0), coefficients=[1])
     with pytest.raises(UsageError):
-        split(secret, 2, field, coefficients=[(1,), (2,)])
-    with pytest.raises(UsageError):
-        split(secret, 2, field, coefficients=[(1, 2)])
+        split(secret, 2, field, coefficients=[1, 2])  # one plane per blind
+    with pytest.raises(DomainError):
+        split(secret, 2, field, coefficients=[1 << 2])  # wider than 1 symbol
+    with pytest.raises(DomainError):
+        split(secret, 2, field, coefficients=[-1])
     with pytest.raises(DomainError):
         canonical_evaluation_points(field, 4)
     with pytest.raises(DomainError):
@@ -181,7 +196,9 @@ def test_packed_split_and_reconstruct_match_a_per_symbol_reference():
             rows = [tuple(rng.randrange(field.order)
                           for _ in range(share_count - 1))
                     for _ in range(count)]
-            shares = split(secret, share_count, field, coefficients=rows)
+            planes = [packed([row[b] for row in rows], l)
+                      for b in range(share_count - 1)]
+            shares = split(secret, share_count, field, coefficients=planes)
             sym = symbols_of(secret.value, l, count)
             for j, x in enumerate(points, 1):
                 expected = [field.poly_eval((v,) + row, x)

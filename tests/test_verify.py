@@ -152,6 +152,24 @@ def test_affine_joint_matches_enumeration_exactly():
                     == security_joint_affine(cfg, demands)), (kind, t)
 
 
+def test_parallel_enumeration_matches_serial():
+    cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
+    demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
+    assert (security_joint_enumerated(cfg, demands, jobs=2)
+            == security_joint_enumerated(cfg, demands, jobs=1))
+
+
+@pytest.mark.parametrize("jobs", (0, -5))
+def test_jobs_below_one_are_rejected(jobs):
+    cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
+    demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
+    for method in ("enumerate", "affine"):
+        with pytest.raises(UsageError, match="jobs must be at least 1"):
+            check_security_exact(cfg, demands, method=method, jobs=jobs)
+    with pytest.raises(UsageError, match="jobs must be at least 1"):
+        security_joint_enumerated(cfg, demands, jobs=jobs)
+
+
 def test_affine_matches_every_enumerated_sweep_instance():
     # Every instance of the default security sweep that "auto" enumerates,
     # keyless control included, gets the same verdict from the model.
