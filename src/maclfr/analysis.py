@@ -44,9 +44,6 @@ class MemoryRatePoint:
     t: int | None
     tag: str
 
-    def as_pair(self) -> tuple[Fraction, Fraction]:
-        return (self.memory, self.rate)
-
 
 @dataclass(frozen=True)
 class TradeoffCurve:

@@ -43,15 +43,6 @@ class BitBlock:
         return cls(rng.getrandbits(length) if length else 0, length)
 
     @classmethod
-    def from_bits(cls, bits: "list[int] | tuple[int, ...]") -> "BitBlock":
-        value = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise DomainError(f"bit {i} is {b}, expected 0 or 1")
-            value |= b << i
-        return cls(value, len(bits))
-
-    @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitBlock":
         if len(data) != (length + 7) // 8:
             raise UsageError(
@@ -63,11 +54,6 @@ class BitBlock:
         return cls(value, length)
 
     # ---- accessors ----
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise UsageError(f"bit index {i} out of range [0, {self.length})")
-        return (self.value >> i) & 1
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes((self.length + 7) // 8, "little")

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -133,10 +132,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _frac(f: Fraction) -> str:
-    return format_fraction(f)
-
-
 # ---- curve ----
 
 def _single_point_curve(kind: SchemeKind, C: int, r: int, t: int, N: int,
@@ -169,8 +164,8 @@ def cmd_curve(args) -> int:
     doc = {"format": "maclfr-curves", **curves_to_json(curves)}
     json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for c in curves:
-        env = ", ".join(f"({_frac(p.memory)}, {_frac(p.rate)})"
-                        for p in c.envelope)
+        env = ", ".join(f"({format_fraction(p.memory)}, "
+                        f"{format_fraction(p.rate)})" for p in c.envelope)
         print(f"{c.kind.value}: envelope {env}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -230,8 +225,8 @@ def cmd_simulate(args) -> int:
     print(f"scheme {cfg.kind.value} C={cfg.topo.num_caches} "
           f"r={cfg.topo.access_degree} t={cfg.topo.replication} "
           f"N={cfg.num_files} F={cfg.file_bits} seed={cfg.seed}")
-    print(f"memory {_frac(result.placement.memory)} files, "
-          f"rate {_frac(result.transcript.rate)} files")
+    print(f"memory {format_fraction(result.placement.memory)} files, "
+          f"rate {format_fraction(result.transcript.rate)} files")
     print(f"decode {passed}/{len(users)} users pass ({dt:.2f}s)")
     if not result.ok:
         for g in users:
@@ -245,75 +240,50 @@ def cmd_simulate(args) -> int:
 
 # ---- verify ----
 
+def _record(check: str, cfg: SchemeConfig, passed: bool, **fields) -> dict:
+    """One report.json record: the check, the scheme and its (C, r, t),
+    with N and F for every check but share placement, the check's own
+    fields, and its verdict."""
+    topo = cfg.topo
+    doc = {"check": check, "scheme": cfg.kind.value, "C": topo.num_caches,
+           "r": topo.access_degree, "t": topo.replication}
+    if check != "share-placement":
+        doc.update(N=cfg.num_files, F=cfg.file_bits)
+    return {**doc, **fields, "pass": passed}
+
+
+def _zero_claim_doc(check: str, res, expected_kinds: frozenset,
+                    **fields) -> dict:
+    """A security or privacy record: it passes when the oracle certifies
+    exactly zero leakage for the kinds expected to leak nothing."""
+    expected_zero = res.cfg.kind in expected_kinds
+    return _record(check, res.cfg, res.certified_zero == expected_zero,
+                   method=res.method, states=res.states,
+                   expected_zero=expected_zero, **fields)
+
+
 def _security_doc(res: SecurityCheckResult) -> dict:
-    expected_zero = res.cfg.kind in SECURE_KINDS
-    ok = res.certified_zero if expected_zero else not res.certified_zero
-    return {
-        "check": "security",
-        "scheme": res.cfg.kind.value,
-        "C": res.cfg.topo.num_caches,
-        "r": res.cfg.topo.access_degree,
-        "t": res.cfg.topo.replication,
-        "N": res.cfg.num_files,
-        "F": res.cfg.file_bits,
-        "method": res.method,
-        "states": res.states,
-        "certified_zero": res.certified_zero,
-        "mi_bits": res.mi_bits,
-        "expected_zero": expected_zero,
-        "pass": ok,
-    }
+    return _zero_claim_doc("security", res, SECURE_KINDS,
+                           certified_zero=res.certified_zero,
+                           mi_bits=res.mi_bits)
 
 
 def _privacy_doc(res: PrivacyCheckResult) -> dict:
-    expected_zero = res.cfg.kind in PRIVATE_KINDS
-    ok = res.certified_zero if expected_zero else not res.certified_zero
-    return {
-        "check": "privacy",
-        "scheme": res.cfg.kind.value,
-        "C": res.cfg.topo.num_caches,
-        "r": res.cfg.topo.access_degree,
-        "t": res.cfg.topo.replication,
-        "N": res.cfg.num_files,
-        "F": res.cfg.file_bits,
-        "method": res.method,
-        "states": res.states,
-        "max_tv": _frac(res.max_tv),
-        "per_observer": {"".join(map(str, g)): _frac(tv)
-                         for g, tv in res.per_observer.items()},
-        "expected_zero": expected_zero,
-        "pass": ok,
-    }
+    return _zero_claim_doc(
+        "privacy", res, PRIVATE_KINDS, max_tv=format_fraction(res.max_tv),
+        per_observer={"".join(map(str, g)): format_fraction(tv)
+                      for g, tv in res.per_observer.items()})
 
 
 def _correctness_doc(rep: CorrectnessReport) -> dict:
-    return {
-        "check": "correctness",
-        "scheme": rep.cfg.kind.value,
-        "C": rep.cfg.topo.num_caches,
-        "r": rep.cfg.topo.access_degree,
-        "t": rep.cfg.topo.replication,
-        "N": rep.cfg.num_files,
-        "F": rep.cfg.file_bits,
-        "seeds": list(rep.seeds),
-        "batteries": rep.batteries,
-        "decodes": rep.decodes,
-        "failures": len(rep.failures),
-        "pass": rep.ok,
-    }
+    return _record("correctness", rep.cfg, rep.ok, seeds=list(rep.seeds),
+                   batteries=rep.batteries, decodes=rep.decodes,
+                   failures=len(rep.failures))
 
 
 def _shares_doc(rep: SharePlacementReport) -> dict:
-    return {
-        "check": "share-placement",
-        "scheme": rep.cfg.kind.value,
-        "C": rep.cfg.topo.num_caches,
-        "r": rep.cfg.topo.access_degree,
-        "t": rep.cfg.topo.replication,
-        "keys_checked": rep.keys_checked,
-        "problems": list(rep.problems),
-        "pass": rep.ok,
-    }
+    return _record("share-placement", rep.cfg, rep.ok,
+                   keys_checked=rep.keys_checked, problems=list(rep.problems))
 
 
 def _explicit_config(args, kind: SchemeKind, num_files: int) -> SchemeConfig:
@@ -321,6 +291,16 @@ def _explicit_config(args, kind: SchemeKind, num_files: int) -> SchemeConfig:
                         args.t if args.t is not None else 0)
     F = args.F if args.F is not None else topo.num_subfile_indices
     return SchemeConfig(topo, num_files, F, kind, seed=_resolve_seed(args))
+
+
+def _explicit_instance(args, need_files: bool) -> SchemeConfig | None:
+    """The one instance that --scheme or --C names (sp-lfr unless
+    --scheme says otherwise), or None to run the suite."""
+    if args.scheme is None and args.C is None:
+        return None
+    _require(args, "C", "r", "t", *(("N",) if need_files else ()))
+    kind = SchemeKind(args.scheme) if args.scheme else SchemeKind.SP_LFR
+    return _explicit_config(args, kind, args.N if args.N is not None else 2)
 
 
 def _verify_correctness(args) -> list[dict]:
@@ -351,44 +331,36 @@ def _verify_correctness(args) -> list[dict]:
 
 
 def _verify_security(args) -> list[dict]:
-    if args.scheme is not None or args.C is not None:
-        _require(args, "C", "r", "t", "N")
-        kind = SchemeKind(args.scheme) if args.scheme else SchemeKind.SP_LFR
-        res = check_security_exact(_explicit_config(args, kind, args.N),
-                                   method=args.method, cap=args.cap,
-                                   jobs=args.jobs)
-        return [_security_doc(res)]
-    return [_security_doc(r) for r in
-            security_suite(method=args.method, cap=args.cap, jobs=args.jobs)]
+    cfg = _explicit_instance(args, need_files=True)
+    if cfg is not None:
+        results = [check_security_exact(cfg, method=args.method,
+                                        cap=args.cap, jobs=args.jobs)]
+    else:
+        results = security_suite(method=args.method, cap=args.cap,
+                                 jobs=args.jobs)
+    return [_security_doc(r) for r in results]
 
 
 def _verify_privacy(args) -> list[dict]:
-    if args.scheme is not None or args.C is not None:
-        _require(args, "C", "r", "t", "N")
-        kind = SchemeKind(args.scheme) if args.scheme else SchemeKind.SP_LFR
-        res = check_privacy_exact(_explicit_config(args, kind, args.N),
-                                  method=args.method, cap=args.cap)
-        return [_privacy_doc(res)]
-    return [_privacy_doc(r) for r in
-            privacy_suite(method=args.method, cap=args.cap)]
+    cfg = _explicit_instance(args, need_files=True)
+    if cfg is not None:
+        results = [check_privacy_exact(cfg, method=args.method, cap=args.cap)]
+    else:
+        results = privacy_suite(method=args.method, cap=args.cap)
+    return [_privacy_doc(r) for r in results]
 
 
 def _verify_shares(args) -> list[dict]:
-    if args.scheme is not None or args.C is not None:
-        _require(args, "C", "r", "t")
-        kind = SchemeKind(args.scheme) if args.scheme else SchemeKind.SP_LFR
-        num_files = args.N if args.N is not None else 2
-        return [_shares_doc(check_share_placement_secrecy(
-            _explicit_config(args, kind, num_files)))]
-    docs = []
-    triples = list(tiny_sweep_topologies()) + [
-        (5, r, t) for r in (2, 3, 4) for t in range(0, 5 - r + 1)]
-    for C, r, t in triples:
-        for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR, SchemeKind.S_LFR,
-                     SchemeKind.IS_LFR):
-            docs.append(_shares_doc(check_share_placement_secrecy(
-                tiny_config(kind, C, r, t))))
-    return docs
+    cfg = _explicit_instance(args, need_files=False)
+    if cfg is not None:
+        configs = [cfg]
+    else:
+        triples = list(tiny_sweep_topologies()) + [
+            (5, r, t) for r in (2, 3, 4) for t in range(0, 5 - r + 1)]
+        configs = [tiny_config(kind, C, r, t) for C, r, t in triples
+                   for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR,
+                                SchemeKind.S_LFR, SchemeKind.IS_LFR)]
+    return [_shares_doc(check_share_placement_secrecy(c)) for c in configs]
 
 
 def cmd_verify(args) -> int:

@@ -5,12 +5,12 @@ bit j of the int is the coefficient of x^j, so the constant term sits in
 the least significant bit.  A BinaryField instance fixes the exponent and
 the reduction polynomial and exposes arithmetic on raw ints.
 
-Multiplication and inversion go through log/antilog tables built from a
-generator of the multiplicative group, which is plenty for the exponents
-used here (l <= 16).  Shamir shares and MDS blocks are instead scaled a
-whole block at a time: mul_packed multiplies every symbol of an int of
-packed l-bit symbols by one constant with shifts and XORs.  Reduction
-polynomials are validated irreducible by exhaustive trial division.
+Every product goes through mul_packed, which multiplies each symbol of an
+int of packed l-bit symbols by one constant with shifts and XORs: Shamir
+shares and MDS blocks are scaled a whole block at a time, and a single
+product is the one-symbol case.  Inversion is a power, a^(2^l - 2).
+Reduction polynomials are validated irreducible by exhaustive trial
+division.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ _CANONICAL = {
 
 
 # ---- polynomial helpers on raw masks ----
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] masks."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
 
 def _polymod(a: int, m: int) -> int:
     """Remainder of mask a modulo mask m over GF(2)."""
@@ -83,20 +72,6 @@ def canonical_reduction_poly(exponent: int) -> int:
     raise DomainError(f"no irreducible polynomial of degree {exponent}")  # unreachable
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class BinaryField:
     """GF(2^exponent) with a fixed reduction polynomial; the arithmetic
     methods take and return raw ints."""
@@ -116,39 +91,6 @@ class BinaryField:
         self.exponent = exponent
         self.reduction_poly = reduction_poly
         self.order = 1 << exponent
-        self._build_tables()
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        return _polymod(_clmul(a, b), self.reduction_poly)
-
-    def _build_tables(self) -> None:
-        group = self.order - 1
-        gen = None
-        factors = _prime_factors(group) if group > 1 else []
-        for cand in range(1, self.order):
-            if all(self._pow_slow(cand, group // p) != 1 for p in factors):
-                gen = cand
-                break
-        assert gen is not None
-        exp = [0] * group
-        log = [0] * self.order
-        acc = 1
-        for i in range(group):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_slow(acc, gen)
-        assert acc == 1, "generator order mismatch"
-        self._exp = exp
-        self._log = log
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._mul_slow(acc, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return acc
 
     # ---- raw int arithmetic ----
 
@@ -159,18 +101,21 @@ class BinaryField:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        group = self.order - 1
-        return self._exp[(self._log[a] + self._log[b]) % group]
+        return self.mul_packed(a, b, 1)
 
     def inv(self, a: int) -> int:
+        """a^(2^l - 2) by square-and-multiply.  It calls mul_packed, not
+        mul, so that a count of mul calls counts only callers' products."""
         self._check(a)
         if a == 0:
             raise DomainError("zero has no multiplicative inverse")
-        if self.order == 2:
-            return 1
-        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
+        acc, e = 1, self.order - 2
+        while e:
+            if e & 1:
+                acc = self.mul_packed(acc, a, 1)
+            a = self.mul_packed(a, a, 1)
+            e >>= 1
+        return acc
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -183,7 +128,7 @@ class BinaryField:
         by x at once (Blomer et al., "An XOR-based erasure-resilient coding
         scheme", 1995): shift the block up a bit and reduce the symbols
         whose top bit was set, so the block costs a few big-int operations
-        per bit of c instead of one table lookup per symbol.
+        per bit of c instead of one product per symbol.
         """
         self._check(c)
         l = self.exponent

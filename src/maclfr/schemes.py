@@ -332,7 +332,16 @@ class DeliveryTranscript:
     masked_demands: Mapping[CacheSet, int]
     cleartext_demands: Mapping[CacheSet, int]
     broadcast_files: tuple[BitBlock, ...] | None
-    rate: Fraction
+
+    @property
+    def rate(self) -> Fraction:
+        """Broadcast load in files: the whole library in broadcast mode,
+        otherwise one subfile-sized payload per (t + r)-subset."""
+        cfg = self.cfg
+        if cfg.broadcast:
+            return Fraction(cfg.num_files)
+        return Fraction(cfg.topo.num_transmissions,
+                        cfg.topo.num_subfile_indices)
 
     @property
     def payload_bits(self) -> int:
@@ -484,8 +493,7 @@ class Scheme:
         if cfg.broadcast:
             files = tuple(table.reassemble(i)
                           for i in range(1, cfg.num_files + 1))
-            return DeliveryTranscript(cfg, {}, {}, {}, files,
-                                      Fraction(cfg.num_files))
+            return DeliveryTranscript(cfg, {}, {}, {}, files)
         randomness = secrets.randomness
         if self.kind.masks_demands:
             sent = {g: by_user[g].coeffs ^ randomness.mask_vectors[g]
@@ -507,9 +515,7 @@ class Scheme:
                 acc ^= (combos[g] >> (k * sb)) & piece
             payloads[S] = BitBlock(acc, sb)
         masked, clear = (sent, {}) if self.kind.masks_demands else ({}, sent)
-        rate = Fraction(self.topo.num_transmissions,
-                        self.topo.num_subfile_indices)
-        return DeliveryTranscript(cfg, payloads, masked, clear, None, rate)
+        return DeliveryTranscript(cfg, payloads, masked, clear, None)
 
     # -- decoding --
 

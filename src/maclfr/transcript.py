@@ -2,7 +2,8 @@
 
 Two formats: a compact binary container holding the configuration, every
 cache's contents, and the delivery transcript; and a JSON rendering of the
-same data with hex-encoded blocks for eyeballing.  Both are byte-exact
+same data with hex-encoded blocks for eyeballing.  Both walk one table of
+sections, SECTIONS, so they carry the same entries.  Both are byte-exact
 functions of their inputs (entries are written in canonical sorted order,
 block padding bits are zero), so identical (config, seed) runs serialize
 identically.
@@ -13,11 +14,10 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .bits import BitBlock
-from .errors import IntegrityError
+from .errors import DomainError, IntegrityError, UsageError
 from .schemes import (CacheContent, DeliveryTranscript, SchemeConfig, SchemeKind,
                       SimulationResult)
 from .topology import CacheSet, TopologySpec
@@ -25,8 +25,30 @@ from .topology import CacheSet, TopologySpec
 MAGIC = b"MALF"
 VERSION = 1
 # After the magic and the "H" version: kind code, broadcast flag, C, r, t,
-# N, F and seed.
+# N, F and seed.  Then the "H" cache count, and per cache its "H" index.
 _HEADER = "BBHHHIQQ"
+
+# The sections in file order: each cache's four stores, then the four parts
+# of the delivery.  Each is named after its CacheContent or
+# DeliveryTranscript attribute and its JSON key, and lists its key fields;
+# the third column marks values held as N-bit ints, written as N-bit
+# blocks.  A section is an "I" count, then per entry in sorted key order
+# its key fields and its block, a "Q" bit length and the bytes.  A "file"
+# field is an "I"; every other field is a cache subset, a "B" size and
+# that many "H" members.  A one-field key is the bare field.  A keyless
+# section is a list kept in order, None when empty.
+SECTIONS = (
+    ("subfiles", ("file", "T"), False),
+    ("key_shares", ("user", "T"), False),
+    ("whole_keys", ("S",), False),
+    ("coded_subkeys", ("S",), False),
+    ("payloads", ("S",), False),
+    ("masked_demands", ("user",), True),
+    ("cleartext_demands", ("user",), True),
+    ("broadcast_files", (), False),
+)
+_CACHE_SECTIONS = SECTIONS[:4]
+_DELIVERY_SECTIONS = SECTIONS[4:]
 
 _KIND_CODES = {kind: i for i, kind in enumerate(SchemeKind)}
 _KIND_FROM_CODE = {i: kind for kind, i in _KIND_CODES.items()}
@@ -39,28 +61,53 @@ class SimulationArtifact:
     transcript: DeliveryTranscript
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
+def _items(holder, name: str, fields: tuple[str, ...], ints: bool,
+           num_files: int) -> list:
+    """One section's (key, block) entries in file order."""
+    values = getattr(holder, name)
+    if not fields:
+        return [(None, b) for b in values or ()]
+    if ints:
+        return [(k, BitBlock(v, num_files)) for k, v in sorted(values.items())]
+    return sorted(values.items())
 
-    def pack(self, fmt: str, *values) -> None:
-        self.parts.append(struct.pack("<" + fmt, *values))
 
-    def subset(self, s: CacheSet) -> None:
-        self.parts.append(struct.pack("<B%dH" % len(s), len(s), *s))
+# ---- binary container ----
 
-    def block(self, b: BitBlock) -> None:
-        self.pack("Q", b.length)
-        self.parts.append(b.to_bytes())
+_U16 = struct.Struct("<H").pack
+_U32 = struct.Struct("<I").pack
+_U64 = struct.Struct("<Q").pack
 
-    def done(self) -> bytes:
-        return b"".join(self.parts)
+
+def _subset_bytes(s: CacheSet) -> bytes:
+    return struct.pack("<B%dH" % len(s), len(s), *s)
+
+
+def _key_bytes(fields: tuple[str, ...]):
+    packs = [_U32 if f == "file" else _subset_bytes for f in fields]
+    if not packs:
+        return lambda key: b""
+    if len(packs) == 1:
+        return packs[0]
+    first, second = packs
+    return lambda key: first(key[0]) + second(key[1])
+
+
+_KEY_BYTES = {name: _key_bytes(fields) for name, fields, _ in SECTIONS}
+
+
+def _write(parts: list[bytes], holder, name, fields, ints, num_files) -> None:
+    items = _items(holder, name, fields, ints, num_files)
+    key_bytes = _KEY_BYTES[name]
+    parts.append(_U32(len(items)))
+    for key, b in items:
+        parts.append(key_bytes(key) + _U64(b.length) + b.to_bytes())
 
 
 class _Reader:
     def __init__(self, data: bytes) -> None:
         self.data = data
-        self.pos = 0
+        self.pos = len(MAGIC)
 
     def unpack(self, fmt: str):
         fmt = "<" + fmt
@@ -71,9 +118,10 @@ class _Reader:
         self.pos += size
         return values if len(values) > 1 else values[0]
 
-    def subset(self) -> CacheSet:
-        size = self.unpack("B")
-        return tuple(self.unpack("H") for _ in range(size))
+    def field(self, name: str):
+        if name == "file":
+            return self.unpack("I")
+        return tuple(self.unpack("H") for _ in range(self.unpack("B")))
 
     def block(self) -> BitBlock:
         length = self.unpack("Q")
@@ -84,62 +132,40 @@ class _Reader:
         self.pos += nbytes
         return BitBlock.from_bytes(raw, length)
 
+    def section(self, fields: tuple[str, ...], ints: bool):
+        count = self.unpack("I")
+        if not fields:
+            return tuple(self.block() for _ in range(count)) or None
+        entries = {}
+        for _ in range(count):
+            key = tuple(self.field(f) for f in fields)
+            b = self.block()
+            entries[key if len(key) > 1 else key[0]] = b.value if ints else b
+        return entries
+
 
 def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
                       transcript: DeliveryTranscript) -> bytes:
-    w = _Writer()
-    w.parts.append(MAGIC)
     topo = cfg.topo
-    w.pack("H" + _HEADER, VERSION, _KIND_CODES[cfg.kind], int(cfg.broadcast),
-           topo.num_caches, topo.access_degree, topo.replication,
-           cfg.num_files, cfg.file_bits, cfg.seed)
-
-    w.pack("H", len(caches))
+    parts = [MAGIC,
+             struct.pack("<H" + _HEADER, VERSION, _KIND_CODES[cfg.kind],
+                         int(cfg.broadcast), topo.num_caches,
+                         topo.access_degree, topo.replication,
+                         cfg.num_files, cfg.file_bits, cfg.seed),
+             _U16(len(caches))]
     for cache in caches:
-        w.pack("H", cache.index)
-        w.pack("I", len(cache.subfiles))
-        for (i, T) in sorted(cache.subfiles):
-            w.pack("I", i)
-            w.subset(T)
-            w.block(cache.subfiles[(i, T)])
-        w.pack("I", len(cache.key_shares))
-        for (g, T) in sorted(cache.key_shares):
-            w.subset(g)
-            w.subset(T)
-            w.block(cache.key_shares[(g, T)])
-        w.pack("I", len(cache.whole_keys))
-        for S in sorted(cache.whole_keys):
-            w.subset(S)
-            w.block(cache.whole_keys[S])
-        w.pack("I", len(cache.coded_subkeys))
-        for S in sorted(cache.coded_subkeys):
-            w.subset(S)
-            w.block(cache.coded_subkeys[S])
-
-    w.pack("I", len(transcript.payloads))
-    for S in sorted(transcript.payloads):
-        w.subset(S)
-        w.block(transcript.payloads[S])
-    w.pack("I", len(transcript.masked_demands))
-    for g in sorted(transcript.masked_demands):
-        w.subset(g)
-        w.block(BitBlock(transcript.masked_demands[g], cfg.num_files))
-    w.pack("I", len(transcript.cleartext_demands))
-    for g in sorted(transcript.cleartext_demands):
-        w.subset(g)
-        w.block(BitBlock(transcript.cleartext_demands[g], cfg.num_files))
-    files = transcript.broadcast_files or ()
-    w.pack("I", len(files))
-    for f in files:
-        w.block(f)
-    return w.done()
+        parts.append(_U16(cache.index))
+        for section in _CACHE_SECTIONS:
+            _write(parts, cache, *section, cfg.num_files)
+    for section in _DELIVERY_SECTIONS:
+        _write(parts, transcript, *section, cfg.num_files)
+    return b"".join(parts)
 
 
 def artifact_from_bytes(data: bytes) -> SimulationArtifact:
     r = _Reader(data)
-    if r.data[:4] != MAGIC:
+    if data[:len(MAGIC)] != MAGIC:
         raise IntegrityError("bad magic; not a simulation artifact")
-    r.pos = 4
     version = r.unpack("H")
     if version != VERSION:
         raise IntegrityError(f"unsupported artifact version {version}")
@@ -147,64 +173,48 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
     kind = _KIND_FROM_CODE.get(code)
     if kind is None:
         raise IntegrityError("unknown scheme kind code")
-    cfg = SchemeConfig(TopologySpec(C, ar, t), N, F, kind, seed,
-                       bool(broadcast))
-
-    cache_count = r.unpack("H")
+    try:
+        cfg = SchemeConfig(TopologySpec(C, ar, t), N, F, kind, seed,
+                           bool(broadcast))
+    except (DomainError, UsageError) as exc:
+        raise IntegrityError(f"header describes no valid configuration: "
+                             f"{exc}") from exc
     caches = []
-    for _ in range(cache_count):
+    for _ in range(r.unpack("H")):
         index = r.unpack("H")
-        subfiles = {}
-        for _ in range(r.unpack("I")):
-            i = r.unpack("I")
-            T = r.subset()
-            subfiles[(i, T)] = r.block()
-        key_shares = {}
-        for _ in range(r.unpack("I")):
-            g = r.subset()
-            T = r.subset()
-            key_shares[(g, T)] = r.block()
-        whole = {}
-        for _ in range(r.unpack("I")):
-            S = r.subset()
-            whole[S] = r.block()
-        coded = {}
-        for _ in range(r.unpack("I")):
-            S = r.subset()
-            coded[S] = r.block()
-        caches.append(CacheContent(index, subfiles, key_shares, whole, coded))
-
-    payloads = {}
-    for _ in range(r.unpack("I")):
-        S = r.subset()
-        payloads[S] = r.block()
-    masked = {}
-    for _ in range(r.unpack("I")):
-        g = r.subset()
-        masked[g] = r.block().value
-    clear = {}
-    for _ in range(r.unpack("I")):
-        g = r.subset()
-        clear[g] = r.block().value
-    broadcast_files = tuple(r.block() for _ in range(r.unpack("I")))
-    if r.pos != len(r.data):
+        caches.append(CacheContent(index, **{
+            name: r.section(fields, ints)
+            for name, fields, ints in _CACHE_SECTIONS}))
+    delivery = {name: r.section(fields, ints)
+                for name, fields, ints in _DELIVERY_SECTIONS}
+    if r.pos != len(data):
         raise IntegrityError("trailing bytes after artifact")
-    rate = (Fraction(cfg.num_files) if broadcast
-            else Fraction(cfg.topo.num_transmissions,
-                          cfg.topo.num_subfile_indices))
-    transcript = DeliveryTranscript(cfg, payloads, masked, clear,
-                                    broadcast_files or None, rate)
-    return SimulationArtifact(cfg, tuple(caches), transcript)
+    return SimulationArtifact(cfg, tuple(caches),
+                              DeliveryTranscript(cfg, **delivery))
 
 
 # ---- JSON rendering ----
 
-def _block_json(b: BitBlock) -> dict:
-    return {"bits": b.length, "hex": b.to_bytes().hex()}
+def _json_section(holder, name, fields, ints, num_files) -> list[dict]:
+    items = _items(holder, name, fields, ints, num_files)
+    if not fields:
+        return [{"bits": b.length, "hex": b.to_bytes().hex()}
+                for _, b in items]
+    if len(fields) == 1:
+        (f,) = fields
+        return [{f: list(k), "bits": b.length, "hex": b.to_bytes().hex()}
+                for k, b in items]
+    f0, f1 = fields
+    first = int if f0 == "file" else list
+    return [{f0: first(k0), f1: list(k1), "bits": b.length,
+             "hex": b.to_bytes().hex()}
+            for (k0, k1), b in items]
 
 
 def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
                      transcript: DeliveryTranscript) -> str:
+    N = cfg.num_files
+    rate = transcript.rate
     doc = {
         "format": "maclfr-artifact",
         "version": VERSION,
@@ -213,42 +223,19 @@ def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
             "C": cfg.topo.num_caches,
             "r": cfg.topo.access_degree,
             "t": cfg.topo.replication,
-            "N": cfg.num_files,
+            "N": N,
             "F": cfg.file_bits,
             "seed": cfg.seed,
             "broadcast": cfg.broadcast,
         },
         "caches": [
-            {
-                "index": cache.index,
-                "subfiles": [
-                    {"file": i, "T": list(T), **_block_json(b)}
-                    for (i, T), b in sorted(cache.subfiles.items())],
-                "key_shares": [
-                    {"user": list(g), "T": list(T), **_block_json(b)}
-                    for (g, T), b in sorted(cache.key_shares.items())],
-                "whole_keys": [
-                    {"S": list(S), **_block_json(b)}
-                    for S, b in sorted(cache.whole_keys.items())],
-                "coded_subkeys": [
-                    {"S": list(S), **_block_json(b)}
-                    for S, b in sorted(cache.coded_subkeys.items())],
-            }
+            {"index": cache.index,
+             **{s[0]: _json_section(cache, *s, N) for s in _CACHE_SECTIONS}}
             for cache in caches],
         "delivery": {
-            "rate": f"{transcript.rate.numerator}/{transcript.rate.denominator}",
-            "payloads": [
-                {"S": list(S), **_block_json(b)}
-                for S, b in sorted(transcript.payloads.items())],
-            "masked_demands": [
-                {"user": list(g), **_block_json(BitBlock(v, cfg.num_files))}
-                for g, v in sorted(transcript.masked_demands.items())],
-            "cleartext_demands": [
-                {"user": list(g), **_block_json(BitBlock(v, cfg.num_files))}
-                for g, v in sorted(transcript.cleartext_demands.items())],
-            "broadcast_files": [
-                _block_json(b) for b in (transcript.broadcast_files or ())],
-        },
+            "rate": f"{rate.numerator}/{rate.denominator}",
+            **{s[0]: _json_section(transcript, *s, N)
+               for s in _DELIVERY_SECTIONS}},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

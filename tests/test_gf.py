@@ -1,9 +1,9 @@
 """Field arithmetic checks.
 
-The multiplication oracle here is an xtime-chain multiplier (shift,
-conditionally reduce on overflow, accumulate), written independently of
-the library's carry-less-product-then-remainder route, so the two can
-disagree if either is wrong.
+The multiplication oracle here is an LSB-first xtime-chain multiplier
+(accumulate, shift, conditionally reduce on overflow), written
+independently of the library's MSB-first Horner over packed symbols,
+so the two can disagree if either is wrong.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
+import struct
 
 import pytest
 
-from maclfr.errors import IntegrityError
+from maclfr.bits import BitBlock
+from maclfr.errors import DomainError, IntegrityError, UsageError
 from maclfr.schemes import SchemeConfig, SchemeKind, simulate
 from maclfr.topology import TopologySpec
 from maclfr.transcript import (MAGIC, SimulationArtifact, artifact_from_bytes,
@@ -92,3 +95,93 @@ def test_artifact_type_is_reusable():
                              artifact.transcript)
     assert blob.startswith(MAGIC)
     assert artifact_from_bytes(blob) == artifact
+
+
+# The fixed header after the magic and version: kind code, broadcast flag,
+# C, r, t, N, F and seed.
+HEADER = struct.Struct("<BBHHHIQQ")
+HEADER_AT = len(MAGIC) + 2
+
+
+def with_header(blob: bytes, **changes) -> bytes:
+    names = ("code", "broadcast", "C", "r", "t", "N", "F", "seed")
+    fields = dict(zip(names, HEADER.unpack_from(blob, HEADER_AT)))
+    fields.update(changes)
+    return (blob[:HEADER_AT] + HEADER.pack(*fields.values())
+            + blob[HEADER_AT + HEADER.size:])
+
+
+@pytest.mark.parametrize("changes", [
+    {"r": 9},  # access degree beyond C = 3
+    {"broadcast": 1},  # broadcast mode on sp-lfr
+    {"N": 0},  # no files
+])
+def test_header_of_no_valid_configuration_is_an_integrity_error(changes):
+    blob = simulation_to_bytes(result_for(SchemeKind.SP_LFR))
+    with pytest.raises(IntegrityError) as info:
+        artifact_from_bytes(with_header(blob, **changes))
+    assert isinstance(info.value.__cause__, (DomainError, UsageError))
+
+
+@pytest.mark.parametrize("kind", tuple(SchemeKind))
+def test_random_corruption_raises_only_integrity_errors(kind):
+    # Silent acceptance is allowed; any error raised must be IntegrityError.
+    blob = simulation_to_bytes(result_for(kind))
+    rng = random.Random(f"corrupt:{kind.value}")
+    for _ in range(2000):
+        data = bytearray(blob)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        try:
+            artifact_from_bytes(bytes(data))
+        except IntegrityError:
+            pass
+
+
+def twin_entries(entries, fields, width=None) -> list[dict]:
+    """The JSON entries a section of parsed artifact should render to."""
+    if not fields:
+        entries = {i: b for i, b in enumerate(entries or ())}
+    out = []
+    for key, value in sorted(entries.items()):
+        block = BitBlock(value, width) if width else value
+        parts = key if len(fields) > 1 else (key,)
+        out.append({**{f: p if f == "file" else list(p)
+                       for f, p in zip(fields, parts)},
+                    "bits": block.length, "hex": block.to_bytes().hex()})
+    return out
+
+
+TWIN_CASES = [(kind, C, r, t, False) for kind in SchemeKind
+              for C, r, t in ((3, 2, 1), (4, 2, 1), (4, 1, 2), (5, 3, 1))]
+TWIN_CASES.append((SchemeKind.P_LFR, 3, 2, 0, True))
+
+
+@pytest.mark.parametrize("kind,C,r,t,broadcast", TWIN_CASES)
+def test_json_twin_carries_the_container_entries(kind, C, r, t, broadcast):
+    topo = TopologySpec(C, r, t)
+    # F off the subfile grid, so the last subfile carries padding bits.
+    cfg = SchemeConfig(topo, 3, 2 * topo.num_subfile_indices + 1, kind,
+                       seed=5, broadcast=broadcast)
+    result = simulate(cfg)
+    artifact = artifact_from_bytes(simulation_to_bytes(result))
+    doc = json.loads(simulation_to_json(result))
+    assert len(doc["caches"]) == len(artifact.caches)
+    for rendered, cache in zip(doc["caches"], artifact.caches):
+        assert rendered["index"] == cache.index
+        assert rendered["subfiles"] == twin_entries(cache.subfiles,
+                                                    ("file", "T"))
+        assert rendered["key_shares"] == twin_entries(cache.key_shares,
+                                                      ("user", "T"))
+        assert rendered["whole_keys"] == twin_entries(cache.whole_keys, ("S",))
+        assert rendered["coded_subkeys"] == twin_entries(cache.coded_subkeys,
+                                                         ("S",))
+    delivery, transcript = doc["delivery"], artifact.transcript
+    assert delivery["payloads"] == twin_entries(transcript.payloads, ("S",))
+    assert delivery["masked_demands"] == twin_entries(
+        transcript.masked_demands, ("user",), cfg.num_files)
+    assert delivery["cleartext_demands"] == twin_entries(
+        transcript.cleartext_demands, ("user",), cfg.num_files)
+    assert delivery["broadcast_files"] == twin_entries(
+        transcript.broadcast_files, ())
+    assert bool(transcript.broadcast_files) == broadcast
