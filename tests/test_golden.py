@@ -278,6 +278,15 @@ SECURITY_INSTANCES = {
         "bd76262b1556615623e368315eb3aa486cd068aa842096fd96d68eaca444a81b",
 }
 
+# The same command with `--method enumerate`: every one of the 64 library
+# values times the randomness values runs through the real engine.
+ENUMERATED_SECURITY_INSTANCES = {
+    "s-lfr":
+        "b959235ef51b9fca075db78e74a0695292bb5133f5b32a05d28912cdfb033d31",
+    "lfr":
+        "a0b5a488720328d491f747ab4feeb3be684c96edb8895320095fa2ee45a1b0be",
+}
+
 # `maclfr curve --figure <n>` -> digest of curves.csv.
 CURVES = {
     2:
@@ -333,6 +342,16 @@ def test_security_instance_report_matches_golden_digest(kind, tmp_path):
                       "--seed", "0", "--out", str(tmp_path)) == 0
     digest = sha256((tmp_path / "report.json").read_bytes())
     assert digest == SECURITY_INSTANCES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(ENUMERATED_SECURITY_INSTANCES))
+def test_enumerated_security_report_matches_golden_digest(kind, tmp_path):
+    assert quiet_main("verify", "--suite", "security", "--C", "3", "--r", "2",
+                      "--t", "1", "--N", "2", "--scheme", kind,
+                      "--method", "enumerate", "--seed", "0",
+                      "--out", str(tmp_path)) == 0
+    digest = sha256((tmp_path / "report.json").read_bytes())
+    assert digest == ENUMERATED_SECURITY_INSTANCES[kind]
 
 
 @pytest.mark.parametrize("figure", sorted(CURVES))
