@@ -173,6 +173,8 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
     kind = _KIND_FROM_CODE.get(code)
     if kind is None:
         raise IntegrityError("unknown scheme kind code")
+    if broadcast not in (0, 1):
+        raise IntegrityError(f"broadcast flag {broadcast} is neither 0 nor 1")
     try:
         cfg = SchemeConfig(TopologySpec(C, ar, t), N, F, kind, seed,
                            bool(broadcast))
@@ -189,6 +191,10 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
                 for name, fields, ints in _DELIVERY_SECTIONS}
     if r.pos != len(data):
         raise IntegrityError("trailing bytes after artifact")
+    if (cfg.broadcast != (delivery["broadcast_files"] is not None)
+            or cfg.broadcast and delivery["payloads"]):
+        raise IntegrityError("the broadcast flag disagrees with the "
+                             "transcript body")
     return SimulationArtifact(cfg, tuple(caches),
                               DeliveryTranscript(cfg, **delivery))
 

@@ -25,16 +25,27 @@ rational probabilities.  Two evaluation methods exist:
   e_i + e_j recover that bilinear model, where W is the library and Z the
   randomness (security) or the demands and the randomness (privacy).  For
   a fixed library the view is then uniform on an affine coset, and both
-  questions reduce to XOR and rank: security compares canonical cosets
-  across libraries, privacy asks whether the other users' demand columns
-  lie in the span of the randomness columns.  The model is not taken on
-  faith: AFFINITY_PROBES (1 + |W|) real runs at random points must match
-  it, and the test suite cross-checks the two methods against each other
-  on instances small enough to enumerate.
+  questions reduce to XOR and rank.  The model is not taken on faith:
+  AFFINITY_PROBES (1 + |W|) real runs at random points must match it, and
+  the test suite cross-checks the two methods against each other on
+  instances small enough to enumerate.
 
-"auto" picks enumerate for small state spaces and affine otherwise.  The
-state cap bounds the states enumeration walks through, and the engine runs
-and coset points of the affine method.
+On the model, rank certificates answer first, in time polynomial in |W|,
+|Z| and the view width.  For security, a fixed point over the randomness
+columns proves that every library value gives the view one coset.  For
+privacy, the same fixed point and then a lift of each column across its
+cross terms prove that every other-user demand column lies in the span of
+the randomness columns at every library value.  A certificate proves a
+zero; a failed one proves nothing.  The answer then comes from the rank
+formula for a model without cross terms (exact mutual information in
+whole bits), or else from walking all 2^|W| library values within the
+cap, so the negative controls still get their exact nonzero values.
+
+"auto" takes the route that spends fewer engine runs: enumeration spends
+its state count, the model route (1 + |W|)(1 + |Z|) + AFFINITY_PROBES
+(1 + |W|), and a tie enumerates.  The state cap bounds the states
+enumeration walks through, and the engine runs and coset points of the
+affine method.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import log2
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -57,7 +69,6 @@ from .shamir import reconstruct, share_set_from_blocks
 from .topology import CacheSet, TopologySpec
 
 DEFAULT_STATE_CAP = 1 << 28
-AUTO_ENUMERATE_LIMIT = 1 << 14
 AFFINITY_PROBES = 8
 
 
@@ -267,6 +278,11 @@ class BilinearModel:
             yield w, base, cols
 
 
+def _model_runs(wbits: int, zbits: int) -> int:
+    """Engine runs that recovering and probing one bilinear model spend."""
+    return (1 + wbits) * (1 + zbits) + AFFINITY_PROBES * (1 + wbits)
+
+
 def _recover_models(run: Callable[[int, int], tuple[int, ...]],
                     labels: Sequence[str], wbits: int, zbits: int,
                     seed: int, cap: int) -> tuple[list[BilinearModel], int]:
@@ -278,7 +294,7 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
     any mismatch raises, since the method's conclusions would not hold.
     """
     probes = AFFINITY_PROBES * (1 + wbits)
-    runs = (1 + wbits) * (1 + zbits) + probes
+    runs = _model_runs(wbits, zbits)
     if runs > cap:
         raise ResourceLimitError(
             f"affine recovery needs {runs} engine runs, over the cap {cap}")
@@ -347,6 +363,28 @@ def _expand_span(basis: Sequence[int]) -> list[int]:
     return points
 
 
+def _settle(model: BilinearModel, columns: Sequence[int]
+            ) -> tuple[tuple[int, ...], list[int]]:
+    """The fixed point S over the given input columns, as an RREF basis,
+    and the columns that never settled.
+
+    Column j settles once every cross[i][j] lies in S, and then inp[j]
+    joins S.  By induction S lies in span{B_j(w)} for every library value
+    w, where B_j(w) = inp[j] ^ XOR_i w_i cross[i][j] is column j of the
+    section at w: a settled column has B_j(w) in inp[j] + S.
+    """
+    pending = list(columns)
+    basis: tuple[int, ...] = ()
+    while True:
+        settled = [j for j in pending
+                   if not any(_reduce_point(row[j], basis)
+                              for row in model.cross)]
+        if not settled:
+            return basis, pending
+        basis = _rref_basis(basis + tuple(model.inp[j] for j in settled))
+        pending = [j for j in pending if j not in settled]
+
+
 # ---- security ----
 
 @dataclass(frozen=True)
@@ -359,17 +397,20 @@ class SecurityCheckResult:
     mi_bits: float
 
 
-def _security_states(cfg: SchemeConfig) -> tuple[int, int]:
-    lib_states = 1 << (cfg.num_files * cfg.file_bits)
-    rand_states = 1 << RandomnessLayout.for_config(cfg).total_bits
-    return lib_states, rand_states
+def _security_bits(cfg: SchemeConfig) -> tuple[int, int]:
+    """(library bits, randomness bits) of the security question."""
+    return (cfg.num_files * cfg.file_bits,
+            RandomnessLayout.for_config(cfg).total_bits)
 
 
-def _choose_method(method: str, states: int, cap: int) -> str:
+def _choose_method(method: str, states: int, runs: int) -> str:
+    """The route `method` names.  "auto" weighs the engine runs of each:
+    `states` for enumeration, `runs` for the model, and enumerates only
+    when that is not the dearer of the two."""
     if method not in ("auto", "enumerate", "affine"):
         raise UsageError(f"unknown method {method!r}")
     if method == "auto":
-        return "enumerate" if states <= AUTO_ENUMERATE_LIMIT else "affine"
+        return "enumerate" if states <= runs else "affine"
     return method
 
 
@@ -381,8 +422,8 @@ def security_joint_enumerated(cfg: SchemeConfig,
     running the real scheme on every single state."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    lib_states, rand_states = _security_states(cfg)
-    states = lib_states * rand_states
+    wbits, zbits = _security_bits(cfg)
+    lib_states, states = 1 << wbits, 1 << (wbits + zbits)
     if states > cap:
         raise ResourceLimitError(
             f"enumeration of {states} states exceeds the cap {cap}")
@@ -475,6 +516,19 @@ def security_joint_affine(cfg: SchemeConfig, demands: Sequence[DemandVector],
     return _joint_from_model(model, cap)
 
 
+def _security_certified(model: BilinearModel) -> bool:
+    """Whether the view is provably independent of the library.
+
+    When every randomness column settles, span{B(w)} equals the fixed
+    point S for every w; when every lib[i] lies in S as well, base(w) lies
+    in base(0) + S.  Every library value then gives the view the same
+    coset, so the mutual information is zero.  False proves no leak.
+    """
+    basis, unsettled = _settle(model, range(len(model.inp)))
+    return not unsettled and not any(_reduce_point(a, basis)
+                                     for a in model.lib)
+
+
 def check_security_exact(cfg: SchemeConfig,
                          demands: Sequence[DemandVector] | None = None,
                          method: str = "auto",
@@ -482,10 +536,10 @@ def check_security_exact(cfg: SchemeConfig,
                          jobs: int = 1) -> SecurityCheckResult:
     """Exact I(library; transmission) for a fixed demand battery.
 
-    The affine path certifies zero by comparing the canonical coset form
-    of the view distribution across all library values: the conditional
-    view distribution is uniform on an affine coset, so identical cosets
-    for every library value mean the view is independent of the library.
+    The affine route answers from the recovered model: a zero certified
+    by the fixed point, else the rank formula when the model has no cross
+    terms, else the joint distribution expanded from every library
+    value's coset, within the cap.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -493,19 +547,24 @@ def check_security_exact(cfg: SchemeConfig,
         from .library import cycling_one_hot_demands
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
     coeffs = tuple(d.coeffs for d in demands)
-    lib_states, rand_states = _security_states(cfg)
-    chosen = _choose_method(method, lib_states * rand_states, cap)
+    wbits, zbits = _security_bits(cfg)
+    states = 1 << (wbits + zbits)
+    chosen = _choose_method(method, states, _model_runs(wbits, zbits))
     if chosen == "enumerate":
         joint = security_joint_enumerated(cfg, demands, cap, jobs)
         mi = mutual_information(joint)
-        return SecurityCheckResult(cfg, coeffs, "enumerate",
-                                   lib_states * rand_states,
+        return SecurityCheckResult(cfg, coeffs, "enumerate", states,
                                    mi.is_zero, mi.bits)
     model, runs = _security_model(cfg, demands, cap)
-    cosets = (_coset_canonical(base, cols) for _, base, cols in model.sections())
-    first = next(cosets)
-    if all(c == first for c in cosets):
+    if _security_certified(model):
         return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
+    if not any(map(any, model.cross)):
+        # The view is base ^ A w ^ B z for uniform independent w and z, so
+        # I(W; X) = H(X) - H(X | W) = rank[A | B] - rank[B] bits.
+        bits = (len(_rref_basis(model.lib + model.inp))
+                - len(_rref_basis(model.inp)))
+        return SecurityCheckResult(cfg, coeffs, "affine", runs, False,
+                                   float(bits))
     mi = mutual_information(_joint_from_model(model, cap))
     return SecurityCheckResult(cfg, coeffs, "affine", runs, mi.is_zero, mi.bits)
 
@@ -525,11 +584,11 @@ class PrivacyCheckResult:
         return self.max_tv == 0
 
 
-def _privacy_states(cfg: SchemeConfig) -> tuple[int, int, int]:
-    lib_states = 1 << (cfg.num_files * cfg.file_bits)
-    rand_states = 1 << RandomnessLayout.for_config(cfg).total_bits
-    demand_states = 1 << (cfg.num_files * cfg.topo.num_users)
-    return lib_states, rand_states, demand_states
+def _privacy_bits(cfg: SchemeConfig) -> tuple[int, int, int]:
+    """(library bits, randomness bits, demand bits) of the privacy
+    question."""
+    wbits, rbits = _security_bits(cfg)
+    return wbits, rbits, cfg.num_files * cfg.topo.num_users
 
 
 def _split_demand_value(cfg: SchemeConfig, dvalue: int, position: int
@@ -563,9 +622,9 @@ def check_privacy_exact(cfg: SchemeConfig,
     for g in observers:
         if g not in users:
             raise UsageError(f"{g} is not a user of this topology")
-    lib_states, rand_states, demand_states = _privacy_states(cfg)
-    states = lib_states * rand_states * demand_states
-    chosen = _choose_method(method, states, cap)
+    wbits, rbits, dbits = _privacy_bits(cfg)
+    states = 1 << (wbits + rbits + dbits)
+    chosen = _choose_method(method, states, _model_runs(wbits, dbits + rbits))
     if cfg.topo.num_users == 1:
         return PrivacyCheckResult(cfg, chosen, 0, Fraction(0),
                                   {g: Fraction(0) for g in observers})
@@ -582,7 +641,8 @@ def _privacy_enumerated(cfg: SchemeConfig, observers: Sequence[CacheSet],
     runner = _Runner(cfg)
     users = cfg.topo.users()
     positions = {g: users.index(g) for g in observers}
-    lib_states, rand_states, demand_states = _privacy_states(cfg)
+    lib_states, rand_states, demand_states = (
+        1 << bits for bits in _privacy_bits(cfg))
     # counts[g][(library, own demand, other demands)][view]
     counts: dict[CacheSet, dict[tuple, Counter]] = {g: {} for g in observers}
     for dvalue in range(demand_states):
@@ -623,7 +683,9 @@ def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
     a coset of the span of the randomness columns, shifted by the other
     users' demand columns they select.  Two cosets of one subspace are
     equal or disjoint, so the TV is 0 when every other-user demand column
-    lies in that span and 1 as soon as one falls outside it.
+    lies in that span and 1 as soon as one falls outside it.  The lift
+    certificate answers first; an observer it cannot certify gets that
+    span test at every library value.
     """
     runner = _Runner(cfg)
     users = cfg.topo.users()
@@ -646,14 +708,39 @@ def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
         own = users.index(g)
         others = [j for j in range(dbits) if j // n != own]
         leaks = False
-        for _, _, cols in model.sections():
-            basis = _rref_basis(cols[dbits:])
-            if any(_reduce_point(cols[j], basis) for j in others):
-                leaks = True
-                break
+        if not _demands_certified(model, others, range(dbits, len(model.inp))):
+            for _, _, cols in model.sections():
+                basis = _rref_basis(cols[dbits:])
+                if any(_reduce_point(cols[j], basis) for j in others):
+                    leaks = True
+                    break
         per_observer[g] = Fraction(int(leaks))
     return PrivacyCheckResult(cfg, "affine", runs, max(per_observer.values()),
                               per_observer)
+
+
+def _demands_certified(model: BilinearModel, others: Sequence[int],
+                       rand: Sequence[int]) -> bool:
+    """Whether every `others` column provably lies in the span of the
+    `rand` columns at every library value.
+
+    Settle over `rand` alone into S*, which lies in span{B_R(w)} for every
+    w.  Reduce every entry modulo S* and lift column j to (inp[j],
+    cross[0][j], ..., cross[|W|-1][j]) as one int.  A lifted demand column
+    that is a sum of lifted randomness columns gives B_j(w) in
+    span{B_R(w)} + S* = span{B_R(w)} at every w.  False proves no leak.
+    """
+    basis, _ = _settle(model, rand)
+    width = max(c.bit_length() for c in chain(model.inp, *model.cross))
+
+    def lift(j: int) -> int:
+        acc = _reduce_point(model.inp[j], basis)
+        for k, row in enumerate(model.cross, 1):
+            acc |= _reduce_point(row[j], basis) << (k * width)
+        return acc
+
+    span = _rref_basis(lift(j) for j in rand)
+    return not any(_reduce_point(lift(j), span) for j in others)
 
 
 # ---- correctness ----

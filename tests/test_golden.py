@@ -4,9 +4,10 @@ Reruns agreeing with each other say nothing about whether a change kept
 the bytes; these constants do.  They cover the transcript container and
 its JSON twin for the three worked presets under every kind and seeds
 0-2 (plus p-lfr in broadcast mode), the ``verify`` reports of the cheap
-suites and of three security instances, and the figure presets'
-``curves.csv``.  A change that alters any
-of them changes what a (config, seed) pair produces and must say so.
+suites and of three security instances (two of them also by forced
+enumeration), and the figure presets' ``curves.csv``.  A change that
+alters any of them changes what a (config, seed) pair produces and must
+say so.
 """
 
 from __future__ import annotations
@@ -260,22 +261,24 @@ REPORTS = {
     "correctness":
         "4dd88820bc0919e5500a1a5c0e544daca4c8719df103b1cb8e13837e24d2715c",
     "privacy":
-        "fe858867b353228183fdd57e30722d5e050155c5521676369783e66013357e6d",
+        "c55de72c97d145b43985d2f9f1e389de947d9cdcc80830fe207a0f6461473d92",
     "shares":
         "deac384150e38d5e3519b510ca27267172f6c8e1b6bf7b75449e4d95aedcec5d",
 }
 
 # `maclfr verify --suite security --C 3 --r 2 --t 1 --N 2 --scheme <kind>
-# --seed 0` -> digest of report.json.  s-lfr takes the enumerate route,
-# sp-lfr the affine one, and lfr reports a nonzero mi_bits; all three run
-# the engine on randomness unpacked from RandomnessLayout.
+# --seed 0` -> digest of report.json.  All three take the affine route,
+# which spends fewer engine runs than their states: s-lfr and sp-lfr are
+# certified by the fixed point, and lfr reports its rank mutual
+# information; all three run the engine on randomness unpacked from
+# RandomnessLayout.
 SECURITY_INSTANCES = {
     "s-lfr":
-        "3e9b9bb7a433a6d425c927d8b3e170ca806b1f0b35a0330df61bf31b4791586e",
+        "95d0efcc7dafefb6c60ddf70ef9ce5b8b79564d05782b2ab27c1dcbf222f9da1",
     "sp-lfr":
         "708b1d59ddbdd93f71b17474eff34cc351d49e96b94d8751b034aa8afd26f93c",
     "lfr":
-        "bd76262b1556615623e368315eb3aa486cd068aa842096fd96d68eaca444a81b",
+        "9121dd3866863a493c0b1adee9306e2194166eead40e53db090ab0ad5ace3b54",
 }
 
 # The same command with `--method enumerate`: every one of the 64 library

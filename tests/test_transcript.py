@@ -72,6 +72,20 @@ def test_json_document_shape():
                for c in doc["caches"])
 
 
+@pytest.mark.parametrize("broadcast, flag", ((False, 2), (False, 255),
+                                             (False, 1), (True, 0),
+                                             (True, 2)))
+def test_broadcast_flag_must_be_a_bit_that_matches_the_body(broadcast, flag):
+    # Byte 7 is the broadcast flag.  A value other than 0 or 1 is not a
+    # flag; 1 over payloads, or 0 over broadcast files, contradicts the body.
+    blob = bytearray(simulation_to_bytes(result_for(SchemeKind.P_LFR,
+                                                    broadcast)))
+    assert blob[7] == int(broadcast)
+    blob[7] = flag
+    with pytest.raises(IntegrityError, match="broadcast flag"):
+        artifact_from_bytes(bytes(blob))
+
+
 def test_corruption_is_detected():
     blob = simulation_to_bytes(result_for(SchemeKind.S_LFR))
     with pytest.raises(IntegrityError):

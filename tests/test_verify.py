@@ -3,7 +3,9 @@
 The oracles themselves are tested three ways: unit distributions with
 known information content, an exact independence criterion for 2x2 joints
 (the determinant test), and full cross-checks of the affine shortcut
-against brute-force enumeration on instances small enough for both.
+against brute-force enumeration on instances small enough for both.  The
+certificates on the bilinear model are also run against deliberately
+broken engines, which they must not certify.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -20,11 +23,13 @@ from pathlib import Path
 import pytest
 
 import maclfr
+from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
-from maclfr.schemes import RandomnessLayout, SchemeKind, scheme_for
-from maclfr.verify import (AFFINITY_PROBES, ViewExtractor, _Runner,
-                           check_correctness, check_privacy_exact,
+from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind, scheme_for
+from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
+                           _Runner, _choose_method, check_correctness,
+                           check_privacy_exact,
                            check_security_exact, check_share_placement_secrecy,
                            demands_from_int, library_from_int,
                            mutual_information, pack_demands, pack_library,
@@ -121,9 +126,11 @@ def test_library_and_demand_packing_round_trips():
 
 def test_keyed_schemes_are_certified_secure_small():
     for kind in (SchemeKind.S_LFR, SchemeKind.IS_LFR):
-        res = check_security_exact(tiny_config(kind, 3, 2, 1))
-        assert res.certified_zero and res.mi_bits == 0.0
-        assert res.method == "enumerate"
+        for method in ("enumerate", "affine"):
+            res = check_security_exact(tiny_config(kind, 3, 2, 1),
+                                       method=method)
+            assert res.certified_zero and res.mi_bits == 0.0
+            assert res.method == method
 
 
 def test_masked_scheme_is_certified_secure_via_affine():
@@ -170,24 +177,180 @@ def test_jobs_below_one_are_rejected(jobs):
         security_joint_enumerated(cfg, demands, jobs=jobs)
 
 
+ENUMERABLE = 1 << 14  # states the cross-checks below enumerate at most
+
+
+def _security_state_bits(cfg) -> int:
+    return (cfg.num_files * cfg.file_bits
+            + RandomnessLayout.for_config(cfg).total_bits)
+
+
+def _privacy_state_bits(cfg) -> int:
+    return _security_state_bits(cfg) + cfg.num_files * cfg.topo.num_users
+
+
 def test_affine_matches_every_enumerated_sweep_instance():
-    # Every instance of the default security sweep that "auto" enumerates,
-    # keyless control included, gets the same verdict from the model.
-    instances = [(kind, C, r, t) for C, r, t in tiny_sweep_topologies()
-                 for kind in (SchemeKind.S_LFR, SchemeKind.IS_LFR,
-                              SchemeKind.SP_LFR)]
-    instances.append((SchemeKind.LFR, 3, 2, 1))
-    compared = 0
-    for kind, C, r, t in instances:
-        cfg = tiny_config(kind, C, r, t)
-        enum = check_security_exact(cfg)
-        if enum.method != "enumerate":
+    # Every sweep topology under every kind whose state space is small
+    # enough to walk gets the same verdict and MI from the model route as
+    # from forced enumeration.
+    compared = []
+    for C, r, t in tiny_sweep_topologies():
+        for kind in SchemeKind:
+            cfg = tiny_config(kind, C, r, t)
+            if 1 << _security_state_bits(cfg) > ENUMERABLE:
+                continue
+            enum = check_security_exact(cfg, method="enumerate")
+            affine = check_security_exact(cfg, method="affine")
+            assert affine.certified_zero == enum.certified_zero, (kind, C, r, t)
+            assert affine.mi_bits == pytest.approx(enum.mi_bits, abs=1e-9)
+            compared.append(kind)
+    # 8 topologies under s-lfr, is-lfr and lfr; sp-lfr (3,3,0) and p-lfr
+    # (3,2,0), (3,3,0).
+    assert set(compared) == set(SchemeKind)
+    assert len(compared) == 27
+
+
+def test_privacy_affine_matches_every_enumerated_c3_instance():
+    # The same for privacy at C = 3, with one and two files: the masking
+    # kinds go through the certificate, the cleartext ones fall back.
+    compared = []
+    for C, r, t in tiny_sweep_topologies():
+        if C != 3:
             continue
-        affine = check_security_exact(cfg, method="affine")
-        assert affine.certified_zero == enum.certified_zero, (kind, C, r, t)
-        assert affine.mi_bits == pytest.approx(enum.mi_bits, abs=1e-9)
-        compared += 1
-    assert compared >= 10
+        for kind in SchemeKind:
+            for num_files in (1, 2):
+                cfg = tiny_config(kind, C, r, t, num_files=num_files)
+                if 1 << _privacy_state_bits(cfg) > ENUMERABLE:
+                    continue
+                enum = check_privacy_exact(cfg, method="enumerate")
+                affine = check_privacy_exact(cfg, method="affine")
+                assert affine.per_observer == enum.per_observer, (
+                    kind, C, r, t, num_files)
+                compared.append(kind)
+    # p-lfr (3,2,0) with one file is the multi-user masking instance here;
+    # test_privacy_affine_matches_enumeration adds sp-lfr (3,2,1).
+    assert set(compared) == set(SchemeKind)
+    assert len(compared) == 23
+
+
+def test_auto_takes_the_route_with_fewer_engine_runs():
+    # Enumeration spends its state count, the model route its recovery
+    # and probe runs; auto enumerates only when that is not the dearer.
+    def model_runs(wbits, zbits):
+        return (1 + wbits) * (1 + zbits) + AFFINITY_PROBES * (1 + wbits)
+
+    for kind, C, r, t in ((SchemeKind.LFR, 3, 3, 0), (SchemeKind.S_LFR, 3, 2, 0),
+                          (SchemeKind.LFR, 3, 2, 1), (SchemeKind.S_LFR, 3, 2, 1),
+                          (SchemeKind.IS_LFR, 4, 2, 2)):
+        cfg = tiny_config(kind, C, r, t)
+        wbits = cfg.num_files * cfg.file_bits
+        zbits = RandomnessLayout.for_config(cfg).total_bits
+        states, runs = 1 << (wbits + zbits), model_runs(wbits, zbits)
+        res = check_security_exact(cfg)
+        if states <= runs:
+            assert (res.method, res.states) == ("enumerate", states)
+        else:
+            assert (res.method, res.states) == ("affine", runs)
+    # Pinned by hand: lfr (3,2,1) has 64 states against 63 model runs,
+    # s-lfr (3,2,0) 32 states against 36 runs.
+    lfr = check_security_exact(tiny_config(SchemeKind.LFR, 3, 2, 1))
+    assert (lfr.method, lfr.states) == ("affine", 63)
+    slfr = check_security_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 0))
+    assert (slfr.method, slfr.states) == ("enumerate", 32)
+    # Privacy weighs its demand bits too: 2^5 states against 36 runs.
+    small = check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 3, 0))
+    assert small.method == "enumerate"
+    assert check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 1)
+                               ).method == "affine"
+    assert _choose_method("auto", 7, 7) == "enumerate"
+    assert _choose_method("auto", 8, 7) == "affine"
+    for method in ("enumerate", "affine"):
+        assert _choose_method(method, 1, 1 << 40) == method
+    with pytest.raises(UsageError):
+        _choose_method("sample", 1, 1)
+
+
+def test_certificates_answer_without_the_walk(monkeypatch):
+    # With the per-library walk disabled, the keyed sweep, the keyless
+    # control's rank MI and the masking kinds' privacy still get their
+    # exact answers: none of them loops over the library values.
+    def no_walk(self):
+        raise AssertionError("walked the library values")
+
+    monkeypatch.setattr(BilinearModel, "sections", no_walk)
+    for C, r, t in tiny_sweep_topologies():
+        for kind in (SchemeKind.S_LFR, SchemeKind.IS_LFR, SchemeKind.SP_LFR):
+            res = check_security_exact(tiny_config(kind, C, r, t),
+                                       method="affine")
+            assert res.certified_zero, (kind, C, r, t)
+    control = check_security_exact(tiny_config(SchemeKind.LFR, 3, 2, 1),
+                                   method="affine")
+    assert not control.certified_zero and control.mi_bits == 1.0
+    for C, r, t in tiny_sweep_topologies():
+        if C == 3:
+            for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR):
+                res = check_privacy_exact(tiny_config(kind, C, r, t),
+                                          method="affine")
+                assert res.max_tv == 0, (kind, C, r, t)
+    with pytest.raises(AssertionError, match="walked"):
+        check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 1),
+                            method="affine")
+
+
+def test_zeroed_payload_key_is_not_certified(monkeypatch):
+    # An s-lfr engine that sends one payload in the clear leaks; the model
+    # route must say so with the same MI as enumeration.
+    honest = RandomnessLayout.unpack
+
+    def unkeyed(self, value):
+        rnd = honest(self, value)
+        keys = dict(rnd.payload_keys)
+        first = min(keys)
+        keys[first] = BitBlock.zeros(keys[first].length)
+        return replace(rnd, payload_keys=keys)
+
+    monkeypatch.setattr(RandomnessLayout, "unpack", unkeyed)
+    cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
+    affine = check_security_exact(cfg, method="affine")
+    enum = check_security_exact(cfg, method="enumerate")
+    assert not enum.certified_zero and enum.mi_bits > 0
+    assert not affine.certified_zero
+    assert affine.mi_bits == pytest.approx(enum.mi_bits, abs=1e-9)
+
+
+def test_unmasked_demand_is_not_certified_private(monkeypatch):
+    # An sp-lfr engine that sends one user's demand unmasked leaks it to
+    # every other observer; the walk behind the failed certificate finds it.
+    honest = Scheme.deliver
+
+    def leaky(self, secrets, table, demands):
+        transcript = honest(self, secrets, table, demands)
+        first = demands[0]
+        masked = dict(transcript.masked_demands)
+        masked[first.user] = first.coeffs
+        return replace(transcript, masked_demands=masked)
+
+    monkeypatch.setattr(Scheme, "deliver", leaky)
+    cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
+    res = check_privacy_exact(cfg, method="affine")
+    leaked = cfg.topo.users()[0]
+    assert res.per_observer == {g: Fraction(int(g != leaked))
+                                for g in cfg.topo.users()}
+
+
+def test_uncertified_controls_keep_their_exact_mi():
+    # p-lfr has cross terms and falls back to the walk; lfr has none and
+    # gets the rank MI.  Both agree with the joint the walk expands.
+    for kind, C, r, t in ((SchemeKind.P_LFR, 3, 2, 0),
+                          (SchemeKind.P_LFR, 3, 2, 1),
+                          (SchemeKind.LFR, 3, 2, 1),
+                          (SchemeKind.LFR, 4, 2, 2)):
+        cfg = tiny_config(kind, C, r, t)
+        demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
+        res = check_security_exact(cfg, demands, method="affine")
+        walked = mutual_information(security_joint_affine(cfg, demands))
+        assert not res.certified_zero and not walked.is_zero, (kind, C, r, t)
+        assert res.mi_bits == pytest.approx(walked.bits, abs=1e-9)
 
 
 def test_affine_states_count_recovery_and_probe_runs():
@@ -306,7 +469,7 @@ def test_masked_demands_are_private_and_cleartext_ones_are_not():
     assert private.max_tv == 0
     leaky = check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 1))
     assert leaky.max_tv == 1
-    assert leaky.method == "enumerate"
+    assert leaky.method == "affine"
 
 
 def test_single_user_topology_is_trivially_private():
