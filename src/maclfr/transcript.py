@@ -192,7 +192,7 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
     if r.pos != len(data):
         raise IntegrityError("trailing bytes after artifact")
     if (cfg.broadcast != (delivery["broadcast_files"] is not None)
-            or cfg.broadcast and delivery["payloads"]):
+            or (cfg.broadcast and delivery["payloads"])):
         raise IntegrityError("the broadcast flag disagrees with the "
                              "transcript body")
     return SimulationArtifact(cfg, tuple(caches),

@@ -28,7 +28,8 @@ from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
 from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind, scheme_for
 from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
-                           _Runner, _choose_method, check_correctness,
+                           _Runner, _choose_method, _demands_certified,
+                           _security_certified, check_correctness,
                            check_privacy_exact,
                            check_security_exact, check_share_placement_secrecy,
                            demands_from_int, library_from_int,
@@ -295,6 +296,21 @@ def test_certificates_answer_without_the_walk(monkeypatch):
     with pytest.raises(AssertionError, match="walked"):
         check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 1),
                             method="affine")
+
+
+def test_a_randomness_bit_the_library_switches_off_does_not_settle():
+    # V = w ^ z ^ w z = w OR z: the key bit z hides w only while w = 0, so
+    # the view leaks; z's column has a cross term and must not settle.
+    gated_key = BilinearModel(base=0, lib=(1,), inp=(1,), cross=((1,),))
+    assert not _security_certified(gated_key)
+    # V = d ^ r ^ w r: the randomness bit r hides demand bit d only while
+    # w = 0, so the observer learns d at w = 1.
+    gated_mask = BilinearModel(base=0, lib=(0,), inp=(1, 1), cross=((0, 1),))
+    assert not _demands_certified(gated_mask, others=[0], rand=[1])
+    # Without the cross terms both are certified.
+    assert _security_certified(replace(gated_key, cross=((0,),)))
+    assert _demands_certified(replace(gated_mask, cross=((0, 0),)),
+                              others=[0], rand=[1])
 
 
 def test_zeroed_payload_key_is_not_certified(monkeypatch):
