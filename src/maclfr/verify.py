@@ -369,9 +369,10 @@ def _settle(model: BilinearModel, columns: Sequence[int]
     and the columns that never settled.
 
     Column j settles once every cross[i][j] lies in S, and then inp[j]
-    joins S.  By induction S lies in span{B_j(w)} for every library value
-    w, where B_j(w) = inp[j] ^ XOR_i w_i cross[i][j] is column j of the
-    section at w: a settled column has B_j(w) in inp[j] + S.
+    joins S.  Column j of the section at library value w is B_j(w) =
+    inp[j] ^ XOR_i w_i cross[i][j], so a settled column has B_j(w) in
+    inp[j] + S, and by induction S lies in the span of the given columns'
+    B_j(w) for every w.
     """
     pending = list(columns)
     basis: tuple[int, ...] = ()
