@@ -30,16 +30,13 @@ rational probabilities.  Two evaluation methods exist:
   the test suite cross-checks the two methods against each other on
   instances small enough to enumerate.
 
-On the model, rank certificates answer first, in time polynomial in |W|,
-|Z| and the view width.  For security, a fixed point over the randomness
-columns proves that every library value gives the view one coset.  For
-privacy, the same fixed point and then a lift of each column across its
-cross terms prove that every other-user demand column lies in the span of
-the randomness columns at every library value.  A certificate proves a
-zero; a failed one proves nothing.  The answer then comes from the rank
-formula for a model without cross terms (exact mutual information in
-whole bits), or else from walking all 2^|W| library values within the
-cap, so the negative controls still get their exact nonzero values.
+On the security model, a rank certificate answers first, in time
+polynomial in |W|, |Z| and the view width: a fixed point over the
+randomness columns proves that every library value gives the view one
+coset.  A certificate proves a zero; a failed one proves nothing, and the
+answer then comes from walking all 2^|W| library values within the cap,
+so the negative controls still get their exact nonzero values.  Privacy
+runs its span test at every library value.
 
 "auto" takes the route that spends fewer engine runs: enumeration spends
 its state count, the model route (1 + |W|)(1 + |Z|) + AFFINITY_PROBES
@@ -53,7 +50,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 from math import log2
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -363,29 +359,6 @@ def _expand_span(basis: Sequence[int]) -> list[int]:
     return points
 
 
-def _settle(model: BilinearModel, columns: Sequence[int]
-            ) -> tuple[tuple[int, ...], list[int]]:
-    """The fixed point S over the given input columns, as an RREF basis,
-    and the columns that never settled.
-
-    Column j settles once every cross[i][j] lies in S, and then inp[j]
-    joins S.  Column j of the section at library value w is B_j(w) =
-    inp[j] ^ XOR_i w_i cross[i][j], so a settled column has B_j(w) in
-    inp[j] + S, and by induction S lies in the span of the given columns'
-    B_j(w) for every w.
-    """
-    pending = list(columns)
-    basis: tuple[int, ...] = ()
-    while True:
-        settled = [j for j in pending
-                   if not any(_reduce_point(row[j], basis)
-                              for row in model.cross)]
-        if not settled:
-            return basis, pending
-        basis = _rref_basis(basis + tuple(model.inp[j] for j in settled))
-        pending = [j for j in pending if j not in settled]
-
-
 # ---- security ----
 
 @dataclass(frozen=True)
@@ -520,14 +493,26 @@ def security_joint_affine(cfg: SchemeConfig, demands: Sequence[DemandVector],
 def _security_certified(model: BilinearModel) -> bool:
     """Whether the view is provably independent of the library.
 
-    When every randomness column settles, span{B(w)} equals the fixed
-    point S for every w; when every lib[i] lies in S as well, base(w) lies
-    in base(0) + S.  Every library value then gives the view the same
+    Grow a fixed point S from {}: randomness column j settles once every
+    cross[i][j] lies in S, and then inp[j] joins S.  Column j of the
+    section at library value w is B_j(w) = inp[j] ^ XOR_i w_i cross[i][j],
+    so a settled column has B_j(w) in inp[j] + S, and by induction S lies
+    in span{B(w)} for every w.  When every column settles, span{B(w)}
+    equals S for every w; when every lib[i] lies in S as well, base(w)
+    lies in base(0) + S.  Every library value then gives the view the same
     coset, so the mutual information is zero.  False proves no leak.
     """
-    basis, unsettled = _settle(model, range(len(model.inp)))
-    return not unsettled and not any(_reduce_point(a, basis)
-                                     for a in model.lib)
+    pending = list(range(len(model.inp)))
+    basis: tuple[int, ...] = ()
+    while pending:
+        settled = [j for j in pending
+                   if not any(_reduce_point(row[j], basis)
+                              for row in model.cross)]
+        if not settled:
+            return False
+        basis = _rref_basis(basis + tuple(model.inp[j] for j in settled))
+        pending = [j for j in pending if j not in settled]
+    return not any(_reduce_point(a, basis) for a in model.lib)
 
 
 def check_security_exact(cfg: SchemeConfig,
@@ -538,9 +523,8 @@ def check_security_exact(cfg: SchemeConfig,
     """Exact I(library; transmission) for a fixed demand battery.
 
     The affine route answers from the recovered model: a zero certified
-    by the fixed point, else the rank formula when the model has no cross
-    terms, else the joint distribution expanded from every library
-    value's coset, within the cap.
+    by the fixed point, else the joint distribution expanded from every
+    library value's coset, within the cap.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -559,13 +543,6 @@ def check_security_exact(cfg: SchemeConfig,
     model, runs = _security_model(cfg, demands, cap)
     if _security_certified(model):
         return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
-    if not any(map(any, model.cross)):
-        # The view is base ^ A w ^ B z for uniform independent w and z, so
-        # I(W; X) = H(X) - H(X | W) = rank[A | B] - rank[B] bits.
-        bits = (len(_rref_basis(model.lib + model.inp))
-                - len(_rref_basis(model.inp)))
-        return SecurityCheckResult(cfg, coeffs, "affine", runs, False,
-                                   float(bits))
     mi = mutual_information(_joint_from_model(model, cap))
     return SecurityCheckResult(cfg, coeffs, "affine", runs, mi.is_zero, mi.bits)
 
@@ -684,9 +661,7 @@ def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
     a coset of the span of the randomness columns, shifted by the other
     users' demand columns they select.  Two cosets of one subspace are
     equal or disjoint, so the TV is 0 when every other-user demand column
-    lies in that span and 1 as soon as one falls outside it.  The lift
-    certificate answers first; an observer it cannot certify gets that
-    span test at every library value.
+    lies in that span and 1 as soon as one falls outside it.
     """
     runner = _Runner(cfg)
     users = cfg.topo.users()
@@ -709,39 +684,14 @@ def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
         own = users.index(g)
         others = [j for j in range(dbits) if j // n != own]
         leaks = False
-        if not _demands_certified(model, others, range(dbits, len(model.inp))):
-            for _, _, cols in model.sections():
-                basis = _rref_basis(cols[dbits:])
-                if any(_reduce_point(cols[j], basis) for j in others):
-                    leaks = True
-                    break
+        for _, _, cols in model.sections():
+            basis = _rref_basis(cols[dbits:])
+            if any(_reduce_point(cols[j], basis) for j in others):
+                leaks = True
+                break
         per_observer[g] = Fraction(int(leaks))
     return PrivacyCheckResult(cfg, "affine", runs, max(per_observer.values()),
                               per_observer)
-
-
-def _demands_certified(model: BilinearModel, others: Sequence[int],
-                       rand: Sequence[int]) -> bool:
-    """Whether every `others` column provably lies in the span of the
-    `rand` columns at every library value.
-
-    Settle over `rand` alone into S*, which lies in span{B_R(w)} for every
-    w.  Reduce every entry modulo S* and lift column j to (inp[j],
-    cross[0][j], ..., cross[|W|-1][j]) as one int.  A lifted demand column
-    that is a sum of lifted randomness columns gives B_j(w) in
-    span{B_R(w)} + S* = span{B_R(w)} at every w.  False proves no leak.
-    """
-    basis, _ = _settle(model, rand)
-    width = max(c.bit_length() for c in chain(model.inp, *model.cross))
-
-    def lift(j: int) -> int:
-        acc = _reduce_point(model.inp[j], basis)
-        for k, row in enumerate(model.cross, 1):
-            acc |= _reduce_point(row[j], basis) << (k * width)
-        return acc
-
-    span = _rref_basis(lift(j) for j in rand)
-    return not any(_reduce_point(lift(j), span) for j in others)
 
 
 # ---- correctness ----

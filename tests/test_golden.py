@@ -5,9 +5,9 @@ the bytes; these constants do.  They cover the transcript container and
 its JSON twin for the three worked presets under every kind and seeds
 0-2 (plus p-lfr in broadcast mode), the ``verify`` reports of the cheap
 suites and of three security instances (two of them also by forced
-enumeration), and the figure presets' ``curves.csv``.  A change that
-alters any of them changes what a (config, seed) pair produces and must
-say so.
+enumeration), the privacy control by forced enumeration, and the figure
+presets' ``curves.csv``.  A change that alters any of them changes what a
+(config, seed) pair produces and must say so.
 """
 
 from __future__ import annotations
@@ -269,9 +269,9 @@ REPORTS = {
 # `maclfr verify --suite security --C 3 --r 2 --t 1 --N 2 --scheme <kind>
 # --seed 0` -> digest of report.json.  All three take the affine route,
 # which spends fewer engine runs than their states: s-lfr and sp-lfr are
-# certified by the fixed point, and lfr reports its rank mutual
-# information; all three run the engine on randomness unpacked from
-# RandomnessLayout.
+# certified by the fixed point, and lfr reports the mutual information of
+# the joint its walk expands; all three run the engine on randomness
+# unpacked from RandomnessLayout.
 SECURITY_INSTANCES = {
     "s-lfr":
         "95d0efcc7dafefb6c60ddf70ef9ce5b8b79564d05782b2ab27c1dcbf222f9da1",
@@ -289,6 +289,13 @@ ENUMERATED_SECURITY_INSTANCES = {
     "lfr":
         "a0b5a488720328d491f747ab4feeb3be684c96edb8895320095fa2ee45a1b0be",
 }
+
+# `maclfr verify --suite privacy --C 3 --r 2 --t 1 --N 2 --scheme s-lfr
+# --method enumerate --seed 0` -> digest of report.json: the cleartext
+# control of the privacy suite over all 8192 states.  The whole suite by
+# enumeration runs for minutes, so this instance stands for it.
+ENUMERATED_PRIVACY_CONTROL = (
+    "cef66b6c20a856a331ac29e6fe94f90a0aab03c2ae08d97b7aea7147a95d3cd0")
 
 # `maclfr curve --figure <n>` -> digest of curves.csv.
 CURVES = {
@@ -355,6 +362,15 @@ def test_enumerated_security_report_matches_golden_digest(kind, tmp_path):
                       "--out", str(tmp_path)) == 0
     digest = sha256((tmp_path / "report.json").read_bytes())
     assert digest == ENUMERATED_SECURITY_INSTANCES[kind]
+
+
+def test_enumerated_privacy_control_report_matches_golden_digest(tmp_path):
+    assert quiet_main("verify", "--suite", "privacy", "--C", "3", "--r", "2",
+                      "--t", "1", "--N", "2", "--scheme", "s-lfr",
+                      "--method", "enumerate", "--seed", "0",
+                      "--out", str(tmp_path)) == 0
+    digest = sha256((tmp_path / "report.json").read_bytes())
+    assert digest == ENUMERATED_PRIVACY_CONTROL
 
 
 @pytest.mark.parametrize("figure", sorted(CURVES))

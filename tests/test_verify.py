@@ -4,8 +4,8 @@ The oracles themselves are tested three ways: unit distributions with
 known information content, an exact independence criterion for 2x2 joints
 (the determinant test), and full cross-checks of the affine shortcut
 against brute-force enumeration on instances small enough for both.  The
-certificates on the bilinear model are also run against deliberately
-broken engines, which they must not certify.
+security certificate on the bilinear model is also run against
+deliberately broken engines, which it must not certify.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
 from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind, scheme_for
 from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
-                           _Runner, _choose_method, _demands_certified,
+                           _Runner, _choose_method,
                            _security_certified, check_correctness,
                            check_privacy_exact,
                            check_security_exact, check_share_placement_secrecy,
@@ -212,8 +212,7 @@ def test_affine_matches_every_enumerated_sweep_instance():
 
 
 def test_privacy_affine_matches_every_enumerated_c3_instance():
-    # The same for privacy at C = 3, with one and two files: the masking
-    # kinds go through the certificate, the cleartext ones fall back.
+    # The same for privacy at C = 3, with one and two files, for every kind.
     compared = []
     for C, r, t in tiny_sweep_topologies():
         if C != 3:
@@ -272,9 +271,9 @@ def test_auto_takes_the_route_with_fewer_engine_runs():
 
 
 def test_certificates_answer_without_the_walk(monkeypatch):
-    # With the per-library walk disabled, the keyed sweep, the keyless
-    # control's rank MI and the masking kinds' privacy still get their
-    # exact answers: none of them loops over the library values.
+    # With the per-library walk disabled, the keyed sweep still gets its
+    # certified zero: the fixed point never loops over the library values.
+    # The keyless control cannot be certified and needs the walk.
     def no_walk(self):
         raise AssertionError("walked the library values")
 
@@ -284,18 +283,9 @@ def test_certificates_answer_without_the_walk(monkeypatch):
             res = check_security_exact(tiny_config(kind, C, r, t),
                                        method="affine")
             assert res.certified_zero, (kind, C, r, t)
-    control = check_security_exact(tiny_config(SchemeKind.LFR, 3, 2, 1),
-                                   method="affine")
-    assert not control.certified_zero and control.mi_bits == 1.0
-    for C, r, t in tiny_sweep_topologies():
-        if C == 3:
-            for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR):
-                res = check_privacy_exact(tiny_config(kind, C, r, t),
-                                          method="affine")
-                assert res.max_tv == 0, (kind, C, r, t)
     with pytest.raises(AssertionError, match="walked"):
-        check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 1),
-                            method="affine")
+        check_security_exact(tiny_config(SchemeKind.LFR, 3, 2, 1),
+                             method="affine")
 
 
 def test_a_randomness_bit_the_library_switches_off_does_not_settle():
@@ -303,14 +293,8 @@ def test_a_randomness_bit_the_library_switches_off_does_not_settle():
     # the view leaks; z's column has a cross term and must not settle.
     gated_key = BilinearModel(base=0, lib=(1,), inp=(1,), cross=((1,),))
     assert not _security_certified(gated_key)
-    # V = d ^ r ^ w r: the randomness bit r hides demand bit d only while
-    # w = 0, so the observer learns d at w = 1.
-    gated_mask = BilinearModel(base=0, lib=(0,), inp=(1, 1), cross=((0, 1),))
-    assert not _demands_certified(gated_mask, others=[0], rand=[1])
-    # Without the cross terms both are certified.
+    # Without the cross term it is certified.
     assert _security_certified(replace(gated_key, cross=((0,),)))
-    assert _demands_certified(replace(gated_mask, cross=((0, 0),)),
-                              others=[0], rand=[1])
 
 
 def test_zeroed_payload_key_is_not_certified(monkeypatch):
@@ -336,7 +320,7 @@ def test_zeroed_payload_key_is_not_certified(monkeypatch):
 
 def test_unmasked_demand_is_not_certified_private(monkeypatch):
     # An sp-lfr engine that sends one user's demand unmasked leaks it to
-    # every other observer; the walk behind the failed certificate finds it.
+    # every other observer; the span test at each library value finds it.
     honest = Scheme.deliver
 
     def leaky(self, secrets, table, demands):
@@ -355,8 +339,8 @@ def test_unmasked_demand_is_not_certified_private(monkeypatch):
 
 
 def test_uncertified_controls_keep_their_exact_mi():
-    # p-lfr has cross terms and falls back to the walk; lfr has none and
-    # gets the rank MI.  Both agree with the joint the walk expands.
+    # Neither p-lfr nor the keyless lfr is certified; both fall back to
+    # the walk and report the MI of the joint it expands.
     for kind, C, r, t in ((SchemeKind.P_LFR, 3, 2, 0),
                           (SchemeKind.P_LFR, 3, 2, 1),
                           (SchemeKind.LFR, 3, 2, 1),
