@@ -26,7 +26,7 @@ from .mds import MdsCode, build_code, decode_key, encode_key
 from .schemes import (CacheContent, DeliveryTranscript, PlacementResult,
                       RandomnessLayout, Scheme, SchemeConfig, SchemeKind,
                       ServerRandomness, SimulationResult, derive_rng,
-                      scheme_for, simulate)
+                      simulate)
 from .shamir import ShareSet, leakage_check, reconstruct, split
 from .topology import TopologySpec
 from .transcript import (SimulationArtifact, artifact_from_bytes,
@@ -58,7 +58,7 @@ __all__ = [
     "encode_key", "exhaustive_demand_tuples", "leakage_check",
     "linear_combination", "lower_convex_envelope", "mutual_information",
     "optimality_gap", "parse_demand_file", "point", "privacy_suite",
-    "random_demands", "reconstruct", "scheme_for", "security_memory_bound",
+    "random_demands", "reconstruct", "security_memory_bound",
     "security_suite", "simulate", "simulation_to_bytes",
     "simulation_to_json", "split", "subpacketize", "total_variation",
 ]

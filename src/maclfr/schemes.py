@@ -658,15 +658,11 @@ def _held(store: Mapping, label, cache: int) -> BitBlock:
     return block
 
 
-def scheme_for(cfg: SchemeConfig) -> Scheme:
-    return Scheme(cfg)
-
-
 def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
              demands: Sequence[DemandVector] | None = None,
              randomness: ServerRandomness | None = None) -> SimulationResult:
     """One full round: place, deliver, decode every user, compare to truth."""
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     if library is None:
         library = FileLibrary.random(derive_rng(cfg.seed, "library"),
                                      cfg.num_files, cfg.file_bits)

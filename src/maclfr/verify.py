@@ -30,6 +30,9 @@ rational probabilities.  Two evaluation methods exist:
   the test suite cross-checks the two methods against each other on
   instances small enough to enumerate.
 
+Both methods see the engine through one function, _views, so they check
+the very same views.
+
 On the security model, a rank certificate answers first, in time
 polynomial in |W|, |Z| and the view width: a fixed point over the
 randomness columns proves that every library value gives the view one
@@ -50,17 +53,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import log2
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, ResourceLimitError, UsageError
-from .library import (DemandVector, FileLibrary, demands_by_user,
-                      linear_combination)
+from .library import DemandVector, FileLibrary, linear_combination
 from .library import subpacketize  # noqa: F401 - perfbench/tracer.py hooks it
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
-                      SchemeConfig, SchemeKind, ServerRandomness, derive_rng,
-                      scheme_for)
+                      SchemeConfig, SchemeKind, ServerRandomness, derive_rng)
 from .shamir import reconstruct, share_set_from_blocks
 from .topology import CacheSet, TopologySpec
 
@@ -124,25 +126,11 @@ def total_variation(p: Mapping[Hashable, Fraction],
 
 # ---- state packing ----
 
-def pack_library(library: FileLibrary) -> int:
-    value = 0
-    for i, f in enumerate(library.files):
-        value |= f.value << (i * library.file_bits)
-    return value
-
-
 def library_from_int(value: int, num_files: int, file_bits: int) -> FileLibrary:
     mask = (1 << file_bits) - 1
     return FileLibrary(tuple(
         BitBlock((value >> (i * file_bits)) & mask, file_bits)
         for i in range(num_files)))
-
-
-def pack_demands(demands: Sequence[DemandVector]) -> int:
-    value = 0
-    for i, d in enumerate(demands):
-        value |= d.coeffs << (i * d.num_files)
-    return value
 
 
 def demands_from_int(value: int, cfg: SchemeConfig) -> tuple[DemandVector, ...]:
@@ -202,30 +190,45 @@ class ViewExtractor:
         return value, width
 
 
-class _Runner:
-    """Amortizes per-config setup for the many runs the oracles make."""
+def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None,
+           observers: Sequence[CacheSet] = ()
+           ) -> tuple[Callable[[int, int], tuple[int, ...]], int, int]:
+    """The engine as every oracle sees it: (run, |W|, |Z|).
 
-    def __init__(self, cfg: SchemeConfig):
-        self.cfg = cfg
-        self.scheme: Scheme = scheme_for(cfg)
-        self.layout = RandomnessLayout.for_config(cfg)
-        self.extractor = ViewExtractor(cfg)
-        self.users = cfg.topo.users()
+    `run(w, z)` places library value w, delivers and returns the views as
+    ints.  Given fixed `demands` (security), z is the randomness and the
+    one view is the transmission.  Otherwise (privacy) z packs the demand
+    tuple in its low bits, as demands_from_int reads it, with the
+    randomness above, and there is one view per observer.  The library
+    and the demands are rebuilt only when their part of the state changes,
+    so walks that vary the randomness innermost build each once.
+    """
+    scheme = Scheme(cfg)
+    layout = RandomnessLayout.for_config(cfg)
+    extractor = ViewExtractor(cfg)
+    n = cfg.num_files
+    library = lru_cache(maxsize=1)(lambda w: library_from_int(w, n, cfg.file_bits))
+    if demands is None:
+        dbits = n * cfg.topo.num_users
+        battery = lru_cache(maxsize=1)(lambda d: demands_from_int(d, cfg))
+    else:
+        dbits = 0
+        battery = lambda d: demands  # noqa: E731
+    own = (1 << n) - 1
+    shifts = [cfg.topo.users().index(g) * n for g in observers]
 
-    def run_views(self, library: FileLibrary, demands: Sequence[DemandVector],
-                  randomness: ServerRandomness,
-                  with_observers: bool) -> tuple[int, dict[CacheSet, int]]:
-        placement = self.scheme.place(library, randomness)
-        transcript = self.scheme.deliver(placement.secrets, placement.table,
-                                         demands)
-        tview, _ = self.extractor.transmission(transcript)
-        observer_views: dict[CacheSet, int] = {}
-        if with_observers:
-            by_user = demands_by_user(demands)
-            for g in self.users:
-                observer_views[g], _ = self.extractor.observer(
-                    g, placement.caches, transcript, by_user[g].coeffs)
-        return tview, observer_views
+    def run(w: int, z: int) -> tuple[int, ...]:
+        d = z & ((1 << dbits) - 1)
+        placement = scheme.place(library(w), layout.unpack(z >> dbits))
+        transcript = scheme.deliver(placement.secrets, placement.table,
+                                    battery(d))
+        if demands is not None:
+            return (extractor.transmission(transcript)[0],)
+        return tuple(extractor.observer(g, placement.caches, transcript,
+                                        (d >> shift) & own)[0]
+                     for g, shift in zip(observers, shifts))
+
+    return run, n * cfg.file_bits, dbits + layout.total_bits
 
 
 # ---- bilinear model recovery ----
@@ -345,12 +348,6 @@ def _reduce_point(point: int, basis: tuple[int, ...]) -> int:
     return point
 
 
-def _coset_canonical(base: int, cols: Sequence[int]
-                     ) -> tuple[tuple[int, ...], int]:
-    basis = _rref_basis(cols)
-    return basis, _reduce_point(base, basis)
-
-
 def _expand_span(basis: Sequence[int]) -> list[int]:
     """All 2^rank span points, by doubling."""
     points = [0]
@@ -369,12 +366,6 @@ class SecurityCheckResult:
     states: int  # states enumerated, or engine runs spent by "affine"
     certified_zero: bool
     mi_bits: float
-
-
-def _security_bits(cfg: SchemeConfig) -> tuple[int, int]:
-    """(library bits, randomness bits) of the security question."""
-    return (cfg.num_files * cfg.file_bits,
-            RandomnessLayout.for_config(cfg).total_bits)
 
 
 def _choose_method(method: str, states: int, runs: int) -> str:
@@ -396,37 +387,27 @@ def security_joint_enumerated(cfg: SchemeConfig,
     running the real scheme on every single state."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    wbits, zbits = _security_bits(cfg)
+    _, wbits, zbits = _views(cfg, demands)
     lib_states, states = 1 << wbits, 1 << (wbits + zbits)
     if states > cap:
         raise ResourceLimitError(
             f"enumeration of {states} states exceeds the cap {cap}")
-    demand_coeffs = tuple(d.coeffs for d in demands)
     if jobs > 1:
-        counts = _parallel_security_counts(cfg, demand_coeffs, lib_states, jobs)
+        counts = _parallel_security_counts(cfg, demands, lib_states, jobs)
     else:
-        counts = _security_counts(cfg, demand_coeffs, range(lib_states))
+        counts = _security_counts(cfg, demands, range(lib_states))
     prob = Fraction(1, states)
     return {pair: n * prob for pair, n in counts.items()}
 
 
-def _security_counts(cfg: SchemeConfig, demand_coeffs: tuple[int, ...],
+def _security_counts(cfg: SchemeConfig, demands: Sequence[DemandVector],
                      lib_values: Iterable[int]) -> Counter:
-    runner = _Runner(cfg)
-    demands = tuple(DemandVector(g, c, cfg.num_files)
-                    for g, c in zip(cfg.topo.users(), demand_coeffs))
-    rand_states = 1 << runner.layout.total_bits
-    counts: Counter = Counter()
-    for w in lib_values:
-        library = library_from_int(w, cfg.num_files, cfg.file_bits)
-        for rv in range(rand_states):
-            tview, _ = runner.run_views(library, demands,
-                                        runner.layout.unpack(rv), False)
-            counts[(w, tview)] += 1
-    return counts
+    run, _, zbits = _views(cfg, demands)
+    return Counter((w, run(w, z)[0])
+                   for w in lib_values for z in range(1 << zbits))
 
 
-def _parallel_security_counts(cfg: SchemeConfig, demand_coeffs: tuple[int, ...],
+def _parallel_security_counts(cfg: SchemeConfig, demands: Sequence[DemandVector],
                               lib_states: int, jobs: int) -> Counter:
     from concurrent.futures import ProcessPoolExecutor
 
@@ -434,36 +415,21 @@ def _parallel_security_counts(cfg: SchemeConfig, demand_coeffs: tuple[int, ...],
     chunks = [range(start, lib_states, jobs) for start in range(jobs)]
     counts: Counter = Counter()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_security_counts, cfg, demand_coeffs, list(ch))
+        futures = [pool.submit(_security_counts, cfg, demands, ch)
                    for ch in chunks]
         for fut in futures:
             counts.update(fut.result())
     return counts
 
 
-def _security_model(cfg: SchemeConfig, demands: Sequence[DemandVector],
-                    cap: int) -> tuple[BilinearModel, int]:
-    """The transmission view over (library, randomness) for fixed demands."""
-    runner = _Runner(cfg)
-
-    def run(w: int, z: int) -> tuple[int]:
-        library = library_from_int(w, cfg.num_files, cfg.file_bits)
-        tview, _ = runner.run_views(library, demands,
-                                    runner.layout.unpack(z), False)
-        return (tview,)
-
-    models, runs = _recover_models(run, ("transmission",),
-                                   cfg.num_files * cfg.file_bits,
-                                   runner.layout.total_bits, cfg.seed, cap)
-    return models[0], runs
-
-
 def _joint_from_model(model: BilinearModel, cap: int
                       ) -> dict[tuple[int, int], Fraction]:
     """Given library value w the view is uniform on the coset
     base(w) + span(cols(w)); expand every coset, within the cap."""
-    cosets = {w: _coset_canonical(base, cols)
-              for w, base, cols in model.sections()}
+    cosets = {}
+    for w, base, cols in model.sections():
+        basis = _rref_basis(cols)
+        cosets[w] = basis, _reduce_point(base, basis)
     points = sum(1 << len(basis) for basis, _ in cosets.values())
     if points > cap:
         raise ResourceLimitError(
@@ -476,18 +442,6 @@ def _joint_from_model(model: BilinearModel, cap: int
         for point in _expand_span(basis):
             joint[(w, base ^ point)] = p
     return joint
-
-
-def security_joint_affine(cfg: SchemeConfig, demands: Sequence[DemandVector],
-                          cap: int = DEFAULT_STATE_CAP
-                          ) -> dict[tuple[int, int], Fraction]:
-    """The same joint distribution, from the recovered bilinear model.
-
-    Exists for cross-checks and for the rare non-factorized case; the
-    certified-zero path in check_security_exact never materializes it.
-    """
-    model, _ = _security_model(cfg, demands, cap)
-    return _joint_from_model(model, cap)
 
 
 def _security_certified(model: BilinearModel) -> bool:
@@ -531,8 +485,8 @@ def check_security_exact(cfg: SchemeConfig,
     if demands is None:
         from .library import cycling_one_hot_demands
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
-    coeffs = tuple(d.coeffs for d in demands)
-    wbits, zbits = _security_bits(cfg)
+    coeffs = tuple(d.coeffs for d in sorted(demands, key=lambda d: d.user))
+    run, wbits, zbits = _views(cfg, demands)
     states = 1 << (wbits + zbits)
     chosen = _choose_method(method, states, _model_runs(wbits, zbits))
     if chosen == "enumerate":
@@ -540,7 +494,8 @@ def check_security_exact(cfg: SchemeConfig,
         mi = mutual_information(joint)
         return SecurityCheckResult(cfg, coeffs, "enumerate", states,
                                    mi.is_zero, mi.bits)
-    model, runs = _security_model(cfg, demands, cap)
+    (model,), runs = _recover_models(run, ("transmission",), wbits, zbits,
+                                     cfg.seed, cap)
     if _security_certified(model):
         return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
     mi = mutual_information(_joint_from_model(model, cap))
@@ -562,23 +517,6 @@ class PrivacyCheckResult:
         return self.max_tv == 0
 
 
-def _privacy_bits(cfg: SchemeConfig) -> tuple[int, int, int]:
-    """(library bits, randomness bits, demand bits) of the privacy
-    question."""
-    wbits, rbits = _security_bits(cfg)
-    return wbits, rbits, cfg.num_files * cfg.topo.num_users
-
-
-def _split_demand_value(cfg: SchemeConfig, dvalue: int, position: int
-                        ) -> tuple[int, tuple[int, ...]]:
-    """(own coefficients, other users' coefficients) of a packed tuple."""
-    mask = (1 << cfg.num_files) - 1
-    own = (dvalue >> (position * cfg.num_files)) & mask
-    rest = tuple((dvalue >> (i * cfg.num_files)) & mask
-                 for i in range(cfg.topo.num_users) if i != position)
-    return own, rest
-
-
 def check_privacy_exact(cfg: SchemeConfig,
                         observers: Sequence[CacheSet] | None = None,
                         method: str = "auto",
@@ -597,12 +535,14 @@ def check_privacy_exact(cfg: SchemeConfig,
     users = cfg.topo.users()
     if observers is None:
         observers = users
+    if not observers:
+        raise UsageError("privacy needs at least one observer")
     for g in observers:
         if g not in users:
             raise UsageError(f"{g} is not a user of this topology")
-    wbits, rbits, dbits = _privacy_bits(cfg)
-    states = 1 << (wbits + rbits + dbits)
-    chosen = _choose_method(method, states, _model_runs(wbits, dbits + rbits))
+    run, wbits, zbits = _views(cfg, observers=observers)
+    states = 1 << (wbits + zbits)
+    chosen = _choose_method(method, states, _model_runs(wbits, zbits))
     if cfg.topo.num_users == 1:
         return PrivacyCheckResult(cfg, chosen, 0, Fraction(0),
                                   {g: Fraction(0) for g in observers})
@@ -610,51 +550,45 @@ def check_privacy_exact(cfg: SchemeConfig,
         if states > cap:
             raise ResourceLimitError(
                 f"enumeration of {states} states exceeds the cap {cap}")
-        return _privacy_enumerated(cfg, observers, states)
-    return _privacy_affine(cfg, observers, cap)
+        per_observer = _privacy_enumerated(cfg, observers, run, wbits, zbits)
+    else:
+        labels = [f"observer {g}" for g in observers]
+        # An affine record's states are the engine runs it spent.
+        models, states = _recover_models(run, labels, wbits, zbits,
+                                         cfg.seed, cap)
+        per_observer = _privacy_affine(cfg, observers, models)
+    return PrivacyCheckResult(cfg, chosen, states, max(per_observer.values()),
+                              per_observer)
 
 
 def _privacy_enumerated(cfg: SchemeConfig, observers: Sequence[CacheSet],
-                        states: int) -> PrivacyCheckResult:
-    runner = _Runner(cfg)
+                        run: Callable[[int, int], tuple[int, ...]],
+                        wbits: int, zbits: int) -> dict[CacheSet, Fraction]:
+    """Walk every (demands, library, randomness) state, randomness
+    innermost, counting each observer's views per (library, demands); the
+    TV of an observer is its worst distance from the counts at the same
+    library and own demand with every other user demanding nothing."""
     users = cfg.topo.users()
-    positions = {g: users.index(g) for g in observers}
-    lib_states, rand_states, demand_states = (
-        1 << bits for bits in _privacy_bits(cfg))
-    # counts[g][(library, own demand, other demands)][view]
-    counts: dict[CacheSet, dict[tuple, Counter]] = {g: {} for g in observers}
-    for dvalue in range(demand_states):
-        demands = demands_from_int(dvalue, cfg)
-        split = {g: _split_demand_value(cfg, dvalue, positions[g])
-                 for g in observers}
-        for w in range(lib_states):
-            library = library_from_int(w, cfg.num_files, cfg.file_bits)
+    dbits = cfg.num_files * len(users)
+    rand_states = 1 << (zbits - dbits)
+    counts: list[dict[tuple[int, int], Counter]] = [{} for _ in observers]
+    for d in range(1 << dbits):
+        for w in range(1 << wbits):
+            seen = [c.setdefault((w, d), Counter()) for c in counts]
             for rv in range(rand_states):
-                _, oviews = runner.run_views(library, demands,
-                                             runner.layout.unpack(rv), True)
-                for g in observers:
-                    own, rest = split[g]
-                    key = (w, own, rest)
-                    counts[g].setdefault(key, Counter())[oviews[g]] += 1
+                for counter, view in zip(seen, run(w, d | rv << dbits)):
+                    counter[view] += 1
     per_observer: dict[CacheSet, Fraction] = {}
-    for g in observers:
-        worst = Fraction(0)
-        contexts: dict[tuple[int, int], list[Counter]] = {}
-        for (w, own, _rest), counter in sorted(counts[g].items()):
-            contexts.setdefault((w, own), []).append(counter)
-        for group in contexts.values():
-            ref = {v: Fraction(n, rand_states) for v, n in group[0].items()}
-            for other in group[1:]:
-                tv = total_variation(ref, {v: Fraction(n, rand_states)
-                                           for v, n in other.items()})
-                worst = max(worst, tv)
-        per_observer[g] = worst
-    max_tv = max(per_observer.values()) if per_observer else Fraction(0)
-    return PrivacyCheckResult(cfg, "enumerate", states, max_tv, per_observer)
+    for g, by_state in zip(observers, counts):
+        own = ((1 << cfg.num_files) - 1) << (users.index(g) * cfg.num_files)
+        per_observer[g] = max(total_variation(by_state[(w, d & own)], counter)
+                              for (w, d), counter in by_state.items()
+                              ) / rand_states
+    return per_observer
 
 
 def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
-                    cap: int) -> PrivacyCheckResult:
+                    models: Sequence[BilinearModel]) -> dict[CacheSet, Fraction]:
     """Rank test on one bilinear model per observer, over Z = D || R.
 
     For a fixed library and own demand, an observer's view is uniform on
@@ -663,22 +597,9 @@ def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
     equal or disjoint, so the TV is 0 when every other-user demand column
     lies in that span and 1 as soon as one falls outside it.
     """
-    runner = _Runner(cfg)
     users = cfg.topo.users()
     n = cfg.num_files
     dbits = n * len(users)
-
-    def run(w: int, z: int) -> tuple[int, ...]:
-        library = library_from_int(w, n, cfg.file_bits)
-        demands = demands_from_int(z & ((1 << dbits) - 1), cfg)
-        _, oviews = runner.run_views(library, demands,
-                                     runner.layout.unpack(z >> dbits), True)
-        return tuple(oviews[g] for g in observers)
-
-    labels = [f"observer {g}" for g in observers]
-    models, runs = _recover_models(run, labels, n * cfg.file_bits,
-                                   dbits + runner.layout.total_bits,
-                                   cfg.seed, cap)
     per_observer: dict[CacheSet, Fraction] = {}
     for g, model in zip(observers, models):
         own = users.index(g)
@@ -690,8 +611,7 @@ def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
                 leaks = True
                 break
         per_observer[g] = Fraction(int(leaks))
-    return PrivacyCheckResult(cfg, "affine", runs, max(per_observer.values()),
-                              per_observer)
+    return per_observer
 
 
 # ---- correctness ----
@@ -729,7 +649,7 @@ def check_correctness(cfg: SchemeConfig,
     decodes = 0
     for seed in seeds:
         run_cfg = replace(cfg, seed=seed)
-        scheme = scheme_for(run_cfg)
+        scheme = Scheme(run_cfg)
         library = FileLibrary.random(derive_rng(seed, "library"),
                                      cfg.num_files, cfg.file_bits)
         randomness = ServerRandomness.draw(run_cfg, derive_rng(seed, "placement"))
@@ -774,7 +694,7 @@ def check_share_placement_secrecy(cfg: SchemeConfig) -> SharePlacementReport:
     exactly the named caches (exposure to intersecting users is by
     design).  The keyless kind has nothing to audit.
     """
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     library = FileLibrary.random(derive_rng(cfg.seed, "library"),
                                  cfg.num_files, cfg.file_bits)
     placement = scheme.place(library)

@@ -44,7 +44,7 @@ from maclfr.presets import (
     TRIPLES_OF_FIVE,
     WorkedConfiguration,
 )
-from maclfr.schemes import SchemeKind, derive_rng, scheme_for, simulate
+from maclfr.schemes import Scheme, SchemeKind, derive_rng, simulate
 from maclfr.shamir import leakage_check, reconstruct, split
 from maclfr.topology import TopologySpec
 from maclfr.verify import (
@@ -338,7 +338,7 @@ def test_criterion_11_secure_memory_floor_on_sweep():
         assert floor == Fraction(comb(C, r), C)
         for kind in SECURE_KINDS:
             cfg = tiny_config(kind, C, r, t, num_files=topo.num_users)
-            scheme = scheme_for(cfg)
+            scheme = Scheme(cfg)
             library = FileLibrary.random(derive_rng(0, "library"),
                                          cfg.num_files, cfg.file_bits)
             placement = scheme.place(library)

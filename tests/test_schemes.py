@@ -24,7 +24,7 @@ from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
                             linear_combination, random_demands, subpacketize)
 from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
                             SchemeConfig, SchemeKind, ServerRandomness,
-                            ServerSecrets, derive_rng, scheme_for, simulate)
+                            ServerSecrets, derive_rng, simulate)
 from maclfr.topology import TopologySpec
 
 ALL_KINDS = tuple(SchemeKind)
@@ -80,7 +80,7 @@ def test_measured_memory_and_rate_match_closed_forms(kind, C, r, t):
 
 def test_placement_is_symmetric_and_demand_independent():
     cfg = config(SchemeKind.SP_LFR, 4, 2, 1)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)
     randomness = ServerRandomness.draw(cfg, derive_rng(0, "placement"))
@@ -173,7 +173,7 @@ def test_masked_payload_unmasks_to_the_keyless_one():
     demands = random_demands(cfg.topo, cfg.num_files, random.Random(13))
     randomness = ServerRandomness.draw(cfg, derive_rng(4, "placement"))
     sp = simulate(cfg, library=lib, demands=demands, randomness=randomness)
-    lfr = scheme_for(replace(cfg, kind=SchemeKind.LFR))
+    lfr = Scheme(replace(cfg, kind=SchemeKind.LFR))
     placement = lfr.place(lib)
     masked = tuple(DemandVector(g, coeffs, cfg.num_files)
                    for g, coeffs in sp.transcript.masked_demands.items())
@@ -259,7 +259,7 @@ def test_broadcast_mode_ships_the_library():
 def test_decode_requires_exactly_the_member_caches():
     cfg = config(SchemeKind.S_LFR, 3, 2, 1)
     result = simulate(cfg)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     user = cfg.topo.users()[0]
     caches = [result.placement.caches[c - 1] for c in user]
     with pytest.raises(UsageError):
@@ -273,7 +273,7 @@ def test_decode_requires_exactly_the_member_caches():
 def test_masked_kind_needs_the_own_demand():
     cfg = config(SchemeKind.SP_LFR, 3, 2, 1)
     result = simulate(cfg)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     user = cfg.topo.users()[0]
     caches = [result.placement.caches[c - 1] for c in user]
     with pytest.raises(UsageError):
@@ -286,7 +286,7 @@ def test_masked_kind_needs_the_own_demand():
 def test_cleartext_kind_carries_the_demand():
     cfg = config(SchemeKind.LFR, 3, 2, 1)
     result = simulate(cfg)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     user = cfg.topo.users()[0]
     caches = [result.placement.caches[c - 1] for c in user]
     decoded = scheme.decode(user, caches, result.transcript)
@@ -300,7 +300,7 @@ def test_cleartext_kind_carries_the_demand():
 def test_doctored_transcript_is_detected():
     cfg = config(SchemeKind.S_LFR, 3, 2, 1)
     result = simulate(cfg)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     user = cfg.topo.users()[0]
     caches = [result.placement.caches[c - 1] for c in user]
     gutted = replace(result.transcript, payloads={})
@@ -324,7 +324,7 @@ def decode_setup(kind: SchemeKind, C: int = 4, r: int = 2, t: int = 1,
     result = simulate(cfg, demands=demands)
     user = users[0]
     caches = [result.placement.caches[c - 1] for c in user]
-    return scheme_for(cfg), result, user, caches, demands[0]
+    return Scheme(cfg), result, user, caches, demands[0]
 
 
 def strip(caches, cache_index, field, label):
@@ -435,7 +435,7 @@ def test_decode_reports_the_wrong_caches():
 
 def test_deliver_validates_demands():
     cfg = config(SchemeKind.LFR, 3, 2, 1)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)
     placement = scheme.place(lib)
@@ -452,7 +452,7 @@ def test_deliver_rejects_a_table_of_another_library_shape():
     # A table short of a file once delivered payload 0 for a demand of the
     # missing file, where the true payload is that file's subfile.
     cfg = config(SchemeKind.LFR, 3, 2, 1, N=3)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)
     placement = scheme.place(lib)
@@ -478,7 +478,7 @@ def test_config_validation():
 
 def test_place_rejects_mismatched_library():
     cfg = config(SchemeKind.LFR, 3, 2, 1)
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     with pytest.raises(UsageError):
         scheme.place(FileLibrary.random(random.Random(0), cfg.num_files + 1,
                                         cfg.file_bits))
@@ -507,7 +507,7 @@ def test_placement_carries_the_table_delivery_uses():
     cfg = config(SchemeKind.S_LFR, 4, 2, 1)
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)
-    placement = scheme_for(cfg).place(lib)
+    placement = Scheme(cfg).place(lib)
     assert placement.table == subpacketize(lib, cfg.topo)
 
 
@@ -527,7 +527,7 @@ def test_asymmetric_placement_is_an_error(monkeypatch):
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)
     with pytest.raises(IntegrityError, match="symmetric"):
-        scheme_for(cfg).place(lib)
+        Scheme(cfg).place(lib)
 
 
 def test_secure_placement_under_the_memory_floor_is_an_error(monkeypatch):
@@ -541,4 +541,4 @@ def test_secure_placement_under_the_memory_floor_is_an_error(monkeypatch):
     lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
                              cfg.file_bits)
     with pytest.raises(IntegrityError, match="memory bound"):
-        scheme_for(cfg).place(lib)
+        Scheme(cfg).place(lib)

@@ -23,18 +23,18 @@ from pathlib import Path
 import pytest
 
 import maclfr
+from maclfr import verify
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
-from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind, scheme_for
-from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
-                           _Runner, _choose_method,
-                           _security_certified, check_correctness,
-                           check_privacy_exact,
+from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind
+from maclfr.verify import (AFFINITY_PROBES, DEFAULT_STATE_CAP, BilinearModel,
+                           ViewExtractor, _choose_method, _joint_from_model,
+                           _recover_models, _security_certified, _views,
+                           check_correctness, check_privacy_exact,
                            check_security_exact, check_share_placement_secrecy,
                            demands_from_int, library_from_int,
-                           mutual_information, pack_demands, pack_library,
-                           security_joint_affine, security_joint_enumerated,
+                           mutual_information, security_joint_enumerated,
                            tiny_config, tiny_sweep_topologies, total_variation)
 
 F = Fraction
@@ -116,10 +116,12 @@ def test_library_and_demand_packing_round_trips():
     for value in range(0, 1 << (cfg.num_files * cfg.file_bits), 7):
         lib = library_from_int(value, cfg.num_files, cfg.file_bits)
         assert isinstance(lib, FileLibrary)
-        assert pack_library(lib) == value
+        assert sum(f.value << (i * cfg.file_bits)
+                   for i, f in enumerate(lib.files)) == value
     for dvalue in range(1 << (cfg.num_files * cfg.topo.num_users)):
         demands = demands_from_int(dvalue, cfg)
-        assert pack_demands(demands) == dvalue
+        assert sum(d.coeffs << (i * cfg.num_files)
+                   for i, d in enumerate(demands)) == dvalue
         assert [d.user for d in demands] == list(cfg.topo.users())
 
 
@@ -148,6 +150,14 @@ def test_keyless_scheme_leaks_exactly_one_subfile_combination():
     assert res.mi_bits == pytest.approx(1.0, abs=1e-9)
 
 
+def _walked_joint(cfg, demands, cap=DEFAULT_STATE_CAP):
+    """The joint the model route walks when the certificate fails."""
+    run, wbits, zbits = _views(cfg, demands)
+    (model,), _ = _recover_models(run, ("transmission",), wbits, zbits,
+                                  cfg.seed, cap)
+    return _joint_from_model(model, cap)
+
+
 def test_affine_joint_matches_enumeration_exactly():
     # Same joint distribution from both routes, entry for entry, on
     # instances small enough to brute force (one-file libraries keep the
@@ -157,7 +167,7 @@ def test_affine_joint_matches_enumeration_exactly():
             cfg = tiny_config(kind, 3, 2, t, num_files=1)
             demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
             assert (security_joint_enumerated(cfg, demands)
-                    == security_joint_affine(cfg, demands)), (kind, t)
+                    == _walked_joint(cfg, demands)), (kind, t)
 
 
 def test_parallel_enumeration_matches_serial():
@@ -165,6 +175,25 @@ def test_parallel_enumeration_matches_serial():
     demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
     assert (security_joint_enumerated(cfg, demands, jobs=2)
             == security_joint_enumerated(cfg, demands, jobs=1))
+
+
+def test_battery_order_does_not_change_the_joint():
+    # Demands are matched to users by their user field, never by their
+    # position in the battery: a reversed battery is the same battery.
+    cfg = tiny_config(SchemeKind.LFR, 3, 2, 1)
+    in_order = (DemandVector.one_hot((1, 2), 1, 2),
+                DemandVector.one_hot((1, 3), 1, 2),
+                DemandVector.one_hot((2, 3), 2, 2))
+    backwards = in_order[::-1]
+    joint = security_joint_enumerated(cfg, in_order)
+    assert security_joint_enumerated(cfg, backwards) == joint
+    assert security_joint_enumerated(cfg, backwards, jobs=2) == joint
+    assert _walked_joint(cfg, backwards) == _walked_joint(cfg, in_order) == joint
+    for method in ("enumerate", "affine"):
+        res = check_security_exact(cfg, backwards, method=method)
+        assert res.demands == (1, 1, 2)
+        assert res.mi_bits == pytest.approx(mutual_information(joint).bits,
+                                            abs=1e-9)
 
 
 @pytest.mark.parametrize("jobs", (0, -5))
@@ -348,7 +377,7 @@ def test_uncertified_controls_keep_their_exact_mi():
         cfg = tiny_config(kind, C, r, t)
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
         res = check_security_exact(cfg, demands, method="affine")
-        walked = mutual_information(security_joint_affine(cfg, demands))
+        walked = mutual_information(_walked_joint(cfg, demands))
         assert not res.certified_zero and not walked.is_zero, (kind, C, r, t)
         assert res.mi_bits == pytest.approx(walked.bits, abs=1e-9)
 
@@ -371,17 +400,20 @@ def test_largest_masked_sweep_instance_is_fast():
 
 def _skew_views(monkeypatch):
     """Make every view carry a library-by-library product, which no
-    bilinear model over (library, inputs) can express."""
-    honest = _Runner.run_views
+    bilinear model over (library, inputs) can express.  Every route runs
+    the engine through verify._views, so one patch reaches them all."""
+    honest = verify._views
 
-    def skewed(self, library, demands, randomness, with_observers):
-        tview, oviews = honest(self, library, demands, randomness,
-                               with_observers)
-        w = pack_library(library)
-        bump = w & (w >> 1) & 1
-        return tview ^ bump, {g: v ^ bump for g, v in oviews.items()}
+    def skewed(*args, **kwargs):
+        run, wbits, zbits = honest(*args, **kwargs)
 
-    monkeypatch.setattr(_Runner, "run_views", skewed)
+        def bumped(w, z):
+            bump = w & (w >> 1) & 1
+            return tuple(view ^ bump for view in run(w, z))
+
+        return bumped, wbits, zbits
+
+    monkeypatch.setattr(verify, "_views", skewed)
 
 
 def test_affine_route_rejects_a_library_product(monkeypatch):
@@ -402,13 +434,14 @@ def test_affine_route_respects_the_cap():
     runs = check_privacy_exact(cfg, method="affine").states
     with pytest.raises(ResourceLimitError):
         check_privacy_exact(cfg, method="affine", cap=runs - 1)
-    # The keyless joint expands one point per library value: 64 points
-    # from 63 runs, so a cap of 63 admits the runs but not the expansion.
+    # The keyless control is not certified, and its walk expands one point
+    # per library value: 64 points from 63 runs, so a cap of 63 admits the
+    # runs but not the expansion.
     control = tiny_config(SchemeKind.LFR, 3, 2, 1)
-    demands = cycling_one_hot_demands(control.topo, control.num_files)
-    assert len(security_joint_affine(control, demands, cap=64)) == 64
-    with pytest.raises(ResourceLimitError):
-        security_joint_affine(control, demands, cap=63)
+    with pytest.raises(ResourceLimitError, match="coset expansion"):
+        check_security_exact(control, method="affine", cap=63)
+    res = check_security_exact(control, method="affine", cap=64)
+    assert res.mi_bits == pytest.approx(1.0, abs=1e-9)
 
 
 def test_broadcast_plus_one_cache_leaks():
@@ -417,7 +450,7 @@ def test_broadcast_plus_one_cache_leaks():
     # the whole payload key.
     cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
     assert check_security_exact(cfg).certified_zero
-    scheme = scheme_for(cfg)
+    scheme = Scheme(cfg)
     layout = RandomnessLayout.for_config(cfg)
     extractor = ViewExtractor(cfg)
     demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
@@ -481,6 +514,18 @@ def test_privacy_validates_observers():
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
     with pytest.raises(UsageError):
         check_privacy_exact(cfg, observers=[(1, 2, 3)])
+
+
+@pytest.mark.parametrize("method", ("enumerate", "affine"))
+def test_privacy_rejects_an_empty_observer_list(method, monkeypatch):
+    # Refused before the engine runs, on either route.
+    def no_engine(*args, **kwargs):
+        raise AssertionError("ran the engine")
+
+    monkeypatch.setattr(Scheme, "place", no_engine)
+    cfg = tiny_config(SchemeKind.P_LFR, 3, 2, 0, num_files=1)
+    with pytest.raises(UsageError, match="at least one observer"):
+        check_privacy_exact(cfg, observers=[], method=method)
 
 
 # ---- correctness and share placement ----
