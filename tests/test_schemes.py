@@ -433,6 +433,53 @@ def test_decode_reports_the_wrong_caches():
         scheme.decode((1, 2, 3), caches, result.transcript, demand)
 
 
+def plant(caches, cache_index, entries):
+    """The caches with entries added to, or replaced in, one cache's
+    subfiles."""
+    return [replace(content, subfiles={**content.subfiles, **entries})
+            if content.index == cache_index else content
+            for content in caches]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decode_takes_the_later_cache_copy_of_a_subfile(kind):
+    # Cache 2 holds subfile (1, (2,)); cache 1 gets another copy of it.
+    # The caches act as one merged store, filled in the order given.
+    scheme, result, user, caches, demand = decode_setup(kind)
+    label = (1, (2,))
+    true = caches[1].subfiles[label]
+    forged = BitBlock(true.value ^ 1, true.length)
+    first, second = plant(caches, 1, {label: forged})
+    expected = result.expected[user]
+    assert scheme.decode(user, [first, second], result.transcript,
+                         demand) == expected
+    flipped = scheme.decode(user, [second, first], result.transcript, demand)
+    assert flipped != expected
+    assert flipped == scheme.decode(user, plant(caches, 2, {label: forged}),
+                                    result.transcript, demand)
+    # A wrong-length copy is checked only where it is the one decode uses.
+    first, second = plant(caches, 1, {label: BitBlock.zeros(true.length + 1)})
+    assert scheme.decode(user, [first, second], result.transcript,
+                         demand) == expected
+    with pytest.raises(UsageError, match=re.escape("subfile (1, (2,)) has")):
+        scheme.decode(user, [second, first], result.transcript, demand)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decode_ignores_subfiles_of_no_file_or_index(kind):
+    scheme, result, user, caches, demand = decode_setup(kind)
+    sb = result.cfg.subfile_bits
+    junk = {(0, (2,)): BitBlock.zeros(sb),
+            (result.cfg.num_files + 1, (1,)): BitBlock.zeros(sb),
+            (1, (9,)): BitBlock.zeros(sb),
+            (1, (1, 2)): BitBlock.zeros(sb),
+            (2, (5,)): BitBlock.zeros(sb + 3)}
+    for cache_index in user:
+        planted = plant(caches, cache_index, junk)
+        assert scheme.decode(user, planted, result.transcript,
+                             demand) == result.expected[user]
+
+
 def test_deliver_validates_demands():
     cfg = config(SchemeKind.LFR, 3, 2, 1)
     scheme = Scheme(cfg)

@@ -199,3 +199,87 @@ def test_json_twin_carries_the_container_entries(kind, C, r, t, broadcast):
     assert delivery["broadcast_files"] == twin_entries(
         transcript.broadcast_files, ())
     assert bool(transcript.broadcast_files) == broadcast
+
+
+# The JSON document as the container's first rendering built it: a dict
+# handed to json.dumps.  Kept here as the reference any faster emitter
+# must match byte for byte.
+REFERENCE_CACHE_SECTIONS = (
+    ("subfiles", ("file", "T"), False),
+    ("key_shares", ("user", "T"), False),
+    ("whole_keys", ("S",), False),
+    ("coded_subkeys", ("S",), False),
+)
+REFERENCE_DELIVERY_SECTIONS = (
+    ("payloads", ("S",), False),
+    ("masked_demands", ("user",), True),
+    ("cleartext_demands", ("user",), True),
+    ("broadcast_files", (), False),
+)
+
+
+def reference_section(holder, name, fields, ints, num_files) -> list[dict]:
+    values = getattr(holder, name)
+    if not fields:
+        return [{"bits": b.length, "hex": b.to_bytes().hex()}
+                for b in values or ()]
+    out = []
+    for key, value in sorted(values.items()):
+        b = BitBlock(value, num_files) if ints else value
+        parts = key if len(fields) > 1 else (key,)
+        entry = {f: p if f == "file" else list(p)
+                 for f, p in zip(fields, parts)}
+        entry.update(bits=b.length, hex=b.to_bytes().hex())
+        out.append(entry)
+    return out
+
+
+def reference_json(result) -> str:
+    cfg, N = result.cfg, result.cfg.num_files
+    rate = result.transcript.rate
+    doc = {
+        "format": "maclfr-artifact",
+        "version": 1,
+        "config": {"scheme": cfg.kind.value, "C": cfg.topo.num_caches,
+                   "r": cfg.topo.access_degree, "t": cfg.topo.replication,
+                   "N": N, "F": cfg.file_bits, "seed": cfg.seed,
+                   "broadcast": cfg.broadcast},
+        "caches": [
+            {"index": cache.index,
+             **{s[0]: reference_section(cache, *s, N)
+                for s in REFERENCE_CACHE_SECTIONS}}
+            for cache in result.placement.caches],
+        "delivery": {
+            "rate": f"{rate.numerator}/{rate.denominator}",
+            **{s[0]: reference_section(result.transcript, *s, N)
+               for s in REFERENCE_DELIVERY_SECTIONS}},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Every kind plus p-lfr broadcast, at t = 0 (empty T lists), r = 1 and
+# two shapes in between: the golden presets cover none of these.
+BYTE_IDENTITY_CASES = [(kind, C, r, t, False) for kind in SchemeKind
+                       for C, r, t in ((3, 2, 1), (3, 3, 0), (4, 1, 2),
+                                       (5, 3, 1))]
+BYTE_IDENTITY_CASES += [(SchemeKind.P_LFR, C, r, t, True)
+                        for C, r, t in ((3, 2, 1), (3, 3, 0), (4, 1, 2),
+                                        (5, 3, 1))]
+
+
+@pytest.mark.parametrize("kind,C,r,t,broadcast", BYTE_IDENTITY_CASES)
+def test_json_matches_the_reference_document_byte_for_byte(kind, C, r, t,
+                                                          broadcast):
+    topo = TopologySpec(C, r, t)
+    # F off the subfile grid, so the last subfile carries padding bits.
+    cfg = SchemeConfig(topo, 3, 2 * topo.num_subfile_indices + 1, kind,
+                       seed=7, broadcast=broadcast)
+    result = simulate(cfg)
+    assert simulation_to_json(result) == reference_json(result)
+
+
+def test_json_matches_the_reference_document_at_ten_caches():
+    cfg = SchemeConfig(TopologySpec(10, 3, 3), 20, 1920, SchemeKind.SP_LFR,
+                       seed=3)
+    result = simulate(cfg)
+    assert simulation_to_json(result) == reference_json(result)
