@@ -383,6 +383,7 @@ class Scheme:
         self.kind = cfg.kind
         self._rank, self._slots, self._members = _indices(cfg.topo)
         self._inverses: dict[tuple[int, ...], tuple] = {}
+        self._images: dict[int, tuple] = {}  # by id, see _cache_image
 
     @cached_property
     def _weights(self) -> tuple[int, ...]:
@@ -538,7 +539,7 @@ class Scheme:
         sent = transcript.masked_demands if masks else transcript.cleartext_demands
         sb = self.cfg.subfile_bits
         piece = (1 << sb) - 1
-        images, lacking = self._reach(by_index.values())
+        images, lacking = self._reach(list(by_index.values()))
         # Combinations by coefficient vector, for this call only: another
         # user's vector recurs on every transmission the two share.
         combos: dict[int, int] = {}
@@ -579,30 +580,51 @@ class Scheme:
         bits = self.cfg.file_bits
         return BitBlock(value & ((1 << bits) - 1), bits)
 
-    def _reach(self, contents: Iterable[CacheContent]
+    def _reach(self, contents: Sequence[CacheContent]
                ) -> tuple[list[int], list[int]]:
         """The subfiles the caches hold, as one image per file (rank k at
         k * subfile_bits), and per rank the files they lack, one bit per
         file.  A later cache's copy wins, as in a merged store."""
-        store: dict[tuple[int, CacheSet], BitBlock] = {}
-        for content in contents:
-            store.update(content.subfiles)
-        sb = self.cfg.subfile_bits
-        n = self.cfg.num_files
-        rank = self._rank
-        images = [0] * n
-        held = [0] * len(rank)
-        for (i, T), block in store.items():
+        images = [0] * self.cfg.num_files
+        held = [0] * len(self._rank)
+        for n, content in enumerate(contents):
+            own, pieces, files, wrong = self._cache_image(content)
+            for key, message in wrong:
+                if all(key not in later.subfiles for later in contents[n + 1:]):
+                    raise UsageError(message)
+            images = [(a & ~p) | b for a, p, b in zip(images, pieces, own)]
+            held = [a | b for a, b in zip(held, files)]
+        every = (1 << self.cfg.num_files) - 1
+        return images, [every ^ h for h in held]
+
+    def _cache_image(self, content: CacheContent) -> tuple:
+        """One cache's subfiles: per file its image and the bits of the
+        pieces it holds, per rank the files it holds, and the entries of
+        the wrong length.  Entries of no file or index are left out.  Built
+        once per cache, whose stores are taken as fixed once placed, and
+        kept for the caches of one placement."""
+        kept = self._images.get(id(content))
+        if kept is not None:
+            return kept[1]
+        if len(self._images) >= self.topo.num_caches:
+            self._images.clear()
+        sb, n, rank = self.cfg.subfile_bits, self.cfg.num_files, self._rank
+        piece = (1 << sb) - 1
+        images, pieces, files, wrong = [0] * n, [0] * n, [0] * len(rank), []
+        for (i, T), block in content.subfiles.items():
             k = rank.get(T)
             if k is None or not 1 <= i <= n:
                 continue
             if block.length != sb:
-                raise UsageError(f"subfile ({i}, {T}) has {block.length} bits, "
-                                 f"expected {sb}")
+                wrong.append(((i, T), f"subfile ({i}, {T}) has {block.length} "
+                                      f"bits, expected {sb}"))
+                continue
             images[i - 1] |= block.value << (k * sb)
-            held[k] |= 1 << (i - 1)
-        every = (1 << n) - 1
-        return images, [every ^ h for h in held]
+            pieces[i - 1] |= piece << (k * sb)
+            files[k] |= 1 << (i - 1)
+        # Kept with the content, so that its id is not reused meanwhile.
+        self._images[id(content)] = (content, (images, pieces, files, wrong))
+        return images, pieces, files, wrong
 
     def _resolve_demand(self, user, transcript, demand) -> DemandVector:
         if self.kind.masks_demands:

@@ -63,13 +63,12 @@ class SimulationArtifact:
 
 def _items(holder, name: str, fields: tuple[str, ...], ints: bool,
            num_files: int) -> list:
-    """One section's (key, block) entries in file order."""
+    """One section's entries in file order, as (key fields, block)."""
     values = getattr(holder, name)
     if not fields:
-        return [(None, b) for b in values or ()]
-    if ints:
-        return [(k, BitBlock(v, num_files)) for k, v in sorted(values.items())]
-    return sorted(values.items())
+        return [((), b) for b in values or ()]
+    return [(k if len(fields) > 1 else (k,), BitBlock(v, num_files) if ints else v)
+            for k, v in sorted(values.items())]
 
 
 # ---- binary container ----
@@ -79,29 +78,23 @@ _U32 = struct.Struct("<I").pack
 _U64 = struct.Struct("<Q").pack
 
 
-def _subset_bytes(s: CacheSet) -> bytes:
-    return struct.pack("<B%dH" % len(s), len(s), *s)
+def _subset_bytes(s: CacheSet, memo: dict[CacheSet, bytes]) -> bytes:
+    """A cache subset's key bytes, packed once per subset of an artifact."""
+    packed = memo.get(s)
+    if packed is None:
+        packed = memo[s] = struct.pack("<B%dH" % len(s), len(s), *s)
+    return packed
 
 
-def _key_bytes(fields: tuple[str, ...]):
-    packs = [_U32 if f == "file" else _subset_bytes for f in fields]
-    if not packs:
-        return lambda key: b""
-    if len(packs) == 1:
-        return packs[0]
-    first, second = packs
-    return lambda key: first(key[0]) + second(key[1])
-
-
-_KEY_BYTES = {name: _key_bytes(fields) for name, fields, _ in SECTIONS}
-
-
-def _write(parts: list[bytes], holder, name, fields, ints, num_files) -> None:
+def _write(parts: list[bytes], holder, name, fields, ints, num_files,
+           subsets: dict[CacheSet, bytes]) -> None:
     items = _items(holder, name, fields, ints, num_files)
-    key_bytes = _KEY_BYTES[name]
     parts.append(_U32(len(items)))
     for key, b in items:
-        parts.append(key_bytes(key) + _U64(b.length) + b.to_bytes())
+        for f, part in zip(fields, key):
+            parts.append(_U32(part) if f == "file"
+                         else _subset_bytes(part, subsets))
+        parts.append(_U64(b.length) + b.to_bytes())
 
 
 class _Reader:
@@ -153,12 +146,13 @@ def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
                          topo.access_degree, topo.replication,
                          cfg.num_files, cfg.file_bits, cfg.seed),
              _U16(len(caches))]
+    subsets: dict[CacheSet, bytes] = {}
     for cache in caches:
         parts.append(_U16(cache.index))
         for section in _CACHE_SECTIONS:
-            _write(parts, cache, *section, cfg.num_files)
+            _write(parts, cache, *section, cfg.num_files, subsets)
     for section in _DELIVERY_SECTIONS:
-        _write(parts, transcript, *section, cfg.num_files)
+        _write(parts, transcript, *section, cfg.num_files, subsets)
     return b"".join(parts)
 
 
@@ -200,50 +194,72 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
 
 
 # ---- JSON rendering ----
+#
+# The text json.dumps(doc, indent=2, sort_keys=True) gives for the artifact
+# document, written without building the document: json's C encoder takes
+# no indent, and the pure-Python one walks every entry's dict.  Each value
+# is rendered at its indent, pad; each section's entries fill one template.
 
-def _json_section(holder, name, fields, ints, num_files) -> list[dict]:
-    items = _items(holder, name, fields, ints, num_files)
-    if not fields:
-        return [{"bits": b.length, "hex": b.to_bytes().hex()}
-                for _, b in items]
-    if len(fields) == 1:
-        (f,) = fields
-        return [{f: list(k), "bits": b.length, "hex": b.to_bytes().hex()}
-                for k, b in items]
-    f0, f1 = fields
-    first = int if f0 == "file" else list
-    return [{f0: first(k0), f1: list(k1), "bits": b.length,
-             "hex": b.to_bytes().hex()}
-            for (k0, k1), b in items]
+def _json_list(rows: Sequence[str], pad: str, brackets: str = "[]") -> str:
+    if not rows:
+        return brackets
+    inner = "\n" + pad + "  "
+    return (brackets[0] + inner + ("," + inner).join(rows) + "\n" + pad
+            + brackets[1])
+
+
+def _json_object(members: dict[str, str], pad: str) -> str:
+    return _json_list([f'"{k}": {v}' for k, v in sorted(members.items())],
+                      pad, "{}")
+
+
+def _json_section(holder, name, fields, ints, num_files, pad,
+                  subsets: dict[tuple[CacheSet, str], str]) -> str:
+    """One section's entries; subsets holds each cache subset's list as
+    rendered at an indent, once per subset and indent."""
+    row_pad = pad + "  "
+    field_pad = row_pad + "  "
+    template = _json_object({f: f"%({f})s" for f in fields + ("bits", "hex")},
+                            row_pad)
+    rows = []
+    for key, b in _items(holder, name, fields, ints, num_files):
+        values = {"bits": b.length, "hex": '"' + b.to_bytes().hex() + '"'}
+        for f, part in zip(fields, key):
+            if f != "file":
+                text = subsets.get((part, field_pad))
+                if text is None:
+                    text = subsets[(part, field_pad)] = _json_list(
+                        [str(c) for c in part], field_pad)
+                part = text
+            values[f] = part
+        rows.append(template % values)
+    return _json_list(rows, pad)
 
 
 def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
                      transcript: DeliveryTranscript) -> str:
     N = cfg.num_files
     rate = transcript.rate
-    doc = {
-        "format": "maclfr-artifact",
-        "version": VERSION,
-        "config": {
-            "scheme": cfg.kind.value,
-            "C": cfg.topo.num_caches,
-            "r": cfg.topo.access_degree,
-            "t": cfg.topo.replication,
-            "N": N,
-            "F": cfg.file_bits,
-            "seed": cfg.seed,
-            "broadcast": cfg.broadcast,
-        },
-        "caches": [
-            {"index": cache.index,
-             **{s[0]: _json_section(cache, *s, N) for s in _CACHE_SECTIONS}}
-            for cache in caches],
-        "delivery": {
-            "rate": f"{rate.numerator}/{rate.denominator}",
-            **{s[0]: _json_section(transcript, *s, N)
-               for s in _DELIVERY_SECTIONS}},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    subsets: dict[tuple[CacheSet, str], str] = {}
+    config = {"scheme": cfg.kind.value, "C": cfg.topo.num_caches,
+              "r": cfg.topo.access_degree, "t": cfg.topo.replication,
+              "N": N, "F": cfg.file_bits, "seed": cfg.seed,
+              "broadcast": cfg.broadcast}
+    caches_text = _json_list([_json_object({
+        "index": str(cache.index),
+        **{s[0]: _json_section(cache, *s, N, " " * 6, subsets)
+           for s in _CACHE_SECTIONS}}, " " * 4) for cache in caches], "  ")
+    delivery = _json_object({
+        "rate": f'"{rate.numerator}/{rate.denominator}"',
+        **{s[0]: _json_section(transcript, *s, N, " " * 4, subsets)
+           for s in _DELIVERY_SECTIONS}}, "  ")
+    return _json_object({
+        "format": '"maclfr-artifact"',
+        "version": str(VERSION),
+        "config": _json_object({k: json.dumps(v) for k, v in config.items()},
+                               "  "),
+        "caches": caches_text,
+        "delivery": delivery}, "") + "\n"
 
 
 def simulation_to_bytes(result: SimulationResult) -> bytes:
