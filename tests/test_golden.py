@@ -3,7 +3,8 @@
 Reruns agreeing with each other say nothing about whether a change kept
 the bytes; these constants do.  They cover the transcript container and
 its JSON twin for the three worked presets under every kind and seeds
-0-2 (plus p-lfr in broadcast mode), the ``verify`` reports of the cheap
+0-2 (plus p-lfr in broadcast mode) and for every kind at r = 1, at r = 4
+and at engine-c10's C = 10 shape, the ``verify`` reports of the cheap
 suites and of three security instances (two of them also by forced
 enumeration), the privacy control by forced enumeration, and the figure
 presets' ``curves.csv``.  A change that alters any of them changes what a
@@ -25,7 +26,8 @@ import pytest
 
 from maclfr.cli import main
 from maclfr.presets import WORKED_CONFIGURATIONS
-from maclfr.schemes import SchemeKind, simulate
+from maclfr.schemes import SchemeConfig, SchemeKind, simulate
+from maclfr.topology import TopologySpec
 from maclfr.transcript import simulation_to_bytes, simulation_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +258,61 @@ TRANSCRIPT_JSON = {
         "4e00145801a5dcece7ea99ca67190358c0123c4483054b093262410012b6449d",
 }
 
+# Rounds off the presets, each kind under its random demands ->
+# (transcript.bin, transcript.json) digests, keyed "<C>-<r>-<t>/<kind>/<seed>".
+# r = 1 (C=4 t=2, N=3, F=31) keeps one whole share per slot; r = 4 (C=5
+# t=1, N=3, F=22) has 5-bit subfiles in 6-bit share blocks of 3-bit symbols,
+# so every share carries tail padding; and engine-c10's shape (C=10 r=3 t=3,
+# N=20, F=1920) at seed 1.
+OFF_PRESET_SHAPES = {"4-1-2": (3, 31), "5-4-1": (3, 22), "10-3-3": (20, 1920)}
+OFF_PRESET_ROUNDS = {
+    "4-1-2/sp-lfr/0": (
+        "4e96deb99dd686e01baa08abe52d9f821dd98716feba0df876843069a10bfac8",
+        "9f124f84fda5df84da6e5a4a67f25eec41b830c649c0d2d30df56bb3e1914432"),
+    "4-1-2/p-lfr/0": (
+        "93cbc4ec61faa98dcb4f1496af90880c53ca973eca4c1c795d5dae30997577c2",
+        "42054a4616e1af62d7fc287c099708666861547c51acd47219b6515305f1fd87"),
+    "4-1-2/s-lfr/0": (
+        "0a8dc53879f8e9c06e2d53729a79e0c7208efc74d1fa9b6fc82fe9630c407353",
+        "a5e5a656d4803afc5291141f9a8289f07cca43ced0cd43e786ea1938b49fff31"),
+    "4-1-2/is-lfr/0": (
+        "abd2d80566aec8c5d50a593b8e22be171e3dad0df5f2227d906a2444c4f094d8",
+        "925e08ed61bc74e33d9b9a5433c1affeb864263312b5bea3298b4dbe3d2c197c"),
+    "4-1-2/lfr/0": (
+        "3943aa4f92b5517246e1085baf8dc25382d12fd7cd4ecf65f1ab7975ab782fd2",
+        "8aef58558690f48fc0c5e5fb6e6bf9ca96c78c1929f98a87563bea815e09bad4"),
+    "5-4-1/sp-lfr/0": (
+        "072b9e6077cc7896a1f6c6c67eeb859ab0fadec48301a17f3ee3e302ef827a2c",
+        "11c9a2f9ef5cdc9c26019638fa6af94b043a541347c222604390034abefab925"),
+    "5-4-1/p-lfr/0": (
+        "31e6d037463218146cc077d38e8ad59c786b05424b8fc686c9d9f9e7df213f63",
+        "934364f064d7a8e2a3f8387d468fd8bef88ee40378786f1dacf5fdd3e56bfcc8"),
+    "5-4-1/s-lfr/0": (
+        "efe072fa24f0de1ed2585940eedc977f0fafa0fcfc3a7e87c306bd3b84b56c5b",
+        "a027a61f0b693de4091450bdcc7aa2df2814ee19ee2122c02e4c8dee76360d21"),
+    "5-4-1/is-lfr/0": (
+        "b3a0853fd0fb8a5023060bbfc4f9fb773386b0227c1a1707c777dd52556b29f4",
+        "3bd35e46dd679d8a2795d64f9894f2905da85a85a05493e9819b6afb4576cf8a"),
+    "5-4-1/lfr/0": (
+        "ade75eb39639be30dcbcb64cc23c80d1b224d67cc8862a8e0c6c26c9984de65b",
+        "698e7a06b522a7bd2b1fe50f3697816b322631f1fb5702c4e70e2c6fb56553c3"),
+    "10-3-3/sp-lfr/1": (
+        "8f1e784655447ad8de8c6eea608c74433c77695d09931bf0f1ed32f078b52163",
+        "79f9d696766294c176f5800ab79c82535aa9552f11cc4b3c018e3aa9263107d6"),
+    "10-3-3/p-lfr/1": (
+        "5a1ae37a0a8c430741d8d1ce110133bc26cf7a49a4670afd4ae4aa03b4cbbd50",
+        "a1d989472845cc397b0d2c67e2e3041d6599ba142614720bb352cdb347a0fb68"),
+    "10-3-3/s-lfr/1": (
+        "0f3e23f6dc83d1fd2f6635385e91943cef22d2fded59cf6314e83856f895eeb7",
+        "2e12195ebb4a51a922eae461267e604530d2497d55a718f2ce09478af0ae7d8c"),
+    "10-3-3/is-lfr/1": (
+        "31763708b4061a0985d8cefe5d974bd7ea9a8de932099634bf5c0b6f10ecf5d0",
+        "673db9bfd6783eb5797d27af9939f294cf2847468072c296832e23ba9a92a3e3"),
+    "10-3-3/lfr/1": (
+        "3f7373562a862f0ce5c1b063abdff404c3aec042a7b9202bf43758d2850cb76b",
+        "42801d0992efbe56e42dc5be0da216ae3f56031b7d4e7c4ee1ae939deffac850"),
+}
+
 # `maclfr verify --suite <suite> --seed 0` -> digest of report.json.
 REPORTS = {
     "correctness":
@@ -338,6 +395,19 @@ def test_simulation_artifacts_match_golden_digests(preset, variant):
         assert sha256(simulation_to_json(result)) == TRANSCRIPT_JSON[key], key
 
 
+@pytest.mark.parametrize("key", sorted(OFF_PRESET_ROUNDS))
+def test_off_preset_artifacts_match_golden_digests(key):
+    shape, kind, seed = key.split("/")
+    num_files, file_bits = OFF_PRESET_SHAPES[shape]
+    topo = TopologySpec(*map(int, shape.split("-")))
+    cfg = SchemeConfig(topo, num_files, file_bits, SchemeKind(kind),
+                       seed=int(seed))
+    result = simulate(cfg)
+    assert result.ok
+    assert (sha256(simulation_to_bytes(result)),
+            sha256(simulation_to_json(result))) == OFF_PRESET_ROUNDS[key]
+
+
 @pytest.mark.parametrize("suite", sorted(REPORTS))
 def test_verify_report_matches_golden_digest(suite, tmp_path):
     assert quiet_main("verify", "--suite", suite, "--seed", "0",
@@ -380,17 +450,25 @@ def test_figure_curves_match_golden_digest(figure, tmp_path):
     assert sha256((tmp_path / "curves.csv").read_bytes()) == CURVES[figure]
 
 
-@pytest.mark.parametrize("kind", [k.value for k in SchemeKind])
-def test_simulate_under_python_optimize_matches_golden_digest(kind, tmp_path):
+# pairs-of-three keeps its ids; triples-of-five (r = 3) adds its own.
+OPTIMIZE_RUNS = [pytest.param(preset, k.value, id=prefix + k.value)
+                 for preset, prefix in (("pairs-of-three", ""),
+                                        ("triples-of-five", "triples-of-five-"))
+                 for k in SchemeKind]
+
+
+@pytest.mark.parametrize("preset,kind", OPTIMIZE_RUNS)
+def test_simulate_under_python_optimize_matches_golden_digest(preset, kind,
+                                                              tmp_path):
     # -O strips assert statements: a check that only an assert made would
     # vanish here, and the artifact or the exit code would show it.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("MACLFR_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "maclfr.cli", "simulate",
-         "--preset", "pairs-of-three", "--scheme", kind, "--seed", "0",
+         "--preset", preset, "--scheme", kind, "--seed", "0",
          "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     digest = sha256((tmp_path / "transcript.bin").read_bytes())
-    assert digest == TRANSCRIPT_BIN[f"pairs-of-three/{kind}/0"]
+    assert digest == TRANSCRIPT_BIN[f"{preset}/{kind}/0"]

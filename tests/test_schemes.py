@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -62,6 +62,15 @@ def config(kind: SchemeKind, C: int, r: int, t: int, N: int = 3,
 def test_every_user_decodes_its_combination(kind, C, r, t):
     for seed in (0, 1):
         result = simulate(config(kind, C, r, t, seed=seed))
+        assert result.ok, (kind, C, r, t, seed)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t,F", ((4, 1, 2, 31), (5, 4, 1, 22)))
+def test_every_user_decodes_at_one_and_four_caches_per_user(kind, C, r, t, F):
+    # F = 22 at (5, 4, 1) gives 5-bit subfiles in 6-bit share blocks.
+    for seed in (0, 1):
+        result = simulate(config(kind, C, r, t, F=F, seed=seed))
         assert result.ok, (kind, C, r, t, seed)
 
 
@@ -433,10 +442,10 @@ def test_decode_reports_the_wrong_caches():
         scheme.decode((1, 2, 3), caches, result.transcript, demand)
 
 
-def plant(caches, cache_index, entries):
+def plant(caches, cache_index, entries, field="subfiles"):
     """The caches with entries added to, or replaced in, one cache's
-    subfiles."""
-    return [replace(content, subfiles={**content.subfiles, **entries})
+    store (its subfiles unless another field is named)."""
+    return [replace(content, **{field: {**getattr(content, field), **entries}})
             if content.index == cache_index else content
             for content in caches]
 
@@ -478,6 +487,122 @@ def test_decode_ignores_subfiles_of_no_file_or_index(kind):
         planted = plant(caches, cache_index, junk)
         assert scheme.decode(user, planted, result.transcript,
                              demand) == result.expected[user]
+
+
+def key_fault_setup(kind: SchemeKind):
+    """decode_setup's round and a decode call of user (1, 2), whose
+    missing pieces are indexed (3,) and (4,), on payloads (1, 2, 3) and
+    (1, 2, 4)."""
+    scheme, result, user, caches, demand = decode_setup(kind)
+
+    def decode(held, transcript=result.transcript):
+        return scheme.decode(user, held, transcript, demand)
+    return result, caches, decode
+
+
+@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
+def test_decode_raises_key_share_faults_at_their_index(kind):
+    result, caches, decode = key_fault_setup(kind)
+    bits = result.cfg.share_block_bits
+    early, late = ((1, 2), (3,)), ((1, 2), (4,))
+    wide = BitBlock.zeros(bits + 1)
+    wrong_length = re.escape(f"share block of {bits + 1} bits, expected {bits}")
+    long_late = plant(caches, 2, {late: wide}, "key_shares")
+    with pytest.raises(DomainError, match=wrong_length):
+        decode(long_late)
+    # A fault at the earlier index is raised first, whatever its kind.
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"cache 1 lacks the key material for {early}")):
+        decode(strip(long_late, 1, "key_shares", early))
+    with pytest.raises(DomainError, match=wrong_length):
+        decode(strip(plant(caches, 1, {early: wide}, "key_shares"),
+                     2, "key_shares", late))
+    # At one index the payload comes first, then a share missing from any
+    # cache, then a share of the wrong length.
+    payloads = dict(result.transcript.payloads)
+    del payloads[(1, 2, 4)]
+    with pytest.raises(IntegrityError, match=re.escape(
+            "transcript lacks the payload for (1, 2, 4)")):
+        decode(long_late, replace(result.transcript, payloads=payloads))
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"cache 2 lacks the key material for {late}")):
+        decode(strip(plant(caches, 1, {late: wide}, "key_shares"),
+                     2, "key_shares", late))
+
+
+@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
+def test_decode_ignores_shares_filed_under_other_labels(kind):
+    result, caches, decode = key_fault_setup(kind)
+    bits = result.cfg.share_block_bits
+    junk = {((1, 3), (2,)): BitBlock((1 << bits) - 1, bits),
+            ((1, 3), (4,)): BitBlock.zeros(bits + 2),
+            ((3, 4), (1,)): BitBlock.zeros(bits),
+            ((2, 3), (4,)): BitBlock.zeros(bits + 1),
+            ((1, 2), (1,)): BitBlock.zeros(bits + 1),
+            ((1, 2), (9,)): BitBlock.zeros(bits)}
+    for cache_index in (1, 2):
+        planted = plant(caches, cache_index, junk, "key_shares")
+        assert decode(planted) == result.expected[(1, 2)]
+
+
+def test_decode_raises_coded_block_faults_at_their_index():
+    result, caches, decode = key_fault_setup(SchemeKind.IS_LFR)
+    bits = caches[1].coded_subkeys[(1, 2, 4)].length
+    long_late = plant(caches, 2, {(1, 2, 4): BitBlock.zeros(bits + 1)},
+                      "coded_subkeys")
+    with pytest.raises(DomainError, match=re.escape(
+            f"block at 2 has {bits + 1} bits, expected {bits}")):
+        decode(long_late)
+    with pytest.raises(IntegrityError, match=re.escape(
+            "cache 1 lacks the key material for (1, 2, 3)")):
+        decode(strip(long_late, 1, "coded_subkeys", (1, 2, 3)))
+
+
+def test_decode_raises_whole_key_faults_at_their_index():
+    result, caches, decode = key_fault_setup(SchemeKind.S_LFR)
+    sb = result.cfg.subfile_bits
+    long_late = plant(caches, 1, {(1, 2, 4): BitBlock.zeros(sb + 1)},
+                      "whole_keys")
+    with pytest.raises(UsageError, match=re.escape(
+            f"key of payload (1, 2, 4) has {sb + 1} bits, expected {sb}")):
+        decode(long_late)
+    with pytest.raises(IntegrityError, match=re.escape(
+            "cache 1 lacks the key material for (1, 2, 3)")):
+        decode(strip(long_late, 1, "whole_keys", (1, 2, 3)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t", ((4, 2, 1), (5, 3, 1), (5, 4, 1)))
+def test_decode_is_the_same_for_the_caches_in_any_order(kind, C, r, t):
+    # The shares' Lagrange weights differ at r = 2 and r = 4, so a cache
+    # weighted by its place in the list, not its share index, would show.
+    result = simulate(config(kind, C, r, t))
+    scheme = Scheme(result.cfg)
+    for g, demand in zip(result.cfg.topo.users(), result.demands):
+        held = [result.placement.caches[c - 1] for c in g]
+        for order in permutations(held):
+            assert scheme.decode(g, list(order), result.transcript,
+                                 demand) == result.expected[g], (g, order)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_scheme_decodes_placements_in_turn(kind):
+    # Whatever decode keeps per cache must not carry over to another
+    # placement, whether the placements alternate by round or by user.
+    rounds = [simulate(config(kind, 4, 2, 1, seed=seed)) for seed in (0, 1)]
+    assert rounds[0].placement.caches != rounds[1].placement.caches
+    scheme = Scheme(rounds[0].cfg)
+
+    def check(result, g, demand):
+        held = [result.placement.caches[c - 1] for c in g]
+        assert scheme.decode(g, held, result.transcript,
+                             demand) == result.expected[g]
+    for result in (rounds[0], rounds[1], rounds[0]):
+        for g, demand in zip(result.cfg.topo.users(), result.demands):
+            check(result, g, demand)
+    for n, g in enumerate(rounds[0].cfg.topo.users()):
+        for result in (rounds[0], rounds[1], rounds[0]):
+            check(result, g, result.demands[n])
 
 
 def test_deliver_validates_demands():
