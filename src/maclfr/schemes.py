@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
@@ -133,26 +133,29 @@ def derive_rng(seed: int, purpose: str) -> random.Random:
 # ---- per-topology index lists ----
 
 @functools.lru_cache(maxsize=None)
-def _indices(topo: TopologySpec) -> tuple[Mapping, Mapping, Mapping]:
+def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
     """The index lists every round walks, built once per topology.
 
-    rank maps each subfile index T to its position in lex order.  slots
-    maps (g, T), for every user g and subfile index T it does not reach,
-    lex in (g, T), to the rank of T and the transmission S = g + T that
-    carries g's piece T.  members maps each transmission S, in lex order,
-    to the triples (g, S minus g, its rank) of the users g inside S.
+    rank maps each subfile index T to its position in lex order.  rows
+    maps each user g to the subfile indices it does not reach, in lex
+    order: its slots, whose keys sit side by side in one row.  slots maps
+    (g, T), lex in (g, T), to the rank of T, the transmission S = g + T
+    that carries g's piece T, and T's place in g's row.  members maps each
+    transmission S, in lex order, to the triples (g, S minus g, its rank)
+    of the users g inside S.
     """
     rank = {T: k for k, T in enumerate(topo.subfile_indices())}
-    slots = {(g, T): (rank[T], tuple(sorted(g + T)))
-             for g in topo.users() for T in topo.subfile_indices()
-             if not set(g) & set(T)}
+    rows = {g: tuple(T for T in rank if not set(g) & set(T))
+            for g in topo.users()}
+    slots = {(g, T): (rank[T], tuple(sorted(g + T)), p)
+             for g, row in rows.items() for p, T in enumerate(row)}
     members = {}
     for S in topo.transmission_indices():
         rests = [(g, tuple(c for c in S if c not in g))
                  for g in combinations(S, topo.access_degree)]
         members[S] = tuple((g, rest, rank[rest]) for g, rest in rests)
     return (MappingProxyType(rank), MappingProxyType(slots),
-            MappingProxyType(members))
+            MappingProxyType(members), MappingProxyType(rows))
 
 
 def _combination(images: Sequence[int], coeffs: int) -> int:
@@ -368,20 +371,37 @@ class SimulationResult:
 
 # ---- the engine ----
 
+class _CacheImage(NamedTuple):
+    """One cache's stores as decode reads them (Scheme._cache_image)."""
+
+    images: list[int]  # per file, the piece of rank k at k * subfile_bits
+    pieces: list[int]  # per file, the bits of the pieces held
+    files: list[int]  # per rank, the files held, one bit per file
+    wrong: list[tuple]  # (label, message) per subfile of the wrong length
+    full: tuple[int, ...]  # the ranks at which every file is held
+    partial: tuple[int, ...]  # the ranks at which some but not all are
+    combos: dict[int, int]  # combinations of images, by coefficient vector
+    key_rows: dict  # per user, (its share row, its slots held in the row)
+
+
 class Scheme:
     """Placement, delivery and decoding for every kind of a config.
 
     The arithmetic runs on plain ints: a file's subfiles sit side by side
     in one int, the subfile of rank k at bit k * subfile_bits, so one XOR
-    combines a subfile index's worth of every file at once.  BitBlocks
-    appear only where blocks enter and leave.
+    combines a subfile index's worth of every file at once.  Key shares go
+    by user, not by slot: a user's superposed keys sit side by side in one
+    row, slot p at bit p * share_block_bits, so one split places them all
+    and one reconstruct recovers them.  Decode reads the other users'
+    combinations from a memo per cache, shared by every user of the cache.
+    BitBlocks appear only where blocks enter and leave.
     """
 
     def __init__(self, cfg: SchemeConfig):
         self.cfg = cfg
         self.topo = cfg.topo
         self.kind = cfg.kind
-        self._rank, self._slots, self._members = _indices(cfg.topo)
+        self._rank, self._slots, self._members, self._rows = _indices(cfg.topo)
         self._inverses: dict[tuple[int, ...], tuple] = {}
         self._images: dict[int, tuple] = {}  # by id, see _cache_image
 
@@ -449,20 +469,34 @@ class Scheme:
         if kind.masks_demands and not cfg.broadcast:
             field = cfg.key_field
             r = self.topo.access_degree
-            sb = table.subfile_bits
-            piece = (1 << sb) - 1
+            sb, wb = table.subfile_bits, cfg.share_block_bits
+            piece, block = (1 << sb) - 1, (1 << wb) - 1
             masked = {g: _combination(table.images, mask)
                       for g, mask in randomness.mask_vectors.items()}
-            for (g, T), (k, S) in self._slots.items():
-                # The g-mask combination of subfile index T, on the key.
-                key = BitBlock(_sized(keys[S], sb, "payload key", S)
-                               ^ ((masked[g] >> (k * sb)) & piece), sb)
-                superposed[(g, T)] = key
-                shares = split(key, r, field,
-                               coefficients=randomness.share_coefficients[(g, T)])
+            for g, row_indices in self._rows.items():
+                # One split per user: its slot keys side by side, slot p at
+                # bit p * wb, and their coefficient planes likewise.
+                row, planes = 0, [0] * (r - 1)
+                for p, T in enumerate(row_indices):
+                    k, S, _ = self._slots[(g, T)]
+                    # The g-mask combination of subfile index T, on the key.
+                    key = BitBlock(_sized(keys[S], sb, "payload key", S)
+                                   ^ ((masked[g] >> (k * sb)) & piece), sb)
+                    superposed[(g, T)] = key
+                    coefficients = randomness.share_coefficients[(g, T)]
+                    if len(coefficients) != r - 1 or any(
+                            c >> wb for c in coefficients):
+                        split(key, r, field, coefficients=coefficients)  # raises
+                    row |= key.value << (p * wb)
+                    planes = [a | c << (p * wb)
+                              for a, c in zip(planes, coefficients)]
+                shares = split(BitBlock(row, len(row_indices) * wb), r, field,
+                               coefficients=planes).shares
                 for c in g:
-                    j = share_index_of_cache(g, c)
-                    key_shares[c - 1][(g, T)] = shares.share_block(j)
+                    share = shares[share_index_of_cache(g, c) - 1]
+                    held = key_shares[c - 1]
+                    for p, T in enumerate(row_indices):
+                        held[(g, T)] = BitBlock((share >> (p * wb)) & block, wb)
         elif kind.stores_keys_whole:
             for S in self.topo.transmission_indices():
                 for c in S:
@@ -537,12 +571,10 @@ class Scheme:
                                       FileLibrary(transcript.broadcast_files))
         masks = self.kind.masks_demands
         sent = transcript.masked_demands if masks else transcript.cleartext_demands
-        sb = self.cfg.subfile_bits
+        sb, wb = self.cfg.subfile_bits, self.cfg.share_block_bits
         piece = (1 << sb) - 1
-        images, lacking = self._reach(list(by_index.values()))
-        # Combinations by coefficient vector, for this call only: another
-        # user's vector recurs on every transmission the two share.
-        combos: dict[int, int] = {}
+        images, lacking, sources = self._reach(list(by_index.values()))
+        row, good = self._key_row(user, by_index) if masks else (0, 0)
         own = demand.coeffs
         value = 0
         reached = 0  # the bits of the pieces the user's caches hold
@@ -554,14 +586,18 @@ class Scheme:
                 reached |= piece << (k * sb)
                 continue
             # payload ^ key ^ the other users' combinations leaves the piece.
-            S = slot[1]
+            _, S, p = slot
             payload = transcript.payloads.get(S)
             if payload is None:
                 raise IntegrityError(f"transcript lacks the payload for {S}")
-            key = self._user_key(user, by_index, S, T)
-            acc = _sized(payload, sb, "payload", S)
-            if key is not None:
-                acc ^= _sized(key, sb, "key of payload", S)
+            if (good >> p) & 1:  # the key from the user's reconstructed row
+                acc = _sized(payload, sb, "payload", S) ^ (row >> (p * wb)
+                                                           & piece)
+            else:  # slot by slot, which raises where key material is at fault
+                key = self._user_key(user, by_index, S, T)
+                acc = _sized(payload, sb, "payload", S)
+                if key is not None:
+                    acc ^= _sized(key, sb, "key of payload", S)
             for other, rest, j in self._members[S]:
                 if other == user:
                     continue
@@ -571,9 +607,10 @@ class Scheme:
                     raise IntegrityError(f"transcript lacks the {what} of {other}")
                 if coeffs & lacking[j]:
                     _unreachable(coeffs & lacking[j], rest)
+                held, combos = sources[j]
                 combo = combos.get(coeffs)
                 if combo is None:
-                    combo = combos[coeffs] = _combination(images, coeffs)
+                    combo = combos[coeffs] = _combination(held, coeffs)
                 acc ^= (combo >> (j * sb)) & piece
             value |= acc << (k * sb)
         value |= _combination(images, own) & reached
@@ -581,28 +618,38 @@ class Scheme:
         return BitBlock(value & ((1 << bits) - 1), bits)
 
     def _reach(self, contents: Sequence[CacheContent]
-               ) -> tuple[list[int], list[int]]:
+               ) -> tuple[list[int], list[int], list[tuple]]:
         """The subfiles the caches hold, as one image per file (rank k at
-        k * subfile_bits), and per rank the files they lack, one bit per
-        file.  A later cache's copy wins, as in a merged store."""
+        k * subfile_bits), per rank the files they lack, one bit per file,
+        and per rank the (images, combinations) that hold its pieces.  A
+        later cache's copy wins, as in a merged store, so a rank's pieces
+        come from the last cache holding any file there if it holds every
+        file there, and from the merged images otherwise."""
         images = [0] * self.cfg.num_files
         held = [0] * len(self._rank)
-        for n, content in enumerate(contents):
-            own, pieces, files, wrong = self._cache_image(content)
-            for key, message in wrong:
+        cached = [self._cache_image(content) for content in contents]
+        for n, image in enumerate(cached):
+            for key, message in image.wrong:
                 if all(key not in later.subfiles for later in contents[n + 1:]):
                     raise UsageError(message)
-            images = [(a & ~p) | b for a, p, b in zip(images, pieces, own)]
-            held = [a | b for a, b in zip(held, files)]
+            images = [(a & ~p) | b
+                      for a, p, b in zip(images, image.pieces, image.images)]
+            held = [a | b for a, b in zip(held, image.files)]
+        merged = (images, {})
+        sources = [merged] * len(self._rank)
+        for image in cached:
+            for k in image.full:
+                sources[k] = (image.images, image.combos)
+            for k in image.partial:
+                sources[k] = merged
         every = (1 << self.cfg.num_files) - 1
-        return images, [every ^ h for h in held]
+        return images, [every ^ h for h in held], sources
 
-    def _cache_image(self, content: CacheContent) -> tuple:
-        """One cache's subfiles: per file its image and the bits of the
-        pieces it holds, per rank the files it holds, and the entries of
-        the wrong length.  Entries of no file or index are left out.  Built
-        once per cache, whose stores are taken as fixed once placed, and
-        kept for the caches of one placement."""
+    def _cache_image(self, content: CacheContent) -> _CacheImage:
+        """One cache's stores as decode reads them.  Subfiles and key
+        shares of no file, index or slot of a user of the cache are left
+        out.  Built once per cache, whose stores are taken as fixed once
+        placed, and kept for the caches of one placement."""
         kept = self._images.get(id(content))
         if kept is not None:
             return kept[1]
@@ -622,9 +669,38 @@ class Scheme:
             images[i - 1] |= block.value << (k * sb)
             pieces[i - 1] |= piece << (k * sb)
             files[k] |= 1 << (i - 1)
+        key_rows: dict[CacheSet, tuple[int, int]] = {}
+        wb = self.cfg.share_block_bits
+        for label, block in content.key_shares.items():
+            slot = self._slots.get(label)
+            if slot is None or content.index not in label[0] or block.length != wb:
+                continue
+            row, held = key_rows.get(label[0], (0, 0))
+            key_rows[label[0]] = (row | block.value << (slot[2] * wb),
+                                  held | 1 << slot[2])
+        every = (1 << n) - 1
+        image = _CacheImage(
+            images, pieces, files, wrong,
+            tuple(k for k, f in enumerate(files) if f == every),
+            tuple(k for k, f in enumerate(files) if 0 < f < every), {}, key_rows)
         # Kept with the content, so that its id is not reused meanwhile.
-        self._images[id(content)] = (content, (images, pieces, files, wrong))
-        return images, pieces, files, wrong
+        self._images[id(content)] = (content, image)
+        return image
+
+    def _key_row(self, user: CacheSet, by_index: Mapping[int, CacheContent]
+                 ) -> tuple[int, int]:
+        """The user's keys, side by side as in its row, reconstructed at
+        once from its caches' share rows, each weighted by its share index;
+        and the bits of the slots whose share every cache holds at the
+        right length."""
+        width = len(self._rows[user]) * self.cfg.share_block_bits
+        good, blocks = -1, []
+        for c in user:
+            row, held = self._cache_image(by_index[c]).key_rows.get(user, (0, 0))
+            good &= held
+            blocks.append(BitBlock(row, width))
+        shares = share_set_from_blocks(blocks, self.cfg.key_field, width)
+        return reconstruct(shares, self._weights).value, good
 
     def _resolve_demand(self, user, transcript, demand) -> DemandVector:
         if self.kind.masks_demands:
