@@ -138,11 +138,11 @@ def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
 
     rank maps each subfile index T to its position in lex order.  rows
     maps each user g to the subfile indices it does not reach, in lex
-    order: its slots, whose keys sit side by side in one row.  slots maps
-    (g, T), lex in (g, T), to the rank of T, the transmission S = g + T
-    that carries g's piece T, and T's place in g's row.  members maps each
-    transmission S, in lex order, to the triples (g, S minus g, its rank)
-    of the users g inside S.
+    order: its slots, whose keys and shares sit side by side in a row.
+    slots maps (g, T), lex in (g, T), to the rank of T, the transmission
+    S = g + T that carries g's piece T, and T's place in g's row.  members
+    maps each transmission S, in lex order, to the triples (g, S minus g,
+    its rank) of the users g inside S.
     """
     rank = {T: k for k, T in enumerate(topo.subfile_indices())}
     rows = {g: tuple(T for T in rank if not set(g) & set(T))
@@ -390,11 +390,12 @@ class Scheme:
     The arithmetic runs on plain ints: a file's subfiles sit side by side
     in one int, the subfile of rank k at bit k * subfile_bits, so one XOR
     combines a subfile index's worth of every file at once.  Key shares go
-    by user, not by slot: a user's superposed keys sit side by side in one
-    row, slot p at bit p * share_block_bits, so one split places them all
-    and one reconstruct recovers them.  Decode reads the other users'
-    combinations from a memo per cache, shared by every user of the cache.
-    BitBlocks appear only where blocks enter and leave.
+    by row, not by slot: superposed keys sit side by side at stride
+    share_block_bits, so one split places every slot of the round and one
+    reconstruct recovers a user's whole row from its caches' share rows.
+    Decode reads the other users' combinations from a memo per cache,
+    shared by every user of the cache.  BitBlocks appear only where blocks
+    enter and leave.
     """
 
     def __init__(self, cfg: SchemeConfig):
@@ -473,30 +474,36 @@ class Scheme:
             piece, block = (1 << sb) - 1, (1 << wb) - 1
             masked = {g: _combination(table.images, mask)
                       for g, mask in randomness.mask_vectors.items()}
+            # One split for the round: the slot keys side by side, lex in
+            # (g, T) at stride wb, so that each user's row is contiguous,
+            # and their coefficient planes likewise.
+            row, planes, at = 0, [0] * (r - 1), 0
+            for (g, T), (k, S, _) in self._slots.items():
+                # The g-mask combination of subfile index T, on the key.
+                key = BitBlock(_sized(keys[S], sb, "payload key", S)
+                               ^ ((masked[g] >> (k * sb)) & piece), sb)
+                superposed[(g, T)] = key
+                coefficients = randomness.share_coefficients[(g, T)]
+                if len(coefficients) != r - 1 or any(
+                        c >> wb for c in coefficients):
+                    split(key, r, field, coefficients=coefficients)  # raises
+                for b, c in enumerate(coefficients):
+                    planes[b] |= c << at
+                row |= key.value << at
+                at += wb
+            shares = split(BitBlock(row, at), r, field,
+                           coefficients=planes).shares
+            at = 0
             for g, row_indices in self._rows.items():
-                # One split per user: its slot keys side by side, slot p at
-                # bit p * wb, and their coefficient planes likewise.
-                row, planes = 0, [0] * (r - 1)
-                for p, T in enumerate(row_indices):
-                    k, S, _ = self._slots[(g, T)]
-                    # The g-mask combination of subfile index T, on the key.
-                    key = BitBlock(_sized(keys[S], sb, "payload key", S)
-                                   ^ ((masked[g] >> (k * sb)) & piece), sb)
-                    superposed[(g, T)] = key
-                    coefficients = randomness.share_coefficients[(g, T)]
-                    if len(coefficients) != r - 1 or any(
-                            c >> wb for c in coefficients):
-                        split(key, r, field, coefficients=coefficients)  # raises
-                    row |= key.value << (p * wb)
-                    planes = [a | c << (p * wb)
-                              for a, c in zip(planes, coefficients)]
-                shares = split(BitBlock(row, len(row_indices) * wb), r, field,
-                               coefficients=planes).shares
+                width = len(row_indices) * wb
                 for c in g:
-                    share = shares[share_index_of_cache(g, c) - 1]
+                    # Cut the user's row out first, so slots shift a short int.
+                    share = (shares[share_index_of_cache(g, c) - 1] >> at
+                             & (1 << width) - 1)
                     held = key_shares[c - 1]
                     for p, T in enumerate(row_indices):
                         held[(g, T)] = BitBlock((share >> (p * wb)) & block, wb)
+                at += width
         elif kind.stores_keys_whole:
             for S in self.topo.transmission_indices():
                 for c in S:
