@@ -4,8 +4,8 @@ Reruns agreeing with each other say nothing about whether a change kept
 the bytes; these constants do.  They cover the transcript container and
 its JSON twin for the three worked presets under every kind and seeds
 0-2 (plus p-lfr in broadcast mode) and for every kind at r = 1, at r = 4
-and at engine-c10's C = 10 shape, the ``verify`` reports of the cheap
-suites and of three security instances (two of them also by forced
+and at engine-c10's C = 10 shape, the ``verify`` reports of every suite
+and of three security instances (two of them also by forced
 enumeration), the privacy control by forced enumeration, and the figure
 presets' ``curves.csv``.  A change that alters any of them changes what a
 (config, seed) pair produces and must say so.
@@ -319,6 +319,8 @@ REPORTS = {
         "4dd88820bc0919e5500a1a5c0e544daca4c8719df103b1cb8e13837e24d2715c",
     "privacy":
         "c55de72c97d145b43985d2f9f1e389de947d9cdcc80830fe207a0f6461473d92",
+    "security":
+        "cc1a0506ddb392db8346340c86f3a2716774eac8c1547cbc4958c0f8b510828c",
     "shares":
         "deac384150e38d5e3519b510ca27267172f6c8e1b6bf7b75449e4d95aedcec5d",
 }
