@@ -41,13 +41,6 @@ from .verify import (DEFAULT_STATE_CAP, CorrectnessReport, PrivacyCheckResult,
                      privacy_suite, security_suite, tiny_config,
                      tiny_sweep_topologies)
 
-# Kinds whose information-theoretic claims are expected to hold exactly;
-# everything else serves as a negative control for the oracles.
-SECURE_KINDS = frozenset((SchemeKind.SP_LFR, SchemeKind.S_LFR,
-                          SchemeKind.IS_LFR))
-PRIVATE_KINDS = frozenset((SchemeKind.SP_LFR, SchemeKind.P_LFR))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
         raise UsageError(message)
@@ -252,25 +245,25 @@ def _record(check: str, cfg: SchemeConfig, passed: bool, **fields) -> dict:
     return {**doc, **fields, "pass": passed}
 
 
-def _zero_claim_doc(check: str, res, expected_kinds: frozenset,
-                    **fields) -> dict:
+def _zero_claim_doc(check: str, res, expected_zero: bool, **fields) -> dict:
     """A security or privacy record: it passes when the oracle certifies
-    exactly zero leakage for the kinds expected to leak nothing."""
-    expected_zero = res.cfg.kind in expected_kinds
+    exactly zero leakage where the kind claims it, and leakage elsewhere;
+    the kinds without the claim serve as negative controls."""
     return _record(check, res.cfg, res.certified_zero == expected_zero,
                    method=res.method, states=res.states,
                    expected_zero=expected_zero, **fields)
 
 
 def _security_doc(res: SecurityCheckResult) -> dict:
-    return _zero_claim_doc("security", res, SECURE_KINDS,
+    return _zero_claim_doc("security", res, res.cfg.kind.has_payload_keys,
                            certified_zero=res.certified_zero,
                            mi_bits=res.mi_bits)
 
 
 def _privacy_doc(res: PrivacyCheckResult) -> dict:
     return _zero_claim_doc(
-        "privacy", res, PRIVATE_KINDS, max_tv=format_fraction(res.max_tv),
+        "privacy", res, res.cfg.kind.masks_demands,
+        max_tv=format_fraction(res.max_tv),
         per_observer={"".join(map(str, g)): format_fraction(tv)
                       for g, tv in res.per_observer.items()})
 

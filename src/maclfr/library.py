@@ -56,21 +56,6 @@ class FileLibrary:
                ) -> "FileLibrary":
         return cls(tuple(BitBlock.random(rng, file_bits) for _ in range(num_files)))
 
-    @classmethod
-    def from_bytes(cls, raw: bytes, num_files: int, file_bits: int) -> "FileLibrary":
-        """Parse a concatenation of byte-aligned files (each ceil(F/8) bytes)."""
-        per = (file_bits + 7) // 8
-        if len(raw) != per * num_files:
-            raise UsageError(
-                f"expected {per * num_files} bytes for {num_files} files "
-                f"of {file_bits} bits, got {len(raw)}")
-        return cls(tuple(
-            BitBlock.from_bytes(raw[i * per:(i + 1) * per], file_bits)
-            for i in range(num_files)))
-
-    def to_bytes(self) -> bytes:
-        return b"".join(f.to_bytes() for f in self.files)
-
 
 @dataclass(frozen=True)
 class DemandVector:

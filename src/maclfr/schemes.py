@@ -195,9 +195,9 @@ def randomness_order(cfg: SchemeConfig) -> Iterator[tuple[tuple, int]]:
         for g in topo.users():
             yield ("mask", g), cfg.num_files
         l = cfg.key_field.exponent
-        blinds = topo.access_degree - 1
+        symbols, blinds = cfg.share_block_bits // l, topo.access_degree - 1
         for g, T in _indices(topo)[1]:
-            for s in range(cfg.share_block_bits // l):
+            for s in range(symbols):
                 for b in range(blinds):
                     yield ("coef", g, T, s, b), l
 
@@ -209,13 +209,15 @@ class ServerRandomness:
     payload_keys has an entry per transmission index for every kind that
     masks payloads (all zero under p-lfr); mask_vectors and
     share_coefficients exist only when demands are masked.  The share
-    coefficients of a slot (g, T) are packed as split() takes them: one
-    plane per blind, symbol s's coefficient at bits [s l, (s + 1) l).
+    coefficients are the round's r - 1 planes, one per blind, as the one
+    split() of placement takes them: plane b holds coefficient b of slot
+    (g, T)'s symbol s at bit (n share_block_bits + s l), n the slot's
+    ordinal in lex (g, T).  r = 1 has no planes.
     """
 
     payload_keys: Mapping[CacheSet, BitBlock]
     mask_vectors: Mapping[CacheSet, int]
-    share_coefficients: Mapping[tuple[CacheSet, CacheSet], tuple[int, ...]]
+    share_coefficients: tuple[int, ...]
 
     @classmethod
     def draw(cls, cfg: SchemeConfig, rng: random.Random) -> "ServerRandomness":
@@ -238,12 +240,10 @@ class ServerRandomness:
             zero = BitBlock.zeros(cfg.subfile_bits)
             payload_keys = {S: zero for S in topo.transmission_indices()}
         mask_vectors: dict[CacheSet, int] = {}
-        planes: dict[tuple[CacheSet, CacheSet], list[int]] = {}
-        if kind.masks_demands:
-            # Pre-create every slot so that r = 1 (no blinding coefficients
-            # at all) still yields the empty plane list split() expects.
-            blinds = topo.access_degree - 1
-            planes = {slot: [0] * blinds for slot in _indices(topo)[1]}
+        blinds = topo.access_degree - 1 if kind.masks_demands else 0
+        # Each slot's planes, in lex (g, T), to be joined once per blind.
+        planes = ({slot: [0] * blinds for slot in _indices(topo)[1]}
+                  if blinds else {})
         l = cfg.key_field.exponent
         for label, value in values:
             tag = label[0]
@@ -255,8 +255,11 @@ class ServerRandomness:
             else:
                 _, g, T, s, b = label
                 planes[(g, T)][b] |= value << (s * l)
-        share_coefficients = {slot: tuple(p) for slot, p in planes.items()}
-        return cls(payload_keys, mask_vectors, share_coefficients)
+        wb, joined = cfg.share_block_bits, [0] * blinds
+        for n, slot in enumerate(planes.values()):
+            for b, plane in enumerate(slot):
+                joined[b] |= plane << (n * wb)
+        return cls(payload_keys, mask_vectors, tuple(joined))
 
 
 @dataclass(frozen=True)
@@ -391,11 +394,11 @@ class Scheme:
     in one int, the subfile of rank k at bit k * subfile_bits, so one XOR
     combines a subfile index's worth of every file at once.  Key shares go
     by row, not by slot: superposed keys sit side by side at stride
-    share_block_bits, so one split places every slot of the round and one
-    reconstruct recovers a user's whole row from its caches' share rows.
-    Decode reads the other users' combinations from a memo per cache,
-    shared by every user of the cache.  BitBlocks appear only where blocks
-    enter and leave.
+    share_block_bits, as the drawn coefficient planes lay them out, so one
+    split places every slot of the round, and one reconstruct recovers
+    every masked key of a user from its caches' share rows.  Decode reads
+    the other users' combinations from a memo per cache, shared by every
+    user of the cache.  BitBlocks appear only where blocks enter and leave.
     """
 
     def __init__(self, cfg: SchemeConfig):
@@ -468,31 +471,23 @@ class Scheme:
         coded: list[dict] = [{} for _ in caches]
         superposed: dict[tuple[CacheSet, CacheSet], BitBlock] = {}
         if kind.masks_demands and not cfg.broadcast:
-            field = cfg.key_field
-            r = self.topo.access_degree
             sb, wb = table.subfile_bits, cfg.share_block_bits
             piece, block = (1 << sb) - 1, (1 << wb) - 1
             masked = {g: _combination(table.images, mask)
                       for g, mask in randomness.mask_vectors.items()}
             # One split for the round: the slot keys side by side, lex in
-            # (g, T) at stride wb, so that each user's row is contiguous,
-            # and their coefficient planes likewise.
-            row, planes, at = 0, [0] * (r - 1), 0
-            for (g, T), (k, S, _) in self._slots.items():
+            # (g, T) at stride wb as the coefficient planes are, so that
+            # each user's row is contiguous.
+            row = 0
+            for n, ((g, T), (k, S, _)) in enumerate(self._slots.items()):
                 # The g-mask combination of subfile index T, on the key.
                 key = BitBlock(_sized(keys[S], sb, "payload key", S)
                                ^ ((masked[g] >> (k * sb)) & piece), sb)
                 superposed[(g, T)] = key
-                coefficients = randomness.share_coefficients[(g, T)]
-                if len(coefficients) != r - 1 or any(
-                        c >> wb for c in coefficients):
-                    split(key, r, field, coefficients=coefficients)  # raises
-                for b, c in enumerate(coefficients):
-                    planes[b] |= c << at
-                row |= key.value << at
-                at += wb
-            shares = split(BitBlock(row, at), r, field,
-                           coefficients=planes).shares
+                row |= key.value << (n * wb)
+            shares = split(BitBlock(row, len(superposed) * wb),
+                           self.topo.access_degree, cfg.key_field,
+                           coefficients=randomness.share_coefficients).shares
             at = 0
             for g, row_indices in self._rows.items():
                 width = len(row_indices) * wb
@@ -532,6 +527,8 @@ class Scheme:
         for d in demands:
             if d.num_files != cfg.num_files:
                 raise UsageError("demand width does not match the library")
+            if d.user not in self._rows:
+                raise UsageError(f"{d.user} is not a user of this topology")
         if cfg.broadcast:
             files = tuple(table.reassemble(i)
                           for i in range(1, cfg.num_files + 1))
@@ -597,11 +594,13 @@ class Scheme:
             payload = transcript.payloads.get(S)
             if payload is None:
                 raise IntegrityError(f"transcript lacks the payload for {S}")
-            if (good >> p) & 1:  # the key from the user's reconstructed row
+            if masks:  # the key from the user's reconstructed row
+                if not (good >> p) & 1:
+                    _share_fault(user, by_index, T, wb)
                 acc = _sized(payload, sb, "payload", S) ^ (row >> (p * wb)
                                                            & piece)
-            else:  # slot by slot, which raises where key material is at fault
-                key = self._user_key(user, by_index, S, T)
+            else:
+                key = self._user_key(user, by_index, S)
                 acc = _sized(payload, sb, "payload", S)
                 if key is not None:
                     acc ^= _sized(key, sb, "key of payload", S)
@@ -724,18 +723,15 @@ class Scheme:
                 raise UsageError("supplied demand disagrees with the transcript")
         if demand.user != user:
             raise UsageError(f"demand belongs to {demand.user}, not {user}")
+        if demand.num_files != self.cfg.num_files:
+            raise UsageError("demand width does not match the library")
         return demand
 
     def _user_key(self, user: CacheSet, by_index: Mapping[int, CacheContent],
-                  S: CacheSet, T: CacheSet) -> BitBlock | None:
-        """The key on payload S as the user's caches hold it: reconstructed
-        from threshold shares, read whole, or MDS decoded; None for lfr."""
+                  S: CacheSet) -> BitBlock | None:
+        """The key on payload S of a kind that does not mask demands, as
+        the user's caches hold it: read whole or MDS decoded; None for lfr."""
         cfg = self.cfg
-        if self.kind.masks_demands:
-            blocks = [_held(by_index[c].key_shares, (user, T), c) for c in user]
-            return reconstruct(share_set_from_blocks(blocks, cfg.key_field,
-                                                     cfg.subfile_bits),
-                               self._weights)
         if self.kind.stores_keys_whole:
             return _held(by_index[user[0]].whole_keys, S, user[0])
         if self.kind.stores_keys_coded:
@@ -754,6 +750,15 @@ def _unreachable(missing: int, T: CacheSet) -> None:
     """Raise for the lowest file in the bit mask `missing` at index T."""
     i = (missing & -missing).bit_length()
     raise IntegrityError(f"subfile ({i}, {T}) not in reach")
+
+
+def _share_fault(user: CacheSet, by_index: Mapping[int, CacheContent],
+                 T: CacheSet, bits: int) -> None:
+    """Raise for slot (user, T)'s key share: for the first of the user's
+    caches lacking it, else for the first share not of the given bits."""
+    blocks = [_held(by_index[c].key_shares, (user, T), c) for c in user]
+    length = next(b.length for b in blocks if b.length != bits)
+    raise DomainError(f"share block of {length} bits, expected {bits}")
 
 
 def _held(store: Mapping, label, cache: int) -> BitBlock:

@@ -40,35 +40,28 @@ def canonical_evaluation_points(field: BinaryField, share_count: int
 
 @dataclass(frozen=True)
 class ShareSet:
-    """The r shares of one secret, each an int of packed l-bit symbols
-    (symbol s at bits [s l, (s + 1) l))."""
+    """The shares of one secret at the canonical points, share j an int of
+    packed l-bit symbols (symbol s at bits [s l, (s + 1) l)): the secret
+    padded to whole symbols."""
 
     field: BinaryField
-    share_count: int
     secret_bits: int
-    evaluation_points: tuple[int, ...]
     shares: tuple[int, ...]  # shares[j-1] = share j
-    symbols_per_share: int
 
     def __post_init__(self) -> None:
-        if len(self.shares) != self.share_count:
-            raise DomainError(
-                f"expected {self.share_count} shares, got {len(self.shares)}")
-        if len(self.evaluation_points) != self.share_count:
-            raise DomainError("one evaluation point per share required")
+        canonical_evaluation_points(self.field, self.share_count)
         if any(s < 0 or s >> self.share_bits for s in self.shares):
-            raise DomainError(
-                f"shares must fit in {self.symbols_per_share} symbols")
+            symbols = self.share_bits // self.field.exponent
+            raise DomainError(f"shares must fit in {symbols} symbols")
+
+    @property
+    def share_count(self) -> int:
+        return len(self.shares)
 
     @property
     def share_bits(self) -> int:
-        return self.symbols_per_share * self.field.exponent
-
-    def share_block(self, index: int) -> BitBlock:
-        """Share `index` (1-based) as a bit string."""
-        if not 1 <= index <= self.share_count:
-            raise UsageError(f"share index {index} outside [1, {self.share_count}]")
-        return BitBlock(self.shares[index - 1], self.share_bits)
+        l = self.field.exponent
+        return -(-self.secret_bits // l) * l
 
 
 def split(secret: BitBlock, share_count: int, field: BinaryField,
@@ -112,39 +105,36 @@ def split(secret: BitBlock, share_count: int, field: BinaryField,
         for plane in reversed(planes):
             acc = field.mul_packed(x, acc ^ plane, symbols)
         shares.append(acc ^ secret.value)
-    return ShareSet(field, share_count, secret.length, points, tuple(shares),
-                    symbols)
+    return ShareSet(field, secret.length, tuple(shares))
 
 
 def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
                           secret_bits: int) -> ShareSet:
     """Rebuild a ShareSet from the packed share blocks in index order."""
-    share_count = len(blocks)
-    points = canonical_evaluation_points(field, share_count)
-    symbols = -(-secret_bits // field.exponent)
-    expected = symbols * field.exponent
+    expected = -(-secret_bits // field.exponent) * field.exponent
     for b in blocks:
         if b.length != expected:
             raise DomainError(
                 f"share block of {b.length} bits, expected {expected}")
-    return ShareSet(field, share_count, secret_bits, points,
-                    tuple(b.value for b in blocks), symbols)
+    return ShareSet(field, secret_bits, tuple(b.value for b in blocks))
 
 
 def reconstruct(shares: ShareSet,
                 weights: Sequence[int] | None = None) -> BitBlock:
     """Interpolate every symbol's constant term and drop the tail padding.
 
-    weights are the Lagrange weights at zero of the share set's evaluation
-    points; a caller that reconstructs many share sets over the same
-    points passes them in instead of having them recomputed.
+    weights are the Lagrange weights at zero of the canonical points; a
+    caller that reconstructs many share sets of one share count passes them
+    in instead of having them recomputed.
     """
     field = shares.field
     if weights is None:
-        weights = field.lagrange_weights_at_zero(shares.evaluation_points)
+        weights = field.lagrange_weights_at_zero(
+            canonical_evaluation_points(field, shares.share_count))
+    symbols = shares.share_bits // field.exponent
     acc = 0
     for y, weight in zip(shares.shares, weights):
-        acc ^= field.mul_packed(weight, y, shares.symbols_per_share)
+        acc ^= field.mul_packed(weight, y, symbols)
     bits = shares.secret_bits
     return BitBlock(acc & ((1 << bits) - 1), bits)
 

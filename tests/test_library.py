@@ -80,19 +80,15 @@ def test_linear_combination_is_xor_of_supported_files():
         linear_combination(DemandVector(g, 1, 3), lib)
 
 
-def test_library_validation_and_bytes():
+def test_library_validation():
     with pytest.raises(DomainError):
         FileLibrary(())
     with pytest.raises(DomainError):
         FileLibrary((BitBlock(0, 0),))
     with pytest.raises(DomainError):
         FileLibrary((BitBlock(0, 3), BitBlock(0, 4)))
-    lib = library_of(3, 11, seed=2)
-    assert FileLibrary.from_bytes(lib.to_bytes(), 3, 11) == lib
     with pytest.raises(UsageError):
-        FileLibrary.from_bytes(lib.to_bytes(), 4, 11)
-    with pytest.raises(UsageError):
-        lib.file(0)
+        library_of(3, 11, seed=2).file(0)
 
 
 def test_demand_vector_string_round_trip():

@@ -8,12 +8,17 @@ counting arguments and never looks at a placement.
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +31,9 @@ from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
                             SchemeConfig, SchemeKind, ServerRandomness,
                             ServerSecrets, derive_rng, simulate)
 from maclfr.topology import TopologySpec
+from maclfr.verify import check_correctness
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 ALL_KINDS = tuple(SchemeKind)
 SWEEP = ((3, 2, 0), (3, 2, 1), (3, 3, 0), (4, 2, 1), (4, 2, 2), (4, 3, 1),
          (5, 2, 2), (5, 3, 1))
@@ -204,7 +211,13 @@ def test_randomness_layout_units(kind):
     drawn = ServerRandomness.draw(cfg, derive_rng(0, "placement"))
     assert set(zero.payload_keys) == set(drawn.payload_keys)
     assert set(zero.mask_vectors) == set(drawn.mask_vectors)
-    assert set(zero.share_coefficients) == set(drawn.share_coefficients)
+    # r = 2: one plane of three slots, each user missing one index.
+    planes = 1 if kind.masks_demands else 0
+    assert len(zero.share_coefficients) == planes
+    assert len(drawn.share_coefficients) == planes
+    assert all(p == 0 for p in zero.share_coefficients)
+    assert all(0 <= p < 1 << 3 * cfg.share_block_bits
+               for p in drawn.share_coefficients)
     if kind is SchemeKind.P_LFR:
         # Pinned keys are constants, not entropy.
         assert all(label[0] != "key" for label, _ in layout.entries)
@@ -233,6 +246,42 @@ def test_draw_agrees_with_layout_unpack(kind, C, r, t):
         assert offset == layout.total_bits
         drawn = ServerRandomness.draw(cfg, derive_rng(seed, "placement"))
         assert layout.unpack(value) == drawn
+
+
+@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
+@pytest.mark.parametrize("C,r,t", ((3, 2, 1), (4, 3, 1)))
+def test_place_rejects_coefficient_planes_of_the_wrong_count_or_width(kind, C,
+                                                                      r, t):
+    cfg = config(kind, C, r, t, N=2)
+    scheme = Scheme(cfg)
+    lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
+                             cfg.file_bits)
+    drawn = ServerRandomness.draw(cfg, derive_rng(0, "placement"))
+    planes = drawn.share_coefficients
+    assert len(planes) == r - 1
+    with pytest.raises(UsageError, match=re.escape(
+            f"expected {r - 1} coefficient planes, got {r - 2}")):
+        scheme.place(lib, replace(drawn, share_coefficients=planes[1:]))
+    # The round: every user's slots, one per index out of its reach.
+    width = comb(C, r) * comb(C - r, t) * cfg.share_block_bits
+    wide = (planes[0] | 1 << width,) + planes[1:]
+    with pytest.raises(DomainError, match="does not fit"):
+        scheme.place(lib, replace(drawn, share_coefficients=wide))
+    assert scheme.place(lib, drawn).caches == scheme.place(lib).caches
+
+
+@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
+def test_place_takes_no_coefficient_planes_at_one_cache_per_user(kind):
+    cfg = config(kind, 4, 1, 2, N=2)
+    scheme = Scheme(cfg)
+    lib = FileLibrary.random(derive_rng(0, "library"), cfg.num_files,
+                             cfg.file_bits)
+    drawn = ServerRandomness.draw(cfg, derive_rng(0, "placement"))
+    assert drawn.share_coefficients == ()
+    assert scheme.place(lib, drawn).caches == scheme.place(lib).caches
+    with pytest.raises(UsageError, match=re.escape(
+            "expected 0 coefficient planes, got 1")):
+        scheme.place(lib, replace(drawn, share_coefficients=(0,)))
 
 
 def test_randomness_draw_is_deterministic():
@@ -433,6 +482,16 @@ def test_blocks_of_the_wrong_length_are_rejected():
         scheme.deliver(short, result.placement.table, result.demands)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decode_rejects_a_demand_of_another_width(kind):
+    # A wider sp-lfr demand once decoded, its extra coefficient ignored.
+    scheme, result, user, caches, demand = decode_setup(kind)
+    wider = replace(demand, num_files=demand.num_files + 1)
+    with pytest.raises(UsageError, match=re.escape(
+            "demand width does not match the library")):
+        scheme.decode(user, caches, result.transcript, wider)
+
+
 def test_decode_reports_the_wrong_caches():
     scheme, result, user, caches, demand = decode_setup(SchemeKind.SP_LFR)
     with pytest.raises(UsageError, match=re.escape(
@@ -530,6 +589,34 @@ def test_decode_raises_key_share_faults_at_their_index(kind):
                      2, "key_shares", late))
 
 
+def test_decode_reports_a_stripped_key_share_under_python_optimize():
+    # -O strips assert statements: the fault of a share some cache lacks
+    # must still be raised, with the same class and message.
+    script = textwrap.dedent("""
+        from dataclasses import replace
+        from maclfr.schemes import Scheme, SchemeConfig, SchemeKind, simulate
+        from maclfr.topology import TopologySpec
+        cfg = SchemeConfig(TopologySpec(4, 2, 1), 3, 24, SchemeKind.SP_LFR)
+        result = simulate(cfg)
+        user = (1, 2)
+        caches = [result.placement.caches[c - 1] for c in user]
+        held = dict(caches[1].key_shares)
+        del held[(user, (3,))]
+        caches[1] = replace(caches[1], key_shares=held)
+        try:
+            Scheme(cfg).decode(user, caches, result.transcript,
+                               result.demands[0])
+        except Exception as error:
+            print(type(error).__name__, error)
+        """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("IntegrityError cache 2 lacks the key "
+                                   "material for ((1, 2), (3,))")
+
+
 @pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
 def test_decode_ignores_shares_filed_under_other_labels(kind):
     result, caches, decode = key_fault_setup(kind)
@@ -618,6 +705,23 @@ def test_deliver_validates_demands():
     bad_width = (replace(demands[0], num_files=cfg.num_files + 1),) + demands[1:]
     with pytest.raises(UsageError):
         scheme.deliver(placement.secrets, table, bad_width)
+    # A demand of no user of the topology was once dropped silently.
+    stranger = demands + (DemandVector((7, 9), 1, cfg.num_files),)
+    with pytest.raises(UsageError, match=re.escape(
+            "(7, 9) is not a user of this topology")):
+        scheme.deliver(placement.secrets, table, stranger)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_demand_of_no_user_is_an_error(kind):
+    # check_correctness once died on it with a bare IndexError.
+    cfg = config(kind, 3, 2, 1)
+    demands = random_demands(cfg.topo, cfg.num_files, random.Random(0))
+    stranger = demands + (DemandVector((7, 9), 1, cfg.num_files),)
+    with pytest.raises(UsageError, match=re.escape("(7, 9) is not a user")):
+        simulate(cfg, demands=stranger)
+    with pytest.raises(UsageError, match=re.escape("(7, 9) is not a user")):
+        check_correctness(cfg, [stranger])
 
 
 def test_deliver_rejects_a_table_of_another_library_shape():

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.gf import binary_field, exponent_for_share_count
-from maclfr.shamir import (canonical_evaluation_points, leakage_check,
-                           reconstruct, share_set_from_blocks, split)
+from maclfr.shamir import (ShareSet, canonical_evaluation_points,
+                           leakage_check, reconstruct, share_set_from_blocks,
+                           split)
 
 
 def field_for(share_count: int):
@@ -35,7 +36,7 @@ def test_split_reconstruct_round_trip(share_count, secret_bits, seed):
     assert shares.share_count == share_count
     assert reconstruct(shares) == secret
     # Packing the shares into blocks and back must not change anything.
-    blocks = [shares.share_block(j) for j in range(1, share_count + 1)]
+    blocks = [BitBlock(y, shares.share_bits) for y in shares.shares]
     rebuilt = share_set_from_blocks(blocks, field, secret_bits)
     assert reconstruct(rebuilt) == secret
 
@@ -46,8 +47,10 @@ def test_share_values_match_hand_evaluation():
     field = binary_field(2)
     secret = BitBlock(0b11, 2)
     shares = split(secret, 2, field, coefficients=[0b01])
-    assert shares.share_block(1) == BitBlock(0b11 ^ 0b01, 2)
-    assert shares.share_block(2) == BitBlock(0b11 ^ field.mul(0b01, 0b10), 2)
+    assert BitBlock(shares.shares[0], shares.share_bits) == BitBlock(
+        0b11 ^ 0b01, 2)
+    assert BitBlock(shares.shares[1], shares.share_bits) == BitBlock(
+        0b11 ^ field.mul(0b01, 0b10), 2)
     assert reconstruct(shares) == secret
 
 
@@ -55,7 +58,7 @@ def test_single_share_is_the_secret():
     field = field_for(1)
     secret = BitBlock(0b1011, 4)
     shares = split(secret, 1, field)
-    assert shares.share_block(1) == secret
+    assert BitBlock(shares.shares[0], shares.share_bits) == secret
     assert reconstruct(shares) == secret
 
 
@@ -128,9 +131,20 @@ def test_validation_errors():
         canonical_evaluation_points(field, 0)
     with pytest.raises(DomainError):
         share_set_from_blocks([BitBlock(0, 2), BitBlock(0, 4)], field, 2)
-    shares = split(secret, 2, field, random.Random(0))
-    with pytest.raises(UsageError):
-        shares.share_block(3)
+
+
+def test_share_set_derives_points_and_symbols_and_checks_shares():
+    field = binary_field(2)
+    shares = ShareSet(field, 3, (0b1011, 0b0110, 0))
+    assert (shares.share_count, shares.share_bits) == (3, 4)
+    with pytest.raises(DomainError, match="shares must fit in 2 symbols"):
+        ShareSet(field, 3, (0b1011, 1 << 4))
+    with pytest.raises(DomainError, match="shares must fit"):
+        ShareSet(field, 3, (-1,))
+    with pytest.raises(DomainError, match="4 shares need a field of order"):
+        ShareSet(field, 3, (0, 0, 0, 0))
+    with pytest.raises(DomainError, match="share count must be positive"):
+        ShareSet(field, 3, ())
 
 
 def test_leakage_check_guards():
@@ -203,8 +217,9 @@ def test_packed_split_and_reconstruct_match_a_per_symbol_reference():
             for j, x in enumerate(points, 1):
                 expected = [field.poly_eval((v,) + row, x)
                             for v, row in zip(sym, rows)]
-                assert shares.share_block(j) == BitBlock(packed(expected, l),
-                                                         count * l)
+                assert BitBlock(shares.shares[j - 1],
+                                shares.share_bits) == BitBlock(
+                    packed(expected, l), count * l)
             # Reconstruction of arbitrary share values, consistent or not.
             blocks = [BitBlock.random(rng, count * l) for _ in points]
             columns = [symbols_of(b.value, l, count) for b in blocks]
