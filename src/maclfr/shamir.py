@@ -50,9 +50,10 @@ class ShareSet:
 
     def __post_init__(self) -> None:
         canonical_evaluation_points(self.field, self.share_count)
-        if any(s < 0 or s >> self.share_bits for s in self.shares):
-            symbols = self.share_bits // self.field.exponent
-            raise DomainError(f"shares must fit in {symbols} symbols")
+        bits = self.share_bits
+        if any(s < 0 or s >> bits for s in self.shares):
+            l = self.field.exponent
+            raise DomainError(f"shares must fit in {bits // l} symbols")
 
     @property
     def share_count(self) -> int:

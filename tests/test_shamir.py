@@ -133,7 +133,7 @@ def test_validation_errors():
         share_set_from_blocks([BitBlock(0, 2), BitBlock(0, 4)], field, 2)
 
 
-def test_share_set_derives_points_and_symbols_and_checks_shares():
+def test_share_set_derives_its_count_and_width_and_checks_shares():
     field = binary_field(2)
     shares = ShareSet(field, 3, (0b1011, 0b0110, 0))
     assert (shares.share_count, shares.share_bits) == (3, 4)
