@@ -143,7 +143,7 @@ def subfile_bit_length(file_bits: int, topo: TopologySpec) -> int:
 def subpacketize(library: FileLibrary, topo: TopologySpec) -> SubfileTable:
     return SubfileTable(topo, library.file_bits,
                         subfile_bit_length(library.file_bits, topo),
-                        tuple(f.value for f in library.files))
+                        tuple([f.value for f in library.files]))
 
 
 def linear_combination(demand: DemandVector, library: FileLibrary) -> BitBlock:

@@ -514,8 +514,10 @@ class Scheme:
 
     # -- delivery --
 
-    def deliver(self, secrets: ServerSecrets, table: SubfileTable,
+    def deliver(self, randomness: ServerRandomness, table: SubfileTable,
                 demands: Sequence[DemandVector]) -> DeliveryTranscript:
+        """The broadcast for the demands, from the server's randomness and
+        the library's subfiles alone: it reads no cache."""
         cfg = self.cfg
         if ((table.topo, table.file_bits, table.subfile_bits, len(table.images))
                 != (self.topo, cfg.file_bits, cfg.subfile_bits, cfg.num_files)):
@@ -533,7 +535,6 @@ class Scheme:
             files = tuple(table.reassemble(i)
                           for i in range(1, cfg.num_files + 1))
             return DeliveryTranscript(cfg, {}, {}, {}, files)
-        randomness = secrets.randomness
         if self.kind.masks_demands:
             sent = {g: by_user[g].coeffs ^ randomness.mask_vectors[g]
                     for g in self.topo.users()}
@@ -782,7 +783,8 @@ def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
                                      cfg.num_files)
                         for g in cfg.topo.users())
     placement = scheme.place(library, randomness)
-    transcript = scheme.deliver(placement.secrets, placement.table, demands)
+    transcript = scheme.deliver(placement.secrets.randomness, placement.table,
+                                demands)
     by_user = demands_by_user(demands)
     decoded = {}
     expected = {}

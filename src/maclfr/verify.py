@@ -17,8 +17,10 @@ Distributions are taken over every library value and every server
 randomness value (and every demand tuple, for privacy), with exact
 rational probabilities.  Two evaluation methods exist:
 
-* "enumerate" runs the real placement and delivery once per state.  It
-  assumes nothing and is the gold standard, but state spaces explode.
+* "enumerate" runs the real engine once per state: delivery alone for
+  security, whose eavesdropper sees no cache, and placement and delivery
+  for privacy.  It assumes nothing and is the gold standard, but state
+  spaces explode.
 * "affine" exploits that every view is a GF(2) polynomial of degree at
   most two whose only products pair a library bit with a demand or
   randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
@@ -59,8 +61,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, ResourceLimitError, UsageError
-from .library import DemandVector, FileLibrary, linear_combination
-from .library import subpacketize  # noqa: F401 - perfbench/tracer.py hooks it
+from .library import (DemandVector, FileLibrary, linear_combination,
+                      subpacketize)
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
                       SchemeConfig, SchemeKind, ServerRandomness, derive_rng)
 from .shamir import reconstruct, share_set_from_blocks
@@ -195,40 +197,49 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None,
            ) -> tuple[Callable[[int, int], tuple[int, ...]], int, int]:
     """The engine as every oracle sees it: (run, |W|, |Z|).
 
-    `run(w, z)` places library value w, delivers and returns the views as
-    ints.  Given fixed `demands` (security), z is the randomness and the
-    one view is the transmission.  Otherwise (privacy) z packs the demand
+    `run(w, z)` runs the round at library value w and returns the views
+    as ints.  Given fixed `demands` (security), z is the randomness and
+    the one view is the transmission, which delivery computes from the
+    randomness and the library's subfiles alone: no cache is placed.  One
+    full placement when the views are built checks the placement
+    invariants, symmetric caches and the secure memory floor, which
+    depend on the config alone.  Otherwise (privacy) z packs the demand
     tuple in its low bits, as demands_from_int reads it, with the
-    randomness above, and there is one view per observer.  The library
-    and the demands are rebuilt only when their part of the state changes,
-    so walks that vary the randomness innermost build each once.
+    randomness above; every run places the caches its observers read, and
+    there is one view per observer.  The library, its subfiles and the
+    demands are rebuilt only when their part of the state changes, so
+    walks that vary the randomness innermost build each once.
     """
     scheme = Scheme(cfg)
     layout = RandomnessLayout.for_config(cfg)
     extractor = ViewExtractor(cfg)
     n = cfg.num_files
     library = lru_cache(maxsize=1)(lambda w: library_from_int(w, n, cfg.file_bits))
-    if demands is None:
-        dbits = n * cfg.topo.num_users
-        battery = lru_cache(maxsize=1)(lambda d: demands_from_int(d, cfg))
-    else:
-        dbits = 0
-        battery = lambda d: demands  # noqa: E731
+    if demands is not None:
+        scheme.place(library(0), layout.unpack(0))
+        table = lru_cache(maxsize=1)(
+            lambda w: subpacketize(library(w), cfg.topo))
+
+        def secure(w: int, z: int) -> tuple[int, ...]:
+            transcript = scheme.deliver(layout.unpack(z), table(w), demands)
+            return (extractor.transmission(transcript)[0],)
+
+        return secure, n * cfg.file_bits, layout.total_bits
+    dbits = n * cfg.topo.num_users
+    battery = lru_cache(maxsize=1)(lambda d: demands_from_int(d, cfg))
     own = (1 << n) - 1
     shifts = [cfg.topo.users().index(g) * n for g in observers]
 
-    def run(w: int, z: int) -> tuple[int, ...]:
+    def private(w: int, z: int) -> tuple[int, ...]:
         d = z & ((1 << dbits) - 1)
         placement = scheme.place(library(w), layout.unpack(z >> dbits))
-        transcript = scheme.deliver(placement.secrets, placement.table,
-                                    battery(d))
-        if demands is not None:
-            return (extractor.transmission(transcript)[0],)
-        return tuple(extractor.observer(g, placement.caches, transcript,
-                                        (d >> shift) & own)[0]
-                     for g, shift in zip(observers, shifts))
+        transcript = scheme.deliver(placement.secrets.randomness,
+                                    placement.table, battery(d))
+        return tuple([extractor.observer(g, placement.caches, transcript,
+                                         (d >> shift) & own)[0]
+                      for g, shift in zip(observers, shifts)])
 
-    return run, n * cfg.file_bits, dbits + layout.total_bits
+    return private, n * cfg.file_bits, dbits + layout.total_bits
 
 
 # ---- bilinear model recovery ----
@@ -309,9 +320,11 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
     inp = [delta(run(0, 1 << j), base) for j in range(zbits)]
     cross = [[delta(run(1 << i, 1 << j), base, lib[i], inp[j])
               for j in range(zbits)] for i in range(wbits)]
-    models = [BilinearModel(base[k], tuple(a[k] for a in lib),
-                            tuple(c[k] for c in inp),
-                            tuple(tuple(x[k] for x in row) for row in cross))
+    # Built from lists: a tuple grown from a generator is resized, and the
+    # tuples it leaves in the free lists make the process's memory creep.
+    models = [BilinearModel(
+                  base[k], tuple([a[k] for a in lib]), tuple([c[k] for c in inp]),
+                  tuple([tuple([x[k] for x in row]) for row in cross]))
               for k in range(len(labels))]
     rng = derive_rng(seed, "affinity-probes")
     for _ in range(probes):
@@ -464,7 +477,7 @@ def _security_certified(model: BilinearModel) -> bool:
                               for row in model.cross)]
         if not settled:
             return False
-        basis = _rref_basis(basis + tuple(model.inp[j] for j in settled))
+        basis = _rref_basis(basis + tuple([model.inp[j] for j in settled]))
         pending = [j for j in pending if j not in settled]
     return not any(_reduce_point(a, basis) for a in model.lib)
 
@@ -655,8 +668,8 @@ def check_correctness(cfg: SchemeConfig,
         randomness = ServerRandomness.draw(run_cfg, derive_rng(seed, "placement"))
         placement = scheme.place(library, randomness)
         for bi, battery in enumerate(batteries):
-            transcript = scheme.deliver(placement.secrets, placement.table,
-                                        battery)
+            transcript = scheme.deliver(placement.secrets.randomness,
+                                        placement.table, battery)
             for demand in battery:
                 member_caches = [placement.caches[c - 1] for c in demand.user]
                 decoded = scheme.decode(demand.user, member_caches,

@@ -193,7 +193,8 @@ def test_masked_payload_unmasks_to_the_keyless_one():
     placement = lfr.place(lib)
     masked = tuple(DemandVector(g, coeffs, cfg.num_files)
                    for g, coeffs in sp.transcript.masked_demands.items())
-    keyless = lfr.deliver(placement.secrets, placement.table, masked)
+    keyless = lfr.deliver(placement.secrets.randomness, placement.table,
+                          masked)
     for S in cfg.topo.transmission_indices():
         assert (sp.transcript.payloads[S] ^ randomness.payload_keys[S]
                 == keyless.payloads[S])
@@ -473,11 +474,10 @@ def test_blocks_of_the_wrong_length_are_rejected():
             f"payload (1, 2, 3) has {wide} bits")):
         scheme.decode(user, caches, replace(result.transcript, payloads=payloads),
                       demand)
-    secrets = result.placement.secrets
-    keys = dict(secrets.randomness.payload_keys)
+    randomness = result.placement.secrets.randomness
+    keys = dict(randomness.payload_keys)
     keys[(1, 2, 4)] = BitBlock.zeros(wide)
-    short = replace(secrets, randomness=replace(secrets.randomness,
-                                                payload_keys=keys))
+    short = replace(randomness, payload_keys=keys)
     with pytest.raises(UsageError, match=re.escape("payload key (1, 2, 4)")):
         scheme.deliver(short, result.placement.table, result.demands)
 
@@ -701,10 +701,10 @@ def test_deliver_validates_demands():
     table = subpacketize(lib, cfg.topo)
     demands = random_demands(cfg.topo, cfg.num_files, random.Random(0))
     with pytest.raises(UsageError):
-        scheme.deliver(placement.secrets, table, demands[:-1])
+        scheme.deliver(placement.secrets.randomness, table, demands[:-1])
     bad_width = (replace(demands[0], num_files=cfg.num_files + 1),) + demands[1:]
     with pytest.raises(UsageError):
-        scheme.deliver(placement.secrets, table, bad_width)
+        scheme.deliver(placement.secrets.randomness, table, bad_width)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -733,10 +733,10 @@ def test_deliver_rejects_a_table_of_another_library_shape():
                     for g in cfg.topo.users())
     short = subpacketize(FileLibrary(lib.files[:2]), cfg.topo)
     with pytest.raises(UsageError, match="does not match the configuration"):
-        scheme.deliver(placement.secrets, short, demands)
+        scheme.deliver(placement.secrets.randomness, short, demands)
     narrow = replace(placement.table, subfile_bits=cfg.subfile_bits + 1)
     with pytest.raises(UsageError, match="does not match the configuration"):
-        scheme.deliver(placement.secrets, narrow, demands)
+        scheme.deliver(placement.secrets.randomness, narrow, demands)
 
 
 def test_config_validation():

@@ -352,8 +352,8 @@ def test_unmasked_demand_is_not_certified_private(monkeypatch):
     # every other observer; the span test at each library value finds it.
     honest = Scheme.deliver
 
-    def leaky(self, secrets, table, demands):
-        transcript = honest(self, secrets, table, demands)
+    def leaky(self, randomness, table, demands):
+        transcript = honest(self, randomness, table, demands)
         first = demands[0]
         masked = dict(transcript.masked_demands)
         masked[first.user] = first.coeffs
@@ -461,8 +461,8 @@ def test_broadcast_plus_one_cache_leaks():
         library = library_from_int(w, cfg.num_files, cfg.file_bits)
         for rv in range(1 << layout.total_bits):
             placement = scheme.place(library, layout.unpack(rv))
-            transcript = scheme.deliver(placement.secrets, placement.table,
-                                        demands)
+            transcript = scheme.deliver(placement.secrets.randomness,
+                                        placement.table, demands)
             cache = placement.caches[0]
             view = (extractor.transmission(transcript),
                     tuple(sorted(cache.subfiles.items())),
@@ -470,6 +470,44 @@ def test_broadcast_plus_one_cache_leaks():
             joint[(w, view)] = joint.get((w, view), F(0)) + p
     mi = mutual_information(joint)
     assert not mi.is_zero and mi.bits > 0
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("C, r, t", ((3, 2, 1), (4, 2, 1), (4, 3, 1)))
+def test_security_view_matches_a_full_round(kind, C, r, t):
+    # The security view delivers without placing; at random points it must
+    # equal the transmission of a full place and deliver.
+    cfg = tiny_config(kind, C, r, t)
+    demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
+    run, wbits, zbits = _views(cfg, demands)
+    scheme = Scheme(cfg)
+    layout = RandomnessLayout.for_config(cfg)
+    extractor = ViewExtractor(cfg)
+    rng = random.Random(f"view:{kind.value}:{C}:{r}:{t}")
+    for _ in range(16):
+        w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
+        library = library_from_int(w, cfg.num_files, cfg.file_bits)
+        placement = scheme.place(library, layout.unpack(z))
+        transcript = scheme.deliver(placement.secrets.randomness,
+                                    placement.table, demands)
+        assert run(w, z) == (extractor.transmission(transcript)[0],)
+
+
+def test_security_places_the_caches_once(monkeypatch):
+    # Placement checks its invariants once per config; every engine run
+    # of the check delivers from the randomness alone.
+    placed = []
+    honest = Scheme.place
+
+    def counted(self, *args, **kwargs):
+        placed.append(args)
+        return honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scheme, "place", counted)
+    res = check_security_exact(tiny_config(SchemeKind.SP_LFR, 3, 2, 1),
+                               method="affine")
+    assert res.certified_zero and res.states > 1
+    assert len(placed) == 1
 
 
 def test_security_respects_the_cap():
