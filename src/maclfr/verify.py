@@ -35,19 +35,20 @@ rational probabilities.  Two evaluation methods exist:
 Both methods see the engine through one function, _views, so they check
 the very same views.
 
-On the security model, a rank certificate answers first, in time
-polynomial in |W|, |Z| and the view width: a fixed point over the
-randomness columns proves that every library value gives the view one
-coset.  A certificate proves a zero; a failed one proves nothing, and the
-answer then comes from walking all 2^|W| library values within the cap,
-so the negative controls still get their exact nonzero values.  Privacy
-runs its span test at every library value.
+The model route answers by rank arguments alone, and none walks the 2^|W|
+library values.  Security: a fixed point over the randomness columns
+proves that every library value gives the view one coset; failing that,
+when the view reads its randomness, the mutual information is the mean
+rank of the library's image.  Privacy: each observer is certified by
+lifting the demand columns modulo such a fixed point, or refuted by a
+demand column outside the randomness span at w = 0 or at some e_i.  What
+no argument settles is enumerated.
 
 "auto" takes the route that spends fewer engine runs: enumeration spends
 its state count, the model route (1 + |W|)(1 + |Z|) + AFFINITY_PROBES
 (1 + |W|), and a tie enumerates.  The state cap bounds the states
-enumeration walks through, and the engine runs and coset points of the
-affine method.
+enumeration walks through, and the engine runs and rank computations of
+the affine method.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import log2
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, ResourceLimitError, UsageError
@@ -275,18 +277,6 @@ class BilinearModel:
                 acc ^= c
         return acc
 
-    def sections(self) -> Iterator[tuple[int, int, list[int]]]:
-        """(w, base, columns) of the affine map z -> V(w, z) for every
-        library value, in Gray-code order so each step XORs in one row."""
-        w, base, cols = 0, self.base, list(self.inp)
-        yield w, base, cols
-        for k in range(1, 1 << len(self.lib)):
-            i = (k & -k).bit_length() - 1
-            w ^= 1 << i
-            base ^= self.lib[i]
-            cols = [c ^ x for c, x in zip(cols, self.cross[i])]
-            yield w, base, cols
-
 
 def _model_runs(wbits: int, zbits: int) -> int:
     """Engine runs that recovering and probing one bilinear model spend."""
@@ -361,12 +351,24 @@ def _reduce_point(point: int, basis: tuple[int, ...]) -> int:
     return point
 
 
-def _expand_span(basis: Sequence[int]) -> list[int]:
-    """All 2^rank span points, by doubling."""
-    points = [0]
-    for b in basis:
-        points += [p ^ b for p in points]
-    return points
+def _settle(model: BilinearModel, cols: Iterable[int]
+            ) -> tuple[tuple[int, ...], list[int]]:
+    """The fixed point S over the input columns `cols`, as an RREF basis,
+    and the columns left pending.  Column j settles once every cross[i][j]
+    lies in S, and then inp[j] joins S.  Column j of the section at library
+    value w is B_j(w) = inp[j] ^ XOR_i w_i cross[i][j], so a settled column
+    has B_j(w) in inp[j] + S: by induction S lies in span{B_j(w) : j in
+    cols} for every w."""
+    pending = list(cols)
+    basis: tuple[int, ...] = ()
+    while True:
+        settled = [j for j in pending
+                   if not any(_reduce_point(row[j], basis)
+                              for row in model.cross)]
+        if not settled:
+            return basis, pending
+        basis = _rref_basis(basis + tuple([model.inp[j] for j in settled]))
+        pending = [j for j in pending if j not in settled]
 
 
 # ---- security ----
@@ -435,51 +437,38 @@ def _parallel_security_counts(cfg: SchemeConfig, demands: Sequence[DemandVector]
     return counts
 
 
-def _joint_from_model(model: BilinearModel, cap: int
-                      ) -> dict[tuple[int, int], Fraction]:
-    """Given library value w the view is uniform on the coset
-    base(w) + span(cols(w)); expand every coset, within the cap."""
-    cosets = {}
-    for w, base, cols in model.sections():
-        basis = _rref_basis(cols)
-        cosets[w] = basis, _reduce_point(base, basis)
-    points = sum(1 << len(basis) for basis, _ in cosets.values())
-    if points > cap:
-        raise ResourceLimitError(
-            f"coset expansion of {points} points exceeds the cap {cap}")
-    lib_states = len(cosets)
-    joint: dict[tuple[int, int], Fraction] = {}
-    for w in range(lib_states):
-        basis, base = cosets[w]
-        p = Fraction(1, lib_states << len(basis))
-        for point in _expand_span(basis):
-            joint[(w, base ^ point)] = p
-    return joint
-
-
 def _security_certified(model: BilinearModel) -> bool:
-    """Whether the view is provably independent of the library.
+    """Whether the view is provably independent of the library: when every
+    randomness column settles, span{B(w)} = S for every w, and when every
+    lib[i] lies in S as well, every library value gives the view the coset
+    base(0) + S.  False proves no leak."""
+    basis, pending = _settle(model, range(len(model.inp)))
+    return not pending and not any(_reduce_point(a, basis) for a in model.lib)
 
-    Grow a fixed point S from {}: randomness column j settles once every
-    cross[i][j] lies in S, and then inp[j] joins S.  Column j of the
-    section at library value w is B_j(w) = inp[j] ^ XOR_i w_i cross[i][j],
-    so a settled column has B_j(w) in inp[j] + S, and by induction S lies
-    in span{B(w)} for every w.  When every column settles, span{B(w)}
-    equals S for every w; when every lib[i] lies in S as well, base(w)
-    lies in base(0) + S.  Every library value then gives the view the same
-    coset, so the mutual information is zero.  False proves no leak.
-    """
-    pending = list(range(len(model.inp)))
-    basis: tuple[int, ...] = ()
-    while pending:
-        settled = [j for j in pending
-                   if not any(_reduce_point(row[j], basis)
-                              for row in model.cross)]
-        if not settled:
-            return False
-        basis = _rref_basis(basis + tuple([model.inp[j] for j in settled]))
-        pending = [j for j in pending if j not in settled]
-    return not any(_reduce_point(a, basis) for a in model.lib)
+
+def _readable_mi(model: BilinearModel, cap: int) -> Fraction | None:
+    """Exact I(W; V) when the view reads the randomness, else None: only
+    the live columns, nonzero in inp or in a cross row, move the view, and
+    when their inp columns are independent modulo the span of lib and the
+    live cross entries, the view determines those bits z.  Then I(W; V) =
+    I(W; Z) + I(W; V | Z) = E_z rank M(z), where M(z) has the columns
+    lib[i] ^ XOR_j z_j cross[i][j].  One rank per value of z."""
+    live = [j for j, c in enumerate(model.inp)
+            if c or any(row[j] for row in model.cross)]
+    rest = [*model.lib, *[row[j] for row in model.cross for j in live]]
+    if (len(_rref_basis(rest + [model.inp[j] for j in live]))
+            < len(_rref_basis(rest)) + len(live)):
+        return None
+    values = 1 << len(live)
+    if values > cap:
+        raise ResourceLimitError(
+            f"the rank sum over {values} randomness values exceeds the cap {cap}")
+    cols, total = list(model.lib), len(_rref_basis(model.lib))
+    for k in range(1, values):
+        j = live[(k & -k).bit_length() - 1]
+        cols = [c ^ row[j] for c, row in zip(cols, model.cross)]
+        total += len(_rref_basis(cols))
+    return Fraction(total, values)
 
 
 def check_security_exact(cfg: SchemeConfig,
@@ -490,8 +479,8 @@ def check_security_exact(cfg: SchemeConfig,
     """Exact I(library; transmission) for a fixed demand battery.
 
     The affine route answers from the recovered model: a zero certified
-    by the fixed point, else the joint distribution expanded from every
-    library value's coset, within the cap.
+    by the fixed point, else the rank sum of _readable_mi.  When neither
+    applies, the check enumerates, and its record says so.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -501,18 +490,18 @@ def check_security_exact(cfg: SchemeConfig,
     coeffs = tuple(d.coeffs for d in sorted(demands, key=lambda d: d.user))
     run, wbits, zbits = _views(cfg, demands)
     states = 1 << (wbits + zbits)
-    chosen = _choose_method(method, states, _model_runs(wbits, zbits))
-    if chosen == "enumerate":
-        joint = security_joint_enumerated(cfg, demands, cap, jobs)
-        mi = mutual_information(joint)
-        return SecurityCheckResult(cfg, coeffs, "enumerate", states,
-                                   mi.is_zero, mi.bits)
-    (model,), runs = _recover_models(run, ("transmission",), wbits, zbits,
-                                     cfg.seed, cap)
-    if _security_certified(model):
-        return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
-    mi = mutual_information(_joint_from_model(model, cap))
-    return SecurityCheckResult(cfg, coeffs, "affine", runs, mi.is_zero, mi.bits)
+    if _choose_method(method, states, _model_runs(wbits, zbits)) == "affine":
+        (model,), runs = _recover_models(run, ("transmission",), wbits, zbits,
+                                         cfg.seed, cap)
+        if _security_certified(model):
+            return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
+        bits = _readable_mi(model, cap)
+        if bits is not None:
+            return SecurityCheckResult(cfg, coeffs, "affine", runs, bits == 0,
+                                       float(bits))
+    mi = mutual_information(security_joint_enumerated(cfg, demands, cap, jobs))
+    return SecurityCheckResult(cfg, coeffs, "enumerate", states, mi.is_zero,
+                               mi.bits)
 
 
 # ---- privacy ----
@@ -559,19 +548,19 @@ def check_privacy_exact(cfg: SchemeConfig,
     if cfg.topo.num_users == 1:
         return PrivacyCheckResult(cfg, chosen, 0, Fraction(0),
                                   {g: Fraction(0) for g in observers})
-    if chosen == "enumerate":
-        if states > cap:
-            raise ResourceLimitError(
-                f"enumeration of {states} states exceeds the cap {cap}")
-        per_observer = _privacy_enumerated(cfg, observers, run, wbits, zbits)
-    else:
+    if chosen == "affine":
         labels = [f"observer {g}" for g in observers]
-        # An affine record's states are the engine runs it spent.
-        models, states = _recover_models(run, labels, wbits, zbits,
-                                         cfg.seed, cap)
+        models, runs = _recover_models(run, labels, wbits, zbits, cfg.seed, cap)
         per_observer = _privacy_affine(cfg, observers, models)
-    return PrivacyCheckResult(cfg, chosen, states, max(per_observer.values()),
-                              per_observer)
+        if per_observer is not None:  # states: the engine runs it spent
+            return PrivacyCheckResult(cfg, "affine", runs,
+                                      max(per_observer.values()), per_observer)
+    if states > cap:
+        raise ResourceLimitError(
+            f"enumeration of {states} states exceeds the cap {cap}")
+    per_observer = _privacy_enumerated(cfg, observers, run, wbits, zbits)
+    return PrivacyCheckResult(cfg, "enumerate", states,
+                              max(per_observer.values()), per_observer)
 
 
 def _privacy_enumerated(cfg: SchemeConfig, observers: Sequence[CacheSet],
@@ -601,29 +590,42 @@ def _privacy_enumerated(cfg: SchemeConfig, observers: Sequence[CacheSet],
 
 
 def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
-                    models: Sequence[BilinearModel]) -> dict[CacheSet, Fraction]:
-    """Rank test on one bilinear model per observer, over Z = D || R.
+                    models: Sequence[BilinearModel]
+                    ) -> dict[CacheSet, Fraction] | None:
+    """Rank arguments on one bilinear model per observer, over Z = D || R.
 
     For a fixed library and own demand, an observer's view is uniform on
-    a coset of the span of the randomness columns, shifted by the other
-    users' demand columns they select.  Two cosets of one subspace are
-    equal or disjoint, so the TV is 0 when every other-user demand column
-    lies in that span and 1 as soon as one falls outside it.
+    a coset of span{B_R(w)}, the randomness columns, shifted by the other
+    users' demand columns they select.  Cosets of one subspace are equal
+    or disjoint, so the TV is 0 when every other-user demand column lies
+    in that span at every w, and 1 as soon as one falls outside it.  The
+    lift certificate proves 0: with S the randomness columns' fixed point,
+    lift column j to (inp[j], cross[0][j], ...) modulo S, each part at the
+    view width; a demand lift in the span of the randomness lifts puts
+    B_j(w) in span{B_R(w)} + S at every w.  A demand column outside the
+    span at w = 0 or some e_i proves 1.  None when neither applies.
     """
-    users = cfg.topo.users()
-    n = cfg.num_files
+    users, n = cfg.topo.users(), cfg.num_files
     dbits = n * len(users)
     per_observer: dict[CacheSet, Fraction] = {}
     for g, model in zip(observers, models):
-        own = users.index(g)
-        others = [j for j in range(dbits) if j // n != own]
-        leaks = False
-        for _, _, cols in model.sections():
-            basis = _rref_basis(cols[dbits:])
-            if any(_reduce_point(cols[j], basis) for j in others):
-                leaks = True
-                break
-        per_observer[g] = Fraction(int(leaks))
+        others = [j for j in range(dbits) if j // n != users.index(g)]
+        settled, _ = _settle(model, range(dbits, len(model.inp)))
+        parts = [model.inp, *model.cross]
+        width = max(map(int.bit_length, chain((model.base,), model.lib, *parts)))
+        lifts = [sum(_reduce_point(p[j], settled) << (k * width)
+                     for k, p in enumerate(parts) if p[j])
+                 for j in range(len(model.inp))]
+        span = _rref_basis(lifts[dbits:])
+        sections = chain((model.inp,), ([c ^ x for c, x in zip(model.inp, row)]
+                                        for row in model.cross))
+        if not any(_reduce_point(lifts[j], span) for j in others):
+            per_observer[g] = Fraction(0)
+        elif any(any(_reduce_point(cols[j], basis) for j in others)
+                 for cols in sections for basis in [_rref_basis(cols[dbits:])]):
+            per_observer[g] = Fraction(1)
+        else:
+            return None
     return per_observer
 
 
@@ -804,12 +806,10 @@ def security_suite(method: str = "auto", cap: int = DEFAULT_STATE_CAP,
 
 def privacy_suite(method: str = "auto", cap: int = DEFAULT_STATE_CAP
                   ) -> list[PrivacyCheckResult]:
-    """Exact privacy on the C = 3 instances of the tiny sweep, then the
-    cleartext negative control (expected nonzero)."""
+    """Exact privacy over the tiny sweep, then the cleartext negative
+    control (expected nonzero)."""
     results = []
     for C, r, t in tiny_sweep_topologies():
-        if C != 3:
-            continue
         for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR):
             results.append(check_privacy_exact(
                 tiny_config(kind, C, r, t), method=method, cap=cap))

@@ -318,7 +318,7 @@ REPORTS = {
     "correctness":
         "4dd88820bc0919e5500a1a5c0e544daca4c8719df103b1cb8e13837e24d2715c",
     "privacy":
-        "c55de72c97d145b43985d2f9f1e389de947d9cdcc80830fe207a0f6461473d92",
+        "aacb6c7d1f37d852b96f675e1f74ab3c83d98d3a2f7df0ff79d690f7e0340163",
     "security":
         "cc1a0506ddb392db8346340c86f3a2716774eac8c1547cbc4958c0f8b510828c",
     "shares":
@@ -328,8 +328,8 @@ REPORTS = {
 # `maclfr verify --suite security --C 3 --r 2 --t 1 --N 2 --scheme <kind>
 # --seed 0` -> digest of report.json.  All three take the affine route,
 # which spends fewer engine runs than their states: s-lfr and sp-lfr are
-# certified by the fixed point, and lfr reports the mutual information of
-# the joint its walk expands; all three run the engine on randomness
+# certified by the fixed point, and lfr reports the exact mutual
+# information of its rank sum; all three run the engine on randomness
 # unpacked from RandomnessLayout.
 SECURITY_INSTANCES = {
     "s-lfr":

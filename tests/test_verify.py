@@ -28,9 +28,9 @@ from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
 from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind
-from maclfr.verify import (AFFINITY_PROBES, DEFAULT_STATE_CAP, BilinearModel,
-                           ViewExtractor, _choose_method, _joint_from_model,
-                           _recover_models, _security_certified, _views,
+from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
+                           _choose_method, _model_runs, _privacy_affine,
+                           _readable_mi, _security_certified, _views,
                            check_correctness, check_privacy_exact,
                            check_security_exact, check_share_placement_secrecy,
                            demands_from_int, library_from_int,
@@ -150,24 +150,22 @@ def test_keyless_scheme_leaks_exactly_one_subfile_combination():
     assert res.mi_bits == pytest.approx(1.0, abs=1e-9)
 
 
-def _walked_joint(cfg, demands, cap=DEFAULT_STATE_CAP):
-    """The joint the model route walks when the certificate fails."""
-    run, wbits, zbits = _views(cfg, demands)
-    (model,), _ = _recover_models(run, ("transmission",), wbits, zbits,
-                                  cfg.seed, cap)
-    return _joint_from_model(model, cap)
-
-
 def test_affine_joint_matches_enumeration_exactly():
-    # Same joint distribution from both routes, entry for entry, on
-    # instances small enough to brute force (one-file libraries keep the
-    # state space tiny while leaving key entropy in play).
-    for kind in (SchemeKind.SP_LFR, SchemeKind.S_LFR, SchemeKind.LFR):
+    # The model route's answer equals the mutual information of the
+    # enumerated joint to the last bit, on instances small enough to brute
+    # force (one-file libraries keep the state space tiny while leaving key
+    # entropy in play): the fixed point certifies the keyed kinds, and the
+    # rank sum gives p-lfr and lfr their exact nonzero values.
+    for kind in (SchemeKind.SP_LFR, SchemeKind.S_LFR, SchemeKind.P_LFR,
+                 SchemeKind.LFR):
         for t in (0, 1):
             cfg = tiny_config(kind, 3, 2, t, num_files=1)
             demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
-            assert (security_joint_enumerated(cfg, demands)
-                    == _walked_joint(cfg, demands)), (kind, t)
+            joint = mutual_information(security_joint_enumerated(cfg, demands))
+            res = check_security_exact(cfg, demands, method="affine")
+            assert res.method == "affine", (kind, t)
+            assert (res.certified_zero, res.mi_bits) == (joint.is_zero,
+                                                         joint.bits), (kind, t)
 
 
 def test_parallel_enumeration_matches_serial():
@@ -188,7 +186,6 @@ def test_battery_order_does_not_change_the_joint():
     joint = security_joint_enumerated(cfg, in_order)
     assert security_joint_enumerated(cfg, backwards) == joint
     assert security_joint_enumerated(cfg, backwards, jobs=2) == joint
-    assert _walked_joint(cfg, backwards) == _walked_joint(cfg, in_order) == joint
     for method in ("enumerate", "affine"):
         res = check_security_exact(cfg, backwards, method=method)
         assert res.demands == (1, 1, 2)
@@ -300,21 +297,27 @@ def test_auto_takes_the_route_with_fewer_engine_runs():
 
 
 def test_certificates_answer_without_the_walk(monkeypatch):
-    # With the per-library walk disabled, the keyed sweep still gets its
-    # certified zero: the fixed point never loops over the library values.
-    # The keyless control cannot be certified and needs the walk.
-    def no_walk(self):
-        raise AssertionError("walked the library values")
+    # With enumeration disabled, every sweep instance of every kind gets
+    # both answers from rank arguments on the model, for the engine runs
+    # the recovery spent and no more.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("enumerated the states")
 
-    monkeypatch.setattr(BilinearModel, "sections", no_walk)
+    monkeypatch.setattr(verify, "security_joint_enumerated", no_walk)
+    monkeypatch.setattr(verify, "_privacy_enumerated", no_walk)
     for C, r, t in tiny_sweep_topologies():
-        for kind in (SchemeKind.S_LFR, SchemeKind.IS_LFR, SchemeKind.SP_LFR):
-            res = check_security_exact(tiny_config(kind, C, r, t),
-                                       method="affine")
-            assert res.certified_zero, (kind, C, r, t)
-    with pytest.raises(AssertionError, match="walked"):
-        check_security_exact(tiny_config(SchemeKind.LFR, 3, 2, 1),
-                             method="affine")
+        for kind in SchemeKind:
+            cfg = tiny_config(kind, C, r, t)
+            wbits = cfg.num_files * cfg.file_bits
+            rbits = RandomnessLayout.for_config(cfg).total_bits
+            dbits = cfg.num_files * cfg.topo.num_users
+            sec = check_security_exact(cfg, method="affine")
+            assert (sec.method, sec.states) == (
+                "affine", _model_runs(wbits, rbits)), (kind, C, r, t)
+            priv = check_privacy_exact(cfg, method="affine")
+            runs = _model_runs(wbits, dbits + rbits)
+            assert (priv.method, priv.states) == (
+                "affine", runs if cfg.topo.num_users > 1 else 0), (kind, C, r, t)
 
 
 def test_a_randomness_bit_the_library_switches_off_does_not_settle():
@@ -322,6 +325,8 @@ def test_a_randomness_bit_the_library_switches_off_does_not_settle():
     # the view leaks; z's column has a cross term and must not settle.
     gated_key = BilinearModel(base=0, lib=(1,), inp=(1,), cross=((1,),))
     assert not _security_certified(gated_key)
+    # Nor can the view read z, which w = 1 masks: no rank sum applies.
+    assert _readable_mi(gated_key, cap=1 << 10) is None
     # Without the cross term it is certified.
     assert _security_certified(replace(gated_key, cross=((0,),)))
 
@@ -349,7 +354,7 @@ def test_zeroed_payload_key_is_not_certified(monkeypatch):
 
 def test_unmasked_demand_is_not_certified_private(monkeypatch):
     # An sp-lfr engine that sends one user's demand unmasked leaks it to
-    # every other observer; the span test at each library value finds it.
+    # every other observer; the span test at w = 0 is its witness.
     honest = Scheme.deliver
 
     def leaky(self, randomness, table, demands):
@@ -368,18 +373,17 @@ def test_unmasked_demand_is_not_certified_private(monkeypatch):
 
 
 def test_uncertified_controls_keep_their_exact_mi():
-    # Neither p-lfr nor the keyless lfr is certified; both fall back to
-    # the walk and report the MI of the joint it expands.
-    for kind, C, r, t in ((SchemeKind.P_LFR, 3, 2, 0),
-                          (SchemeKind.P_LFR, 3, 2, 1),
-                          (SchemeKind.LFR, 3, 2, 1),
-                          (SchemeKind.LFR, 4, 2, 2)):
-        cfg = tiny_config(kind, C, r, t)
-        demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
-        res = check_security_exact(cfg, demands, method="affine")
-        walked = mutual_information(_walked_joint(cfg, demands))
-        assert not res.certified_zero and not walked.is_zero, (kind, C, r, t)
-        assert res.mi_bits == pytest.approx(walked.bits, abs=1e-9)
+    # Neither p-lfr nor the keyless lfr is certified; the rank sum gives
+    # each its exact MI, pinned from an expansion of every library value's
+    # coset into the joint distribution.
+    for kind, C, r, t, bits in ((SchemeKind.P_LFR, 3, 2, 0, 1.640625),
+                                (SchemeKind.P_LFR, 3, 2, 1, 0.984375),
+                                (SchemeKind.LFR, 3, 2, 1, 1.0),
+                                (SchemeKind.LFR, 4, 2, 2, 1.0),
+                                (SchemeKind.P_LFR, 4, 2, 1, 3.7939453125)):
+        res = check_security_exact(tiny_config(kind, C, r, t), method="affine")
+        assert (res.method, res.certified_zero, res.mi_bits) == (
+            "affine", False, bits), (kind, C, r, t)
 
 
 def test_affine_states_count_recovery_and_probe_runs():
@@ -398,18 +402,31 @@ def test_largest_masked_sweep_instance_is_fast():
     assert time.perf_counter() - started < 2.0
 
 
-def _skew_views(monkeypatch):
-    """Make every view carry a library-by-library product, which no
-    bilinear model over (library, inputs) can express.  Every route runs
-    the engine through verify._views, so one patch reaches them all."""
+def test_rank_arguments_answer_the_largest_sweep_instances_fast():
+    # p-lfr security at (4,2,2) is the rank sum over its readable
+    # randomness, and sp-lfr privacy at (4,2,2) the lift certificate.
+    started = time.perf_counter()
+    res = check_security_exact(tiny_config(SchemeKind.P_LFR, 4, 2, 2))
+    assert (res.method, res.mi_bits) == ("affine", 0.999755859375)
+    assert time.perf_counter() - started < 1.0
+    started = time.perf_counter()
+    res = check_privacy_exact(tiny_config(SchemeKind.SP_LFR, 4, 2, 2))
+    assert res.method == "affine" and res.certified_zero
+    assert time.perf_counter() - started < 2.0
+
+
+def _skew_views(monkeypatch, bump=lambda w, z: w & (w >> 1) & 1):
+    """Make every view carry `bump(w, z)`, by default a library-by-library
+    product, which no bilinear model over (library, inputs) can express.
+    Every route runs the engine through verify._views, so one patch
+    reaches them all."""
     honest = verify._views
 
     def skewed(*args, **kwargs):
         run, wbits, zbits = honest(*args, **kwargs)
 
         def bumped(w, z):
-            bump = w & (w >> 1) & 1
-            return tuple(view ^ bump for view in run(w, z))
+            return tuple(view ^ bump(w, z) for view in run(w, z))
 
         return bumped, wbits, zbits
 
@@ -434,14 +451,53 @@ def test_affine_route_respects_the_cap():
     runs = check_privacy_exact(cfg, method="affine").states
     with pytest.raises(ResourceLimitError):
         check_privacy_exact(cfg, method="affine", cap=runs - 1)
-    # The keyless control is not certified, and its walk expands one point
-    # per library value: 64 points from 63 runs, so a cap of 63 admits the
-    # runs but not the expansion.
-    control = tiny_config(SchemeKind.LFR, 3, 2, 1)
-    with pytest.raises(ResourceLimitError, match="coset expansion"):
-        check_security_exact(control, method="affine", cap=63)
-    res = check_security_exact(control, method="affine", cap=64)
-    assert res.mi_bits == pytest.approx(1.0, abs=1e-9)
+    # p-lfr (4,2,1) is not certified, and its rank sum takes one rank per
+    # value of its 12 readable randomness bits: 4,096 ranks from 405 runs,
+    # so a cap of 2,000 admits the runs but not the sum.
+    control = tiny_config(SchemeKind.P_LFR, 4, 2, 1)
+    with pytest.raises(ResourceLimitError, match="rank sum"):
+        check_security_exact(control, method="affine", cap=2000)
+    res = check_security_exact(control, method="affine", cap=4096)
+    assert (res.states, res.mi_bits) == (405, 3.7939453125)
+
+
+def test_security_enumerates_what_no_rank_argument_settles(monkeypatch):
+    # A cross term w_0 z_0 on the first view bit blocks the certificate, and
+    # s-lfr's keys hide its randomness from the view, so no rank sum
+    # applies either: every route answers by enumeration.
+    _skew_views(monkeypatch, lambda w, z: w & z & 1)
+    cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
+    states = 1 << _security_state_bits(cfg)
+    for method in ("auto", "affine", "enumerate"):
+        res = check_security_exact(cfg, method=method)
+        assert (res.method, res.states, res.certified_zero, res.mi_bits) == (
+            "enumerate", states, False, 0.5), method
+        with pytest.raises(ResourceLimitError):
+            check_security_exact(cfg, method=method, cap=100)
+
+
+def test_privacy_enumerates_what_no_rank_argument_settles(monkeypatch):
+    # One library bit w; R1 = e1 + w e2, R2 = e2 + w e1 and a demand column
+    # D = w (e1 + e2).  D lies in the randomness span at w = 0 and at w = 1,
+    # so no witness exists, but the lift of D, (0, e1 + e2), is not a sum
+    # of the lifts (e1, e2) and (e2, e1): neither argument settles it.
+    cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
+    observer, n = cfg.topo.users()[0], cfg.num_files
+    others = 3 << n  # the second user's demand bits
+    dbits = n * cfg.topo.num_users
+    demand = [0b11 if (others >> j) & 1 else 0 for j in range(dbits)]
+    model = BilinearModel(base=0, lib=(0,), inp=(0,) * dbits + (0b01, 0b10),
+                          cross=(tuple(demand) + (0b10, 0b01),))
+    assert _privacy_affine(cfg, [observer], [model]) is None
+    # check_privacy_exact then answers by enumeration, within the cap.
+    monkeypatch.setattr(verify, "_privacy_affine", lambda *args: None)
+    small = tiny_config(SchemeKind.S_LFR, 3, 2, 1, num_files=1)
+    enum = check_privacy_exact(small, method="enumerate")
+    res = check_privacy_exact(small, method="affine")
+    assert (res.method, res.states, res.per_observer) == (
+        "enumerate", enum.states, enum.per_observer)
+    with pytest.raises(ResourceLimitError):
+        check_privacy_exact(small, method="affine", cap=enum.states - 1)
 
 
 def test_broadcast_plus_one_cache_leaks():
