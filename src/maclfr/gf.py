@@ -3,14 +3,15 @@
 Elements are plain ints in [0, 2^l) holding polynomial-basis coordinates:
 bit j of the int is the coefficient of x^j, so the constant term sits in
 the least significant bit.  A BinaryField instance fixes the exponent and
-the reduction polynomial and exposes arithmetic on raw ints.
+exposes arithmetic on raw ints modulo the exponent's one reduction
+polynomial, canonical_reduction_poly(): the lowest-weight, then
+lowest-value, irreducible polynomial of the degree, found once by search
+with exhaustive trial division.
 
 Every product goes through mul_packed, which multiplies each symbol of an
 int of packed l-bit symbols by one constant with shifts and XORs: Shamir
 shares and MDS blocks are scaled a whole block at a time, and a single
 product is the one-symbol case.  Inversion is a power, a^(2^l - 2).
-Reduction polynomials are validated irreducible by exhaustive trial
-division.
 """
 
 from __future__ import annotations
@@ -21,16 +22,6 @@ from typing import Sequence
 from .errors import DomainError
 
 MAX_EXPONENT = 16
-
-# Canonical reduction polynomials for the small fields that appear in the
-# schemes.  Larger exponents fall back to a search for the lexicographically
-# first lowest-weight irreducible polynomial, which reproduces these entries.
-_CANONICAL = {
-    1: 0b10,        # x
-    2: 0b111,       # x^2 + x + 1
-    3: 0b1011,      # x^3 + x + 1
-    4: 0b10011,     # x^4 + x + 1
-}
 
 
 # ---- polynomial helpers on raw masks ----
@@ -62,8 +53,6 @@ def canonical_reduction_poly(exponent: int) -> int:
     """Lowest-weight, then lowest-value, irreducible polynomial of the degree."""
     if not 1 <= exponent <= MAX_EXPONENT:
         raise DomainError(f"exponent must be in [1, {MAX_EXPONENT}], got {exponent}")
-    if exponent in _CANONICAL:
-        return _CANONICAL[exponent]
     candidates = sorted(range(1 << exponent, 1 << (exponent + 1)),
                         key=lambda m: (bin(m).count("1"), m))
     for mask in candidates:
@@ -73,23 +62,12 @@ def canonical_reduction_poly(exponent: int) -> int:
 
 
 class BinaryField:
-    """GF(2^exponent) with a fixed reduction polynomial; the arithmetic
-    methods take and return raw ints."""
+    """GF(2^exponent) modulo the canonical reduction polynomial; the
+    arithmetic methods take and return raw ints."""
 
-    def __init__(self, exponent: int, reduction_poly: int | None = None):
-        if not 1 <= exponent <= MAX_EXPONENT:
-            raise DomainError(
-                f"exponent must be in [1, {MAX_EXPONENT}], got {exponent}")
-        if reduction_poly is None:
-            reduction_poly = canonical_reduction_poly(exponent)
-        if reduction_poly.bit_length() - 1 != exponent:
-            raise DomainError(
-                f"reduction polynomial degree {reduction_poly.bit_length() - 1} "
-                f"does not match exponent {exponent}")
-        if not is_irreducible(reduction_poly):
-            raise DomainError(f"reduction polynomial {reduction_poly:#b} is reducible")
+    def __init__(self, exponent: int):
+        self.reduction_poly = canonical_reduction_poly(exponent)
         self.exponent = exponent
-        self.reduction_poly = reduction_poly
         self.order = 1 << exponent
 
     # ---- raw int arithmetic ----

@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
@@ -177,29 +177,40 @@ def _sized(block: BitBlock, bits: int, what: str, label) -> int:
 
 # ---- server randomness ----
 
-def randomness_order(cfg: SchemeConfig) -> Iterator[tuple[tuple, int]]:
-    """Every value the server draws before a round, as (label, bits) in
-    the canonical order; draw() takes one getrandbits(bits) per entry.
+def _join(values: Sequence[int], width: int) -> int:
+    """The values side by side, value i at bit i * width.  Neighbours are
+    joined pairwise, so no step copies a growing int once per value."""
+    while len(values) > 1:
+        joined = [lo | hi << width for lo, hi in zip(values[::2], values[1::2])]
+        if len(values) & 1:
+            joined.append(values[-1])
+        values, width = joined, 2 * width
+    return values[0] if values else 0
 
-    Payload keys come first, in lex transmission index, for every kind but
-    lfr; p-lfr draws them and then pins them to zero, which keeps the rest
-    of its stream aligned with sp-lfr.  Mask vectors follow in lex user,
-    then share coefficients in lex (user, index), symbol by symbol and
-    blind by blind.
+
+def randomness_order(cfg: SchemeConfig) -> list[tuple[str, int, int]]:
+    """Every value the server draws before a round, as runs (tag, count,
+    bits) in the canonical order; draw() takes count getrandbits(bits) per
+    run, run by run.
+
+    The "key" run holds one payload key per transmission index, in lex
+    order, for every kind but lfr; p-lfr draws them and then pins them to
+    zero, which keeps the rest of its stream aligned with sp-lfr.  When
+    demands are masked, the "mask" run holds one mask vector per user, in
+    lex order, and the "coef" run the share coefficients: the symbols of
+    every slot, lex in (user, index), in turn, and the r - 1 blinds of each
+    symbol in turn, so value k (r - 1) + b is blind b of symbol k.
     """
     topo = cfg.topo
+    runs = []
     if cfg.kind is not SchemeKind.LFR:
-        for S in topo.transmission_indices():
-            yield ("key", S), cfg.subfile_bits
+        runs.append(("key", topo.num_transmissions, cfg.subfile_bits))
     if cfg.kind.masks_demands:
-        for g in topo.users():
-            yield ("mask", g), cfg.num_files
+        runs.append(("mask", topo.num_users, cfg.num_files))
         l = cfg.key_field.exponent
-        symbols, blinds = cfg.share_block_bits // l, topo.access_degree - 1
-        for g, T in _indices(topo)[1]:
-            for s in range(symbols):
-                for b in range(blinds):
-                    yield ("coef", g, T, s, b), l
+        symbols = len(_indices(topo)[1]) * (cfg.share_block_bits // l)
+        runs.append(("coef", symbols * (topo.access_degree - 1), l))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -210,9 +221,9 @@ class ServerRandomness:
     masks payloads (all zero under p-lfr); mask_vectors and
     share_coefficients exist only when demands are masked.  The share
     coefficients are the round's r - 1 planes, one per blind, as the one
-    split() of placement takes them: plane b holds coefficient b of slot
-    (g, T)'s symbol s at bit (n share_block_bits + s l), n the slot's
-    ordinal in lex (g, T).  r = 1 has no planes.
+    split() of placement takes them: plane b holds blind b of the coef
+    run's symbol k at bit k l, so each slot's symbols sit in a block of
+    share_block_bits, lex in (g, T).  r = 1 has no planes.
     """
 
     payload_keys: Mapping[CacheSet, BitBlock]
@@ -221,45 +232,34 @@ class ServerRandomness:
 
     @classmethod
     def draw(cls, cfg: SchemeConfig, rng: random.Random) -> "ServerRandomness":
-        """Draw every entry of randomness_order(cfg), in that order."""
-        return cls._from_entries(cfg, ((label, rng.getrandbits(bits))
-                                      for label, bits in randomness_order(cfg)))
+        """Draw every run of randomness_order(cfg), in that order."""
+        return cls._from_runs(cfg, {
+            tag: [rng.getrandbits(bits) for _ in range(count)]
+            for tag, count, bits in randomness_order(cfg)})
 
     @classmethod
-    def _from_entries(cls, cfg: SchemeConfig,
-                     values: Iterable[tuple[tuple, int]]) -> "ServerRandomness":
-        """Assemble labelled values of randomness_order(cfg) entries.
+    def _from_runs(cls, cfg: SchemeConfig,
+                   runs: Mapping[str, Sequence[int]]) -> "ServerRandomness":
+        """Assemble the values of randomness_order(cfg)'s runs, by tag.
 
-        Payload keys of a kind without key entropy are zero whether or not
-        their entries are given.
+        p-lfr's payload keys are zero whether or not its key run is given.
         """
         topo = cfg.topo
         kind = cfg.kind
+        sb = cfg.subfile_bits
         payload_keys: dict[CacheSet, BitBlock] = {}
-        if kind is SchemeKind.P_LFR:
-            zero = BitBlock.zeros(cfg.subfile_bits)
-            payload_keys = {S: zero for S in topo.transmission_indices()}
-        mask_vectors: dict[CacheSet, int] = {}
+        if kind.has_payload_keys:
+            payload_keys = {S: BitBlock(v, sb) for S, v
+                            in zip(topo.transmission_indices(), runs["key"])}
+        elif kind is SchemeKind.P_LFR:
+            payload_keys = dict.fromkeys(topo.transmission_indices(),
+                                         BitBlock.zeros(sb))
+        mask_vectors = dict(zip(topo.users(), runs.get("mask", ())))
         blinds = topo.access_degree - 1 if kind.masks_demands else 0
-        # Each slot's planes, in lex (g, T), to be joined once per blind.
-        planes = ({slot: [0] * blinds for slot in _indices(topo)[1]}
-                  if blinds else {})
+        coefs = runs.get("coef", ())
         l = cfg.key_field.exponent
-        for label, value in values:
-            tag = label[0]
-            if tag == "key":
-                if kind.has_payload_keys:
-                    payload_keys[label[1]] = BitBlock(value, cfg.subfile_bits)
-            elif tag == "mask":
-                mask_vectors[label[1]] = value
-            else:
-                _, g, T, s, b = label
-                planes[(g, T)][b] |= value << (s * l)
-        wb, joined = cfg.share_block_bits, [0] * blinds
-        for n, slot in enumerate(planes.values()):
-            for b, plane in enumerate(slot):
-                joined[b] |= plane << (n * wb)
-        return cls(payload_keys, mask_vectors, tuple(joined))
+        return cls(payload_keys, mask_vectors,
+                   tuple(_join(coefs[b::blinds], l) for b in range(blinds)))
 
 
 @dataclass(frozen=True)
@@ -267,30 +267,31 @@ class RandomnessLayout:
     """Bit layout of the entropy behind ServerRandomness.
 
     The verification oracles enumerate server randomness exhaustively; this
-    maps an integer to the ServerRandomness it encodes.  Entries are the
-    randomness_order() entries that carry entropy, so p-lfr's pinned
-    payload keys are left out even though draw() consumes stream bits for
-    them.
+    maps an integer to the ServerRandomness it encodes.  Runs are the
+    randomness_order() runs that carry entropy, low bits first, so p-lfr's
+    pinned payload keys are left out even though draw() consumes stream
+    bits for them.
     """
 
     cfg: SchemeConfig
-    entries: tuple[tuple[tuple, int], ...]
+    runs: tuple[tuple[str, int, int], ...]
     total_bits: int
 
     @classmethod
     def for_config(cls, cfg: SchemeConfig) -> "RandomnessLayout":
-        entries = tuple((label, bits) for label, bits in randomness_order(cfg)
-                        if label[0] != "key" or cfg.kind.has_payload_keys)
-        return cls(cfg, entries, sum(bits for _, bits in entries))
+        runs = tuple(run for run in randomness_order(cfg)
+                     if run[0] != "key" or cfg.kind.has_payload_keys)
+        return cls(cfg, runs, sum(count * bits for _, count, bits in runs))
 
     def unpack(self, value: int) -> ServerRandomness:
         if value < 0 or value >> self.total_bits:
             raise DomainError(f"value does not fit in {self.total_bits} bits")
-        chunks = []
-        for label, bits in self.entries:
-            chunks.append((label, value & ((1 << bits) - 1)))
-            value >>= bits
-        return ServerRandomness._from_entries(self.cfg, chunks)
+        runs = {}
+        for tag, count, bits in self.runs:
+            mask = (1 << bits) - 1
+            runs[tag] = [value >> (i * bits) & mask for i in range(count)]
+            value >>= count * bits
+        return ServerRandomness._from_runs(self.cfg, runs)
 
 
 # ---- placement / delivery artifacts ----
@@ -478,13 +479,12 @@ class Scheme:
             # One split for the round: the slot keys side by side, lex in
             # (g, T) at stride wb as the coefficient planes are, so that
             # each user's row is contiguous.
-            row = 0
-            for n, ((g, T), (k, S, _)) in enumerate(self._slots.items()):
+            for (g, T), (k, S, _) in self._slots.items():
                 # The g-mask combination of subfile index T, on the key.
-                key = BitBlock(_sized(keys[S], sb, "payload key", S)
-                               ^ ((masked[g] >> (k * sb)) & piece), sb)
-                superposed[(g, T)] = key
-                row |= key.value << (n * wb)
+                superposed[(g, T)] = BitBlock(
+                    _sized(keys[S], sb, "payload key", S)
+                    ^ ((masked[g] >> (k * sb)) & piece), sb)
+            row = _join([key.value for key in superposed.values()], wb)
             shares = split(BitBlock(row, len(superposed) * wb),
                            self.topo.access_degree, cfg.key_field,
                            coefficients=randomness.share_coefficients).shares

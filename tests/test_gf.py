@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maclfr.errors import DomainError
-from maclfr.gf import (MAX_EXPONENT, BinaryField, binary_field,
+from maclfr.gf import (MAX_EXPONENT, binary_field,
                        canonical_reduction_poly, exponent_for_share_count,
                        is_irreducible)
 
@@ -149,9 +149,6 @@ def test_inverse_of_zero_rejected():
 
 
 def test_reducible_polynomial_rejected():
-    # x^2 + 1 = (x + 1)^2 over GF(2).
-    with pytest.raises(DomainError):
-        BinaryField(2, 0b101)
     with pytest.raises(DomainError):
         binary_field(0)
     with pytest.raises(DomainError):

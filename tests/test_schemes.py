@@ -29,7 +29,7 @@ from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
                             linear_combination, random_demands, subpacketize)
 from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
                             SchemeConfig, SchemeKind, ServerRandomness,
-                            ServerSecrets, derive_rng, simulate)
+                            ServerSecrets, _join, derive_rng, simulate)
 from maclfr.topology import TopologySpec
 from maclfr.verify import check_correctness
 
@@ -221,7 +221,7 @@ def test_randomness_layout_units(kind):
                for p in drawn.share_coefficients)
     if kind is SchemeKind.P_LFR:
         # Pinned keys are constants, not entropy.
-        assert all(label[0] != "key" for label, _ in layout.entries)
+        assert all(tag != "key" for tag, _, _ in layout.runs)
     with pytest.raises(DomainError):
         layout.unpack(1 << layout.total_bits)
 
@@ -230,9 +230,11 @@ def test_randomness_layout_units(kind):
 @pytest.mark.parametrize("C,r,t", ((3, 2, 1), (4, 1, 2), (4, 3, 1)))
 def test_draw_agrees_with_layout_unpack(kind, C, r, t):
     # draw() and unpack() read one canonical order: replaying the placement
-    # stream one getrandbits(bits) per layout entry and unpacking the packed
-    # value rebuilds exactly what draw() returns.  p-lfr's pinned keys are
-    # drawn and dropped, so the replay consumes them first.
+    # stream run by run, count getrandbits(bits) per layout run, and
+    # unpacking the packed value rebuilds exactly what draw() returns.
+    # p-lfr's pinned keys are drawn and dropped, so the replay consumes
+    # them first.  Both streams then agree on the next value, so draw()
+    # takes neither more nor fewer values than the runs name.
     cfg = config(kind, C, r, t, N=2)
     layout = RandomnessLayout.for_config(cfg)
     for seed in (0, 1, 2):
@@ -241,12 +243,26 @@ def test_draw_agrees_with_layout_unpack(kind, C, r, t):
             for _ in cfg.topo.transmission_indices():
                 replay.getrandbits(cfg.subfile_bits)
         value, offset = 0, 0
-        for _, bits in layout.entries:
-            value |= replay.getrandbits(bits) << offset
-            offset += bits
+        for _, count, bits in layout.runs:
+            for _ in range(count):
+                value |= replay.getrandbits(bits) << offset
+                offset += bits
         assert offset == layout.total_bits
-        drawn = ServerRandomness.draw(cfg, derive_rng(seed, "placement"))
+        rng = derive_rng(seed, "placement")
+        drawn = ServerRandomness.draw(cfg, rng)
         assert layout.unpack(value) == drawn
+        assert rng.getrandbits(64) == replay.getrandbits(64)
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 16))
+@pytest.mark.parametrize("count", range(10))
+def test_join_places_values_side_by_side(count, width):
+    rng = derive_rng(count, f"join:{width}")
+    values = [rng.getrandbits(width) for _ in range(count)]
+    expected = 0
+    for i, v in enumerate(values):
+        expected |= v << (i * width)
+    assert _join(values, width) == expected
 
 
 @pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
