@@ -188,6 +188,19 @@ def _join(values: Sequence[int], width: int) -> int:
     return values[0] if values else 0
 
 
+def _cut(value: int, count: int, width: int) -> list[int]:
+    """The inverse of _join: count values of width bits, value i at bit
+    i * width.  Blocks of 32 values are cut out first, so that each value
+    is shifted out of a short int."""
+    mask, step = (1 << width) - 1, 32 * width
+    values: list[int] = []
+    for at in range(0, count * width, step):
+        block = value >> at & ((1 << step) - 1)
+        values += [block >> (i * width) & mask
+                   for i in range(min(32, count - at // width))]
+    return values
+
+
 def randomness_order(cfg: SchemeConfig) -> list[tuple[str, int, int]]:
     """Every value the server draws before a round, as runs (tag, count,
     bits) in the canonical order; draw() takes count getrandbits(bits) per
@@ -461,56 +474,93 @@ class Scheme:
                     subfiles: list[dict[tuple[int, CacheSet], BitBlock]],
                     table: SubfileTable
                     ) -> tuple[list[CacheContent], ServerSecrets]:
-        """Store each cache's key material: threshold shares of the
-        superposed keys, whole payload keys, MDS-coded ones, or nothing."""
-        cfg = self.cfg
+        """Store each cache's key material, cut from its key row: threshold
+        shares of the superposed keys, whole payload keys, MDS-coded ones,
+        or nothing."""
         kind = self.kind
-        keys = randomness.payload_keys
-        caches = range(self.topo.num_caches)
-        key_shares: list[dict] = [{} for _ in caches]
-        whole: list[dict] = [{} for _ in caches]
-        coded: list[dict] = [{} for _ in caches]
+        labels: list[list] = [[] for _ in range(self.topo.num_caches)]
+        rows, keys = self.key_rows(randomness, table)
         superposed: dict[tuple[CacheSet, CacheSet], BitBlock] = {}
-        if kind.masks_demands and not cfg.broadcast:
-            sb, wb = table.subfile_bits, cfg.share_block_bits
-            piece, block = (1 << sb) - 1, (1 << wb) - 1
+        if keys:
+            for g, row_indices in self._rows.items():
+                for c in g:
+                    labels[c - 1] += [(g, T) for T in row_indices]
+            sb = table.subfile_bits
+            superposed = {slot: BitBlock(key, sb)
+                          for slot, key in zip(self._slots, keys)}
+        elif kind.stores_keys_whole or kind.stores_keys_coded:
+            for S in self.topo.transmission_indices():
+                for c in S:
+                    labels[c - 1].append(S)
+        which = 0 if kind.masks_demands else 1 if kind.stores_keys_whole else 2
+        contents = []
+        for c, (names, (row, width)) in enumerate(zip(labels, rows)):
+            stores: list[dict] = [{}, {}, {}]
+            if names:
+                bits = width // len(names)
+                stores[which] = {name: BitBlock(v, bits) for name, v
+                                 in zip(names, _cut(row, len(names), bits))}
+            contents.append(CacheContent(c + 1, subfiles[c], *stores))
+        return contents, ServerSecrets(randomness, superposed)
+
+    def key_rows(self, randomness: ServerRandomness, table: SubfileTable
+                 ) -> tuple[list[tuple[int, int]], list[int]]:
+        """Each cache's key material as one row (value, width), in the
+        order the cache stores it, and the superposed slot keys.
+
+        Under sp-lfr and p-lfr, a cache's row is, for each user holding it
+        in lex order, the user's cut of the round's one split share row;
+        the superposed keys, lex in (g, T), are that row's secrets.  Under
+        s-lfr it is the whole payload key of each S naming the cache, lex
+        in S, and under is-lfr the cache's MDS-coded block of each such S.
+        lfr and broadcast mode store no key: every row is empty, as is the
+        superposed list of every kind but the two masking ones.
+        """
+        cfg = self.cfg
+        keys = randomness.payload_keys
+        sb = cfg.subfile_bits
+        pieces: list[list[int]] = [[] for _ in range(self.topo.num_caches)]
+        superposed: list[int] = []
+        bits = 0
+        if self.kind.masks_demands and not cfg.broadcast:
+            wb = cfg.share_block_bits
+            piece = (1 << sb) - 1
             masked = {g: _combination(table.images, mask)
                       for g, mask in randomness.mask_vectors.items()}
+            # The g-mask combination of subfile index T, on the key of S.
+            superposed = [_sized(keys[S], sb, "payload key", S)
+                          ^ ((masked[g] >> (k * sb)) & piece)
+                          for (g, _), (k, S, _) in self._slots.items()]
             # One split for the round: the slot keys side by side, lex in
             # (g, T) at stride wb as the coefficient planes are, so that
             # each user's row is contiguous.
-            for (g, T), (k, S, _) in self._slots.items():
-                # The g-mask combination of subfile index T, on the key.
-                superposed[(g, T)] = BitBlock(
-                    _sized(keys[S], sb, "payload key", S)
-                    ^ ((masked[g] >> (k * sb)) & piece), sb)
-            row = _join([key.value for key in superposed.values()], wb)
-            shares = split(BitBlock(row, len(superposed) * wb),
+            shares = split(BitBlock(_join(superposed, wb), len(superposed) * wb),
                            self.topo.access_degree, cfg.key_field,
                            coefficients=randomness.share_coefficients).shares
             at = 0
             for g, row_indices in self._rows.items():
                 width = len(row_indices) * wb
                 for c in g:
-                    # Cut the user's row out first, so slots shift a short int.
-                    share = (shares[share_index_of_cache(g, c) - 1] >> at
-                             & (1 << width) - 1)
-                    held = key_shares[c - 1]
-                    for p, T in enumerate(row_indices):
-                        held[(g, T)] = BitBlock((share >> (p * wb)) & block, wb)
+                    pieces[c - 1].append(
+                        shares[share_index_of_cache(g, c) - 1] >> at
+                        & (1 << width) - 1)
                 at += width
-        elif kind.stores_keys_whole:
+            bits = width  # every user's row has C(C - r, t) slots
+        elif self.kind.stores_keys_whole:
+            bits = sb
             for S in self.topo.transmission_indices():
+                key = _sized(keys[S], sb, "payload key", S)
                 for c in S:
-                    whole[c - 1][S] = keys[S]
-        elif kind.stores_keys_coded:
+                    pieces[c - 1].append(key)
+        elif self.kind.stores_keys_coded:
             for S in self.topo.transmission_indices():
                 blocks = encode_key(keys[S], cfg.key_code)
                 for c in S:
-                    coded[c - 1][S] = blocks[share_index_of_cache(S, c) - 1]
-        contents = [CacheContent(c + 1, subfiles[c], key_shares[c], whole[c],
-                                 coded[c]) for c in caches]
-        return contents, ServerSecrets(randomness, superposed)
+                    block = blocks[share_index_of_cache(S, c) - 1]
+                    pieces[c - 1].append(block.value)
+                    bits = block.length
+        return ([(_join(row, bits), len(row) * bits) for row in pieces],
+                superposed)
 
     # -- delivery --
 

@@ -18,9 +18,11 @@ randomness value (and every demand tuple, for privacy), with exact
 rational probabilities.  Two evaluation methods exist:
 
 * "enumerate" runs the real engine once per state: delivery alone for
-  security, whose eavesdropper sees no cache, and placement and delivery
-  for privacy.  It assumes nothing and is the gold standard, but state
-  spaces explode.
+  security, whose eavesdropper sees no cache, and delivery plus the
+  caches' subfile and key rows for privacy.  One full placement per check
+  keeps the placement invariants checked and the rows true to the placed
+  caches.  It assumes nothing and is the gold standard, but state spaces
+  explode.
 * "affine" exploits that every view is a GF(2) polynomial of degree at
   most two whose only products pair a library bit with a demand or
   randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
@@ -62,11 +64,12 @@ from math import log2
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .bits import BitBlock
-from .errors import DomainError, ResourceLimitError, UsageError
+from .errors import DomainError, IntegrityError, ResourceLimitError, UsageError
 from .library import (DemandVector, FileLibrary, linear_combination,
                       subpacketize)
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
-                      SchemeConfig, SchemeKind, ServerRandomness, derive_rng)
+                      SchemeConfig, SchemeKind, ServerRandomness, _join,
+                      derive_rng)
 from .shamir import reconstruct, share_set_from_blocks
 from .topology import CacheSet, TopologySpec
 
@@ -151,8 +154,9 @@ class ViewExtractor:
 
     The transmission view is every bit on the broadcast link whose value
     can vary: payloads in index order plus, for the masking schemes, the
-    masked demand vectors.  Cleartext demands are fixed public inputs in
-    every check here, so they carry no information and are omitted.
+    masked demand vectors; in broadcast mode, the files in order.
+    Cleartext demands are fixed public inputs in every check here, so they
+    carry no information and are omitted.
 
     An observer view extends the transmission view with the observer's own
     demand and the full contents of its member caches.  Other users'
@@ -168,6 +172,11 @@ class ViewExtractor:
     def transmission(self, transcript: DeliveryTranscript) -> tuple[int, int]:
         value = 0
         width = 0
+        if transcript.broadcast_files is not None:
+            for block in transcript.broadcast_files:
+                value |= block.value << width
+                width += block.length
+            return value, width
         for S in self.topo.transmission_indices():
             block = transcript.payloads[S]
             value |= block.value << width
@@ -194,33 +203,39 @@ class ViewExtractor:
         return value, width
 
 
+# The engine as the oracles see it: run(w, z) -> views, |W|, |Z| (_views).
+Views = tuple[Callable[[int, int], tuple[int, ...]], int, int]
+
+
 def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None,
-           observers: Sequence[CacheSet] = ()
-           ) -> tuple[Callable[[int, int], tuple[int, ...]], int, int]:
+           observers: Sequence[CacheSet] = ()) -> Views:
     """The engine as every oracle sees it: (run, |W|, |Z|).
 
     `run(w, z)` runs the round at library value w and returns the views
-    as ints.  Given fixed `demands` (security), z is the randomness and
-    the one view is the transmission, which delivery computes from the
-    randomness and the library's subfiles alone: no cache is placed.  One
-    full placement when the views are built checks the placement
-    invariants, symmetric caches and the secure memory floor, which
-    depend on the config alone.  Otherwise (privacy) z packs the demand
+    as ints.  No run places the caches: one full placement when the views
+    are built checks the placement invariants, symmetric caches and the
+    secure memory floor, which depend on the config alone.  Given fixed
+    `demands` (security), z is the randomness and the one view is the
+    transmission, which delivery computes from the randomness and the
+    library's subfiles alone.  Otherwise (privacy) z packs the demand
     tuple in its low bits, as demands_from_int reads it, with the
-    randomness above; every run places the caches its observers read, and
-    there is one view per observer.  The library, its subfiles and the
-    demands are rebuilt only when their part of the state changes, so
-    walks that vary the randomness innermost build each once.
+    randomness above, and there is one view per observer: the
+    transmission, packed once per run, then the observer's own demand,
+    then per cache of the observer its subfile row and its key row
+    (Scheme.key_rows).  At one seeded point these views must equal
+    ViewExtractor.observer on that placement, which defines them.  The
+    library, its subfiles, their rows and the demands are rebuilt only
+    when their part of the state changes, so walks that vary the
+    randomness innermost build each once.
     """
     scheme = Scheme(cfg)
     layout = RandomnessLayout.for_config(cfg)
     extractor = ViewExtractor(cfg)
     n = cfg.num_files
     library = lru_cache(maxsize=1)(lambda w: library_from_int(w, n, cfg.file_bits))
+    table = lru_cache(maxsize=1)(lambda w: subpacketize(library(w), cfg.topo))
     if demands is not None:
         scheme.place(library(0), layout.unpack(0))
-        table = lru_cache(maxsize=1)(
-            lambda w: subpacketize(library(w), cfg.topo))
 
         def secure(w: int, z: int) -> tuple[int, ...]:
             transcript = scheme.deliver(layout.unpack(z), table(w), demands)
@@ -231,17 +246,50 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None,
     battery = lru_cache(maxsize=1)(lambda d: demands_from_int(d, cfg))
     own = (1 << n) - 1
     shifts = [cfg.topo.users().index(g) * n for g in observers]
+    sb = cfg.subfile_bits
+
+    @lru_cache(maxsize=1)
+    def subfile_rows(w: int) -> list[tuple[int, int]]:
+        """Each cache's subfiles as placed, lex in T and then by file."""
+        pieces: list[list[int]] = [[] for _ in range(cfg.topo.num_caches)]
+        images = () if cfg.broadcast else table(w).images
+        for k, T in enumerate(cfg.topo.subfile_indices()):
+            for image in images:
+                for c in T:
+                    pieces[c - 1].append(image >> (k * sb) & (1 << sb) - 1)
+        return [(_join(row, sb), len(row) * sb) for row in pieces]
 
     def private(w: int, z: int) -> tuple[int, ...]:
         d = z & ((1 << dbits) - 1)
-        placement = scheme.place(library(w), layout.unpack(z >> dbits))
-        transcript = scheme.deliver(placement.secrets.randomness,
-                                    placement.table, battery(d))
-        return tuple([extractor.observer(g, placement.caches, transcript,
-                                         (d >> shift) & own)[0]
-                      for g, shift in zip(observers, shifts)])
+        randomness = layout.unpack(z >> dbits)
+        sent, width = extractor.transmission(
+            scheme.deliver(randomness, table(w), battery(d)))
+        keys, _ = scheme.key_rows(randomness, table(w))
+        stores = list(zip(subfile_rows(w), keys))
+        views = []
+        for g, shift in zip(observers, shifts):
+            view, at = sent | (d >> shift & own) << width, width + n
+            for c in g:
+                for row, bits in stores[c - 1]:
+                    view |= row << at
+                    at += bits
+            views.append(view)
+        return tuple(views)
 
-    return private, n * cfg.file_bits, dbits + layout.total_bits
+    wbits, zbits = n * cfg.file_bits, dbits + layout.total_bits
+    rng = derive_rng(cfg.seed, "row-views")
+    w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
+    d = z & ((1 << dbits) - 1)
+    placement = scheme.place(library(w), layout.unpack(z >> dbits))
+    transcript = scheme.deliver(placement.secrets.randomness, placement.table,
+                                battery(d))
+    if private(w, z) != tuple([
+            extractor.observer(g, placement.caches, transcript,
+                               d >> shift & own)[0]
+            for g, shift in zip(observers, shifts)]):
+        raise IntegrityError("the privacy views read from the round's rows "
+                             "differ from the placed caches' views")
+    return private, wbits, zbits
 
 
 # ---- bilinear model recovery ----
@@ -321,7 +369,7 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
         w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
         for label, view, model in zip(labels, run(w, z), models):
             if view != model.at(w, z):
-                raise AssertionError(
+                raise IntegrityError(
                     f"the {label} view is not bilinear in the library and "
                     "the inputs; the affine method cannot be used here")
     return models, runs
@@ -397,12 +445,16 @@ def _choose_method(method: str, states: int, runs: int) -> str:
 def security_joint_enumerated(cfg: SchemeConfig,
                               demands: Sequence[DemandVector],
                               cap: int = DEFAULT_STATE_CAP,
-                              jobs: int = 1) -> dict[tuple[int, int], Fraction]:
+                              jobs: int = 1, views: Views | None = None
+                              ) -> dict[tuple[int, int], Fraction]:
     """The exact joint distribution of (library, transmission view) by
-    running the real scheme on every single state."""
+    running the real scheme on every single state; `views`, when given,
+    is what _views(cfg, demands) returned, so the caches are not placed
+    again."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    _, wbits, zbits = _views(cfg, demands)
+    views = views or _views(cfg, demands)
+    _, wbits, zbits = views
     lib_states, states = 1 << wbits, 1 << (wbits + zbits)
     if states > cap:
         raise ResourceLimitError(
@@ -410,14 +462,15 @@ def security_joint_enumerated(cfg: SchemeConfig,
     if jobs > 1:
         counts = _parallel_security_counts(cfg, demands, lib_states, jobs)
     else:
-        counts = _security_counts(cfg, demands, range(lib_states))
+        counts = _security_counts(cfg, demands, range(lib_states), views)
     prob = Fraction(1, states)
     return {pair: n * prob for pair, n in counts.items()}
 
 
 def _security_counts(cfg: SchemeConfig, demands: Sequence[DemandVector],
-                     lib_values: Iterable[int]) -> Counter:
-    run, _, zbits = _views(cfg, demands)
+                     lib_values: Iterable[int],
+                     views: Views | None = None) -> Counter:
+    run, _, zbits = views or _views(cfg, demands)
     return Counter((w, run(w, z)[0])
                    for w in lib_values for z in range(1 << zbits))
 
@@ -488,7 +541,8 @@ def check_security_exact(cfg: SchemeConfig,
         from .library import cycling_one_hot_demands
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
     coeffs = tuple(d.coeffs for d in sorted(demands, key=lambda d: d.user))
-    run, wbits, zbits = _views(cfg, demands)
+    views = _views(cfg, demands)
+    run, wbits, zbits = views
     states = 1 << (wbits + zbits)
     if _choose_method(method, states, _model_runs(wbits, zbits)) == "affine":
         (model,), runs = _recover_models(run, ("transmission",), wbits, zbits,
@@ -499,7 +553,8 @@ def check_security_exact(cfg: SchemeConfig,
         if bits is not None:
             return SecurityCheckResult(cfg, coeffs, "affine", runs, bits == 0,
                                        float(bits))
-    mi = mutual_information(security_joint_enumerated(cfg, demands, cap, jobs))
+    mi = mutual_information(security_joint_enumerated(cfg, demands, cap, jobs,
+                                                      views))
     return SecurityCheckResult(cfg, coeffs, "enumerate", states, mi.is_zero,
                                mi.bits)
 

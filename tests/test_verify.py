@@ -25,7 +25,8 @@ import pytest
 import maclfr
 from maclfr import verify
 from maclfr.bits import BitBlock
-from maclfr.errors import DomainError, ResourceLimitError, UsageError
+from maclfr.errors import (DomainError, IntegrityError, ResourceLimitError,
+                           UsageError)
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
 from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind
 from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
@@ -436,9 +437,9 @@ def _skew_views(monkeypatch, bump=lambda w, z: w & (w >> 1) & 1):
 def test_affine_route_rejects_a_library_product(monkeypatch):
     _skew_views(monkeypatch)
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
-    with pytest.raises(AssertionError, match="not bilinear"):
+    with pytest.raises(IntegrityError, match="not bilinear"):
         check_security_exact(cfg, method="affine")
-    with pytest.raises(AssertionError, match="not bilinear"):
+    with pytest.raises(IntegrityError, match="not bilinear"):
         check_privacy_exact(cfg, method="affine")
 
 
@@ -549,9 +550,14 @@ def test_security_view_matches_a_full_round(kind, C, r, t):
         assert run(w, z) == (extractor.transmission(transcript)[0],)
 
 
-def test_security_places_the_caches_once(monkeypatch):
-    # Placement checks its invariants once per config; every engine run
-    # of the check delivers from the randomness alone.
+@pytest.mark.parametrize("method", ("affine", "enumerate"))
+@pytest.mark.parametrize("oracle", ("security", "privacy"))
+def test_every_check_places_the_caches_once(monkeypatch, oracle, method):
+    # Placement checks its invariants once per check; every engine run of
+    # the check delivers from the randomness alone, and privacy reads the
+    # caches from the round's rows.
+    check, kind = {"security": (check_security_exact, SchemeKind.SP_LFR),
+                   "privacy": (check_privacy_exact, SchemeKind.P_LFR)}[oracle]
     placed = []
     honest = Scheme.place
 
@@ -560,10 +566,21 @@ def test_security_places_the_caches_once(monkeypatch):
         return honest(self, *args, **kwargs)
 
     monkeypatch.setattr(Scheme, "place", counted)
-    res = check_security_exact(tiny_config(SchemeKind.SP_LFR, 3, 2, 1),
-                               method="affine")
-    assert res.certified_zero and res.states > 1
+    res = check(tiny_config(kind, 3, 2, 0, num_files=1), method=method)
+    assert res.certified_zero and res.method == method and res.states > 1
     assert len(placed) == 1
+
+
+def test_broadcast_mode_crosses_the_library_in_clear():
+    # Broadcast p-lfr ships every file and no payload: the observer sees
+    # the library whatever the others demand, and the eavesdropper sees
+    # all N F bits of it.
+    cfg = replace(tiny_config(SchemeKind.P_LFR, 3, 2, 1), broadcast=True)
+    private = check_privacy_exact(cfg, method="affine")
+    assert private.method == "affine" and private.max_tv == 0
+    secure = check_security_exact(cfg, method="affine")
+    assert cfg.num_files * cfg.file_bits == 6
+    assert (secure.certified_zero, secure.mi_bits) == (False, 6.0)
 
 
 def test_security_respects_the_cap():
@@ -573,6 +590,60 @@ def test_security_respects_the_cap():
 
 
 # ---- privacy ----
+
+@pytest.mark.parametrize("kind, C, r, t, broadcast", [
+    *((kind, C, r, t, False) for C, r, t in (*tiny_sweep_topologies(), (5, 2, 1))
+      for kind in SchemeKind),
+    (SchemeKind.P_LFR, 3, 2, 1, True)])
+def test_privacy_view_matches_a_full_round(kind, C, r, t, broadcast):
+    # The privacy view reads the caches from the round's rows; at random
+    # points it must equal the observer views of a full place and deliver.
+    cfg = replace(tiny_config(kind, C, r, t), broadcast=broadcast)
+    users = cfg.topo.users()
+    run, wbits, zbits = _views(cfg, observers=users)
+    scheme = Scheme(cfg)
+    layout = RandomnessLayout.for_config(cfg)
+    extractor = ViewExtractor(cfg)
+    n = cfg.num_files
+    dbits = n * len(users)
+    rng = random.Random(f"privacy-view:{kind.value}:{C}:{r}:{t}:{broadcast}")
+    for _ in range(16):
+        w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
+        library = library_from_int(w, n, cfg.file_bits)
+        placement = scheme.place(library, layout.unpack(z >> dbits))
+        battery = demands_from_int(z, cfg)
+        transcript = scheme.deliver(placement.secrets.randomness,
+                                    placement.table, battery)
+        assert run(w, z) == tuple(
+            extractor.observer(d.user, placement.caches, transcript,
+                               d.coeffs)[0] for d in battery)
+
+
+def test_a_wrong_key_row_fails_the_privacy_check(monkeypatch):
+    # The row views are checked against the placed caches, not trusted: a
+    # key row with one bit flipped outside placement is an engine fault.
+    honest_place, honest_rows = Scheme.place, Scheme.key_rows
+    placing = []
+
+    def place(self, *args, **kwargs):
+        placing.append(True)
+        try:
+            return honest_place(self, *args, **kwargs)
+        finally:
+            placing.pop()
+
+    def flipped(self, randomness, table):
+        rows, superposed = honest_rows(self, randomness, table)
+        if not placing:
+            assert rows[0][1] > 0
+            rows[0] = (rows[0][0] ^ 1, rows[0][1])
+        return rows, superposed
+
+    monkeypatch.setattr(Scheme, "place", place)
+    monkeypatch.setattr(Scheme, "key_rows", flipped)
+    with pytest.raises(IntegrityError, match="rows"):
+        check_privacy_exact(tiny_config(SchemeKind.SP_LFR, 3, 2, 1))
+
 
 def test_privacy_affine_matches_enumeration():
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1, num_files=1)
