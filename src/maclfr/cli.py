@@ -297,7 +297,7 @@ def _explicit_instance(args, need_files: bool) -> SchemeConfig | None:
 
 
 def _verify_correctness(args) -> list[dict]:
-    if args.C is not None:
+    if args.scheme is not None or args.C is not None:
         _require(args, "C", "r", "t", "N")
         kinds = ([SchemeKind(args.scheme)] if args.scheme
                  else list(SchemeKind))

@@ -46,7 +46,8 @@ from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field, exponent_for_share_count
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
-                      linear_combination, subfile_bit_length, subpacketize)
+                      linear_combination, random_demands, subfile_bit_length,
+                      subpacketize)
 from .mds import MdsCode, build_code, decode_key, decoding_matrix, encode_key
 from .shamir import (canonical_evaluation_points, reconstruct,
                      share_set_from_blocks, split)
@@ -101,11 +102,11 @@ class SchemeConfig:
         if self.broadcast and self.kind is not SchemeKind.P_LFR:
             raise UsageError("broadcast mode exists only for p-lfr")
 
-    @property
+    @cached_property
     def subfile_bits(self) -> int:
         return subfile_bit_length(self.file_bits, self.topo)
 
-    @property
+    @cached_property
     def key_field(self) -> BinaryField:
         """Field for threshold shares: smallest with more elements than shares."""
         return binary_field(exponent_for_share_count(self.topo.access_degree))
@@ -117,7 +118,7 @@ class SchemeConfig:
         return build_code(self.topo.replication + self.topo.access_degree,
                           self.topo.access_degree)
 
-    @property
+    @cached_property
     def share_block_bits(self) -> int:
         """A threshold share of one subfile-sized key, symbol aligned."""
         l = self.key_field.exponent
@@ -281,9 +282,10 @@ class RandomnessLayout:
 
     The verification oracles enumerate server randomness exhaustively; this
     maps an integer to the ServerRandomness it encodes.  Runs are the
-    randomness_order() runs that carry entropy, low bits first, so p-lfr's
-    pinned payload keys are left out even though draw() consumes stream
-    bits for them.
+    randomness_order() runs that carry entropy and reach a view, low bits
+    first.  p-lfr's pinned payload keys are left out, and so is every run
+    of broadcast mode, which sends no masked demand and stores no key,
+    even though draw() consumes stream bits for them.
     """
 
     cfg: SchemeConfig
@@ -292,8 +294,9 @@ class RandomnessLayout:
 
     @classmethod
     def for_config(cls, cfg: SchemeConfig) -> "RandomnessLayout":
-        runs = tuple(run for run in randomness_order(cfg)
-                     if run[0] != "key" or cfg.kind.has_payload_keys)
+        runs = () if cfg.broadcast else tuple(
+            run for run in randomness_order(cfg)
+            if run[0] != "key" or cfg.kind.has_payload_keys)
         return cls(cfg, runs, sum(count * bits for _, count, bits in runs))
 
     def unpack(self, value: int) -> ServerRandomness:
@@ -301,8 +304,7 @@ class RandomnessLayout:
             raise DomainError(f"value does not fit in {self.total_bits} bits")
         runs = {}
         for tag, count, bits in self.runs:
-            mask = (1 << bits) - 1
-            runs[tag] = [value >> (i * bits) & mask for i in range(count)]
+            runs[tag] = _cut(value, count, bits)
             value >>= count * bits
         return ServerRandomness._from_runs(self.cfg, runs)
 
@@ -828,10 +830,8 @@ def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
         library = FileLibrary.random(derive_rng(cfg.seed, "library"),
                                      cfg.num_files, cfg.file_bits)
     if demands is None:
-        rng = derive_rng(cfg.seed, "demands")
-        demands = tuple(DemandVector(g, rng.getrandbits(cfg.num_files),
-                                     cfg.num_files)
-                        for g in cfg.topo.users())
+        demands = random_demands(cfg.topo, cfg.num_files,
+                                 derive_rng(cfg.seed, "demands"))
     placement = scheme.place(library, randomness)
     transcript = scheme.deliver(placement.secrets.randomness, placement.table,
                                 demands)

@@ -20,9 +20,9 @@ rational probabilities.  Two evaluation methods exist:
 * "enumerate" runs the real engine once per state: delivery alone for
   security, whose eavesdropper sees no cache, and delivery plus the
   caches' subfile and key rows for privacy.  One full placement per check
-  keeps the placement invariants checked and the rows true to the placed
-  caches.  It assumes nothing and is the gold standard, but state spaces
-  explode.
+  keeps the placement invariants checked, and the views must equal that
+  placed round's.  It assumes nothing and is the gold standard, but state
+  spaces explode.
 * "affine" exploits that every view is a GF(2) polynomial of degree at
   most two whose only products pair a library bit with a demand or
   randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
@@ -207,46 +207,35 @@ class ViewExtractor:
 Views = tuple[Callable[[int, int], tuple[int, ...]], int, int]
 
 
-def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None,
-           observers: Sequence[CacheSet] = ()) -> Views:
-    """The engine as every oracle sees it: (run, |W|, |Z|).
+def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
+           ) -> Views:
+    """The engine as both oracles see it: (run, |W|, |Z|).
 
     `run(w, z)` runs the round at library value w and returns the views
-    as ints.  No run places the caches: one full placement when the views
-    are built checks the placement invariants, symmetric caches and the
-    secure memory floor, which depend on the config alone.  Given fixed
-    `demands` (security), z is the randomness and the one view is the
-    transmission, which delivery computes from the randomness and the
-    library's subfiles alone.  Otherwise (privacy) z packs the demand
-    tuple in its low bits, as demands_from_int reads it, with the
-    randomness above, and there is one view per observer: the
-    transmission, packed once per run, then the observer's own demand,
-    then per cache of the observer its subfile row and its key row
-    (Scheme.key_rows).  At one seeded point these views must equal
-    ViewExtractor.observer on that placement, which defines them.  The
-    library, its subfiles, their rows and the demands are rebuilt only
-    when their part of the state changes, so walks that vary the
-    randomness innermost build each once.
+    as ints.  Given the fixed `demands` (security), z is the randomness
+    and the one view is the transmission, which delivery computes from
+    the randomness and the library's subfiles alone.  Otherwise (privacy)
+    z packs the demand tuple in its low bits, as demands_from_int reads
+    it, with the randomness above, and there is one view per user in
+    topo.users() order: the transmission, then the user's own demand,
+    then per cache of the user its subfile row and its key row
+    (Scheme.key_rows).  No run places the caches.  One full placement, at
+    a seeded point, checks the placement invariants, and there run(w, z)
+    must equal ViewExtractor.transmission or ViewExtractor.observer, which
+    define the views.  The library, its subfiles, their rows and the
+    demands are rebuilt only when their part of the state changes, so
+    walks that vary the randomness innermost build each once.
     """
     scheme = Scheme(cfg)
     layout = RandomnessLayout.for_config(cfg)
     extractor = ViewExtractor(cfg)
-    n = cfg.num_files
+    n, users, sb = cfg.num_files, cfg.topo.users(), cfg.subfile_bits
     library = lru_cache(maxsize=1)(lambda w: library_from_int(w, n, cfg.file_bits))
     table = lru_cache(maxsize=1)(lambda w: subpacketize(library(w), cfg.topo))
-    if demands is not None:
-        scheme.place(library(0), layout.unpack(0))
-
-        def secure(w: int, z: int) -> tuple[int, ...]:
-            transcript = scheme.deliver(layout.unpack(z), table(w), demands)
-            return (extractor.transmission(transcript)[0],)
-
-        return secure, n * cfg.file_bits, layout.total_bits
-    dbits = n * cfg.topo.num_users
-    battery = lru_cache(maxsize=1)(lambda d: demands_from_int(d, cfg))
+    dbits = 0 if demands is not None else n * len(users)
+    battery = lru_cache(maxsize=1)(
+        lambda d: demands_from_int(d, cfg) if dbits else demands)
     own = (1 << n) - 1
-    shifts = [cfg.topo.users().index(g) * n for g in observers]
-    sb = cfg.subfile_bits
 
     @lru_cache(maxsize=1)
     def subfile_rows(w: int) -> list[tuple[int, int]]:
@@ -259,16 +248,18 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None,
                     pieces[c - 1].append(image >> (k * sb) & (1 << sb) - 1)
         return [(_join(row, sb), len(row) * sb) for row in pieces]
 
-    def private(w: int, z: int) -> tuple[int, ...]:
+    def run(w: int, z: int) -> tuple[int, ...]:
         d = z & ((1 << dbits) - 1)
         randomness = layout.unpack(z >> dbits)
         sent, width = extractor.transmission(
             scheme.deliver(randomness, table(w), battery(d)))
+        if not dbits:
+            return (sent,)
         keys, _ = scheme.key_rows(randomness, table(w))
         stores = list(zip(subfile_rows(w), keys))
         views = []
-        for g, shift in zip(observers, shifts):
-            view, at = sent | (d >> shift & own) << width, width + n
+        for i, g in enumerate(users):
+            view, at = sent | (d >> (i * n) & own) << width, width + n
             for c in g:
                 for row, bits in stores[c - 1]:
                     view |= row << at
@@ -283,13 +274,14 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None,
     placement = scheme.place(library(w), layout.unpack(z >> dbits))
     transcript = scheme.deliver(placement.secrets.randomness, placement.table,
                                 battery(d))
-    if private(w, z) != tuple([
-            extractor.observer(g, placement.caches, transcript,
-                               d >> shift & own)[0]
-            for g, shift in zip(observers, shifts)]):
-        raise IntegrityError("the privacy views read from the round's rows "
-                             "differ from the placed caches' views")
-    return private, wbits, zbits
+    placed = ([extractor.observer(g, placement.caches, transcript,
+                                  d >> (i * n) & own)[0]
+               for i, g in enumerate(users)] if dbits
+              else [extractor.transmission(transcript)[0]])
+    if run(w, z) != tuple(placed):
+        raise IntegrityError("the views read from the round's subfiles and "
+                             "rows differ from the placed round's views")
+    return run, wbits, zbits
 
 
 # ---- bilinear model recovery ----
@@ -574,14 +566,12 @@ class PrivacyCheckResult:
         return self.max_tv == 0
 
 
-def check_privacy_exact(cfg: SchemeConfig,
-                        observers: Sequence[CacheSet] | None = None,
-                        method: str = "auto",
+def check_privacy_exact(cfg: SchemeConfig, method: str = "auto",
                         cap: int = DEFAULT_STATE_CAP) -> PrivacyCheckResult:
     """Exact worst-case TV distance between observer-view distributions.
 
-    For every observer, every fixed library value and every fixed own
-    demand, the distribution of the observer's view over the server's
+    For every user as observer, every fixed library value and every fixed
+    own demand, the distribution of the observer's view over the server's
     randomness is compared across all assignments of the other users'
     demands; any difference is a demand leak.  Equality for every fixed
     library is stronger than (and implies) independence in the mixture
@@ -590,45 +580,38 @@ def check_privacy_exact(cfg: SchemeConfig,
     A single-user topology has nothing to compare and reports zero.
     """
     users = cfg.topo.users()
-    if observers is None:
-        observers = users
-    if not observers:
-        raise UsageError("privacy needs at least one observer")
-    for g in observers:
-        if g not in users:
-            raise UsageError(f"{g} is not a user of this topology")
-    run, wbits, zbits = _views(cfg, observers=observers)
+    run, wbits, zbits = _views(cfg)
     states = 1 << (wbits + zbits)
     chosen = _choose_method(method, states, _model_runs(wbits, zbits))
-    if cfg.topo.num_users == 1:
+    if len(users) == 1:
         return PrivacyCheckResult(cfg, chosen, 0, Fraction(0),
-                                  {g: Fraction(0) for g in observers})
+                                  {users[0]: Fraction(0)})
     if chosen == "affine":
-        labels = [f"observer {g}" for g in observers]
+        labels = [f"observer {g}" for g in users]
         models, runs = _recover_models(run, labels, wbits, zbits, cfg.seed, cap)
-        per_observer = _privacy_affine(cfg, observers, models)
+        per_observer = _privacy_affine(cfg, models)
         if per_observer is not None:  # states: the engine runs it spent
             return PrivacyCheckResult(cfg, "affine", runs,
                                       max(per_observer.values()), per_observer)
     if states > cap:
         raise ResourceLimitError(
             f"enumeration of {states} states exceeds the cap {cap}")
-    per_observer = _privacy_enumerated(cfg, observers, run, wbits, zbits)
+    per_observer = _privacy_enumerated(cfg, run, wbits, zbits)
     return PrivacyCheckResult(cfg, "enumerate", states,
                               max(per_observer.values()), per_observer)
 
 
-def _privacy_enumerated(cfg: SchemeConfig, observers: Sequence[CacheSet],
+def _privacy_enumerated(cfg: SchemeConfig,
                         run: Callable[[int, int], tuple[int, ...]],
                         wbits: int, zbits: int) -> dict[CacheSet, Fraction]:
     """Walk every (demands, library, randomness) state, randomness
     innermost, counting each observer's views per (library, demands); the
     TV of an observer is its worst distance from the counts at the same
     library and own demand with every other user demanding nothing."""
-    users = cfg.topo.users()
-    dbits = cfg.num_files * len(users)
+    users, n = cfg.topo.users(), cfg.num_files
+    dbits = n * len(users)
     rand_states = 1 << (zbits - dbits)
-    counts: list[dict[tuple[int, int], Counter]] = [{} for _ in observers]
+    counts: list[dict[tuple[int, int], Counter]] = [{} for _ in users]
     for d in range(1 << dbits):
         for w in range(1 << wbits):
             seen = [c.setdefault((w, d), Counter()) for c in counts]
@@ -636,18 +619,17 @@ def _privacy_enumerated(cfg: SchemeConfig, observers: Sequence[CacheSet],
                 for counter, view in zip(seen, run(w, d | rv << dbits)):
                     counter[view] += 1
     per_observer: dict[CacheSet, Fraction] = {}
-    for g, by_state in zip(observers, counts):
-        own = ((1 << cfg.num_files) - 1) << (users.index(g) * cfg.num_files)
+    for i, (g, by_state) in enumerate(zip(users, counts)):
+        own = ((1 << n) - 1) << (i * n)
         per_observer[g] = max(total_variation(by_state[(w, d & own)], counter)
                               for (w, d), counter in by_state.items()
                               ) / rand_states
     return per_observer
 
 
-def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
-                    models: Sequence[BilinearModel]
+def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel]
                     ) -> dict[CacheSet, Fraction] | None:
-    """Rank arguments on one bilinear model per observer, over Z = D || R.
+    """Rank arguments on one bilinear model per user, over Z = D || R.
 
     For a fixed library and own demand, an observer's view is uniform on
     a coset of span{B_R(w)}, the randomness columns, shifted by the other
@@ -663,8 +645,8 @@ def _privacy_affine(cfg: SchemeConfig, observers: Sequence[CacheSet],
     users, n = cfg.topo.users(), cfg.num_files
     dbits = n * len(users)
     per_observer: dict[CacheSet, Fraction] = {}
-    for g, model in zip(observers, models):
-        others = [j for j in range(dbits) if j // n != users.index(g)]
+    for i, (g, model) in enumerate(zip(users, models)):
+        others = [j for j in range(dbits) if j // n != i]
         settled, _ = _settle(model, range(dbits, len(model.inp)))
         parts = [model.inp, *model.cross]
         width = max(map(int.bit_length, chain((model.base,), model.lib, *parts)))

@@ -141,6 +141,18 @@ def test_exit_codes():
                "--method", "enumerate", "--cap", "10") == 3  # resource cap
 
 
+def test_verify_scheme_without_a_topology_is_missing_flags(tmp_path, capsys):
+    # --scheme names one instance on every suite, correctness too, and
+    # "all" refuses it before its first suite runs.
+    for suite in ("correctness", "all"):
+        assert run("verify", "--suite", suite, "--scheme", "lfr",
+                   "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("missing required flags: --C --r --t --N") == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_jobs_below_one_exit_as_usage_errors(tmp_path):
     for jobs in ("0", "-5"):
         assert run("verify", "--suite", "security", "--C", "3", "--r", "2",

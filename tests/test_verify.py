@@ -483,13 +483,13 @@ def test_privacy_enumerates_what_no_rank_argument_settles(monkeypatch):
     # so no witness exists, but the lift of D, (0, e1 + e2), is not a sum
     # of the lifts (e1, e2) and (e2, e1): neither argument settles it.
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
-    observer, n = cfg.topo.users()[0], cfg.num_files
+    n = cfg.num_files
     others = 3 << n  # the second user's demand bits
     dbits = n * cfg.topo.num_users
     demand = [0b11 if (others >> j) & 1 else 0 for j in range(dbits)]
     model = BilinearModel(base=0, lib=(0,), inp=(0,) * dbits + (0b01, 0b10),
                           cross=(tuple(demand) + (0b10, 0b01),))
-    assert _privacy_affine(cfg, [observer], [model]) is None
+    assert _privacy_affine(cfg, [model]) is None  # the first user's model
     # check_privacy_exact then answers by enumeration, within the cap.
     monkeypatch.setattr(verify, "_privacy_affine", lambda *args: None)
     small = tiny_config(SchemeKind.S_LFR, 3, 2, 1, num_files=1)
@@ -571,16 +571,38 @@ def test_every_check_places_the_caches_once(monkeypatch, oracle, method):
     assert len(placed) == 1
 
 
+@pytest.mark.parametrize("kind", (SchemeKind.S_LFR, SchemeKind.IS_LFR,
+                                  SchemeKind.LFR))
+def test_a_wrong_subfile_fails_the_security_check(monkeypatch, kind):
+    # The security view is checked against a placed round, not trusted: a
+    # subfile table with bit 0 of file 1 flipped outside placement is an
+    # engine fault, whichever verdict the wrong views would give.
+    honest = verify.subpacketize
+
+    def flipped(library, topo):
+        table = honest(library, topo)
+        return replace(table, images=(table.images[0] ^ 1, *table.images[1:]))
+
+    monkeypatch.setattr(verify, "subpacketize", flipped)
+    with pytest.raises(IntegrityError, match="placed round"):
+        check_security_exact(tiny_config(kind, 3, 2, 1))
+
+
 def test_broadcast_mode_crosses_the_library_in_clear():
     # Broadcast p-lfr ships every file and no payload: the observer sees
     # the library whatever the others demand, and the eavesdropper sees
-    # all N F bits of it.
+    # all N F bits of it.  No view reads the randomness, so its layout is
+    # empty: W and D are 6 bits each, and Z is D for privacy and nothing
+    # for security.
     cfg = replace(tiny_config(SchemeKind.P_LFR, 3, 2, 1), broadcast=True)
+    assert RandomnessLayout.for_config(cfg).total_bits == 0
     private = check_privacy_exact(cfg, method="affine")
-    assert private.method == "affine" and private.max_tv == 0
-    secure = check_security_exact(cfg, method="affine")
+    assert (private.method, private.states, private.max_tv) == ("affine", 105, 0)
     assert cfg.num_files * cfg.file_bits == 6
-    assert (secure.certified_zero, secure.mi_bits) == (False, 6.0)
+    for method, states in (("affine", 63), ("enumerate", 64)):
+        secure = check_security_exact(cfg, method=method)
+        assert (secure.method, secure.states, secure.certified_zero,
+                secure.mi_bits) == (method, states, False, 6.0)
 
 
 def test_security_respects_the_cap():
@@ -600,7 +622,7 @@ def test_privacy_view_matches_a_full_round(kind, C, r, t, broadcast):
     # points it must equal the observer views of a full place and deliver.
     cfg = replace(tiny_config(kind, C, r, t), broadcast=broadcast)
     users = cfg.topo.users()
-    run, wbits, zbits = _views(cfg, observers=users)
+    run, wbits, zbits = _views(cfg)
     scheme = Scheme(cfg)
     layout = RandomnessLayout.for_config(cfg)
     extractor = ViewExtractor(cfg)
@@ -673,24 +695,6 @@ def test_masked_demands_are_private_and_cleartext_ones_are_not():
 def test_single_user_topology_is_trivially_private():
     res = check_privacy_exact(tiny_config(SchemeKind.SP_LFR, 3, 3, 0))
     assert res.max_tv == 0 and res.states == 0
-
-
-def test_privacy_validates_observers():
-    cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
-    with pytest.raises(UsageError):
-        check_privacy_exact(cfg, observers=[(1, 2, 3)])
-
-
-@pytest.mark.parametrize("method", ("enumerate", "affine"))
-def test_privacy_rejects_an_empty_observer_list(method, monkeypatch):
-    # Refused before the engine runs, on either route.
-    def no_engine(*args, **kwargs):
-        raise AssertionError("ran the engine")
-
-    monkeypatch.setattr(Scheme, "place", no_engine)
-    cfg = tiny_config(SchemeKind.P_LFR, 3, 2, 0, num_files=1)
-    with pytest.raises(UsageError, match="at least one observer"):
-        check_privacy_exact(cfg, observers=[], method=method)
 
 
 # ---- correctness and share placement ----
