@@ -192,10 +192,19 @@ def _demand_battery(cfg: SchemeConfig, source: str,
     return parse_demand_file(text, cfg.topo, cfg.num_files)
 
 
+def _every_demand_tuple(cfg: SchemeConfig, cap: int
+                        ) -> list[tuple[DemandVector, ...]]:
+    """Every demand tuple of the config, refused before any is listed."""
+    space = 1 << (cfg.num_files * cfg.topo.num_users)
+    if space > cap:
+        raise ResourceLimitError(f"{space} demand tuples exceed the cap {cap}")
+    return list(exhaustive_demand_tuples(cfg.topo, cfg.num_files))
+
+
 def cmd_simulate(args) -> int:
     cfg, preset_demands = _simulate_config(args)
     if args.demands == "exhaustive":
-        batteries = exhaustive_demand_tuples(cfg.topo, cfg.num_files)
+        batteries = _every_demand_tuple(cfg, DEFAULT_STATE_CAP)
         t0 = time.perf_counter()
         report = check_correctness(cfg, batteries, seeds=(cfg.seed,))
         dt = time.perf_counter() - t0
@@ -307,12 +316,7 @@ def _verify_correctness(args) -> list[dict]:
     docs = []
     for cfg in configs:
         if args.exhaustive:
-            space = 1 << (cfg.num_files * cfg.topo.num_users)
-            if space > args.cap:
-                raise ResourceLimitError(
-                    f"{space} demand tuples exceed the cap {args.cap}")
-            batteries = list(exhaustive_demand_tuples(cfg.topo,
-                                                      cfg.num_files))
+            batteries = _every_demand_tuple(cfg, args.cap)
             seeds: tuple[int, ...] = (cfg.seed,)
         else:
             rng = derive_rng(cfg.seed, "demand-batteries")
@@ -357,6 +361,8 @@ def _verify_shares(args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.cap < 1:
+        raise UsageError(f"cap must be at least 1, got {args.cap}")
     suites = {
         "correctness": _verify_correctness,
         "security": _verify_security,

@@ -143,7 +143,8 @@ def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
     slots maps (g, T), lex in (g, T), to the rank of T, the transmission
     S = g + T that carries g's piece T, and T's place in g's row.  members
     maps each transmission S, in lex order, to the triples (g, S minus g,
-    its rank) of the users g inside S.
+    its rank) of the users g inside S.  stored lists per cache the (rank,
+    T) naming it, lex in T: its subfiles' order, each T's files in turn.
     """
     rank = {T: k for k, T in enumerate(topo.subfile_indices())}
     rows = {g: tuple(T for T in rank if not set(g) & set(T))
@@ -155,8 +156,10 @@ def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
         rests = [(g, tuple(c for c in S if c not in g))
                  for g in combinations(S, topo.access_degree)]
         members[S] = tuple((g, rest, rank[rest]) for g, rest in rests)
+    stored = tuple(tuple((k, T) for T, k in rank.items() if c in T)
+                   for c in range(1, topo.num_caches + 1))
     return (MappingProxyType(rank), MappingProxyType(slots),
-            MappingProxyType(members), MappingProxyType(rows))
+            MappingProxyType(members), MappingProxyType(rows), stored)
 
 
 def _combination(images: Sequence[int], coeffs: int) -> int:
@@ -227,53 +230,42 @@ def randomness_order(cfg: SchemeConfig) -> list[tuple[str, int, int]]:
     return runs
 
 
+def _planes(cfg: SchemeConfig, coefs: Sequence[int]) -> tuple[int, ...]:
+    """The coef run's values as the r - 1 planes split() takes: plane b
+    holds blind b of symbol k at bit k l.  Without masked demands, none."""
+    blinds = cfg.topo.access_degree - 1 if cfg.kind.masks_demands else 0
+    l = cfg.key_field.exponent
+    return tuple(_join(coefs[b::blinds], l) for b in range(blinds))
+
+
 @dataclass(frozen=True)
 class ServerRandomness:
-    """Everything the server draws before a round.
+    """Everything the server draws before a round, as packed rows.
 
-    payload_keys has an entry per transmission index for every kind that
-    masks payloads (all zero under p-lfr); mask_vectors and
-    share_coefficients exist only when demands are masked.  The share
-    coefficients are the round's r - 1 planes, one per blind, as the one
-    split() of placement takes them: plane b holds blind b of the coef
-    run's symbol k at bit k l, so each slot's symbols sit in a block of
-    share_block_bits, lex in (g, T).  r = 1 has no planes.
+    payload_keys holds the key of transmission rank s, lex in S, at bit
+    s subfile_bits; it is zero under p-lfr, whose keys are pinned, and
+    under lfr.  mask_vectors holds the mask of user rank u at bit u N, and
+    is zero unless demands are masked.  share_coefficients are the
+    round's r - 1 planes, one per blind, as the one split() of placement
+    takes them: plane b holds blind b of the coef run's symbol k at bit
+    k l, so each slot's symbols sit in a block of share_block_bits, lex
+    in (g, T).  r = 1 has no planes.
     """
 
-    payload_keys: Mapping[CacheSet, BitBlock]
-    mask_vectors: Mapping[CacheSet, int]
+    payload_keys: int
+    mask_vectors: int
     share_coefficients: tuple[int, ...]
 
     @classmethod
     def draw(cls, cfg: SchemeConfig, rng: random.Random) -> "ServerRandomness":
-        """Draw every run of randomness_order(cfg), in that order."""
-        return cls._from_runs(cfg, {
-            tag: [rng.getrandbits(bits) for _ in range(count)]
-            for tag, count, bits in randomness_order(cfg)})
-
-    @classmethod
-    def _from_runs(cls, cfg: SchemeConfig,
-                   runs: Mapping[str, Sequence[int]]) -> "ServerRandomness":
-        """Assemble the values of randomness_order(cfg)'s runs, by tag.
-
-        p-lfr's payload keys are zero whether or not its key run is given.
-        """
-        topo = cfg.topo
-        kind = cfg.kind
-        sb = cfg.subfile_bits
-        payload_keys: dict[CacheSet, BitBlock] = {}
-        if kind.has_payload_keys:
-            payload_keys = {S: BitBlock(v, sb) for S, v
-                            in zip(topo.transmission_indices(), runs["key"])}
-        elif kind is SchemeKind.P_LFR:
-            payload_keys = dict.fromkeys(topo.transmission_indices(),
-                                         BitBlock.zeros(sb))
-        mask_vectors = dict(zip(topo.users(), runs.get("mask", ())))
-        blinds = topo.access_degree - 1 if kind.masks_demands else 0
-        coefs = runs.get("coef", ())
-        l = cfg.key_field.exponent
-        return cls(payload_keys, mask_vectors,
-                   tuple(_join(coefs[b::blinds], l) for b in range(blinds)))
+        """Draw every run of randomness_order(cfg), in that order, and join
+        each run into its row; p-lfr's drawn keys are dropped."""
+        runs = {tag: [rng.getrandbits(bits) for _ in range(count)]
+                for tag, count, bits in randomness_order(cfg)}
+        keys = runs["key"] if cfg.kind.has_payload_keys else ()
+        return cls(_join(keys, cfg.subfile_bits),
+                   _join(runs.get("mask", ()), cfg.num_files),
+                   _planes(cfg, runs.get("coef", ())))
 
 
 @dataclass(frozen=True)
@@ -283,9 +275,10 @@ class RandomnessLayout:
     The verification oracles enumerate server randomness exhaustively; this
     maps an integer to the ServerRandomness it encodes.  Runs are the
     randomness_order() runs that carry entropy and reach a view, low bits
-    first.  p-lfr's pinned payload keys are left out, and so is every run
-    of broadcast mode, which sends no masked demand and stores no key,
-    even though draw() consumes stream bits for them.
+    first, value i of a run at bit i * bits in it: the key and mask runs
+    are their rows.  p-lfr's pinned payload keys are left out, and so is
+    every run of broadcast mode, which sends no masked demand and stores
+    no key, even though draw() consumes stream bits for them.
     """
 
     cfg: SchemeConfig
@@ -300,13 +293,18 @@ class RandomnessLayout:
         return cls(cfg, runs, sum(count * bits for _, count, bits in runs))
 
     def unpack(self, value: int) -> ServerRandomness:
+        """Slice out each run's row; only the coef run is cut into values,
+        to be dealt into its planes."""
         if value < 0 or value >> self.total_bits:
             raise DomainError(f"value does not fit in {self.total_bits} bits")
-        runs = {}
+        rows = {}
         for tag, count, bits in self.runs:
-            runs[tag] = _cut(value, count, bits)
+            rows[tag] = (value & ((1 << count * bits) - 1), count, bits)
             value >>= count * bits
-        return ServerRandomness._from_runs(self.cfg, runs)
+        keys, masks, coefs = (rows.get(tag, (0, 0, 1))
+                              for tag in ("key", "mask", "coef"))
+        return ServerRandomness(keys[0], masks[0],
+                                _planes(self.cfg, _cut(*coefs)))
 
 
 # ---- placement / delivery artifacts ----
@@ -330,17 +328,9 @@ class CacheContent:
 
 
 @dataclass(frozen=True)
-class ServerSecrets:
-    """Server-side state that never leaves the server in clear."""
-
-    randomness: ServerRandomness
-    superposed_keys: Mapping[tuple[CacheSet, CacheSet], BitBlock]
-
-
-@dataclass(frozen=True)
 class PlacementResult:
     caches: tuple[CacheContent, ...]
-    secrets: ServerSecrets
+    randomness: ServerRandomness  # never leaves the server in clear
     memory: Fraction  # per-cache size in files; identical across caches
     table: SubfileTable  # the placed library's subfiles, for delivery
 
@@ -421,7 +411,16 @@ class Scheme:
         self.cfg = cfg
         self.topo = cfg.topo
         self.kind = cfg.kind
-        self._rank, self._slots, self._members, self._rows = _indices(cfg.topo)
+        (self._rank, self._slots, self._members, self._rows,
+         stored) = _indices(cfg.topo)
+        # Each cache's subfiles, by (rank, T): none in broadcast mode.
+        self._stored = tuple(() for _ in stored) if cfg.broadcast else stored
+        self._sent_rank = {S: s for s, S in enumerate(self._members)}
+        # The key and mask rows' widths: zero for the kinds without them.
+        self._widths = (
+            cfg.topo.num_transmissions * cfg.subfile_bits
+            if cfg.kind.has_payload_keys else 0,
+            cfg.topo.num_users * cfg.num_files if cfg.kind.masks_demands else 0)
         self._inverses: dict[tuple[int, ...], tuple] = {}
         self._images: dict[int, tuple] = {}  # by id, see _cache_image
 
@@ -445,17 +444,16 @@ class Scheme:
         if randomness is None:
             randomness = ServerRandomness.draw(cfg, derive_rng(cfg.seed, "placement"))
         table = subpacketize(library, self.topo)
-        subfiles: list[dict[tuple[int, CacheSet], BitBlock]] = [
-            {} for _ in range(self.topo.num_caches)]
-        if not cfg.broadcast:
-            sb = table.subfile_bits
-            piece = (1 << sb) - 1
-            for T, k in self._rank.items():
-                for i, image in enumerate(table.images, 1):
-                    block = BitBlock((image >> (k * sb)) & piece, sb)
-                    for c in T:
-                        subfiles[c - 1][(i, T)] = block
-        caches, secrets = self._place_keys(randomness, subfiles, table)
+        sb = table.subfile_bits
+        piece = (1 << sb) - 1
+        # One block per (file, T), shared by the caches that hold it.
+        blocks = [] if cfg.broadcast else [
+            [BitBlock((image >> (k * sb)) & piece, sb) for image in table.images]
+            for k in range(len(self._rank))]
+        subfiles = [{(i, T): block for k, T in held
+                     for i, block in enumerate(blocks[k], 1)}
+                    for held in self._stored]
+        caches = self._place_keys(randomness, subfiles, table)
         sizes = {c.stored_bits for c in caches}
         if len(sizes) != 1:
             raise IntegrityError(
@@ -470,32 +468,27 @@ class Scheme:
             if memory < bound:
                 raise IntegrityError(f"secure placement of {memory} files is "
                                      f"under the memory bound {bound}")
-        return PlacementResult(tuple(caches), secrets, memory, table)
+        return PlacementResult(tuple(caches), randomness, memory, table)
 
     def _place_keys(self, randomness: ServerRandomness,
                     subfiles: list[dict[tuple[int, CacheSet], BitBlock]],
-                    table: SubfileTable
-                    ) -> tuple[list[CacheContent], ServerSecrets]:
+                    table: SubfileTable) -> list[CacheContent]:
         """Store each cache's key material, cut from its key row: threshold
         shares of the superposed keys, whole payload keys, MDS-coded ones,
         or nothing."""
         kind = self.kind
         labels: list[list] = [[] for _ in range(self.topo.num_caches)]
-        rows, keys = self.key_rows(randomness, table)
-        superposed: dict[tuple[CacheSet, CacheSet], BitBlock] = {}
-        if keys:
+        if kind.masks_demands and not self.cfg.broadcast:
             for g, row_indices in self._rows.items():
                 for c in g:
                     labels[c - 1] += [(g, T) for T in row_indices]
-            sb = table.subfile_bits
-            superposed = {slot: BitBlock(key, sb)
-                          for slot, key in zip(self._slots, keys)}
         elif kind.stores_keys_whole or kind.stores_keys_coded:
-            for S in self.topo.transmission_indices():
+            for S in self._members:
                 for c in S:
                     labels[c - 1].append(S)
         which = 0 if kind.masks_demands else 1 if kind.stores_keys_whole else 2
         contents = []
+        rows = self.key_rows(randomness, table)
         for c, (names, (row, width)) in enumerate(zip(labels, rows)):
             stores: list[dict] = [{}, {}, {}]
             if names:
@@ -503,35 +496,52 @@ class Scheme:
                 stores[which] = {name: BitBlock(v, bits) for name, v
                                  in zip(names, _cut(row, len(names), bits))}
             contents.append(CacheContent(c + 1, subfiles[c], *stores))
-        return contents, ServerSecrets(randomness, superposed)
+        return contents
+
+    def _check_rows(self, randomness: ServerRandomness) -> None:
+        """Reject a key or mask row wider than the run it packs."""
+        keys, masks = self._widths
+        if randomness.payload_keys >> keys or randomness.mask_vectors >> masks:
+            raise UsageError("a payload key or mask row is wider than its run")
+
+    def subfile_rows(self, table: SubfileTable) -> list[tuple[int, int]]:
+        """Each cache's subfiles as one row (value, width), in the order
+        the cache stores them: lex in T, each T's files in turn."""
+        sb = table.subfile_bits
+        piece = (1 << sb) - 1
+        rows = [[(image >> (k * sb)) & piece for k, _ in held
+                 for image in table.images] for held in self._stored]
+        return [(_join(row, sb), len(row) * sb) for row in rows]
 
     def key_rows(self, randomness: ServerRandomness, table: SubfileTable
-                 ) -> tuple[list[tuple[int, int]], list[int]]:
+                 ) -> list[tuple[int, int]]:
         """Each cache's key material as one row (value, width), in the
-        order the cache stores it, and the superposed slot keys.
+        order the cache stores it.
 
         Under sp-lfr and p-lfr, a cache's row is, for each user holding it
-        in lex order, the user's cut of the round's one split share row;
-        the superposed keys, lex in (g, T), are that row's secrets.  Under
+        in lex order, the user's cut of the round's one split share row,
+        whose secrets are the superposed keys D[g, T], lex in (g, T): the
+        key of S = g + T plus g's mask combination of subfile T.  Under
         s-lfr it is the whole payload key of each S naming the cache, lex
         in S, and under is-lfr the cache's MDS-coded block of each such S.
-        lfr and broadcast mode store no key: every row is empty, as is the
-        superposed list of every kind but the two masking ones.
+        lfr and broadcast mode store no key: every row is empty.
         """
+        self._check_rows(randomness)
         cfg = self.cfg
         keys = randomness.payload_keys
-        sb = cfg.subfile_bits
+        sb, n = cfg.subfile_bits, cfg.num_files
+        piece = (1 << sb) - 1
         pieces: list[list[int]] = [[] for _ in range(self.topo.num_caches)]
-        superposed: list[int] = []
         bits = 0
         if self.kind.masks_demands and not cfg.broadcast:
             wb = cfg.share_block_bits
-            piece = (1 << sb) - 1
-            masked = {g: _combination(table.images, mask)
-                      for g, mask in randomness.mask_vectors.items()}
+            # _combination reads the low N bits of the shifted row: g's mask.
+            masked = {g: _combination(table.images,
+                                      randomness.mask_vectors >> (u * n))
+                      for u, g in enumerate(self._rows)}
             # The g-mask combination of subfile index T, on the key of S.
-            superposed = [_sized(keys[S], sb, "payload key", S)
-                          ^ ((masked[g] >> (k * sb)) & piece)
+            superposed = [(keys >> (self._sent_rank[S] * sb)
+                           ^ masked[g] >> (k * sb)) & piece
                           for (g, _), (k, S, _) in self._slots.items()]
             # One split for the round: the slot keys side by side, lex in
             # (g, T) at stride wb as the coefficient planes are, so that
@@ -548,21 +558,16 @@ class Scheme:
                         & (1 << width) - 1)
                 at += width
             bits = width  # every user's row has C(C - r, t) slots
-        elif self.kind.stores_keys_whole:
-            bits = sb
-            for S in self.topo.transmission_indices():
-                key = _sized(keys[S], sb, "payload key", S)
-                for c in S:
-                    pieces[c - 1].append(key)
-        elif self.kind.stores_keys_coded:
-            for S in self.topo.transmission_indices():
-                blocks = encode_key(keys[S], cfg.key_code)
+        elif self.kind.stores_keys_whole or self.kind.stores_keys_coded:
+            for s, S in enumerate(self._members):
+                key = BitBlock((keys >> (s * sb)) & piece, sb)
+                blocks = (encode_key(key, cfg.key_code)
+                          if self.kind.stores_keys_coded else [key] * len(S))
                 for c in S:
                     block = blocks[share_index_of_cache(S, c) - 1]
                     pieces[c - 1].append(block.value)
                     bits = block.length
-        return ([(_join(row, bits), len(row) * bits) for row in pieces],
-                superposed)
+        return [(_join(row, bits), len(row) * bits) for row in pieces]
 
     # -- delivery --
 
@@ -574,6 +579,7 @@ class Scheme:
         if ((table.topo, table.file_bits, table.subfile_bits, len(table.images))
                 != (self.topo, cfg.file_bits, cfg.subfile_bits, cfg.num_files)):
             raise UsageError("subfile table does not match the configuration")
+        self._check_rows(randomness)
         by_user = demands_by_user(demands)
         missing = [g for g in self.topo.users() if g not in by_user]
         if missing:
@@ -587,22 +593,19 @@ class Scheme:
             files = tuple(table.reassemble(i)
                           for i in range(1, cfg.num_files + 1))
             return DeliveryTranscript(cfg, {}, {}, {}, files)
-        if self.kind.masks_demands:
-            sent = {g: by_user[g].coeffs ^ randomness.mask_vectors[g]
-                    for g in self.topo.users()}
-        else:
-            sent = {g: by_user[g].coeffs for g in self.topo.users()}
+        n = cfg.num_files  # masks and keys are zero for the kinds without
+        sent = {g: by_user[g].coeffs ^ (randomness.mask_vectors >> (u * n)
+                                        & (1 << n) - 1)
+                for u, g in enumerate(self._rows)}
         # Per S: its key, then over users g inside S the
         # g-sent combination of the subfile indexed by S minus g.
         sb = table.subfile_bits
         piece = (1 << sb) - 1
         combos = {g: _combination(table.images, coeffs)
                   for g, coeffs in sent.items()}
-        keyed = self.kind.has_payload_keys  # p-lfr's keys are all zero
         payloads = {}
-        for S, members in self._members.items():
-            acc = (_sized(randomness.payload_keys[S], sb, "payload key", S)
-                   if keyed else 0)
+        for s, (S, members) in enumerate(self._members.items()):
+            acc = randomness.payload_keys >> (s * sb) & piece
             for g, _, k in members:
                 acc ^= (combos[g] >> (k * sb)) & piece
             payloads[S] = BitBlock(acc, sb)
@@ -833,8 +836,7 @@ def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
         demands = random_demands(cfg.topo, cfg.num_files,
                                  derive_rng(cfg.seed, "demands"))
     placement = scheme.place(library, randomness)
-    transcript = scheme.deliver(placement.secrets.randomness, placement.table,
-                                demands)
+    transcript = scheme.deliver(placement.randomness, placement.table, demands)
     by_user = demands_by_user(demands)
     decoded = {}
     expected = {}

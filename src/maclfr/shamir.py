@@ -13,7 +13,6 @@ verbatim.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -66,40 +65,26 @@ class ShareSet:
 
 
 def split(secret: BitBlock, share_count: int, field: BinaryField,
-          rng: random.Random | None = None,
-          coefficients: Sequence[int] | None = None) -> ShareSet:
+          coefficients: Sequence[int] = ()) -> ShareSet:
     """Split the secret into share_count shares.
 
-    Coefficients of the hiding polynomials come either from rng or from
-    explicit planes, one per blind b = 0 .. share_count - 2, each holding
-    coefficient b of symbol s at bits [s l, (s + 1) l); exactly one of the
-    two sources must be given (none for share_count == 1, where the
-    polynomial is the constant itself).  rng fills the planes symbol by
-    symbol, blind by blind.  Horner's rule then evaluates every symbol's
-    polynomial at once, scaling the packed block by the point.
+    The coefficients of the hiding polynomials come as planes, one per
+    blind b = 0 .. share_count - 2, each holding coefficient b of symbol s
+    at bits [s l, (s + 1) l); share_count == 1 takes none, the polynomial
+    being the constant itself.  Horner's rule then evaluates every
+    symbol's polynomial at once, scaling the packed block by the point.
     """
     points = canonical_evaluation_points(field, share_count)
     l = field.exponent
     symbols = -(-secret.length // l)
-    blinds = share_count - 1
-    if coefficients is not None:
-        if rng is not None:
-            raise UsageError("pass either rng or coefficients, not both")
-        planes = list(coefficients)
-        if len(planes) != blinds:
-            raise UsageError(
-                f"expected {blinds} coefficient planes, got {len(planes)}")
-        for plane in planes:
-            if plane < 0 or plane >> (symbols * l):
-                raise DomainError(f"coefficient plane {plane:#x} does not fit "
-                                  f"{symbols} symbols of GF({field.order})")
-    elif blinds and rng is None:
-        raise UsageError("a coefficient source is required for share_count > 1")
-    else:
-        planes = [0] * blinds
-        for s in range(symbols):
-            for b in range(blinds):
-                planes[b] |= rng.getrandbits(l) << (s * l)
+    planes = list(coefficients)
+    if len(planes) != share_count - 1:
+        raise UsageError(
+            f"expected {share_count - 1} coefficient planes, got {len(planes)}")
+    for plane in planes:
+        if plane < 0 or plane >> (symbols * l):
+            raise DomainError(f"coefficient plane {plane:#x} does not fit "
+                              f"{symbols} symbols of GF({field.order})")
     shares = []
     for x in points:
         acc = 0

@@ -68,8 +68,7 @@ from .errors import DomainError, IntegrityError, ResourceLimitError, UsageError
 from .library import (DemandVector, FileLibrary, linear_combination,
                       subpacketize)
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
-                      SchemeConfig, SchemeKind, ServerRandomness, _join,
-                      derive_rng)
+                      SchemeConfig, SchemeKind, derive_rng)
 from .shamir import reconstruct, share_set_from_blocks
 from .topology import CacheSet, TopologySpec
 
@@ -219,34 +218,25 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
     it, with the randomness above, and there is one view per user in
     topo.users() order: the transmission, then the user's own demand,
     then per cache of the user its subfile row and its key row
-    (Scheme.key_rows).  No run places the caches.  One full placement, at
-    a seeded point, checks the placement invariants, and there run(w, z)
-    must equal ViewExtractor.transmission or ViewExtractor.observer, which
-    define the views.  The library, its subfiles, their rows and the
-    demands are rebuilt only when their part of the state changes, so
-    walks that vary the randomness innermost build each once.
+    (Scheme.subfile_rows and Scheme.key_rows).  No run places the caches.
+    One full placement, at a seeded point, checks the placement
+    invariants, and there run(w, z) must equal ViewExtractor.transmission
+    or ViewExtractor.observer, which define the views.  The library, its
+    subfiles, their rows and the demands are rebuilt only when their part
+    of the state changes, so walks that vary the randomness innermost
+    build each once.
     """
     scheme = Scheme(cfg)
     layout = RandomnessLayout.for_config(cfg)
     extractor = ViewExtractor(cfg)
-    n, users, sb = cfg.num_files, cfg.topo.users(), cfg.subfile_bits
+    n, users = cfg.num_files, cfg.topo.users()
     library = lru_cache(maxsize=1)(lambda w: library_from_int(w, n, cfg.file_bits))
     table = lru_cache(maxsize=1)(lambda w: subpacketize(library(w), cfg.topo))
     dbits = 0 if demands is not None else n * len(users)
     battery = lru_cache(maxsize=1)(
         lambda d: demands_from_int(d, cfg) if dbits else demands)
+    subfile_rows = lru_cache(maxsize=1)(lambda w: scheme.subfile_rows(table(w)))
     own = (1 << n) - 1
-
-    @lru_cache(maxsize=1)
-    def subfile_rows(w: int) -> list[tuple[int, int]]:
-        """Each cache's subfiles as placed, lex in T and then by file."""
-        pieces: list[list[int]] = [[] for _ in range(cfg.topo.num_caches)]
-        images = () if cfg.broadcast else table(w).images
-        for k, T in enumerate(cfg.topo.subfile_indices()):
-            for image in images:
-                for c in T:
-                    pieces[c - 1].append(image >> (k * sb) & (1 << sb) - 1)
-        return [(_join(row, sb), len(row) * sb) for row in pieces]
 
     def run(w: int, z: int) -> tuple[int, ...]:
         d = z & ((1 << dbits) - 1)
@@ -255,7 +245,7 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
             scheme.deliver(randomness, table(w), battery(d)))
         if not dbits:
             return (sent,)
-        keys, _ = scheme.key_rows(randomness, table(w))
+        keys = scheme.key_rows(randomness, table(w))
         stores = list(zip(subfile_rows(w), keys))
         views = []
         for i, g in enumerate(users):
@@ -272,7 +262,7 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
     w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
     d = z & ((1 << dbits) - 1)
     placement = scheme.place(library(w), layout.unpack(z >> dbits))
-    transcript = scheme.deliver(placement.secrets.randomness, placement.table,
+    transcript = scheme.deliver(placement.randomness, placement.table,
                                 battery(d))
     placed = ([extractor.observer(g, placement.caches, transcript,
                                   d >> (i * n) & own)[0]
@@ -704,10 +694,9 @@ def check_correctness(cfg: SchemeConfig,
         scheme = Scheme(run_cfg)
         library = FileLibrary.random(derive_rng(seed, "library"),
                                      cfg.num_files, cfg.file_bits)
-        randomness = ServerRandomness.draw(run_cfg, derive_rng(seed, "placement"))
-        placement = scheme.place(library, randomness)
+        placement = scheme.place(library)  # draws from run_cfg's seed
         for bi, battery in enumerate(batteries):
-            transcript = scheme.deliver(placement.secrets.randomness,
+            transcript = scheme.deliver(placement.randomness,
                                         placement.table, battery)
             for demand in battery:
                 member_caches = [placement.caches[c - 1] for c in demand.user]
@@ -736,64 +725,74 @@ class SharePlacementReport:
 def check_share_placement_secrecy(cfg: SchemeConfig) -> SharePlacementReport:
     """Structural audit of where key material landed.
 
-    For the share-splitting kinds: the shares of each user's superposed
-    key sit in exactly that user's caches, every other user reaches at
-    most r-1 of them (below the reconstruction threshold), and the full
-    share set reconstructs the key the server recorded.  For the coded
-    kind: the blocks of each payload key sit in exactly the caches its
-    transmission index names, so users outside it reach fewer than the r
-    blocks decoding needs.  For the whole-key kind: each key sits in
-    exactly the named caches (exposure to intersecting users is by
-    design).  The keyless kind has nothing to audit.
+    Each key is recomputed from the round's randomness and library by the
+    scheme's formula, never read back from placement: V[S] is the
+    payload key of transmission S, and D[g, T] = V[S] ^ the combination
+    that g's mask selects of subfile T, with S = g + T.  For the
+    share-splitting kinds: the shares of each D[g, T] sit in exactly g's
+    caches, every other user reaches at most r-1 of them (below the
+    reconstruction threshold), and the full share set reconstructs it.
+    For the coded kind: the blocks of each V[S] sit in exactly the caches
+    S names, so users outside it reach fewer than the r blocks decoding
+    needs.  For the whole-key kind: each V[S] sits, unaltered, in exactly
+    the named caches (exposure to intersecting users is by design).
+    Missing or misplaced material is a problem, as is a wrong copy.  The
+    keyless kind has nothing to audit.
     """
     scheme = Scheme(cfg)
     library = FileLibrary.random(derive_rng(cfg.seed, "library"),
                                  cfg.num_files, cfg.file_bits)
     placement = scheme.place(library)
-    caches = placement.caches
+    caches, rnd = placement.caches, placement.randomness
     topo = cfg.topo
-    r = topo.access_degree
+    r, sb = topo.access_degree, cfg.subfile_bits
+    keys = {S: BitBlock(rnd.payload_keys >> (s * sb) & (1 << sb) - 1, sb)
+            for s, S in enumerate(topo.transmission_indices())}
     problems: list[str] = []
     checked = 0
 
-    def holders(predicate) -> set[int]:
-        return {c.index for c in caches if predicate(c)}
+    def holders(store: str, label) -> set[int]:
+        return {c.index for c in caches if label in getattr(c, store)}
 
     if cfg.kind.masks_demands and not cfg.broadcast:
-        field = cfg.key_field
-        for (g, T), secret in placement.secrets.superposed_keys.items():
-            checked += 1
-            held = holders(lambda c: (g, T) in c.key_shares)
-            if held != set(g):
-                problems.append(f"shares of D[{g},{T}] live in {sorted(held)}")
-            for other in topo.users():
-                if other != g and len(set(other) & held) >= r:
-                    problems.append(
-                        f"user {other} reaches {r} shares of D[{g},{T}]")
-            blocks = [caches[c - 1].key_shares[(g, T)] for c in g]
-            rebuilt = reconstruct(share_set_from_blocks(blocks, field,
-                                                        secret.length))
-            if rebuilt != secret:
-                problems.append(f"shares of D[{g},{T}] do not reconstruct it")
+        table, n = placement.table, cfg.num_files
+        for u, g in enumerate(topo.users()):
+            for T in (T for T in topo.subfile_indices() if not set(g) & set(T)):
+                checked += 1
+                secret = keys[tuple(sorted(g + T))]
+                for i in range(n):  # the files g's mask selects, at T
+                    if rnd.mask_vectors >> (u * n + i) & 1:
+                        secret ^= table.subfile(i + 1, T)
+                held = holders("key_shares", (g, T))
+                if held != set(g):
+                    problems.append(f"shares of D[{g},{T}] live in "
+                                    f"{sorted(held)}")
+                problems += [f"user {other} reaches {r} shares of D[{g},{T}]"
+                             for other in topo.users()
+                             if other != g and len(set(other) & held) >= r]
+                blocks = [caches[c - 1].key_shares[(g, T)]
+                          for c in g if c in held]
+                if len(blocks) == r and reconstruct(share_set_from_blocks(
+                        blocks, cfg.key_field, sb)) != secret:
+                    problems.append(f"shares of D[{g},{T}] do not reconstruct it")
     elif cfg.kind.stores_keys_coded:
-        code = cfg.key_code
-        for S, key in placement.secrets.randomness.payload_keys.items():
+        for S in keys:
             checked += 1
-            held = holders(lambda c: S in c.coded_subkeys)
+            held = holders("coded_subkeys", S)
             if held != set(S):
                 problems.append(f"blocks of V[{S}] live in {sorted(held)}")
             for g in topo.users():
                 reach = len(set(g) & held)
-                if not set(g) <= set(S) and reach >= code.dimension:
+                if not set(g) <= set(S) and reach >= cfg.key_code.dimension:
                     problems.append(f"outside user {g} reaches {reach} "
                                     f"blocks of V[{S}]")
     elif cfg.kind.stores_keys_whole:
-        for S, key in placement.secrets.randomness.payload_keys.items():
+        for S, key in keys.items():
             checked += 1
-            held = holders(lambda c: S in c.whole_keys)
+            held = holders("whole_keys", S)
             if held != set(S):
                 problems.append(f"copies of V[{S}] live in {sorted(held)}")
-            for c in S:
+            for c in sorted(held & set(S)):
                 if caches[c - 1].whole_keys[S] != key:
                     problems.append(f"cache {c} holds a wrong copy of V[{S}]")
     return SharePlacementReport(cfg, checked, not problems, tuple(problems))
@@ -823,16 +822,12 @@ def tiny_config(kind: SchemeKind, C: int, r: int, t: int,
 
 
 def security_suite(method: str = "auto", cap: int = DEFAULT_STATE_CAP,
-                   jobs: int = 1,
-                   kinds: Sequence[SchemeKind] = (SchemeKind.S_LFR,
-                                                  SchemeKind.IS_LFR,
-                                                  SchemeKind.SP_LFR)
-                   ) -> list[SecurityCheckResult]:
-    """Exact security over the tiny sweep, then the keyless negative
-    control (expected nonzero) on the smallest topology."""
+                   jobs: int = 1) -> list[SecurityCheckResult]:
+    """Exact security of every keyed kind over the tiny sweep, then the
+    keyless negative control (expected nonzero) on the smallest topology."""
     results = []
     for C, r, t in tiny_sweep_topologies():
-        for kind in kinds:
+        for kind in (SchemeKind.S_LFR, SchemeKind.IS_LFR, SchemeKind.SP_LFR):
             results.append(check_security_exact(
                 tiny_config(kind, C, r, t), method=method, cap=cap, jobs=jobs))
     results.append(check_security_exact(

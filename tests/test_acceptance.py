@@ -217,7 +217,10 @@ def test_criterion_07_share_split_round_trip_and_secrecy():
         count = rng.randint(1, 6)
         field = binary_field(exponent_for_share_count(count))
         secret = BitBlock.random(rng, rng.randint(1, 40))
-        shares = split(secret, count, field, rng)
+        symbols = -(-secret.length // field.exponent)
+        planes = [rng.getrandbits(symbols * field.exponent)
+                  for _ in range(count - 1)]
+        shares = split(secret, count, field, planes)
         assert reconstruct(shares) == secret, (i, count)
     # Below-threshold observations: the counter over observed share tuples
     # must be the same for every secret, for every proper subset of shares.

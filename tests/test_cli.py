@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from maclfr import cli
 from maclfr.cli import main
 from maclfr.transcript import artifact_from_bytes
 
@@ -158,6 +159,26 @@ def test_jobs_below_one_exit_as_usage_errors(tmp_path):
         assert run("verify", "--suite", "security", "--C", "3", "--r", "2",
                    "--t", "1", "--N", "2", "--scheme", "s-lfr",
                    "--jobs", jobs, "--out", str(tmp_path)) == 4
+
+
+def test_caps_below_one_exit_as_usage_errors(tmp_path, capsys):
+    # A cap of no state is a bad argument, not a refusal (exit 3).
+    for cap in ("0", "-1"):
+        assert run("verify", "--suite", "correctness", "--C", "3", "--r", "2",
+                   "--t", "1", "--N", "2", "--exhaustive", "--cap", cap,
+                   "--out", str(tmp_path)) == 4
+    assert capsys.readouterr().err.count("cap must be at least 1") == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_exhaustive_demands_respect_the_state_cap(monkeypatch, capsys):
+    # simulate once listed every one of the 2^(N K) demand tuples before
+    # decoding any; it refuses above the oracles' default cap, as
+    # verify --exhaustive refuses above --cap.
+    monkeypatch.setattr(cli, "DEFAULT_STATE_CAP", 10)
+    assert run("simulate", "--C", "3", "--r", "2", "--t", "1", "--N", "2",
+               "--scheme", "s-lfr", "--demands", "exhaustive") == 3
+    assert "64 demand tuples exceed the cap 10" in capsys.readouterr().err
 
 
 def test_broadcast_flag(tmp_path, capsys):

@@ -28,8 +28,8 @@ from maclfr.errors import DomainError, IntegrityError, UsageError
 from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
                             linear_combination, random_demands, subpacketize)
 from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
-                            SchemeConfig, SchemeKind, ServerRandomness,
-                            ServerSecrets, _join, derive_rng, simulate)
+                            SchemeConfig, SchemeKind, ServerRandomness, _join,
+                            derive_rng, simulate)
 from maclfr.topology import TopologySpec
 from maclfr.verify import check_correctness
 
@@ -132,10 +132,8 @@ def test_zero_keyed_variant_matches_masked_scheme_exactly():
                              sp_cfg.file_bits)
     demands = random_demands(sp_cfg.topo, sp_cfg.num_files, random.Random(5))
     p_rand = ServerRandomness.draw(p_cfg, derive_rng(1, "placement"))
-    sp_rand = ServerRandomness(
-        {S: BitBlock.zeros(sp_cfg.subfile_bits)
-         for S in sp_cfg.topo.transmission_indices()},
-        p_rand.mask_vectors, p_rand.share_coefficients)
+    assert p_rand.payload_keys == 0
+    sp_rand = ServerRandomness(0, p_rand.mask_vectors, p_rand.share_coefficients)
     sp = simulate(sp_cfg, library=lib, demands=demands, randomness=sp_rand)
     p = simulate(p_cfg, library=lib, demands=demands, randomness=p_rand)
     assert sp.transcript.payloads == p.transcript.payloads
@@ -193,11 +191,11 @@ def test_masked_payload_unmasks_to_the_keyless_one():
     placement = lfr.place(lib)
     masked = tuple(DemandVector(g, coeffs, cfg.num_files)
                    for g, coeffs in sp.transcript.masked_demands.items())
-    keyless = lfr.deliver(placement.secrets.randomness, placement.table,
-                          masked)
-    for S in cfg.topo.transmission_indices():
-        assert (sp.transcript.payloads[S] ^ randomness.payload_keys[S]
-                == keyless.payloads[S])
+    keyless = lfr.deliver(placement.randomness, placement.table, masked)
+    sb = cfg.subfile_bits
+    for s, S in enumerate(cfg.topo.transmission_indices()):
+        key = BitBlock(randomness.payload_keys >> (s * sb) & (1 << sb) - 1, sb)
+        assert sp.transcript.payloads[S] ^ key == keyless.payloads[S]
 
 
 # ---- randomness plumbing ----
@@ -207,11 +205,14 @@ def test_randomness_layout_units(kind):
     cfg = config(kind, 3, 2, 1, N=2)
     layout = RandomnessLayout.for_config(cfg)
     zero = layout.unpack(0)
-    assert all(b.value == 0 for b in zero.payload_keys.values())
-    assert all(v == 0 for v in zero.mask_vectors.values())
+    assert (zero.payload_keys, zero.mask_vectors) == (0, 0)
     drawn = ServerRandomness.draw(cfg, derive_rng(0, "placement"))
-    assert set(zero.payload_keys) == set(drawn.payload_keys)
-    assert set(zero.mask_vectors) == set(drawn.mask_vectors)
+    # The rows: a key per transmission (none without entropy), a mask per
+    # user (none without masked demands).
+    keys = cfg.topo.num_transmissions * cfg.subfile_bits
+    masks = cfg.topo.num_users * cfg.num_files
+    assert 0 <= drawn.payload_keys < (1 << keys if kind.has_payload_keys else 1)
+    assert 0 <= drawn.mask_vectors < (1 << masks if kind.masks_demands else 1)
     # r = 2: one plane of three slots, each user missing one index.
     planes = 1 if kind.masks_demands else 0
     assert len(zero.share_coefficients) == planes
@@ -490,12 +491,17 @@ def test_blocks_of_the_wrong_length_are_rejected():
             f"payload (1, 2, 3) has {wide} bits")):
         scheme.decode(user, caches, replace(result.transcript, payloads=payloads),
                       demand)
-    randomness = result.placement.secrets.randomness
-    keys = dict(randomness.payload_keys)
-    keys[(1, 2, 4)] = BitBlock.zeros(wide)
-    short = replace(randomness, payload_keys=keys)
-    with pytest.raises(UsageError, match=re.escape("payload key (1, 2, 4)")):
-        scheme.deliver(short, result.placement.table, result.demands)
+    # A key or mask row wider than its run, at delivery and at placement.
+    randomness = result.placement.randomness
+    topo, cfg = result.cfg.topo, result.cfg
+    for wide_row in (
+            replace(randomness, payload_keys=randomness.payload_keys
+                    | 1 << topo.num_transmissions * cfg.subfile_bits),
+            replace(randomness, mask_vectors=1 << topo.num_users * cfg.num_files)):
+        with pytest.raises(UsageError, match="wider than its run"):
+            scheme.deliver(wide_row, result.placement.table, result.demands)
+        with pytest.raises(UsageError, match="wider than its run"):
+            scheme.place(result.library, wide_row)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -717,10 +723,10 @@ def test_deliver_validates_demands():
     table = subpacketize(lib, cfg.topo)
     demands = random_demands(cfg.topo, cfg.num_files, random.Random(0))
     with pytest.raises(UsageError):
-        scheme.deliver(placement.secrets.randomness, table, demands[:-1])
+        scheme.deliver(placement.randomness, table, demands[:-1])
     bad_width = (replace(demands[0], num_files=cfg.num_files + 1),) + demands[1:]
     with pytest.raises(UsageError):
-        scheme.deliver(placement.secrets.randomness, table, bad_width)
+        scheme.deliver(placement.randomness, table, bad_width)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -749,10 +755,10 @@ def test_deliver_rejects_a_table_of_another_library_shape():
                     for g in cfg.topo.users())
     short = subpacketize(FileLibrary(lib.files[:2]), cfg.topo)
     with pytest.raises(UsageError, match="does not match the configuration"):
-        scheme.deliver(placement.secrets.randomness, short, demands)
+        scheme.deliver(placement.randomness, short, demands)
     narrow = replace(placement.table, subfile_bits=cfg.subfile_bits + 1)
     with pytest.raises(UsageError, match="does not match the configuration"):
-        scheme.deliver(placement.secrets.randomness, narrow, demands)
+        scheme.deliver(placement.randomness, narrow, demands)
 
 
 def test_config_validation():
@@ -805,11 +811,11 @@ def test_asymmetric_placement_is_an_error(monkeypatch):
     honest = Scheme._place_keys
 
     def lopsided(self, randomness, subfiles, table):
-        caches, secrets = honest(self, randomness, subfiles, table)
+        caches = honest(self, randomness, subfiles, table)
         extra = dict(caches[0].whole_keys)
         extra[("extra",)] = BitBlock.zeros(1)
         caches[0] = replace(caches[0], whole_keys=extra)
-        return caches, secrets
+        return caches
 
     monkeypatch.setattr(Scheme, "_place_keys", lopsided)
     cfg = config(SchemeKind.S_LFR, 3, 2, 1)
@@ -821,9 +827,8 @@ def test_asymmetric_placement_is_an_error(monkeypatch):
 
 def test_secure_placement_under_the_memory_floor_is_an_error(monkeypatch):
     def keyless(self, randomness, subfiles, table):
-        caches = [CacheContent(c + 1, held, {}, {}, {})
-                  for c, held in enumerate(subfiles)]
-        return caches, ServerSecrets(randomness, {})
+        return [CacheContent(c + 1, held, {}, {}, {})
+                for c, held in enumerate(subfiles)]
 
     monkeypatch.setattr(Scheme, "_place_keys", keyless)
     cfg = config(SchemeKind.S_LFR, 3, 2, 0)  # t = 0: no subfiles either

@@ -26,13 +26,22 @@ def field_for(share_count: int):
     return binary_field(exponent_for_share_count(share_count))
 
 
+def drawn_planes(rng: random.Random, secret: BitBlock, share_count: int,
+                 field) -> list[int]:
+    """share_count - 1 uniform coefficient planes for the secret."""
+    symbols = -(-secret.length // field.exponent)
+    return [rng.getrandbits(symbols * field.exponent)
+            for _ in range(share_count - 1)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 48), st.integers(0, 2 ** 32))
 def test_split_reconstruct_round_trip(share_count, secret_bits, seed):
     field = field_for(share_count)
     rng = random.Random(seed)
     secret = BitBlock.random(rng, secret_bits)
-    shares = split(secret, share_count, field, rng)
+    shares = split(secret, share_count, field,
+                   drawn_planes(rng, secret, share_count, field))
     assert shares.share_count == share_count
     assert reconstruct(shares) == secret
     # Packing the shares into blocks and back must not change anything.
@@ -94,31 +103,17 @@ def test_tail_padding_is_dropped():
     # 3 secret bits in GF(4) symbols occupy 2 symbols = 4 bits of shares.
     field = binary_field(2)
     secret = BitBlock(0b101, 3)
-    shares = split(secret, 2, field, random.Random(0))
+    shares = split(secret, 2, field,
+                   drawn_planes(random.Random(0), secret, 2, field))
     assert shares.share_bits == 4
     assert reconstruct(shares) == secret
-
-
-def test_rng_fills_the_planes_symbol_by_symbol_then_blind_by_blind():
-    field = field_for(3)
-    l = field.exponent
-    secret = BitBlock(0b101101, 6)
-    replay = random.Random(4)
-    planes = [0, 0]
-    for s in range(-(-secret.length // l)):
-        for b in range(2):
-            planes[b] |= replay.getrandbits(l) << (s * l)
-    assert (split(secret, 3, field, random.Random(4))
-            == split(secret, 3, field, coefficients=planes))
 
 
 def test_validation_errors():
     field = binary_field(2)
     secret = BitBlock(0b1, 2)
     with pytest.raises(UsageError):
-        split(secret, 2, field)  # no coefficient source
-    with pytest.raises(UsageError):
-        split(secret, 2, field, random.Random(0), coefficients=[1])
+        split(secret, 2, field)  # no coefficient planes
     with pytest.raises(UsageError):
         split(secret, 2, field, coefficients=[1, 2])  # one plane per blind
     with pytest.raises(DomainError):
@@ -168,7 +163,8 @@ def test_reconstruct_inverts_split_for_small_share_counts():
         for secret_bits in (1, field.exponent, 5 * field.exponent + 1):
             for _ in range(20):
                 secret = BitBlock.random(rng, secret_bits)
-                shares = split(secret, share_count, field, rng)
+                shares = split(secret, share_count, field,
+                               drawn_planes(rng, secret, share_count, field))
                 assert reconstruct(shares) == secret, (share_count, secret)
 
 

@@ -339,10 +339,8 @@ def test_zeroed_payload_key_is_not_certified(monkeypatch):
 
     def unkeyed(self, value):
         rnd = honest(self, value)
-        keys = dict(rnd.payload_keys)
-        first = min(keys)
-        keys[first] = BitBlock.zeros(keys[first].length)
-        return replace(rnd, payload_keys=keys)
+        first = (1 << self.cfg.subfile_bits) - 1  # the key of rank 0
+        return replace(rnd, payload_keys=rnd.payload_keys & ~first)
 
     monkeypatch.setattr(RandomnessLayout, "unpack", unkeyed)
     cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
@@ -518,7 +516,7 @@ def test_broadcast_plus_one_cache_leaks():
         library = library_from_int(w, cfg.num_files, cfg.file_bits)
         for rv in range(1 << layout.total_bits):
             placement = scheme.place(library, layout.unpack(rv))
-            transcript = scheme.deliver(placement.secrets.randomness,
+            transcript = scheme.deliver(placement.randomness,
                                         placement.table, demands)
             cache = placement.caches[0]
             view = (extractor.transmission(transcript),
@@ -545,7 +543,7 @@ def test_security_view_matches_a_full_round(kind, C, r, t):
         w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
         library = library_from_int(w, cfg.num_files, cfg.file_bits)
         placement = scheme.place(library, layout.unpack(z))
-        transcript = scheme.deliver(placement.secrets.randomness,
+        transcript = scheme.deliver(placement.randomness,
                                     placement.table, demands)
         assert run(w, z) == (extractor.transmission(transcript)[0],)
 
@@ -634,7 +632,7 @@ def test_privacy_view_matches_a_full_round(kind, C, r, t, broadcast):
         library = library_from_int(w, n, cfg.file_bits)
         placement = scheme.place(library, layout.unpack(z >> dbits))
         battery = demands_from_int(z, cfg)
-        transcript = scheme.deliver(placement.secrets.randomness,
+        transcript = scheme.deliver(placement.randomness,
                                     placement.table, battery)
         assert run(w, z) == tuple(
             extractor.observer(d.user, placement.caches, transcript,
@@ -655,16 +653,34 @@ def test_a_wrong_key_row_fails_the_privacy_check(monkeypatch):
             placing.pop()
 
     def flipped(self, randomness, table):
-        rows, superposed = honest_rows(self, randomness, table)
+        rows = honest_rows(self, randomness, table)
         if not placing:
             assert rows[0][1] > 0
             rows[0] = (rows[0][0] ^ 1, rows[0][1])
-        return rows, superposed
+        return rows
 
     monkeypatch.setattr(Scheme, "place", place)
     monkeypatch.setattr(Scheme, "key_rows", flipped)
     with pytest.raises(IntegrityError, match="rows"):
         check_privacy_exact(tiny_config(SchemeKind.SP_LFR, 3, 2, 1))
+
+
+@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.S_LFR))
+def test_a_wrong_subfile_row_fails_the_privacy_check(monkeypatch, kind):
+    # Placement stores its subfiles from the same per-cache index lists,
+    # but the privacy views read the rows: a subfile row with one bit
+    # flipped is an engine fault.
+    honest_rows = Scheme.subfile_rows
+
+    def flipped(self, table):
+        rows = honest_rows(self, table)
+        assert rows[0][1] > 0
+        rows[0] = (rows[0][0] ^ 1, rows[0][1])
+        return rows
+
+    monkeypatch.setattr(Scheme, "subfile_rows", flipped)
+    with pytest.raises(IntegrityError, match="rows"):
+        check_privacy_exact(tiny_config(kind, 3, 2, 1))
 
 
 def test_privacy_affine_matches_enumeration():
@@ -716,6 +732,61 @@ def test_share_placement_structure_over_the_sweep():
             report = check_share_placement_secrecy(tiny_config(kind, C, r, t))
             assert report.ok, (kind, C, r, t, report.problems)
             assert report.keys_checked > 0
+
+
+def doctored_audit(monkeypatch, kind, C, doctor):
+    """The audit of kind at (C, 2, 1) over caches that doctor(caches)
+    rewrites as placement stores them.  Every cache keeps its size, or
+    placement's symmetry check would raise first."""
+    honest = Scheme._place_keys
+    monkeypatch.setattr(Scheme, "_place_keys",
+                        lambda self, *args: doctor(honest(self, *args)))
+    return check_share_placement_secrecy(tiny_config(kind, C, 2, 1))
+
+
+def test_a_dropped_key_share_is_a_problem(monkeypatch):
+    # The audit once died on the missing share with a bare KeyError.
+    # Each cache drops its first share: caches 1 and 2 that of D[12,3],
+    # cache 3 that of D[13,2].
+    report = doctored_audit(monkeypatch, SchemeKind.SP_LFR, 3, lambda caches: [
+        replace(c, key_shares=dict(list(c.key_shares.items())[1:]))
+        for c in caches])
+    assert not report.ok
+    assert report.problems == ("shares of D[(1, 2),(3,)] live in []",
+                               "shares of D[(1, 3),(2,)] live in [1]")
+
+
+def test_a_wrong_or_missing_whole_key_is_a_problem(monkeypatch):
+    # (3, 2, 1) has the one transmission S = 123, whose key every cache holds.
+    def wrong(caches):
+        (S, key), = caches[1].whole_keys.items()
+        caches[1] = replace(caches[1], whole_keys={
+            S: BitBlock(key.value ^ 1, key.length)})
+        return caches
+
+    report = doctored_audit(monkeypatch, SchemeKind.S_LFR, 3, wrong)
+    assert report.problems == ("cache 2 holds a wrong copy of V[(1, 2, 3)]",)
+    report = doctored_audit(monkeypatch, SchemeKind.S_LFR, 3, lambda caches: [
+        replace(c, whole_keys={}) for c in caches])
+    assert report.problems == ("copies of V[(1, 2, 3)] live in []",)
+
+
+def test_a_coded_block_in_the_wrong_cache_is_a_problem(monkeypatch):
+    # Caches 1 and 4 swap their blocks of V[123] and V[234]: each keeps its
+    # size, and users 24 and 34 outside 123 now reach two of its blocks.
+    def swapped(caches):
+        one, four = (dict(caches[c].coded_subkeys) for c in (0, 3))
+        one[(2, 3, 4)] = four.pop((2, 3, 4))
+        four[(1, 2, 3)] = one.pop((1, 2, 3))
+        caches[0] = replace(caches[0], coded_subkeys=one)
+        caches[3] = replace(caches[3], coded_subkeys=four)
+        return caches
+
+    report = doctored_audit(monkeypatch, SchemeKind.IS_LFR, 4, swapped)
+    assert not report.ok
+    assert "blocks of V[(1, 2, 3)] live in [2, 3, 4]" in report.problems
+    assert "outside user (2, 4) reaches 2 blocks of V[(1, 2, 3)]" in report.problems
+    assert "blocks of V[(2, 3, 4)] live in [1, 2, 3]" in report.problems
 
 
 def test_sweep_topologies_are_valid():
