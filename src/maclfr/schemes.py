@@ -31,7 +31,6 @@ randomness_order(), so a (config, seed) pair determines every artifact.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +51,16 @@ from .mds import MdsCode, build_code, decode_key, decoding_matrix, encode_key
 from .shamir import (canonical_evaluation_points, reconstruct,
                      share_set_from_blocks, split)
 from .topology import CacheSet, TopologySpec, share_index_of_cache
+
+# The interpreter's built-in SHA-256, as random takes its SHA-512: hashlib
+# would map OpenSSL's libcrypto, megabytes of memory, to hash a seed.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 MAX_SEED = (1 << 64) - 1
 
@@ -127,7 +136,7 @@ class SchemeConfig:
 
 def derive_rng(seed: int, purpose: str) -> random.Random:
     """Independent deterministic stream per purpose; stable across runs."""
-    digest = hashlib.sha256(f"maclfr:{purpose}:{seed}".encode()).digest()
+    digest = sha256(f"maclfr:{purpose}:{seed}".encode()).digest()
     return random.Random(int.from_bytes(digest[:16], "little"))
 
 
@@ -143,23 +152,25 @@ def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
     slots maps (g, T), lex in (g, T), to the rank of T, the transmission
     S = g + T that carries g's piece T, and T's place in g's row.  members
     maps each transmission S, in lex order, to the triples (g, S minus g,
-    its rank) of the users g inside S.  stored lists per cache the (rank,
-    T) naming it, lex in T: its subfiles' order, each T's files in turn.
+    its rank) of the users g inside S; senders, the same as (rank of g,
+    rank of S minus g).  stored lists per cache the (rank, T) naming it,
+    lex in T: its subfiles' order, each T's files in turn.
     """
     rank = {T: k for k, T in enumerate(topo.subfile_indices())}
     rows = {g: tuple(T for T in rank if not set(g) & set(T))
             for g in topo.users()}
     slots = {(g, T): (rank[T], tuple(sorted(g + T)), p)
              for g, row in rows.items() for p, T in enumerate(row)}
-    members = {}
+    members, senders, users = {}, [], list(rows)
     for S in topo.transmission_indices():
         rests = [(g, tuple(c for c in S if c not in g))
                  for g in combinations(S, topo.access_degree)]
         members[S] = tuple((g, rest, rank[rest]) for g, rest in rests)
+        senders.append(tuple((users.index(g), rank[rest]) for g, rest in rests))
     stored = tuple(tuple((k, T) for T, k in rank.items() if c in T)
                    for c in range(1, topo.num_caches + 1))
     return (MappingProxyType(rank), MappingProxyType(slots),
-            MappingProxyType(members), MappingProxyType(rows), stored)
+            MappingProxyType(members), MappingProxyType(rows), stored, tuple(senders))
 
 
 def _combination(images: Sequence[int], coeffs: int) -> int:
@@ -294,7 +305,7 @@ class RandomnessLayout:
 
     def unpack(self, value: int) -> ServerRandomness:
         """Slice out each run's row; only the coef run is cut into values,
-        to be dealt into its planes."""
+        to be dealt into its planes, and only when r > 2."""
         if value < 0 or value >> self.total_bits:
             raise DomainError(f"value does not fit in {self.total_bits} bits")
         rows = {}
@@ -303,8 +314,10 @@ class RandomnessLayout:
             value >>= count * bits
         keys, masks, coefs = (rows.get(tag, (0, 0, 1))
                               for tag in ("key", "mask", "coef"))
-        return ServerRandomness(keys[0], masks[0],
-                                _planes(self.cfg, _cut(*coefs)))
+        planes = ((coefs[0],) if self.cfg.kind.masks_demands
+                  and self.cfg.topo.access_degree == 2
+                  else _planes(self.cfg, _cut(*coefs)))
+        return ServerRandomness(keys[0], masks[0], planes)
 
 
 # ---- placement / delivery artifacts ----
@@ -412,7 +425,7 @@ class Scheme:
         self.topo = cfg.topo
         self.kind = cfg.kind
         (self._rank, self._slots, self._members, self._rows,
-         stored) = _indices(cfg.topo)
+         stored, self._senders) = _indices(cfg.topo)
         # Each cache's subfiles, by (rank, T): none in broadcast mode.
         self._stored = tuple(() for _ in stored) if cfg.broadcast else stored
         self._sent_rank = {S: s for s, S in enumerate(self._members)}
@@ -573,8 +586,8 @@ class Scheme:
 
     def deliver(self, randomness: ServerRandomness, table: SubfileTable,
                 demands: Sequence[DemandVector]) -> DeliveryTranscript:
-        """The broadcast for the demands, from the server's randomness and
-        the library's subfiles alone: it reads no cache."""
+        """The broadcast for the checked demands, cut from the rows of
+        transmission_row: it reads no cache."""
         cfg = self.cfg
         if ((table.topo, table.file_bits, table.subfile_bits, len(table.images))
                 != (self.topo, cfg.file_bits, cfg.subfile_bits, cfg.num_files)):
@@ -589,28 +602,41 @@ class Scheme:
                 raise UsageError("demand width does not match the library")
             if d.user not in self._rows:
                 raise UsageError(f"{d.user} is not a user of this topology")
+        n, users, members = cfg.num_files, self._rows, self._members
+        payloads, sent = self.transmission_row(randomness, table, sum(
+            by_user[g].coeffs << (u * n) for u, g in enumerate(users)))
         if cfg.broadcast:
-            files = tuple(table.reassemble(i)
-                          for i in range(1, cfg.num_files + 1))
-            return DeliveryTranscript(cfg, {}, {}, {}, files)
-        n = cfg.num_files  # masks and keys are zero for the kinds without
-        sent = {g: by_user[g].coeffs ^ (randomness.mask_vectors >> (u * n)
-                                        & (1 << n) - 1)
-                for u, g in enumerate(self._rows)}
-        # Per S: its key, then over users g inside S the
-        # g-sent combination of the subfile indexed by S minus g.
-        sb = table.subfile_bits
-        piece = (1 << sb) - 1
-        combos = {g: _combination(table.images, coeffs)
-                  for g, coeffs in sent.items()}
-        payloads = {}
-        for s, (S, members) in enumerate(self._members.items()):
-            acc = randomness.payload_keys >> (s * sb) & piece
-            for g, _, k in members:
-                acc ^= (combos[g] >> (k * sb)) & piece
-            payloads[S] = BitBlock(acc, sb)
+            fb = cfg.file_bits
+            return DeliveryTranscript(cfg, {}, {}, {}, tuple(
+                BitBlock(v, fb) for v in _cut(payloads, n, fb)))
+        sb, sent = cfg.subfile_bits, dict(zip(users, _cut(sent, len(users), n)))
         masked, clear = (sent, {}) if self.kind.masks_demands else ({}, sent)
-        return DeliveryTranscript(cfg, payloads, masked, clear, None)
+        return DeliveryTranscript(cfg, {S: BitBlock(v, sb) for S, v in zip(
+            members, _cut(payloads, len(members), sb))}, masked, clear, None)
+
+    def transmission_row(self, randomness: ServerRandomness,
+                         table: SubfileTable, demand_row: int
+                         ) -> tuple[int, int]:
+        """The broadcast as rows (payload_row, sent_row), unchecked, from
+        the randomness and the subfiles alone.  The demand and sent rows
+        hold user rank u's demand, as sent, at bit u N, as the mask row
+        does; payload_row, transmission rank s's payload at bit s
+        subfile_bits.  In broadcast mode it is the library, file by file."""
+        n, sb = self.cfg.num_files, table.subfile_bits
+        if self.cfg.broadcast:
+            return _join([table.reassemble(i).value for i in range(1, n + 1)],
+                         self.cfg.file_bits), 0
+        sent = demand_row ^ randomness.mask_vectors
+        # _combination reads the low N bits of the shifted row: u's demand.
+        combos = [_combination(table.images, sent >> (u * n))
+                  for u in range(len(self._rows))]
+        piece, payloads = (1 << sb) - 1, []
+        for senders in self._senders:
+            acc = 0
+            for u, k in senders:
+                acc ^= combos[u] >> (k * sb)
+            payloads.append(acc & piece)
+        return randomness.payload_keys ^ _join(payloads, sb), sent
 
     # -- decoding --
 

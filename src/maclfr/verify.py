@@ -17,12 +17,12 @@ Distributions are taken over every library value and every server
 randomness value (and every demand tuple, for privacy), with exact
 rational probabilities.  Two evaluation methods exist:
 
-* "enumerate" runs the real engine once per state: delivery alone for
-  security, whose eavesdropper sees no cache, and delivery plus the
-  caches' subfile and key rows for privacy.  One full placement per check
-  keeps the placement invariants checked, and the views must equal that
-  placed round's.  It assumes nothing and is the gold standard, but state
-  spaces explode.
+* "enumerate" runs the real engine once per state: the broadcast's rows
+  alone for security, whose eavesdropper sees no cache, and those rows
+  plus the caches' subfile and key rows for privacy.  One placement and
+  delivery per check keep the placement invariants and demands checked,
+  and the views must equal that placed round's.  It assumes nothing and
+  is the gold standard, but state spaces explode.
 * "affine" exploits that every view is a GF(2) polynomial of degree at
   most two whose only products pair a library bit with a demand or
   randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
@@ -59,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import log2
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -67,10 +67,11 @@ from .bits import BitBlock
 from .errors import DomainError, IntegrityError, ResourceLimitError, UsageError
 from .library import (DemandVector, FileLibrary, linear_combination,
                       subpacketize)
+from .mds import coded_block_bit_length, decode_key
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
                       SchemeConfig, SchemeKind, derive_rng)
 from .shamir import reconstruct, share_set_from_blocks
-from .topology import CacheSet, TopologySpec
+from .topology import CacheSet, TopologySpec, share_index_of_cache
 
 DEFAULT_STATE_CAP = 1 << 28
 AFFINITY_PROBES = 8
@@ -211,20 +212,19 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
     """The engine as both oracles see it: (run, |W|, |Z|).
 
     `run(w, z)` runs the round at library value w and returns the views
-    as ints.  Given the fixed `demands` (security), z is the randomness
-    and the one view is the transmission, which delivery computes from
-    the randomness and the library's subfiles alone.  Otherwise (privacy)
-    z packs the demand tuple in its low bits, as demands_from_int reads
-    it, with the randomness above, and there is one view per user in
-    topo.users() order: the transmission, then the user's own demand,
+    as ints.  Its transmission is Scheme.transmission_row's payload row,
+    then for the masking kinds the sent row; no run builds a transcript.
+    Given the fixed `demands` (security), packed into a demand row once,
+    z is the randomness and the one view is the transmission.  Otherwise
+    (privacy) z holds the demand row in its low bits, as demands_from_int
+    reads it, with the randomness above, and there is one view per user
+    in topo.users() order: the transmission, then the user's own demand,
     then per cache of the user its subfile row and its key row
     (Scheme.subfile_rows and Scheme.key_rows).  No run places the caches.
-    One full placement, at a seeded point, checks the placement
-    invariants, and there run(w, z) must equal ViewExtractor.transmission
-    or ViewExtractor.observer, which define the views.  The library, its
-    subfiles, their rows and the demands are rebuilt only when their part
-    of the state changes, so walks that vary the randomness innermost
-    build each once.
+    One full placement and delivery, at a seeded point, checks the
+    placement invariants and the battery, and there run(w, z) must equal
+    ViewExtractor.transmission or ViewExtractor.observer, which define the
+    views.  The library, its subfiles and their rows are kept per w.
     """
     scheme = Scheme(cfg)
     layout = RandomnessLayout.for_config(cfg)
@@ -233,19 +233,23 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
     library = lru_cache(maxsize=1)(lambda w: library_from_int(w, n, cfg.file_bits))
     table = lru_cache(maxsize=1)(lambda w: subpacketize(library(w), cfg.topo))
     dbits = 0 if demands is not None else n * len(users)
-    battery = lru_cache(maxsize=1)(
-        lambda d: demands_from_int(d, cfg) if dbits else demands)
+    by_user = {d.user: d.coeffs for d in demands or ()}
+    battery = sum(by_user.get(g, 0) << (u * n) for u, g in enumerate(users))
     subfile_rows = lru_cache(maxsize=1)(lambda w: scheme.subfile_rows(table(w)))
     own = (1 << n) - 1
+    masked = cfg.kind.masks_demands and not cfg.broadcast
+    pbits = n * cfg.file_bits if cfg.broadcast else (
+        cfg.topo.num_transmissions * cfg.subfile_bits)
+    width = pbits + masked * len(users) * n  # of the transmission view
 
     def run(w: int, z: int) -> tuple[int, ...]:
         d = z & ((1 << dbits) - 1)
-        randomness = layout.unpack(z >> dbits)
-        sent, width = extractor.transmission(
-            scheme.deliver(randomness, table(w), battery(d)))
+        rnd = layout.unpack(z >> dbits)
+        payloads, sent = scheme.transmission_row(rnd, table(w), d | battery)
+        sent = payloads | sent << pbits if masked else payloads
         if not dbits:
             return (sent,)
-        keys = scheme.key_rows(randomness, table(w))
+        keys = scheme.key_rows(rnd, table(w))
         stores = list(zip(subfile_rows(w), keys))
         views = []
         for i, g in enumerate(users):
@@ -263,7 +267,7 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
     d = z & ((1 << dbits) - 1)
     placement = scheme.place(library(w), layout.unpack(z >> dbits))
     transcript = scheme.deliver(placement.randomness, placement.table,
-                                battery(d))
+                                demands_from_int(d, cfg) if dbits else demands)
     placed = ([extractor.observer(g, placement.caches, transcript,
                                   d >> (i * n) & own)[0]
                for i, g in enumerate(users)] if dbits
@@ -734,10 +738,12 @@ def check_share_placement_secrecy(cfg: SchemeConfig) -> SharePlacementReport:
     reconstruction threshold), and the full share set reconstructs it.
     For the coded kind: the blocks of each V[S] sit in exactly the caches
     S names, so users outside it reach fewer than the r blocks decoding
-    needs.  For the whole-key kind: each V[S] sits, unaltered, in exactly
-    the named caches (exposure to intersecting users is by design).
-    Missing or misplaced material is a problem, as is a wrong copy.  The
-    keyless kind has nothing to audit.
+    needs, and every user inside S decodes V[S] from its r blocks.  For
+    the whole-key kind: each V[S] sits, unaltered, in exactly the named
+    caches (exposure to intersecting users is by design).  Missing or
+    misplaced material is a problem, as is a wrong copy, a share or block
+    of the wrong length, or blocks that do not decode.  The keyless kind
+    has nothing to audit.
     """
     scheme = Scheme(cfg)
     library = FileLibrary.random(derive_rng(cfg.seed, "library"),
@@ -755,7 +761,7 @@ def check_share_placement_secrecy(cfg: SchemeConfig) -> SharePlacementReport:
         return {c.index for c in caches if label in getattr(c, store)}
 
     if cfg.kind.masks_demands and not cfg.broadcast:
-        table, n = placement.table, cfg.num_files
+        table, n, wb = placement.table, cfg.num_files, cfg.share_block_bits
         for u, g in enumerate(topo.users()):
             for T in (T for T in topo.subfile_indices() if not set(g) & set(T)):
                 checked += 1
@@ -772,20 +778,37 @@ def check_share_placement_secrecy(cfg: SchemeConfig) -> SharePlacementReport:
                              if other != g and len(set(other) & held) >= r]
                 blocks = [caches[c - 1].key_shares[(g, T)]
                           for c in g if c in held]
-                if len(blocks) == r and reconstruct(share_set_from_blocks(
+                wrong = [b.length for b in blocks if b.length != wb]
+                if wrong:
+                    problems.append(f"a share of D[{g},{T}] has {wrong[0]} "
+                                    f"bits, expected {wb}")
+                elif len(blocks) == r and reconstruct(share_set_from_blocks(
                         blocks, cfg.key_field, sb)) != secret:
                     problems.append(f"shares of D[{g},{T}] do not reconstruct it")
     elif cfg.kind.stores_keys_coded:
-        for S in keys:
+        code = cfg.key_code
+        bits = coded_block_bit_length(sb, code)
+        for S, key in keys.items():
             checked += 1
             held = holders("coded_subkeys", S)
             if held != set(S):
                 problems.append(f"blocks of V[{S}] live in {sorted(held)}")
             for g in topo.users():
                 reach = len(set(g) & held)
-                if not set(g) <= set(S) and reach >= cfg.key_code.dimension:
+                if not set(g) <= set(S) and reach >= code.dimension:
                     problems.append(f"outside user {g} reaches {reach} "
                                     f"blocks of V[{S}]")
+            # Every user inside S decodes V[S] from the blocks it reaches.
+            blocks = {c: caches[c - 1].coded_subkeys[S]
+                      for c in sorted(held & set(S))}
+            wrong = [b.length for b in blocks.values() if b.length != bits]
+            if wrong:
+                problems.append(f"a block of V[{S}] has {wrong[0]} bits, "
+                                f"expected {bits}")
+            elif any(decode_key([(share_index_of_cache(S, c), blocks[c])
+                                 for c in g], code, sb) != key
+                     for g in combinations(blocks, code.dimension)):
+                problems.append(f"blocks of V[{S}] do not decode to it")
     elif cfg.kind.stores_keys_whole:
         for S, key in keys.items():
             checked += 1

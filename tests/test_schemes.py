@@ -316,6 +316,18 @@ def test_derive_rng_separates_purposes():
     assert derive_rng(0, "a").random() == derive_rng(0, "a").random()
 
 
+@pytest.mark.parametrize("seed, purpose", [
+    (0, "library"), (7, "placement"), ((1 << 64) - 1, "row-views"),
+    (12345, "affinity-probes")])
+def test_derive_rng_is_the_sha256_derivation(seed, purpose):
+    # derive_rng hashes with the interpreter's built-in SHA-256; the stream
+    # must be the one hashlib's SHA-256 of the same text seeds.
+    import hashlib
+    digest = hashlib.sha256(f"maclfr:{purpose}:{seed}".encode()).digest()
+    expected = random.Random(int.from_bytes(digest[:16], "little"))
+    assert derive_rng(seed, purpose).getrandbits(256) == expected.getrandbits(256)
+
+
 # ---- broadcast corner ----
 
 def test_broadcast_mode_ships_the_library():

@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from maclfr.bits import BitBlock
 from maclfr.errors import (DomainError, IntegrityError, ResourceLimitError,
                            UsageError)
 from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
-from maclfr.schemes import RandomnessLayout, Scheme, SchemeKind
+from maclfr.mds import coded_block_bit_length
+from maclfr.schemes import (DeliveryTranscript, RandomnessLayout, Scheme,
+                            SchemeKind)
 from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
                            _choose_method, _model_runs, _privacy_affine,
                            _readable_mi, _security_certified, _views,
@@ -353,17 +356,17 @@ def test_zeroed_payload_key_is_not_certified(monkeypatch):
 
 def test_unmasked_demand_is_not_certified_private(monkeypatch):
     # An sp-lfr engine that sends one user's demand unmasked leaks it to
-    # every other observer; the span test at w = 0 is its witness.
-    honest = Scheme.deliver
+    # every other observer; the span test at w = 0 is its witness.  The
+    # row function is patched, which both the runs and the placed round
+    # reach.
+    honest = Scheme.transmission_row
 
-    def leaky(self, randomness, table, demands):
-        transcript = honest(self, randomness, table, demands)
-        first = demands[0]
-        masked = dict(transcript.masked_demands)
-        masked[first.user] = first.coeffs
-        return replace(transcript, masked_demands=masked)
+    def leaky(self, randomness, table, demand_row):
+        payloads, sent = honest(self, randomness, table, demand_row)
+        first = (1 << self.cfg.num_files) - 1  # the demand of user rank 0
+        return payloads, sent & ~first | demand_row & first
 
-    monkeypatch.setattr(Scheme, "deliver", leaky)
+    monkeypatch.setattr(Scheme, "transmission_row", leaky)
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
     res = check_privacy_exact(cfg, method="affine")
     leaked = cfg.topo.users()[0]
@@ -551,22 +554,107 @@ def test_security_view_matches_a_full_round(kind, C, r, t):
 @pytest.mark.parametrize("method", ("affine", "enumerate"))
 @pytest.mark.parametrize("oracle", ("security", "privacy"))
 def test_every_check_places_the_caches_once(monkeypatch, oracle, method):
-    # Placement checks its invariants once per check; every engine run of
-    # the check delivers from the randomness alone, and privacy reads the
-    # caches from the round's rows.
+    # Placement checks its invariants, and deliver the demands, once per
+    # check, in the placed round that defines the views; every engine run
+    # of the check takes the broadcast from the row function alone, and
+    # privacy reads the caches from the round's rows.
     check, kind = {"security": (check_security_exact, SchemeKind.SP_LFR),
                    "privacy": (check_privacy_exact, SchemeKind.P_LFR)}[oracle]
-    placed = []
-    honest = Scheme.place
+    calls = {"place": [], "deliver": [], "transmission_row": []}
 
-    def counted(self, *args, **kwargs):
-        placed.append(args)
-        return honest(self, *args, **kwargs)
+    def counted(name):
+        honest = getattr(Scheme, name)
 
-    monkeypatch.setattr(Scheme, "place", counted)
+        def method(self, *args, **kwargs):
+            calls[name].append(args)
+            return honest(self, *args, **kwargs)
+        return method
+
+    for name in calls:
+        monkeypatch.setattr(Scheme, name, counted(name))
     res = check(tiny_config(kind, 3, 2, 0, num_files=1), method=method)
     assert res.certified_zero and res.method == method and res.states > 1
-    assert len(placed) == 1
+    assert len(calls["place"]) == len(calls["deliver"]) == 1
+    # Every engine run, plus the placed round's deliver.
+    assert len(calls["transmission_row"]) > res.states
+
+
+@pytest.mark.parametrize("oracle", ("security", "privacy"))
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_oracle_runs_build_no_transcript(monkeypatch, oracle, kind):
+    # Past the placed round, a run builds no transcript and no demand
+    # vector; a security run builds no BitBlock at all once its library
+    # is built.  Privacy runs still split the key row into BitBlock shares.
+    cfg = tiny_config(kind, 3, 2, 1)
+    run, wbits, zbits = (_views(cfg, cycling_one_hot_demands(cfg.topo, 2))
+                         if oracle == "security" else _views(cfg))
+    w = (1 << wbits) - 1
+    run(w, 0)  # builds the library and the subfiles of w
+    built = []
+
+    def counted(cls):
+        honest = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(cls.__name__)
+            honest(self, *args, **kwargs)
+        return init
+
+    for cls in (DeliveryTranscript, DemandVector) + (
+            (BitBlock,) if oracle == "security" else ()):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    for z in range(min(1 << zbits, 64)):
+        run(w, z)
+    assert built == []
+
+
+@pytest.mark.parametrize("kind, C, r, t, broadcast", [
+    *((kind, C, r, t, False) for C, r, t in tiny_sweep_topologies()
+      for kind in SchemeKind),
+    (SchemeKind.P_LFR, 3, 2, 1, True)])
+def test_transmission_row_matches_the_transcript(kind, C, r, t, broadcast):
+    # At seeded points the rows hold the payloads by their formula, key of
+    # S plus each g's sent combination of subfile S minus g (the library
+    # itself in broadcast mode); deliver cuts its transcript's payloads
+    # and masked or cleartext demands from them, and they pack into
+    # ViewExtractor's transmission.
+    cfg = replace(tiny_config(kind, C, r, t), broadcast=broadcast)
+    scheme, extractor = Scheme(cfg), ViewExtractor(cfg)
+    layout = RandomnessLayout.for_config(cfg)
+    users, n, sb = cfg.topo.users(), cfg.num_files, cfg.subfile_bits
+    rng = random.Random(f"row:{kind.value}:{C}:{r}:{t}:{broadcast}")
+    for _ in range(8):
+        w = rng.getrandbits(n * cfg.file_bits)
+        library = library_from_int(w, n, cfg.file_bits)
+        table = verify.subpacketize(library, cfg.topo)
+        randomness = layout.unpack(rng.getrandbits(layout.total_bits))
+        demand_row = rng.getrandbits(n * len(users))
+        payloads, sent = scheme.transmission_row(randomness, table, demand_row)
+        transcript = scheme.deliver(randomness, table,
+                                    demands_from_int(demand_row, cfg))
+        masked = kind.masks_demands and not broadcast
+        shown, hidden = (transcript.masked_demands, transcript.cleartext_demands)
+        if not masked:
+            shown, hidden = hidden, shown
+        assert hidden == {}
+        assert sum(shown.get(g, 0) << (u * n)
+                   for u, g in enumerate(users)) == sent
+        if broadcast:
+            assert (payloads, sent, transcript.payloads) == (w, 0, {})
+        else:
+            assert sent == demand_row ^ randomness.mask_vectors
+        for s, S in enumerate(() if broadcast
+                              else cfg.topo.transmission_indices()):
+            expected = randomness.payload_keys >> (s * sb) & ((1 << sb) - 1)
+            for g in combinations(S, r):
+                rest = tuple(c for c in S if c not in g)
+                for i in range(n):
+                    if sent >> (users.index(g) * n + i) & 1:
+                        expected ^= table.subfile(i + 1, rest).value
+            assert payloads >> (s * sb) & ((1 << sb) - 1) == expected
+        view, _ = extractor.transmission(transcript)
+        assert view == (payloads | sent << transcript.payload_bits if masked
+                        else payloads)
 
 
 @pytest.mark.parametrize("kind", (SchemeKind.S_LFR, SchemeKind.IS_LFR,
@@ -789,6 +877,46 @@ def test_a_coded_block_in_the_wrong_cache_is_a_problem(monkeypatch):
     assert "blocks of V[(2, 3, 4)] live in [1, 2, 3]" in report.problems
 
 
+def test_a_wrong_coded_block_is_a_problem(monkeypatch):
+    # Every coded block keeps its place and length but has bit 0 flipped:
+    # no user inside S decodes V[S] any more.  The audit once checked only
+    # where the blocks sit, and passed this.
+    report = doctored_audit(monkeypatch, SchemeKind.IS_LFR, 4, lambda caches: [
+        replace(c, coded_subkeys={S: BitBlock(b.value ^ 1, b.length)
+                                  for S, b in c.coded_subkeys.items()})
+        for c in caches])
+    assert not report.ok and report.keys_checked == 4
+    assert report.problems == tuple(
+        f"blocks of V[{S}] do not decode to it"
+        for S in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+    # A block one bit too long is reported, not passed to the decoder.
+    report = doctored_audit(monkeypatch, SchemeKind.IS_LFR, 4, lambda caches: [
+        replace(c, coded_subkeys={S: BitBlock(b.value, b.length + 1)
+                                  for S, b in c.coded_subkeys.items()})
+        for c in caches])
+    bits = coded_block_bit_length(1, tiny_config(SchemeKind.IS_LFR, 4, 2, 1).key_code)
+    assert report.problems == tuple(
+        f"a block of V[{S}] has {bits + 1} bits, expected {bits}"
+        for S in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+
+
+def test_a_key_share_of_the_wrong_length_is_a_problem(monkeypatch):
+    # Each cache's first share grows by one bit, so every cache keeps one
+    # size; the audit once raised DomainError from share_set_from_blocks.
+    def longer(caches):
+        out = []
+        for c in caches:
+            (label, block), *rest = c.key_shares.items()
+            out.append(replace(c, key_shares={
+                label: BitBlock(block.value, block.length + 1), **dict(rest)}))
+        return out
+
+    report = doctored_audit(monkeypatch, SchemeKind.SP_LFR, 3, longer)
+    assert not report.ok
+    assert report.problems == ("a share of D[(1, 2),(3,)] has 3 bits, expected 2",
+                               "a share of D[(1, 3),(2,)] has 3 bits, expected 2")
+
+
 def test_sweep_topologies_are_valid():
     triples = tiny_sweep_topologies()
     assert len(set(triples)) == len(triples)
@@ -819,8 +947,10 @@ def test_import_leaves_numpy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    # Nor OpenSSL's libcrypto: derive_rng hashes with the built-in SHA-256.
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, maclfr, maclfr.cli; print('numpy' in sys.modules)"],
+         "import sys, maclfr, maclfr.cli; "
+         "print('numpy' in sys.modules, '_hashlib' in sys.modules)"],
         capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
