@@ -20,8 +20,8 @@ from .errors import (DomainError, IntegrityError, MaclfrError,
                      ResourceLimitError, UsageError)
 from .gf import BinaryField, binary_field
 from .library import (DemandVector, FileLibrary, SubfileTable,
-                      exhaustive_demand_tuples, linear_combination,
-                      parse_demand_file, random_demands, subpacketize)
+                      linear_combination, parse_demand_file, random_demands,
+                      subpacketize)
 from .mds import MdsCode, build_code, decode_key, encode_key
 from .schemes import (CacheContent, DeliveryTranscript, PlacementResult,
                       RandomnessLayout, Scheme, SchemeConfig, SchemeKind,
@@ -55,7 +55,7 @@ __all__ = [
     "artifact_to_json", "build_code", "check_correctness",
     "check_privacy_exact", "check_security_exact",
     "check_share_placement_secrecy", "curve", "decode_key", "derive_rng",
-    "encode_key", "exhaustive_demand_tuples", "leakage_check",
+    "encode_key", "leakage_check",
     "linear_combination", "lower_convex_envelope", "mutual_information",
     "optimality_gap", "parse_demand_file", "point", "privacy_suite",
     "random_demands", "reconstruct", "security_memory_bound",

@@ -28,8 +28,7 @@ from .analysis import (TradeoffCurve, curve, curves_to_json, format_fraction,
                        lower_convex_envelope, point, write_curves_csv)
 from .errors import (DomainError, IntegrityError, MaclfrError,
                      ResourceLimitError, UsageError)
-from .library import (DemandVector, exhaustive_demand_tuples, parse_demand_file,
-                      random_demands)
+from .library import DemandVector, parse_demand_file, random_demands
 from .presets import FIGURE_PRESETS, WORKED_CONFIGURATIONS
 from .schemes import SchemeConfig, SchemeKind, derive_rng, simulate
 from .topology import TopologySpec
@@ -38,8 +37,8 @@ from .verify import (DEFAULT_STATE_CAP, CorrectnessReport, PrivacyCheckResult,
                      SecurityCheckResult, SharePlacementReport,
                      check_correctness, check_privacy_exact,
                      check_security_exact, check_share_placement_secrecy,
-                     privacy_suite, security_suite, tiny_config,
-                     tiny_sweep_topologies)
+                     demands_from_int, privacy_suite, security_suite,
+                     tiny_config, tiny_sweep_topologies)
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
@@ -113,10 +112,16 @@ def _resolve_seed(args) -> int:
 
 
 def _require(args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
+    missing = " ".join(f"--{n}" for n in names if getattr(args, n) is None)
     if missing:
-        raise UsageError("missing required flags: "
-                         + " ".join(f"--{n}" for n in missing))
+        raise UsageError(f"missing required flags: {missing}")
+
+
+def _refuse(args, fixed_by: str, *names: str) -> None:
+    """Refuse the given flags among `names`, which `fixed_by` fixes."""
+    given = " ".join(f"--{n}" for n in names if getattr(args, n) is not None)
+    if given:
+        raise UsageError(f"{fixed_by} fixes {given}")
 
 
 def _out_dir(args) -> Path:
@@ -135,6 +140,7 @@ def _single_point_curve(kind: SchemeKind, C: int, r: int, t: int, N: int,
 
 def cmd_curve(args) -> int:
     if args.figure is not None:
+        _refuse(args, f"--figure {args.figure}", "C", "r", "N", "scheme")
         preset = FIGURE_PRESETS[args.figure]
         C, r, N = preset.num_caches, preset.access_degree, preset.num_files
         kinds = preset.kinds
@@ -170,6 +176,7 @@ def _simulate_config(args) -> tuple[SchemeConfig, Sequence[DemandVector] | None]
     kind = SchemeKind(args.scheme)
     seed = _resolve_seed(args)
     if args.preset:
+        _refuse(args, f"--preset {args.preset}", "C", "r", "t", "N", "F")
         worked = WORKED_CONFIGURATIONS[args.preset]
         cfg = replace(worked.config(kind, seed), broadcast=args.broadcast)
         return cfg, worked.demands()
@@ -194,11 +201,12 @@ def _demand_battery(cfg: SchemeConfig, source: str,
 
 def _every_demand_tuple(cfg: SchemeConfig, cap: int
                         ) -> list[tuple[DemandVector, ...]]:
-    """Every demand tuple of the config, refused before any is listed."""
+    """Every demand tuple of the config, one per demand row as the oracles
+    decode it, refused before any is listed."""
     space = 1 << (cfg.num_files * cfg.topo.num_users)
     if space > cap:
         raise ResourceLimitError(f"{space} demand tuples exceed the cap {cap}")
-    return list(exhaustive_demand_tuples(cfg.topo, cfg.num_files))
+    return [demands_from_int(row, cfg) for row in range(space)]
 
 
 def cmd_simulate(args) -> int:
@@ -289,8 +297,7 @@ def _shares_doc(rep: SharePlacementReport) -> dict:
 
 
 def _explicit_config(args, kind: SchemeKind, num_files: int) -> SchemeConfig:
-    topo = TopologySpec(args.C, args.r,
-                        args.t if args.t is not None else 0)
+    topo = TopologySpec(args.C, args.r, args.t)
     F = args.F if args.F is not None else topo.num_subfile_indices
     return SchemeConfig(topo, num_files, F, kind, seed=_resolve_seed(args))
 

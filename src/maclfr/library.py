@@ -14,10 +14,9 @@ lean on that.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, UsageError
@@ -176,14 +175,6 @@ def random_demands(topo: TopologySpec, num_files: int, rng: random.Random
                    ) -> tuple[DemandVector, ...]:
     return tuple(DemandVector(u, rng.getrandbits(num_files), num_files)
                  for u in topo.users())
-
-
-def exhaustive_demand_tuples(topo: TopologySpec, num_files: int
-                             ) -> Iterator[tuple[DemandVector, ...]]:
-    """Every assignment of an N-bit demand to every user; 2^(N*K) tuples."""
-    users = topo.users()
-    for combo in itertools.product(range(1 << num_files), repeat=len(users)):
-        yield tuple(DemandVector(u, c, num_files) for u, c in zip(users, combo))
 
 
 def cycling_one_hot_demands(topo: TopologySpec, num_files: int

@@ -36,14 +36,6 @@ class WorkedConfiguration:
             for g, row in zip(self.topo.users(), self.demand_rows))
 
 
-def _one_hot_rows(num_users: int, num_files: int) -> tuple[str, ...]:
-    rows = []
-    for k in range(num_users):
-        i = k % num_files
-        rows.append("0" * i + "1" + "0" * (num_files - i - 1))
-    return tuple(rows)
-
-
 def _adjacent_pair_rows(num_files: int) -> tuple[str, ...]:
     """User k demands file k+1 XOR file k+2; the last user file N alone."""
     rows = []
@@ -62,7 +54,7 @@ PAIRS_OF_THREE = WorkedConfiguration(
     topo=TopologySpec(3, 2, 1),
     num_files=3,
     file_bits=6,
-    demand_rows=_one_hot_rows(3, 3),
+    demand_rows=("100", "010", "001"),
 )
 
 # Five caches in triples, adjacent-pair combination demands.

@@ -35,7 +35,7 @@ rational probabilities.  Two evaluation methods exist:
   instances small enough to enumerate.
 
 Both methods see the engine through one function, _views, so they check
-the very same views.
+the very same views, and enumeration is one walk over it, _walk.
 
 The model route answers by rank arguments alone, and none walks the 2^|W|
 library values.  Security: a fixed point over the randomness columns
@@ -65,8 +65,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, ResourceLimitError, UsageError
-from .library import (DemandVector, FileLibrary, linear_combination,
-                      subpacketize)
+from .library import (DemandVector, FileLibrary, cycling_one_hot_demands,
+                      linear_combination, subpacketize)
 from .mds import coded_block_bit_length, decode_key
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
                       SchemeConfig, SchemeKind, derive_rng)
@@ -428,6 +428,28 @@ def _choose_method(method: str, states: int, runs: int) -> str:
     return method
 
 
+def _walk(run: Callable[[int, int], tuple[int, ...]], views: int, zbits: int,
+          dbits: int, lib_values: range) -> list[dict[tuple[int, int], Counter]]:
+    """Each view's value counts per (library value w, demand row d) over
+    every state: d, z's low dbits, outermost, then w, then innermost the
+    randomness, z's bits above d.  Security walks no demand bits."""
+    counts: list[dict[tuple[int, int], Counter]] = [{} for _ in range(views)]
+    for d in range(1 << dbits):
+        for w in lib_values:
+            seen = [c.setdefault((w, d), Counter()) for c in counts]
+            for rv in range(1 << (zbits - dbits)):
+                for counter, view in zip(seen, run(w, d | rv << dbits)):
+                    counter[view] += 1
+    return counts
+
+
+def _walk_security(cfg: SchemeConfig, demands: Sequence[DemandVector],
+                   lib_values: range) -> dict[tuple[int, int], Counter]:
+    """_walk of the security view in a worker, which places its own."""
+    run, _, zbits = _views(cfg, demands)
+    return _walk(run, 1, zbits, 0, lib_values)[0]
+
+
 def security_joint_enumerated(cfg: SchemeConfig,
                               demands: Sequence[DemandVector],
                               cap: int = DEFAULT_STATE_CAP,
@@ -436,44 +458,28 @@ def security_joint_enumerated(cfg: SchemeConfig,
     """The exact joint distribution of (library, transmission view) by
     running the real scheme on every single state; `views`, when given,
     is what _views(cfg, demands) returned, so the caches are not placed
-    again."""
+    again.  With jobs > 1, worker k walks every jobs-th library value
+    from the k-th on."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    views = views or _views(cfg, demands)
-    _, wbits, zbits = views
+    run, wbits, zbits = views or _views(cfg, demands)
     lib_states, states = 1 << wbits, 1 << (wbits + zbits)
     if states > cap:
         raise ResourceLimitError(
             f"enumeration of {states} states exceeds the cap {cap}")
     if jobs > 1:
-        counts = _parallel_security_counts(cfg, demands, lib_states, jobs)
+        from concurrent.futures import ProcessPoolExecutor
+
+        jobs = min(jobs, lib_states)  # one worker per library value at most
+        chunks = [range(k, lib_states, jobs) for k in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            walks = list(pool.map(_walk_security, [cfg] * jobs,
+                                  [demands] * jobs, chunks))
     else:
-        counts = _security_counts(cfg, demands, range(lib_states), views)
+        walks = _walk(run, 1, zbits, 0, range(lib_states))
     prob = Fraction(1, states)
-    return {pair: n * prob for pair, n in counts.items()}
-
-
-def _security_counts(cfg: SchemeConfig, demands: Sequence[DemandVector],
-                     lib_values: Iterable[int],
-                     views: Views | None = None) -> Counter:
-    run, _, zbits = views or _views(cfg, demands)
-    return Counter((w, run(w, z)[0])
-                   for w in lib_values for z in range(1 << zbits))
-
-
-def _parallel_security_counts(cfg: SchemeConfig, demands: Sequence[DemandVector],
-                              lib_states: int, jobs: int) -> Counter:
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = min(jobs, lib_states)  # one worker per library value at most
-    chunks = [range(start, lib_states, jobs) for start in range(jobs)]
-    counts: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_security_counts, cfg, demands, ch)
-                   for ch in chunks]
-        for fut in futures:
-            counts.update(fut.result())
-    return counts
+    return {(w, view): n * prob for counts in walks
+            for (w, _), counter in counts.items() for view, n in counter.items()}
 
 
 def _security_certified(model: BilinearModel) -> bool:
@@ -524,7 +530,6 @@ def check_security_exact(cfg: SchemeConfig,
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     if demands is None:
-        from .library import cycling_one_hot_demands
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
     coeffs = tuple(d.coeffs for d in sorted(demands, key=lambda d: d.user))
     views = _views(cfg, demands)
@@ -598,26 +603,18 @@ def check_privacy_exact(cfg: SchemeConfig, method: str = "auto",
 def _privacy_enumerated(cfg: SchemeConfig,
                         run: Callable[[int, int], tuple[int, ...]],
                         wbits: int, zbits: int) -> dict[CacheSet, Fraction]:
-    """Walk every (demands, library, randomness) state, randomness
-    innermost, counting each observer's views per (library, demands); the
-    TV of an observer is its worst distance from the counts at the same
-    library and own demand with every other user demanding nothing."""
+    """The TV of each observer from _walk's counts: its worst distance
+    from the counts at the same library and own demand with every other
+    user demanding nothing."""
     users, n = cfg.topo.users(), cfg.num_files
     dbits = n * len(users)
-    rand_states = 1 << (zbits - dbits)
-    counts: list[dict[tuple[int, int], Counter]] = [{} for _ in users]
-    for d in range(1 << dbits):
-        for w in range(1 << wbits):
-            seen = [c.setdefault((w, d), Counter()) for c in counts]
-            for rv in range(rand_states):
-                for counter, view in zip(seen, run(w, d | rv << dbits)):
-                    counter[view] += 1
+    counts = _walk(run, len(users), zbits, dbits, range(1 << wbits))
     per_observer: dict[CacheSet, Fraction] = {}
     for i, (g, by_state) in enumerate(zip(users, counts)):
         own = ((1 << n) - 1) << (i * n)
         per_observer[g] = max(total_variation(by_state[(w, d & own)], counter)
                               for (w, d), counter in by_state.items()
-                              ) / rand_states
+                              ) / (1 << (zbits - dbits))
     return per_observer
 
 

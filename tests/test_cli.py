@@ -63,6 +63,17 @@ def test_simulate_preset(tmp_path, capsys):
     assert "memory 4/3 files" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", (("--F", "100", "--C", "9"), ("--t", "0"),
+                                   ("--r", "3", "--N", "2")))
+def test_simulate_preset_refuses_the_flags_it_fixes(flags, tmp_path, capsys):
+    code = run("simulate", "--scheme", "lfr", "--preset", "pairs-of-three",
+               *flags, "--out", str(tmp_path))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert not (tmp_path / "transcript.bin").exists()
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MACLFR_SEED", "77")
     code = run("simulate", "--C", "3", "--r", "2", "--t", "1", "--N", "2",
@@ -93,6 +104,19 @@ def test_curve_single_scheme_and_point(tmp_path):
     doc = json.loads((tmp_path / "envelopes.json").read_text())
     assert len(doc["curves"]) == 1
     assert doc["curves"][0]["points"] == [{"t": "1", "M": "5/3", "R": "1/3"}]
+
+
+@pytest.mark.parametrize("flags", (("--C", "5", "--N", "4"), ("--r", "1"),
+                                   ("--scheme", "lfr")))
+def test_curve_figure_refuses_the_flags_it_fixes(flags, tmp_path, capsys):
+    code = run("curve", "--figure", "3", *flags, "--out", str(tmp_path))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert not (tmp_path / "curves.csv").exists()
+    # --t and --F are still the figure's to take.
+    assert run("curve", "--figure", "3", "--t", "1", "--F", "105",
+               "--out", str(tmp_path)) == 0
 
 
 def test_verify_report_and_exit(tmp_path, capsys):

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, UsageError
 from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
-                            demands_by_user, exhaustive_demand_tuples,
-                            linear_combination, parse_demand_file,
-                            random_demands, subfile_bit_length, subpacketize)
+                            demands_by_user, linear_combination,
+                            parse_demand_file, random_demands,
+                            subfile_bit_length, subpacketize)
 from maclfr.topology import TopologySpec
 
 
@@ -117,9 +117,6 @@ def test_parse_demand_file_maps_lines_to_lex_users():
 
 def test_demand_batteries():
     topo = TopologySpec(3, 2, 1)
-    tuples = list(exhaustive_demand_tuples(topo, 2))
-    assert len(tuples) == (1 << 2) ** 3
-    assert len(set(tuple(d.coeffs for d in t) for t in tuples)) == len(tuples)
     cycling = cycling_one_hot_demands(topo, 2)
     assert [d.supported_files() for d in cycling] == [(1,), (2,), (1,)]
     rnd = random_demands(topo, 2, random.Random(3))

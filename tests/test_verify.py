@@ -307,8 +307,7 @@ def test_certificates_answer_without_the_walk(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("enumerated the states")
 
-    monkeypatch.setattr(verify, "security_joint_enumerated", no_walk)
-    monkeypatch.setattr(verify, "_privacy_enumerated", no_walk)
+    monkeypatch.setattr(verify, "_walk", no_walk)
     for C, r, t in tiny_sweep_topologies():
         for kind in SchemeKind:
             cfg = tiny_config(kind, C, r, t)
