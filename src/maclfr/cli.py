@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .analysis import (TradeoffCurve, curve, curves_to_json, format_fraction,
                        lower_convex_envelope, point, write_curves_csv)
@@ -200,13 +200,13 @@ def _demand_battery(cfg: SchemeConfig, source: str,
 
 
 def _every_demand_tuple(cfg: SchemeConfig, cap: int
-                        ) -> list[tuple[DemandVector, ...]]:
+                        ) -> Iterator[tuple[DemandVector, ...]]:
     """Every demand tuple of the config, one per demand row as the oracles
-    decode it, refused before any is listed."""
+    decode it, made one at a time, and refused before any is made."""
     space = 1 << (cfg.num_files * cfg.topo.num_users)
     if space > cap:
         raise ResourceLimitError(f"{space} demand tuples exceed the cap {cap}")
-    return [demands_from_int(row, cfg) for row in range(space)]
+    return (demands_from_int(row, cfg) for row in range(space))
 
 
 def cmd_simulate(args) -> int:

@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
@@ -47,9 +47,9 @@ from .gf import BinaryField, binary_field, exponent_for_share_count
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, random_demands, subfile_bit_length,
                       subpacketize)
-from .mds import MdsCode, build_code, decode_key, decoding_matrix, encode_key
-from .shamir import (canonical_evaluation_points, reconstruct,
-                     share_set_from_blocks, split)
+from .mds import (MdsCode, build_code, coded_block_bit_length, decode_key,
+                  decoding_matrix, encode_key)
+from .shamir import ShareSet, canonical_evaluation_points, reconstruct, split
 from .topology import CacheSet, TopologySpec, share_index_of_cache
 
 # The interpreter's built-in SHA-256, as random takes its SHA-512: hashlib
@@ -149,18 +149,18 @@ def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
     rank maps each subfile index T to its position in lex order.  rows
     maps each user g to the subfile indices it does not reach, in lex
     order: its slots, whose keys and shares sit side by side in a row.
-    slots maps (g, T), lex in (g, T), to the rank of T, the transmission
-    S = g + T that carries g's piece T, and T's place in g's row.  members
-    maps each transmission S, in lex order, to the triples (g, S minus g,
-    its rank) of the users g inside S; senders, the same as (rank of g,
-    rank of S minus g).  stored lists per cache the (rank, T) naming it,
-    lex in T: its subfiles' order, each T's files in turn.
+    slots maps (g, T), lex in (g, T), to the rank of T and the transmission
+    S = g + T that carries g's piece T.  members maps each transmission S,
+    in lex order, to the triples (g, S minus g, its rank) of the users g
+    inside S; senders, the same as (rank of g, rank of S minus g).  stored
+    lists per cache the (rank, T) naming it, lex in T: its subfiles' order,
+    each T's files in turn.
     """
     rank = {T: k for k, T in enumerate(topo.subfile_indices())}
     rows = {g: tuple(T for T in rank if not set(g) & set(T))
             for g in topo.users()}
-    slots = {(g, T): (rank[T], tuple(sorted(g + T)), p)
-             for g, row in rows.items() for p, T in enumerate(row)}
+    slots = {(g, T): (rank[T], tuple(sorted(g + T)))
+             for g, row in rows.items() for T in row}
     members, senders, users = {}, [], list(rows)
     for S in topo.transmission_indices():
         rests = [(g, tuple(c for c in S if c not in g))
@@ -393,19 +393,6 @@ class SimulationResult:
 
 # ---- the engine ----
 
-class _CacheImage(NamedTuple):
-    """One cache's stores as decode reads them (Scheme._cache_image)."""
-
-    images: list[int]  # per file, the piece of rank k at k * subfile_bits
-    pieces: list[int]  # per file, the bits of the pieces held
-    files: list[int]  # per rank, the files held, one bit per file
-    wrong: list[tuple]  # (label, message) per subfile of the wrong length
-    full: tuple[int, ...]  # the ranks at which every file is held
-    partial: tuple[int, ...]  # the ranks at which some but not all are
-    combos: dict[int, int]  # combinations of images, by coefficient vector
-    key_rows: dict  # per user, (its share row, its slots held in the row)
-
-
 class Scheme:
     """Placement, delivery and decoding for every kind of a config.
 
@@ -415,9 +402,10 @@ class Scheme:
     by row, not by slot: superposed keys sit side by side at stride
     share_block_bits, as the drawn coefficient planes lay them out, so one
     split places every slot of the round, and one reconstruct recovers
-    every masked key of a user from its caches' share rows.  Decode reads
-    the other users' combinations from a memo per cache, shared by every
-    user of the cache.  BitBlocks appear only where blocks enter and leave.
+    every masked key of a user from its caches' share rows.  Decode is one
+    row function for the round, decode_rows, which builds each cache's
+    file images and combinations once per call and keeps none of them.
+    BitBlocks appear only where blocks enter and leave.
     """
 
     def __init__(self, cfg: SchemeConfig):
@@ -429,13 +417,19 @@ class Scheme:
         # Each cache's subfiles, by (rank, T): none in broadcast mode.
         self._stored = tuple(() for _ in stored) if cfg.broadcast else stored
         self._sent_rank = {S: s for s, S in enumerate(self._members)}
+        self._user_rank = {g: u for u, g in enumerate(self._rows)}
         # The key and mask rows' widths: zero for the kinds without them.
         self._widths = (
             cfg.topo.num_transmissions * cfg.subfile_bits
             if cfg.kind.has_payload_keys else 0,
             cfg.topo.num_users * cfg.num_files if cfg.kind.masks_demands else 0)
+        # The CacheContent field of the kind's key material; its entries' bits.
+        self._key_store, self._key_bits = (
+            ("key_shares", cfg.share_block_bits) if cfg.kind.masks_demands
+            else ("coded_subkeys", coded_block_bit_length(
+                cfg.subfile_bits, cfg.key_code)) if cfg.kind.stores_keys_coded
+            else ("whole_keys", cfg.subfile_bits))
         self._inverses: dict[tuple[int, ...], tuple] = {}
-        self._images: dict[int, tuple] = {}  # by id, see _cache_image
 
     @cached_property
     def _weights(self) -> tuple[int, ...]:
@@ -444,6 +438,22 @@ class Scheme:
         field = self.cfg.key_field
         return field.lagrange_weights_at_zero(
             canonical_evaluation_points(field, self.topo.access_degree))
+
+    @cached_property
+    def _key_places(self) -> tuple[dict, ...]:
+        """Per cache, the labels of its key material by place in its key
+        row, as key_rows lays it out: the slot (g, T) of each user g of
+        the cache, lex in (g, T), under sp-lfr and p-lfr; each S naming the
+        cache, lex, under s-lfr and is-lfr; none for lfr or broadcast mode."""
+        kind, places = self.kind, [{} for _ in range(self.topo.num_caches)]
+        labels = ([(slot, slot[0]) for slot in self._slots]
+                  if kind.masks_demands and not self.cfg.broadcast else
+                  [(S, S) for S in self._members]
+                  if kind.stores_keys_whole or kind.stores_keys_coded else [])
+        for label, named in labels:
+            for c in named:
+                places[c - 1][label] = len(places[c - 1])
+        return tuple(places)
 
     # -- placement --
 
@@ -489,26 +499,14 @@ class Scheme:
         """Store each cache's key material, cut from its key row: threshold
         shares of the superposed keys, whole payload keys, MDS-coded ones,
         or nothing."""
-        kind = self.kind
-        labels: list[list] = [[] for _ in range(self.topo.num_caches)]
-        if kind.masks_demands and not self.cfg.broadcast:
-            for g, row_indices in self._rows.items():
-                for c in g:
-                    labels[c - 1] += [(g, T) for T in row_indices]
-        elif kind.stores_keys_whole or kind.stores_keys_coded:
-            for S in self._members:
-                for c in S:
-                    labels[c - 1].append(S)
-        which = 0 if kind.masks_demands else 1 if kind.stores_keys_whole else 2
-        contents = []
+        contents, bits = [], self._key_bits
         rows = self.key_rows(randomness, table)
-        for c, (names, (row, width)) in enumerate(zip(labels, rows)):
-            stores: list[dict] = [{}, {}, {}]
-            if names:
-                bits = width // len(names)
-                stores[which] = {name: BitBlock(v, bits) for name, v
-                                 in zip(names, _cut(row, len(names), bits))}
-            contents.append(CacheContent(c + 1, subfiles[c], *stores))
+        for c, (places, (row, _)) in enumerate(zip(self._key_places, rows)):
+            stores: dict = {"key_shares": {}, "whole_keys": {},
+                            "coded_subkeys": {}}
+            stores[self._key_store] = {label: BitBlock(v, bits) for label, v
+                                       in zip(places, _cut(row, len(places), bits))}
+            contents.append(CacheContent(c + 1, subfiles[c], **stores))
         return contents
 
     def _check_rows(self, randomness: ServerRandomness) -> None:
@@ -545,7 +543,7 @@ class Scheme:
         sb, n = cfg.subfile_bits, cfg.num_files
         piece = (1 << sb) - 1
         pieces: list[list[int]] = [[] for _ in range(self.topo.num_caches)]
-        bits = 0
+        bits = self._key_bits
         if self.kind.masks_demands and not cfg.broadcast:
             wb = cfg.share_block_bits
             # _combination reads the low N bits of the shifted row: g's mask.
@@ -555,31 +553,25 @@ class Scheme:
             # The g-mask combination of subfile index T, on the key of S.
             superposed = [(keys >> (self._sent_rank[S] * sb)
                            ^ masked[g] >> (k * sb)) & piece
-                          for (g, _), (k, S, _) in self._slots.items()]
+                          for (g, _), (k, S) in self._slots.items()]
             # One split for the round: the slot keys side by side, lex in
             # (g, T) at stride wb as the coefficient planes are, so that
             # each user's row is contiguous.
             shares = split(BitBlock(_join(superposed, wb), len(superposed) * wb),
                            self.topo.access_degree, cfg.key_field,
                            coefficients=randomness.share_coefficients).shares
-            at = 0
-            for g, row_indices in self._rows.items():
-                width = len(row_indices) * wb
-                for c in g:
-                    pieces[c - 1].append(
-                        shares[share_index_of_cache(g, c) - 1] >> at
-                        & (1 << width) - 1)
-                at += width
-            bits = width  # every user's row has C(C - r, t) slots
+            # Each user's row has C(C - r, t) slots; user rank u's is cut u.
+            bits = len(superposed) // len(self._rows) * wb
+            for u, g in enumerate(self._rows):
+                for c, share in zip(g, shares):  # share j to g's j-th cache
+                    pieces[c - 1].append(share >> (u * bits) & (1 << bits) - 1)
         elif self.kind.stores_keys_whole or self.kind.stores_keys_coded:
             for s, S in enumerate(self._members):
                 key = BitBlock((keys >> (s * sb)) & piece, sb)
                 blocks = (encode_key(key, cfg.key_code)
                           if self.kind.stores_keys_coded else [key] * len(S))
-                for c in S:
-                    block = blocks[share_index_of_cache(S, c) - 1]
+                for c, block in zip(S, blocks):  # block j to S's j-th cache
                     pieces[c - 1].append(block.value)
-                    bits = block.length
         return [(_join(row, bits), len(row) * bits) for row in pieces]
 
     # -- delivery --
@@ -643,6 +635,11 @@ class Scheme:
     def decode(self, user: CacheSet, caches: Sequence[CacheContent],
                transcript: DeliveryTranscript,
                demand: DemandVector | None = None) -> BitBlock:
+        """The user's demanded combination, checked, by decode_rows.  The
+        caches act as one subfile store, filled in the order given, so a
+        later copy of a subfile wins; key material comes from each cache's
+        own store.  What the user reads, and only that, is checked in lex
+        order of T."""
         if user not in self.topo.users():
             raise UsageError(f"{user} is not a user of this topology")
         by_index = {c.index: c for c in caches}
@@ -655,140 +652,166 @@ class Scheme:
                 raise IntegrityError("broadcast transcript lacks the library")
             return linear_combination(demand,
                                       FileLibrary(transcript.broadcast_files))
-        masks = self.kind.masks_demands
-        sent = transcript.masked_demands if masks else transcript.cleartext_demands
-        sb, wb = self.cfg.subfile_bits, self.cfg.share_block_bits
-        piece = (1 << sb) - 1
-        images, lacking, sources = self._reach(list(by_index.values()))
-        row, good = self._key_row(user, by_index) if masks else (0, 0)
-        own = demand.coeffs
-        value = 0
-        reached = 0  # the bits of the pieces the user's caches hold
+        kind, n, sb = self.kind, self.cfg.num_files, self.cfg.subfile_bits
+        sent = (transcript.masked_demands if kind.masks_demands
+                else transcript.cleartext_demands)
+        lacking = [(1 << n) - 1] * len(self._rank)  # per rank, files not held
+        subfiles: dict = {}
+        contents = list(by_index.values())
+        for at, content in enumerate(contents):
+            for (i, T), block in content.subfiles.items():
+                if T not in self._rank or not 1 <= i <= n:
+                    continue
+                if block.length == sb:
+                    subfiles[(i, T)] = block
+                    lacking[self._rank[T]] &= ~(1 << (i - 1))
+                elif all((i, T) not in later.subfiles
+                         for later in contents[at + 1:]):
+                    raise UsageError(f"subfile ({i}, {T}) has {block.length} "
+                                     f"bits, expected {sb}")
+        readers = (() if kind is SchemeKind.LFR else
+                   user[:1] if kind.stores_keys_whole else user)
         for T, k in self._rank.items():
             slot = self._slots.get((user, T))
             if slot is None:
-                if own & lacking[k]:
-                    _unreachable(own & lacking[k], T)
-                reached |= piece << (k * sb)
+                _check_reach(demand.coeffs & lacking[k], T)
                 continue
-            # payload ^ key ^ the other users' combinations leaves the piece.
-            _, S, p = slot
+            S = slot[1]
             payload = transcript.payloads.get(S)
             if payload is None:
                 raise IntegrityError(f"transcript lacks the payload for {S}")
-            if masks:  # the key from the user's reconstructed row
-                if not (good >> p) & 1:
-                    _share_fault(user, by_index, T, wb)
-                acc = _sized(payload, sb, "payload", S) ^ (row >> (p * wb)
-                                                           & piece)
-            else:
-                key = self._user_key(user, by_index, S)
-                acc = _sized(payload, sb, "payload", S)
-                if key is not None:
-                    acc ^= _sized(key, sb, "key of payload", S)
+            label = (user, T) if kind.masks_demands else S
+            stores = [getattr(by_index[c], self._key_store) for c in readers]
+            for c, store in zip(readers, stores):
+                if label not in store:
+                    raise IntegrityError(
+                        f"cache {c} lacks the key material for {label}")
+            for c, store in zip(readers, stores):
+                block = store[label]
+                if block.length != self._key_bits and not kind.stores_keys_whole:
+                    raise DomainError(
+                        f"share block of {block.length} bits, expected "
+                        f"{self._key_bits}" if kind.masks_demands else
+                        f"block at {share_index_of_cache(S, c)} has "
+                        f"{block.length} bits, expected {self._key_bits}")
+            _sized(payload, sb, "payload", S)
+            if kind.stores_keys_whole:
+                _sized(stores[0][S], sb, "key of payload", S)
             for other, rest, j in self._members[S]:
                 if other == user:
                     continue
                 coeffs = sent.get(other)
                 if coeffs is None:
-                    what = "masked demand" if masks else "demand"
+                    what = "masked demand" if kind.masks_demands else "demand"
                     raise IntegrityError(f"transcript lacks the {what} of {other}")
-                if coeffs & lacking[j]:
-                    _unreachable(coeffs & lacking[j], rest)
-                held, combos = sources[j]
-                combo = combos.get(coeffs)
-                if combo is None:
-                    combo = combos[coeffs] = _combination(held, coeffs)
-                acc ^= (combo >> (j * sb)) & piece
-            value |= acc << (k * sb)
-        value |= _combination(images, own) & reached
-        bits = self.cfg.file_bits
-        return BitBlock(value & ((1 << bits) - 1), bits)
+                _check_reach(coeffs & lacking[j], rest)
+        held = [replace(by_index[c], subfiles=subfiles) for c in user]
+        return self._decode_placed(held, transcript, [demand])[0]
 
-    def _reach(self, contents: Sequence[CacheContent]
-               ) -> tuple[list[int], list[int], list[tuple]]:
-        """The subfiles the caches hold, as one image per file (rank k at
-        k * subfile_bits), per rank the files they lack, one bit per file,
-        and per rank the (images, combinations) that hold its pieces.  A
-        later cache's copy wins, as in a merged store, so a rank's pieces
-        come from the last cache holding any file there if it holds every
-        file there, and from the merged images otherwise."""
-        images = [0] * self.cfg.num_files
-        held = [0] * len(self._rank)
-        cached = [self._cache_image(content) for content in contents]
-        for n, image in enumerate(cached):
-            for key, message in image.wrong:
-                if all(key not in later.subfiles for later in contents[n + 1:]):
-                    raise UsageError(message)
-            images = [(a & ~p) | b
-                      for a, p, b in zip(images, image.pieces, image.images)]
-            held = [a | b for a, b in zip(held, image.files)]
-        merged = (images, {})
-        sources = [merged] * len(self._rank)
-        for image in cached:
-            for k in image.full:
-                sources[k] = (image.images, image.combos)
-            for k in image.partial:
-                sources[k] = merged
-        every = (1 << self.cfg.num_files) - 1
-        return images, [every ^ h for h in held], sources
+    def decode_rows(self, users: Sequence[CacheSet], payload_row: int,
+                    sent_row: int, demand_row: int,
+                    subfile_rows: Sequence[tuple[int, int]],
+                    key_rows: Sequence[tuple[int, int]]) -> list[int]:
+        """Each listed user's demanded combination as a file row, unchecked.
 
-    def _cache_image(self, content: CacheContent) -> _CacheImage:
-        """One cache's stores as decode reads them.  Subfiles and key
-        shares of no file, index or slot of a user of the cache are left
-        out.  Built once per cache, whose stores are taken as fixed once
-        placed, and kept for the caches of one placement."""
-        kept = self._images.get(id(content))
-        if kept is not None:
-            return kept[1]
-        if len(self._images) >= self.topo.num_caches:
-            self._images.clear()
-        sb, n, rank = self.cfg.subfile_bits, self.cfg.num_files, self._rank
-        piece = (1 << sb) - 1
-        images, pieces, files, wrong = [0] * n, [0] * n, [0] * len(rank), []
-        for (i, T), block in content.subfiles.items():
-            k = rank.get(T)
-            if k is None or not 1 <= i <= n:
-                continue
-            if block.length != sb:
-                wrong.append(((i, T), f"subfile ({i}, {T}) has {block.length} "
-                                      f"bits, expected {sb}"))
-                continue
-            images[i - 1] |= block.value << (k * sb)
-            pieces[i - 1] |= piece << (k * sb)
-            files[k] |= 1 << (i - 1)
-        key_rows: dict[CacheSet, tuple[int, int]] = {}
-        wb = self.cfg.share_block_bits
-        for label, block in content.key_shares.items():
-            slot = self._slots.get(label)
-            if slot is None or content.index not in label[0] or block.length != wb:
-                continue
-            row, held = key_rows.get(label[0], (0, 0))
-            key_rows[label[0]] = (row | block.value << (slot[2] * wb),
-                                  held | 1 << slot[2])
-        every = (1 << n) - 1
-        image = _CacheImage(
-            images, pieces, files, wrong,
-            tuple(k for k, f in enumerate(files) if f == every),
-            tuple(k for k, f in enumerate(files) if 0 < f < every), {}, key_rows)
-        # Kept with the content, so that its id is not reused meanwhile.
-        self._images[id(content)] = (content, image)
-        return image
+        payload_row and sent_row are transmission_row's, and demand_row
+        holds user rank u's own demand at bit u N.  Entry c - 1 of
+        subfile_rows and key_rows is cache c's row as subfile_rows and
+        key_rows lay it out; only the listed users' caches are read, and a
+        user's caches must agree on every piece two of them hold.  Each
+        call builds its caches' file images and combinations once and
+        keeps none.  In broadcast mode the payload row is the library.
+        """
+        cfg = self.cfg
+        n, sb, piece = cfg.num_files, cfg.subfile_bits, (1 << cfg.subfile_bits) - 1
+        if cfg.broadcast:
+            files = _cut(payload_row, n, cfg.file_bits)
+            return [_combination(files, demand_row >> (self._user_rank[g] * n))
+                    for g in users]
+        # Per cache read, its file images (the piece of rank k at bit k sb)
+        # and its combination of each user's demand as sent.
+        sent, caches = _cut(sent_row, len(self._rows), n), {}
+        for c in {c for g in users for c in g}:
+            stored = self._stored[c - 1]
+            values = _cut(subfile_rows[c - 1][0], len(stored) * n, sb)
+            at = [k * sb for k, _ in stored]
+            files = [sum(v << a for v, a in zip(values[i::n], at))
+                     for i in range(n)]
+            caches[c] = files, [_combination(files, d) for d in sent]
+        decoded = []
+        for g in users:
+            u = self._user_rank[g]
+            value, held = 0, [0] * len(sent)  # held: what g's caches hold
+            for c in g:
+                files, combos = caches[c]
+                value |= _combination(files, demand_row >> (u * n))
+                held = [h | x for h, x in zip(held, combos)]
+            slots = [self._slots[(g, T)] for T in self._rows[g]]
+            # payload ^ key ^ the other senders' combinations leaves the piece.
+            for (k, S), key in zip(slots, self._keys(g, slots, key_rows)):
+                s = self._sent_rank[S]
+                acc = payload_row >> (s * sb) ^ key
+                for v, j in self._senders[s]:
+                    if v != u:
+                        acc ^= held[v] >> (j * sb)
+                value |= (acc & piece) << (k * sb)
+            decoded.append(value & ((1 << cfg.file_bits) - 1))
+        return decoded
 
-    def _key_row(self, user: CacheSet, by_index: Mapping[int, CacheContent]
-                 ) -> tuple[int, int]:
-        """The user's keys, side by side as in its row, reconstructed at
-        once from its caches' share rows, each weighted by its share index;
-        and the bits of the slots whose share every cache holds at the
-        right length."""
-        width = len(self._rows[user]) * self.cfg.share_block_bits
-        good, blocks = -1, []
-        for c in user:
-            row, held = self._cache_image(by_index[c]).key_rows.get(user, (0, 0))
-            good &= held
-            blocks.append(BitBlock(row, width))
-        shares = share_set_from_blocks(blocks, self.cfg.key_field, width)
-        return reconstruct(shares, self._weights).value, good
+    def _keys(self, g: CacheSet, slots: Sequence[tuple],
+              key_rows: Sequence[tuple[int, int]]) -> list[int]:
+        """User g's keys on the payloads of its slots, from its caches' key
+        rows: reconstructed at once from g's cuts of the share rows, read
+        whole, or MDS decoded; zero for lfr."""
+        cfg, places, bits = self.cfg, self._key_places, self._key_bits
+        if self.kind.masks_demands:
+            # g's cut of a cache's row starts at its first slot's share.
+            first, width = (g, self._rows[g][0]), len(slots) * bits
+            shares = ShareSet(cfg.key_field, width, tuple(
+                key_rows[c - 1][0] >> (places[c - 1][first] * bits)
+                & ((1 << width) - 1) for c in g))
+            return _cut(reconstruct(shares, self._weights).value, len(slots), bits)
+        if self.kind.stores_keys_whole:
+            row, at = key_rows[g[0] - 1][0], places[g[0] - 1]
+            return [row >> (at[S] * bits) for _, S in slots]
+        if not self.kind.stores_keys_coded:
+            return [0] * len(slots)
+        keys = []
+        for _, S in slots:
+            positions = tuple(share_index_of_cache(S, c) for c in g)
+            if positions not in self._inverses:
+                self._inverses[positions] = decoding_matrix(cfg.key_code, positions)
+            blocks = [BitBlock(key_rows[c - 1][0] >> (places[c - 1][S] * bits)
+                               & ((1 << bits) - 1), bits) for c in g]
+            keys.append(decode_key(list(zip(positions, blocks)), cfg.key_code,
+                                   cfg.subfile_bits, self._inverses[positions]).value)
+        return keys
+
+    def _decode_placed(self, caches: Sequence[CacheContent],
+                       transcript: DeliveryTranscript,
+                       demands: Sequence[DemandVector]) -> list[BitBlock]:
+        """decode_rows for each demand's user at once, on the rows that the
+        given caches and the transcript hold.  An entry they lack reads
+        zero, and each entry is cut to its width."""
+        cfg = self.cfg
+        n, sb, fb = cfg.num_files, cfg.subfile_bits, cfg.file_bits
+        sent = (transcript.masked_demands if self.kind.masks_demands
+                else transcript.cleartext_demands)
+        payload_row = (_join([b.value for b in transcript.broadcast_files], fb)
+                       if cfg.broadcast else
+                       _row(transcript.payloads, self._members, sb)[0])
+        sent_row = _join([sent.get(g, 0) & ((1 << n) - 1) for g in self._rows], n)
+        rows = [((0, 0), (0, 0))] * self.topo.num_caches
+        for content in caches:
+            c = content.index
+            named = [(i, T) for _, T in self._stored[c - 1] for i in range(1, n + 1)]
+            rows[c - 1] = (_row(content.subfiles, named, sb),
+                           _row(getattr(content, self._key_store),
+                                self._key_places[c - 1], self._key_bits))
+        demand_row = sum(d.coeffs << (self._user_rank[d.user] * n) for d in demands)
+        return [BitBlock(v, fb) for v in self.decode_rows(
+            [d.user for d in demands], payload_row, sent_row, demand_row,
+            *zip(*rows))]
 
     def _resolve_demand(self, user, transcript, demand) -> DemandVector:
         if self.kind.masks_demands:
@@ -809,45 +832,20 @@ class Scheme:
             raise UsageError("demand width does not match the library")
         return demand
 
-    def _user_key(self, user: CacheSet, by_index: Mapping[int, CacheContent],
-                  S: CacheSet) -> BitBlock | None:
-        """The key on payload S of a kind that does not mask demands, as
-        the user's caches hold it: read whole or MDS decoded; None for lfr."""
-        cfg = self.cfg
-        if self.kind.stores_keys_whole:
-            return _held(by_index[user[0]].whole_keys, S, user[0])
-        if self.kind.stores_keys_coded:
-            pairs = [(share_index_of_cache(S, c),
-                      _held(by_index[c].coded_subkeys, S, c)) for c in user]
-            positions = tuple(p for p, _ in pairs)
-            inverse = self._inverses.get(positions)
-            if inverse is None:
-                inverse = self._inverses[positions] = decoding_matrix(
-                    cfg.key_code, positions)
-            return decode_key(pairs, cfg.key_code, cfg.subfile_bits, inverse)
-        return None
+
+def _check_reach(missing: int, T: CacheSet) -> None:
+    """Raise for the lowest file, if any, in the bit mask `missing` at T."""
+    if missing:
+        i = (missing & -missing).bit_length()
+        raise IntegrityError(f"subfile ({i}, {T}) not in reach")
 
 
-def _unreachable(missing: int, T: CacheSet) -> None:
-    """Raise for the lowest file in the bit mask `missing` at index T."""
-    i = (missing & -missing).bit_length()
-    raise IntegrityError(f"subfile ({i}, {T}) not in reach")
-
-
-def _share_fault(user: CacheSet, by_index: Mapping[int, CacheContent],
-                 T: CacheSet, bits: int) -> None:
-    """Raise for slot (user, T)'s key share: for the first of the user's
-    caches lacking it, else for the first share not of the given bits."""
-    blocks = [_held(by_index[c].key_shares, (user, T), c) for c in user]
-    length = next(b.length for b in blocks if b.length != bits)
-    raise DomainError(f"share block of {length} bits, expected {bits}")
-
-
-def _held(store: Mapping, label, cache: int) -> BitBlock:
-    block = store.get(label)
-    if block is None:
-        raise IntegrityError(f"cache {cache} lacks the key material for {label}")
-    return block
+def _row(store: Mapping, labels, bits: int) -> tuple[int, int]:
+    """The store's blocks under the labels side by side, each cut to bits,
+    as (value, width); a label the store lacks reads zero."""
+    values = [store[label].value & ((1 << bits) - 1) if label in store else 0
+              for label in labels]
+    return _join(values, bits), len(values) * bits
 
 
 def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
@@ -864,11 +862,10 @@ def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
     placement = scheme.place(library, randomness)
     transcript = scheme.deliver(placement.randomness, placement.table, demands)
     by_user = demands_by_user(demands)
-    decoded = {}
-    expected = {}
-    for g in cfg.topo.users():
-        member_caches = [placement.caches[c - 1] for c in g]
-        decoded[g] = scheme.decode(g, member_caches, transcript, by_user[g])
-        expected[g] = linear_combination(by_user[g], library)
-    return SimulationResult(cfg, library, tuple(demands), placement,
-                            transcript, decoded, expected)
+    users = cfg.topo.users()
+    decoded = scheme._decode_placed(placement.caches, transcript,
+                                    [by_user[g] for g in users])
+    return SimulationResult(cfg, library, tuple(demands), placement, transcript,
+                            dict(zip(users, decoded)),
+                            {g: linear_combination(by_user[g], library)
+                             for g in users})

@@ -686,31 +686,33 @@ def check_correctness(cfg: SchemeConfig,
                       seeds: Sequence[int] = (0,)) -> CorrectnessReport:
     """Decode every user for every demand battery and seed, comparing
     against the independently computed linear combination of whole files.
-    Placement does not depend on demands, so it runs once per seed."""
-    batteries = [tuple(b) for b in batteries]
-    failures: list[CorrectnessFailure] = []
-    decodes = 0
+    Placement does not depend on demands, so it runs once per seed, up
+    front; the batteries are then streamed.  Failures are listed by seed,
+    then battery, then user."""
+    placed = []
     for seed in seeds:
-        run_cfg = replace(cfg, seed=seed)
-        scheme = Scheme(run_cfg)
+        scheme = Scheme(replace(cfg, seed=seed))
         library = FileLibrary.random(derive_rng(seed, "library"),
                                      cfg.num_files, cfg.file_bits)
-        placement = scheme.place(library)  # draws from run_cfg's seed
-        for bi, battery in enumerate(batteries):
+        placed.append((seed, scheme, library, scheme.place(library)))
+    failures: list[list[CorrectnessFailure]] = [[] for _ in placed]
+    walked = decodes = 0
+    for battery in map(tuple, batteries):
+        for (seed, scheme, library, placement), failed in zip(placed, failures):
             transcript = scheme.deliver(placement.randomness,
                                         placement.table, battery)
-            for demand in battery:
-                member_caches = [placement.caches[c - 1] for c in demand.user]
-                decoded = scheme.decode(demand.user, member_caches,
-                                        transcript, demand)
+            decoded = scheme._decode_placed(placement.caches, transcript,
+                                            battery)
+            decodes += len(battery)
+            for demand, block in zip(battery, decoded):
                 expected = linear_combination(demand, library)
-                decodes += 1
-                if decoded != expected:
-                    failures.append(CorrectnessFailure(
-                        seed, bi, demand.user,
-                        expected.to_bytes().hex(), decoded.to_bytes().hex()))
-    return CorrectnessReport(cfg, tuple(seeds), len(batteries), decodes,
-                             tuple(failures))
+                if block != expected:
+                    failed.append(CorrectnessFailure(
+                        seed, walked, demand.user,
+                        expected.to_bytes().hex(), block.to_bytes().hex()))
+        walked += 1
+    return CorrectnessReport(cfg, tuple(seeds), walked, decodes,
+                             tuple(chain.from_iterable(failures)))
 
 
 # ---- structural key placement ----

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from maclfr import cli
 from maclfr.cli import main
+from maclfr.schemes import SchemeConfig, SchemeKind
+from maclfr.topology import TopologySpec
+from maclfr.verify import check_correctness, demands_from_int
 from maclfr.transcript import artifact_from_bytes
 
 
@@ -203,6 +208,27 @@ def test_simulate_exhaustive_demands_respect_the_state_cap(monkeypatch, capsys):
     assert run("simulate", "--C", "3", "--r", "2", "--t", "1", "--N", "2",
                "--scheme", "s-lfr", "--demands", "exhaustive") == 3
     assert "64 demand tuples exceed the cap 10" in capsys.readouterr().err
+
+
+def test_exhaustive_decode_streams_its_demand_tuples():
+    # The exhaustive path once listed all 2^(N K) demand tuples, and
+    # check_correctness copied them: at C = 3, r = 2, t = 1, going from
+    # N = 3 (2^9 tuples) to N = 4 (2^12) raised its peak by about 1.5 MB.
+    # Streamed, the peak stays put, up to the interpreter's free lists.
+    cfg = SchemeConfig(TopologySpec(3, 2, 1), 4, 3, SchemeKind.LFR)
+    check_correctness(cfg, [demands_from_int(0, cfg)])  # build the caches
+    peaks = []
+    for N in (3, 4):
+        cfg = replace(cfg, num_files=N)
+        tracemalloc.start()
+        try:
+            report = check_correctness(cfg, cli._every_demand_tuple(
+                cfg, cli.DEFAULT_STATE_CAP), seeds=(cfg.seed,))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.batteries == 1 << (3 * N)
+    assert peaks[1] < peaks[0] + 256 * 1024, peaks
 
 
 def test_broadcast_flag(tmp_path, capsys):

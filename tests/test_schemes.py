@@ -31,7 +31,7 @@ from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
                             SchemeConfig, SchemeKind, ServerRandomness, _join,
                             derive_rng, simulate)
 from maclfr.topology import TopologySpec
-from maclfr.verify import check_correctness
+from maclfr.verify import check_correctness, tiny_config, tiny_sweep_topologies
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ALL_KINDS = tuple(SchemeKind)
@@ -724,6 +724,72 @@ def test_one_scheme_decodes_placements_in_turn(kind):
     for n, g in enumerate(rounds[0].cfg.topo.users()):
         for result in (rounds[0], rounds[1], rounds[0]):
             check(result, g, result.demands[n])
+
+
+def server_rows_decode(scheme, result, users):
+    """decode_rows for the users on the round's rows as the server lays
+    them out: transmission_row, subfile_rows and key_rows."""
+    n, table = result.cfg.num_files, result.placement.table
+    randomness = result.placement.randomness
+    by_user = {d.user: d.coeffs for d in result.demands}
+    demand_row = _join([by_user[g] for g in result.cfg.topo.users()], n)
+    payload_row, sent_row = scheme.transmission_row(randomness, table,
+                                                    demand_row)
+    return scheme.decode_rows(users, payload_row, sent_row, demand_row,
+                              scheme.subfile_rows(table),
+                              scheme.key_rows(randomness, table))
+
+
+def assert_decode_rows_equal_decode(result):
+    """decode_rows on the server's rows, simulate (decode_rows on the
+    placed caches' rows) and decode of each user one by one agree."""
+    scheme, users = Scheme(result.cfg), result.cfg.topo.users()
+    rows = server_rows_decode(scheme, result, users)
+    by_user = {d.user: d for d in result.demands}
+    for g, value in zip(users, rows):
+        held = [result.placement.caches[c - 1] for c in g]
+        decoded = scheme.decode(g, held, result.transcript, by_user[g])
+        assert decoded == BitBlock(value, result.cfg.file_bits), g
+        assert decoded == result.decoded[g] == result.expected[g], g
+    # The users may come in any order, and any subset of them.
+    assert server_rows_decode(scheme, result, users[::-1]) == rows[::-1]
+    assert server_rows_decode(scheme, result, users[1:2]) == rows[1:2]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t", tiny_sweep_topologies())
+def test_decode_rows_equals_decode_on_the_tiny_sweep(kind, C, r, t):
+    for cfg in (tiny_config(kind, C, r, t), config(kind, C, r, t, seed=1)):
+        assert_decode_rows_equal_decode(simulate(cfg))
+
+
+def test_decode_rows_equals_decode_in_broadcast_mode():
+    cfg = SchemeConfig(TopologySpec(3, 2, 1), 3, 7, SchemeKind.P_LFR,
+                       broadcast=True)
+    for seed in (0, 1):
+        assert_decode_rows_equal_decode(simulate(replace(cfg, seed=seed)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decode_rows_equals_decode_at_ten_caches(kind):
+    assert_decode_rows_equal_decode(
+        simulate(config(kind, 10, 3, 3, N=20, F=1920, seed=1)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_scheme_keeps_nothing_of_a_placement(kind):
+    # Whatever a Scheme decodes, it holds only tables of its config and
+    # the MDS inverses by block positions afterwards.
+    cfg = config(kind, 4, 2, 1)
+    result, scheme = simulate(cfg), Scheme(cfg)
+    before = set(vars(scheme))
+    server_rows_decode(scheme, result, cfg.topo.users())
+    for g, demand in zip(cfg.topo.users(), result.demands):
+        scheme.decode(g, [result.placement.caches[c - 1] for c in g],
+                      result.transcript, demand)
+    assert set(vars(scheme)) - before <= {"_key_places", "_weights"}
+    assert not hasattr(scheme, "_images")
+    assert all(isinstance(p, int) for at in scheme._inverses for p in at)
 
 
 def test_deliver_validates_demands():

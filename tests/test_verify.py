@@ -28,10 +28,11 @@ from maclfr import verify
 from maclfr.bits import BitBlock
 from maclfr.errors import (DomainError, IntegrityError, ResourceLimitError,
                            UsageError)
-from maclfr.library import DemandVector, FileLibrary, cycling_one_hot_demands
+from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
+                            linear_combination)
 from maclfr.mds import coded_block_bit_length
 from maclfr.schemes import (DeliveryTranscript, RandomnessLayout, Scheme,
-                            SchemeKind)
+                            SchemeKind, derive_rng)
 from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
                            _choose_method, _model_runs, _privacy_affine,
                            _readable_mi, _security_certified, _views,
@@ -770,6 +771,51 @@ def test_a_wrong_subfile_row_fails_the_privacy_check(monkeypatch, kind):
         check_privacy_exact(tiny_config(kind, 3, 2, 1))
 
 
+@pytest.mark.parametrize("kind, C, r, t, broadcast", [
+    *((kind, C, r, t, False) for C, r, t in tiny_sweep_topologies()
+      for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR)),
+    (SchemeKind.P_LFR, 3, 2, 1, True)])
+def test_each_user_decodes_from_its_privacy_view(kind, C, r, t, broadcast):
+    # At the seeded point where _views checks the privacy views, each
+    # user's view is cut back into the rows it holds: transmission_row's,
+    # its own demand, and its caches' subfile_rows and key_rows.  From
+    # those rows alone decode_rows returns the user's demanded combination.
+    cfg = replace(tiny_config(kind, C, r, t), broadcast=broadcast)
+    scheme, layout = Scheme(cfg), RandomnessLayout.for_config(cfg)
+    users, n, C = cfg.topo.users(), cfg.num_files, cfg.topo.num_caches
+    dbits = n * len(users)
+    rng = derive_rng(cfg.seed, "row-views")
+    w, z = rng.getrandbits(n * cfg.file_bits), rng.getrandbits(
+        dbits + layout.total_bits)
+    d, randomness = z & ((1 << dbits) - 1), layout.unpack(z >> dbits)
+    library = library_from_int(w, n, cfg.file_bits)
+    table = verify.subpacketize(library, cfg.topo)
+    payload_row, sent_row = scheme.transmission_row(randomness, table, d)
+    stores = list(zip(scheme.subfile_rows(table),
+                      scheme.key_rows(randomness, table)))
+    widths = [cfg.file_bits * n if broadcast else
+              cfg.topo.num_transmissions * cfg.subfile_bits,
+              0 if broadcast else dbits, n]
+    run, _, _ = _views(cfg)
+    for u, (g, view, demand) in enumerate(
+            zip(users, run(w, z), demands_from_int(d, cfg))):
+        cuts = []
+        for width in widths + [width for c in g for _, width in stores[c - 1]]:
+            cuts.append(view & ((1 << width) - 1))
+            view >>= width
+        payloads, sent, own, *held = cuts
+        assert (payloads, sent, own) == (payload_row, sent_row,
+                                         d >> (u * n) & ((1 << n) - 1))
+        rows = [((0, 0), (0, 0))] * C
+        for c, sub, key in zip(g, held[::2], held[1::2]):
+            rows[c - 1] = ((sub, stores[c - 1][0][1]),
+                           (key, stores[c - 1][1][1]))
+            assert rows[c - 1] == stores[c - 1]
+        decoded = scheme.decode_rows([g], payloads, sent, own << (u * n),
+                                     *zip(*rows))
+        assert decoded == [linear_combination(demand, library).value], g
+
+
 def test_privacy_affine_matches_enumeration():
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1, num_files=1)
     enum = check_privacy_exact(cfg, method="enumerate")
@@ -810,6 +856,22 @@ def test_correctness_report_counts():
     assert report.batteries == 1
     assert report.decodes == 3 * cfg.topo.num_users
     assert report.failures == ()
+
+
+def test_correctness_failures_come_by_seed_then_battery_then_user(
+        monkeypatch):
+    # Every decode is made to fail by a wrong reference; the batteries are
+    # streamed once across all seeds, yet the failures keep seed-major order.
+    cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
+    monkeypatch.setattr(verify, "linear_combination",
+                        lambda demand, library: BitBlock.zeros(cfg.file_bits + 1))
+    rng = random.Random(7)
+    batteries = [demands_from_int(rng.getrandbits(6), cfg) for _ in range(3)]
+    report = check_correctness(cfg, iter(batteries), seeds=(4, 2))
+    assert (report.batteries, report.decodes) == (3, 18)
+    assert [(f.seed, f.battery, f.user) for f in report.failures] == [
+        (seed, b, g) for seed in (4, 2) for b in range(3)
+        for g in cfg.topo.users()]
 
 
 def test_share_placement_structure_over_the_sweep():
