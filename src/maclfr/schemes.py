@@ -48,7 +48,7 @@ from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, random_demands, subfile_bit_length,
                       subpacketize)
 from .mds import (MdsCode, build_code, coded_block_bit_length, decode_key,
-                  decoding_matrix, encode_key)
+                  decoding_matrix, encode_key, subkey_bit_length)
 from .shamir import ShareSet, canonical_evaluation_points, reconstruct, split
 from .topology import CacheSet, TopologySpec, share_index_of_cache
 
@@ -402,10 +402,12 @@ class Scheme:
     by row, not by slot: superposed keys sit side by side at stride
     share_block_bits, as the drawn coefficient planes lay them out, so one
     split places every slot of the round, and one reconstruct recovers
-    every masked key of a user from its caches' share rows.  Decode is one
-    row function for the round, decode_rows, which builds each cache's
-    file images and combinations once per call and keeps none of them.
-    BitBlocks appear only where blocks enter and leave.
+    every masked key of a user from its caches' share rows; likewise one
+    decode_key recovers the is-lfr keys of every slot whose user's caches
+    sit at the same positions in S.  Decode is one row function for the
+    round, decode_rows, which builds each cache's file images and
+    combinations once per call and keeps none of them.  BitBlocks appear
+    only where blocks enter and leave.
     """
 
     def __init__(self, cfg: SchemeConfig):
@@ -706,7 +708,8 @@ class Scheme:
                     raise IntegrityError(f"transcript lacks the {what} of {other}")
                 _check_reach(coeffs & lacking[j], rest)
         held = [replace(by_index[c], subfiles=subfiles) for c in user]
-        return self._decode_placed(held, transcript, [demand])[0]
+        return self._decode_placed(self._cache_rows(held), transcript,
+                                   [demand])[0]
 
     def decode_rows(self, users: Sequence[CacheSet], payload_row: int,
                     sent_row: int, demand_row: int,
@@ -739,7 +742,7 @@ class Scheme:
                      for i in range(n)]
             caches[c] = files, [_combination(files, d) for d in sent]
         decoded = []
-        for g in users:
+        for g, keys in zip(users, self._keys(users, key_rows)):
             u = self._user_rank[g]
             value, held = 0, [0] * len(sent)  # held: what g's caches hold
             for c in g:
@@ -748,7 +751,7 @@ class Scheme:
                 held = [h | x for h, x in zip(held, combos)]
             slots = [self._slots[(g, T)] for T in self._rows[g]]
             # payload ^ key ^ the other senders' combinations leaves the piece.
-            for (k, S), key in zip(slots, self._keys(g, slots, key_rows)):
+            for (k, S), key in zip(slots, keys):
                 s = self._sent_rank[S]
                 acc = payload_row >> (s * sb) ^ key
                 for v, j in self._senders[s]:
@@ -758,41 +761,90 @@ class Scheme:
             decoded.append(value & ((1 << cfg.file_bits) - 1))
         return decoded
 
-    def _keys(self, g: CacheSet, slots: Sequence[tuple],
-              key_rows: Sequence[tuple[int, int]]) -> list[int]:
-        """User g's keys on the payloads of its slots, from its caches' key
-        rows: reconstructed at once from g's cuts of the share rows, read
-        whole, or MDS decoded; zero for lfr."""
+    def _keys(self, users: Sequence[CacheSet],
+              key_rows: Sequence[tuple[int, int]]) -> list[list[int]]:
+        """Each listed user's keys on the payloads of its slots, lex in T,
+        from its caches' key rows: reconstructed at once from the user's
+        cuts of the share rows, read whole, or MDS decoded; zero for lfr."""
+        if self.kind.stores_keys_coded:
+            return self._coded_keys(users, key_rows)
         cfg, places, bits = self.cfg, self._key_places, self._key_bits
-        if self.kind.masks_demands:
-            # g's cut of a cache's row starts at its first slot's share.
-            first, width = (g, self._rows[g][0]), len(slots) * bits
-            shares = ShareSet(cfg.key_field, width, tuple(
-                key_rows[c - 1][0] >> (places[c - 1][first] * bits)
-                & ((1 << width) - 1) for c in g))
-            return _cut(reconstruct(shares, self._weights).value, len(slots), bits)
-        if self.kind.stores_keys_whole:
-            row, at = key_rows[g[0] - 1][0], places[g[0] - 1]
-            return [row >> (at[S] * bits) for _, S in slots]
-        if not self.kind.stores_keys_coded:
-            return [0] * len(slots)
         keys = []
-        for _, S in slots:
-            positions = tuple(share_index_of_cache(S, c) for c in g)
-            if positions not in self._inverses:
-                self._inverses[positions] = decoding_matrix(cfg.key_code, positions)
-            blocks = [BitBlock(key_rows[c - 1][0] >> (places[c - 1][S] * bits)
-                               & ((1 << bits) - 1), bits) for c in g]
-            keys.append(decode_key(list(zip(positions, blocks)), cfg.key_code,
-                                   cfg.subfile_bits, self._inverses[positions]).value)
+        for g in users:
+            count = len(self._rows[g])
+            if self.kind.masks_demands:
+                # g's cut of a cache's row starts at its first slot's share.
+                first, width = (g, self._rows[g][0]), count * bits
+                shares = ShareSet(cfg.key_field, width, tuple(
+                    key_rows[c - 1][0] >> (places[c - 1][first] * bits)
+                    & ((1 << width) - 1) for c in g))
+                keys.append(_cut(reconstruct(shares, self._weights).value,
+                                 count, bits))
+            elif self.kind.stores_keys_whole:
+                row, at = key_rows[g[0] - 1][0], places[g[0] - 1]
+                keys.append([row >> (at[self._slots[(g, T)][1]] * bits)
+                             for T in self._rows[g]])
+            else:
+                keys.append([0] * count)
         return keys
 
-    def _decode_placed(self, caches: Sequence[CacheContent],
+    def _coded_keys(self, users: Sequence[CacheSet],
+                    key_rows: Sequence[tuple[int, int]]) -> list[list[int]]:
+        """is-lfr's keys, one decode_key per class of slots whose user's
+        caches sit at the same positions in S.  A class's blocks from each
+        position sit side by side in one block, so its sub-key rows hold
+        the class's sub-keys side by side, each padded to a block."""
+        cfg, places, bits = self.cfg, self._key_places, self._key_bits
+        code, block = cfg.key_code, (1 << bits) - 1
+        sub_bits = subkey_bit_length(cfg.subfile_bits, code)
+        sub_mask, key_mask = (1 << sub_bits) - 1, (1 << cfg.subfile_bits) - 1
+        keys = [[0] * len(self._rows[g]) for g in users]
+        classes: dict[tuple[int, ...], list] = {}
+        for u, g in enumerate(users):
+            for i, T in enumerate(self._rows[g]):
+                S = self._slots[(g, T)][1]
+                classes.setdefault(tuple(share_index_of_cache(S, c) for c in g),
+                                   []).append((u, i, g, S))
+        for positions, slots in classes.items():
+            if positions not in self._inverses:
+                self._inverses[positions] = decoding_matrix(code, positions)
+            width = len(slots) * bits
+            blocks = [BitBlock(_join([key_rows[g[j] - 1][0]
+                                      >> (places[g[j] - 1][S] * bits) & block
+                                      for _, _, g, S in slots], bits), width)
+                      for j in range(len(positions))]
+            wide = decode_key(list(zip(positions, blocks)), code,
+                              code.dimension * width,
+                              self._inverses[positions]).value
+            # Sub-key row h holds each slot's sub-key h at stride bits.
+            subkeys = zip(*(_cut(wide >> (h * width), len(slots), bits)
+                            for h in range(code.dimension)))
+            for (u, i, _, _), parts in zip(slots, subkeys):
+                keys[u][i] = sum((p & sub_mask) << (h * sub_bits)
+                                 for h, p in enumerate(parts)) & key_mask
+        return keys
+
+    def _cache_rows(self, caches: Sequence[CacheContent]) -> tuple:
+        """The subfile rows and the key rows, entry c - 1 for cache c, that
+        the given caches hold, as decode_rows reads them.  A cache not
+        given has empty rows, an entry a cache lacks reads zero, and each
+        entry is cut to its width."""
+        n, sb = self.cfg.num_files, self.cfg.subfile_bits
+        rows = [((0, 0), (0, 0))] * self.topo.num_caches
+        for content in caches:
+            c = content.index
+            named = [(i, T) for _, T in self._stored[c - 1] for i in range(1, n + 1)]
+            rows[c - 1] = (_row(content.subfiles, named, sb),
+                           _row(getattr(content, self._key_store),
+                                self._key_places[c - 1], self._key_bits))
+        return tuple(zip(*rows))
+
+    def _decode_placed(self, cache_rows: tuple,
                        transcript: DeliveryTranscript,
                        demands: Sequence[DemandVector]) -> list[BitBlock]:
-        """decode_rows for each demand's user at once, on the rows that the
-        given caches and the transcript hold.  An entry they lack reads
-        zero, and each entry is cut to its width."""
+        """decode_rows for each demand's user at once, on _cache_rows' rows
+        and the rows the transcript holds.  An entry it lacks reads zero,
+        and each entry is cut to its width."""
         cfg = self.cfg
         n, sb, fb = cfg.num_files, cfg.subfile_bits, cfg.file_bits
         sent = (transcript.masked_demands if self.kind.masks_demands
@@ -801,17 +853,10 @@ class Scheme:
                        if cfg.broadcast else
                        _row(transcript.payloads, self._members, sb)[0])
         sent_row = _join([sent.get(g, 0) & ((1 << n) - 1) for g in self._rows], n)
-        rows = [((0, 0), (0, 0))] * self.topo.num_caches
-        for content in caches:
-            c = content.index
-            named = [(i, T) for _, T in self._stored[c - 1] for i in range(1, n + 1)]
-            rows[c - 1] = (_row(content.subfiles, named, sb),
-                           _row(getattr(content, self._key_store),
-                                self._key_places[c - 1], self._key_bits))
         demand_row = sum(d.coeffs << (self._user_rank[d.user] * n) for d in demands)
         return [BitBlock(v, fb) for v in self.decode_rows(
             [d.user for d in demands], payload_row, sent_row, demand_row,
-            *zip(*rows))]
+            *cache_rows)]
 
     def _resolve_demand(self, user, transcript, demand) -> DemandVector:
         if self.kind.masks_demands:
@@ -863,8 +908,8 @@ def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
     transcript = scheme.deliver(placement.randomness, placement.table, demands)
     by_user = demands_by_user(demands)
     users = cfg.topo.users()
-    decoded = scheme._decode_placed(placement.caches, transcript,
-                                    [by_user[g] for g in users])
+    decoded = scheme._decode_placed(scheme._cache_rows(placement.caches),
+                                    transcript, [by_user[g] for g in users])
     return SimulationResult(cfg, library, tuple(demands), placement, transcript,
                             dict(zip(users, decoded)),
                             {g: linear_combination(by_user[g], library)

@@ -7,6 +7,13 @@ sections, SECTIONS, so they carry the same entries.  Both are byte-exact
 functions of their inputs (entries are written in canonical sorted order,
 block padding bits are zero), so identical (config, seed) runs serialize
 identically.
+
+Each section is rendered in one step.  Its entries are sorted once and
+split into columns, one per key field plus the blocks; each column is
+encoded at once, a distinct cache subset once per artifact.  The binary
+writer then joins each entry's encoded fields into one bytes; the JSON
+writer fills one template of the whole section with a single %, and
+joins the whole document once.
 """
 
 from __future__ import annotations
@@ -61,14 +68,27 @@ class SimulationArtifact:
     transcript: DeliveryTranscript
 
 
-def _items(holder, name: str, fields: tuple[str, ...], ints: bool,
-           num_files: int) -> list:
-    """One section's entries in file order, as (key fields, block)."""
+def _columns(holder, name: str, fields: tuple[str, ...], ints: bool,
+             num_files: int) -> tuple[list, list[BitBlock]]:
+    """One section's entries in file order, sorted once: a column of
+    values per key field, and the column of blocks."""
     values = getattr(holder, name)
     if not fields:
-        return [((), b) for b in values or ()]
-    return [(k if len(fields) > 1 else (k,), BitBlock(v, num_files) if ints else v)
-            for k, v in sorted(values.items())]
+        return [], list(values or ())
+    keys = sorted(values)
+    blocks = list(map(values.__getitem__, keys))
+    if ints:
+        blocks = [BitBlock(v, num_files) for v in blocks]
+    if len(fields) == 1:
+        return [keys], blocks
+    return list(zip(*keys)) or [()] * len(fields), blocks
+
+
+def _memo(column, memo: dict, render) -> list:
+    """The column rendered value by value, each distinct value once per memo."""
+    for value in set(column).difference(memo):
+        memo[value] = render(value)
+    return list(map(memo.__getitem__, column))
 
 
 # ---- binary container ----
@@ -78,23 +98,20 @@ _U32 = struct.Struct("<I").pack
 _U64 = struct.Struct("<Q").pack
 
 
-def _subset_bytes(s: CacheSet, memo: dict[CacheSet, bytes]) -> bytes:
-    """A cache subset's key bytes, packed once per subset of an artifact."""
-    packed = memo.get(s)
-    if packed is None:
-        packed = memo[s] = struct.pack("<B%dH" % len(s), len(s), *s)
-    return packed
-
-
 def _write(parts: list[bytes], holder, name, fields, ints, num_files,
            subsets: dict[CacheSet, bytes]) -> None:
-    items = _items(holder, name, fields, ints, num_files)
-    parts.append(_U32(len(items)))
-    for key, b in items:
-        for f, part in zip(fields, key):
-            parts.append(_U32(part) if f == "file"
-                         else _subset_bytes(part, subsets))
-        parts.append(_U64(b.length) + b.to_bytes())
+    """One section, field by field: each key field and block is encoded
+    as a column, then each entry goes in as one joined bytes.  subsets
+    holds each cache subset's packing, once per artifact."""
+    columns, blocks = _columns(holder, name, fields, ints, num_files)
+    encoded = [
+        list(map(_U32, column)) if f == "file" else _memo(
+            column, subsets,
+            lambda s: struct.pack("<B%dH" % len(s), len(s), *s))
+        for f, column in zip(fields, columns)]
+    encoded.append([_U64(b.length) + b.to_bytes() for b in blocks])
+    parts.append(_U32(len(blocks)))
+    parts.extend(map(b"".join, zip(*encoded)))
 
 
 class _Reader:
@@ -198,68 +215,84 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
 # The text json.dumps(doc, indent=2, sort_keys=True) gives for the artifact
 # document, written without building the document: json's C encoder takes
 # no indent, and the pure-Python one walks every entry's dict.  Each value
-# is rendered at its indent, pad; each section's entries fill one template.
+# is rendered at its indent, pad, as a list of fragments, and the document
+# is joined once.  A section is rendered in one step: a column of text per
+# member of its entries fills one template of the whole section.
 
-def _json_list(rows: Sequence[str], pad: str, brackets: str = "[]") -> str:
+def _json_list(rows: Sequence[list[str]], pad: str,
+               brackets: str = "[]") -> list[str]:
+    """The rows, each a list of fragments, as one list of fragments."""
     if not rows:
-        return brackets
+        return [brackets]
     inner = "\n" + pad + "  "
-    return (brackets[0] + inner + ("," + inner).join(rows) + "\n" + pad
-            + brackets[1])
+    out = [brackets[0] + inner]
+    for row in rows:
+        out += row
+        out.append("," + inner)
+    out[-1] = "\n" + pad + brackets[1]
+    return out
 
 
-def _json_object(members: dict[str, str], pad: str) -> str:
-    return _json_list([f'"{k}": {v}' for k, v in sorted(members.items())],
+def _json_object(members: dict[str, list[str]], pad: str) -> list[str]:
+    return _json_list([[f'"{k}": ', *v] for k, v in sorted(members.items())],
                       pad, "{}")
 
 
 def _json_section(holder, name, fields, ints, num_files, pad,
-                  subsets: dict[tuple[CacheSet, str], str]) -> str:
-    """One section's entries; subsets holds each cache subset's list as
-    rendered at an indent, once per subset and indent."""
-    row_pad = pad + "  "
-    field_pad = row_pad + "  "
-    template = _json_object({f: f"%({f})s" for f in fields + ("bits", "hex")},
-                            row_pad)
-    rows = []
-    for key, b in _items(holder, name, fields, ints, num_files):
-        values = {"bits": b.length, "hex": '"' + b.to_bytes().hex() + '"'}
-        for f, part in zip(fields, key):
-            if f != "file":
-                text = subsets.get((part, field_pad))
-                if text is None:
-                    text = subsets[(part, field_pad)] = _json_list(
-                        [str(c) for c in part], field_pad)
-                part = text
-            values[f] = part
-        rows.append(template % values)
-    return _json_list(rows, pad)
+                  subsets: dict[str, dict[CacheSet, str]]) -> str:
+    """One section's entries; subsets holds, per indent, each cache
+    subset's list as rendered there, once per subset and indent."""
+    columns, blocks = _columns(holder, name, fields, ints, num_files)
+    if not blocks:
+        return "[]"
+    field_pad = pad + "    "
+    memo = subsets.setdefault(field_pad, {})
+    members = {"bits": [b.length for b in blocks],
+               "hex": [b.to_bytes().hex() for b in blocks]}
+    for f, column in zip(fields, columns):
+        members[f] = column if f == "file" else _memo(
+            column, memo,
+            lambda s: "".join(_json_list([[str(c)] for c in s], field_pad)))
+    row = "".join(_json_object({f: ['"%s"' if f == "hex" else "%s"]
+                                for f in members}, pad + "  "))
+    # The section's template lays the entries out as _json_list does rows;
+    # the members' values go in interleaved, in the row's sorted order.
+    inner = "\n" + pad + "  "
+    template = ("[" + inner + ("," + inner).join([row] * len(blocks))
+                + "\n" + pad + "]")
+    order = sorted(members)
+    values = [None] * (len(order) * len(blocks))
+    for i, f in enumerate(order):
+        values[i::len(order)] = members[f]
+    return template % tuple(values)
 
 
 def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
                      transcript: DeliveryTranscript) -> str:
     N = cfg.num_files
     rate = transcript.rate
-    subsets: dict[tuple[CacheSet, str], str] = {}
+    subsets: dict[str, dict[CacheSet, str]] = {}
     config = {"scheme": cfg.kind.value, "C": cfg.topo.num_caches,
               "r": cfg.topo.access_degree, "t": cfg.topo.replication,
               "N": N, "F": cfg.file_bits, "seed": cfg.seed,
               "broadcast": cfg.broadcast}
     caches_text = _json_list([_json_object({
-        "index": str(cache.index),
-        **{s[0]: _json_section(cache, *s, N, " " * 6, subsets)
+        "index": [str(cache.index)],
+        **{s[0]: [_json_section(cache, *s, N, " " * 6, subsets)]
            for s in _CACHE_SECTIONS}}, " " * 4) for cache in caches], "  ")
     delivery = _json_object({
-        "rate": f'"{rate.numerator}/{rate.denominator}"',
-        **{s[0]: _json_section(transcript, *s, N, " " * 4, subsets)
+        "rate": [f'"{rate.numerator}/{rate.denominator}"'],
+        **{s[0]: [_json_section(transcript, *s, N, " " * 4, subsets)]
            for s in _DELIVERY_SECTIONS}}, "  ")
-    return _json_object({
-        "format": '"maclfr-artifact"',
-        "version": str(VERSION),
-        "config": _json_object({k: json.dumps(v) for k, v in config.items()},
-                               "  "),
+    doc = _json_object({
+        "format": ['"maclfr-artifact"'],
+        "version": [str(VERSION)],
+        "config": _json_object({k: [json.dumps(v)]
+                                for k, v in config.items()}, "  "),
         "caches": caches_text,
-        "delivery": delivery}, "") + "\n"
+        "delivery": delivery}, "")
+    doc.append("\n")
+    return "".join(doc)
 
 
 def simulation_to_bytes(result: SimulationResult) -> bytes:

@@ -687,22 +687,25 @@ def check_correctness(cfg: SchemeConfig,
     """Decode every user for every demand battery and seed, comparing
     against the independently computed linear combination of whole files.
     Placement does not depend on demands, so it runs once per seed, up
-    front; the batteries are then streamed.  Failures are listed by seed,
-    then battery, then user."""
+    front, and so does packing the placed caches into rows; the batteries
+    are then streamed.  Failures are listed by seed, then battery, then
+    user."""
     placed = []
     for seed in seeds:
         scheme = Scheme(replace(cfg, seed=seed))
         library = FileLibrary.random(derive_rng(seed, "library"),
                                      cfg.num_files, cfg.file_bits)
-        placed.append((seed, scheme, library, scheme.place(library)))
+        placement = scheme.place(library)
+        placed.append((seed, scheme, library, placement,
+                       scheme._cache_rows(placement.caches)))
     failures: list[list[CorrectnessFailure]] = [[] for _ in placed]
     walked = decodes = 0
     for battery in map(tuple, batteries):
-        for (seed, scheme, library, placement), failed in zip(placed, failures):
+        for (seed, scheme, library, placement, rows), failed in zip(
+                placed, failures):
             transcript = scheme.deliver(placement.randomness,
                                         placement.table, battery)
-            decoded = scheme._decode_placed(placement.caches, transcript,
-                                            battery)
+            decoded = scheme._decode_placed(rows, transcript, battery)
             decodes += len(battery)
             for demand, block in zip(battery, decoded):
                 expected = linear_combination(demand, library)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from maclfr import schemes
 from maclfr.analysis import point
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
@@ -30,7 +31,8 @@ from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
 from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
                             SchemeConfig, SchemeKind, ServerRandomness, _join,
                             derive_rng, simulate)
-from maclfr.topology import TopologySpec
+from maclfr.mds import decode_key
+from maclfr.topology import TopologySpec, share_index_of_cache
 from maclfr.verify import check_correctness, tiny_config, tiny_sweep_topologies
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -774,6 +776,74 @@ def test_decode_rows_equals_decode_in_broadcast_mode():
 def test_decode_rows_equals_decode_at_ten_caches(kind):
     assert_decode_rows_equal_decode(
         simulate(config(kind, 10, 3, 3, N=20, F=1920, seed=1)))
+
+
+def slot_by_slot_coded_keys(result) -> list[list[int]]:
+    """is-lfr's key of each user's slots, lex in T, by decode_key of the
+    blocks the user's caches hold, one slot at a time."""
+    cfg, caches = result.cfg, result.placement.caches
+    keys = []
+    for g in cfg.topo.users():
+        keys.append([])
+        for T in cfg.topo.subfile_indices():
+            if set(T) & set(g):
+                continue
+            S = tuple(sorted(g + T))
+            blocks = [(share_index_of_cache(S, c), caches[c - 1].coded_subkeys[S])
+                      for c in g]
+            keys[-1].append(decode_key(blocks, cfg.key_code,
+                                       cfg.subfile_bits).value)
+    return keys
+
+
+def counting_decode_key(monkeypatch) -> list:
+    """Record every call of decode_key that the schemes module makes."""
+    calls, real = [], schemes.decode_key
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "decode_key", counted)
+    return calls
+
+
+# The tiny sweep, r = 1 (a repetition code), n = k + 1 (t = 1, one parity
+# block) and C = 10, each with F off the symbol grid, so sub-keys pad.
+CODED_KEY_SHAPES = [*((C, r, t, 3, None) for C, r, t in tiny_sweep_topologies()),
+                    (4, 1, 2, 3, 13), (5, 1, 3, 2, 31), (5, 2, 1, 3, 51),
+                    (5, 3, 1, 3, 23), (10, 3, 3, 20, 1920), (10, 3, 3, 4, 1201)]
+
+
+@pytest.mark.parametrize("C,r,t,N,F", CODED_KEY_SHAPES)
+def test_coded_keys_equal_decode_key_slot_by_slot(C, r, t, N, F, monkeypatch):
+    cfg = config(SchemeKind.IS_LFR, C, r, t, N=N, F=F, seed=3)
+    result, scheme = simulate(cfg), Scheme(cfg)
+    key_rows = scheme.key_rows(result.placement.randomness,
+                               result.placement.table)
+    expected = slot_by_slot_coded_keys(result)
+    users = cfg.topo.users()
+    calls = counting_decode_key(monkeypatch)
+    assert scheme._keys(users, key_rows) == expected
+    # One call per class of slots by where the user's caches sit in S.
+    classes = {tuple(share_index_of_cache(tuple(sorted(g + T)), c) for c in g)
+               for g in users for T in cfg.topo.subfile_indices()
+               if not set(T) & set(g)}
+    assert len(calls) == len(classes) <= comb(t + r, r)
+    # Any subset of the users, in any order, gets the same keys.
+    assert scheme._keys(users[::-1], key_rows) == expected[::-1]
+    assert scheme._keys(users[1:2], key_rows) == expected[1:2]
+
+
+def test_a_ten_cache_round_decodes_is_lfr_keys_once_per_position_class(
+        monkeypatch):
+    # At C = 10, r = 3, t = 3 the 120 users hold 4,200 slots; a user's
+    # three caches sit at one of C(6, 3) = 20 position triples in S.
+    calls = counting_decode_key(monkeypatch)
+    result = simulate(config(SchemeKind.IS_LFR, 10, 3, 3, N=20, F=1920,
+                             seed=1))
+    assert result.ok
+    assert len(calls) == comb(6, 3)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -5,16 +5,19 @@ from __future__ import annotations
 import json
 import random
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
-from maclfr.schemes import SchemeConfig, SchemeKind, simulate
+from maclfr.schemes import (CacheContent, DeliveryTranscript, SchemeConfig,
+                            SchemeKind, simulate)
 from maclfr.topology import TopologySpec
 from maclfr.transcript import (MAGIC, SimulationArtifact, artifact_from_bytes,
-                               artifact_to_bytes, simulation_to_bytes,
-                               simulation_to_json)
+                               artifact_to_bytes, artifact_to_json,
+                               simulation_to_bytes, simulation_to_json)
 
 
 def result_for(kind: SchemeKind, broadcast: bool = False):
@@ -283,3 +286,77 @@ def test_json_matches_the_reference_document_at_ten_caches():
                        seed=3)
     result = simulate(cfg)
     assert simulation_to_json(result) == reference_json(result)
+
+
+# Hand-built artifacts: no scheme places these, so they reach what the
+# engine never makes.  Blocks of mixed lengths (zero, one, off the byte
+# grid, several bytes) share a section, keys go in against sorted order,
+# subsets of every size mix, and whole sections are empty.
+def hand_built(broadcast: bool = False, demands=None) -> SimulationArtifact:
+    kind = SchemeKind.P_LFR
+    cfg = SchemeConfig(TopologySpec(3, 2, 1), 3, 6, kind, seed=11,
+                       broadcast=broadcast)
+    lengths = (0, 1, 7, 8, 9, 70)
+    blocks = [BitBlock((1 << n) - 1 - (n // 3 if n > 1 else 0), n)
+              for n in lengths]
+    subsets = [(3,), (), (1, 2, 3), (2,), (1, 3), (1,)]
+    caches = (
+        CacheContent(2,
+                     {(i, T): b for i, T, b in reversed(list(zip(
+                         (1, 3, 2, 70000, 1, 2), subsets, blocks)))},
+                     {((2, 3), (1,)): blocks[5], ((1, 2), ()): blocks[0],
+                      ((1, 2), (3,)): blocks[3]},
+                     {}, {(2, 3): blocks[2], (1, 2): blocks[4]}),
+        CacheContent(1, {}, {}, {S: b for S, b in zip(reversed(subsets),
+                                                     blocks)}, {}),
+        CacheContent(3, {}, {}, {}, {}),
+    )
+    if demands is None:
+        demands = {(2, 3): 5, (1, 3): 0, (1, 2): 7}
+    transcript = DeliveryTranscript(
+        cfg, {} if broadcast else {S: b for S, b in zip(subsets, blocks)},
+        demands, {(1, 2): 3} if broadcast else {},
+        tuple(blocks[::-1]) if broadcast else None)
+    return SimulationArtifact(cfg, caches, transcript)
+
+
+def as_result(artifact: SimulationArtifact):
+    """The fields of a SimulationResult that reference_json reads."""
+    return SimpleNamespace(cfg=artifact.cfg, transcript=artifact.transcript,
+                           placement=SimpleNamespace(caches=artifact.caches))
+
+
+@pytest.mark.parametrize("broadcast", (False, True))
+def test_hand_built_artifact_matches_the_reference_and_round_trips(broadcast):
+    artifact = hand_built(broadcast)
+    parts = (artifact.cfg, artifact.caches, artifact.transcript)
+    assert artifact_to_json(*parts) == reference_json(as_result(artifact))
+    blob = artifact_to_bytes(*parts)
+    assert artifact_from_bytes(blob) == artifact
+    assert artifact_to_bytes(*parts) == blob
+
+
+@pytest.mark.parametrize("coeffs", (8, 1 << 40, -1))
+def test_demand_wider_than_the_library_is_a_domain_error(coeffs):
+    artifact = hand_built(demands={(1, 3): 1, (1, 2): coeffs})
+    parts = (artifact.cfg, artifact.caches, artifact.transcript)
+    with pytest.raises(DomainError):
+        artifact_to_bytes(*parts)
+    with pytest.raises(DomainError):
+        artifact_to_json(*parts)
+
+
+def test_json_peak_memory_stays_near_the_text_length():
+    # The document is joined once, from one fragment per section and the
+    # separators between them: its peak holds the fragments and the text,
+    # about two copies, where nested joins held about four.
+    cfg = SchemeConfig(TopologySpec(7, 3, 2), 4, 84, SchemeKind.SP_LFR, seed=1)
+    result = simulate(cfg)
+    tracemalloc.start()
+    try:
+        text = simulation_to_json(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 100_000
+    assert peak <= 2.5 * len(text)

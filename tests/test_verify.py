@@ -874,6 +874,24 @@ def test_correctness_failures_come_by_seed_then_battery_then_user(
         for g in cfg.topo.users()]
 
 
+def test_correctness_packs_each_seeds_caches_once(monkeypatch):
+    # The placed caches change with the seed alone, so their rows are
+    # packed once per seed, however many batteries follow.
+    packed, honest = [], Scheme._cache_rows
+
+    def counted(self, caches):
+        packed.append(self.cfg.seed)
+        return honest(self, caches)
+
+    monkeypatch.setattr(Scheme, "_cache_rows", counted)
+    cfg = tiny_config(SchemeKind.IS_LFR, 3, 2, 1)
+    rng = random.Random(3)
+    batteries = [demands_from_int(rng.getrandbits(6), cfg) for _ in range(5)]
+    report = check_correctness(cfg, iter(batteries), seeds=(4, 2))
+    assert report.ok and report.batteries == 5
+    assert packed == [4, 2]
+
+
 def test_share_placement_structure_over_the_sweep():
     for C, r, t in tiny_sweep_topologies():
         for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR, SchemeKind.S_LFR,
