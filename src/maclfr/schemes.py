@@ -285,11 +285,14 @@ class RandomnessLayout:
 
     The verification oracles enumerate server randomness exhaustively; this
     maps an integer to the ServerRandomness it encodes.  Runs are the
-    randomness_order() runs that carry entropy and reach a view, low bits
-    first, value i of a run at bit i * bits in it: the key and mask runs
-    are their rows.  p-lfr's pinned payload keys are left out, and so is
-    every run of broadcast mode, which sends no masked demand and stores
-    no key, even though draw() consumes stream bits for them.
+    randomness_order() runs that carry entropy and reach the view, low
+    bits first, value i of a run at bit i * bits in it: the key and mask
+    runs are their rows.  The transmission reads the key and mask runs
+    only; an observer also sees its caches' shares, which read all three.
+    p-lfr's pinned payload keys are left out, and so is every run of
+    broadcast mode, which sends no masked demand and stores no key, even
+    though draw() consumes stream bits for them.  A run left out unpacks
+    as zero.
     """
 
     cfg: SchemeConfig
@@ -297,27 +300,47 @@ class RandomnessLayout:
     total_bits: int
 
     @classmethod
-    def for_config(cls, cfg: SchemeConfig) -> "RandomnessLayout":
+    def for_config(cls, cfg: SchemeConfig, observers: bool = True
+                   ) -> "RandomnessLayout":
+        """The runs that reach an observer's view, or with observers=False
+        those that reach the transmission: the coef run is left out."""
         runs = () if cfg.broadcast else tuple(
             run for run in randomness_order(cfg)
-            if run[0] != "key" or cfg.kind.has_payload_keys)
+            if (run[0] != "key" or cfg.kind.has_payload_keys)
+            and (run[0] != "coef" or observers))
         return cls(cfg, runs, sum(count * bits for _, count, bits in runs))
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """The shift and mask of the key, mask and coef rows in a value,
+        (0, 0) for a run left out, and the function that deals the coef
+        row into planes: the row itself at r = 2, cut and dealt at r > 2,
+        zero planes without a coef run."""
+        at, rows = 0, {}
+        for tag, count, bits in self.runs:
+            rows[tag] = (at, (1 << count * bits) - 1)
+            at += count * bits
+        cfg = self.cfg
+        blinds = cfg.topo.access_degree - 1 if cfg.kind.masks_demands else 0
+        coefs = next((run[1:] for run in self.runs if run[0] == "coef"), (0, 0))
+        zeros = (0,) * blinds
+        if not coefs[0]:
+            deal = lambda row: zeros
+        elif blinds == 1:
+            deal = lambda row: (row,)
+        else:
+            deal = lambda row: _planes(cfg, _cut(row, *coefs))
+        return (*(rows.get(tag, (0, 0)) for tag in ("key", "mask", "coef")),
+                deal)
+
     def unpack(self, value: int) -> ServerRandomness:
-        """Slice out each run's row; only the coef run is cut into values,
-        to be dealt into its planes, and only when r > 2."""
+        """Slice out each run's row by _plan; only the coef run is cut into
+        values, to be dealt into its planes, and only when r > 2."""
         if value < 0 or value >> self.total_bits:
             raise DomainError(f"value does not fit in {self.total_bits} bits")
-        rows = {}
-        for tag, count, bits in self.runs:
-            rows[tag] = (value & ((1 << count * bits) - 1), count, bits)
-            value >>= count * bits
-        keys, masks, coefs = (rows.get(tag, (0, 0, 1))
-                              for tag in ("key", "mask", "coef"))
-        planes = ((coefs[0],) if self.cfg.kind.masks_demands
-                  and self.cfg.topo.access_degree == 2
-                  else _planes(self.cfg, _cut(*coefs)))
-        return ServerRandomness(keys[0], masks[0], planes)
+        (k, keys), (m, masks), (c, coefs), deal = self._plan
+        return ServerRandomness(value >> k & keys, value >> m & masks,
+                                deal(value >> c & coefs))
 
 
 # ---- placement / delivery artifacts ----

@@ -15,7 +15,9 @@ Three questions are answered exactly, never statistically:
 
 Distributions are taken over every library value and every server
 randomness value (and every demand tuple, for privacy), with exact
-rational probabilities.  Two evaluation methods exist:
+rational probabilities.  Security leaves out the share coefficients:
+no transmission reads them, so summing them out changes no probability.
+Two evaluation methods exist:
 
 * "enumerate" runs the real engine once per state: the broadcast's rows
   alone for security, whose eavesdropper sees no cache, and those rows
@@ -27,8 +29,9 @@ rational probabilities.  Two evaluation methods exist:
   most two whose only products pair a library bit with a demand or
   randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
   e_i + e_j recover that bilinear model, where W is the library and Z the
-  randomness (security) or the demands and the randomness (privacy).  For
-  a fixed library the view is then uniform on an affine coset, and both
+  randomness runs the transmission reads, key and mask (security), or
+  the demands and all three randomness runs (privacy).  For a fixed
+  library the view is then uniform on an affine coset, and both
   questions reduce to XOR and rank.  The model is not taken on faith:
   AFFINITY_PROBES (1 + |W|) real runs at random points must match it, and
   the test suite cross-checks the two methods against each other on
@@ -65,8 +68,11 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, ResourceLimitError, UsageError
-from .library import (DemandVector, FileLibrary, cycling_one_hot_demands,
-                      linear_combination, subpacketize)
+from .library import (DemandVector, FileLibrary, SubfileTable,
+                      cycling_one_hot_demands, linear_combination)
+# No run here subpacketizes a library; the name stays in this module for
+# perfbench/tracer.py, which times it here as library.subpacketize.
+from .library import subpacketize  # noqa: F401
 from .mds import coded_block_bit_length, decode_key
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
                       SchemeConfig, SchemeKind, derive_rng)
@@ -138,6 +144,14 @@ def library_from_int(value: int, num_files: int, file_bits: int) -> FileLibrary:
     return FileLibrary(tuple(
         BitBlock((value >> (i * file_bits)) & mask, file_bits)
         for i in range(num_files)))
+
+
+def table_from_int(value: int, cfg: SchemeConfig) -> SubfileTable:
+    """The subfile table of the library library_from_int(value, ...) packs,
+    its files' images cut straight from the value."""
+    fb = cfg.file_bits
+    return SubfileTable(cfg.topo, fb, cfg.subfile_bits, tuple(
+        [(value >> (i * fb)) & ((1 << fb) - 1) for i in range(cfg.num_files)]))
 
 
 def demands_from_int(value: int, cfg: SchemeConfig) -> tuple[DemandVector, ...]:
@@ -215,23 +229,24 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
     as ints.  Its transmission is Scheme.transmission_row's payload row,
     then for the masking kinds the sent row; no run builds a transcript.
     Given the fixed `demands` (security), packed into a demand row once,
-    z is the randomness and the one view is the transmission.  Otherwise
-    (privacy) z holds the demand row in its low bits, as demands_from_int
-    reads it, with the randomness above, and there is one view per user
+    z is the randomness that reaches the transmission, the key and mask
+    runs, and the one view is the transmission.  Otherwise (privacy) z
+    holds the demand row in its low bits, as demands_from_int reads it,
+    with every run of the randomness above, and there is one view per user
     in topo.users() order: the transmission, then the user's own demand,
     then per cache of the user its subfile row and its key row
     (Scheme.subfile_rows and Scheme.key_rows).  No run places the caches.
     One full placement and delivery, at a seeded point, checks the
     placement invariants and the battery, and there run(w, z) must equal
     ViewExtractor.transmission or ViewExtractor.observer, which define the
-    views.  The library, its subfiles and their rows are kept per w.
+    views.  A run's subfile table is cut straight from w by table_from_int,
+    and it and its subfile rows are kept per w.
     """
     scheme = Scheme(cfg)
-    layout = RandomnessLayout.for_config(cfg)
+    layout = RandomnessLayout.for_config(cfg, observers=demands is None)
     extractor = ViewExtractor(cfg)
     n, users = cfg.num_files, cfg.topo.users()
-    library = lru_cache(maxsize=1)(lambda w: library_from_int(w, n, cfg.file_bits))
-    table = lru_cache(maxsize=1)(lambda w: subpacketize(library(w), cfg.topo))
+    table = lru_cache(maxsize=1)(lambda w: table_from_int(w, cfg))
     dbits = 0 if demands is not None else n * len(users)
     by_user = {d.user: d.coeffs for d in demands or ()}
     battery = sum(by_user.get(g, 0) << (u * n) for u, g in enumerate(users))
@@ -265,7 +280,8 @@ def _views(cfg: SchemeConfig, demands: Sequence[DemandVector] | None = None
     rng = derive_rng(cfg.seed, "row-views")
     w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
     d = z & ((1 << dbits) - 1)
-    placement = scheme.place(library(w), layout.unpack(z >> dbits))
+    placement = scheme.place(library_from_int(w, n, cfg.file_bits),
+                             layout.unpack(z >> dbits))
     transcript = scheme.deliver(placement.randomness, placement.table,
                                 demands_from_int(d, cfg) if dbits else demands)
     placed = ([extractor.observer(g, placement.caches, transcript,

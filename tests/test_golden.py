@@ -7,7 +7,8 @@ its JSON twin for the three worked presets under every kind and seeds
 and at engine-c10's C = 10 shape, the ``verify`` reports of every suite
 and of three security instances (two of them also by forced
 enumeration), the privacy control by forced enumeration, and the figure
-presets' ``curves.csv``.  A change that alters any of them changes what a
+presets' ``curves.csv``; ``simulate`` and the security suite also run
+under ``python -O``.  A change that alters any of them changes what a
 (config, seed) pair produces and must say so.
 """
 
@@ -320,7 +321,7 @@ REPORTS = {
     "privacy":
         "aacb6c7d1f37d852b96f675e1f74ab3c83d98d3a2f7df0ff79d690f7e0340163",
     "security":
-        "cc1a0506ddb392db8346340c86f3a2716774eac8c1547cbc4958c0f8b510828c",
+        "832481c0c4828f835691f20ef2cd956ff503a252793eb7caa84c3ef109112710",
     "shares":
         "deac384150e38d5e3519b510ca27267172f6c8e1b6bf7b75449e4d95aedcec5d",
 }
@@ -330,12 +331,13 @@ REPORTS = {
 # which spends fewer engine runs than their states: s-lfr and sp-lfr are
 # certified by the fixed point, and lfr reports the exact mutual
 # information of its rank sum; all three run the engine on randomness
-# unpacked from RandomnessLayout.
+# unpacked from RandomnessLayout, sp-lfr's without its coef run, which no
+# transmission reads.
 SECURITY_INSTANCES = {
     "s-lfr":
         "95d0efcc7dafefb6c60ddf70ef9ce5b8b79564d05782b2ab27c1dcbf222f9da1",
     "sp-lfr":
-        "708b1d59ddbdd93f71b17474eff34cc351d49e96b94d8751b034aa8afd26f93c",
+        "6a0be834c828ae73aa60c0133b16614dd5458e5cdbe535474a92a3e8cff838ab",
     "lfr":
         "9121dd3866863a493c0b1adee9306e2194166eead40e53db090ab0ad5ace3b54",
 }
@@ -474,3 +476,18 @@ def test_simulate_under_python_optimize_matches_golden_digest(preset, kind,
     assert proc.returncode == 0, proc.stderr
     digest = sha256((tmp_path / "transcript.bin").read_bytes())
     assert digest == TRANSCRIPT_BIN[f"{preset}/{kind}/0"]
+
+
+def test_security_verify_under_python_optimize_matches_golden_digest(
+        tmp_path):
+    # The security runs' layout, unpack plan and subfile tables give the
+    # same report with assert statements stripped.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("MACLFR_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "maclfr.cli", "verify",
+         "--suite", "security", "--seed", "0", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digest = sha256((tmp_path / "report.json").read_bytes())
+    assert digest == REPORTS["security"]

@@ -32,7 +32,7 @@ from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
                             linear_combination)
 from maclfr.mds import coded_block_bit_length
 from maclfr.schemes import (DeliveryTranscript, RandomnessLayout, Scheme,
-                            SchemeKind, derive_rng)
+                            SchemeKind, derive_rng, randomness_order)
 from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
                            _choose_method, _model_runs, _privacy_affine,
                            _readable_mi, _security_certified, _views,
@@ -123,6 +123,8 @@ def test_library_and_demand_packing_round_trips():
         assert isinstance(lib, FileLibrary)
         assert sum(f.value << (i * cfg.file_bits)
                    for i, f in enumerate(lib.files)) == value
+        assert verify.table_from_int(value, cfg) == verify.subpacketize(
+            lib, cfg.topo)
     for dvalue in range(1 << (cfg.num_files * cfg.topo.num_users)):
         demands = demands_from_int(dvalue, cfg)
         assert sum(d.coeffs << (i * cfg.num_files)
@@ -213,12 +215,14 @@ ENUMERABLE = 1 << 14  # states the cross-checks below enumerate at most
 
 
 def _security_state_bits(cfg) -> int:
+    # The eavesdropper's randomness: the runs the transmission reads.
     return (cfg.num_files * cfg.file_bits
-            + RandomnessLayout.for_config(cfg).total_bits)
+            + RandomnessLayout.for_config(cfg, observers=False).total_bits)
 
 
 def _privacy_state_bits(cfg) -> int:
-    return _security_state_bits(cfg) + cfg.num_files * cfg.topo.num_users
+    return (cfg.num_files * (cfg.file_bits + cfg.topo.num_users)
+            + RandomnessLayout.for_config(cfg).total_bits)
 
 
 def test_affine_matches_every_enumerated_sweep_instance():
@@ -236,10 +240,11 @@ def test_affine_matches_every_enumerated_sweep_instance():
             assert affine.certified_zero == enum.certified_zero, (kind, C, r, t)
             assert affine.mi_bits == pytest.approx(enum.mi_bits, abs=1e-9)
             compared.append(kind)
-    # 8 topologies under s-lfr, is-lfr and lfr; sp-lfr (3,3,0) and p-lfr
-    # (3,2,0), (3,3,0).
+    # 8 topologies under s-lfr, is-lfr and lfr; sp-lfr (3,2,0), (3,2,1),
+    # (3,3,0), (4,3,0) and p-lfr (3,2,0), (3,2,1), (3,3,0), (4,2,0),
+    # (4,3,0), whose eavesdropper reads no share coefficient.
     assert set(compared) == set(SchemeKind)
-    assert len(compared) == 27
+    assert len(compared) == 33
 
 
 def test_privacy_affine_matches_every_enumerated_c3_instance():
@@ -314,10 +319,11 @@ def test_certificates_answer_without_the_walk(monkeypatch):
             cfg = tiny_config(kind, C, r, t)
             wbits = cfg.num_files * cfg.file_bits
             rbits = RandomnessLayout.for_config(cfg).total_bits
+            sbits = RandomnessLayout.for_config(cfg, observers=False).total_bits
             dbits = cfg.num_files * cfg.topo.num_users
             sec = check_security_exact(cfg, method="affine")
             assert (sec.method, sec.states) == (
-                "affine", _model_runs(wbits, rbits)), (kind, C, r, t)
+                "affine", _model_runs(wbits, sbits)), (kind, C, r, t)
             priv = check_privacy_exact(cfg, method="affine")
             runs = _model_runs(wbits, dbits + rbits)
             assert (priv.method, priv.states) == (
@@ -391,10 +397,70 @@ def test_uncertified_controls_keep_their_exact_mi():
 def test_affine_states_count_recovery_and_probe_runs():
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
     lib_bits = cfg.num_files * cfg.file_bits
-    rand_bits = RandomnessLayout.for_config(cfg).total_bits
+    rand_bits = RandomnessLayout.for_config(cfg, observers=False).total_bits
     res = check_security_exact(cfg, method="affine")
     assert res.states == ((1 + lib_bits) * (1 + rand_bits)
                           + AFFINITY_PROBES * (1 + lib_bits))
+
+
+@pytest.mark.parametrize("kind, C, r, t, broadcast", [
+    *((kind, C, r, t, False) for C, r, t in tiny_sweep_topologies()
+      for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR)),
+    (SchemeKind.P_LFR, 3, 2, 1, True)])
+def test_no_transmission_reads_the_share_coefficients(kind, C, r, t,
+                                                      broadcast):
+    # The security layout is the full one without the coef run, because
+    # the broadcast never reads it: at seeded points any coefficient planes
+    # give the same rows, and the security layout unpacks the full one's
+    # key and mask rows with zero planes.
+    cfg = replace(tiny_config(kind, C, r, t), broadcast=broadcast)
+    scheme, n = Scheme(cfg), cfg.num_files
+    full = RandomnessLayout.for_config(cfg)
+    secure = RandomnessLayout.for_config(cfg, observers=False)
+    assert secure.runs == tuple(run for run in full.runs if run[0] != "coef")
+    (count, l), = [run[1:] for run in randomness_order(cfg) if run[0] == "coef"]
+    plane_bits = count // (r - 1) * l
+    rng = random.Random(f"coef:{kind.value}:{C}:{r}:{t}:{broadcast}")
+    for _ in range(8):
+        z = rng.getrandbits(full.total_bits)
+        randomness = full.unpack(z)
+        assert secure.unpack(z & ((1 << secure.total_bits) - 1)) == replace(
+            randomness, share_coefficients=(0,) * (r - 1))
+        table = verify.table_from_int(rng.getrandbits(n * cfg.file_bits), cfg)
+        demand_row = rng.getrandbits(n * cfg.topo.num_users)
+        rows = scheme.transmission_row(randomness, table, demand_row)
+        for _ in range(4):
+            planes = tuple(rng.getrandbits(plane_bits) for _ in range(r - 1))
+            assert scheme.transmission_row(
+                replace(randomness, share_coefficients=planes), table,
+                demand_row) == rows
+
+
+# The exact MI of every tiny-sweep instance that leaks, as measured when
+# the security layout still carried the coef run; every other instance was
+# certified zero.
+LEAKS = {
+    **{(SchemeKind.LFR, C, r, t): bits for (C, r, t), bits in (
+        ((3, 2, 0), 2.0), ((3, 2, 1), 1.0), ((3, 3, 0), 1.0), ((4, 2, 0), 2.0),
+        ((4, 2, 1), 4.0), ((4, 2, 2), 1.0), ((4, 3, 0), 2.0), ((4, 3, 1), 1.0))},
+    **{(SchemeKind.P_LFR, C, r, t): bits for (C, r, t), bits in (
+        ((3, 2, 0), 1.640625), ((3, 2, 1), 0.984375), ((3, 3, 0), 0.75),
+        ((4, 2, 0), 1.953369140625), ((4, 2, 1), 3.7939453125),
+        ((4, 2, 2), 0.999755859375), ((4, 3, 0), 1.81640625),
+        ((4, 3, 1), 0.99609375))},
+}
+
+
+def test_security_verdicts_survive_dropping_the_coefficient_run():
+    for C, r, t in tiny_sweep_topologies():
+        for kind in SchemeKind:
+            res = check_security_exact(tiny_config(kind, C, r, t))
+            bits = LEAKS.get((kind, C, r, t), 0.0)
+            assert (res.certified_zero, res.mi_bits) == (bits == 0.0, bits), (
+                kind, C, r, t)
+    broadcast = replace(tiny_config(SchemeKind.P_LFR, 3, 2, 1), broadcast=True)
+    res = check_security_exact(broadcast)
+    assert (res.certified_zero, res.mi_bits) == (False, 6.0)
 
 
 def test_largest_masked_sweep_instance_is_fast():
@@ -454,13 +520,13 @@ def test_affine_route_respects_the_cap():
     with pytest.raises(ResourceLimitError):
         check_privacy_exact(cfg, method="affine", cap=runs - 1)
     # p-lfr (4,2,1) is not certified, and its rank sum takes one rank per
-    # value of its 12 readable randomness bits: 4,096 ranks from 405 runs,
+    # value of its 12 readable randomness bits: 4,096 ranks from 189 runs,
     # so a cap of 2,000 admits the runs but not the sum.
     control = tiny_config(SchemeKind.P_LFR, 4, 2, 1)
     with pytest.raises(ResourceLimitError, match="rank sum"):
         check_security_exact(control, method="affine", cap=2000)
     res = check_security_exact(control, method="affine", cap=4096)
-    assert (res.states, res.mi_bits) == (405, 3.7939453125)
+    assert (res.states, res.mi_bits) == (189, 3.7939453125)
 
 
 def test_security_enumerates_what_no_rank_argument_settles(monkeypatch):
@@ -663,13 +729,13 @@ def test_a_wrong_subfile_fails_the_security_check(monkeypatch, kind):
     # The security view is checked against a placed round, not trusted: a
     # subfile table with bit 0 of file 1 flipped outside placement is an
     # engine fault, whichever verdict the wrong views would give.
-    honest = verify.subpacketize
+    honest = verify.table_from_int
 
-    def flipped(library, topo):
-        table = honest(library, topo)
+    def flipped(value, cfg):
+        table = honest(value, cfg)
         return replace(table, images=(table.images[0] ^ 1, *table.images[1:]))
 
-    monkeypatch.setattr(verify, "subpacketize", flipped)
+    monkeypatch.setattr(verify, "table_from_int", flipped)
     with pytest.raises(IntegrityError, match="placed round"):
         check_security_exact(tiny_config(kind, 3, 2, 1))
 
