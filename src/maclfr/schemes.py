@@ -30,25 +30,27 @@ randomness_order(), so a (config, seed) pair determines every artifact.
 
 from __future__ import annotations
 
-import functools
 import random
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain
 from math import comb
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field, exponent_for_share_count
+from .indexing import _decode_plan, _indices, _key_labels, _subfile_labels
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, random_demands, subfile_bit_length,
                       subpacketize)
 from .mds import (MdsCode, build_code, coded_block_bit_length, decode_key,
                   decoding_matrix, encode_key, subkey_bit_length)
+from .rows import (_combinations, _cut, _gather, _images, _join, _listed,
+                   _narrow, _wide, _widen, _words)
 from .shamir import ShareSet, canonical_evaluation_points, reconstruct, split
 from .topology import CacheSet, TopologySpec, share_index_of_cache
 
@@ -140,39 +142,6 @@ def derive_rng(seed: int, purpose: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "little"))
 
 
-# ---- per-topology index lists ----
-
-@functools.lru_cache(maxsize=None)
-def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
-    """The index lists every round walks, built once per topology.
-
-    rank maps each subfile index T to its position in lex order.  rows
-    maps each user g to the subfile indices it does not reach, in lex
-    order: its slots, whose keys and shares sit side by side in a row.
-    slots maps (g, T), lex in (g, T), to the rank of T and the transmission
-    S = g + T that carries g's piece T.  members maps each transmission S,
-    in lex order, to the triples (g, S minus g, its rank) of the users g
-    inside S; senders, the same as (rank of g, rank of S minus g).  stored
-    lists per cache the (rank, T) naming it, lex in T: its subfiles' order,
-    each T's files in turn.
-    """
-    rank = {T: k for k, T in enumerate(topo.subfile_indices())}
-    rows = {g: tuple(T for T in rank if not set(g) & set(T))
-            for g in topo.users()}
-    slots = {(g, T): (rank[T], tuple(sorted(g + T)))
-             for g, row in rows.items() for T in row}
-    members, senders, users = {}, [], list(rows)
-    for S in topo.transmission_indices():
-        rests = [(g, tuple(c for c in S if c not in g))
-                 for g in combinations(S, topo.access_degree)]
-        members[S] = tuple((g, rest, rank[rest]) for g, rest in rests)
-        senders.append(tuple((users.index(g), rank[rest]) for g, rest in rests))
-    stored = tuple(tuple((k, T) for T, k in rank.items() if c in T)
-                   for c in range(1, topo.num_caches + 1))
-    return (MappingProxyType(rank), MappingProxyType(slots),
-            MappingProxyType(members), MappingProxyType(rows), stored, tuple(senders))
-
-
 def _combination(images: Sequence[int], coeffs: int) -> int:
     """XOR of the images of the files whose coefficient is 1."""
     acc = 0
@@ -191,30 +160,6 @@ def _sized(block: BitBlock, bits: int, what: str, label) -> int:
 
 
 # ---- server randomness ----
-
-def _join(values: Sequence[int], width: int) -> int:
-    """The values side by side, value i at bit i * width.  Neighbours are
-    joined pairwise, so no step copies a growing int once per value."""
-    while len(values) > 1:
-        joined = [lo | hi << width for lo, hi in zip(values[::2], values[1::2])]
-        if len(values) & 1:
-            joined.append(values[-1])
-        values, width = joined, 2 * width
-    return values[0] if values else 0
-
-
-def _cut(value: int, count: int, width: int) -> list[int]:
-    """The inverse of _join: count values of width bits, value i at bit
-    i * width.  Blocks of 32 values are cut out first, so that each value
-    is shifted out of a short int."""
-    mask, step = (1 << width) - 1, 32 * width
-    values: list[int] = []
-    for at in range(0, count * width, step):
-        block = value >> at & ((1 << step) - 1)
-        values += [block >> (i * width) & mask
-                   for i in range(min(32, count - at // width))]
-    return values
-
 
 def randomness_order(cfg: SchemeConfig) -> list[tuple[str, int, int]]:
     """Every value the server draws before a round, as runs (tag, count,
@@ -428,9 +373,11 @@ class Scheme:
     every masked key of a user from its caches' share rows; likewise one
     decode_key recovers the is-lfr keys of every slot whose user's caches
     sit at the same positions in S.  Decode is one row function for the
-    round, decode_rows, which builds each cache's file images and
-    combinations once per call and keeps none of them.  BitBlocks appear
-    only where blocks enter and leave.
+    round, decode_rows.  Where each piece sits is the topology's
+    _DecodePlan, worked out once; per call, each cache read combines its
+    own pieces into machine words, and each lane of the plan is one
+    gather.  A Scheme keeps none of a round.  BitBlocks appear only where
+    blocks enter and leave.
     """
 
     def __init__(self, cfg: SchemeConfig):
@@ -465,20 +412,16 @@ class Scheme:
             canonical_evaluation_points(field, self.topo.access_degree))
 
     @cached_property
-    def _key_places(self) -> tuple[dict, ...]:
+    def _key_places(self) -> tuple[tuple[object, ...], ...]:
         """Per cache, the labels of its key material by place in its key
-        row, as key_rows lays it out: the slot (g, T) of each user g of
-        the cache, lex in (g, T), under sp-lfr and p-lfr; each S naming the
-        cache, lex, under s-lfr and is-lfr; none for lfr or broadcast mode."""
-        kind, places = self.kind, [{} for _ in range(self.topo.num_caches)]
-        labels = ([(slot, slot[0]) for slot in self._slots]
-                  if kind.masks_demands and not self.cfg.broadcast else
-                  [(S, S) for S in self._members]
-                  if kind.stores_keys_whole or kind.stores_keys_coded else [])
-        for label, named in labels:
-            for c in named:
-                places[c - 1][label] = len(places[c - 1])
-        return tuple(places)
+        row, as key_rows lays it out (_key_labels): by slot under sp-lfr
+        and p-lfr, by S under s-lfr and is-lfr, none for lfr or broadcast
+        mode."""
+        kind = self.kind
+        return _key_labels(self.topo, "slot" if kind.masks_demands
+                           and not self.cfg.broadcast else "sent"
+                           if kind.stores_keys_whole or kind.stores_keys_coded
+                           else None)
 
     # -- placement --
 
@@ -744,108 +687,130 @@ class Scheme:
         holds user rank u's own demand at bit u N.  Entry c - 1 of
         subfile_rows and key_rows is cache c's row as subfile_rows and
         key_rows lay it out; only the listed users' caches are read, and a
-        user's caches must agree on every piece two of them hold.  Each
-        call builds its caches' file images and combinations once and
-        keeps none.  In broadcast mode the payload row is the library.
+        user's caches must agree on every piece two of them hold.  In
+        broadcast mode the payload row is the library.
+
+        The places come from the topology's _DecodePlan.  Each read cache
+        combines its own H pieces per file by every sent demand, and by
+        its listed users' own demands, into machine words, w a piece.
+        Each lane is then one gather over the listed users' slots, XORed
+        into a row of payload ^ key, and one last gather lays each user's
+        pieces out lex in rank.
         """
         cfg = self.cfg
-        n, sb, piece = cfg.num_files, cfg.subfile_bits, (1 << cfg.subfile_bits) - 1
+        n, sb = cfg.num_files, cfg.subfile_bits
         if cfg.broadcast:
             files = _cut(payload_row, n, cfg.file_bits)
             return [_combination(files, demand_row >> (self._user_rank[g] * n))
                     for g in users]
-        # Per cache read, its file images (the piece of rank k at bit k sb)
-        # and its combination of each user's demand as sent.
-        sent, caches = _cut(sent_row, len(self._rows), n), {}
-        for c in {c for g in users for c in g}:
-            stored = self._stored[c - 1]
-            values = _cut(subfile_rows[c - 1][0], len(stored) * n, sb)
-            at = [k * sb for k, _ in stored]
-            files = [sum(v << a for v, a in zip(values[i::n], at))
-                     for i in range(n)]
-            caches[c] = files, [_combination(files, d) for d in sent]
-        decoded = []
-        for g, keys in zip(users, self._keys(users, key_rows)):
-            u = self._user_rank[g]
-            value, held = 0, [0] * len(sent)  # held: what g's caches hold
-            for c in g:
-                files, combos = caches[c]
-                value |= _combination(files, demand_row >> (u * n))
-                held = [h | x for h, x in zip(held, combos)]
-            slots = [self._slots[(g, T)] for T in self._rows[g]]
-            # payload ^ key ^ the other senders' combinations leaves the piece.
-            for (k, S), key in zip(slots, keys):
-                s = self._sent_rank[S]
-                acc = payload_row >> (s * sb) ^ key
-                for v, j in self._senders[s]:
-                    if v != u:
-                        acc ^= held[v] >> (j * sb)
-                value |= (acc & piece) << (k * sb)
-            decoded.append(value & ((1 << cfg.file_bits) - 1))
-        return decoded
+        plan, K, R = _decode_plan(self.topo), len(self._rows), len(self._rank)
+        r, H, P = self.topo.access_degree, plan.per_cache, plan.per_user
+        w = -(-sb // 64)  # machine words a piece
+        ranks = [self._user_rank[g] for g in users]
+        listed = None if ranks == list(range(K)) else ranks
+        # payload ^ key ^ the other senders' pieces leaves each slot's piece.
+        payloads = _widen(payload_row, len(self._members), sb, w)
+        row = _wide(array("Q", _gather(payloads, _listed(plan.sends, listed,
+                                                         P, w)))) ^ _wide(
+            _words(list(chain.from_iterable(self._keys(users, key_rows))), w))
+        # Cache c's combination by sender v sits at ((c - 1) K + v) H in
+        # held, and by its j-th user u's own demand at u r + j in own.
+        readers: dict[int, dict[int, int]] = {}
+        for u, g in zip(ranks, users):
+            for j, c in enumerate(g):
+                readers.setdefault(c, {})[u] = j
+        sent, own, span = _cut(sent_row, K, n), [0] * (K * r), H * w
+        held = array("Q", [0]) * (len(self._stored) * K * span)
+        for c, mine in readers.items():
+            combos = _combinations(
+                _images(subfile_rows[c - 1][0], H, n, sb, w),
+                sent + [demand_row >> (u * n) & ((1 << n) - 1) for u in mine])
+            held[(c - 1) * K * span:c * K * span] = _words(combos[:K], span)
+            for (u, j), combo in zip(mine.items(), combos[K:]):
+                own[u * r + j] = combo
+        for lane in plan.lanes:
+            row ^= _wide(array("Q", _gather(held, _listed(lane, listed, P, w))))
+        del held
+        # The output words: the own combinations, then each user's slots.
+        slots, width = _words([row], len(ranks) * P * w), P * w
+        if listed is not None:
+            listed_slots, slots = slots, array("Q", [0]) * (K * width)
+            for at, u in enumerate(listed):
+                slots[u * width:(u + 1) * width] = listed_slots[
+                    at * width:(at + 1) * width]
+        out, mask = _words(own, span) + slots, (1 << cfg.file_bits) - 1
+        return [_narrow(_gather(out, _listed(plan.pieces[u * R:(u + 1) * R],
+                                             None, R, w)), w, sb) & mask
+                for u in ranks]
 
     def _keys(self, users: Sequence[CacheSet],
               key_rows: Sequence[tuple[int, int]]) -> list[list[int]]:
         """Each listed user's keys on the payloads of its slots, lex in T,
         from its caches' key rows: reconstructed at once from the user's
         cuts of the share rows, read whole, or MDS decoded; zero for lfr."""
-        if self.kind.stores_keys_coded:
-            return self._coded_keys(users, key_rows)
-        cfg, places, bits = self.cfg, self._key_places, self._key_bits
-        keys = []
-        for g in users:
-            count = len(self._rows[g])
-            if self.kind.masks_demands:
+        cfg, bits, plan = self.cfg, self._key_bits, _decode_plan(self.topo)
+        P, r = plan.per_user, self.topo.access_degree
+        ranks = [self._user_rank[g] for g in users]
+        if self.kind.masks_demands:
+            keys, width = [], P * bits
+            piece = (1 << cfg.subfile_bits) - 1  # a share block pads a key
+            for g, u in zip(users, ranks):
                 # g's cut of a cache's row starts at its first slot's share.
-                first, width = (g, self._rows[g][0]), count * bits
                 shares = ShareSet(cfg.key_field, width, tuple(
-                    key_rows[c - 1][0] >> (places[c - 1][first] * bits)
-                    & ((1 << width) - 1) for c in g))
-                keys.append(_cut(reconstruct(shares, self._weights).value,
-                                 count, bits))
-            elif self.kind.stores_keys_whole:
-                row, at = key_rows[g[0] - 1][0], places[g[0] - 1]
-                keys.append([row >> (at[self._slots[(g, T)][1]] * bits)
-                             for T in self._rows[g]])
-            else:
-                keys.append([0] * count)
-        return keys
+                    key_rows[c - 1][0] >> (plan.cuts[u * r + j] * bits)
+                    & ((1 << width) - 1) for j, c in enumerate(g)))
+                keys.append([key & piece for key in _cut(
+                    reconstruct(shares, self._weights).value, P, bits)])
+            return keys
+        if not self.kind.stores_keys_whole and not self.kind.stores_keys_coded:
+            return [[0] * P for _ in users]
+        # Every read cache's entries, Q each, at (c - 1) Q; zero if unread.
+        Q = len(self._key_places[0])
+        read = {c for g in users for c in (g[:1] if self.kind.stores_keys_whole
+                                           else g)}
+        entries = list(chain.from_iterable(
+            _cut(key_rows[c - 1][0], Q, bits) if c in read else [0] * Q
+            for c in range(1, self.topo.num_caches + 1)))
+        if self.kind.stores_keys_whole:
+            keys = _gather(entries, _listed(plan.keys[0], ranks, P))
+            return [list(keys[at * P:(at + 1) * P])
+                    for at in range(len(users))]
+        return self._coded_keys(ranks, entries)
 
-    def _coded_keys(self, users: Sequence[CacheSet],
-                    key_rows: Sequence[tuple[int, int]]) -> list[list[int]]:
-        """is-lfr's keys, one decode_key per class of slots whose user's
-        caches sit at the same positions in S.  A class's blocks from each
+    def _coded_keys(self, ranks: Sequence[int],
+                    entries: Sequence[int]) -> list[list[int]]:
+        """is-lfr's keys of the users of the listed ranks, one decode_key
+        per position class of the plan: a class's blocks from each
         position sit side by side in one block, so its sub-key rows hold
         the class's sub-keys side by side, each padded to a block."""
-        cfg, places, bits = self.cfg, self._key_places, self._key_bits
-        code, block = cfg.key_code, (1 << bits) - 1
+        cfg, bits, plan = self.cfg, self._key_bits, _decode_plan(self.topo)
+        code, P = cfg.key_code, plan.per_user
         sub_bits = subkey_bit_length(cfg.subfile_bits, code)
         sub_mask, key_mask = (1 << sub_bits) - 1, (1 << cfg.subfile_bits) - 1
-        keys = [[0] * len(self._rows[g]) for g in users]
-        classes: dict[tuple[int, ...], list] = {}
-        for u, g in enumerate(users):
-            for i, T in enumerate(self._rows[g]):
-                S = self._slots[(g, T)][1]
-                classes.setdefault(tuple(share_index_of_cache(S, c) for c in g),
-                                   []).append((u, i, g, S))
-        for positions, slots in classes.items():
+        keys, wanted = [0] * (len(self._rows) * P), sorted(set(ranks))
+        every = wanted == list(range(len(self._rows)))
+        for positions, slots, begins in plan.classes:
+            if not every:
+                slots = array("I", chain.from_iterable(
+                    slots[begins[u]:begins[u + 1]] for u in wanted))
+            if not slots:
+                continue
             if positions not in self._inverses:
                 self._inverses[positions] = decoding_matrix(code, positions)
             width = len(slots) * bits
-            blocks = [BitBlock(_join([key_rows[g[j] - 1][0]
-                                      >> (places[g[j] - 1][S] * bits) & block
-                                      for _, _, g, S in slots], bits), width)
-                      for j in range(len(positions))]
+            blocks = [BitBlock(_join(_gather(entries, _gather(at, slots)),
+                                     bits), width) for at in plan.keys]
             wide = decode_key(list(zip(positions, blocks)), code,
                               code.dimension * width,
                               self._inverses[positions]).value
             # Sub-key row h holds each slot's sub-key h at stride bits.
-            subkeys = zip(*(_cut(wide >> (h * width), len(slots), bits)
-                            for h in range(code.dimension)))
-            for (u, i, _, _), parts in zip(slots, subkeys):
-                keys[u][i] = sum((p & sub_mask) << (h * sub_bits)
-                                 for h, p in enumerate(parts)) & key_mask
-        return keys
+            found = [0] * len(slots)
+            for h in range(code.dimension):
+                found = [k | (p & sub_mask) << (h * sub_bits) for k, p in zip(
+                    found, _cut(wide >> (h * width), len(slots), bits))]
+            for x, key in zip(slots, found):
+                keys[x] = key & key_mask
+        return [keys[u * P:(u + 1) * P] for u in ranks]
 
     def _cache_rows(self, caches: Sequence[CacheContent]) -> tuple:
         """The subfile rows and the key rows, entry c - 1 for cache c, that
@@ -856,7 +821,8 @@ class Scheme:
         rows = [((0, 0), (0, 0))] * self.topo.num_caches
         for content in caches:
             c = content.index
-            named = [(i, T) for _, T in self._stored[c - 1] for i in range(1, n + 1)]
+            named = (_subfile_labels(self.topo, n)[c - 1]
+                     if self._stored[c - 1] else ())
             rows[c - 1] = (_row(content.subfiles, named, sb),
                            _row(getattr(content, self._key_store),
                                 self._key_places[c - 1], self._key_bits))
@@ -910,10 +876,17 @@ def _check_reach(missing: int, T: CacheSet) -> None:
 
 def _row(store: Mapping, labels, bits: int) -> tuple[int, int]:
     """The store's blocks under the labels side by side, each cut to bits,
-    as (value, width); a label the store lacks reads zero."""
-    values = [store[label].value & ((1 << bits) - 1) if label in store else 0
-              for label in labels]
-    return _join(values, bits), len(values) * bits
+    as (value, width); a label the store lacks reads zero.  A store that
+    holds just the labels, in order, as placement fills one, is read in
+    its own order."""
+    mask = (1 << bits) - 1
+    if list(store) == list(labels):
+        values = [block.value & mask for block in store.values()]
+    else:
+        values = [store[label].value & mask if label in store else 0
+                  for label in labels]
+    return (_narrow(values, 1, bits) if bits <= 64 else _join(values, bits),
+            len(values) * bits)
 
 
 def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,

@@ -491,3 +491,18 @@ def test_security_verify_under_python_optimize_matches_golden_digest(
     assert proc.returncode == 0, proc.stderr
     digest = sha256((tmp_path / "report.json").read_bytes())
     assert digest == REPORTS["security"]
+
+
+def test_correctness_verify_under_python_optimize_matches_golden_digest(
+        tmp_path):
+    # Every kind's decode_rows, its decode plan and its gathers give the
+    # same report with assert statements stripped.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("MACLFR_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "maclfr.cli", "verify",
+         "--suite", "correctness", "--seed", "0", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digest = sha256((tmp_path / "report.json").read_bytes())
+    assert digest == REPORTS["correctness"]

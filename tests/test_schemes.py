@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -844,6 +845,154 @@ def test_a_ten_cache_round_decodes_is_lfr_keys_once_per_position_class(
                              seed=1))
     assert result.ok
     assert len(calls) == comb(6, 3)
+
+
+def slot_by_slot_decode_rows(scheme, users, payload_row, sent_row,
+                             demand_row, subfile_rows, key_rows):
+    """decode_rows as a plain per-slot loop: each read cache's file images
+    (the piece of rank k at bit k sb) and its combination of every sent
+    demand, then, slot by slot, each other sender's piece shifted out of
+    the combinations the user's caches hold."""
+    cfg = scheme.cfg
+    n, sb = cfg.num_files, cfg.subfile_bits
+    piece, ranks = (1 << sb) - 1, scheme._user_rank
+    if cfg.broadcast:
+        files = schemes._cut(payload_row, n, cfg.file_bits)
+        return [schemes._combination(files, demand_row >> (ranks[g] * n))
+                for g in users]
+    sent, caches = schemes._cut(sent_row, len(scheme._rows), n), {}
+    for c in {c for g in users for c in g}:
+        stored = scheme._stored[c - 1]
+        values = schemes._cut(subfile_rows[c - 1][0], len(stored) * n, sb)
+        files = [sum(v << (k * sb) for v, (k, _) in zip(values[i::n], stored))
+                 for i in range(n)]
+        caches[c] = files, [schemes._combination(files, d) for d in sent]
+    decoded = []
+    for g, keys in zip(users, scheme._keys(users, key_rows)):
+        u, value, held = ranks[g], 0, [0] * len(sent)
+        for c in g:
+            files, combos = caches[c]
+            value |= schemes._combination(files, demand_row >> (u * n))
+            held = [h | x for h, x in zip(held, combos)]
+        for T, key in zip(scheme._rows[g], keys):
+            k, S = scheme._slots[(g, T)]
+            s = scheme._sent_rank[S]
+            acc = payload_row >> (s * sb) ^ key
+            for v, j in scheme._senders[s]:
+                if v != u:
+                    acc ^= held[v] >> (j * sb)
+            value |= (acc & piece) << (k * sb)
+        decoded.append(value & ((1 << cfg.file_bits) - 1))
+    return decoded
+
+
+def server_rows(result):
+    """The round's rows as the server lays them out, and the scheme."""
+    scheme, n = Scheme(result.cfg), result.cfg.num_files
+    table, randomness = result.placement.table, result.placement.randomness
+    by_user = {d.user: d.coeffs for d in result.demands}
+    demand_row = _join([by_user[g] for g in result.cfg.topo.users()], n)
+    payload_row, sent_row = scheme.transmission_row(randomness, table,
+                                                    demand_row)
+    return scheme, (payload_row, sent_row, demand_row,
+                    scheme.subfile_rows(table),
+                    scheme.key_rows(randomness, table))
+
+
+def user_lists(users):
+    """Every user, none, one twice among others, reversed, and a subset."""
+    return [users, [], [users[-1], users[0], users[-1]], users[::-1],
+            users[1::2]]
+
+
+# sb = 1, 63, 64, 65, 130 and 136 bits (pieces of one, two and three
+# words, in whole bytes or not), F off the grid, r = 1, t = 0, one user
+# for all caches, and C = 11, whose plan needs 32-bit places.
+REFERENCE_SHAPES = [*((4, 2, 1, 3, 4 * sb) for sb in (1, 63, 64, 65, 130, 136)),
+                    (4, 2, 1, 2, 4 * 65 - 3), (3, 1, 1, 3, 9), (4, 1, 2, 2, 37),
+                    (3, 2, 0, 3, 5), (4, 3, 0, 2, 11), (3, 3, 0, 2, 7),
+                    (5, 2, 2, 3, 40), (11, 2, 4, 2, 331)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t,N,F", REFERENCE_SHAPES)
+def test_decode_rows_equals_the_slot_by_slot_reference(kind, C, r, t, N, F):
+    result = simulate(config(kind, C, r, t, N=N, F=F, seed=2))
+    assert result.ok
+    scheme, rows = server_rows(result)
+    users = result.cfg.topo.users()
+    expected = [result.expected[g].value for g in users]
+    for listed in user_lists(users):
+        decoded = scheme.decode_rows(listed, *rows)
+        assert decoded == slot_by_slot_decode_rows(scheme, listed, *rows)
+        assert decoded == [expected[users.index(g)] for g in listed]
+
+
+def test_decode_rows_equals_the_slot_by_slot_reference_in_broadcast_mode():
+    cfg = SchemeConfig(TopologySpec(3, 2, 1), 3, 7, SchemeKind.P_LFR,
+                       seed=1, broadcast=True)
+    result = simulate(cfg)
+    scheme, rows = server_rows(result)
+    for listed in user_lists(cfg.topo.users()):
+        assert scheme.decode_rows(listed, *rows) == slot_by_slot_decode_rows(
+            scheme, listed, *rows)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t,N,F", [(4, 2, 1, 3, 260), (5, 2, 2, 3, 40),
+                                       (4, 1, 2, 2, 37), (10, 3, 3, 20, 1920)])
+def test_decode_rows_reads_only_the_listed_users_caches(kind, C, r, t, N, F):
+    # Random bits in every row of every cache outside the listed users'
+    # caches leave each listed user's combination as it was.
+    result = simulate(config(kind, C, r, t, N=N, F=F, seed=4))
+    scheme, (*transmitted, subfile_rows, key_rows) = server_rows(result)
+    users, rng = result.cfg.topo.users(), random.Random(5)
+    for listed in ([users[0]], users[1:3], [users[-1], users[0]]):
+        read = {c for g in listed for c in g}
+        noisy = [[(row if c in read else rng.getrandbits(width), width)
+                  for c, (row, width) in enumerate(rows, 1)]
+                 for rows in (subfile_rows, key_rows)]
+        decoded = scheme.decode_rows(listed, *transmitted, *noisy)
+        assert decoded == scheme.decode_rows(listed, *transmitted,
+                                             subfile_rows, key_rows)
+        assert decoded == [result.expected[g].value for g in listed]
+        assert decoded == slot_by_slot_decode_rows(scheme, listed,
+                                                   *transmitted, *noisy)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t,N,F", [(4, 2, 1, 3, 20), (4, 3, 1, 2, 21),
+                                       (4, 2, 1, 2, 257)])
+def test_decode_rows_equals_the_reference_on_random_key_rows(kind, C, r, t,
+                                                             N, F):
+    # Key rows of random bits, padding bits of share blocks included:
+    # decode_rows and the reference read the same keys and cut each
+    # piece to sb bits.
+    result = simulate(config(kind, C, r, t, N=N, F=F, seed=6))
+    scheme, (*transmitted, subfile_rows, key_rows) = server_rows(result)
+    rng = random.Random(7)
+    noisy = [(rng.getrandbits(width), width) for _, width in key_rows]
+    for listed in user_lists(result.cfg.topo.users()):
+        assert scheme.decode_rows(listed, *transmitted, subfile_rows,
+                                  noisy) == slot_by_slot_decode_rows(
+            scheme, listed, *transmitted, subfile_rows, noisy)
+
+
+def test_the_ten_cache_decode_plan_takes_at_most_a_mebibyte():
+    # The plan lives as long as the process: engine-c10's peak memory
+    # carries it.  Its tables of other topologies are built first.
+    topo = TopologySpec(10, 3, 3)
+    schemes._indices(topo)
+    schemes._key_labels(topo, "sent")
+    tracemalloc.start()
+    try:
+        plan = schemes._decode_plan.__wrapped__(topo)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan.lanes) == comb(6, 3) - 1 and plan.sends.typecode == "H"
+    assert len(plan.sends) == 120 * 35 and len(plan.pieces) == 120 * 120
+    assert kept <= peak <= 1 << 20
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
