@@ -32,10 +32,10 @@ Two evaluation methods exist:
   randomness runs the transmission reads, key and mask (security), or
   the demands and all three randomness runs (privacy).  For a fixed
   library the view is then uniform on an affine coset, and both
-  questions reduce to XOR and rank.  The model is not taken on faith:
+  questions reduce to XOR and rank on echelon bases.  The model is kept by
+  input column, nonzero cross terms only, and not taken on faith:
   AFFINITY_PROBES (1 + |W|) real runs at random points must match it, and
-  the test suite cross-checks the two methods against each other on
-  instances small enough to enumerate.
+  the test suite cross-checks the two methods on small instances.
 
 Both methods see the engine through one function, _views, so they check
 the very same views, and enumeration is one walk over it, _walk.
@@ -301,8 +301,9 @@ class BilinearModel:
     """A view as a GF(2) function of library bits w and input bits z:
 
         V(w, z) = base ^ XOR_i w_i lib[i] ^ XOR_j z_j inp[j]
-                       ^ XOR_ij w_i z_j cross[i][j]
+                       ^ XOR_ij w_i z_j cross[j][i]
 
+    Column cross[j] maps library bit i to its coefficient, if nonzero.
     Every view of every kind has this shape: the only products pair a
     library bit with a demand or randomness bit (mask-induced keys and
     demanded combinations), while Shamir shares and MDS blocks are linear
@@ -312,19 +313,19 @@ class BilinearModel:
     base: int
     lib: tuple[int, ...]
     inp: tuple[int, ...]
-    cross: tuple[tuple[int, ...], ...]
+    cross: tuple[Mapping[int, int], ...]
 
     def at(self, w: int, z: int) -> int:
         acc = self.base
-        for i, (a, row) in enumerate(zip(self.lib, self.cross)):
+        for i, a in enumerate(self.lib):
             if (w >> i) & 1:
                 acc ^= a
-                for j, x in enumerate(row):
-                    if (z >> j) & 1:
-                        acc ^= x
-        for j, c in enumerate(self.inp):
+        for j, (c, col) in enumerate(zip(self.inp, self.cross)):
             if (z >> j) & 1:
                 acc ^= c
+                for i, x in col.items():
+                    if (w >> i) & 1:
+                        acc ^= x
         return acc
 
 
@@ -364,7 +365,8 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
     # tuples it leaves in the free lists make the process's memory creep.
     models = [BilinearModel(
                   base[k], tuple([a[k] for a in lib]), tuple([c[k] for c in inp]),
-                  tuple([tuple([x[k] for x in row]) for row in cross]))
+                  tuple([{i: row[j][k] for i, row in enumerate(cross)
+                          if row[j][k]} for j in range(zbits)]))
               for k in range(len(labels))]
     rng = derive_rng(seed, "affinity-probes")
     for _ in range(probes):
@@ -377,8 +379,9 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
     return models, runs
 
 
-def _rref_basis(cols: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon basis of the GF(2) span of the given masks."""
+def _echelon_basis(cols: Iterable[int]) -> tuple[int, ...]:
+    """An echelon basis of the GF(2) span of the masks: distinct leading
+    bits, descending.  Every echelon basis of a span has the same ones."""
     basis: list[int] = []
     for col in cols:
         for b in basis:
@@ -386,16 +389,11 @@ def _rref_basis(cols: Iterable[int]) -> tuple[int, ...]:
         if col:
             basis.append(col)
             basis.sort(reverse=True)
-    # Back-substitute so each pivot appears in exactly one basis vector.
-    for i, b in enumerate(basis):
-        pivot = 1 << (b.bit_length() - 1)
-        for j in range(len(basis)):
-            if j != i and basis[j] & pivot:
-                basis[j] ^= b
-    return tuple(sorted(basis, reverse=True))
+    return tuple(basis)
 
 
 def _reduce_point(point: int, basis: tuple[int, ...]) -> int:
+    """The one element of point + span(basis) zero at every leading bit."""
     for b in basis:
         point = min(point, point ^ b)
     return point
@@ -403,21 +401,21 @@ def _reduce_point(point: int, basis: tuple[int, ...]) -> int:
 
 def _settle(model: BilinearModel, cols: Iterable[int]
             ) -> tuple[tuple[int, ...], list[int]]:
-    """The fixed point S over the input columns `cols`, as an RREF basis,
-    and the columns left pending.  Column j settles once every cross[i][j]
-    lies in S, and then inp[j] joins S.  Column j of the section at library
-    value w is B_j(w) = inp[j] ^ XOR_i w_i cross[i][j], so a settled column
+    """The fixed point S over the input columns `cols`, as an echelon
+    basis, and the columns left pending.  Column j settles once its every
+    cross entry lies in S, and then inp[j] joins S.  Column j of the section
+    at w is B_j(w) = inp[j] ^ XOR_i w_i cross[j][i], so a settled column
     has B_j(w) in inp[j] + S: by induction S lies in span{B_j(w) : j in
     cols} for every w."""
     pending = list(cols)
     basis: tuple[int, ...] = ()
     while True:
         settled = [j for j in pending
-                   if not any(_reduce_point(row[j], basis)
-                              for row in model.cross)]
+                   if not any(_reduce_point(x, basis)
+                              for x in model.cross[j].values())]
         if not settled:
             return basis, pending
-        basis = _rref_basis(basis + tuple([model.inp[j] for j in settled]))
+        basis = _echelon_basis(basis + tuple([model.inp[j] for j in settled]))
         pending = [j for j in pending if j not in settled]
 
 
@@ -509,26 +507,25 @@ def _security_certified(model: BilinearModel) -> bool:
 
 def _readable_mi(model: BilinearModel, cap: int) -> Fraction | None:
     """Exact I(W; V) when the view reads the randomness, else None: only
-    the live columns, nonzero in inp or in a cross row, move the view, and
-    when their inp columns are independent modulo the span of lib and the
-    live cross entries, the view determines those bits z.  Then I(W; V) =
-    I(W; Z) + I(W; V | Z) = E_z rank M(z), where M(z) has the columns
-    lib[i] ^ XOR_j z_j cross[i][j].  One rank per value of z."""
-    live = [j for j, c in enumerate(model.inp)
-            if c or any(row[j] for row in model.cross)]
-    rest = [*model.lib, *[row[j] for row in model.cross for j in live]]
-    if (len(_rref_basis(rest + [model.inp[j] for j in live]))
-            < len(_rref_basis(rest)) + len(live)):
+    the live columns, nonzero in inp or with a cross entry, move the view,
+    and when their inp columns are independent modulo the span of lib and
+    the live cross entries, the view determines those bits z.  Then I(W; V)
+    = I(W; Z) + I(W; V | Z) = E_z rank M(z), where M(z) has the columns
+    lib[i] ^ XOR_j z_j cross[j][i].  One rank per z, in Gray-code order."""
+    live = [j for j, c in enumerate(model.inp) if c or model.cross[j]]
+    rest = [*model.lib, *[x for j in live for x in model.cross[j].values()]]
+    if (len(_echelon_basis(rest + [model.inp[j] for j in live]))
+            < len(_echelon_basis(rest)) + len(live)):
         return None
     values = 1 << len(live)
     if values > cap:
         raise ResourceLimitError(
             f"the rank sum over {values} randomness values exceeds the cap {cap}")
-    cols, total = list(model.lib), len(_rref_basis(model.lib))
+    cols, total = list(model.lib), len(_echelon_basis(model.lib))
     for k in range(1, values):
-        j = live[(k & -k).bit_length() - 1]
-        cols = [c ^ row[j] for c, row in zip(cols, model.cross)]
-        total += len(_rref_basis(cols))
+        for i, x in model.cross[live[(k & -k).bit_length() - 1]].items():
+            cols[i] ^= x
+        total += len(_echelon_basis(cols))
     return Fraction(total, values)
 
 
@@ -644,7 +641,7 @@ def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel]
     or disjoint, so the TV is 0 when every other-user demand column lies
     in that span at every w, and 1 as soon as one falls outside it.  The
     lift certificate proves 0: with S the randomness columns' fixed point,
-    lift column j to (inp[j], cross[0][j], ...) modulo S, each part at the
+    lift column j to (inp[j], cross[j][0], ...) modulo S, each part at the
     view width; a demand lift in the span of the randomness lifts puts
     B_j(w) in span{B_R(w)} + S at every w.  A demand column outside the
     span at w = 0 or some e_i proves 1.  None when neither applies.
@@ -655,18 +652,18 @@ def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel]
     for i, (g, model) in enumerate(zip(users, models)):
         others = [j for j in range(dbits) if j // n != i]
         settled, _ = _settle(model, range(dbits, len(model.inp)))
-        parts = [model.inp, *model.cross]
-        width = max(map(int.bit_length, chain((model.base,), model.lib, *parts)))
-        lifts = [sum(_reduce_point(p[j], settled) << (k * width)
-                     for k, p in enumerate(parts) if p[j])
-                 for j in range(len(model.inp))]
-        span = _rref_basis(lifts[dbits:])
-        sections = chain((model.inp,), ([c ^ x for c, x in zip(model.inp, row)]
-                                        for row in model.cross))
+        width = max(map(int.bit_length, chain((model.base,), model.lib, model.inp,
+                                              *[c.values() for c in model.cross])))
+        lifts = [_reduce_point(c, settled) | sum(_reduce_point(x, settled) << k * width
+                                                 for k, x in col.items()) << width
+                 for c, col in zip(model.inp, model.cross)]
+        span = _echelon_basis(lifts[dbits:])
+        sections = chain((model.inp,), ([c ^ col.get(k, 0) for c, col in zip(
+            model.inp, model.cross)] for k in range(len(model.lib))))
         if not any(_reduce_point(lifts[j], span) for j in others):
             per_observer[g] = Fraction(0)
         elif any(any(_reduce_point(cols[j], basis) for j in others)
-                 for cols in sections for basis in [_rref_basis(cols[dbits:])]):
+                 for cols in sections for basis in [_echelon_basis(cols[dbits:])]):
             per_observer[g] = Fraction(1)
         else:
             return None
@@ -847,8 +844,6 @@ def tiny_sweep_topologies() -> tuple[tuple[int, int, int], ...]:
     triples = []
     for C in (3, 4):
         for r in (2, 3):
-            if r > C:
-                continue
             for t in range(0, C - r + 1):
                 triples.append((C, r, t))
     return tuple(triples)

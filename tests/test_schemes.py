@@ -345,6 +345,19 @@ def test_broadcast_mode_ships_the_library():
         SchemeConfig(topo, 3, 7, SchemeKind.S_LFR, broadcast=True)
 
 
+def test_broadcast_decode_needs_the_library_on_the_link():
+    cfg = SchemeConfig(TopologySpec(3, 2, 1), 3, 6, SchemeKind.P_LFR,
+                       broadcast=True)
+    result = simulate(cfg)
+    user = cfg.topo.users()[0]
+    caches = [result.placement.caches[c - 1] for c in user]
+    demand = next(d for d in result.demands if d.user == user)
+    with pytest.raises(IntegrityError, match="^broadcast transcript lacks "
+                       "the library$"):
+        Scheme(cfg).decode(user, caches, replace(
+            result.transcript, broadcast_files=None), demand)
+
+
 # ---- error paths ----
 
 def test_decode_requires_exactly_the_member_caches():

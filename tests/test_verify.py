@@ -22,6 +22,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maclfr
 from maclfr import verify
@@ -34,8 +36,9 @@ from maclfr.mds import coded_block_bit_length
 from maclfr.schemes import (DeliveryTranscript, RandomnessLayout, Scheme,
                             SchemeKind, derive_rng, randomness_order)
 from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
-                           _choose_method, _model_runs, _privacy_affine,
-                           _readable_mi, _security_certified, _views,
+                           _choose_method, _echelon_basis, _model_runs,
+                           _privacy_affine, _readable_mi, _reduce_point,
+                           _security_certified, _views,
                            check_correctness, check_privacy_exact,
                            check_security_exact, check_share_placement_secrecy,
                            demands_from_int, library_from_int,
@@ -330,15 +333,65 @@ def test_certificates_answer_without_the_walk(monkeypatch):
                 "affine", runs if cfg.topo.num_users > 1 else 0), (kind, C, r, t)
 
 
+@st.composite
+def dense_models(draw):
+    """A random dense model (base, lib, inp, block[i][j]) with at least one
+    empty column and one column that holds every i, and a point (w, z)."""
+    wbits, zbits = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    view = st.integers(0, (1 << 12) - 1)
+    nonzero = st.integers(1, (1 << 12) - 1)
+    block = [[draw(view) for _ in range(zbits)] for _ in range(wbits)]
+    empty, full = draw(st.permutations(range(zbits)))[:2]
+    for row in block:
+        row[empty], row[full] = 0, draw(nonzero)
+    model = (draw(view), [draw(view) for _ in range(wbits)],
+             [draw(view) for _ in range(zbits)], block)
+    return model, draw(st.integers(0, (1 << wbits) - 1)), draw(
+        st.integers(0, (1 << zbits) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_models())
+def test_the_column_model_evaluates_the_dense_formula(drawn):
+    (base, lib, inp, block), w, z = drawn
+    cross = tuple({i: row[j] for i, row in enumerate(block) if row[j]}
+                  for j in range(len(inp)))
+    expected = base
+    for i, a in enumerate(lib):
+        expected ^= a * (w >> i & 1)
+    for j, c in enumerate(inp):
+        expected ^= c * (z >> j & 1)
+    for i, row in enumerate(block):
+        for j, x in enumerate(row):
+            expected ^= x * (w >> i & z >> j & 1)
+    assert BilinearModel(base, tuple(lib), tuple(inp), cross).at(w, z) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
+def test_an_echelon_basis_reduces_points_modulo_its_span(cols, x):
+    span = {0}
+    for col in cols:
+        span |= {v ^ col for v in span}
+    basis = _echelon_basis(cols)
+    leading = [1 << (b.bit_length() - 1) for b in basis]
+    assert leading == sorted(set(leading), reverse=True)
+    assert 2 ** len(basis) == len(span)
+    residue = _reduce_point(x, basis)
+    assert (residue == 0) == (x in span)
+    assert x ^ residue in span
+    assert not any(residue & bit for bit in leading)
+
+
 def test_a_randomness_bit_the_library_switches_off_does_not_settle():
     # V = w ^ z ^ w z = w OR z: the key bit z hides w only while w = 0, so
     # the view leaks; z's column has a cross term and must not settle.
-    gated_key = BilinearModel(base=0, lib=(1,), inp=(1,), cross=((1,),))
+    gated_key = BilinearModel(base=0, lib=(1,), inp=(1,), cross=({0: 1},))
     assert not _security_certified(gated_key)
     # Nor can the view read z, which w = 1 masks: no rank sum applies.
     assert _readable_mi(gated_key, cap=1 << 10) is None
     # Without the cross term it is certified.
-    assert _security_certified(replace(gated_key, cross=((0,),)))
+    assert _security_certified(replace(gated_key, cross=({},)))
 
 
 def test_zeroed_payload_key_is_not_certified(monkeypatch):
@@ -555,7 +608,8 @@ def test_privacy_enumerates_what_no_rank_argument_settles(monkeypatch):
     dbits = n * cfg.topo.num_users
     demand = [0b11 if (others >> j) & 1 else 0 for j in range(dbits)]
     model = BilinearModel(base=0, lib=(0,), inp=(0,) * dbits + (0b01, 0b10),
-                          cross=(tuple(demand) + (0b10, 0b01),))
+                          cross=tuple({0: x} if x else {}
+                                      for x in [*demand, 0b10, 0b01]))
     assert _privacy_affine(cfg, [model]) is None  # the first user's model
     # check_privacy_exact then answers by enumeration, within the cap.
     monkeypatch.setattr(verify, "_privacy_affine", lambda *args: None)
@@ -1060,6 +1114,19 @@ def test_a_key_share_of_the_wrong_length_is_a_problem(monkeypatch):
     assert not report.ok
     assert report.problems == ("a share of D[(1, 2),(3,)] has 3 bits, expected 2",
                                "a share of D[(1, 3),(2,)] has 3 bits, expected 2")
+
+
+def test_a_share_that_does_not_reconstruct_its_key_is_a_problem(monkeypatch):
+    # Cache 1's first share keeps its length but has bit 0 flipped: the
+    # shares of D[12,3] no longer reconstruct it.
+    def flipped(caches):
+        (label, block), *rest = caches[0].key_shares.items()
+        caches[0] = replace(caches[0], key_shares={
+            label: BitBlock(block.value ^ 1, block.length), **dict(rest)})
+        return caches
+
+    report = doctored_audit(monkeypatch, SchemeKind.SP_LFR, 3, flipped)
+    assert report.problems == ("shares of D[(1, 2),(3,)] do not reconstruct it",)
 
 
 def test_sweep_topologies_are_valid():
