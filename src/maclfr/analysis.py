@@ -56,8 +56,12 @@ class TradeoffCurve:
     envelope: tuple[MemoryRatePoint, ...]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _piece(file_bits: int | None, pieces: int) -> Fraction:
+    """One of `pieces` equal cuts of a file, as a fraction of the file:
+    1/pieces in the ideal mode, ceil(F / pieces) / F at file size F."""
+    if file_bits is None:
+        return Fraction(1, pieces)
+    return Fraction(-(-file_bits // pieces), file_bits)
 
 
 def _key_memory(kind: SchemeKind, topo: TopologySpec, file_bits: int | None
@@ -67,21 +71,13 @@ def _key_memory(kind: SchemeKind, topo: TopologySpec, file_bits: int | None
     if kind is SchemeKind.LFR:
         return Fraction(0)
     if kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR):
-        shares = comb(C - r, t) * comb(C - 1, r - 1)
         l = exponent_for_share_count(r)
-        if file_bits is None:
-            return Fraction(shares, b)
-        return Fraction(shares * _ceil_div(file_bits, l * b) * l, file_bits)
-    if kind is SchemeKind.S_LFR:
-        keys = comb(C - 1, t + r - 1)
-        if file_bits is None:
-            return Fraction(keys, b)
-        return Fraction(keys * _ceil_div(file_bits, b), file_bits)
-    assert kind is SchemeKind.IS_LFR
+        shares = comb(C - r, t) * comb(C - 1, r - 1)
+        return shares * l * _piece(file_bits, l * b)
     keys = comb(C - 1, t + r - 1)
-    if file_bits is None:
-        return Fraction(keys, r * b)
-    return Fraction(keys * _ceil_div(file_bits, r * b), file_bits)
+    if kind is SchemeKind.S_LFR:
+        return keys * _piece(file_bits, b)
+    return keys * _piece(file_bits, r * b)  # is-lfr: a coded 1/r of each key
 
 
 def point(kind: SchemeKind, num_caches: int, access_degree: int,
@@ -91,17 +87,14 @@ def point(kind: SchemeKind, num_caches: int, access_degree: int,
     topo = TopologySpec(num_caches, access_degree, replication)
     if num_files < 1:
         raise DomainError(f"need at least one file, got {num_files}")
+    if file_bits is not None and file_bits < 1:
+        raise DomainError("file_bits must be positive")
     C, t = num_caches, replication
     b = comb(C, t)
-    if file_bits is None:
-        data = Fraction(t * num_files, C)
-    else:
-        if file_bits < 1:
-            raise DomainError("file_bits must be positive")
-        # A cache belongs to binom(C-1, t-1) subfile indices and stores
-        # ceil(F / b) bits of every file for each of them.
-        data = Fraction(num_files * comb(C - 1, t - 1) * _ceil_div(file_bits, b),
-                        file_bits) if t else Fraction(0)
+    # A cache belongs to binom(C-1, t-1) of the b subfile indices and stores
+    # one piece of every file for each of them.
+    data = (num_files * comb(C - 1, t - 1) * _piece(file_bits, b) if t
+            else Fraction(0))
     rate = Fraction(comb(C, t + access_degree), b)
     return MemoryRatePoint(data + _key_memory(kind, topo, file_bits), rate,
                            t, str(t))

@@ -414,6 +414,11 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+# The module docstring's exit codes by error class; the first match wins.
+_EXIT_CODES = (((UsageError, DomainError), 4), (ResourceLimitError, 3),
+               ((OSError, IntegrityError), 2), (MaclfrError, 1))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -421,18 +426,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         handler = {"curve": cmd_curve, "simulate": cmd_simulate,
                    "verify": cmd_verify}[args.command]
         return handler(args)
-    except (UsageError, DomainError) as exc:
+    except (MaclfrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MaclfrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

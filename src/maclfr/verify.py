@@ -33,7 +33,9 @@ Two evaluation methods exist:
   the demands and all three randomness runs (privacy).  For a fixed
   library the view is then uniform on an affine coset, and both
   questions reduce to XOR and rank on echelon bases.  The model is kept by
-  input column, nonzero cross terms only, and not taken on faith:
+  input column, nonzero cross terms only: each e_i + e_j run, its known
+  terms XORed out, goes straight into its column, and no run list is
+  held.  Nor is the model taken on faith:
   AFFINITY_PROBES (1 + |W|) real runs at random points must match it, and
   the test suite cross-checks the two methods on small instances.
 
@@ -340,7 +342,9 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
     """One bilinear model per view, and the engine runs spent on them.
 
     `run(w, z)` runs the engine and returns one int per label.  Runs at
-    0, e_i, e_j and e_i + e_j recover every coefficient; real runs at
+    0, e_i, e_j and e_i + e_j recover every coefficient: each (e_i, e_j)
+    run, with base ^ lib[i] ^ inp[j] XORed out, is written straight into
+    column j if nonzero, and no run is kept.  Real runs at
     AFFINITY_PROBES (1 + |W|) random points then check the models, and
     any mismatch raises, since the method's conclusions would not hold.
     """
@@ -350,24 +354,22 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
         raise ResourceLimitError(
             f"affine recovery needs {runs} engine runs, over the cap {cap}")
 
-    def delta(point: tuple[int, ...], *known: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(point)
-        for vec in known:
-            out = [a ^ b for a, b in zip(out, vec)]
-        return tuple(out)
-
     base = run(0, 0)
-    lib = [delta(run(1 << i, 0), base) for i in range(wbits)]
-    inp = [delta(run(0, 1 << j), base) for j in range(zbits)]
-    cross = [[delta(run(1 << i, 1 << j), base, lib[i], inp[j])
-              for j in range(zbits)] for i in range(wbits)]
+    lib = [[a ^ b for a, b in zip(run(1 << i, 0), base)] for i in range(wbits)]
+    inp = [[c ^ b for c, b in zip(run(0, 1 << j), base)] for j in range(zbits)]
+    cross = [[{} for _ in range(zbits)] for _ in labels]  # cross[k][j][i]
+    for i, a in enumerate(lib):
+        known = [x ^ b for x, b in zip(a, base)]
+        for j, c in enumerate(inp):
+            for cols, v, x, y in zip(cross, run(1 << i, 1 << j), known, c):
+                if v != x ^ y:
+                    cols[j][i] = v ^ x ^ y
     # Built from lists: a tuple grown from a generator is resized, and the
     # tuples it leaves in the free lists make the process's memory creep.
     models = [BilinearModel(
                   base[k], tuple([a[k] for a in lib]), tuple([c[k] for c in inp]),
-                  tuple([{i: row[j][k] for i, row in enumerate(cross)
-                          if row[j][k]} for j in range(zbits)]))
-              for k in range(len(labels))]
+                  tuple(cols))
+              for k, cols in enumerate(cross)]
     rng = derive_rng(seed, "affinity-probes")
     for _ in range(probes):
         w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)

@@ -9,6 +9,8 @@ import pytest
 
 from maclfr import cli
 from maclfr.cli import main
+from maclfr.errors import (DomainError, IntegrityError, MaclfrError,
+                           ResourceLimitError, UsageError)
 from maclfr.schemes import SchemeConfig, SchemeKind
 from maclfr.topology import TopologySpec
 from maclfr.verify import check_correctness
@@ -155,6 +157,20 @@ def test_verify_report_is_deterministic(tmp_path):
         assert run("verify", "--suite", "shares", "--C", "4", "--r", "2",
                    "--t", "1", "--scheme", "sp-lfr", "--out", str(out)) == 0
     assert (a / "report.json").read_text() == (b / "report.json").read_text()
+
+
+@pytest.mark.parametrize("error, code", [
+    (UsageError, 4), (DomainError, 4), (ResourceLimitError, 3),
+    (OSError, 2), (FileNotFoundError, 2), (IntegrityError, 2),
+    (MaclfrError, 1)])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error,
+                                              code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_curve", fail)
+    assert run("curve") == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_exit_codes():

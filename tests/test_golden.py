@@ -14,6 +14,7 @@ under ``python -O``.  A change that alters any of them changes what a
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -476,6 +477,16 @@ def test_simulate_under_python_optimize_matches_golden_digest(preset, kind,
     assert proc.returncode == 0, proc.stderr
     digest = sha256((tmp_path / "transcript.bin").read_bytes())
     assert digest == TRANSCRIPT_BIN[f"{preset}/{kind}/0"]
+
+
+def test_no_source_check_is_an_assert_statement():
+    # -O strips assert statements, so every check in the package raises
+    # explicitly; this holds the sources to it, not only the runs above.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "maclfr").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_security_verify_under_python_optimize_matches_golden_digest(

@@ -35,8 +35,9 @@ from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
 from maclfr.mds import coded_block_bit_length
 from maclfr.schemes import (DeliveryTranscript, RandomnessLayout, Scheme,
                             SchemeKind, derive_rng, randomness_order)
-from maclfr.verify import (AFFINITY_PROBES, BilinearModel, ViewExtractor,
-                           _choose_method, _echelon_basis, _model_runs,
+from maclfr.verify import (AFFINITY_PROBES, DEFAULT_STATE_CAP, BilinearModel,
+                           ViewExtractor, _choose_method, _echelon_basis,
+                           _model_runs,
                            _privacy_affine, _readable_mi, _reduce_point,
                            _security_certified, _views,
                            check_correctness, check_privacy_exact,
@@ -365,6 +366,66 @@ def test_the_column_model_evaluates_the_dense_formula(drawn):
         for j, x in enumerate(row):
             expected ^= x * (w >> i & z >> j & 1)
     assert BilinearModel(base, tuple(lib), tuple(inp), cross).at(w, z) == expected
+
+
+def dense_recover_models(run, labels, wbits, zbits, seed, cap):
+    """The reference recovery: every (e_i, e_j) run's delta kept in a dense
+    |W| x |Z| list of per-view tuples, then cut into columns."""
+    def delta(point, *known):
+        out = list(point)
+        for vec in known:
+            out = [a ^ b for a, b in zip(out, vec)]
+        return tuple(out)
+
+    base = run(0, 0)
+    lib = [delta(run(1 << i, 0), base) for i in range(wbits)]
+    inp = [delta(run(0, 1 << j), base) for j in range(zbits)]
+    cross = [[delta(run(1 << i, 1 << j), base, lib[i], inp[j])
+              for j in range(zbits)] for i in range(wbits)]
+    models = [BilinearModel(
+                  base[k], tuple(a[k] for a in lib), tuple(c[k] for c in inp),
+                  tuple({i: row[j][k] for i, row in enumerate(cross)
+                         if row[j][k]} for j in range(zbits)))
+              for k in range(len(labels))]
+    rng = derive_rng(seed, "affinity-probes")
+    for _ in range(AFFINITY_PROBES * (1 + wbits)):
+        w, z = rng.getrandbits(wbits), rng.getrandbits(zbits)
+        assert run(w, z) == tuple(model.at(w, z) for model in models)
+    return models, _model_runs(wbits, zbits)
+
+
+def _recovery_views():
+    """Security and privacy views of every kind over the tiny sweep and of
+    broadcast p-lfr, then sp-lfr privacy at (5,2,1)."""
+    cfgs = [tiny_config(kind, C, r, t) for C, r, t in tiny_sweep_topologies()
+            for kind in SchemeKind]
+    for cfg in cfgs + [replace(tiny_config(SchemeKind.P_LFR, 3, 2, 1),
+                               broadcast=True)]:
+        yield _views(cfg, cycling_one_hot_demands(cfg.topo, cfg.num_files))
+        yield _views(cfg)
+    yield _views(tiny_config(SchemeKind.SP_LFR, 5, 2, 1))
+
+
+def test_streamed_recovery_equals_the_dense_reference():
+    # Bit for bit: base, lib, inp, every cross column, the runs reported and
+    # the engine runs actually made.
+    instances = 0
+    for run, wbits, zbits in _recovery_views():
+        made = []
+
+        def counted(w, z):
+            made.append((w, z))
+            return run(w, z)
+
+        labels = [f"view {k}" for k in range(len(run(0, 0)))]
+        streamed = verify._recover_models(counted, labels, wbits, zbits, 0,
+                                          DEFAULT_STATE_CAP)
+        streamed_calls, made[:] = list(made), []
+        assert streamed == dense_recover_models(counted, labels, wbits, zbits,
+                                                0, DEFAULT_STATE_CAP)
+        assert streamed_calls == made
+        instances += 1
+    assert instances == 2 * 8 * len(SchemeKind) + 3
 
 
 @settings(max_examples=200, deadline=None)
