@@ -250,50 +250,61 @@ def cmd_simulate(args) -> int:
 
 # ---- verify ----
 
-def _record(check: str, cfg: SchemeConfig, passed: bool, **fields) -> dict:
+def _record(check: str, cfg: SchemeConfig, passed: bool, detail: str,
+            **fields) -> tuple[dict, str]:
     """One report.json record: the check, the scheme and its (C, r, t),
     with N and F for every check but share placement, the check's own
-    fields, and its verdict."""
+    fields, and its verdict; and the line verify prints for it, which ends
+    in the given detail."""
     topo = cfg.topo
     doc = {"check": check, "scheme": cfg.kind.value, "C": topo.num_caches,
            "r": topo.access_degree, "t": topo.replication}
+    line = (f"{'pass' if passed else 'FAIL'}: {check} {cfg.kind.value} "
+            f"C={topo.num_caches} r={topo.access_degree} "
+            f"t={topo.replication} {detail}")
     if check != "share-placement":
         doc.update(N=cfg.num_files, F=cfg.file_bits)
-    return {**doc, **fields, "pass": passed}
+    return {**doc, **fields, "pass": passed}, line
 
 
-def _zero_claim_doc(check: str, res, expected_zero: bool, **fields) -> dict:
+def _zero_claim_doc(check: str, res, expected_zero: bool, detail: str,
+                    **fields) -> tuple[dict, str]:
     """A security or privacy record: it passes when the oracle certifies
     exactly zero leakage where the kind claims it, and leakage elsewhere;
     the kinds without the claim serve as negative controls."""
     return _record(check, res.cfg, res.certified_zero == expected_zero,
-                   method=res.method, states=res.states,
+                   detail, method=res.method, states=res.states,
                    expected_zero=expected_zero, **fields)
 
 
-def _security_doc(res: SecurityCheckResult) -> dict:
-    return _zero_claim_doc("security", res, res.cfg.kind.has_payload_keys,
-                           certified_zero=res.certified_zero,
-                           mi_bits=res.mi_bits)
-
-
-def _privacy_doc(res: PrivacyCheckResult) -> dict:
+def _security_doc(res: SecurityCheckResult) -> tuple[dict, str]:
     return _zero_claim_doc(
-        "privacy", res, res.cfg.kind.masks_demands,
-        max_tv=format_fraction(res.max_tv),
+        "security", res, res.cfg.kind.has_payload_keys,
+        "MI=0 exactly" if res.certified_zero else f"MI={res.mi_bits:.6f} bits",
+        certified_zero=res.certified_zero, mi_bits=res.mi_bits)
+
+
+def _privacy_doc(res: PrivacyCheckResult) -> tuple[dict, str]:
+    max_tv = format_fraction(res.max_tv)
+    return _zero_claim_doc(
+        "privacy", res, res.cfg.kind.masks_demands, f"max TV={max_tv}",
+        max_tv=max_tv,
         per_observer={"".join(map(str, g)): format_fraction(tv)
                       for g, tv in res.per_observer.items()})
 
 
-def _correctness_doc(rep: CorrectnessReport) -> dict:
-    return _record("correctness", rep.cfg, rep.ok, seeds=list(rep.seeds),
-                   batteries=rep.batteries, decodes=rep.decodes,
-                   failures=len(rep.failures))
+def _correctness_doc(rep: CorrectnessReport) -> tuple[dict, str]:
+    failures = len(rep.failures)
+    return _record("correctness", rep.cfg, rep.ok,
+                   f"{rep.decodes - failures}/{rep.decodes} decodes",
+                   seeds=list(rep.seeds), batteries=rep.batteries,
+                   decodes=rep.decodes, failures=failures)
 
 
-def _shares_doc(rep: SharePlacementReport) -> dict:
+def _shares_doc(rep: SharePlacementReport) -> tuple[dict, str]:
     return _record("share-placement", rep.cfg, rep.ok,
-                   keys_checked=rep.keys_checked, problems=list(rep.problems))
+                   f"{rep.keys_checked} keys", keys_checked=rep.keys_checked,
+                   problems=list(rep.problems))
 
 
 def _explicit_config(args, kind: SchemeKind, num_files: int) -> SchemeConfig:
@@ -312,7 +323,7 @@ def _explicit_instance(args, need_files: bool) -> SchemeConfig | None:
     return _explicit_config(args, kind, args.N if args.N is not None else 2)
 
 
-def _verify_correctness(args) -> list[dict]:
+def _verify_correctness(args) -> list[tuple[dict, str]]:
     if args.scheme is not None or args.C is not None:
         _require(args, "C", "r", "t", "N")
         kinds = ([SchemeKind(args.scheme)] if args.scheme
@@ -334,7 +345,7 @@ def _verify_correctness(args) -> list[dict]:
     return docs
 
 
-def _verify_security(args) -> list[dict]:
+def _verify_security(args) -> list[tuple[dict, str]]:
     cfg = _explicit_instance(args, need_files=True)
     if cfg is not None:
         results = [check_security_exact(cfg, method=args.method,
@@ -345,7 +356,7 @@ def _verify_security(args) -> list[dict]:
     return [_security_doc(r) for r in results]
 
 
-def _verify_privacy(args) -> list[dict]:
+def _verify_privacy(args) -> list[tuple[dict, str]]:
     cfg = _explicit_instance(args, need_files=True)
     if cfg is not None:
         results = [check_privacy_exact(cfg, method=args.method, cap=args.cap)]
@@ -354,7 +365,7 @@ def _verify_privacy(args) -> list[dict]:
     return [_privacy_doc(r) for r in results]
 
 
-def _verify_shares(args) -> list[dict]:
+def _verify_shares(args) -> list[tuple[dict, str]]:
     cfg = _explicit_instance(args, need_files=False)
     if cfg is not None:
         configs = [cfg]
@@ -377,11 +388,10 @@ def cmd_verify(args) -> int:
         "shares": _verify_shares,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    checks: list[dict] = []
     t0 = time.perf_counter()
-    for name in names:
-        checks.extend(suites[name](args))
+    records = [record for name in names for record in suites[name](args)]
     dt = time.perf_counter() - t0
+    checks = [doc for doc, _ in records]
     all_pass = all(c["pass"] for c in checks)
     report = {
         "format": "maclfr-report",
@@ -394,22 +404,8 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     path = out / "report.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for c in checks:
-        label = c["check"]
-        scheme = c.get("scheme", "-")
-        verdict = "pass" if c["pass"] else "FAIL"
-        detail = ""
-        if label == "security":
-            detail = ("MI=0 exactly" if c["certified_zero"]
-                      else f"MI={c['mi_bits']:.6f} bits")
-        elif label == "privacy":
-            detail = f"max TV={c['max_tv']}"
-        elif label == "correctness":
-            detail = f"{c['decodes'] - c['failures']}/{c['decodes']} decodes"
-        elif label == "share-placement":
-            detail = f"{c['keys_checked']} keys"
-        print(f"{verdict}: {label} {scheme} "
-              f"C={c.get('C')} r={c.get('r')} t={c.get('t')} {detail}")
+    for _, line in records:
+        print(line)
     print(f"report written to {path} ({dt:.2f}s)")
     return 0 if all_pass else 1
 

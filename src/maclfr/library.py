@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, UsageError
-from .topology import CacheSet, TopologySpec, subset_rank, validate_subset
+from .topology import CacheSet, TopologySpec
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,27 @@ class SubfileTable:
             raise UsageError(f"subfile table holds an image wider than "
                              f"{width} bits")
 
-    def subfile(self, file_index: int, index_set: CacheSet) -> BitBlock:
-        validate_subset(index_set, self.topo.num_caches)
-        if len(index_set) != self.topo.replication:
+    def _image(self, file_index: int) -> int:
+        """1-based lookup, as FileLibrary.file."""
+        if not 1 <= file_index <= len(self.images):
             raise UsageError(
-                f"subfile index {index_set} has size {len(index_set)}, "
-                f"expected {self.topo.replication}")
-        sb = self.subfile_bits
-        k = subset_rank(index_set, self.topo.num_caches)
-        return BitBlock((self.images[file_index - 1] >> (k * sb))
-                        & ((1 << sb) - 1), sb)
+                f"file index {file_index} outside [1, {len(self.images)}]")
+        return self.images[file_index - 1]
+
+    def subfile(self, file_index: int, index_set: CacheSet) -> BitBlock:
+        """The file's subfile T, at T's place in the lex subfile indices."""
+        image, sb = self._image(file_index), self.subfile_bits
+        try:
+            k = self.topo.subfile_indices().index(index_set)
+        except ValueError:
+            raise UsageError(f"{index_set} is not a subfile index of "
+                             f"{self.topo}") from None
+        return BitBlock((image >> (k * sb)) & ((1 << sb) - 1), sb)
 
     def reassemble(self, file_index: int) -> BitBlock:
         """The file's image with the zero padding dropped."""
         bits = self.file_bits
-        return BitBlock(self.images[file_index - 1] & ((1 << bits) - 1), bits)
+        return BitBlock(self._image(file_index) & ((1 << bits) - 1), bits)
 
 
 def subfile_bit_length(file_bits: int, topo: TopologySpec) -> int:

@@ -395,12 +395,19 @@ class Scheme:
             cfg.topo.num_transmissions * cfg.subfile_bits
             if cfg.kind.has_payload_keys else 0,
             cfg.topo.num_users * cfg.num_files if cfg.kind.masks_demands else 0)
-        # The CacheContent field of the kind's key material; its entries' bits.
-        self._key_store, self._key_bits = (
-            ("key_shares", cfg.share_block_bits) if cfg.kind.masks_demands
+        # The CacheContent field of the kind's key material, its entries'
+        # bits, and per cache its entries' labels by place in its key row,
+        # as key_rows lays it out: by slot under sp-lfr and p-lfr, by S
+        # under s-lfr and is-lfr, none for lfr or broadcast mode.
+        self._key_store, self._key_bits, self._key_places = (
+            ("key_shares", cfg.share_block_bits, _key_labels(
+                cfg.topo, None if cfg.broadcast else "slot"))
+            if cfg.kind.masks_demands
             else ("coded_subkeys", coded_block_bit_length(
-                cfg.subfile_bits, cfg.key_code)) if cfg.kind.stores_keys_coded
-            else ("whole_keys", cfg.subfile_bits))
+                cfg.subfile_bits, cfg.key_code), _key_labels(cfg.topo, "sent"))
+            if cfg.kind.stores_keys_coded
+            else ("whole_keys", cfg.subfile_bits, _key_labels(
+                cfg.topo, "sent" if cfg.kind.stores_keys_whole else None)))
         self._inverses: dict[tuple[int, ...], tuple] = {}
 
     @cached_property
@@ -410,18 +417,6 @@ class Scheme:
         field = self.cfg.key_field
         return field.lagrange_weights_at_zero(
             canonical_evaluation_points(field, self.topo.access_degree))
-
-    @cached_property
-    def _key_places(self) -> tuple[tuple[object, ...], ...]:
-        """Per cache, the labels of its key material by place in its key
-        row, as key_rows lays it out (_key_labels): by slot under sp-lfr
-        and p-lfr, by S under s-lfr and is-lfr, none for lfr or broadcast
-        mode."""
-        kind = self.kind
-        return _key_labels(self.topo, "slot" if kind.masks_demands
-                           and not self.cfg.broadcast else "sent"
-                           if kind.stores_keys_whole or kind.stores_keys_coded
-                           else None)
 
     # -- placement --
 

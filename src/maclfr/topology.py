@@ -4,8 +4,8 @@ C caches serve binom(C, r) cache-less users, one per r-subset of caches;
 a user connects to exactly the caches in its subset.  Subfiles are indexed
 by t-subsets of caches and transmissions by (t + r)-subsets, so the whole
 layout is bookkeeping over sorted tuples of 1-based cache indices.  Lex
-order of those tuples is the canonical order everywhere: enumeration,
-ranking, serialization, and doc examples all use it.
+order of those tuples is the canonical order everywhere: a subset's rank
+is its place in enumerate_subsets, and serialization follows it too.
 """
 
 from __future__ import annotations
@@ -21,33 +21,12 @@ from .errors import DomainError, UsageError
 CacheSet = tuple[int, ...]
 
 
-def validate_subset(subset: CacheSet, num_caches: int) -> CacheSet:
-    if any(not 1 <= c <= num_caches for c in subset):
-        raise UsageError(f"subset {subset} not within [1, {num_caches}]")
-    if any(a >= b for a, b in zip(subset, subset[1:])):
-        raise UsageError(f"subset {subset} is not strictly increasing")
-    return subset
-
-
 @functools.lru_cache(maxsize=None)
 def enumerate_subsets(num_caches: int, size: int) -> tuple[CacheSet, ...]:
     """All size-subsets of {1..num_caches} in lex order; empty if size > num_caches."""
     if num_caches < 0 or size < 0:
         raise UsageError(f"negative arguments ({num_caches}, {size})")
     return tuple(itertools.combinations(range(1, num_caches + 1), size))
-
-
-def subset_rank(subset: CacheSet, num_caches: int) -> int:
-    """Position of the subset in enumerate_subsets(num_caches, len(subset))."""
-    validate_subset(subset, num_caches)
-    size = len(subset)
-    rank = 0
-    prev = 0
-    for i, c in enumerate(subset):
-        for skipped in range(prev + 1, c):
-            rank += comb(num_caches - skipped, size - i - 1)
-        prev = c
-    return rank
 
 
 def share_index_of_cache(user: CacheSet, cache: int) -> int:

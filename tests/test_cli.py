@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -11,7 +12,7 @@ from maclfr import cli
 from maclfr.cli import main
 from maclfr.errors import (DomainError, IntegrityError, MaclfrError,
                            ResourceLimitError, UsageError)
-from maclfr.schemes import SchemeConfig, SchemeKind
+from maclfr.schemes import Scheme, SchemeConfig, SchemeKind
 from maclfr.topology import TopologySpec
 from maclfr.verify import check_correctness
 from maclfr.transcript import artifact_from_bytes
@@ -171,6 +172,45 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error,
     monkeypatch.setattr(cli, "cmd_curve", fail)
     assert run("curve") == code
     assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.fixture
+def misdecode(monkeypatch):
+    """Scheme.decode_rows with bit 0 of the first listed user's row flipped."""
+    decode_rows = Scheme.decode_rows
+
+    def flipped(self, *args):
+        rows = decode_rows(self, *args)
+        return [rows[0] ^ 1] + rows[1:]
+
+    monkeypatch.setattr(Scheme, "decode_rows", flipped)
+
+
+def test_a_failed_decode_exits_with_code_one(misdecode, tmp_path, capsys):
+    assert run("simulate", "--C", "3", "--r", "2", "--t", "1", "--N", "2",
+               "--F", "3", "--scheme", "s-lfr", "--seed", "1",
+               "--out", str(tmp_path)) == 1
+    out = capsys.readouterr().out
+    assert "decode 2/3 users pass" in out
+    assert re.findall(r"FAIL user \(1, 2\): expected [0-9a-f]+, decoded "
+                      r"[0-9a-f]+\n", out) and out.count("FAIL") == 1
+    assert run("simulate", "--C", "3", "--r", "2", "--t", "1", "--N", "2",
+               "--F", "3", "--scheme", "lfr", "--demands", "exhaustive") == 1
+    out = capsys.readouterr().out
+    assert "exhaustive decode: 128/192 pass over 64 demand tuples" in out
+    assert out.count("  FAIL user (1, 2): expected ") == 10
+
+
+def test_a_failed_check_fails_the_report(misdecode, tmp_path, capsys):
+    assert run("verify", "--suite", "correctness", "--C", "3", "--r", "2",
+               "--t", "1", "--N", "2", "--F", "3", "--scheme", "p-lfr",
+               "--out", str(tmp_path)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["pass"] is False
+    assert [(c["pass"], c["failures"], c["decodes"])
+            for c in report["checks"]] == [(False, 100, 300)]
+    out = capsys.readouterr().out
+    assert "FAIL: correctness p-lfr C=3 r=2 t=1 200/300 decodes\n" in out
 
 
 def test_exit_codes():

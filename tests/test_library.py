@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -52,6 +53,28 @@ def test_subfile_table_rejects_an_image_wider_than_its_grid():
         replace(table, images=(1 << 9,))
     with pytest.raises(UsageError):
         replace(table, images=(-1,))
+
+
+def test_subfile_lookups_refuse_what_the_table_does_not_hold():
+    # A file index of 0 or below must not wrap round to a file from the
+    # end, and a T of the wrong size, unsorted, repeated or out of range
+    # must not land on some subfile.
+    topo = TopologySpec(4, 1, 2)
+    lib = library_of(3, 13, seed=2)
+    table = subpacketize(lib, topo)
+    for i in (-2, -1, 0, 4, 5):
+        with pytest.raises(UsageError, match=rf"file index {i} outside \[1, 3\]"):
+            table.reassemble(i)
+        for T in topo.subfile_indices():
+            with pytest.raises(UsageError, match=f"file index {i} outside"):
+                table.subfile(i, T)
+    for size in range(4):
+        for T in itertools.product(range(-1, 7), repeat=size):
+            if T in topo.subfile_indices():
+                assert table.subfile(3, T).length == table.subfile_bits
+                continue
+            with pytest.raises(UsageError, match="is not a subfile index"):
+                table.subfile(1, T)
 
 
 def test_subpacketization_commutes_with_linear_combination():

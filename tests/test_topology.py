@@ -1,8 +1,7 @@
 """Subset bookkeeping checks.
 
-Ranking oracles are comparisons against the lex enumeration, which is
-itself checked against itertools.combinations; the ranking code never
-enumerates.
+The lex enumeration, which ranks every subset by its place in it, is
+checked against itertools.combinations.
 """
 
 from __future__ import annotations
@@ -11,13 +10,10 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from maclfr.errors import DomainError, UsageError
 from maclfr.schemes import SchemeConfig, SchemeKind, simulate
-from maclfr.topology import (TopologySpec, enumerate_subsets,
-                             share_index_of_cache, subset_rank, validate_subset)
+from maclfr.topology import TopologySpec, enumerate_subsets, share_index_of_cache
 
 
 def test_enumeration_is_lex_ordered_and_complete():
@@ -28,33 +24,8 @@ def test_enumeration_is_lex_ordered_and_complete():
                 itertools.combinations(range(1, n + 1), k))
             assert len(subsets) == (comb(n, k) if k <= n else 0)
             assert list(subsets) == sorted(subsets)
-
-
-def test_rank_matches_enumeration_exhaustive():
-    for n in range(1, 8):
-        for k in range(0, n + 1):
-            for expected_rank, subset in enumerate(enumerate_subsets(n, k)):
-                assert subset_rank(subset, n) == expected_rank
-
-
-@given(st.integers(1, 12), st.data())
-def test_rank_matches_enumeration_sampled(n, data):
-    subset = tuple(sorted(data.draw(st.sets(st.integers(1, n)))))
-    rank = subset_rank(subset, n)
-    assert 0 <= rank < comb(n, len(subset))
-    assert rank == enumerate_subsets(n, len(subset)).index(subset)
-
-
-def test_rank_validation():
-    with pytest.raises(UsageError):
-        subset_rank((2, 1), 3)
-    with pytest.raises(UsageError):
-        subset_rank((0, 1), 3)
-    with pytest.raises(UsageError):
-        subset_rank((1, 4), 3)
     with pytest.raises(UsageError):
         enumerate_subsets(-1, 2)
-    assert validate_subset((1, 3), 3) == (1, 3)
 
 
 def test_share_index_is_position_within_user():

@@ -3,11 +3,14 @@
 perfbench/tracer.py wraps layer functions on the names their callers look
 them up by.  A rename in the package would leave a hook dangling; the
 benchmark reports that only when its own tests run, so this test checks
-the hook table against the package directly.
+the hook table against the package directly.  The same table names the
+one kind of import that a module may keep without reading it: the name a
+hook wraps.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -43,3 +46,37 @@ def test_installing_the_tracer_misses_no_hook():
         assert not t.missing
     finally:
         t.uninstall()
+
+
+def module_imports(body):
+    """(name, line) of each import at module level, in a module-level try
+    or if too, but not in a function or class; __future__ binds none."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                yield from (((alias.asname or alias.name).partition(".")[0],
+                             node.lineno) for alias in node.names)
+        elif isinstance(node, (ast.Try, ast.If)):
+            yield from module_imports(
+                node.body + node.orelse + getattr(node, "finalbody", [])
+                + [s for h in getattr(node, "handlers", []) for s in h.body])
+
+
+def test_every_module_reads_what_it_imports():
+    # A module-level import nothing reads is dead weight, unless a hook
+    # wraps it there by module and attribute (maclfr.verify's subpacketize
+    # today); when the hook moves, the import shows up here.
+    hooked = {(path, attr) for _, path, attr in tracer.SPANS + tracer.COUNTERS
+              if ":" not in path}
+    unread = []
+    for path in sorted((ROOT / "src" / "maclfr").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}"
+                   for name, line in module_imports(tree.body)
+                   if name not in read
+                   and (f"maclfr.{path.stem}", name) not in hooked]
+    assert unread == []
