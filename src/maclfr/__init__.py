@@ -37,7 +37,7 @@ from .verify import (CorrectnessReport, MutualInformationResult,
                      SharePlacementReport, check_correctness,
                      check_privacy_exact, check_security_exact,
                      check_share_placement_secrecy, mutual_information,
-                     privacy_suite, security_suite, total_variation)
+                     total_variation)
 
 __version__ = "0.1.0"
 
@@ -57,8 +57,8 @@ __all__ = [
     "check_share_placement_secrecy", "curve", "decode_key", "derive_rng",
     "encode_key", "leakage_check",
     "linear_combination", "lower_convex_envelope", "mutual_information",
-    "optimality_gap", "parse_demand_file", "point", "privacy_suite",
-    "random_demands", "reconstruct", "security_memory_bound",
-    "security_suite", "simulate", "simulation_to_bytes",
-    "simulation_to_json", "split", "subpacketize", "total_variation",
+    "optimality_gap", "parse_demand_file", "point", "random_demands",
+    "reconstruct", "security_memory_bound", "simulate",
+    "simulation_to_bytes", "simulation_to_json", "split", "subpacketize",
+    "total_variation",
 ]

@@ -37,8 +37,7 @@ from .verify import (DEFAULT_STATE_CAP, CorrectnessReport, PrivacyCheckResult,
                      SecurityCheckResult, SharePlacementReport,
                      check_correctness, check_privacy_exact,
                      check_security_exact, check_share_placement_secrecy,
-                     demands_from_int, privacy_suite, security_suite,
-                     tiny_config, tiny_sweep_topologies)
+                     demands_from_int, tiny_config, tiny_sweep_topologies)
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
@@ -130,6 +129,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _explicit_config(args, kind: SchemeKind, num_files: int) -> SchemeConfig:
+    """The instance the topology flags name, F defaulting to one bit a
+    subfile."""
+    topo = TopologySpec(args.C, args.r, args.t)
+    F = args.F if args.F is not None else topo.num_subfile_indices
+    return SchemeConfig(topo, num_files, F, kind, seed=_resolve_seed(args))
+
+
 # ---- curve ----
 
 def _single_point_curve(kind: SchemeKind, C: int, r: int, t: int, N: int,
@@ -181,11 +188,8 @@ def _simulate_config(args) -> tuple[SchemeConfig, Sequence[DemandVector] | None]
         cfg = replace(worked.config(kind, seed), broadcast=args.broadcast)
         return cfg, worked.demands()
     _require(args, "C", "r", "t", "N")
-    topo = TopologySpec(args.C, args.r, args.t)
-    F = args.F if args.F is not None else topo.num_subfile_indices
-    cfg = SchemeConfig(topo, args.N, F, kind, seed=seed,
-                       broadcast=args.broadcast)
-    return cfg, None
+    return replace(_explicit_config(args, kind, args.N),
+                   broadcast=args.broadcast), None
 
 
 def _demand_battery(cfg: SchemeConfig, source: str,
@@ -307,89 +311,65 @@ def _shares_doc(rep: SharePlacementReport) -> tuple[dict, str]:
                    problems=list(rep.problems))
 
 
-def _explicit_config(args, kind: SchemeKind, num_files: int) -> SchemeConfig:
-    topo = TopologySpec(args.C, args.r, args.t)
-    F = args.F if args.F is not None else topo.num_subfile_indices
-    return SchemeConfig(topo, num_files, F, kind, seed=_resolve_seed(args))
+_TINY = tiny_sweep_topologies()
+_C5 = tuple((5, r, t) for r in (2, 3, 4) for t in range(6 - r))
+
+# Each suite's default sweep: its kinds, in record order at each (C, r, t)
+# of its triples in turn, then its negative controls (kind, C, r, t),
+# which pass by leaking.  Every instance is a tiny_config.
+_SWEEPS = {
+    "correctness": (tuple(SchemeKind), ((3, 2, 1),), ()),
+    "security": ((SchemeKind.S_LFR, SchemeKind.IS_LFR, SchemeKind.SP_LFR),
+                 _TINY, ((SchemeKind.LFR, 3, 2, 1),)),
+    "privacy": ((SchemeKind.SP_LFR, SchemeKind.P_LFR), _TINY,
+                ((SchemeKind.S_LFR, 3, 2, 1),)),
+    "shares": ((SchemeKind.SP_LFR, SchemeKind.P_LFR, SchemeKind.S_LFR,
+                SchemeKind.IS_LFR), _TINY + _C5, ()),
+}
 
 
-def _explicit_instance(args, need_files: bool) -> SchemeConfig | None:
-    """The one instance that --scheme or --C names (sp-lfr unless
-    --scheme says otherwise), or None to run the suite."""
+def _instances(args, suite: str) -> list[SchemeConfig]:
+    """The suite's default sweep, or the one kind that --scheme names at
+    the --C topology: sp-lfr without --scheme, but every kind for
+    correctness.  --N is required except for shares, where it is 2."""
     if args.scheme is None and args.C is None:
-        return None
-    _require(args, "C", "r", "t", *(("N",) if need_files else ()))
-    kind = SchemeKind(args.scheme) if args.scheme else SchemeKind.SP_LFR
-    return _explicit_config(args, kind, args.N if args.N is not None else 2)
+        kinds, triples, controls = _SWEEPS[suite]
+        return ([tiny_config(kind, *ctr) for ctr in triples for kind in kinds]
+                + [tiny_config(*control) for control in controls])
+    _require(args, "C", "r", "t", *(() if suite == "shares" else ("N",)))
+    kinds = ((SchemeKind(args.scheme),) if args.scheme else
+             tuple(SchemeKind) if suite == "correctness" else
+             (SchemeKind.SP_LFR,))
+    N = args.N if args.N is not None else 2
+    return [_explicit_config(args, kind, N) for kind in kinds]
 
 
-def _verify_correctness(args) -> list[tuple[dict, str]]:
-    if args.scheme is not None or args.C is not None:
-        _require(args, "C", "r", "t", "N")
-        kinds = ([SchemeKind(args.scheme)] if args.scheme
-                 else list(SchemeKind))
-        configs = [_explicit_config(args, kind, args.N) for kind in kinds]
-    else:
-        configs = [tiny_config(kind, 3, 2, 1) for kind in SchemeKind]
-    docs = []
-    for cfg in configs:
-        if args.exhaustive:
-            batteries = _every_demand_tuple(cfg, args.cap)
-            seeds: tuple[int, ...] = (cfg.seed,)
-        else:
-            rng = derive_rng(cfg.seed, "demand-batteries")
-            batteries = [random_demands(cfg.topo, cfg.num_files, rng)
-                         for _ in range(20)]
-            seeds = tuple(range(5))
-        docs.append(_correctness_doc(check_correctness(cfg, batteries, seeds)))
-    return docs
-
-
-def _verify_security(args) -> list[tuple[dict, str]]:
-    cfg = _explicit_instance(args, need_files=True)
-    if cfg is not None:
-        results = [check_security_exact(cfg, method=args.method,
-                                        cap=args.cap, jobs=args.jobs)]
-    else:
-        results = security_suite(method=args.method, cap=args.cap,
-                                 jobs=args.jobs)
-    return [_security_doc(r) for r in results]
-
-
-def _verify_privacy(args) -> list[tuple[dict, str]]:
-    cfg = _explicit_instance(args, need_files=True)
-    if cfg is not None:
-        results = [check_privacy_exact(cfg, method=args.method, cap=args.cap)]
-    else:
-        results = privacy_suite(method=args.method, cap=args.cap)
-    return [_privacy_doc(r) for r in results]
-
-
-def _verify_shares(args) -> list[tuple[dict, str]]:
-    cfg = _explicit_instance(args, need_files=False)
-    if cfg is not None:
-        configs = [cfg]
-    else:
-        triples = list(tiny_sweep_topologies()) + [
-            (5, r, t) for r in (2, 3, 4) for t in range(0, 5 - r + 1)]
-        configs = [tiny_config(kind, C, r, t) for C, r, t in triples
-                   for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR,
-                                SchemeKind.S_LFR, SchemeKind.IS_LFR)]
-    return [_shares_doc(check_share_placement_secrecy(c)) for c in configs]
+def _check_correctness(args, cfg: SchemeConfig) -> CorrectnessReport:
+    if args.exhaustive:
+        return check_correctness(cfg, _every_demand_tuple(cfg, args.cap),
+                                 (cfg.seed,))
+    rng = derive_rng(cfg.seed, "demand-batteries")
+    batteries = [random_demands(cfg.topo, cfg.num_files, rng)
+                 for _ in range(20)]
+    return check_correctness(cfg, batteries, tuple(range(5)))
 
 
 def cmd_verify(args) -> int:
     if args.cap < 1:
         raise UsageError(f"cap must be at least 1, got {args.cap}")
     suites = {
-        "correctness": _verify_correctness,
-        "security": _verify_security,
-        "privacy": _verify_privacy,
-        "shares": _verify_shares,
+        "correctness": lambda cfg: _correctness_doc(
+            _check_correctness(args, cfg)),
+        "security": lambda cfg: _security_doc(check_security_exact(
+            cfg, method=args.method, cap=args.cap, jobs=args.jobs)),
+        "privacy": lambda cfg: _privacy_doc(check_privacy_exact(
+            cfg, method=args.method, cap=args.cap)),
+        "shares": lambda cfg: _shares_doc(check_share_placement_secrecy(cfg)),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     t0 = time.perf_counter()
-    records = [record for name in names for record in suites[name](args)]
+    records = [suites[name](cfg) for name in names
+               for cfg in _instances(args, name)]
     dt = time.perf_counter() - t0
     checks = [doc for doc, _ in records]
     all_pass = all(c["pass"] for c in checks)

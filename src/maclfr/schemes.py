@@ -620,18 +620,12 @@ class Scheme:
                 else transcript.cleartext_demands)
         lacking = [(1 << n) - 1] * len(self._rank)  # per rank, files not held
         subfiles: dict = {}
-        contents = list(by_index.values())
-        for at, content in enumerate(contents):
-            for (i, T), block in content.subfiles.items():
-                if T not in self._rank or not 1 <= i <= n:
-                    continue
-                if block.length == sb:
-                    subfiles[(i, T)] = block
-                    lacking[self._rank[T]] &= ~(1 << (i - 1))
-                elif all((i, T) not in later.subfiles
-                         for later in contents[at + 1:]):
-                    raise UsageError(f"subfile ({i}, {T}) has {block.length} "
-                                     f"bits, expected {sb}")
+        for content in by_index.values():
+            subfiles.update(content.subfiles)
+        for (i, T), block in subfiles.items():
+            if T in self._rank and 1 <= i <= n:
+                _sized(block, sb, "subfile", (i, T))
+                lacking[self._rank[T]] &= ~(1 << (i - 1))
         readers = (() if kind is SchemeKind.LFR else
                    user[:1] if kind.stores_keys_whole else user)
         for T, k in self._rank.items():

@@ -857,32 +857,3 @@ def tiny_config(kind: SchemeKind, C: int, r: int, t: int,
     topo = TopologySpec(C, r, t)
     return SchemeConfig(topo, num_files, topo.num_subfile_indices, kind,
                         seed=seed)
-
-
-def security_suite(method: str = "auto", cap: int = DEFAULT_STATE_CAP,
-                   jobs: int = 1) -> list[SecurityCheckResult]:
-    """Exact security of every keyed kind over the tiny sweep, then the
-    keyless negative control (expected nonzero) on the smallest topology."""
-    results = []
-    for C, r, t in tiny_sweep_topologies():
-        for kind in (SchemeKind.S_LFR, SchemeKind.IS_LFR, SchemeKind.SP_LFR):
-            results.append(check_security_exact(
-                tiny_config(kind, C, r, t), method=method, cap=cap, jobs=jobs))
-    results.append(check_security_exact(
-        tiny_config(SchemeKind.LFR, 3, 2, 1), method=method, cap=cap,
-        jobs=jobs))
-    return results
-
-
-def privacy_suite(method: str = "auto", cap: int = DEFAULT_STATE_CAP
-                  ) -> list[PrivacyCheckResult]:
-    """Exact privacy over the tiny sweep, then the cleartext negative
-    control (expected nonzero)."""
-    results = []
-    for C, r, t in tiny_sweep_topologies():
-        for kind in (SchemeKind.SP_LFR, SchemeKind.P_LFR):
-            results.append(check_privacy_exact(
-                tiny_config(kind, C, r, t), method=method, cap=cap))
-    results.append(check_privacy_exact(
-        tiny_config(SchemeKind.S_LFR, 3, 2, 1), method=method, cap=cap))
-    return results

@@ -238,6 +238,35 @@ def test_verify_scheme_without_a_topology_is_missing_flags(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("suite, files, schemes", [
+    ("security", ("--N", "2"), ["sp-lfr"]),
+    ("privacy", ("--N", "2"), ["sp-lfr"]),
+    ("correctness", ("--N", "2"), [kind.value for kind in SchemeKind]),
+    ("shares", (), ["sp-lfr"]),
+])
+def test_a_topology_without_a_scheme_names_the_suite_s_instances(
+        suite, files, schemes, tmp_path):
+    # --C without --scheme names sp-lfr, but every kind for correctness, in
+    # SchemeKind order; shares needs no --N and records neither N nor F.
+    assert run("verify", "--suite", suite, "--C", "3", "--r", "2", "--t", "1",
+               *files, "--out", str(tmp_path)) == 0
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [c["scheme"] for c in checks] == schemes
+    assert all((c["C"], c["r"], c["t"]) == (3, 2, 1) for c in checks)
+    assert all(("N" in c, "F" in c) == (bool(files),) * 2 for c in checks)
+    assert all(c.get("N", 2) == 2 for c in checks)
+
+
+@pytest.mark.parametrize("suite", ["security", "privacy", "correctness"])
+def test_an_oracle_instance_needs_its_file_count(suite, tmp_path, capsys):
+    assert run("verify", "--suite", suite, "--C", "3", "--r", "2", "--t", "1",
+               "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: missing required flags: --N\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_jobs_below_one_exit_as_usage_errors(tmp_path):
     for jobs in ("0", "-5"):
         assert run("verify", "--suite", "security", "--C", "3", "--r", "2",

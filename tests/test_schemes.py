@@ -1019,7 +1019,7 @@ def test_a_scheme_keeps_nothing_of_a_placement(kind):
     for g, demand in zip(cfg.topo.users(), result.demands):
         scheme.decode(g, [result.placement.caches[c - 1] for c in g],
                       result.transcript, demand)
-    assert set(vars(scheme)) - before <= {"_key_places", "_weights"}
+    assert set(vars(scheme)) - before <= {"_weights"}
     assert not hasattr(scheme, "_images")
     assert all(isinstance(p, int) for at in scheme._inverses for p in at)
 

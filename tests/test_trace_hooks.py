@@ -5,7 +5,7 @@ them up by.  A rename in the package would leave a hook dangling; the
 benchmark reports that only when its own tests run, so this test checks
 the hook table against the package directly.  The same table names the
 one kind of import that a module may keep without reading it: the name a
-hook wraps.
+hook wraps.  The package itself exports exactly what it imports.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import maclfr
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -80,3 +82,13 @@ def test_every_module_reads_what_it_imports():
                    if name not in read
                    and (f"maclfr.{path.stem}", name) not in hooked]
     assert unread == []
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    # A public name deleted from its module must leave __all__ as well.
+    init = ROOT / "src" / "maclfr" / "__init__.py"
+    imported = {name for name, _ in module_imports(
+        ast.parse(init.read_text(), str(init)).body)}
+    assert sorted(maclfr.__all__) == sorted(imported)
+    for name in maclfr.__all__:
+        getattr(maclfr, name)
