@@ -2,7 +2,8 @@
 
 _indices gives the index lists every round walks; _key_labels and
 _subfile_labels give the label of each entry of a cache's key and subfile
-rows; _decode_plan gives decode_rows the place of every piece it reads.
+rows, and _store_labels which of them labels each store placement fills;
+_decode_plan gives decode_rows the place of every piece it reads.
 Each depends on the topology alone (the subfile labels also on the number
 of files), so a table is built once per process and shared by every
 Scheme of every config on it.
@@ -52,14 +53,14 @@ def _indices(topo: TopologySpec) -> tuple[Mapping, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _key_labels(topo: TopologySpec, by: str | None
+def _key_labels(topo: TopologySpec, by: str
                 ) -> tuple[tuple[object, ...], ...]:
     """Per cache, the label of each entry of its key row, in row order: by
     "slot", the slot (g, T) of each user g of the cache, lex in (g, T); by
-    "sent", each S naming the cache, lex; else none."""
+    "sent", each S naming the cache, lex."""
     _, slots, members, *_ = _indices(topo)
     labels = ([(slot, slot[0]) for slot in slots] if by == "slot" else
-              [(S, S) for S in members] if by == "sent" else [])
+              [(S, S) for S in members])
     places: list[list] = [[] for _ in range(topo.num_caches)]
     for label, named in labels:
         for c in named:
@@ -77,6 +78,15 @@ def _subfile_labels(topo: TopologySpec, num_files: int
               for T in _indices(topo)[0]}
     return tuple(tuple(chain.from_iterable(labels[T] for _, T in held))
                  for held in _indices(topo)[4])
+
+
+def _store_labels(topo: TopologySpec, num_files: int, store: str
+                  ) -> tuple[tuple[object, ...], ...]:
+    """Per cache, the labels of a CacheContent store as placement fills it:
+    subfiles by (i, T), key shares by slot, whole and coded keys by S."""
+    if store == "subfiles":
+        return _subfile_labels(topo, num_files)
+    return _key_labels(topo, "slot" if store == "key_shares" else "sent")
 
 
 class _DecodePlan(NamedTuple):

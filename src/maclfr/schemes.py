@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field, exponent_for_share_count
-from .indexing import _decode_plan, _indices, _key_labels, _subfile_labels
+from .indexing import _decode_plan, _indices, _store_labels
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, random_demands, subfile_bit_length,
                       subpacketize)
@@ -386,8 +386,11 @@ class Scheme:
         self.kind = cfg.kind
         (self._rank, self._slots, self._members, self._rows,
          stored, self._senders) = _indices(cfg.topo)
-        # Each cache's subfiles, by (rank, T): none in broadcast mode.
-        self._stored = tuple(() for _ in stored) if cfg.broadcast else stored
+        # Per cache, its subfiles by (rank, T) and by label: none in broadcast.
+        empty = tuple(() for _ in stored)
+        self._stored, self._subfile_places = (
+            (empty, empty) if cfg.broadcast
+            else (stored, _store_labels(cfg.topo, cfg.num_files, "subfiles")))
         self._sent_rank = {S: s for s, S in enumerate(self._members)}
         self._user_rank = {g: u for u, g in enumerate(self._rows)}
         # The key and mask rows' widths: zero for the kinds without them.
@@ -396,18 +399,17 @@ class Scheme:
             if cfg.kind.has_payload_keys else 0,
             cfg.topo.num_users * cfg.num_files if cfg.kind.masks_demands else 0)
         # The CacheContent field of the kind's key material, its entries'
-        # bits, and per cache its entries' labels by place in its key row,
-        # as key_rows lays it out: by slot under sp-lfr and p-lfr, by S
-        # under s-lfr and is-lfr, none for lfr or broadcast mode.
-        self._key_store, self._key_bits, self._key_places = (
-            ("key_shares", cfg.share_block_bits, _key_labels(
-                cfg.topo, None if cfg.broadcast else "slot"))
-            if cfg.kind.masks_demands
+        # bits, and per cache its entries' labels in key_rows' row order:
+        # none for lfr or broadcast mode.
+        self._key_store, self._key_bits = (
+            ("key_shares", cfg.share_block_bits) if cfg.kind.masks_demands
             else ("coded_subkeys", coded_block_bit_length(
-                cfg.subfile_bits, cfg.key_code), _key_labels(cfg.topo, "sent"))
+                cfg.subfile_bits, cfg.key_code))
             if cfg.kind.stores_keys_coded
-            else ("whole_keys", cfg.subfile_bits, _key_labels(
-                cfg.topo, "sent" if cfg.kind.stores_keys_whole else None)))
+            else ("whole_keys", cfg.subfile_bits))
+        self._key_places = empty if (
+            cfg.broadcast or cfg.kind is SchemeKind.LFR) else _store_labels(
+            cfg.topo, cfg.num_files, self._key_store)
         self._inverses: dict[tuple[int, ...], tuple] = {}
 
     @cached_property
@@ -436,9 +438,9 @@ class Scheme:
         blocks = [] if cfg.broadcast else [
             [BitBlock((image >> (k * sb)) & piece, sb) for image in table.images]
             for k in range(len(self._rank))]
-        subfiles = [{(i, T): block for k, T in held
-                     for i, block in enumerate(blocks[k], 1)}
-                    for held in self._stored]
+        subfiles = [dict(zip(labels, chain.from_iterable(
+                        blocks[k] for k, _ in held)))
+                    for labels, held in zip(self._subfile_places, self._stored)]
         caches = self._place_keys(randomness, subfiles, table)
         sizes = {c.stored_bits for c in caches}
         if len(sizes) != 1:
@@ -806,15 +808,14 @@ class Scheme:
         the given caches hold, as decode_rows reads them.  A cache not
         given has empty rows, an entry a cache lacks reads zero, and each
         entry is cut to its width."""
-        n, sb = self.cfg.num_files, self.cfg.subfile_bits
+        sb = self.cfg.subfile_bits
         rows = [((0, 0), (0, 0))] * self.topo.num_caches
         for content in caches:
             c = content.index
-            named = (_subfile_labels(self.topo, n)[c - 1]
-                     if self._stored[c - 1] else ())
-            rows[c - 1] = (_row(content.subfiles, named, sb),
-                           _row(getattr(content, self._key_store),
-                                self._key_places[c - 1], self._key_bits))
+            rows[c - 1] = (
+                _row(content.subfiles, self._subfile_places[c - 1], sb),
+                _row(getattr(content, self._key_store),
+                     self._key_places[c - 1], self._key_bits))
         return tuple(zip(*rows))
 
     def _decode_placed(self, cache_rows: tuple,

@@ -8,23 +8,31 @@ functions of their inputs (entries are written in canonical sorted order,
 block padding bits are zero), so identical (config, seed) runs serialize
 identically.
 
-Each section is rendered in one step.  Its entries are sorted once and
-split into columns, one per key field plus the blocks; each column is
-encoded at once, a distinct cache subset once per artifact.  The binary
-writer then joins each entry's encoded fields into one bytes; the JSON
-writer fills one template of the whole section with a single %, and
-joins the whole document once.
+Each section is rendered in one step from its placing: the places that
+sort its entries, and per key field its distinct values and each entry's
+place among them, so a distinct value is encoded once (a cache subset
+once per artifact) and each column is one gather.  The render plan holds,
+per topology and file count, the placing of each store placement fills.
+Any store keyed otherwise (subfiles read back in sorted order, stores
+built by hand, a label missing or foreign) and every delivery section is
+placed afresh, its keys sorted once.  A binary entry is joined into one
+bytes, a JSON section from one list of fragments.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
+from array import array
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
+from .indexing import _store_labels
+from .rows import _gather
 from .schemes import (CacheContent, DeliveryTranscript, SchemeConfig, SchemeKind,
                       SimulationResult)
 from .topology import CacheSet, TopologySpec
@@ -68,27 +76,62 @@ class SimulationArtifact:
     transcript: DeliveryTranscript
 
 
+def _placing(labels: Sequence, width: int) -> tuple:
+    """A store's placing, keyed by the labels in their order: (labels,
+    order, columns), order the places that sort them, None if sorted, and
+    per key field of width, its distinct values, sorted, and their places."""
+    code = "H" if len(labels) <= 1 << 16 else "I"
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = [labels[at] for at in order]
+    columns = []
+    for column in [keys] if width == 1 else zip(*keys):
+        distinct = sorted(set(column))
+        at = {value: k for k, value in enumerate(distinct)}
+        columns.append((distinct, array(code, map(at.__getitem__, column))))
+    return (labels, None if order == list(range(len(labels)))
+            else array(code, order), columns)
+
+
+@functools.lru_cache(maxsize=None)
+def _render_plan(topo: TopologySpec, num_files: int) -> tuple[tuple, ...]:
+    """Per cache, the placings of the stores placement fills, as arrays."""
+    return tuple(zip(*([_placing(labels, len(fields)) for labels in
+                        _store_labels(topo, num_files, name)]
+                       for name, fields, _ in _CACHE_SECTIONS)))
+
+
+def _plan_for(cfg: SchemeConfig, caches: Sequence[CacheContent]) -> tuple:
+    """The render plan's placings per cache for caches in place that hold at
+    least its N t C(C, t) subfile labels and C(C, r) C(C - r, t) slots."""
+    C, r, t = cfg.topo.num_caches, cfg.topo.access_degree, cfg.topo.replication
+    held = [len(getattr(c, s[0])) for c in caches for s in _CACHE_SECTIONS]
+    if [c.index for c in caches] != list(range(1, C + 1)) or sum(held) < max(
+            cfg.num_files * t * comb(C, t), comb(C, r) * comb(C - r, t)):
+        return ((None,) * len(_CACHE_SECTIONS),) * len(caches)
+    return _render_plan(cfg.topo, cfg.num_files)
+
+
 def _columns(holder, name: str, fields: tuple[str, ...], ints: bool,
-             num_files: int) -> tuple[list, list[BitBlock]]:
-    """One section's entries in file order, sorted once: a column of
-    values per key field, and the column of blocks."""
+             num_files: int, placing: tuple | None) -> tuple[list, list]:
+    """A section's key columns and blocks in file order: by the placing if
+    the store holds just its labels, in their order, else by a fresh one."""
     values = getattr(holder, name)
     if not fields:
         return [], list(values or ())
-    keys = sorted(values)
-    blocks = list(map(values.__getitem__, keys))
+    if placing is None or tuple(values) != placing[0]:
+        placing = _placing(tuple(values), len(fields))
+    _, order, columns = placing
+    blocks = (list(values.values()) if order is None
+              else _gather(list(values.values()), order))
     if ints:
         blocks = [BitBlock(v, num_files) for v in blocks]
-    if len(fields) == 1:
-        return [keys], blocks
-    return list(zip(*keys)) or [()] * len(fields), blocks
+    return columns, blocks
 
 
-def _memo(column, memo: dict, render) -> list:
-    """The column rendered value by value, each distinct value once per memo."""
-    for value in set(column).difference(memo):
-        memo[value] = render(value)
-    return list(map(memo.__getitem__, column))
+def _memo(values, memo: dict, render) -> list:
+    """Distinct values rendered, each once per memo."""
+    return [memo[v] if v in memo else memo.setdefault(v, render(v))
+            for v in values]
 
 
 # ---- binary container ----
@@ -99,16 +142,16 @@ _U64 = struct.Struct("<Q").pack
 
 
 def _write(parts: list[bytes], holder, name, fields, ints, num_files,
-           subsets: dict[CacheSet, bytes]) -> None:
+           subsets: dict[CacheSet, bytes], placing=None) -> None:
     """One section, field by field: each key field and block is encoded
     as a column, then each entry goes in as one joined bytes.  subsets
     holds each cache subset's packing, once per artifact."""
-    columns, blocks = _columns(holder, name, fields, ints, num_files)
-    encoded = [
-        list(map(_U32, column)) if f == "file" else _memo(
-            column, subsets,
-            lambda s: struct.pack("<B%dH" % len(s), len(s), *s))
-        for f, column in zip(fields, columns)]
+    columns, blocks = _columns(holder, name, fields, ints, num_files, placing)
+    encoded = [_gather(
+        list(map(_U32, values)) if f == "file" else _memo(
+            values, subsets,
+            lambda s: struct.pack("<B%dH" % len(s), len(s), *s)), places)
+        for f, (values, places) in zip(fields, columns)]
     encoded.append([_U64(b.length) + b.to_bytes() for b in blocks])
     parts.append(_U32(len(blocks)))
     parts.extend(map(b"".join, zip(*encoded)))
@@ -133,8 +176,10 @@ class _Reader:
             return self.unpack("I")
         return tuple(self.unpack("H") for _ in range(self.unpack("B")))
 
-    def block(self) -> BitBlock:
+    def block(self, width: int | None) -> BitBlock:
         length = self.unpack("Q")
+        if width not in (None, length):
+            raise IntegrityError(f"a block of {length} bits, not {width}")
         nbytes = (length + 7) // 8
         if self.pos + nbytes > len(self.data):
             raise IntegrityError("truncated artifact")
@@ -142,14 +187,15 @@ class _Reader:
         self.pos += nbytes
         return BitBlock.from_bytes(raw, length)
 
-    def section(self, fields: tuple[str, ...], ints: bool):
-        count = self.unpack("I")
+    def section(self, fields: tuple[str, ...], ints: bool, cfg: SchemeConfig):
+        """One section's entries: demands of N bits, broadcast files of F."""
+        n = self.unpack("I")
         if not fields:
-            return tuple(self.block() for _ in range(count)) or None
+            return tuple(self.block(cfg.file_bits) for _ in range(n)) or None
         entries = {}
-        for _ in range(count):
+        for _ in range(n):
             key = tuple(self.field(f) for f in fields)
-            b = self.block()
+            b = self.block(cfg.num_files if ints else None)
             entries[key if len(key) > 1 else key[0]] = b.value if ints else b
         return entries
 
@@ -164,10 +210,10 @@ def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
                          cfg.num_files, cfg.file_bits, cfg.seed),
              _U16(len(caches))]
     subsets: dict[CacheSet, bytes] = {}
-    for cache in caches:
+    for cache, placings in zip(caches, _plan_for(cfg, caches)):
         parts.append(_U16(cache.index))
-        for section in _CACHE_SECTIONS:
-            _write(parts, cache, *section, cfg.num_files, subsets)
+        for section, placing in zip(_CACHE_SECTIONS, placings):
+            _write(parts, cache, *section, cfg.num_files, subsets, placing)
     for section in _DELIVERY_SECTIONS:
         _write(parts, transcript, *section, cfg.num_files, subsets)
     return b"".join(parts)
@@ -196,9 +242,9 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
     for _ in range(r.unpack("H")):
         index = r.unpack("H")
         caches.append(CacheContent(index, **{
-            name: r.section(fields, ints)
+            name: r.section(fields, ints, cfg)
             for name, fields, ints in _CACHE_SECTIONS}))
-    delivery = {name: r.section(fields, ints)
+    delivery = {name: r.section(fields, ints, cfg)
                 for name, fields, ints in _DELIVERY_SECTIONS}
     if r.pos != len(data):
         raise IntegrityError("trailing bytes after artifact")
@@ -217,7 +263,7 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
 # no indent, and the pure-Python one walks every entry's dict.  Each value
 # is rendered at its indent, pad, as a list of fragments, and the document
 # is joined once.  A section is rendered in one step: a column of text per
-# member of its entries fills one template of the whole section.
+# member of its entries is interleaved with the text of a row around them.
 
 def _json_list(rows: Sequence[list[str]], pad: str,
                brackets: str = "[]") -> list[str]:
@@ -239,32 +285,34 @@ def _json_object(members: dict[str, list[str]], pad: str) -> list[str]:
 
 
 def _json_section(holder, name, fields, ints, num_files, pad,
-                  subsets: dict[str, dict[CacheSet, str]]) -> str:
+                  subsets: dict[str, dict[CacheSet, str]], placing=None) -> str:
     """One section's entries; subsets holds, per indent, each cache
     subset's list as rendered there, once per subset and indent."""
-    columns, blocks = _columns(holder, name, fields, ints, num_files)
+    columns, blocks = _columns(holder, name, fields, ints, num_files, placing)
     if not blocks:
         return "[]"
     field_pad = pad + "    "
     memo = subsets.setdefault(field_pad, {})
-    members = {"bits": [b.length for b in blocks],
+    members = {"bits": [str(b.length) for b in blocks],
                "hex": [b.to_bytes().hex() for b in blocks]}
-    for f, column in zip(fields, columns):
-        members[f] = column if f == "file" else _memo(
-            column, memo,
-            lambda s: "".join(_json_list([[str(c)] for c in s], field_pad)))
-    row = "".join(_json_object({f: ['"%s"' if f == "hex" else "%s"]
-                                for f in members}, pad + "  "))
-    # The section's template lays the entries out as _json_list does rows;
-    # the members' values go in interleaved, in the row's sorted order.
-    inner = "\n" + pad + "  "
-    template = ("[" + inner + ("," + inner).join([row] * len(blocks))
-                + "\n" + pad + "]")
-    order = sorted(members)
-    values = [None] * (len(order) * len(blocks))
-    for i, f in enumerate(order):
-        values[i::len(order)] = members[f]
-    return template % tuple(values)
+    for f, (values, places) in zip(fields, columns):
+        members[f] = _gather(list(map(str, values)) if f == "file" else _memo(
+            values, memo,
+            lambda s: "".join(_json_list([[str(c)] for c in s], field_pad))),
+            places)
+    # The section as one list of fragments: a row's text, split around its
+    # members' values in sorted order, laid out as _json_list lays out rows.
+    order, inner = sorted(members), "\n" + pad + "  "
+    text = "".join(_json_object({f: ['"\0"' if f == "hex" else "\0"]
+                                 for f in order}, pad + "  ")).split("\0")
+    text[-1], close = text[-1] + "," + inner, text[-1] + "\n" + pad + "]"
+    step = 2 * len(order) + 1
+    out = [None] * (step * len(blocks))
+    for i in range(step):
+        out[i::step] = (members[order[i // 2]] if i % 2
+                        else [text[i // 2]] * len(blocks))
+    out[0], out[-1] = "[" + inner + out[0], close
+    return "".join(out)
 
 
 def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
@@ -278,8 +326,9 @@ def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
               "broadcast": cfg.broadcast}
     caches_text = _json_list([_json_object({
         "index": [str(cache.index)],
-        **{s[0]: [_json_section(cache, *s, N, " " * 6, subsets)]
-           for s in _CACHE_SECTIONS}}, " " * 4) for cache in caches], "  ")
+        **{s[0]: [_json_section(cache, *s, N, " " * 6, subsets, placing)]
+           for s, placing in zip(_CACHE_SECTIONS, placings)}}, " " * 4)
+        for cache, placings in zip(caches, _plan_for(cfg, caches))], "  ")
     delivery = _json_object({
         "rate": [f'"{rate.numerator}/{rate.denominator}"'],
         **{s[0]: [_json_section(transcript, *s, N, " " * 4, subsets)]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from maclfr import schemes
+from maclfr import indexing, schemes
 from maclfr.analysis import point
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
@@ -996,7 +996,7 @@ def test_the_ten_cache_decode_plan_takes_at_most_a_mebibyte():
     # carries it.  Its tables of other topologies are built first.
     topo = TopologySpec(10, 3, 3)
     schemes._indices(topo)
-    schemes._key_labels(topo, "sent")
+    indexing._key_labels(topo, "sent")
     tracemalloc.start()
     try:
         plan = schemes._decode_plan.__wrapped__(topo)

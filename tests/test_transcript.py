@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import struct
@@ -10,8 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from maclfr import transcript
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
+from maclfr.indexing import _store_labels
 from maclfr.schemes import (CacheContent, DeliveryTranscript, SchemeConfig,
                             SchemeKind, simulate)
 from maclfr.topology import TopologySpec
@@ -142,7 +145,8 @@ def test_header_of_no_valid_configuration_is_an_integrity_error(changes):
 
 @pytest.mark.parametrize("kind", tuple(SchemeKind))
 def test_random_corruption_raises_only_integrity_errors(kind):
-    # Silent acceptance is allowed; any error raised must be IntegrityError.
+    # Silent acceptance is allowed; any error raised must be IntegrityError,
+    # and an artifact that parses must render in both formats.
     blob = simulation_to_bytes(result_for(kind))
     rng = random.Random(f"corrupt:{kind.value}")
     for _ in range(2000):
@@ -150,9 +154,33 @@ def test_random_corruption_raises_only_integrity_errors(kind):
         for _ in range(rng.randint(1, 3)):
             data[rng.randrange(len(data))] = rng.randrange(256)
         try:
-            artifact_from_bytes(bytes(data))
+            artifact = artifact_from_bytes(bytes(data))
         except IntegrityError:
-            pass
+            continue
+        parts = (artifact.cfg, artifact.caches, artifact.transcript)
+        artifact_to_bytes(*parts)
+        artifact_to_json(*parts)
+
+
+@pytest.mark.parametrize("cfg, at, width", [
+    # The last masked demand, N = 2 bits, before two empty sections.
+    (SchemeConfig(TopologySpec(3, 2, 1), 2, 6, SchemeKind.SP_LFR, seed=4),
+     -17, 2),
+    # The last broadcast file, F = 6 bits, at the very end.
+    (SchemeConfig(TopologySpec(3, 2, 0), 3, 6, SchemeKind.P_LFR, seed=4,
+                  broadcast=True), -9, 6),
+], ids=("masked-demand", "broadcast-file"))
+def test_a_block_of_another_width_than_the_config_fixes_is_an_integrity_error(
+        cfg, at, width):
+    # Widened to 8 bits of ones, the demand would parse as 255, which no
+    # writer takes, and the file would give a library of mixed lengths.
+    blob = simulation_to_bytes(simulate(cfg))
+    at += len(blob)
+    assert struct.unpack_from("<Q", blob, at)[0] == width
+    artifact_from_bytes(blob)
+    with pytest.raises(IntegrityError, match=f"8 bits, not {width}"):
+        artifact_from_bytes(blob[:at] + struct.pack("<QB", 8, 255)
+                            + blob[at + 9:])
 
 
 def twin_entries(entries, fields, width=None) -> list[dict]:
@@ -291,7 +319,8 @@ def test_json_matches_the_reference_document_at_ten_caches():
 # Hand-built artifacts: no scheme places these, so they reach what the
 # engine never makes.  Blocks of mixed lengths (zero, one, off the byte
 # grid, several bytes) share a section, keys go in against sorted order,
-# subsets of every size mix, and whole sections are empty.
+# subsets of every size mix, and whole sections are empty.  Broadcast
+# files, which the reader holds to F bits, are cut to F bits.
 def hand_built(broadcast: bool = False, demands=None) -> SimulationArtifact:
     kind = SchemeKind.P_LFR
     cfg = SchemeConfig(TopologySpec(3, 2, 1), 3, 6, kind, seed=11,
@@ -316,8 +345,43 @@ def hand_built(broadcast: bool = False, demands=None) -> SimulationArtifact:
     transcript = DeliveryTranscript(
         cfg, {} if broadcast else {S: b for S, b in zip(subsets, blocks)},
         demands, {(1, 2): 3} if broadcast else {},
-        tuple(blocks[::-1]) if broadcast else None)
+        tuple(BitBlock(b.value % 64, 6) for b in blocks[::-1])
+        if broadcast else None)
     return SimulationArtifact(cfg, caches, transcript)
+
+
+@functools.lru_cache(maxsize=None)
+def placed_round(C: int):
+    """A placed round whose stores are the engine's, in placement order."""
+    topo = TopologySpec(C, 3, 3) if C == 10 else TopologySpec(C, 2, 1)
+    kind = SchemeKind.SP_LFR if C == 10 else SchemeKind.IS_LFR
+    return simulate(SchemeConfig(topo, 20 if C == 10 else 3,
+                                 1920 if C == 10 else 13, kind, seed=6))
+
+
+def reshaped(how: str, C: int) -> SimulationArtifact:
+    """placed_round(C) with every cache's filled stores rebuilt: in
+    shuffled order, or in placement order with one label dropped or with
+    a foreign label, the next cache's first one it lacks, added halfway."""
+    result = placed_round(C)
+    caches, rng = result.placement.caches, random.Random(f"{how}:{C}")
+    rebuilt = []
+    for c, cache in enumerate(caches):
+        stores = {}
+        for name in ("subfiles", "key_shares", "whole_keys", "coded_subkeys"):
+            entries = list(getattr(cache, name).items())
+            if entries and how == "shuffled":
+                rng.shuffle(entries)
+            elif entries and how == "dropped":
+                del entries[rng.randrange(len(entries))]
+            elif entries:
+                other = getattr(caches[(c + 1) % len(caches)], name)
+                foreign = next(e for e in other.items()
+                               if e[0] not in getattr(cache, name))
+                entries.insert(len(entries) // 2, foreign)
+            stores[name] = dict(entries)
+        rebuilt.append(CacheContent(cache.index, **stores))
+    return SimulationArtifact(result.cfg, tuple(rebuilt), result.transcript)
 
 
 def as_result(artifact: SimulationArtifact):
@@ -326,14 +390,24 @@ def as_result(artifact: SimulationArtifact):
                            placement=SimpleNamespace(caches=artifact.caches))
 
 
-@pytest.mark.parametrize("broadcast", (False, True))
-def test_hand_built_artifact_matches_the_reference_and_round_trips(broadcast):
-    artifact = hand_built(broadcast)
+@pytest.mark.parametrize("case", (False, True, *(
+    f"{how}-{C}" for C in (4, 10) for how in ("shuffled", "dropped",
+                                              "foreign"))))
+def test_hand_built_artifact_matches_the_reference_and_round_trips(case):
+    # A bool is hand_built's broadcast flag; else reshaped's "how-C".
+    how, C = (None, 0) if isinstance(case, bool) else case.split("-")
+    artifact = hand_built(case) if how is None else reshaped(how, int(C))
     parts = (artifact.cfg, artifact.caches, artifact.transcript)
-    assert artifact_to_json(*parts) == reference_json(as_result(artifact))
+    text = artifact_to_json(*parts)
+    assert text == reference_json(as_result(artifact))
     blob = artifact_to_bytes(*parts)
     assert artifact_from_bytes(blob) == artifact
     assert artifact_to_bytes(*parts) == blob
+    if how == "shuffled":
+        # The placed round's entries: its very bytes and text.
+        placed = placed_round(int(C))
+        assert blob == simulation_to_bytes(placed)
+        assert text == simulation_to_json(placed)
 
 
 @pytest.mark.parametrize("coeffs", (8, 1 << 40, -1))
@@ -344,6 +418,42 @@ def test_demand_wider_than_the_library_is_a_domain_error(coeffs):
         artifact_to_bytes(*parts)
     with pytest.raises(DomainError):
         artifact_to_json(*parts)
+
+
+def test_the_ten_cache_render_plan_holds_arrays_not_entries():
+    # The plan lives as long as the process: engine-c10's peak memory
+    # carries it.  The labels it reads, which placement keeps, come first.
+    topo = TopologySpec(10, 3, 3)
+    for name, _, _ in transcript._CACHE_SECTIONS:
+        _store_labels(topo, 20, name)
+    tracemalloc.start()
+    try:
+        plan = transcript._render_plan.__wrapped__(topo, 20)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (labels, order, ((files, at), _)), shares = plan[0][:2]
+    assert len(plan) == 10 and len(labels) == 20 * 36 == len(order) == len(at)
+    assert order.typecode == "H" and files == list(range(1, 21))
+    assert shares[1] is None  # key stores are placed in sorted order
+    assert kept <= 1 << 18 and peak <= 1 << 19
+
+
+@pytest.mark.parametrize("C, r, t, N, held", [
+    (3, 2, 1, 10 ** 4, 0),  # a header's N over empty caches
+    (10, 5, 1, 1, 1),  # 1,260 slots over one subfile a cache
+])
+def test_the_writers_build_no_plan_larger_than_the_caches(C, r, t, N, held):
+    # The plan would hold N t C(C, t) subfile labels and r C(C, r) C(C-r, t)
+    # slot labels, whatever the caches hold: too many here, so none is built.
+    cfg = SchemeConfig(TopologySpec(C, r, t), N, 6, SchemeKind.LFR)
+    caches = tuple(CacheContent(c, {(1, (c,)): BitBlock(1, 6)} if held else {},
+                                {}, {}, {}) for c in range(1, C + 1))
+    parts = (cfg, caches, DeliveryTranscript(cfg, {}, {}, {}, None))
+    built = transcript._render_plan.cache_info().misses
+    assert artifact_from_bytes(artifact_to_bytes(*parts)).caches == caches
+    assert json.loads(artifact_to_json(*parts))["config"]["N"] == N
+    assert transcript._render_plan.cache_info().misses == built
 
 
 def test_json_peak_memory_stays_near_the_text_length():
