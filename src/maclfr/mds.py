@@ -18,6 +18,7 @@ for n <= 12.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -149,7 +150,14 @@ def _combine(field: BinaryField, coeffs: Sequence[int], packed: Sequence[int],
 def decoding_matrix(code: MdsCode, positions: Sequence[int]
                     ) -> tuple[tuple[int, ...], ...]:
     """The inverse of the generator columns at the received positions:
-    row i gives sub-key i as a combination of the received blocks."""
+    row i gives sub-key i as a combination of the received blocks.
+    Solved once per code and positions."""
+    return _inverse(code, tuple(positions))
+
+
+@lru_cache(maxsize=None)
+def _inverse(code: MdsCode, positions: tuple[int, ...]
+             ) -> tuple[tuple[int, ...], ...]:
     k = code.dimension
     matrix = [list(code.column(p)) for p in positions]  # rows = received blocks
     identity = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -161,14 +169,8 @@ def decoding_matrix(code: MdsCode, positions: Sequence[int]
 
 
 def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
-               key_bits: int,
-               inverse: Sequence[Sequence[int]] | None = None) -> BitBlock:
-    """Recover the key from any k (column index, coded block) pairs.
-
-    inverse is decoding_matrix(code, positions) for the blocks' positions;
-    a caller that decodes many keys from the same positions passes it in
-    instead of having it recomputed.
-    """
+               key_bits: int) -> BitBlock:
+    """Recover the key from any k (column index, coded block) pairs."""
     k = code.dimension
     if len(blocks) != k:
         raise DomainError(f"need exactly {k} blocks, got {len(blocks)}")
@@ -183,13 +185,11 @@ def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
         if b.length != expected:
             raise DomainError(f"block at {p} has {b.length} bits, "
                               f"expected {expected}")
-    if inverse is None:
-        inverse = decoding_matrix(code, positions)
     received = [b.value for _, b in blocks]
     symbols = expected // code.symbol_bits
     mask = (1 << sub_bits) - 1
     key = 0
-    for i, row in enumerate(inverse):
+    for i, row in enumerate(decoding_matrix(code, positions)):
         subkey = _combine(code.field, row, received, symbols)
         key |= (subkey & mask) << (i * sub_bits)
     return BitBlock(key & ((1 << key_bits) - 1), key_bits)

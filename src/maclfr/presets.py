@@ -99,13 +99,10 @@ class FigurePreset:
     kinds: tuple[SchemeKind, ...]
 
 
-_ALL_KINDS = (SchemeKind.SP_LFR, SchemeKind.P_LFR, SchemeKind.S_LFR,
-              SchemeKind.IS_LFR, SchemeKind.LFR)
-
 # Keyed by the customary plot number; users = N in all of them.
 FIGURE_PRESETS = {
-    2: FigurePreset(15, 1, 15, _ALL_KINDS),
-    3: FigurePreset(15, 2, 105, _ALL_KINDS),
-    4: FigurePreset(15, 3, 455, _ALL_KINDS),
+    2: FigurePreset(15, 1, 15, tuple(SchemeKind)),
+    3: FigurePreset(15, 2, 105, tuple(SchemeKind)),
+    4: FigurePreset(15, 3, 455, tuple(SchemeKind)),
     5: FigurePreset(15, 2, 105, (SchemeKind.S_LFR, SchemeKind.IS_LFR)),
 }

@@ -48,10 +48,10 @@ from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, random_demands, subfile_bit_length,
                       subpacketize)
 from .mds import (MdsCode, build_code, coded_block_bit_length, decode_key,
-                  decoding_matrix, encode_key, subkey_bit_length)
+                  encode_key, subkey_bit_length)
 from .rows import (_combinations, _cut, _gather, _images, _join, _listed,
                    _narrow, _wide, _widen, _words)
-from .shamir import ShareSet, canonical_evaluation_points, reconstruct, split
+from .shamir import ShareSet, reconstruct, split
 from .topology import CacheSet, TopologySpec, share_index_of_cache
 
 # The interpreter's built-in SHA-256, as random takes its SHA-512: hashlib
@@ -336,13 +336,6 @@ class DeliveryTranscript:
         return Fraction(cfg.topo.num_transmissions,
                         cfg.topo.num_subfile_indices)
 
-    @property
-    def payload_bits(self) -> int:
-        total = sum(b.length for b in self.payloads.values())
-        if self.broadcast_files:
-            total += sum(b.length for b in self.broadcast_files)
-        return total
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -370,14 +363,16 @@ class Scheme:
     by row, not by slot: superposed keys sit side by side at stride
     share_block_bits, as the drawn coefficient planes lay them out, so one
     split places every slot of the round, and one reconstruct recovers
-    every masked key of a user from its caches' share rows; likewise one
-    decode_key recovers the is-lfr keys of every slot whose user's caches
-    sit at the same positions in S.  Decode is one row function for the
-    round, decode_rows.  Where each piece sits is the topology's
-    _DecodePlan, worked out once; per call, each cache read combines its
-    own pieces into machine words, and each lane of the plan is one
-    gather.  A Scheme keeps none of a round.  BitBlocks appear only where
-    blocks enter and leave.
+    every masked key of the decoded users from their caches' share rows;
+    likewise one decode_key recovers the is-lfr keys of every slot whose
+    user's caches sit at the same positions in S.  Decode is one row
+    function for the round, decode_rows.  Where each piece sits is the
+    topology's _DecodePlan, worked out once; per call, each cache read
+    combines its own pieces into machine words, and each lane of the plan
+    is one gather.  A Scheme holds only what __init__ built, tables of
+    its config, and keeps none of a round; the MDS inverses are cached
+    where mds derives them.  BitBlocks appear only where blocks enter and
+    leave.
     """
 
     def __init__(self, cfg: SchemeConfig):
@@ -410,15 +405,6 @@ class Scheme:
         self._key_places = empty if (
             cfg.broadcast or cfg.kind is SchemeKind.LFR) else _store_labels(
             cfg.topo, cfg.num_files, self._key_store)
-        self._inverses: dict[tuple[int, ...], tuple] = {}
-
-    @cached_property
-    def _weights(self) -> tuple[int, ...]:
-        """Lagrange weights at zero of the canonical share points: every
-        user's r shares sit at the same points."""
-        field = self.cfg.key_field
-        return field.lagrange_weights_at_zero(
-            canonical_evaluation_points(field, self.topo.access_degree))
 
     # -- placement --
 
@@ -737,22 +723,24 @@ class Scheme:
     def _keys(self, users: Sequence[CacheSet],
               key_rows: Sequence[tuple[int, int]]) -> list[list[int]]:
         """Each listed user's keys on the payloads of its slots, lex in T,
-        from its caches' key rows: reconstructed at once from the user's
-        cuts of the share rows, read whole, or MDS decoded; zero for lfr."""
+        from its caches' key rows: reconstructed at once from the listed
+        users' cuts of the share rows, read whole, or MDS decoded; zero
+        for lfr."""
         cfg, bits, plan = self.cfg, self._key_bits, _decode_plan(self.topo)
         P, r = plan.per_user, self.topo.access_degree
         ranks = [self._user_rank[g] for g in users]
         if self.kind.masks_demands:
-            keys, width = [], P * bits
+            # Share j holds every listed user's cut of its j-th cache's row,
+            # side by side; g's cut starts at its first slot's share.
+            width = P * bits
+            shares = ShareSet(cfg.key_field, len(users) * width, tuple(
+                _join([key_rows[g[j] - 1][0] >> (plan.cuts[u * r + j] * bits)
+                       & ((1 << width) - 1) for g, u in zip(users, ranks)],
+                      width) for j in range(r)))
             piece = (1 << cfg.subfile_bits) - 1  # a share block pads a key
-            for g, u in zip(users, ranks):
-                # g's cut of a cache's row starts at its first slot's share.
-                shares = ShareSet(cfg.key_field, width, tuple(
-                    key_rows[c - 1][0] >> (plan.cuts[u * r + j] * bits)
-                    & ((1 << width) - 1) for j, c in enumerate(g)))
-                keys.append([key & piece for key in _cut(
-                    reconstruct(shares, self._weights).value, P, bits)])
-            return keys
+            keys = [key & piece for key in _cut(
+                reconstruct(shares).value, len(users) * P, bits)]
+            return [keys[at * P:(at + 1) * P] for at in range(len(users))]
         if not self.kind.stores_keys_whole and not self.kind.stores_keys_coded:
             return [[0] * P for _ in users]
         # Every read cache's entries, Q each, at (c - 1) Q; zero if unread.
@@ -786,14 +774,11 @@ class Scheme:
                     slots[begins[u]:begins[u + 1]] for u in wanted))
             if not slots:
                 continue
-            if positions not in self._inverses:
-                self._inverses[positions] = decoding_matrix(code, positions)
             width = len(slots) * bits
             blocks = [BitBlock(_join(_gather(entries, _gather(at, slots)),
                                      bits), width) for at in plan.keys]
             wide = decode_key(list(zip(positions, blocks)), code,
-                              code.dimension * width,
-                              self._inverses[positions]).value
+                              code.dimension * width).value
             # Sub-key row h holds each slot's sub-key h at stride bits.
             found = [0] * len(slots)
             for h in range(code.dimension):

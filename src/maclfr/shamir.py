@@ -105,18 +105,15 @@ def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
     return ShareSet(field, secret_bits, tuple(b.value for b in blocks))
 
 
-def reconstruct(shares: ShareSet,
-                weights: Sequence[int] | None = None) -> BitBlock:
+def reconstruct(shares: ShareSet) -> BitBlock:
     """Interpolate every symbol's constant term and drop the tail padding.
 
-    weights are the Lagrange weights at zero of the canonical points; a
-    caller that reconstructs many share sets of one share count passes them
-    in instead of having them recomputed.
+    The Lagrange weights at zero of the canonical points are derived once
+    per call: a row of many secrets, side by side, is one call.
     """
     field = shares.field
-    if weights is None:
-        weights = field.lagrange_weights_at_zero(
-            canonical_evaluation_points(field, shares.share_count))
+    weights = field.lagrange_weights_at_zero(
+        canonical_evaluation_points(field, shares.share_count))
     symbols = shares.share_bits // field.exponent
     acc = 0
     for y, weight in zip(shares.shares, weights):

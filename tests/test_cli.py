@@ -299,23 +299,25 @@ def test_exhaustive_decode_streams_its_demand_tuples():
     # check_correctness copied them: at C = 3, r = 2, t = 1, going from
     # N = 3 (2^9 tuples) to N = 4 (2^12) raised its peak by about 1.5 MB.
     # Streamed, the peak stays put, up to the interpreter's free lists.
-    # One untraced walk of each shape first builds the caches and fills
-    # those free lists, so neither traced walk pays for them.
+    # One decoding walk of each shape checks every tuple and builds the
+    # caches and free lists; then a walk without seeds, which still makes
+    # and reads every tuple but decodes none, runs under tracemalloc.
     shapes = [SchemeConfig(TopologySpec(3, 2, 1), N, 3, SchemeKind.LFR)
               for N in (3, 4)]
     for cfg in shapes:
-        check_correctness(cfg, cli._every_demand_tuple(
+        report = check_correctness(cfg, cli._every_demand_tuple(
             cfg, cli.DEFAULT_STATE_CAP), seeds=(cfg.seed,))
+        assert report.ok and report.batteries == 1 << (3 * cfg.num_files)
     peaks = []
     for cfg in shapes:
         tracemalloc.start()
         try:
             report = check_correctness(cfg, cli._every_demand_tuple(
-                cfg, cli.DEFAULT_STATE_CAP), seeds=(cfg.seed,))
+                cfg, cli.DEFAULT_STATE_CAP), seeds=())
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert report.ok and report.batteries == 1 << (3 * cfg.num_files)
+        assert report.batteries == 1 << (3 * cfg.num_files)
     assert peaks[1] < peaks[0] + 256 * 1024, peaks
 
 

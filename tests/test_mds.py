@@ -15,8 +15,7 @@ import pytest
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
 from maclfr.mds import (MdsCode, build_code, coded_block_bit_length,
-                        decode_key, decoding_matrix, encode_key,
-                        subkey_bit_length)
+                        decode_key, encode_key, subkey_bit_length)
 
 SHAPES = ((1, 1), (2, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4),
           (7, 3), (8, 5))
@@ -193,6 +192,3 @@ def test_packed_coding_matches_a_per_symbol_reference(length, dimension):
             value &= (1 << key_bits) - 1
             pairs = list(zip(cols, received))
             assert decode_key(pairs, code, key_bits) == BitBlock(value, key_bits)
-            assert decode_key(pairs, code, key_bits,
-                              decoding_matrix(code, cols)) == BitBlock(value,
-                                                                       key_bits)

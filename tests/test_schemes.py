@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -23,16 +24,17 @@ from pathlib import Path
 
 import pytest
 
-from maclfr import indexing, schemes
+from maclfr import indexing, mds, schemes
 from maclfr.analysis import point
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
+from maclfr.gf import BinaryField, binary_field
 from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
                             linear_combination, random_demands, subpacketize)
 from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
                             SchemeConfig, SchemeKind, ServerRandomness, _join,
                             derive_rng, simulate)
-from maclfr.mds import decode_key
+from maclfr.mds import MdsCode, decode_key
 from maclfr.topology import TopologySpec, share_index_of_cache
 from maclfr.verify import check_correctness, tiny_config, tiny_sweep_topologies
 
@@ -93,8 +95,8 @@ def test_measured_memory_and_rate_match_closed_forms(kind, C, r, t):
     assert result.placement.memory == expected.memory
     assert result.transcript.rate == expected.rate
     # Rate in bits: the payload volume equals rate * F at aligned F.
-    assert (Fraction(result.transcript.payload_bits, cfg.file_bits)
-            == expected.rate)
+    payload_bits = sum(b.length for b in result.transcript.payloads.values())
+    assert Fraction(payload_bits, cfg.file_bits) == expected.rate
 
 
 def test_placement_is_symmetric_and_demand_independent():
@@ -1010,8 +1012,7 @@ def test_the_ten_cache_decode_plan_takes_at_most_a_mebibyte():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_a_scheme_keeps_nothing_of_a_placement(kind):
-    # Whatever a Scheme decodes, it holds only tables of its config and
-    # the MDS inverses by block positions afterwards.
+    # Whatever a Scheme decodes, it holds only what __init__ built.
     cfg = config(kind, 4, 2, 1)
     result, scheme = simulate(cfg), Scheme(cfg)
     before = set(vars(scheme))
@@ -1019,9 +1020,43 @@ def test_a_scheme_keeps_nothing_of_a_placement(kind):
     for g, demand in zip(cfg.topo.users(), result.demands):
         scheme.decode(g, [result.placement.caches[c - 1] for c in g],
                       result.transcript, demand)
-    assert set(vars(scheme)) - before <= {"_weights"}
+    assert set(vars(scheme)) == before
     assert not hasattr(scheme, "_images")
-    assert all(isinstance(p, int) for at in scheme._inverses for p in at)
+
+
+def test_share_weights_once_a_decode_and_mds_inverses_once(monkeypatch):
+    # An sp-lfr and an is-lfr round, each decoded by simulate and by two
+    # more Schemes, derive the Lagrange weights once per decode of all six
+    # users and each inverse once per (code, positions) in the process.
+    # A singular position set raises on every call: the cache keeps no
+    # exception.
+    configs = [config(kind, 4, 2, 2)
+               for kind in (SchemeKind.SP_LFR, SchemeKind.IS_LFR)]
+    code = configs[1].key_code  # built and checked before the count
+    derived = Counter()
+    weights, solve = BinaryField.lagrange_weights_at_zero, mds._solve
+    monkeypatch.setattr(
+        BinaryField, "lagrange_weights_at_zero",
+        lambda field, xs: derived.update([(field, len(xs))])
+        or weights(field, xs))
+    monkeypatch.setattr(
+        mds, "_solve", lambda field, matrix, rhs: derived.update(
+            [tuple(map(tuple, matrix))]) or solve(field, matrix, rhs))
+    mds._inverse.cache_clear()
+    for cfg in configs:
+        result = simulate(cfg)
+        for scheme in (Scheme(cfg), Scheme(cfg)):
+            assert server_rows_decode(scheme, result, cfg.topo.users()) == [
+                result.expected[g].value for g in cfg.topo.users()]
+    classes = indexing._decode_plan(configs[1].topo).classes
+    assert len(classes) == comb(4, 2) and derived == Counter(
+        {(configs[0].key_field, 2): 3}
+        | {tuple(code.column(p) for p in positions): 1
+           for positions, _, _ in classes})
+    broken = MdsCode(3, 2, binary_field(2), ((1, 0, 1), (0, 1, 0)))
+    for _ in range(2):
+        with pytest.raises(IntegrityError):
+            mds.decoding_matrix(broken, [1, 3])
 
 
 def test_deliver_validates_demands():

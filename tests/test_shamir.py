@@ -229,5 +229,3 @@ def test_packed_split_and_reconstruct_match_a_per_symbol_reference():
                                                         secret_bits))
             value = packed(expected, l) & ((1 << secret_bits) - 1)
             assert rebuilt == BitBlock(value, secret_bits)
-            assert reconstruct(share_set_from_blocks(blocks, field, secret_bits),
-                               weights) == rebuilt

@@ -834,7 +834,8 @@ def test_transmission_row_matches_the_transcript(kind, C, r, t, broadcast):
                         expected ^= table.subfile(i + 1, rest).value
             assert payloads >> (s * sb) & ((1 << sb) - 1) == expected
         view, _ = extractor.transmission(transcript)
-        assert view == (payloads | sent << transcript.payload_bits if masked
+        payload_bits = sum(b.length for b in transcript.payloads.values())
+        assert view == (payloads | sent << payload_bits if masked
                         else payloads)
 
 
