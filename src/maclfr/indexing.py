@@ -3,7 +3,8 @@
 _indices gives the index lists every round walks; _key_labels and
 _subfile_labels give the label of each entry of a cache's key and subfile
 rows, and _store_labels which of them labels each store placement fills;
-_decode_plan gives decode_rows the place of every piece it reads.
+_decode_plan gives decode_rows the place of every piece it reads, and
+key_rows the ranks behind every masked key and share cut.
 Each depends on the topology alone (the subfile labels also on the number
 of files), so a table is built once per process and shared by every
 Scheme of every config on it.
@@ -90,12 +91,13 @@ def _store_labels(topo: TopologySpec, num_files: int, store: str
 
 
 class _DecodePlan(NamedTuple):
-    """Where decode_rows finds each piece, built once per topology.
+    """Where decode_rows finds each piece, and key_rows each masked key
+    and share cut, built once per topology.
 
     Slot x = u P + i is user rank u's slot i of P, lex in T; H is the
     number of pieces each cache stores per file, and Q the number of
     transmissions naming each cache.  Per slot, lex in x:
-    - sends: its transmission rank s;
+    - sends, owners and ranks: the ranks s of S, u of g and k of T;
     - lanes: lane m, the place ((c - 1) K + v) H + pos of the m-th other
       sender v's piece S minus v, where c is the first of g's caches in
       it and pos its place in c's store order;
@@ -108,6 +110,9 @@ class _DecodePlan(NamedTuple):
       K r H + x;
     - cuts: at u r + j, the slot at which g's cut starts in cache g[j]'s
       share row, as key_rows lays it out.
+    Per cache, holds: the cuts its share row holds, in order, each user g
+    naming it lex: the place j K + u of g's cut of share j, the cache
+    being g[j].
     classes group the slots by where g's caches sit in S: the positions,
     the slots lex in x, and where each user rank's slots begin in them.
     """
@@ -115,10 +120,13 @@ class _DecodePlan(NamedTuple):
     per_user: int
     per_cache: int
     sends: array
+    owners: array
+    ranks: array
     lanes: tuple[array, ...]
     pieces: array
     cuts: array
     keys: tuple[array, ...]
+    holds: tuple[array, ...]
     classes: tuple[tuple[tuple[int, ...], array, array], ...]
 
 
@@ -135,11 +143,12 @@ def _decode_plan(topo: TopologySpec) -> _DecodePlan:
     # 16-bit places while every place fits: the plan is half the size.
     code = "H" if max(len(stored) * K * H, K * (r * H + P),
                       len(stored) * Q) <= 1 << 16 else "I"
-    sends, pieces, cuts = array(code), array(code), array(code)
+    sends, owners, ranks, pieces, cuts = (array(code) for _ in range(5))
     holders = [[g for g in users if c in g]
                for c in range(1, topo.num_caches + 1)]
     lanes = tuple(array(code) for _ in range(len(senders[0]) - 1))
     keys = tuple(array(code) for _ in range(r))
+    holds = tuple(array(code) for _ in range(topo.num_caches))
     classes: dict[tuple[int, ...], array] = {}
     for u, g in enumerate(users):
         slot, held = {T: i for i, T in enumerate(rows[g])}, {}
@@ -152,9 +161,11 @@ def _decode_plan(topo: TopologySpec) -> _DecodePlan:
             held[T] = (g[j] - 1) * K * H + pos
             pieces.append((u * r + j) * H + pos)
         for i, T in enumerate(rows[g]):
-            S = slots[(g, T)][1]
+            k, S = slots[(g, T)]
             s = sent_rank[S]
             sends.append(s)
+            owners.append(u)
+            ranks.append(k)
             others = [(v, rest) for (v, _), (other, rest, _)
                       in zip(senders[s], members[S]) if other != g]
             for lane, (v, rest) in zip(lanes, others):
@@ -164,7 +175,9 @@ def _decode_plan(topo: TopologySpec) -> _DecodePlan:
             classes.setdefault(tuple(share_index_of_cache(S, c) for c in g),
                                array(code)).append(u * P + i)
         cuts.extend(holders[c - 1].index(g) * P for c in g)
-    return _DecodePlan(P, H, sends, lanes, pieces, cuts, keys, tuple(
-        (positions, at, array(code, (bisect_left(at, u * P)
-                                     for u in range(K + 1))))
-        for positions, at in classes.items()))
+        for j, c in enumerate(g):
+            holds[c - 1].append(j * K + u)
+    return _DecodePlan(P, H, sends, owners, ranks, lanes, pieces, cuts, keys,
+                       holds, tuple((positions, at, array(code, (
+                           bisect_left(at, u * P) for u in range(K + 1))))
+                           for positions, at in classes.items()))

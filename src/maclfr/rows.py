@@ -2,7 +2,8 @@
 
 A row is values of one width side by side in a plain int, value i at bit
 i * width, as the engine's subfile, key, payload and demand rows are.
-_join and _cut pack and unpack rows.  Decode moves rows through machine
+_join and _cut pack and unpack rows; _join shifts a short row in value by
+value and joins a longer one pairwise.  Decode moves rows through machine
 words: _words and _wide turn values into an array of 64-bit words and
 back, each value a fixed number of words, and _widen and _narrow do the
 same straight from and to a row, by byte slices when the width is a whole
@@ -24,8 +25,16 @@ _SWAPPED = sys.byteorder == "big"
 
 
 def _join(values: Sequence[int], width: int) -> int:
-    """The values side by side, value i at bit i * width.  Neighbours are
-    joined pairwise, so no step copies a growing int once per value."""
+    """The values side by side, value i at bit i * width.  Up to 16 values
+    are joined by shifts, last value first, and a longer row pairwise,
+    neighbours at each step, so that no step copies a growing int once
+    per value.  Shifts are faster up to about 13 values of 1,920 bits, and
+    past 64 values of at most 64 bits."""
+    if len(values) <= 16:
+        acc = 0
+        for v in reversed(values):
+            acc = acc << width | v
+        return acc
     while len(values) > 1:
         joined = [lo | hi << width for lo, hi in zip(values[::2], values[1::2])]
         if len(values) & 1:

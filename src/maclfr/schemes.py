@@ -386,7 +386,6 @@ class Scheme:
         self._stored, self._subfile_places = (
             (empty, empty) if cfg.broadcast
             else (stored, _store_labels(cfg.topo, cfg.num_files, "subfiles")))
-        self._sent_rank = {S: s for s, S in enumerate(self._members)}
         self._user_rank = {g: u for u, g in enumerate(self._rows)}
         # The key and mask rows' widths: zero for the kinds without them.
         self._widths = (
@@ -480,49 +479,49 @@ class Scheme:
         """Each cache's key material as one row (value, width), in the
         order the cache stores it.
 
-        Under sp-lfr and p-lfr, a cache's row is, for each user holding it
-        in lex order, the user's cut of the round's one split share row,
-        whose secrets are the superposed keys D[g, T], lex in (g, T): the
-        key of S = g + T plus g's mask combination of subfile T.  Under
-        s-lfr it is the whole payload key of each S naming the cache, lex
-        in S, and under is-lfr the cache's MDS-coded block of each such S.
-        lfr and broadcast mode store no key: every row is empty.
+        Under sp-lfr and p-lfr, one split shares the round's superposed
+        keys D[g, T], lex in (g, T) at stride share_block_bits as the
+        coefficient planes lay them out: the key of S = g + T plus g's
+        mask combination of subfile T.  A cache's row is, for each user g
+        holding it in lex order, g's cut of share j, where the cache is
+        g's j-th; the topology's _DecodePlan gives the ranks behind every
+        key and cut.  Under s-lfr it is the whole payload key of each S
+        naming the cache, lex in S, and under is-lfr the cache's MDS-coded
+        block of each such S.  lfr and broadcast mode store no key: every
+        row is empty.
         """
         self._check_rows(randomness)
         cfg = self.cfg
         keys = randomness.payload_keys
         sb, n = cfg.subfile_bits, cfg.num_files
         piece = (1 << sb) - 1
-        pieces: list[list[int]] = [[] for _ in range(self.topo.num_caches)]
-        bits = self._key_bits
         if self.kind.masks_demands and not cfg.broadcast:
-            wb = cfg.share_block_bits
-            # _combination reads the low N bits of the shifted row: g's mask.
-            masked = {g: _combination(table.images,
-                                      randomness.mask_vectors >> (u * n))
-                      for u, g in enumerate(self._rows)}
-            # The g-mask combination of subfile index T, on the key of S.
-            superposed = [(keys >> (self._sent_rank[S] * sb)
-                           ^ masked[g] >> (k * sb)) & piece
-                          for (g, _), (k, S) in self._slots.items()]
-            # One split for the round: the slot keys side by side, lex in
-            # (g, T) at stride wb as the coefficient planes are, so that
-            # each user's row is contiguous.
+            wb, K = cfg.share_block_bits, len(self._rows)
+            plan = _decode_plan(self.topo)
+            # _combination reads the low N bits of the shifted row: u's mask.
+            masked = [_combination(table.images, randomness.mask_vectors
+                                   >> (u * n)) for u in range(K)]
+            superposed = [(keys >> (s * sb) ^ masked[u] >> (k * sb)) & piece
+                          for s, u, k in zip(plan.sends, plan.owners,
+                                             plan.ranks)]
             shares = split(BitBlock(_join(superposed, wb), len(superposed) * wb),
                            self.topo.access_degree, cfg.key_field,
                            coefficients=randomness.share_coefficients).shares
-            # Each user's row has C(C - r, t) slots; user rank u's is cut u.
-            bits = len(superposed) // len(self._rows) * wb
-            for u, g in enumerate(self._rows):
-                for c, share in zip(g, shares):  # share j to g's j-th cache
-                    pieces[c - 1].append(share >> (u * bits) & (1 << bits) - 1)
-        elif self.kind.stores_keys_whole or self.kind.stores_keys_coded:
+            bits = len(superposed) // K * wb  # a cut: one user's slots
+            cut = (1 << bits) - 1
+            cuts = [share >> (u * bits) & cut for share in shares
+                    for u in range(K)]
+            return [(_join([cuts[x] for x in at], bits), len(at) * bits)
+                    for at in plan.holds]
+        pieces: list[list[int]] = [[] for _ in range(self.topo.num_caches)]
+        if self.kind.stores_keys_whole or self.kind.stores_keys_coded:
             for s, S in enumerate(self._members):
                 key = BitBlock((keys >> (s * sb)) & piece, sb)
                 blocks = (encode_key(key, cfg.key_code)
                           if self.kind.stores_keys_coded else [key] * len(S))
                 for c, block in zip(S, blocks):  # block j to S's j-th cache
                     pieces[c - 1].append(block.value)
+        bits = self._key_bits
         return [(_join(row, bits), len(row) * bits) for row in pieces]
 
     # -- delivery --

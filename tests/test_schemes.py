@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -32,8 +33,8 @@ from maclfr.gf import BinaryField, binary_field
 from maclfr.library import (DemandVector, FileLibrary, cycling_one_hot_demands,
                             linear_combination, random_demands, subpacketize)
 from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
-                            SchemeConfig, SchemeKind, ServerRandomness, _join,
-                            derive_rng, simulate)
+                            SchemeConfig, SchemeKind, ServerRandomness, _cut,
+                            _join, derive_rng, simulate)
 from maclfr.mds import MdsCode, decode_key
 from maclfr.topology import TopologySpec, share_index_of_cache
 from maclfr.verify import check_correctness, tiny_config, tiny_sweep_topologies
@@ -260,15 +261,22 @@ def test_draw_agrees_with_layout_unpack(kind, C, r, t):
         assert rng.getrandbits(64) == replay.getrandbits(64)
 
 
-@pytest.mark.parametrize("width", (1, 2, 3, 16))
-@pytest.mark.parametrize("count", range(10))
+@pytest.mark.parametrize("width", (1, 2, 3, 16, 64, 65, 1920))
+@pytest.mark.parametrize("count", (*range(41), 100, 1000))
 def test_join_places_values_side_by_side(count, width):
+    # Short rows join by shifts and longer ones pairwise: both ways OR
+    # value i in at bit i * width, an over-wide value too.
     rng = derive_rng(count, f"join:{width}")
     values = [rng.getrandbits(width) for _ in range(count)]
-    expected = 0
+    expected = over = 0
     for i, v in enumerate(values):
         expected |= v << (i * width)
+        over |= (v << 1 | 1) << (i * width)
     assert _join(values, width) == expected
+    assert _cut(_join(values, width), count, width) == values
+    assert _join([v << 1 | 1 for v in values], width) == over
+    if width <= 64:  # machine words, as _narrow passes them
+        assert _join(array("Q", values), width) == expected
 
 
 @pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
@@ -862,6 +870,61 @@ def test_a_ten_cache_round_decodes_is_lfr_keys_once_per_position_class(
     assert len(calls) == comb(6, 3)
 
 
+def slot_by_slot_key_rows(cfg, randomness, table) -> list[tuple[int, int]]:
+    """The masking kinds' key rows, one split per slot (g, T), lex: the
+    key of S = g + T XOR subfile T of g's mask combination, on the slot's
+    cut of each coefficient plane; share j goes to g's j-th cache, each
+    cache's shares in lex user order."""
+    topo, n = cfg.topo, cfg.num_files
+    sb, wb = cfg.subfile_bits, cfg.share_block_bits
+    sent, indices = topo.transmission_indices(), topo.subfile_indices()
+    piece, rows, x = (1 << sb) - 1, [[] for _ in range(topo.num_caches)], 0
+    for u, g in enumerate(topo.users()):
+        mask = randomness.mask_vectors >> (u * n)
+        for T in indices:
+            if set(T) & set(g):
+                continue
+            S = tuple(sorted(g + T))
+            key = randomness.payload_keys >> (sent.index(S) * sb) & piece
+            for i, image in enumerate(table.images):
+                if mask >> i & 1:
+                    key ^= image >> (indices.index(T) * sb) & piece
+            planes = [plane >> (x * wb) & ((1 << wb) - 1)
+                      for plane in randomness.share_coefficients]
+            shares = schemes.split(BitBlock(key, sb), len(g), cfg.key_field,
+                                   coefficients=planes).shares
+            for c, share in zip(g, shares):
+                rows[c - 1].append(share)
+            x += 1
+    return [(sum(v << (i * wb) for i, v in enumerate(row)), len(row) * wb)
+            for row in rows]
+
+
+MASKED_KEY_SHAPES = [*((C, r, t, 2, None) for C, r, t in tiny_sweep_topologies()),
+                     (5, 2, 2, 3, None), (10, 3, 3, 20, 1920)]
+
+
+@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
+@pytest.mark.parametrize("C,r,t,N,F", MASKED_KEY_SHAPES)
+def test_masked_key_rows_equal_one_split_per_slot(kind, C, r, t, N, F):
+    cfg = config(kind, C, r, t, N=N, F=F, seed=4)
+    randomness = ServerRandomness.draw(cfg, derive_rng(5, "placement"))
+    table = subpacketize(FileLibrary.random(derive_rng(6, "library"), N,
+                                            cfg.file_bits), cfg.topo)
+    expected = slot_by_slot_key_rows(cfg, randomness, table)
+    # The plan key_rows reads is built once per topology and shared by
+    # every Scheme on it, and key_rows leaves the Scheme as __init__ built it.
+    plan = indexing._decode_plan(cfg.topo)
+    cached = indexing._decode_plan.cache_info()
+    for scheme in (Scheme(cfg), Scheme(replace(cfg, seed=9))):
+        before = dict(vars(scheme))
+        assert scheme.key_rows(randomness, table) == expected
+        assert vars(scheme) == before
+    now = indexing._decode_plan.cache_info()
+    assert (now.hits, now.misses) == (cached.hits + 2, cached.misses)
+    assert indexing._decode_plan(cfg.topo) is plan
+
+
 def slot_by_slot_decode_rows(scheme, users, payload_row, sent_row,
                              demand_row, subfile_rows, key_rows):
     """decode_rows as a plain per-slot loop: each read cache's file images
@@ -891,7 +954,7 @@ def slot_by_slot_decode_rows(scheme, users, payload_row, sent_row,
             held = [h | x for h, x in zip(held, combos)]
         for T, key in zip(scheme._rows[g], keys):
             k, S = scheme._slots[(g, T)]
-            s = scheme._sent_rank[S]
+            s = list(scheme._members).index(S)
             acc = payload_row >> (s * sb) ^ key
             for v, j in scheme._senders[s]:
                 if v != u:
