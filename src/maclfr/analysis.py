@@ -141,6 +141,7 @@ def lower_convex_envelope(points: "list[MemoryRatePoint] | tuple[MemoryRatePoint
 
 def curve(kind: SchemeKind, num_caches: int, access_degree: int,
           num_files: int, file_bits: int | None = None) -> TradeoffCurve:
+    TopologySpec(num_caches, access_degree, 0)  # parameter validation
     points = [point(kind, num_caches, access_degree, t, num_files, file_bits)
               for t in range(num_caches - access_degree + 1)]
     points.append(full_cache_point(num_files))

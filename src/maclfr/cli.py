@@ -92,8 +92,6 @@ def _build_parser() -> _Parser:
                     default="auto")
     pv.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
                     help="largest state space the oracles may walk")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for enumeration")
     pv.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -290,8 +288,9 @@ def _security_doc(res: SecurityCheckResult) -> tuple[dict, str]:
 
 def _privacy_doc(res: PrivacyCheckResult) -> tuple[dict, str]:
     max_tv = format_fraction(res.max_tv)
+    alone = res.cfg.topo.num_users == 1  # no other demands to hide
     return _zero_claim_doc(
-        "privacy", res, res.cfg.kind.masks_demands, f"max TV={max_tv}",
+        "privacy", res, res.cfg.kind.masks_demands or alone, f"max TV={max_tv}",
         max_tv=max_tv,
         per_observer={"".join(map(str, g)): format_fraction(tv)
                       for g, tv in res.per_observer.items()})
@@ -361,7 +360,7 @@ def cmd_verify(args) -> int:
         "correctness": lambda cfg: _correctness_doc(
             _check_correctness(args, cfg)),
         "security": lambda cfg: _security_doc(check_security_exact(
-            cfg, method=args.method, cap=args.cap, jobs=args.jobs)),
+            cfg, method=args.method, cap=args.cap)),
         "privacy": lambda cfg: _privacy_doc(check_privacy_exact(
             cfg, method=args.method, cap=args.cap)),
         "shares": lambda cfg: _shares_doc(check_share_placement_secrecy(cfg)),

@@ -444,14 +444,14 @@ def _choose_method(method: str, states: int, runs: int) -> str:
     return method
 
 
-def _walk(run: Callable[[int, int], tuple[int, ...]], views: int, zbits: int,
-          dbits: int, lib_values: range) -> list[dict[tuple[int, int], Counter]]:
+def _walk(run: Callable[[int, int], tuple[int, ...]], views: int, wbits: int,
+          zbits: int, dbits: int) -> list[dict[tuple[int, int], Counter]]:
     """Each view's value counts per (library value w, demand row d) over
-    every state: d, z's low dbits, outermost, then w, then innermost the
-    randomness, z's bits above d.  Security walks no demand bits."""
+    every state: d, z's low dbits, outermost, then w < 2^wbits, then the
+    randomness, z's bits above d, innermost.  Security walks no d bits."""
     counts: list[dict[tuple[int, int], Counter]] = [{} for _ in range(views)]
     for d in range(1 << dbits):
-        for w in lib_values:
+        for w in range(1 << wbits):
             seen = [c.setdefault((w, d), Counter()) for c in counts]
             for rv in range(1 << (zbits - dbits)):
                 for counter, view in zip(seen, run(w, d | rv << dbits)):
@@ -459,43 +459,24 @@ def _walk(run: Callable[[int, int], tuple[int, ...]], views: int, zbits: int,
     return counts
 
 
-def _walk_security(cfg: SchemeConfig, demands: Sequence[DemandVector],
-                   lib_values: range) -> dict[tuple[int, int], Counter]:
-    """_walk of the security view in a worker, which places its own."""
-    run, _, zbits = _views(cfg, demands)
-    return _walk(run, 1, zbits, 0, lib_values)[0]
-
-
 def security_joint_enumerated(cfg: SchemeConfig,
                               demands: Sequence[DemandVector],
                               cap: int = DEFAULT_STATE_CAP,
-                              jobs: int = 1, views: Views | None = None
+                              views: Views | None = None
                               ) -> dict[tuple[int, int], Fraction]:
     """The exact joint distribution of (library, transmission view) by
-    running the real scheme on every single state; `views`, when given,
-    is what _views(cfg, demands) returned, so the caches are not placed
-    again.  With jobs > 1, worker k walks every jobs-th library value
-    from the k-th on."""
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    running the real scheme on every single state, in one serial _walk;
+    `views`, when given, is what _views(cfg, demands) returned, so the
+    caches are not placed again."""
     run, wbits, zbits = views or _views(cfg, demands)
-    lib_states, states = 1 << wbits, 1 << (wbits + zbits)
+    states = 1 << (wbits + zbits)
     if states > cap:
         raise ResourceLimitError(
             f"enumeration of {states} states exceeds the cap {cap}")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = min(jobs, lib_states)  # one worker per library value at most
-        chunks = [range(k, lib_states, jobs) for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            walks = list(pool.map(_walk_security, [cfg] * jobs,
-                                  [demands] * jobs, chunks))
-    else:
-        walks = _walk(run, 1, zbits, 0, range(lib_states))
+    (counts,) = _walk(run, 1, wbits, zbits, 0)
     prob = Fraction(1, states)
-    return {(w, view): n * prob for counts in walks
-            for (w, _), counter in counts.items() for view, n in counter.items()}
+    return {(w, view): n * prob for (w, _), counter in counts.items()
+            for view, n in counter.items()}
 
 
 def _security_certified(model: BilinearModel) -> bool:
@@ -540,10 +521,12 @@ def check_security_exact(cfg: SchemeConfig,
 
     The affine route answers from the recovered model: a zero certified
     by the fixed point, else the rank sum of _readable_mi.  When neither
-    applies, the check enumerates, and its record says so.
+    applies, the check enumerates, and its record says so.  `jobs` must
+    be 1: enumeration is one serial walk, and the keyword stays only while
+    the benchmark's workloads pass jobs=1.
     """
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    if jobs != 1:
+        raise UsageError(f"jobs must be 1, got {jobs}")
     if demands is None:
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
     coeffs = tuple(d.coeffs for d in sorted(demands, key=lambda d: d.user))
@@ -559,8 +542,7 @@ def check_security_exact(cfg: SchemeConfig,
         if bits is not None:
             return SecurityCheckResult(cfg, coeffs, "affine", runs, bits == 0,
                                        float(bits))
-    mi = mutual_information(security_joint_enumerated(cfg, demands, cap, jobs,
-                                                      views))
+    mi = mutual_information(security_joint_enumerated(cfg, demands, cap, views))
     return SecurityCheckResult(cfg, coeffs, "enumerate", states, mi.is_zero,
                                mi.bits)
 
@@ -623,7 +605,7 @@ def _privacy_enumerated(cfg: SchemeConfig,
     user demanding nothing."""
     users, n = cfg.topo.users(), cfg.num_files
     dbits = n * len(users)
-    counts = _walk(run, len(users), zbits, dbits, range(1 << wbits))
+    counts = _walk(run, len(users), wbits, zbits, dbits)
     per_observer: dict[CacheSet, Fraction] = {}
     for i, (g, by_state) in enumerate(zip(users, counts)):
         own = ((1 << n) - 1) << (i * n)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,25 @@ from maclfr.verify import check_correctness
 from maclfr.transcript import artifact_from_bytes
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(*argv: str) -> int:
     return main(list(argv))
+
+
+def test_every_long_flag_the_readme_names_is_a_maclfr_option():
+    # A flag the parser drops must not live on in the README; pip's own
+    # flag in the install notes is not maclfr's.
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for p in sub.choices.values()
+               for flag in p._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*",
+                           README.read_text())) - {"--no-build-isolation"}
+    assert "--suite" in named
+    assert named - options == set()
 
 
 def test_simulate_writes_transcripts(tmp_path, capsys):
@@ -124,6 +143,28 @@ def test_curve_figure_refuses_the_flags_it_fixes(flags, tmp_path, capsys):
     # --t and --F are still the figure's to take.
     assert run("curve", "--figure", "3", "--t", "1", "--F", "105",
                "--out", str(tmp_path)) == 0
+
+
+def test_curve_refuses_an_access_degree_above_the_cache_count(tmp_path,
+                                                              capsys):
+    # Every kind's t-sweep is empty at r > C; the full-cache point alone
+    # must not pass for a curve.
+    assert run("curve", "--C", "3", "--r", "4", "--N", "2",
+               "--out", str(tmp_path)) == 4
+    assert capsys.readouterr().err == "error: access degree 4 outside [1, 3]\n"
+    assert not (tmp_path / "curves.csv").exists()
+    assert not (tmp_path / "envelopes.json").exists()
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in SchemeKind])
+def test_one_user_privacy_expects_zero_for_every_kind(kind, tmp_path):
+    # A single user has no other demands to hide, so even a cleartext kind
+    # is private there and its record is no negative control.
+    assert run("verify", "--suite", "privacy", "--scheme", kind, "--C", "3",
+               "--r", "3", "--t", "0", "--N", "2", "--out", str(tmp_path)) == 0
+    (check,) = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert (check["expected_zero"], check["max_tv"], check["pass"]) == (
+        True, "0/1", True)
 
 
 def test_verify_report_and_exit(tmp_path, capsys):
@@ -267,11 +308,13 @@ def test_an_oracle_instance_needs_its_file_count(suite, tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_jobs_below_one_exit_as_usage_errors(tmp_path):
-    for jobs in ("0", "-5"):
-        assert run("verify", "--suite", "security", "--C", "3", "--r", "2",
-                   "--t", "1", "--N", "2", "--scheme", "s-lfr",
-                   "--jobs", jobs, "--out", str(tmp_path)) == 4
+def test_jobs_below_one_exit_as_usage_errors(tmp_path, capsys):
+    # verify has no --jobs flag: enumeration is one serial walk.
+    assert run("verify", "--suite", "security", "--C", "3", "--r", "2",
+               "--t", "1", "--N", "2", "--scheme", "s-lfr",
+               "--jobs", "2", "--out", str(tmp_path)) == 4
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_caps_below_one_exit_as_usage_errors(tmp_path, capsys):
