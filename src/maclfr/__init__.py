@@ -36,8 +36,7 @@ from .verify import (CorrectnessReport, MutualInformationResult,
                      PrivacyCheckResult, SecurityCheckResult,
                      SharePlacementReport, check_correctness,
                      check_privacy_exact, check_security_exact,
-                     check_share_placement_secrecy, mutual_information,
-                     total_variation)
+                     check_share_placement_secrecy, mutual_information)
 
 __version__ = "0.1.0"
 
@@ -60,5 +59,4 @@ __all__ = [
     "optimality_gap", "parse_demand_file", "point", "random_demands",
     "reconstruct", "security_memory_bound", "simulate",
     "simulation_to_bytes", "simulation_to_json", "split", "subpacketize",
-    "total_variation",
 ]

@@ -356,6 +356,11 @@ def _check_correctness(args, cfg: SchemeConfig) -> CorrectnessReport:
 def cmd_verify(args) -> int:
     if args.cap < 1:
         raise UsageError(f"cap must be at least 1, got {args.cap}")
+    if args.exhaustive and args.suite not in ("correctness", "all"):
+        raise UsageError(f"--exhaustive applies to correctness, not {args.suite}")
+    if args.method == "enumerate" and args.suite in ("privacy", "all"):
+        raise UsageError("privacy has one method, the affine model: no "
+                         "--method enumerate")
     suites = {
         "correctness": lambda cfg: _correctness_doc(
             _check_correctness(args, cfg)),

@@ -17,14 +17,11 @@ Distributions are taken over every library value and every server
 randomness value (and every demand tuple, for privacy), with exact
 rational probabilities.  Security leaves out the share coefficients:
 no transmission reads them, so summing them out changes no probability.
-Two evaluation methods exist:
+Security has two evaluation methods, privacy the second alone:
 
-* "enumerate" runs the real engine once per state: the broadcast's rows
-  alone for security, whose eavesdropper sees no cache, and those rows
-  plus the caches' subfile and key rows for privacy.  One placement and
-  delivery per check keep the placement invariants and demands checked,
-  and the views must equal that placed round's.  It assumes nothing and
-  is the gold standard, but state spaces explode.
+* "enumerate" runs the real engine once per state on the broadcast's
+  rows, which are all the eavesdropper sees.  It assumes nothing and is
+  the gold standard, but state spaces explode.
 * "affine" exploits that every view is a GF(2) polynomial of degree at
   most two whose only products pair a library bit with a demand or
   randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
@@ -37,25 +34,26 @@ Two evaluation methods exist:
   terms XORed out, goes straight into its column, and no run list is
   held.  Nor is the model taken on faith:
   AFFINITY_PROBES (1 + |W|) real runs at random points must match it, and
-  the test suite cross-checks the two methods on small instances.
+  the test suite cross-checks it against enumeration on small instances.
 
-Both methods see the engine through one function, _views, so they check
-the very same views, and enumeration is one walk over it, _walk.
+Both oracles see the engine through one function, _views, whose views
+must equal those of one placed round per check, and security enumeration
+is one walk over it, _walk.
 
-The model route answers by rank arguments alone, and none walks the 2^|W|
-library values.  Security: a fixed point over the randomness columns
-proves that every library value gives the view one coset; failing that,
-when the view reads its randomness, the mutual information is the mean
-rank of the library's image.  Privacy: each observer is certified by
-lifting the demand columns modulo such a fixed point, or refuted by a
-demand column outside the randomness span at w = 0 or at some e_i.  What
-no argument settles is enumerated.
+Security's model route answers by rank arguments: a fixed point over the
+randomness columns proves that every library value gives the view one
+coset; failing that, when the view reads its randomness, the mutual
+information is the mean rank of the library's image.  What neither
+settles is enumerated.  Privacy is decided on the model alone: each
+observer is certified by lifting the demand columns modulo such a fixed
+point, or else its TV, 0 or 1 at each w, is one rank test per library
+value w, tried at 0 and each e_i before the walk over all 2^|W|.
 
-"auto" takes the route that spends fewer engine runs: enumeration spends
-its state count, the model route (1 + |W|)(1 + |Z|) + AFFINITY_PROBES
-(1 + |W|), and a tie enumerates.  The state cap bounds the states
-enumeration walks through, and the engine runs and rank computations of
-the affine method.
+For security, "auto" takes the route that spends fewer engine runs:
+enumeration spends its state count, the model route (1 + |W|)(1 + |Z|)
++ AFFINITY_PROBES (1 + |W|), and a tie enumerates.  The state cap bounds
+the states enumeration walks through, and the engine runs, rank
+computations and library values of the affine method.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import log2
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, ResourceLimitError, UsageError
@@ -128,15 +126,6 @@ def mutual_information(joint: JointDistribution) -> MutualInformationResult:
     for (x, y), p in support.items():
         bits += float(p) * (log2(p) - log2(px[x]) - log2(py[y]))
     return MutualInformationResult(False, bits)
-
-
-def total_variation(p: Mapping[Hashable, Fraction],
-                    q: Mapping[Hashable, Fraction]) -> Fraction:
-    keys = set(p) | set(q)
-    acc = Fraction(0)
-    for k in keys:
-        acc += abs(p.get(k, Fraction(0)) - q.get(k, Fraction(0)))
-    return acc / 2
 
 
 # ---- state packing ----
@@ -444,18 +433,15 @@ def _choose_method(method: str, states: int, runs: int) -> str:
     return method
 
 
-def _walk(run: Callable[[int, int], tuple[int, ...]], views: int, wbits: int,
-          zbits: int, dbits: int) -> list[dict[tuple[int, int], Counter]]:
-    """Each view's value counts per (library value w, demand row d) over
-    every state: d, z's low dbits, outermost, then w < 2^wbits, then the
-    randomness, z's bits above d, innermost.  Security walks no d bits."""
-    counts: list[dict[tuple[int, int], Counter]] = [{} for _ in range(views)]
-    for d in range(1 << dbits):
-        for w in range(1 << wbits):
-            seen = [c.setdefault((w, d), Counter()) for c in counts]
-            for rv in range(1 << (zbits - dbits)):
-                for counter, view in zip(seen, run(w, d | rv << dbits)):
-                    counter[view] += 1
+def _walk(run: Callable[[int, int], tuple[int, ...]], wbits: int, zbits: int
+          ) -> dict[int, Counter]:
+    """The transmission's value counts per library value w over every
+    state: w < 2^wbits outermost, the randomness z innermost."""
+    counts: dict[int, Counter] = {}
+    for w in range(1 << wbits):
+        counter = counts[w] = Counter()
+        for z in range(1 << zbits):
+            counter[run(w, z)[0]] += 1
     return counts
 
 
@@ -473,9 +459,8 @@ def security_joint_enumerated(cfg: SchemeConfig,
     if states > cap:
         raise ResourceLimitError(
             f"enumeration of {states} states exceeds the cap {cap}")
-    (counts,) = _walk(run, 1, wbits, zbits, 0)
     prob = Fraction(1, states)
-    return {(w, view): n * prob for (w, _), counter in counts.items()
+    return {(w, view): n * prob for w, counter in _walk(run, wbits, zbits).items()
             for view, n in counter.items()}
 
 
@@ -553,7 +538,7 @@ def check_security_exact(cfg: SchemeConfig,
 class PrivacyCheckResult:
     cfg: SchemeConfig
     method: str
-    states: int  # states enumerated, or engine runs spent by "affine"
+    states: int  # engine runs spent recovering and probing the models
     max_tv: Fraction
     per_observer: Mapping[CacheSet, Fraction]
 
@@ -573,50 +558,28 @@ def check_privacy_exact(cfg: SchemeConfig, method: str = "auto",
     library is stronger than (and implies) independence in the mixture
     over libraries, since demands and library are drawn independently.
 
+    Privacy has one route: the recovered models, decided by
+    _privacy_affine.  `method` may be "auto" or "affine", which both name
+    it, and `cap` bounds its engine runs and the library values it walks.
     A single-user topology has nothing to compare and reports zero.
     """
+    if method not in ("auto", "affine"):
+        raise UsageError(f"privacy has one method, the affine model, "
+                         f"not {method!r}")
     users = cfg.topo.users()
     run, wbits, zbits = _views(cfg)
-    states = 1 << (wbits + zbits)
-    chosen = _choose_method(method, states, _model_runs(wbits, zbits))
     if len(users) == 1:
-        return PrivacyCheckResult(cfg, chosen, 0, Fraction(0),
+        return PrivacyCheckResult(cfg, "affine", 0, Fraction(0),
                                   {users[0]: Fraction(0)})
-    if chosen == "affine":
-        labels = [f"observer {g}" for g in users]
-        models, runs = _recover_models(run, labels, wbits, zbits, cfg.seed, cap)
-        per_observer = _privacy_affine(cfg, models)
-        if per_observer is not None:  # states: the engine runs it spent
-            return PrivacyCheckResult(cfg, "affine", runs,
-                                      max(per_observer.values()), per_observer)
-    if states > cap:
-        raise ResourceLimitError(
-            f"enumeration of {states} states exceeds the cap {cap}")
-    per_observer = _privacy_enumerated(cfg, run, wbits, zbits)
-    return PrivacyCheckResult(cfg, "enumerate", states,
-                              max(per_observer.values()), per_observer)
+    labels = [f"observer {g}" for g in users]
+    models, runs = _recover_models(run, labels, wbits, zbits, cfg.seed, cap)
+    per_observer = _privacy_affine(cfg, models, cap)
+    return PrivacyCheckResult(cfg, "affine", runs, max(per_observer.values()),
+                              per_observer)
 
 
-def _privacy_enumerated(cfg: SchemeConfig,
-                        run: Callable[[int, int], tuple[int, ...]],
-                        wbits: int, zbits: int) -> dict[CacheSet, Fraction]:
-    """The TV of each observer from _walk's counts: its worst distance
-    from the counts at the same library and own demand with every other
-    user demanding nothing."""
-    users, n = cfg.topo.users(), cfg.num_files
-    dbits = n * len(users)
-    counts = _walk(run, len(users), wbits, zbits, dbits)
-    per_observer: dict[CacheSet, Fraction] = {}
-    for i, (g, by_state) in enumerate(zip(users, counts)):
-        own = ((1 << n) - 1) << (i * n)
-        per_observer[g] = max(total_variation(by_state[(w, d & own)], counter)
-                              for (w, d), counter in by_state.items()
-                              ) / (1 << (zbits - dbits))
-    return per_observer
-
-
-def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel]
-                    ) -> dict[CacheSet, Fraction] | None:
+def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel],
+                    cap: int) -> dict[CacheSet, Fraction]:
     """Rank arguments on one bilinear model per user, over Z = D || R.
 
     For a fixed library and own demand, an observer's view is uniform on
@@ -624,11 +587,13 @@ def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel]
     users' demand columns they select.  Cosets of one subspace are equal
     or disjoint, so the TV is 0 when every other-user demand column lies
     in that span at every w, and 1 as soon as one falls outside it.  The
-    lift certificate proves 0: with S the randomness columns' fixed point,
-    lift column j to (inp[j], cross[j][0], ...) modulo S, each part at the
-    view width; a demand lift in the span of the randomness lifts puts
-    B_j(w) in span{B_R(w)} + S at every w.  A demand column outside the
-    span at w = 0 or some e_i proves 1.  None when neither applies.
+    lift certificate proves 0 for every w at once: with S the randomness
+    columns' fixed point, lift column j to (inp[j], cross[j][0], ...)
+    modulo S, each part at the view width; a demand lift in the span of
+    the randomness lifts puts B_j(w) in span{B_R(w)} + S at every w.
+    Otherwise w walks 0 and each e_i, then all of range(2^|W|), which
+    raises ResourceLimitError above the cap: the first w with a demand
+    column outside the span proves 1, and a finished walk proves 0.
     """
     users, n = cfg.topo.users(), cfg.num_files
     dbits = n * len(users)
@@ -642,16 +607,30 @@ def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel]
                                                  for k, x in col.items()) << width
                  for c, col in zip(model.inp, model.cross)]
         span = _echelon_basis(lifts[dbits:])
-        sections = chain((model.inp,), ([c ^ col.get(k, 0) for c, col in zip(
-            model.inp, model.cross)] for k in range(len(model.lib))))
-        if not any(_reduce_point(lifts[j], span) for j in others):
-            per_observer[g] = Fraction(0)
-        elif any(any(_reduce_point(cols[j], basis) for j in others)
-                 for cols in sections for basis in [_echelon_basis(cols[dbits:])]):
-            per_observer[g] = Fraction(1)
-        else:
-            return None
+        certified = not any(_reduce_point(lifts[j], span) for j in others)
+        per_observer[g] = Fraction(not certified and any(
+            any(_reduce_point(cols[j], basis) for j in others)
+            for cols in _sections(model, cap)
+            for basis in [_echelon_basis(cols[dbits:])]))
     return per_observer
+
+
+def _sections(model: BilinearModel, cap: int) -> Iterator[list[int]]:
+    """The input columns B_j(w) = inp[j] ^ XOR_i w_i cross[j][i] at the
+    library values the privacy walk tries: 0 and each e_i, then every w
+    below 2^|W|, refused above the cap."""
+    wbits = len(model.lib)
+    for k, w in enumerate(chain((0,), [1 << i for i in range(wbits)],
+                                range(1 << wbits))):
+        if k == 1 + wbits and 1 << wbits > cap:
+            raise ResourceLimitError(f"the privacy walk over {1 << wbits} "
+                                     f"library values exceeds the cap {cap}")
+        cols = list(model.inp)
+        for j, col in enumerate(model.cross):
+            for i, x in col.items():
+                if (w >> i) & 1:
+                    cols[j] ^= x
+        yield cols
 
 
 # ---- correctness ----

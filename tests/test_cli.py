@@ -327,6 +327,45 @@ def test_caps_below_one_exit_as_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def _refuse_every_check(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("check_correctness", "check_security_exact",
+                 "check_privacy_exact", "check_share_placement_secrecy"):
+        monkeypatch.setattr(cli, name, ran)
+
+
+def test_exhaustive_outside_correctness_exits_before_any_check(
+        monkeypatch, tmp_path, capsys):
+    # --exhaustive runs every demand tuple of the correctness suite; any
+    # other suite would ignore it, so it is a bad argument there.
+    _refuse_every_check(monkeypatch)
+    for suite in ("security", "privacy", "shares"):
+        assert run("verify", "--suite", suite, "--C", "3", "--r", "2",
+                   "--t", "1", "--N", "2", "--exhaustive",
+                   "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("--exhaustive applies to correctness") == 3
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_enumerated_privacy_exits_before_any_check(monkeypatch, tmp_path,
+                                                   capsys):
+    # Privacy has the model route alone: --method enumerate is refused for
+    # it, and for "all" before its correctness and security suites run.
+    _refuse_every_check(monkeypatch)
+    for suite in ("privacy", "all"):
+        assert run("verify", "--suite", suite, "--C", "3", "--r", "2",
+                   "--t", "1", "--N", "1", "--scheme", "s-lfr",
+                   "--method", "enumerate", "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("no --method enumerate") == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_simulate_exhaustive_demands_respect_the_state_cap(monkeypatch, capsys):
     # simulate once listed every one of the 2^(N K) demand tuples before
     # decoding any; it refuses above the oracles' default cap, as

@@ -6,10 +6,10 @@ its JSON twin for the three worked presets under every kind and seeds
 0-2 (plus p-lfr in broadcast mode) and for every kind at r = 1, at r = 4
 and at engine-c10's C = 10 shape, the ``verify`` reports of every suite
 and of three security instances (two of them also by forced
-enumeration), the privacy control by forced enumeration, and the figure
-presets' ``curves.csv``; ``simulate`` and the security suite also run
-under ``python -O``.  A change that alters any of them changes what a
-(config, seed) pair produces and must say so.
+enumeration), and the figure presets' ``curves.csv``.  The privacy
+suite's report also pins its s-lfr control.  ``simulate`` and the
+security suite also run under ``python -O``.  A change that alters any
+of them changes what a (config, seed) pair produces and must say so.
 """
 
 from __future__ import annotations
@@ -352,13 +352,6 @@ ENUMERATED_SECURITY_INSTANCES = {
         "a0b5a488720328d491f747ab4feeb3be684c96edb8895320095fa2ee45a1b0be",
 }
 
-# `maclfr verify --suite privacy --C 3 --r 2 --t 1 --N 2 --scheme s-lfr
-# --method enumerate --seed 0` -> digest of report.json: the cleartext
-# control of the privacy suite over all 8192 states.  The whole suite by
-# enumeration runs for minutes, so this instance stands for it.
-ENUMERATED_PRIVACY_CONTROL = (
-    "cef66b6c20a856a331ac29e6fe94f90a0aab03c2ae08d97b7aea7147a95d3cd0")
-
 # `maclfr curve --figure <n>` -> digest of curves.csv.
 CURVES = {
     2:
@@ -437,15 +430,6 @@ def test_enumerated_security_report_matches_golden_digest(kind, tmp_path):
                       "--out", str(tmp_path)) == 0
     digest = sha256((tmp_path / "report.json").read_bytes())
     assert digest == ENUMERATED_SECURITY_INSTANCES[kind]
-
-
-def test_enumerated_privacy_control_report_matches_golden_digest(tmp_path):
-    assert quiet_main("verify", "--suite", "privacy", "--C", "3", "--r", "2",
-                      "--t", "1", "--N", "2", "--scheme", "s-lfr",
-                      "--method", "enumerate", "--seed", "0",
-                      "--out", str(tmp_path)) == 0
-    digest = sha256((tmp_path / "report.json").read_bytes())
-    assert digest == ENUMERATED_PRIVACY_CONTROL
 
 
 @pytest.mark.parametrize("figure", sorted(CURVES))

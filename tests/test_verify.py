@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -44,9 +45,43 @@ from maclfr.verify import (AFFINITY_PROBES, DEFAULT_STATE_CAP, BilinearModel,
                            check_security_exact, check_share_placement_secrecy,
                            demands_from_int, library_from_int,
                            mutual_information, security_joint_enumerated,
-                           tiny_config, tiny_sweep_topologies, total_variation)
+                           tiny_config, tiny_sweep_topologies)
 
 F = Fraction
+
+
+# ---- the enumeration reference for privacy ----
+
+def total_variation(p, q) -> Fraction:
+    acc = F(0)
+    for k in set(p) | set(q):
+        acc += abs(p.get(k, 0) - q.get(k, 0))
+    return acc / 2
+
+
+def enumerated_privacy(cfg) -> dict:
+    """Each observer's exact TV, by running the engine of _views on every
+    state: the worst distance between its view counts at a library value
+    and demand row and those at the same library and own demand with every
+    other user demanding nothing.  Demand rows are z's low bits, the
+    randomness the bits above them."""
+    run, wbits, zbits = _views(cfg)
+    users, n = cfg.topo.users(), cfg.num_files
+    dbits = n * len(users)
+    counts = [{} for _ in users]
+    for d in range(1 << dbits):
+        for w in range(1 << wbits):
+            seen = [c.setdefault((w, d), Counter()) for c in counts]
+            for rv in range(1 << (zbits - dbits)):
+                for counter, view in zip(seen, run(w, d | rv << dbits)):
+                    counter[view] += 1
+    per_observer = {}
+    for i, (g, by_state) in enumerate(zip(users, counts)):
+        own = ((1 << n) - 1) << (i * n)
+        per_observer[g] = max(total_variation(by_state[(w, d & own)], counter)
+                              for (w, d), counter in by_state.items()
+                              ) / (1 << (zbits - dbits))
+    return per_observer
 
 
 # ---- information measures ----
@@ -247,7 +282,8 @@ def test_affine_matches_every_enumerated_sweep_instance():
 
 
 def test_privacy_affine_matches_every_enumerated_c3_instance():
-    # The same for privacy at C = 3, with one and two files, for every kind.
+    # The same for privacy at C = 3, with one and two files, for every kind,
+    # against the test-side enumeration.
     compared = []
     for C, r, t in tiny_sweep_topologies():
         if C != 3:
@@ -257,9 +293,8 @@ def test_privacy_affine_matches_every_enumerated_c3_instance():
                 cfg = tiny_config(kind, C, r, t, num_files=num_files)
                 if 1 << _privacy_state_bits(cfg) > ENUMERABLE:
                     continue
-                enum = check_privacy_exact(cfg, method="enumerate")
                 affine = check_privacy_exact(cfg, method="affine")
-                assert affine.per_observer == enum.per_observer, (
+                assert affine.per_observer == enumerated_privacy(cfg), (
                     kind, C, r, t, num_files)
                 compared.append(kind)
     # p-lfr (3,2,0) with one file is the multi-user masking instance here;
@@ -292,11 +327,15 @@ def test_auto_takes_the_route_with_fewer_engine_runs():
     assert (lfr.method, lfr.states) == ("affine", 63)
     slfr = check_security_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 0))
     assert (slfr.method, slfr.states) == ("enumerate", 32)
-    # Privacy weighs its demand bits too: 2^5 states against 36 runs.
-    small = check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 3, 0))
-    assert small.method == "enumerate"
+    # Privacy has the model route alone, even for one user, whose 2^5
+    # states are fewer than its 36 model runs, and refuses enumeration.
+    small = tiny_config(SchemeKind.S_LFR, 3, 3, 0)
+    assert check_privacy_exact(small).method == "affine"
     assert check_privacy_exact(tiny_config(SchemeKind.S_LFR, 3, 2, 1)
                                ).method == "affine"
+    for method in ("enumerate", "sample"):
+        with pytest.raises(UsageError, match="one method"):
+            check_privacy_exact(small, method=method)
     assert _choose_method("auto", 7, 7) == "enumerate"
     assert _choose_method("auto", 8, 7) == "affine"
     for method in ("enumerate", "affine"):
@@ -653,29 +692,37 @@ def test_security_enumerates_what_no_rank_argument_settles(monkeypatch):
             check_security_exact(cfg, method=method, cap=100)
 
 
-def test_privacy_enumerates_what_no_rank_argument_settles(monkeypatch):
-    # One library bit w; R1 = e1 + w e2, R2 = e2 + w e1 and a demand column
-    # D = w (e1 + e2).  D lies in the randomness span at w = 0 and at w = 1,
-    # so no witness exists, but the lift of D, (0, e1 + e2), is not a sum
-    # of the lifts (e1, e2) and (e2, e1): neither argument settles it.
+def test_privacy_enumerates_what_no_rank_argument_settles():
+    # What neither the lift nor a witness at w = 0 or some e_i settles, the
+    # walk over every library value decides, one rank test per value.  The
+    # models are the first user's of sp-lfr (3,2,1), whose other users'
+    # demand columns are 2 to 5; only column 2 is set.
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1)
-    n = cfg.num_files
-    others = 3 << n  # the second user's demand bits
-    dbits = n * cfg.topo.num_users
-    demand = [0b11 if (others >> j) & 1 else 0 for j in range(dbits)]
-    model = BilinearModel(base=0, lib=(0,), inp=(0,) * dbits + (0b01, 0b10),
-                          cross=tuple({0: x} if x else {}
-                                      for x in [*demand, 0b10, 0b01]))
-    assert _privacy_affine(cfg, [model]) is None  # the first user's model
-    # check_privacy_exact then answers by enumeration, within the cap.
-    monkeypatch.setattr(verify, "_privacy_affine", lambda *args: None)
-    small = tiny_config(SchemeKind.S_LFR, 3, 2, 1, num_files=1)
-    enum = check_privacy_exact(small, method="enumerate")
-    res = check_privacy_exact(small, method="affine")
-    assert (res.method, res.states, res.per_observer) == (
-        "enumerate", enum.states, enum.per_observer)
-    with pytest.raises(ResourceLimitError):
-        check_privacy_exact(small, method="affine", cap=enum.states - 1)
+    dbits = cfg.num_files * cfg.topo.num_users
+    first = cfg.topo.users()[0]
+
+    def model(demand, *randomness):
+        inp, cross = zip(*randomness)
+        return BilinearModel(base=0, lib=(0,) * 2, inp=(0,) * dbits + inp,
+                             cross=({},) * 2 + (demand,) + ({},) * 3 + cross)
+
+    # R1 = e1 + w0 e2, R2 = e2 + w0 e1 and D = w0 (e1 + e2): D lies in the
+    # randomness span at every w, but its lift, (0, e1 + e2), is not a sum
+    # of the lifts (e1, e2) and (e2, e1).
+    swapped = model({0: 0b11}, (0b01, {0: 0b10}), (0b10, {0: 0b01}))
+    assert _privacy_affine(cfg, [swapped], cap=4) == {first: 0}
+    # R = e1 + w0 e2 + w1 e3 and D = w0 (e1 + e2) + w1 (e1 + e3): D is 0 at
+    # w = 0 and R at e_0 and e_1, but at e_0 + e_1 it is e2 + e3, outside
+    # span{e1 + e2 + e3}.
+    corner = model({0: 0b011, 1: 0b101}, (0b001, {0: 0b010, 1: 0b100}))
+    assert _privacy_affine(cfg, [corner], cap=4) == {first: 1}
+    # Past the witnesses at 0 and each e_i, the walk takes all 2^|W| values
+    # or refuses; a witness at e_0, D = w0 e2, needs no walk.
+    for unsettled in (swapped, corner):
+        with pytest.raises(ResourceLimitError, match="privacy walk over 4"):
+            _privacy_affine(cfg, [unsettled], cap=3)
+    at_e0 = model({0: 0b010}, (0b001, {0: 0b010, 1: 0b100}))
+    assert _privacy_affine(cfg, [at_e0], cap=1) == {first: 1}
 
 
 def test_broadcast_plus_one_cache_leaks():
@@ -727,8 +774,8 @@ def test_security_view_matches_a_full_round(kind, C, r, t):
         assert run(w, z) == (extractor.transmission(transcript)[0],)
 
 
-@pytest.mark.parametrize("method", ("affine", "enumerate"))
-@pytest.mark.parametrize("oracle", ("security", "privacy"))
+@pytest.mark.parametrize("oracle, method", (
+    ("security", "affine"), ("security", "enumerate"), ("privacy", "affine")))
 def test_every_check_places_the_caches_once(monkeypatch, oracle, method):
     # Placement checks its invariants, and deliver the demands, once per
     # check, in the placed round that defines the views; every engine run
@@ -995,19 +1042,20 @@ def test_each_user_decodes_from_its_privacy_view(kind, C, r, t, broadcast):
 
 def test_privacy_affine_matches_enumeration():
     cfg = tiny_config(SchemeKind.SP_LFR, 3, 2, 1, num_files=1)
-    enum = check_privacy_exact(cfg, method="enumerate")
+    enum = enumerated_privacy(cfg)
     affine = check_privacy_exact(cfg, method="affine")
-    assert enum.max_tv == affine.max_tv == 0
-    assert enum.per_observer == affine.per_observer
+    assert max(enum.values()) == affine.max_tv == 0
+    assert enum == affine.per_observer
 
 
 def test_privacy_affine_matches_enumeration_on_the_cleartext_control():
+    # The suite's s-lfr (3,2,1) control, whose report digest also pins it.
     cfg = tiny_config(SchemeKind.S_LFR, 3, 2, 1)
-    enum = check_privacy_exact(cfg, method="enumerate")
+    enum = enumerated_privacy(cfg)
     affine = check_privacy_exact(cfg, method="affine")
     assert affine.method == "affine"
-    assert affine.per_observer == enum.per_observer
-    assert affine.max_tv == enum.max_tv == 1
+    assert affine.per_observer == enum
+    assert affine.max_tv == max(enum.values()) == 1
 
 
 def test_masked_demands_are_private_and_cleartext_ones_are_not():
