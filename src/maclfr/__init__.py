@@ -32,11 +32,10 @@ from .topology import TopologySpec
 from .transcript import (SimulationArtifact, artifact_from_bytes,
                          artifact_to_bytes, artifact_to_json,
                          simulation_to_bytes, simulation_to_json)
-from .verify import (CorrectnessReport, MutualInformationResult,
-                     PrivacyCheckResult, SecurityCheckResult,
-                     SharePlacementReport, check_correctness,
-                     check_privacy_exact, check_security_exact,
-                     check_share_placement_secrecy, mutual_information)
+from .verify import (CorrectnessReport, PrivacyCheckResult,
+                     SecurityCheckResult, SharePlacementReport,
+                     check_correctness, check_privacy_exact,
+                     check_security_exact, check_share_placement_secrecy)
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,7 @@ __all__ = [
     "BinaryField", "DemandVector", "DomainError",
     "FileLibrary", "GapResult", "binary_field",
     "IntegrityError", "MaclfrError", "MdsCode", "MemoryRatePoint",
-    "MutualInformationResult", "PlacementResult", "PrivacyCheckResult",
+    "PlacementResult", "PrivacyCheckResult",
     "RandomnessLayout", "ResourceLimitError", "Scheme", "SchemeConfig",
     "SchemeKind", "SecurityCheckResult", "ServerRandomness",
     "ShareSet", "SharePlacementReport", "SimulationArtifact",
@@ -55,7 +54,7 @@ __all__ = [
     "check_privacy_exact", "check_security_exact",
     "check_share_placement_secrecy", "curve", "decode_key", "derive_rng",
     "encode_key", "leakage_check",
-    "linear_combination", "lower_convex_envelope", "mutual_information",
+    "linear_combination", "lower_convex_envelope",
     "optimality_gap", "parse_demand_file", "point", "random_demands",
     "reconstruct", "security_memory_bound", "simulate",
     "simulation_to_bytes", "simulation_to_json", "split", "subpacketize",

@@ -88,10 +88,9 @@ def _build_parser() -> _Parser:
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--exhaustive", action="store_true",
                     help="correctness: run every demand tuple")
-    pv.add_argument("--method", choices=["auto", "enumerate", "affine"],
-                    default="auto")
     pv.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
-                    help="largest state space the oracles may walk")
+                    help="most engine runs, rank-sum values, library values "
+                         "or demand tuples a check may take")
     pv.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -330,8 +329,10 @@ _SWEEPS = {
 def _instances(args, suite: str) -> list[SchemeConfig]:
     """The suite's default sweep, or the one kind that --scheme names at
     the --C topology: sp-lfr without --scheme, but every kind for
-    correctness.  --N is required except for shares, where it is 2."""
+    correctness.  --N is required except for shares, where it is 2.  The
+    default sweep fixes the other topology flags, so it refuses them."""
     if args.scheme is None and args.C is None:
+        _refuse(args, f"the default {suite} sweep", "r", "t", "N", "F")
         kinds, triples, controls = _SWEEPS[suite]
         return ([tiny_config(kind, *ctr) for ctr in triples for kind in kinds]
                 + [tiny_config(*control) for control in controls])
@@ -358,16 +359,13 @@ def cmd_verify(args) -> int:
         raise UsageError(f"cap must be at least 1, got {args.cap}")
     if args.exhaustive and args.suite not in ("correctness", "all"):
         raise UsageError(f"--exhaustive applies to correctness, not {args.suite}")
-    if args.method == "enumerate" and args.suite in ("privacy", "all"):
-        raise UsageError("privacy has one method, the affine model: no "
-                         "--method enumerate")
     suites = {
         "correctness": lambda cfg: _correctness_doc(
             _check_correctness(args, cfg)),
         "security": lambda cfg: _security_doc(check_security_exact(
-            cfg, method=args.method, cap=args.cap)),
+            cfg, cap=args.cap)),
         "privacy": lambda cfg: _privacy_doc(check_privacy_exact(
-            cfg, method=args.method, cap=args.cap)),
+            cfg, cap=args.cap)),
         "shares": lambda cfg: _shares_doc(check_share_placement_secrecy(cfg)),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
@@ -381,7 +379,6 @@ def cmd_verify(args) -> int:
         "format": "maclfr-report",
         "suite": args.suite,
         "cap": args.cap,
-        "method": args.method,
         "checks": checks,
         "pass": all_pass,
     }

@@ -17,43 +17,34 @@ Distributions are taken over every library value and every server
 randomness value (and every demand tuple, for privacy), with exact
 rational probabilities.  Security leaves out the share coefficients:
 no transmission reads them, so summing them out changes no probability.
-Security has two evaluation methods, privacy the second alone:
-
-* "enumerate" runs the real engine once per state on the broadcast's
-  rows, which are all the eavesdropper sees.  It assumes nothing and is
-  the gold standard, but state spaces explode.
-* "affine" exploits that every view is a GF(2) polynomial of degree at
-  most two whose only products pair a library bit with a demand or
-  randomness bit.  (1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and
-  e_i + e_j recover that bilinear model, where W is the library and Z the
-  randomness runs the transmission reads, key and mask (security), or
-  the demands and all three randomness runs (privacy).  For a fixed
-  library the view is then uniform on an affine coset, and both
-  questions reduce to XOR and rank on echelon bases.  The model is kept by
-  input column, nonzero cross terms only: each e_i + e_j run, its known
-  terms XORed out, goes straight into its column, and no run list is
-  held.  Nor is the model taken on faith:
-  AFFINITY_PROBES (1 + |W|) real runs at random points must match it, and
-  the test suite cross-checks it against enumeration on small instances.
+Both oracles decide on a bilinear model of the views, never by walking
+the states.  Every view is a GF(2) polynomial of degree at most two whose
+only products pair a library bit with a demand or randomness bit.
+(1 + |W|)(1 + |Z|) runs at the points 0, e_i, e_j and e_i + e_j recover
+that model, where W is the library and Z the randomness runs the
+transmission reads, key and mask (security), or the demands and all three
+randomness runs (privacy).  For a fixed library the view is then uniform
+on an affine coset, and both questions reduce to XOR and rank on echelon
+bases.  The model is kept by input column, nonzero cross terms only: each
+e_i + e_j run, its known terms XORed out, goes straight into its column,
+and no run list is held.  Nor is the model taken on faith:
+AFFINITY_PROBES (1 + |W|) real runs at random points must match it, and
+the test suite cross-checks it against an enumeration of the engine on
+small instances.
 
 Both oracles see the engine through one function, _views, whose views
-must equal those of one placed round per check, and security enumeration
-is one walk over it, _walk.
+must equal those of one placed round per check.
 
-Security's model route answers by rank arguments: a fixed point over the
-randomness columns proves that every library value gives the view one
-coset; failing that, when the view reads its randomness, the mutual
-information is the mean rank of the library's image.  What neither
-settles is enumerated.  Privacy is decided on the model alone: each
-observer is certified by lifting the demand columns modulo such a fixed
-point, or else its TV, 0 or 1 at each w, is one rank test per library
-value w, tried at 0 and each e_i before the walk over all 2^|W|.
-
-For security, "auto" takes the route that spends fewer engine runs:
-enumeration spends its state count, the model route (1 + |W|)(1 + |Z|)
-+ AFFINITY_PROBES (1 + |W|), and a tie enumerates.  The state cap bounds
-the states enumeration walks through, and the engine runs, rank
-computations and library values of the affine method.
+Security answers by rank arguments: a fixed point over the randomness
+columns proves that every library value gives the view one coset;
+failing that, when the view reads its randomness, the mutual information
+is the mean rank of the library's image.  What neither settles, a walk
+over every library value decides from the cosets themselves.  Privacy:
+each observer is certified by lifting the demand columns modulo such a
+fixed point, or else its TV, 0 or 1 at each w, is one rank test per
+library value w, tried at 0 and each e_i before the walk over all 2^|W|.
+The cap bounds the engine runs, the rank-sum values, the library values
+walked and the coset points the security walk counts.
 """
 
 from __future__ import annotations
@@ -64,10 +55,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import log2
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bits import BitBlock
-from .errors import DomainError, IntegrityError, ResourceLimitError, UsageError
+from .errors import IntegrityError, ResourceLimitError, UsageError
 from .library import (DemandVector, FileLibrary, SubfileTable,
                       cycling_one_hot_demands, linear_combination)
 # No run here subpacketizes a library; the name stays in this module for
@@ -81,51 +72,6 @@ from .topology import CacheSet, TopologySpec, share_index_of_cache
 
 DEFAULT_STATE_CAP = 1 << 28
 AFFINITY_PROBES = 8
-
-
-# ---- exact distributions ----
-
-JointDistribution = Mapping[tuple[Hashable, Hashable], Fraction]
-
-
-@dataclass(frozen=True)
-class MutualInformationResult:
-    is_zero: bool   # certified by exact factorization
-    bits: float     # floating point value; exactly 0.0 when is_zero
-
-
-def mutual_information(joint: JointDistribution) -> MutualInformationResult:
-    """I(X;Y) of an exact joint distribution.
-
-    Zero is certified by checking p(x, y) == p(x) p(y) in rational
-    arithmetic; the returned bits value comes from the usual logarithmic
-    sum and is only as exact as floating point.
-    """
-    if not joint:
-        raise DomainError("empty distribution")
-    total = Fraction(0)
-    for pair, p in joint.items():
-        if not isinstance(p, Fraction):
-            raise DomainError(f"probability of {pair} is not a Fraction")
-        if p < 0:
-            raise DomainError(f"negative probability for {pair}")
-        total += p
-    if total != 1:
-        raise DomainError(f"probabilities sum to {total}, not 1")
-    px: dict[Hashable, Fraction] = {}
-    py: dict[Hashable, Fraction] = {}
-    support = {pair: p for pair, p in joint.items() if p > 0}
-    for (x, y), p in support.items():
-        px[x] = px.get(x, Fraction(0)) + p
-        py[y] = py.get(y, Fraction(0)) + p
-    factorized = (len(support) == len(px) * len(py)
-                  and all(p == px[x] * py[y] for (x, y), p in support.items()))
-    if factorized:
-        return MutualInformationResult(True, 0.0)
-    bits = 0.0
-    for (x, y), p in support.items():
-        bits += float(p) * (log2(p) - log2(px[x]) - log2(py[y]))
-    return MutualInformationResult(False, bits)
 
 
 # ---- state packing ----
@@ -417,51 +363,9 @@ class SecurityCheckResult:
     cfg: SchemeConfig
     demands: tuple[int, ...]
     method: str
-    states: int  # states enumerated, or engine runs spent by "affine"
+    states: int  # engine runs spent recovering and probing the model
     certified_zero: bool
     mi_bits: float
-
-
-def _choose_method(method: str, states: int, runs: int) -> str:
-    """The route `method` names.  "auto" weighs the engine runs of each:
-    `states` for enumeration, `runs` for the model, and enumerates only
-    when that is not the dearer of the two."""
-    if method not in ("auto", "enumerate", "affine"):
-        raise UsageError(f"unknown method {method!r}")
-    if method == "auto":
-        return "enumerate" if states <= runs else "affine"
-    return method
-
-
-def _walk(run: Callable[[int, int], tuple[int, ...]], wbits: int, zbits: int
-          ) -> dict[int, Counter]:
-    """The transmission's value counts per library value w over every
-    state: w < 2^wbits outermost, the randomness z innermost."""
-    counts: dict[int, Counter] = {}
-    for w in range(1 << wbits):
-        counter = counts[w] = Counter()
-        for z in range(1 << zbits):
-            counter[run(w, z)[0]] += 1
-    return counts
-
-
-def security_joint_enumerated(cfg: SchemeConfig,
-                              demands: Sequence[DemandVector],
-                              cap: int = DEFAULT_STATE_CAP,
-                              views: Views | None = None
-                              ) -> dict[tuple[int, int], Fraction]:
-    """The exact joint distribution of (library, transmission view) by
-    running the real scheme on every single state, in one serial _walk;
-    `views`, when given, is what _views(cfg, demands) returned, so the
-    caches are not placed again."""
-    run, wbits, zbits = views or _views(cfg, demands)
-    states = 1 << (wbits + zbits)
-    if states > cap:
-        raise ResourceLimitError(
-            f"enumeration of {states} states exceeds the cap {cap}")
-    prob = Fraction(1, states)
-    return {(w, view): n * prob for w, counter in _walk(run, wbits, zbits).items()
-            for view, n in counter.items()}
 
 
 def _security_certified(model: BilinearModel) -> bool:
@@ -497,6 +401,42 @@ def _readable_mi(model: BilinearModel, cap: int) -> Fraction | None:
     return Fraction(total, values)
 
 
+def _walked_mi(model: BilinearModel, cap: int) -> tuple[bool, float]:
+    """Exact I(W; V), and whether it is certified zero, by a walk over
+    every library value w: at w the view is uniform on the coset
+    base(w) + span{B_j(w)}, kept as (echelon basis, reduced point).  One
+    coset for every w certifies zero.  Otherwise I(W; V) = H(V) - E_w rank,
+    with H(V) from the points of the distinct cosets, each counted in
+    integers weighted by the w that give it.  Refused above the cap: the
+    2^|W| library values, or the points of the distinct cosets."""
+    wbits = len(model.lib)
+    if 1 << wbits > cap:
+        raise ResourceLimitError(f"the security walk over {1 << wbits} "
+                                 f"library values exceeds the cap {cap}")
+    cosets: Counter = Counter()
+    for w in range(1 << wbits):
+        basis = _echelon_basis(_section(model, w))
+        cosets[basis, _reduce_point(model.at(w, 0), basis)] += 1
+    if len(cosets) == 1:
+        return True, 0.0
+    points = sum(1 << len(basis) for basis, _ in cosets)
+    if points > cap:
+        raise ResourceLimitError(f"the security walk's {points} coset points "
+                                 f"exceed the cap {cap}")
+    top = max(len(basis) for basis, _ in cosets)
+    counts: Counter = Counter()
+    for (basis, point), times in cosets.items():
+        span = [point]
+        for b in basis:
+            span += [v ^ b for v in span]
+        for v in span:
+            counts[v] += times << (top - len(basis))
+    entropy = wbits + top - sum(c * log2(c) for c in counts.values()) / (
+        1 << (wbits + top))
+    ranks = sum(len(basis) * times for (basis, _), times in cosets.items())
+    return False, entropy - ranks / (1 << wbits)
+
+
 def check_security_exact(cfg: SchemeConfig,
                          demands: Sequence[DemandVector] | None = None,
                          method: str = "auto",
@@ -504,32 +444,32 @@ def check_security_exact(cfg: SchemeConfig,
                          jobs: int = 1) -> SecurityCheckResult:
     """Exact I(library; transmission) for a fixed demand battery.
 
-    The affine route answers from the recovered model: a zero certified
-    by the fixed point, else the rank sum of _readable_mi.  When neither
-    applies, the check enumerates, and its record says so.  `jobs` must
-    be 1: enumeration is one serial walk, and the keyword stays only while
-    the benchmark's workloads pass jobs=1.
+    Security has one route, the recovered model: a zero certified by the
+    fixed point, else the rank sum of _readable_mi, else the walk of
+    _walked_mi over every library value.  `method` may be "auto" or
+    "affine", which both name it, and `jobs` must be 1: the keywords stay
+    only while the benchmark's workloads pass method="auto" and jobs=1.
+    `cap` bounds the engine runs, the rank-sum values and the walk.
     """
+    if method not in ("auto", "affine"):
+        raise UsageError(f"security has one method, the affine model, "
+                         f"not {method!r}")
     if jobs != 1:
         raise UsageError(f"jobs must be 1, got {jobs}")
     if demands is None:
         demands = cycling_one_hot_demands(cfg.topo, cfg.num_files)
     coeffs = tuple(d.coeffs for d in sorted(demands, key=lambda d: d.user))
-    views = _views(cfg, demands)
-    run, wbits, zbits = views
-    states = 1 << (wbits + zbits)
-    if _choose_method(method, states, _model_runs(wbits, zbits)) == "affine":
-        (model,), runs = _recover_models(run, ("transmission",), wbits, zbits,
-                                         cfg.seed, cap)
-        if _security_certified(model):
-            return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
-        bits = _readable_mi(model, cap)
-        if bits is not None:
-            return SecurityCheckResult(cfg, coeffs, "affine", runs, bits == 0,
-                                       float(bits))
-    mi = mutual_information(security_joint_enumerated(cfg, demands, cap, views))
-    return SecurityCheckResult(cfg, coeffs, "enumerate", states, mi.is_zero,
-                               mi.bits)
+    run, wbits, zbits = _views(cfg, demands)
+    (model,), runs = _recover_models(run, ("transmission",), wbits, zbits,
+                                     cfg.seed, cap)
+    if _security_certified(model):
+        return SecurityCheckResult(cfg, coeffs, "affine", runs, True, 0.0)
+    bits = _readable_mi(model, cap)
+    if bits is not None:
+        return SecurityCheckResult(cfg, coeffs, "affine", runs, bits == 0,
+                                   float(bits))
+    return SecurityCheckResult(cfg, coeffs, "affine", runs,
+                               *_walked_mi(model, cap))
 
 
 # ---- privacy ----
@@ -616,21 +556,26 @@ def _privacy_affine(cfg: SchemeConfig, models: Sequence[BilinearModel],
 
 
 def _sections(model: BilinearModel, cap: int) -> Iterator[list[int]]:
-    """The input columns B_j(w) = inp[j] ^ XOR_i w_i cross[j][i] at the
-    library values the privacy walk tries: 0 and each e_i, then every w
-    below 2^|W|, refused above the cap."""
+    """The input columns at the library values the privacy walk tries: 0
+    and each e_i, then every w below 2^|W|, refused above the cap."""
     wbits = len(model.lib)
     for k, w in enumerate(chain((0,), [1 << i for i in range(wbits)],
                                 range(1 << wbits))):
         if k == 1 + wbits and 1 << wbits > cap:
             raise ResourceLimitError(f"the privacy walk over {1 << wbits} "
                                      f"library values exceeds the cap {cap}")
-        cols = list(model.inp)
-        for j, col in enumerate(model.cross):
-            for i, x in col.items():
-                if (w >> i) & 1:
-                    cols[j] ^= x
-        yield cols
+        yield _section(model, w)
+
+
+def _section(model: BilinearModel, w: int) -> list[int]:
+    """The input columns B_j(w) = inp[j] ^ XOR_i w_i cross[j][i] of the
+    model's section at library value w."""
+    cols = list(model.inp)
+    for j, col in enumerate(model.cross):
+        for i, x in col.items():
+            if (w >> i) & 1:
+                cols[j] ^= x
+    return cols
 
 
 # ---- correctness ----

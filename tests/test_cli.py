@@ -28,8 +28,9 @@ def run(*argv: str) -> int:
 
 
 def test_every_long_flag_the_readme_names_is_a_maclfr_option():
-    # A flag the parser drops must not live on in the README; pip's own
-    # flag in the install notes is not maclfr's.
+    # A flag the parser drops must not live on in the README, and a flag
+    # it takes must be documented there; pip's own flag in the install
+    # notes is not maclfr's.
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
@@ -39,6 +40,7 @@ def test_every_long_flag_the_readme_names_is_a_maclfr_option():
                            README.read_text())) - {"--no-build-isolation"}
     assert "--suite" in named
     assert named - options == set()
+    assert {o for o in options if o.startswith("--")} - named == {"--help"}
 
 
 def test_simulate_writes_transcripts(tmp_path, capsys):
@@ -264,7 +266,7 @@ def test_exit_codes():
                "--demands", "/nonexistent/demands") == 2  # I/O
     assert run("verify", "--suite", "security", "--C", "4", "--r", "2",
                "--t", "2", "--N", "2", "--scheme", "s-lfr",
-               "--method", "enumerate", "--cap", "10") == 3  # resource cap
+               "--cap", "10") == 3  # resource cap: the model needs 130 runs
 
 
 def test_verify_scheme_without_a_topology_is_missing_flags(tmp_path, capsys):
@@ -353,16 +355,39 @@ def test_exhaustive_outside_correctness_exits_before_any_check(
 
 def test_enumerated_privacy_exits_before_any_check(monkeypatch, tmp_path,
                                                    capsys):
-    # Privacy has the model route alone: --method enumerate is refused for
-    # it, and for "all" before its correctness and security suites run.
+    # Each oracle has the model route alone, and verify has no --method:
+    # any value of it is an unrecognised flag on every suite, privacy and
+    # "all" included, before any check runs.
     _refuse_every_check(monkeypatch)
-    for suite in ("privacy", "all"):
-        assert run("verify", "--suite", suite, "--C", "3", "--r", "2",
-                   "--t", "1", "--N", "1", "--scheme", "s-lfr",
-                   "--method", "enumerate", "--out", str(tmp_path)) == 4
+    suites = ("correctness", "security", "privacy", "shares", "all")
+    for suite in suites:
+        for method in ("auto", "enumerate"):
+            assert run("verify", "--suite", suite, "--C", "3", "--r", "2",
+                       "--t", "1", "--N", "1", "--scheme", "s-lfr",
+                       "--method", method, "--out", str(tmp_path)) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("no --method enumerate") == 2
+    assert (captured.err.count("unrecognized arguments: --method auto")
+            == captured.err.count("unrecognized arguments: --method enumerate")
+            == len(suites))
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_default_sweep_refuses_the_topology_flags_it_fixes(
+        monkeypatch, tmp_path, capsys):
+    # Without --scheme or --C, verify runs the suite's default sweep, whose
+    # instances fix r, t, N and F: any of them is refused, not dropped,
+    # and "all" refuses it at its first suite.
+    _refuse_every_check(monkeypatch)
+    flags = ("--r", "--t", "--N", "--F")
+    for suite in ("correctness", "security", "privacy", "shares", "all"):
+        for flag in flags:
+            assert run("verify", "--suite", suite, flag, "3",
+                       "--out", str(tmp_path)) == 4
+        first = "correctness" if suite == "all" else suite
+        assert capsys.readouterr() == ("", "".join(
+            f"error: the default {first} sweep fixes {flag}\n"
+            for flag in flags))
     assert not (tmp_path / "report.json").exists()
 
 

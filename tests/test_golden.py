@@ -5,8 +5,7 @@ the bytes; these constants do.  They cover the transcript container and
 its JSON twin for the three worked presets under every kind and seeds
 0-2 (plus p-lfr in broadcast mode) and for every kind at r = 1, at r = 4
 and at engine-c10's C = 10 shape, the ``verify`` reports of every suite
-and of three security instances (two of them also by forced
-enumeration), and the figure presets' ``curves.csv``.  The privacy
+and of three security instances, and the figure presets' ``curves.csv``.  The privacy
 suite's report also pins its s-lfr control.  ``simulate`` and the
 security suite also run under ``python -O``.  A change that alters any
 of them changes what a (config, seed) pair produces and must say so.
@@ -318,38 +317,30 @@ OFF_PRESET_ROUNDS = {
 # `maclfr verify --suite <suite> --seed 0` -> digest of report.json.
 REPORTS = {
     "correctness":
-        "4dd88820bc0919e5500a1a5c0e544daca4c8719df103b1cb8e13837e24d2715c",
+        "4720a7882baf041cedefbb0a01a5ee743db97befadb8630debdec4acffb3ab36",
     "privacy":
-        "aacb6c7d1f37d852b96f675e1f74ab3c83d98d3a2f7df0ff79d690f7e0340163",
+        "f4683c2a65dc42e76bf7244b349d6bf9c9bd885df66e4d8d866997264b852f6a",
     "security":
-        "832481c0c4828f835691f20ef2cd956ff503a252793eb7caa84c3ef109112710",
+        "4f3f7a53baa8f3a05ea391f8ef58e50d5a919699175a6777ac136b50b38df377",
     "shares":
-        "deac384150e38d5e3519b510ca27267172f6c8e1b6bf7b75449e4d95aedcec5d",
+        "143648a9e0876d29f6adfe7f27ea11527ab976cbc34e40dab6fadc4181cfb83c",
 }
 
 # `maclfr verify --suite security --C 3 --r 2 --t 1 --N 2 --scheme <kind>
 # --seed 0` -> digest of report.json.  All three take the affine route,
-# which spends fewer engine runs than their states: s-lfr and sp-lfr are
-# certified by the fixed point, and lfr reports the exact mutual
-# information of its rank sum; all three run the engine on randomness
-# unpacked from RandomnessLayout, sp-lfr's without its coef run, which no
-# transmission reads.
+# the security oracle's only one: s-lfr and sp-lfr are certified by the
+# fixed point, and lfr reports the exact mutual information of its rank
+# sum; all three run the engine on randomness unpacked from
+# RandomnessLayout, sp-lfr's without its coef run, which no transmission
+# reads.  test_verify cross-checks s-lfr and lfr against its enumeration
+# reference.
 SECURITY_INSTANCES = {
     "s-lfr":
-        "95d0efcc7dafefb6c60ddf70ef9ce5b8b79564d05782b2ab27c1dcbf222f9da1",
+        "f2a874f0f5270e49bbfa4514649ffe91b2ab6e0b85a7b691a006357f556e4572",
     "sp-lfr":
-        "6a0be834c828ae73aa60c0133b16614dd5458e5cdbe535474a92a3e8cff838ab",
+        "8a9b241852b2161ee2e6e095f7e09164009e6bc42b83e290ee719e935a335dc6",
     "lfr":
-        "9121dd3866863a493c0b1adee9306e2194166eead40e53db090ab0ad5ace3b54",
-}
-
-# The same command with `--method enumerate`: every one of the 64 library
-# values times the randomness values runs through the real engine.
-ENUMERATED_SECURITY_INSTANCES = {
-    "s-lfr":
-        "b959235ef51b9fca075db78e74a0695292bb5133f5b32a05d28912cdfb033d31",
-    "lfr":
-        "a0b5a488720328d491f747ab4feeb3be684c96edb8895320095fa2ee45a1b0be",
+        "4b7df953bf6a4d23aa67fdb06a33029ee4cb79480690621d7eff664dfd8d8f7d",
 }
 
 # `maclfr curve --figure <n>` -> digest of curves.csv.
@@ -420,16 +411,6 @@ def test_security_instance_report_matches_golden_digest(kind, tmp_path):
                       "--seed", "0", "--out", str(tmp_path)) == 0
     digest = sha256((tmp_path / "report.json").read_bytes())
     assert digest == SECURITY_INSTANCES[kind]
-
-
-@pytest.mark.parametrize("kind", sorted(ENUMERATED_SECURITY_INSTANCES))
-def test_enumerated_security_report_matches_golden_digest(kind, tmp_path):
-    assert quiet_main("verify", "--suite", "security", "--C", "3", "--r", "2",
-                      "--t", "1", "--N", "2", "--scheme", kind,
-                      "--method", "enumerate", "--seed", "0",
-                      "--out", str(tmp_path)) == 0
-    digest = sha256((tmp_path / "report.json").read_bytes())
-    assert digest == ENUMERATED_SECURITY_INSTANCES[kind]
 
 
 @pytest.mark.parametrize("figure", sorted(CURVES))
