@@ -317,13 +317,15 @@ def _recover_models(run: Callable[[int, int], tuple[int, ...]],
 
 
 def _echelon_basis(cols: Iterable[int]) -> tuple[int, ...]:
-    """An echelon basis of the GF(2) span of the masks: distinct leading
-    bits, descending.  Every echelon basis of a span has the same ones."""
+    """The reduced echelon basis of the GF(2) span of the masks: distinct
+    leading bits, descending, each zero at the others' leading bits.  A
+    span has exactly one, so equal spans give equal tuples."""
     basis: list[int] = []
     for col in cols:
         for b in basis:
             col = min(col, col ^ b)
         if col:
+            basis = [min(b, b ^ col) for b in basis]
             basis.append(col)
             basis.sort(reverse=True)
     return tuple(basis)
@@ -404,11 +406,12 @@ def _readable_mi(model: BilinearModel, cap: int) -> Fraction | None:
 def _walked_mi(model: BilinearModel, cap: int) -> tuple[bool, float]:
     """Exact I(W; V), and whether it is certified zero, by a walk over
     every library value w: at w the view is uniform on the coset
-    base(w) + span{B_j(w)}, kept as (echelon basis, reduced point).  One
-    coset for every w certifies zero.  Otherwise I(W; V) = H(V) - E_w rank,
-    with H(V) from the points of the distinct cosets, each counted in
-    integers weighted by the w that give it.  Refused above the cap: the
-    2^|W| library values, or the points of the distinct cosets."""
+    base(w) + span{B_j(w)}, kept as (reduced echelon basis, reduced
+    point), one key per coset.  One coset for every w certifies zero.
+    Otherwise I(W; V) = H(V) - E_w rank, with H(V) from the points of the
+    distinct cosets, each counted in integers weighted by the w that give
+    it.  Refused above the cap: the 2^|W| library values, or the points of
+    the distinct cosets."""
     wbits = len(model.lib)
     if 1 << wbits > cap:
         raise ResourceLimitError(f"the security walk over {1 << wbits} "

@@ -523,6 +523,12 @@ def test_an_echelon_basis_reduces_points_modulo_its_span(cols, x):
     assert (residue == 0) == (x in span)
     assert x ^ residue in span
     assert not any(residue & bit for bit in leading)
+    # Reduced: each vector is zero at the others' leading bits, so the
+    # basis is a function of the span alone, whatever the columns' order.
+    assert all(not b & bit for b in basis for bit in leading
+               if bit != 1 << (b.bit_length() - 1))
+    assert _echelon_basis(sorted(span)) == basis
+    assert _echelon_basis([*cols[::-1], x ^ residue]) == basis
 
 
 def test_a_randomness_bit_the_library_switches_off_does_not_settle():
@@ -566,6 +572,20 @@ def test_the_walk_compares_cosets_not_only_their_bases():
     assert enumerated_model_mi(shifted) == MutualInformationResult(False, 1.0)
     # One coset for every w is certified zero.
     assert _walked_mi(replace(shifted, lib=(2,)), cap=4) == (True, 0.0)
+
+
+def test_the_walk_keys_a_span_by_its_reduced_basis():
+    # Both columns stay pending and the view cannot read them, so the walk
+    # decides.  At w = 0 the section is (4, 2), at w = 1 it is (6, 4): one
+    # span, so every w gives one coset and the view is independent of w.
+    # An echelon basis that is not reduced keeps (4, 2) and (6, 2) apart.
+    model = BilinearModel(base=0, lib=(0b010,), inp=(0b100, 0b010),
+                          cross=({0: 0b010}, {0: 0b110}))
+    assert not _security_certified(model)
+    assert _readable_mi(model, cap=1 << 10) is None
+    assert _echelon_basis((4, 2)) == _echelon_basis((6, 4)) == (4, 2)
+    assert _walked_mi(model, cap=4) == (True, 0.0)
+    assert enumerated_model_mi(model) == MutualInformationResult(True, 0.0)
 
 
 def test_zeroed_payload_key_is_not_certified(monkeypatch):
