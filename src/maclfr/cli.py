@@ -333,9 +333,10 @@ def _instances(args, suite: str) -> list[SchemeConfig]:
     default sweep fixes the other topology flags, so it refuses them."""
     if args.scheme is None and args.C is None:
         _refuse(args, f"the default {suite} sweep", "r", "t", "N", "F")
-        kinds, triples, controls = _SWEEPS[suite]
-        return ([tiny_config(kind, *ctr) for ctr in triples for kind in kinds]
-                + [tiny_config(*control) for control in controls])
+        (kinds, triples, controls), seed = _SWEEPS[suite], _resolve_seed(args)
+        return ([tiny_config(kind, *ctr, seed=seed) for ctr in triples
+                 for kind in kinds]
+                + [tiny_config(*control, seed=seed) for control in controls])
     _require(args, "C", "r", "t", *(() if suite == "shares" else ("N",)))
     kinds = ((SchemeKind(args.scheme),) if args.scheme else
              tuple(SchemeKind) if suite == "correctness" else

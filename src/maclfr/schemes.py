@@ -26,13 +26,16 @@ where the one-time key that protects each payload is stored.
 
 Randomness is drawn from seeded streams in the one canonical order of
 randomness_order(), so a (config, seed) pair determines every artifact.
+Every user decodes through Scheme.decode, which checks the round once:
+bad arguments raise UsageError, and caches or a transcript that fail a
+structural check raise IntegrityError.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -52,7 +55,7 @@ from .mds import (MdsCode, build_code, coded_block_bit_length, decode_key,
 from .rows import (_combinations, _cut, _gather, _images, _join, _listed,
                    _narrow, _wide, _widen, _words)
 from .shamir import ShareSet, reconstruct, split
-from .topology import CacheSet, TopologySpec, share_index_of_cache
+from .topology import CacheSet, TopologySpec
 
 # The interpreter's built-in SHA-256, as random takes its SHA-512: hashlib
 # would map OpenSSL's libcrypto, megabytes of memory, to hash a seed.
@@ -149,14 +152,6 @@ def _combination(images: Sequence[int], coeffs: int) -> int:
         if (coeffs >> i) & 1:
             acc ^= image
     return acc
-
-
-def _sized(block: BitBlock, bits: int, what: str, label) -> int:
-    """The block's value, once its length is checked."""
-    if block.length != bits:
-        raise UsageError(
-            f"{what} {label} has {block.length} bits, expected {bits}")
-    return block.value
 
 
 # ---- server randomness ----
@@ -290,6 +285,9 @@ class RandomnessLayout:
 
 # ---- placement / delivery artifacts ----
 
+_KEY_STORES = ("key_shares", "whole_keys", "coded_subkeys")
+
+
 @dataclass(frozen=True)
 class CacheContent:
     """Everything one cache stores: subfiles plus scheme-specific key material."""
@@ -302,10 +300,8 @@ class CacheContent:
 
     @property
     def stored_bits(self) -> int:
-        return (sum(b.length for b in self.subfiles.values())
-                + sum(b.length for b in self.key_shares.values())
-                + sum(b.length for b in self.whole_keys.values())
-                + sum(b.length for b in self.coded_subkeys.values()))
+        return sum(b.length for store in ("subfiles",) + _KEY_STORES
+                   for b in getattr(self, store).values())
 
 
 @dataclass(frozen=True)
@@ -365,13 +361,11 @@ class Scheme:
     split places every slot of the round, and one reconstruct recovers
     every masked key of the decoded users from their caches' share rows;
     likewise one decode_key recovers the is-lfr keys of every slot whose
-    user's caches sit at the same positions in S.  Decode is one row
-    function for the round, decode_rows.  Where each piece sits is the
-    topology's _DecodePlan, worked out once; per call, each cache read
-    combines its own pieces into machine words, and each lane of the plan
-    is one gather.  A Scheme holds only what __init__ built, tables of
-    its config, and keeps none of a round; the MDS inverses are cached
-    where mds derives them.  BitBlocks appear only where blocks enter and
+    user's caches sit at the same positions in S.  Decode has one path:
+    decode checks the round once, whole, and decode_rows, one row function
+    on the topology's _DecodePlan, decodes it.  A Scheme holds only what
+    __init__ built, tables of its config, and keeps none of a round; mds
+    caches the MDS inverses.  BitBlocks appear only where blocks enter and
     leave.
     """
 
@@ -452,8 +446,7 @@ class Scheme:
         contents, bits = [], self._key_bits
         rows = self.key_rows(randomness, table)
         for c, (places, (row, _)) in enumerate(zip(self._key_places, rows)):
-            stores: dict = {"key_shares": {}, "whole_keys": {},
-                            "coded_subkeys": {}}
+            stores: dict = {store: {} for store in _KEY_STORES}
             stores[self._key_store] = {label: BitBlock(v, bits) for label, v
                                        in zip(places, _cut(row, len(places), bits))}
             contents.append(CacheContent(c + 1, subfiles[c], **stores))
@@ -535,15 +528,10 @@ class Scheme:
                 != (self.topo, cfg.file_bits, cfg.subfile_bits, cfg.num_files)):
             raise UsageError("subfile table does not match the configuration")
         self._check_rows(randomness)
-        by_user = demands_by_user(demands)
+        by_user = self._by_user(demands)
         missing = [g for g in self.topo.users() if g not in by_user]
         if missing:
             raise UsageError(f"missing demands for users {missing}")
-        for d in demands:
-            if d.num_files != cfg.num_files:
-                raise UsageError("demand width does not match the library")
-            if d.user not in self._rows:
-                raise UsageError(f"{d.user} is not a user of this topology")
         n, users, members = cfg.num_files, self._rows, self._members
         payloads, sent = self.transmission_row(randomness, table, sum(
             by_user[g].coeffs << (u * n) for u, g in enumerate(users)))
@@ -580,78 +568,36 @@ class Scheme:
             payloads.append(acc & piece)
         return randomness.payload_keys ^ _join(payloads, sb), sent
 
+    def _by_user(self, demands: Sequence[DemandVector]
+                 ) -> dict[CacheSet, DemandVector]:
+        """The demands by user, each of a user of the topology, once, at
+        width N, or UsageError."""
+        for d in demands:
+            if d.num_files != self.cfg.num_files:
+                raise UsageError("demand width does not match the library")
+            if d.user not in self._user_rank:
+                raise UsageError(f"{d.user} is not a user of this topology")
+        return demands_by_user(demands)
+
     # -- decoding --
 
-    def decode(self, user: CacheSet, caches: Sequence[CacheContent],
+    def decode(self, caches: Sequence[CacheContent],
                transcript: DeliveryTranscript,
-               demand: DemandVector | None = None) -> BitBlock:
-        """The user's demanded combination, checked, by decode_rows.  The
-        caches act as one subfile store, filled in the order given, so a
-        later copy of a subfile wins; key material comes from each cache's
-        own store.  What the user reads, and only that, is checked in lex
-        order of T."""
-        if user not in self.topo.users():
-            raise UsageError(f"{user} is not a user of this topology")
-        by_index = {c.index: c for c in caches}
-        if set(by_index) != set(user):
-            raise UsageError(
-                f"decode needs exactly the caches {user}, got {sorted(by_index)}")
-        demand = self._resolve_demand(user, transcript, demand)
-        if self.cfg.broadcast:
-            if transcript.broadcast_files is None:
-                raise IntegrityError("broadcast transcript lacks the library")
-            return linear_combination(demand,
-                                      FileLibrary(transcript.broadcast_files))
-        kind, n, sb = self.kind, self.cfg.num_files, self.cfg.subfile_bits
-        sent = (transcript.masked_demands if kind.masks_demands
-                else transcript.cleartext_demands)
-        lacking = [(1 << n) - 1] * len(self._rank)  # per rank, files not held
-        subfiles: dict = {}
-        for content in by_index.values():
-            subfiles.update(content.subfiles)
-        for (i, T), block in subfiles.items():
-            if T in self._rank and 1 <= i <= n:
-                _sized(block, sb, "subfile", (i, T))
-                lacking[self._rank[T]] &= ~(1 << (i - 1))
-        readers = (() if kind is SchemeKind.LFR else
-                   user[:1] if kind.stores_keys_whole else user)
-        for T, k in self._rank.items():
-            slot = self._slots.get((user, T))
-            if slot is None:
-                _check_reach(demand.coeffs & lacking[k], T)
-                continue
-            S = slot[1]
-            payload = transcript.payloads.get(S)
-            if payload is None:
-                raise IntegrityError(f"transcript lacks the payload for {S}")
-            label = (user, T) if kind.masks_demands else S
-            stores = [getattr(by_index[c], self._key_store) for c in readers]
-            for c, store in zip(readers, stores):
-                if label not in store:
-                    raise IntegrityError(
-                        f"cache {c} lacks the key material for {label}")
-            for c, store in zip(readers, stores):
-                block = store[label]
-                if block.length != self._key_bits and not kind.stores_keys_whole:
-                    raise DomainError(
-                        f"share block of {block.length} bits, expected "
-                        f"{self._key_bits}" if kind.masks_demands else
-                        f"block at {share_index_of_cache(S, c)} has "
-                        f"{block.length} bits, expected {self._key_bits}")
-            _sized(payload, sb, "payload", S)
-            if kind.stores_keys_whole:
-                _sized(stores[0][S], sb, "key of payload", S)
-            for other, rest, j in self._members[S]:
-                if other == user:
-                    continue
-                coeffs = sent.get(other)
-                if coeffs is None:
-                    what = "masked demand" if kind.masks_demands else "demand"
-                    raise IntegrityError(f"transcript lacks the {what} of {other}")
-                _check_reach(coeffs & lacking[j], rest)
-        held = [replace(by_index[c], subfiles=subfiles) for c in user]
-        return self._decode_placed(self._cache_rows(held), transcript,
-                                   [demand])[0]
+               demands: Sequence[DemandVector]) -> list[BitBlock]:
+        """Each demand's user's combination, in the order of demands, by
+        decode_rows, once the round is checked whole.  UsageError: a
+        demand of no user, of a user twice or not N files wide; caches not
+        distinct caches of the topology that hold every cache of each
+        demanded user; a cleartext demand the transcript does not carry.
+        IntegrityError: a store that does not hold exactly its labels at
+        their widths; a transcript that lacks a payload, a sent demand
+        under 2^N of some user, or in broadcast mode a file of F bits."""
+        lacking = ({c for g in self._by_user(demands) for c in g}
+                   - {content.index for content in caches})
+        if lacking:
+            raise UsageError(f"decode needs the caches {sorted(lacking)} too")
+        return self._decode_placed(self._cache_rows(caches), transcript,
+                                   demands)
 
     def decode_rows(self, users: Sequence[CacheSet], payload_row: int,
                     sent_row: int, demand_row: int,
@@ -742,13 +688,10 @@ class Scheme:
             return [keys[at * P:(at + 1) * P] for at in range(len(users))]
         if not self.kind.stores_keys_whole and not self.kind.stores_keys_coded:
             return [[0] * P for _ in users]
-        # Every read cache's entries, Q each, at (c - 1) Q; zero if unread.
+        # Every cache's entries, Q each, at (c - 1) Q.
         Q = len(self._key_places[0])
-        read = {c for g in users for c in (g[:1] if self.kind.stores_keys_whole
-                                           else g)}
-        entries = list(chain.from_iterable(
-            _cut(key_rows[c - 1][0], Q, bits) if c in read else [0] * Q
-            for c in range(1, self.topo.num_caches + 1)))
+        entries = list(chain.from_iterable(_cut(row, Q, bits)
+                                           for row, _ in key_rows))
         if self.kind.stores_keys_whole:
             keys = _gather(entries, _listed(plan.keys[0], ranks, P))
             return [list(keys[at * P:(at + 1) * P])
@@ -789,76 +732,77 @@ class Scheme:
 
     def _cache_rows(self, caches: Sequence[CacheContent]) -> tuple:
         """The subfile rows and the key rows, entry c - 1 for cache c, that
-        the given caches hold, as decode_rows reads them.  A cache not
-        given has empty rows, an entry a cache lacks reads zero, and each
-        entry is cut to its width."""
-        sb = self.cfg.subfile_bits
-        rows = [((0, 0), (0, 0))] * self.topo.num_caches
+        the given caches hold, checked as decode says, as decode_rows reads
+        them; a cache not given has empty rows."""
+        sb, C = self.cfg.subfile_bits, self.topo.num_caches
+        rows: list = [None] * C
         for content in caches:
             c = content.index
+            if not 1 <= c <= C or rows[c - 1] is not None:
+                raise UsageError(f"cache {c} is out of range or given twice")
+            if any(getattr(content, store) for store in _KEY_STORES
+                   if store != self._key_store):
+                raise IntegrityError(f"cache {c} holds another kind's keys")
             rows[c - 1] = (
-                _row(content.subfiles, self._subfile_places[c - 1], sb),
+                _row(content.subfiles, self._subfile_places[c - 1], sb,
+                     f"cache {c}", "subfile"),
                 _row(getattr(content, self._key_store),
-                     self._key_places[c - 1], self._key_bits))
-        return tuple(zip(*rows))
+                     self._key_places[c - 1], self._key_bits, f"cache {c}",
+                     "the key material for"))
+        return tuple(zip(*(row or ((0, 0), (0, 0)) for row in rows)))
 
     def _decode_placed(self, cache_rows: tuple,
                        transcript: DeliveryTranscript,
                        demands: Sequence[DemandVector]) -> list[BitBlock]:
         """decode_rows for each demand's user at once, on _cache_rows' rows
-        and the rows the transcript holds.  An entry it lacks reads zero,
-        and each entry is cut to its width."""
-        cfg = self.cfg
+        and the transcript's, checked as decode says."""
+        cfg, users = self.cfg, self._rows
         n, sb, fb = cfg.num_files, cfg.subfile_bits, cfg.file_bits
-        sent = (transcript.masked_demands if self.kind.masks_demands
-                else transcript.cleartext_demands)
-        payload_row = (_join([b.value for b in transcript.broadcast_files], fb)
-                       if cfg.broadcast else
-                       _row(transcript.payloads, self._members, sb)[0])
-        sent_row = _join([sent.get(g, 0) & ((1 << n) - 1) for g in self._rows], n)
+        if cfg.broadcast:
+            payload_row, sent_row = _row(
+                dict(enumerate(transcript.broadcast_files or (), 1)),
+                range(1, n + 1), fb, "broadcast transcript", "file")[0], 0
+        else:
+            payload_row = _row(transcript.payloads, self._members, sb,
+                               "transcript", "the payload for")[0]
+            what, sent = (("masked demand", transcript.masked_demands)
+                          if self.kind.masks_demands else
+                          ("demand", transcript.cleartext_demands))
+            values = [sent.get(g, -1) for g in users]
+            bad = [g for g, v in zip(users, values) if v < 0 or v >> n]
+            if bad or len(sent) != len(users):
+                raise IntegrityError(
+                    f"transcript lacks a {what} of {bad[0]} under 2^{n}"
+                    if bad else f"transcript holds a {what} of no user")
+            sent_row = _join(values, n)
+            if not self.kind.masks_demands and any(
+                    sent[d.user] != d.coeffs for d in demands):
+                raise UsageError("a demand disagrees with the transcript")
         demand_row = sum(d.coeffs << (self._user_rank[d.user] * n) for d in demands)
         return [BitBlock(v, fb) for v in self.decode_rows(
             [d.user for d in demands], payload_row, sent_row, demand_row,
             *cache_rows)]
 
-    def _resolve_demand(self, user, transcript, demand) -> DemandVector:
-        if self.kind.masks_demands:
-            if demand is None:
-                raise UsageError(
-                    f"{self.kind.value} decoding needs the user's own demand")
-        else:
-            carried = transcript.cleartext_demands.get(user)
-            if carried is None:
-                raise IntegrityError(f"transcript lacks the demand of {user}")
-            if demand is None:
-                demand = DemandVector(user, carried, self.cfg.num_files)
-            elif demand.coeffs != carried:
-                raise UsageError("supplied demand disagrees with the transcript")
-        if demand.user != user:
-            raise UsageError(f"demand belongs to {demand.user}, not {user}")
-        if demand.num_files != self.cfg.num_files:
-            raise UsageError("demand width does not match the library")
-        return demand
 
-
-def _check_reach(missing: int, T: CacheSet) -> None:
-    """Raise for the lowest file, if any, in the bit mask `missing` at T."""
-    if missing:
-        i = (missing & -missing).bit_length()
-        raise IntegrityError(f"subfile ({i}, {T}) not in reach")
-
-
-def _row(store: Mapping, labels, bits: int) -> tuple[int, int]:
-    """The store's blocks under the labels side by side, each cut to bits,
-    as (value, width); a label the store lacks reads zero.  A store that
-    holds just the labels, in order, as placement fills one, is read in
-    its own order."""
-    mask = (1 << bits) - 1
-    if list(store) == list(labels):
-        values = [block.value & mask for block in store.values()]
-    else:
-        values = [store[label].value & mask if label in store else 0
-                  for label in labels]
+def _row(store: Mapping, labels, bits: int, owner: str,
+         what: str) -> tuple[int, int]:
+    """The store's blocks under the labels side by side, as (value,
+    width).  The store must hold exactly the labels, each block bits long,
+    or IntegrityError names the first fault.  A store that holds just the
+    labels, in order, as placement fills one, is read in its own order."""
+    blocks = (store.values() if list(store) == list(labels) else
+              [store[label] for label in labels if label in store])
+    values = [block.value for block in blocks if block.length == bits]
+    if len(values) != len(labels) or len(store) != len(labels):
+        known = set(labels)
+        raise IntegrityError(next(chain(
+            (f"{owner} lacks {what} {label}"
+             for label in labels if label not in store),
+            (f"{owner} holds {what} {label}, not one of its labels"
+             if label not in known else f"{owner} holds {what} {label} of "
+             f"{block.length} bits, expected {bits}"
+             for label, block in store.items()
+             if label not in known or block.length != bits))))
     return (_narrow(values, 1, bits) if bits <= 64 else _join(values, bits),
             len(values) * bits)
 
@@ -878,8 +822,8 @@ def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,
     transcript = scheme.deliver(placement.randomness, placement.table, demands)
     by_user = demands_by_user(demands)
     users = cfg.topo.users()
-    decoded = scheme._decode_placed(scheme._cache_rows(placement.caches),
-                                    transcript, [by_user[g] for g in users])
+    decoded = scheme.decode(placement.caches, transcript,
+                            [by_user[g] for g in users])
     return SimulationResult(cfg, library, tuple(demands), placement, transcript,
                             dict(zip(users, decoded)),
                             {g: linear_combination(by_user[g], library)

@@ -113,6 +113,22 @@ def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
                "--F", "3", "--scheme", "lfr", "--out", str(tmp_path)) == 4
 
 
+def test_a_default_sweep_audits_the_given_seed(tmp_path, monkeypatch):
+    # The default share sweep once built every instance at seed 0, so
+    # --seed and MACLFR_SEED reached only an instance that --C names.
+    audited = []
+    honest = cli.check_share_placement_secrecy
+    monkeypatch.setattr(cli, "check_share_placement_secrecy",
+                        lambda cfg: audited.append(cfg.seed) or honest(cfg))
+    assert run("verify", "--suite", "shares", "--seed", "7",
+               "--out", str(tmp_path)) == 0
+    assert len(audited) > 1 and set(audited) == {7}
+    monkeypatch.setenv("MACLFR_SEED", "5")
+    for suite in ("correctness", "security", "privacy", "shares"):
+        args = cli._build_parser().parse_args(["verify", "--suite", suite])
+        assert {cfg.seed for cfg in cli._instances(args, suite)} == {5}
+
+
 def test_curve_figure_preset(tmp_path, capsys):
     code = run("curve", "--figure", "2", "--out", str(tmp_path))
     assert code == 0

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from maclfr import indexing, mds, schemes
+from maclfr import cli, indexing, mds, schemes
 from maclfr.analysis import point
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
@@ -362,53 +362,35 @@ def test_broadcast_decode_needs_the_library_on_the_link():
     user = cfg.topo.users()[0]
     caches = [result.placement.caches[c - 1] for c in user]
     demand = next(d for d in result.demands if d.user == user)
-    with pytest.raises(IntegrityError, match="^broadcast transcript lacks "
-                       "the library$"):
-        Scheme(cfg).decode(user, caches, replace(
-            result.transcript, broadcast_files=None), demand)
+    files = result.transcript.broadcast_files
+    for doctored, message in (
+            (None, "broadcast transcript lacks file 1"),
+            (files[:2], "broadcast transcript lacks file 3"),
+            (files[:2] + (BitBlock.zeros(7),),
+             "broadcast transcript holds file 3 of 7 bits, expected 6")):
+        with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+            Scheme(cfg).decode(caches, replace(
+                result.transcript, broadcast_files=doctored), [demand])
 
 
 # ---- error paths ----
 
-def test_decode_requires_exactly_the_member_caches():
-    cfg = config(SchemeKind.S_LFR, 3, 2, 1)
-    result = simulate(cfg)
-    scheme = Scheme(cfg)
-    user = cfg.topo.users()[0]
-    caches = [result.placement.caches[c - 1] for c in user]
-    with pytest.raises(UsageError):
-        scheme.decode(user, caches[:1], result.transcript)
-    with pytest.raises(UsageError):
-        scheme.decode(user, list(result.placement.caches), result.transcript)
-    with pytest.raises(UsageError):
-        scheme.decode((1, 2, 3), caches, result.transcript)
-
-
-def test_masked_kind_needs_the_own_demand():
-    cfg = config(SchemeKind.SP_LFR, 3, 2, 1)
-    result = simulate(cfg)
-    scheme = Scheme(cfg)
-    user = cfg.topo.users()[0]
-    caches = [result.placement.caches[c - 1] for c in user]
-    with pytest.raises(UsageError):
-        scheme.decode(user, caches, result.transcript)
-    wrong_user = DemandVector(cfg.topo.users()[1], 0, cfg.num_files)
-    with pytest.raises(UsageError):
-        scheme.decode(user, caches, result.transcript, wrong_user)
-
-
 def test_cleartext_kind_carries_the_demand():
+    # The transcript carries each cleartext demand; decode checks the
+    # caller's demand against it.
     cfg = config(SchemeKind.LFR, 3, 2, 1)
     result = simulate(cfg)
     scheme = Scheme(cfg)
     user = cfg.topo.users()[0]
     caches = [result.placement.caches[c - 1] for c in user]
-    decoded = scheme.decode(user, caches, result.transcript)
-    assert decoded == result.expected[user]
-    conflicting = DemandVector(user,
-                               result.demands[0].coeffs ^ 1, cfg.num_files)
-    with pytest.raises(UsageError):
-        scheme.decode(user, caches, result.transcript, conflicting)
+    carried = DemandVector(user, result.transcript.cleartext_demands[user],
+                           cfg.num_files)
+    assert scheme.decode(caches, result.transcript,
+                         [carried]) == [result.expected[user]]
+    conflicting = replace(carried, coeffs=carried.coeffs ^ 1)
+    with pytest.raises(UsageError, match="^a demand disagrees with the "
+                       "transcript$"):
+        scheme.decode(caches, result.transcript, [conflicting])
 
 
 def test_doctored_transcript_is_detected():
@@ -419,10 +401,10 @@ def test_doctored_transcript_is_detected():
     caches = [result.placement.caches[c - 1] for c in user]
     gutted = replace(result.transcript, payloads={})
     with pytest.raises(IntegrityError):
-        scheme.decode(user, caches, gutted, result.demands[0])
+        scheme.decode(caches, gutted, result.demands[:1])
     silent = replace(result.transcript, cleartext_demands={})
     with pytest.raises(IntegrityError):
-        scheme.decode(user, caches, silent, result.demands[0])
+        scheme.decode(caches, silent, result.demands[:1])
 
 
 def decode_setup(kind: SchemeKind, C: int = 4, r: int = 2, t: int = 1,
@@ -457,8 +439,8 @@ def test_decode_reports_a_missing_own_subfile():
     scheme, result, user, caches, demand = decode_setup(SchemeKind.LFR)
     gutted = strip(caches, 2, "subfiles", (1, (2,)))
     with pytest.raises(IntegrityError,
-                       match=re.escape("subfile (1, (2,)) not in reach")):
-        scheme.decode(user, gutted, result.transcript, demand)
+                       match=re.escape("cache 2 lacks subfile (1, (2,))")):
+        scheme.decode(gutted, result.transcript, [demand])
 
 
 def test_decode_reports_a_subfile_another_combination_needs():
@@ -466,11 +448,12 @@ def test_decode_reports_a_subfile_another_combination_needs():
     # on its transmissions read the stripped subfile.
     scheme, result, user, caches, demand = decode_setup(SchemeKind.S_LFR,
                                                         own=0)
-    assert scheme.decode(user, caches, result.transcript, demand).value == 0
+    [decoded] = scheme.decode(caches, result.transcript, [demand])
+    assert decoded.value == 0
     gutted = strip(caches, 2, "subfiles", (3, (2,)))
     with pytest.raises(IntegrityError,
-                       match=re.escape("subfile (3, (2,)) not in reach")):
-        scheme.decode(user, gutted, result.transcript, demand)
+                       match=re.escape("cache 2 lacks subfile (3, (2,))")):
+        scheme.decode(gutted, result.transcript, [demand])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -481,7 +464,7 @@ def test_decode_reports_a_missing_payload(kind):
     gutted = replace(result.transcript, payloads=payloads)
     with pytest.raises(IntegrityError, match=re.escape(
             "transcript lacks the payload for (1, 2, 4)")):
-        scheme.decode(user, caches, gutted, demand)
+        scheme.decode(caches, gutted, [demand])
 
 
 @pytest.mark.parametrize("kind,field,cache,label", (
@@ -495,7 +478,7 @@ def test_decode_reports_missing_key_material(kind, field, cache, label):
     gutted = strip(caches, cache, field, label)
     with pytest.raises(IntegrityError, match=re.escape(
             f"cache {cache} lacks the key material for {label}")):
-        scheme.decode(user, gutted, result.transcript, demand)
+        scheme.decode(gutted, result.transcript, [demand])
 
 
 @pytest.mark.parametrize("kind,field,what", (
@@ -511,24 +494,28 @@ def test_decode_reports_a_missing_demand_of_another_user(kind, field, what):
     del sent[(1, 3)]
     gutted = replace(result.transcript, **{field: sent})
     with pytest.raises(IntegrityError, match=re.escape(
-            f"transcript lacks the {what} of (1, 3)")):
-        scheme.decode(user, caches, gutted, demand)
+            f"transcript lacks a {what} of (1, 3) under 2^3")):
+        scheme.decode(caches, gutted, [demand])
 
 
 def test_blocks_of_the_wrong_length_are_rejected():
+    # A block of another width in a cache or the transcript is data that
+    # fails a structural check.
     scheme, result, user, caches, demand = decode_setup(SchemeKind.S_LFR)
+    sb = result.cfg.subfile_bits
     held = dict(caches[1].subfiles)
-    held[(1, (2,))] = BitBlock.zeros(held[(1, (2,))].length + 1)
+    held[(1, (2,))] = BitBlock.zeros(sb + 1)
     stretched = [caches[0], replace(caches[1], subfiles=held)]
-    with pytest.raises(UsageError, match=re.escape("subfile (1, (2,)) has")):
-        scheme.decode(user, stretched, result.transcript, demand)
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"cache 2 holds subfile (1, (2,)) of {sb + 1} bits, "
+            f"expected {sb}")):
+        scheme.decode(stretched, result.transcript, [demand])
     payloads = dict(result.transcript.payloads)
-    wide = result.cfg.subfile_bits + 1
-    payloads[(1, 2, 3)] = BitBlock.zeros(wide)
-    with pytest.raises(UsageError, match=re.escape(
-            f"payload (1, 2, 3) has {wide} bits")):
-        scheme.decode(user, caches, replace(result.transcript, payloads=payloads),
-                      demand)
+    payloads[(1, 2, 3)] = BitBlock.zeros(sb + 1)
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"transcript holds the payload for (1, 2, 3) of {sb + 1} bits")):
+        scheme.decode(caches, replace(result.transcript, payloads=payloads),
+                      [demand])
     # A key or mask row wider than its run, at delivery and at placement.
     randomness = result.placement.randomness
     topo, cfg = result.cfg.topo, result.cfg
@@ -549,16 +536,17 @@ def test_decode_rejects_a_demand_of_another_width(kind):
     wider = replace(demand, num_files=demand.num_files + 1)
     with pytest.raises(UsageError, match=re.escape(
             "demand width does not match the library")):
-        scheme.decode(user, caches, result.transcript, wider)
+        scheme.decode(caches, result.transcript, [wider])
 
 
 def test_decode_reports_the_wrong_caches():
     scheme, result, user, caches, demand = decode_setup(SchemeKind.SP_LFR)
     with pytest.raises(UsageError, match=re.escape(
-            "decode needs exactly the caches (1, 2), got [1]")):
-        scheme.decode(user, caches[:1], result.transcript, demand)
+            "decode needs the caches [2] too")):
+        scheme.decode(caches[:1], result.transcript, [demand])
     with pytest.raises(UsageError, match="is not a user"):
-        scheme.decode((1, 2, 3), caches, result.transcript, demand)
+        scheme.decode(caches, result.transcript,
+                      [replace(demand, user=(1, 2, 3))])
 
 
 def plant(caches, cache_index, entries, field="subfiles"):
@@ -569,43 +557,77 @@ def plant(caches, cache_index, entries, field="subfiles"):
             for content in caches]
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_decode_takes_the_later_cache_copy_of_a_subfile(kind):
-    # Cache 2 holds subfile (1, (2,)); cache 1 gets another copy of it.
-    # The caches act as one merged store, filled in the order given.
-    scheme, result, user, caches, demand = decode_setup(kind)
-    label = (1, (2,))
-    true = caches[1].subfiles[label]
-    forged = BitBlock(true.value ^ 1, true.length)
-    first, second = plant(caches, 1, {label: forged})
-    expected = result.expected[user]
-    assert scheme.decode(user, [first, second], result.transcript,
-                         demand) == expected
-    flipped = scheme.decode(user, [second, first], result.transcript, demand)
-    assert flipped != expected
-    assert flipped == scheme.decode(user, plant(caches, 2, {label: forged}),
-                                    result.transcript, demand)
-    # A wrong-length copy is checked only where it is the one decode uses.
-    first, second = plant(caches, 1, {label: BitBlock.zeros(true.length + 1)})
-    assert scheme.decode(user, [first, second], result.transcript,
-                         demand) == expected
-    with pytest.raises(UsageError, match=re.escape("subfile (1, (2,)) has")):
-        scheme.decode(user, [second, first], result.transcript, demand)
+def with_sent(field, doctor):
+    """A transcript doctor that rewrites its sent demands of field."""
+    return lambda transcript: replace(
+        transcript, **{field: doctor(dict(getattr(transcript, field)))})
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_decode_ignores_subfiles_of_no_file_or_index(kind):
+# Malformed rounds that no test above names, for user (1, 2) of
+# decode_setup at C=4 r=2 t=1, N=3: (case, kind, caches doctor, transcript
+# doctor, demands doctor, error class, message).
+MALFORMED = [
+    ("foreign-subfile", SchemeKind.LFR,
+     lambda caches: plant(caches, 1, {(1, (2,)): caches[1].subfiles[1, (2,)]}),
+     None, None, IntegrityError,
+     "cache 1 holds subfile (1, (2,)), not one of its labels"),
+    ("subfile-of-no-file", SchemeKind.IS_LFR,
+     lambda caches: plant(caches, 2, {(0, (2,)): caches[1].subfiles[1, (2,)]}),
+     None, None, IntegrityError,
+     "cache 2 holds subfile (0, (2,)), not one of its labels"),
+    ("foreign-key-share", SchemeKind.SP_LFR,
+     lambda caches: plant(caches, 1, {((2, 3), (4,)): caches[0].key_shares[
+         (1, 2), (3,)]}, "key_shares"), None, None, IntegrityError,
+     "cache 1 holds the key material for ((2, 3), (4,)), not one of its "
+     "labels"),
+    ("another-kind-s-keys", SchemeKind.S_LFR,
+     lambda caches: plant(caches, 2, {((1, 2), (3,)): BitBlock.zeros(1)},
+                          "key_shares"), None, None, IntegrityError,
+     "cache 2 holds another kind's keys"),
+    ("cache-index-zero", SchemeKind.P_LFR,
+     lambda caches: [replace(caches[0], index=0), *caches], None, None,
+     UsageError,
+     "cache 0 is out of range or given twice"),
+    ("cache-index-past-C", SchemeKind.IS_LFR,
+     lambda caches: [*caches, replace(caches[0], index=5)], None, None,
+     UsageError,
+     "cache 5 is out of range or given twice"),
+    ("cache-given-twice", SchemeKind.S_LFR, lambda caches: caches + caches[1:],
+     None, None, UsageError, "cache 2 is out of range or given twice"),
+    ("wide-sent-demand", SchemeKind.SP_LFR, None,
+     with_sent("masked_demands", lambda sent: {**sent, (2, 4): 8}), None,
+     IntegrityError, "transcript lacks a masked demand of (2, 4) under 2^3"),
+    ("sent-demand-of-no-user", SchemeKind.LFR, None,
+     with_sent("cleartext_demands", lambda sent: {**sent, (1, 5): 1}), None,
+     IntegrityError, "transcript holds a demand of no user"),
+    ("user-demanded-twice", SchemeKind.P_LFR, None, None,
+     lambda demand: [demand, demand], UsageError,
+     "duplicate demand for user (1, 2)"),
+    ("demand-of-another-user", SchemeKind.S_LFR, None, None,
+     lambda demand: [demand, DemandVector((3, 4), 0, 3)], UsageError,
+     "decode needs the caches [3, 4] too"),
+]
+
+
+@pytest.mark.parametrize("case,kind,caches_doctor,transcript_doctor,"
+                         "demands_doctor,error,message", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_decode_rejects_a_malformed_round(case, kind, caches_doctor,
+                                          transcript_doctor, demands_doctor,
+                                          error, message):
+    # A fault in the caches' contents or the transcript is IntegrityError
+    # (exit 2), a fault in the caller's arguments UsageError (exit 4).
     scheme, result, user, caches, demand = decode_setup(kind)
-    sb = result.cfg.subfile_bits
-    junk = {(0, (2,)): BitBlock.zeros(sb),
-            (result.cfg.num_files + 1, (1,)): BitBlock.zeros(sb),
-            (1, (9,)): BitBlock.zeros(sb),
-            (1, (1, 2)): BitBlock.zeros(sb),
-            (2, (5,)): BitBlock.zeros(sb + 3)}
-    for cache_index in user:
-        planted = plant(caches, cache_index, junk)
-        assert scheme.decode(user, planted, result.transcript,
-                             demand) == result.expected[user]
+    caches = caches_doctor(caches) if caches_doctor else caches
+    transcript = (transcript_doctor(result.transcript) if transcript_doctor
+                  else result.transcript)
+    demands = demands_doctor(demand) if demands_doctor else [demand]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        scheme.decode(caches, transcript, demands)
+    assert type(raised.value) is error
+    assert next(code for classes, code in cli._EXIT_CODES
+                if isinstance(raised.value, classes)) == (
+        2 if error is IntegrityError else 4)
 
 
 def key_fault_setup(kind: SchemeKind):
@@ -615,43 +637,31 @@ def key_fault_setup(kind: SchemeKind):
     scheme, result, user, caches, demand = decode_setup(kind)
 
     def decode(held, transcript=result.transcript):
-        return scheme.decode(user, held, transcript, demand)
+        return scheme.decode(held, transcript, [demand])
     return result, caches, decode
 
 
 @pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
 def test_decode_raises_key_share_faults_at_their_index(kind):
+    # Each fault names its cache and its slot; of two, the one a cache's
+    # store lists first: a missing share before one of the wrong width.
     result, caches, decode = key_fault_setup(kind)
     bits = result.cfg.share_block_bits
     early, late = ((1, 2), (3,)), ((1, 2), (4,))
     wide = BitBlock.zeros(bits + 1)
-    wrong_length = re.escape(f"share block of {bits + 1} bits, expected {bits}")
     long_late = plant(caches, 2, {late: wide}, "key_shares")
-    with pytest.raises(DomainError, match=wrong_length):
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"cache 2 holds the key material for {late} of {bits + 1} bits, "
+            f"expected {bits}")):
         decode(long_late)
-    # A fault at the earlier index is raised first, whatever its kind.
     with pytest.raises(IntegrityError, match=re.escape(
-            f"cache 1 lacks the key material for {early}")):
-        decode(strip(long_late, 1, "key_shares", early))
-    with pytest.raises(DomainError, match=wrong_length):
-        decode(strip(plant(caches, 1, {early: wide}, "key_shares"),
-                     2, "key_shares", late))
-    # At one index the payload comes first, then a share missing from any
-    # cache, then a share of the wrong length.
-    payloads = dict(result.transcript.payloads)
-    del payloads[(1, 2, 4)]
-    with pytest.raises(IntegrityError, match=re.escape(
-            "transcript lacks the payload for (1, 2, 4)")):
-        decode(long_late, replace(result.transcript, payloads=payloads))
-    with pytest.raises(IntegrityError, match=re.escape(
-            f"cache 2 lacks the key material for {late}")):
-        decode(strip(plant(caches, 1, {late: wide}, "key_shares"),
-                     2, "key_shares", late))
+            f"cache 2 lacks the key material for {early}")):
+        decode(strip(long_late, 2, "key_shares", early))
 
 
 def test_decode_reports_a_stripped_key_share_under_python_optimize():
-    # -O strips assert statements: the fault of a share some cache lacks
-    # must still be raised, with the same class and message.
+    # -O strips assert statements: each fault must still be raised, with
+    # the same class and message.
     script = textwrap.dedent("""
         from dataclasses import replace
         from maclfr.schemes import Scheme, SchemeConfig, SchemeKind, simulate
@@ -662,34 +672,23 @@ def test_decode_reports_a_stripped_key_share_under_python_optimize():
         caches = [result.placement.caches[c - 1] for c in user]
         held = dict(caches[1].key_shares)
         del held[(user, (3,))]
-        caches[1] = replace(caches[1], key_shares=held)
-        try:
-            Scheme(cfg).decode(user, caches, result.transcript,
-                               result.demands[0])
-        except Exception as error:
-            print(type(error).__name__, error)
+        stripped = [caches[0], replace(caches[1], key_shares=held)]
+        for doctored in (stripped, [replace(caches[0], index=0)] + caches,
+                         caches[:1]):
+            try:
+                Scheme(cfg).decode(doctored, result.transcript,
+                                   result.demands[:1])
+            except Exception as error:
+                print(type(error).__name__, error)
         """)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ("IntegrityError cache 2 lacks the key "
-                                   "material for ((1, 2), (3,))")
-
-
-@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.P_LFR))
-def test_decode_ignores_shares_filed_under_other_labels(kind):
-    result, caches, decode = key_fault_setup(kind)
-    bits = result.cfg.share_block_bits
-    junk = {((1, 3), (2,)): BitBlock((1 << bits) - 1, bits),
-            ((1, 3), (4,)): BitBlock.zeros(bits + 2),
-            ((3, 4), (1,)): BitBlock.zeros(bits),
-            ((2, 3), (4,)): BitBlock.zeros(bits + 1),
-            ((1, 2), (1,)): BitBlock.zeros(bits + 1),
-            ((1, 2), (9,)): BitBlock.zeros(bits)}
-    for cache_index in (1, 2):
-        planted = plant(caches, cache_index, junk, "key_shares")
-        assert decode(planted) == result.expected[(1, 2)]
+    assert proc.stdout.splitlines() == [
+        "IntegrityError cache 2 lacks the key material for ((1, 2), (3,))",
+        "UsageError cache 0 is out of range or given twice",
+        "UsageError decode needs the caches [2] too"]
 
 
 def test_decode_raises_coded_block_faults_at_their_index():
@@ -697,8 +696,9 @@ def test_decode_raises_coded_block_faults_at_their_index():
     bits = caches[1].coded_subkeys[(1, 2, 4)].length
     long_late = plant(caches, 2, {(1, 2, 4): BitBlock.zeros(bits + 1)},
                       "coded_subkeys")
-    with pytest.raises(DomainError, match=re.escape(
-            f"block at 2 has {bits + 1} bits, expected {bits}")):
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"cache 2 holds the key material for (1, 2, 4) of {bits + 1} "
+            f"bits, expected {bits}")):
         decode(long_late)
     with pytest.raises(IntegrityError, match=re.escape(
             "cache 1 lacks the key material for (1, 2, 3)")):
@@ -710,8 +710,9 @@ def test_decode_raises_whole_key_faults_at_their_index():
     sb = result.cfg.subfile_bits
     long_late = plant(caches, 1, {(1, 2, 4): BitBlock.zeros(sb + 1)},
                       "whole_keys")
-    with pytest.raises(UsageError, match=re.escape(
-            f"key of payload (1, 2, 4) has {sb + 1} bits, expected {sb}")):
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"cache 1 holds the key material for (1, 2, 4) of {sb + 1} bits, "
+            f"expected {sb}")):
         decode(long_late)
     with pytest.raises(IntegrityError, match=re.escape(
             "cache 1 lacks the key material for (1, 2, 3)")):
@@ -728,8 +729,8 @@ def test_decode_is_the_same_for_the_caches_in_any_order(kind, C, r, t):
     for g, demand in zip(result.cfg.topo.users(), result.demands):
         held = [result.placement.caches[c - 1] for c in g]
         for order in permutations(held):
-            assert scheme.decode(g, list(order), result.transcript,
-                                 demand) == result.expected[g], (g, order)
+            assert scheme.decode(list(order), result.transcript,
+                                 [demand]) == [result.expected[g]], (g, order)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -742,8 +743,8 @@ def test_one_scheme_decodes_placements_in_turn(kind):
 
     def check(result, g, demand):
         held = [result.placement.caches[c - 1] for c in g]
-        assert scheme.decode(g, held, result.transcript,
-                             demand) == result.expected[g]
+        assert scheme.decode(held, result.transcript,
+                             [demand]) == [result.expected[g]]
     for result in (rounds[0], rounds[1], rounds[0]):
         for g, demand in zip(result.cfg.topo.users(), result.demands):
             check(result, g, demand)
@@ -767,19 +768,28 @@ def server_rows_decode(scheme, result, users):
 
 
 def assert_decode_rows_equal_decode(result):
-    """decode_rows on the server's rows, simulate (decode_rows on the
-    placed caches' rows) and decode of each user one by one agree."""
+    """decode_rows on the server's rows equals the slot-by-slot reference
+    on them, and decode on the placed caches and the transcript equals
+    both, for every user at once, for the users reversed, and for one
+    user given only its own caches."""
     scheme, users = Scheme(result.cfg), result.cfg.topo.users()
-    rows = server_rows_decode(scheme, result, users)
+    _, rows = server_rows(result)
+    values = server_rows_decode(scheme, result, users)
+    assert values == slot_by_slot_decode_rows(scheme, users, *rows)
     by_user = {d.user: d for d in result.demands}
-    for g, value in zip(users, rows):
-        held = [result.placement.caches[c - 1] for c in g]
-        decoded = scheme.decode(g, held, result.transcript, by_user[g])
-        assert decoded == BitBlock(value, result.cfg.file_bits), g
-        assert decoded == result.decoded[g] == result.expected[g], g
+    caches, transcript = result.placement.caches, result.transcript
+    decoded = scheme.decode(caches, transcript, [by_user[g] for g in users])
+    assert decoded == [BitBlock(v, result.cfg.file_bits) for v in values]
+    assert decoded == [result.decoded[g] for g in users] == [
+        result.expected[g] for g in users]
+    assert scheme.decode(caches[::-1], transcript, [
+        by_user[g] for g in users[::-1]]) == decoded[::-1]
+    g = users[-1]
+    assert scheme.decode([caches[c - 1] for c in g], transcript,
+                         [by_user[g]]) == decoded[-1:]
     # The users may come in any order, and any subset of them.
-    assert server_rows_decode(scheme, result, users[::-1]) == rows[::-1]
-    assert server_rows_decode(scheme, result, users[1:2]) == rows[1:2]
+    assert server_rows_decode(scheme, result, users[::-1]) == values[::-1]
+    assert server_rows_decode(scheme, result, users[1:2]) == values[1:2]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -1081,8 +1091,8 @@ def test_a_scheme_keeps_nothing_of_a_placement(kind):
     before = set(vars(scheme))
     server_rows_decode(scheme, result, cfg.topo.users())
     for g, demand in zip(cfg.topo.users(), result.demands):
-        scheme.decode(g, [result.placement.caches[c - 1] for c in g],
-                      result.transcript, demand)
+        scheme.decode([result.placement.caches[c - 1] for c in g],
+                      result.transcript, [demand])
     assert set(vars(scheme)) == before
     assert not hasattr(scheme, "_images")
 

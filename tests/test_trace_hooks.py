@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import maclfr
+from maclfr.schemes import Scheme, SchemeKind, simulate
+from maclfr.verify import tiny_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -92,3 +94,21 @@ def test_the_package_exports_exactly_what_it_imports():
     assert sorted(maclfr.__all__) == sorted(imported)
     for name in maclfr.__all__:
         getattr(maclfr, name)
+
+
+
+@pytest.mark.parametrize("kind", SchemeKind)
+def test_the_decode_span_times_each_round_s_one_decode(kind):
+    # simulate decodes every user through Scheme.decode, the name the
+    # schemes.decode span hooks: one call a round, and uninstall puts the
+    # original back.
+    original = vars(Scheme)["decode"]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for rounds in (1, 2):
+            assert simulate(tiny_config(kind, 3, 2, 1)).ok
+            assert t.calls["schemes.decode"] == rounds
+    finally:
+        t.uninstall()
+    assert vars(Scheme)["decode"] is original
