@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError, IntegrityError, UsageError
+from .errors import DomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,6 @@ class BitBlock:
     @classmethod
     def random(cls, rng: random.Random, length: int) -> "BitBlock":
         return cls(rng.getrandbits(length) if length else 0, length)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, length: int) -> "BitBlock":
-        if len(data) != (length + 7) // 8:
-            raise UsageError(
-                f"expected {(length + 7) // 8} bytes for {length} bits, got {len(data)}"
-            )
-        value = int.from_bytes(data, "little")
-        if value >> length:
-            raise IntegrityError(f"nonzero padding bits beyond length {length}")
-        return cls(value, length)
 
     # ---- accessors ----
 

@@ -443,14 +443,16 @@ class Scheme:
         """Store each cache's key material, cut from its key row: threshold
         shares of the superposed keys, whole payload keys, MDS-coded ones,
         or nothing."""
-        contents, bits = [], self._key_bits
-        rows = self.key_rows(randomness, table)
-        for c, (places, (row, _)) in enumerate(zip(self._key_places, rows)):
-            stores: dict = {store: {} for store in _KEY_STORES}
-            stores[self._key_store] = {label: BitBlock(v, bits) for label, v
-                                       in zip(places, _cut(row, len(places), bits))}
-            contents.append(CacheContent(c + 1, subfiles[c], **stores))
-        return contents
+        return [self._content(c, stores, row) for c, (stores, (row, _)) in
+                enumerate(zip(subfiles, self.key_rows(randomness, table)), 1)]
+
+    def _content(self, c: int, subfiles: dict, key_row: int) -> CacheContent:
+        """Cache c with the subfiles and its key material cut from its key
+        row: with _blocks, the inverse of _cache_rows."""
+        stores: dict = {store: {} for store in _KEY_STORES}
+        stores[self._key_store] = _blocks(key_row, self._key_places[c - 1],
+                                          self._key_bits)
+        return CacheContent(c, subfiles, **stores)
 
     def _check_rows(self, randomness: ServerRandomness) -> None:
         """Reject a key or mask row wider than the run it packs."""
@@ -532,17 +534,22 @@ class Scheme:
         missing = [g for g in self.topo.users() if g not in by_user]
         if missing:
             raise UsageError(f"missing demands for users {missing}")
-        n, users, members = cfg.num_files, self._rows, self._members
-        payloads, sent = self.transmission_row(randomness, table, sum(
-            by_user[g].coeffs << (u * n) for u, g in enumerate(users)))
+        return self._transcript(*self.transmission_row(randomness, table, sum(
+            by_user[g].coeffs << (u * cfg.num_files)
+            for u, g in enumerate(self._rows))))
+
+    def _transcript(self, payload_row: int, sent_row: int
+                    ) -> DeliveryTranscript:
+        """The transcript of transmission_row's rows: with _blocks, the
+        inverse of _transcript_rows."""
+        cfg, users, n = self.cfg, self._rows, self.cfg.num_files
         if cfg.broadcast:
-            fb = cfg.file_bits
-            return DeliveryTranscript(cfg, {}, {}, {}, tuple(
-                BitBlock(v, fb) for v in _cut(payloads, n, fb)))
-        sb, sent = cfg.subfile_bits, dict(zip(users, _cut(sent, len(users), n)))
+            return _library(cfg, payload_row)
+        sent = dict(zip(users, _cut(sent_row, len(users), n)))
         masked, clear = (sent, {}) if self.kind.masks_demands else ({}, sent)
-        return DeliveryTranscript(cfg, {S: BitBlock(v, sb) for S, v in zip(
-            members, _cut(payloads, len(members), sb))}, masked, clear, None)
+        return DeliveryTranscript(cfg, _blocks(payload_row, self._members,
+                                               cfg.subfile_bits),
+                                  masked, clear, None)
 
     def transmission_row(self, randomness: ServerRandomness,
                          table: SubfileTable, demand_row: int
@@ -590,7 +597,8 @@ class Scheme:
         distinct caches of the topology that hold every cache of each
         demanded user; a cleartext demand the transcript does not carry.
         IntegrityError: a store that does not hold exactly its labels at
-        their widths; a transcript that lacks a payload, a sent demand
+        their widths; a transcript of another config, or that holds a
+        section the round does not send, or lacks a payload, a sent demand
         under 2^N of some user, or in broadcast mode a file of F bits."""
         lacking = ({c for g in self._by_user(demands) for c in g}
                    - {content.index for content in caches})
@@ -751,35 +759,50 @@ class Scheme:
                      "the key material for"))
         return tuple(zip(*(row or ((0, 0), (0, 0)) for row in rows)))
 
+    def _transcript_rows(self, transcript: DeliveryTranscript) -> tuple:
+        """The payload row and the sent row, as (value, width), that the
+        transcript holds, checked as decode says; in broadcast mode the
+        payload row is the library and the sent row is empty."""
+        cfg, users, n = self.cfg, self._rows, self.cfg.num_files
+        what, name = (("masked demand", "masked_demands")
+                      if self.kind.masks_demands else
+                      ("demand", "cleartext_demands"))
+        sends = ("broadcast_files",) if cfg.broadcast else ("payloads", name)
+        if transcript.cfg != cfg:
+            raise IntegrityError("the transcript is of another configuration")
+        for section in ("payloads", "masked_demands", "cleartext_demands",
+                        "broadcast_files"):
+            if section not in sends and getattr(transcript, section):
+                raise IntegrityError(f"the transcript holds {section}, which "
+                                     f"this round does not send")
+        if cfg.broadcast:
+            return _row(dict(enumerate(transcript.broadcast_files or (), 1)),
+                        range(1, n + 1), cfg.file_bits, "broadcast transcript",
+                        "file"), (0, 0)
+        sent = getattr(transcript, name)
+        values = [sent.get(g, -1) for g in users]
+        bad = [g for g, v in zip(users, values) if v < 0 or v >> n]
+        if bad or len(sent) != len(users):
+            raise IntegrityError(
+                f"transcript lacks a {what} of {bad[0]} under 2^{n}"
+                if bad else f"transcript holds a {what} of no user")
+        return (_row(transcript.payloads, self._members, cfg.subfile_bits,
+                     "transcript", "the payload for"),
+                (_join(values, n), len(users) * n))
+
     def _decode_placed(self, cache_rows: tuple,
                        transcript: DeliveryTranscript,
                        demands: Sequence[DemandVector]) -> list[BitBlock]:
         """decode_rows for each demand's user at once, on _cache_rows' rows
-        and the transcript's, checked as decode says."""
-        cfg, users = self.cfg, self._rows
-        n, sb, fb = cfg.num_files, cfg.subfile_bits, cfg.file_bits
-        if cfg.broadcast:
-            payload_row, sent_row = _row(
-                dict(enumerate(transcript.broadcast_files or (), 1)),
-                range(1, n + 1), fb, "broadcast transcript", "file")[0], 0
-        else:
-            payload_row = _row(transcript.payloads, self._members, sb,
-                               "transcript", "the payload for")[0]
-            what, sent = (("masked demand", transcript.masked_demands)
-                          if self.kind.masks_demands else
-                          ("demand", transcript.cleartext_demands))
-            values = [sent.get(g, -1) for g in users]
-            bad = [g for g, v in zip(users, values) if v < 0 or v >> n]
-            if bad or len(sent) != len(users):
-                raise IntegrityError(
-                    f"transcript lacks a {what} of {bad[0]} under 2^{n}"
-                    if bad else f"transcript holds a {what} of no user")
-            sent_row = _join(values, n)
-            if not self.kind.masks_demands and any(
-                    sent[d.user] != d.coeffs for d in demands):
-                raise UsageError("a demand disagrees with the transcript")
-        demand_row = sum(d.coeffs << (self._user_rank[d.user] * n) for d in demands)
-        return [BitBlock(v, fb) for v in self.decode_rows(
+        and _transcript_rows', checked as decode says."""
+        (payload_row, _), (sent_row, _) = self._transcript_rows(transcript)
+        n, ranks = self.cfg.num_files, self._user_rank
+        if not self.kind.masks_demands and any(
+                sent_row >> (ranks[d.user] * n) & ((1 << n) - 1) != d.coeffs
+                for d in demands):
+            raise UsageError("a demand disagrees with the transcript")
+        demand_row = sum(d.coeffs << (ranks[d.user] * n) for d in demands)
+        return [BitBlock(v, self.cfg.file_bits) for v in self.decode_rows(
             [d.user for d in demands], payload_row, sent_row, demand_row,
             *cache_rows)]
 
@@ -805,6 +828,20 @@ def _row(store: Mapping, labels, bits: int, owner: str,
              if label not in known or block.length != bits))))
     return (_narrow(values, 1, bits) if bits <= 64 else _join(values, bits),
             len(values) * bits)
+
+
+def _blocks(row: int, labels: Sequence, bits: int) -> dict:
+    """The inverse of _row: the row cut into blocks of bits, one a label,
+    in turn."""
+    return dict(zip(labels, [BitBlock(v, bits)
+                             for v in _cut(row, len(labels), bits)]))
+
+
+def _library(cfg: SchemeConfig, row: int) -> DeliveryTranscript:
+    """The broadcast mode transcript of a library row, file i at bit
+    (i - 1) F."""
+    return DeliveryTranscript(cfg, {}, {}, {}, tuple(
+        _blocks(row, range(1, cfg.num_files + 1), cfg.file_bits).values()))
 
 
 def simulate(cfg: SchemeConfig, library: FileLibrary | None = None,

@@ -1,22 +1,24 @@
 """Serialization of simulation artifacts.
 
-Two formats: a compact binary container holding the configuration, every
-cache's contents, and the delivery transcript; and a JSON rendering of the
-same data with hex-encoded blocks for eyeballing.  Both walk one table of
-sections, SECTIONS, so they carry the same entries.  Both are byte-exact
-functions of their inputs (entries are written in canonical sorted order,
-block padding bits are zero), so identical (config, seed) runs serialize
-identically.
+Two formats carry a round's configuration, every cache's contents and the
+delivery transcript.  transcript.bin is packed rows: per cache its subfile
+row and its key row as Scheme._cache_rows packs them, then the payload
+row and the sent row of Scheme._transcript_rows, so it holds exactly the
+rounds Scheme.decode accepts, and reading it back cuts each row by the
+store labels that placement and delivery cut it by.  transcript.json is
+per label, with hex-encoded blocks for eyeballing.  Both are byte-exact
+functions of their inputs (rows and blocks are zero padded, JSON entries
+written in canonical sorted order), so identical (config, seed) runs
+serialize identically.
 
-Each section is rendered in one step from its placing: the places that
-sort its entries, and per key field its distinct values and each entry's
-place among them, so a distinct value is encoded once (a cache subset
-once per artifact) and each column is one gather.  The render plan holds,
-per topology and file count, the placing of each store placement fills.
-Any store keyed otherwise (subfiles read back in sorted order, stores
-built by hand, a label missing or foreign) and every delivery section is
-placed afresh, its keys sorted once.  A binary entry is joined into one
-bytes, a JSON section from one list of fragments.
+Each JSON section is rendered in one step from its placing: the places
+that sort its entries, and per key field its distinct values and each
+entry's place among them, so a distinct value is rendered once (a cache
+subset once per indent) and each column is one gather.  The render plan
+holds, per topology and file count, the placing of each store placement
+fills.  Any store keyed otherwise (stores built by hand, a label missing
+or foreign) and every delivery section is placed afresh, its keys sorted
+once, and a section is joined from one list of fragments.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -33,25 +36,26 @@ from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .indexing import _store_labels
 from .rows import _gather
-from .schemes import (CacheContent, DeliveryTranscript, SchemeConfig, SchemeKind,
-                      SimulationResult)
+from .schemes import (CacheContent, DeliveryTranscript, Scheme, SchemeConfig,
+                      SchemeKind, SimulationResult, _blocks, _library)
 from .topology import CacheSet, TopologySpec
 
 MAGIC = b"MALF"
-VERSION = 1
-# After the magic and the "H" version: kind code, broadcast flag, C, r, t,
-# N, F and seed.  Then the "H" cache count, and per cache its "H" index.
-_HEADER = "BBHHHIQQ"
+VERSION = 2
+# transcript.json keeps its own version: its layout has not changed.
+JSON_VERSION = 1
+# After the magic: the version, kind code, broadcast flag, C, r, t, N, F,
+# seed and the cache count, C.  The rows start at _ROWS.
+_HEADER = struct.Struct("<HBBHHHIQQH")
+_ROWS = len(MAGIC) + _HEADER.size
 
-# The sections in file order: each cache's four stores, then the four parts
-# of the delivery.  Each is named after its CacheContent or
+# The JSON document's sections in order: each cache's four stores, then
+# the four parts of the delivery.  Each is named after its CacheContent or
 # DeliveryTranscript attribute and its JSON key, and lists its key fields;
-# the third column marks values held as N-bit ints, written as N-bit
-# blocks.  A section is an "I" count, then per entry in sorted key order
-# its key fields and its block, a "Q" bit length and the bytes.  A "file"
-# field is an "I"; every other field is a cache subset, a "B" size and
-# that many "H" members.  A one-field key is the bare field.  A keyless
-# section is a list kept in order, None when empty.
+# the third column marks values held as N-bit ints, rendered as N-bit
+# blocks.  A "file" field is an int and every other field a cache subset;
+# a one-field key is the bare field.  A keyless section is a list kept in
+# order, None when empty.
 SECTIONS = (
     ("subfiles", ("file", "T"), False),
     ("key_shares", ("user", "T"), False),
@@ -65,8 +69,7 @@ SECTIONS = (
 _CACHE_SECTIONS = SECTIONS[:4]
 _DELIVERY_SECTIONS = SECTIONS[4:]
 
-_KIND_CODES = {kind: i for i, kind in enumerate(SchemeKind)}
-_KIND_FROM_CODE = {i: kind for kind, i in _KIND_CODES.items()}
+_KINDS = tuple(SchemeKind)  # by their code
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,120 @@ class SimulationArtifact:
     caches: tuple[CacheContent, ...]
     transcript: DeliveryTranscript
 
+
+# ---- binary container ----
+#
+# After the header and the cache count, per cache, 1 to C in turn, its
+# index as a 16-bit row, its subfile row and its key row; then the payload
+# row and the sent row, or in broadcast mode the library and an empty row.
+# A row of w bits is its ceil(w / 8) bytes, little-endian, with zero
+# padding bits.  Every width follows from the header, so no row carries a
+# length.
+
+def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
+                      transcript: DeliveryTranscript) -> bytes:
+    """The rows of a round: stores or a transcript that Scheme.decode
+    refuses raise its IntegrityError, and caches that are not every cache
+    of the topology raise UsageError."""
+    topo, scheme = cfg.topo, Scheme(cfg)
+    C = topo.num_caches
+    subfile_rows, key_rows = scheme._cache_rows(caches)
+    if len(caches) != C:
+        raise UsageError(f"an artifact holds all {C} caches, not {len(caches)}")
+    rows = [row for c in range(C)
+            for row in ((c + 1, 16), subfile_rows[c], key_rows[c])]
+    rows += scheme._transcript_rows(transcript)
+    return b"".join([MAGIC, _HEADER.pack(
+        VERSION, _KINDS.index(cfg.kind), int(cfg.broadcast), C,
+        topo.access_degree, topo.replication, cfg.num_files, cfg.file_bits,
+        cfg.seed, C), *(v.to_bytes(-(-w // 8), "little") for v, w in rows)])
+
+
+def _config(data: bytes) -> SchemeConfig:
+    """The configuration the header describes, or IntegrityError."""
+    if data[:len(MAGIC)] != MAGIC:
+        raise IntegrityError("bad magic; not a simulation artifact")
+    if len(data) < _ROWS:
+        raise IntegrityError("truncated artifact")
+    version, code, broadcast, C, ar, t, N, F, seed, count = (
+        _HEADER.unpack_from(data, len(MAGIC)))
+    if version != VERSION:
+        raise IntegrityError(f"unsupported artifact version {version}")
+    if code >= len(_KINDS):
+        raise IntegrityError("unknown scheme kind code")
+    if broadcast not in (0, 1):
+        raise IntegrityError(f"broadcast flag {broadcast} is neither 0 nor 1")
+    try:
+        cfg = SchemeConfig(TopologySpec(C, ar, t), N, F, _KINDS[code], seed,
+                           bool(broadcast))
+    except (DomainError, UsageError) as exc:
+        raise IntegrityError(f"header describes no valid configuration: "
+                             f"{exc}") from exc
+    if count != C:
+        raise IntegrityError(f"an artifact of {count} caches, not C = {C}")
+    return cfg
+
+
+def _least_bits(cfg: SchemeConfig) -> int:
+    """The fewest bits the rows of a round of cfg take, from binomials
+    alone, an entry a bit at least: every cache's subfiles and keys, every
+    payload and every user's sent demand, or the library."""
+    C, r, t = cfg.topo.num_caches, cfg.topo.access_degree, cfg.topo.replication
+    N, users, sent = cfg.num_files, comb(C, r), comb(C, t + r)
+    keys = (r * users * comb(C - r, t) if cfg.kind.masks_demands else
+            (t + r) * sent if cfg.kind.has_payload_keys else 0)
+    return N * cfg.file_bits if cfg.broadcast else (
+        (N * t * comb(C, t) + sent) * cfg.subfile_bits + users * N + keys)
+
+
+def artifact_from_bytes(data: bytes) -> SimulationArtifact:
+    """The inverse of artifact_to_bytes: each row cut by the labels that
+    placement and delivery cut it by.  IntegrityError for any data that is
+    not the rows of a round of the config its header describes."""
+    cfg = _config(data)
+    C, n, sb = cfg.topo.num_caches, cfg.num_files, cfg.subfile_bits
+    # Checked before any table of the topology is built, so that the
+    # tables a header asks for hold no more entries than the data has bits.
+    if 8 * (len(data) - _ROWS) < _least_bits(cfg):
+        raise IntegrityError("the artifact is shorter than the rows its "
+                             "header implies")
+    # A broadcast round's caches are empty and its payload row is the
+    # library: reading it needs no table of the topology.
+    scheme = None if cfg.broadcast else Scheme(cfg)
+    widths = ((16, 0, 0) * C + (n * cfg.file_bits, 0) if scheme is None else
+              (16, len(scheme._subfile_places[0]) * sb,
+               len(scheme._key_places[0]) * scheme._key_bits) * C
+              + (len(scheme._members) * sb, len(scheme._rows) * n))
+    ends = list(accumulate((-(-w // 8) for w in widths), initial=_ROWS))
+    if ends[-1] != len(data):
+        raise IntegrityError(f"an artifact of {len(data)} bytes, not the "
+                             f"{ends[-1]} its header implies")
+    rows = [int.from_bytes(data[a:b], "little") for a, b in zip(ends, ends[1:])]
+    padded = [w for row, w in zip(rows, widths) if row >> w]
+    if padded:
+        raise IntegrityError(f"a row of {padded[0]} bits with a padding bit set")
+    if rows[:3 * C:3] != list(range(1, C + 1)):
+        raise IntegrityError("the caches are not 1 to C in turn")
+    if scheme is None:
+        return SimulationArtifact(cfg, tuple(
+            CacheContent(c, {}, {}, {}, {}) for c in range(1, C + 1)),
+            _library(cfg, rows[-2]))
+    return SimulationArtifact(cfg, tuple(
+        scheme._content(c, _blocks(subfiles, scheme._subfile_places[c - 1],
+                                   sb), keys)
+        for c, subfiles, keys in zip(range(1, C + 1), rows[1:3 * C:3],
+                                     rows[2:3 * C:3])),
+        scheme._transcript(*rows[3 * C:]))
+
+
+# ---- JSON rendering ----
+#
+# The text json.dumps(doc, indent=2, sort_keys=True) gives for the artifact
+# document, written without building the document: json's C encoder takes
+# no indent, and the pure-Python one walks every entry's dict.  Each value
+# is rendered at its indent, pad, as a list of fragments, and the document
+# is joined once.  A section is rendered in one step: a column of text per
+# member of its entries is interleaved with the text of a row around them.
 
 def _placing(labels: Sequence, width: int) -> tuple:
     """A store's placing, keyed by the labels in their order: (labels,
@@ -111,160 +228,6 @@ def _plan_for(cfg: SchemeConfig, caches: Sequence[CacheContent]) -> tuple:
     return _render_plan(cfg.topo, cfg.num_files)
 
 
-def _columns(holder, name: str, fields: tuple[str, ...], ints: bool,
-             num_files: int, placing: tuple | None) -> tuple[list, list]:
-    """A section's key columns and blocks in file order: by the placing if
-    the store holds just its labels, in their order, else by a fresh one."""
-    values = getattr(holder, name)
-    if not fields:
-        return [], list(values or ())
-    if placing is None or tuple(values) != placing[0]:
-        placing = _placing(tuple(values), len(fields))
-    _, order, columns = placing
-    blocks = (list(values.values()) if order is None
-              else _gather(list(values.values()), order))
-    if ints:
-        blocks = [BitBlock(v, num_files) for v in blocks]
-    return columns, blocks
-
-
-def _memo(values, memo: dict, render) -> list:
-    """Distinct values rendered, each once per memo."""
-    return [memo[v] if v in memo else memo.setdefault(v, render(v))
-            for v in values]
-
-
-# ---- binary container ----
-
-_U16 = struct.Struct("<H").pack
-_U32 = struct.Struct("<I").pack
-_U64 = struct.Struct("<Q").pack
-
-
-def _write(parts: list[bytes], holder, name, fields, ints, num_files,
-           subsets: dict[CacheSet, bytes], placing=None) -> None:
-    """One section, field by field: each key field and block is encoded
-    as a column, then each entry goes in as one joined bytes.  subsets
-    holds each cache subset's packing, once per artifact."""
-    columns, blocks = _columns(holder, name, fields, ints, num_files, placing)
-    encoded = [_gather(
-        list(map(_U32, values)) if f == "file" else _memo(
-            values, subsets,
-            lambda s: struct.pack("<B%dH" % len(s), len(s), *s)), places)
-        for f, (values, places) in zip(fields, columns)]
-    encoded.append([_U64(b.length) + b.to_bytes() for b in blocks])
-    parts.append(_U32(len(blocks)))
-    parts.extend(map(b"".join, zip(*encoded)))
-
-
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = len(MAGIC)
-
-    def unpack(self, fmt: str):
-        fmt = "<" + fmt
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise IntegrityError("truncated artifact")
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values if len(values) > 1 else values[0]
-
-    def field(self, name: str):
-        if name == "file":
-            return self.unpack("I")
-        return tuple(self.unpack("H") for _ in range(self.unpack("B")))
-
-    def block(self, width: int | None) -> BitBlock:
-        length = self.unpack("Q")
-        if width not in (None, length):
-            raise IntegrityError(f"a block of {length} bits, not {width}")
-        nbytes = (length + 7) // 8
-        if self.pos + nbytes > len(self.data):
-            raise IntegrityError("truncated artifact")
-        raw = self.data[self.pos:self.pos + nbytes]
-        self.pos += nbytes
-        return BitBlock.from_bytes(raw, length)
-
-    def section(self, fields: tuple[str, ...], ints: bool, cfg: SchemeConfig):
-        """One section's entries: demands of N bits, broadcast files of F."""
-        n = self.unpack("I")
-        if not fields:
-            return tuple(self.block(cfg.file_bits) for _ in range(n)) or None
-        entries = {}
-        for _ in range(n):
-            key = tuple(self.field(f) for f in fields)
-            b = self.block(cfg.num_files if ints else None)
-            entries[key if len(key) > 1 else key[0]] = b.value if ints else b
-        return entries
-
-
-def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
-                      transcript: DeliveryTranscript) -> bytes:
-    topo = cfg.topo
-    parts = [MAGIC,
-             struct.pack("<H" + _HEADER, VERSION, _KIND_CODES[cfg.kind],
-                         int(cfg.broadcast), topo.num_caches,
-                         topo.access_degree, topo.replication,
-                         cfg.num_files, cfg.file_bits, cfg.seed),
-             _U16(len(caches))]
-    subsets: dict[CacheSet, bytes] = {}
-    for cache, placings in zip(caches, _plan_for(cfg, caches)):
-        parts.append(_U16(cache.index))
-        for section, placing in zip(_CACHE_SECTIONS, placings):
-            _write(parts, cache, *section, cfg.num_files, subsets, placing)
-    for section in _DELIVERY_SECTIONS:
-        _write(parts, transcript, *section, cfg.num_files, subsets)
-    return b"".join(parts)
-
-
-def artifact_from_bytes(data: bytes) -> SimulationArtifact:
-    r = _Reader(data)
-    if data[:len(MAGIC)] != MAGIC:
-        raise IntegrityError("bad magic; not a simulation artifact")
-    version = r.unpack("H")
-    if version != VERSION:
-        raise IntegrityError(f"unsupported artifact version {version}")
-    code, broadcast, C, ar, t, N, F, seed = r.unpack(_HEADER)
-    kind = _KIND_FROM_CODE.get(code)
-    if kind is None:
-        raise IntegrityError("unknown scheme kind code")
-    if broadcast not in (0, 1):
-        raise IntegrityError(f"broadcast flag {broadcast} is neither 0 nor 1")
-    try:
-        cfg = SchemeConfig(TopologySpec(C, ar, t), N, F, kind, seed,
-                           bool(broadcast))
-    except (DomainError, UsageError) as exc:
-        raise IntegrityError(f"header describes no valid configuration: "
-                             f"{exc}") from exc
-    caches = []
-    for _ in range(r.unpack("H")):
-        index = r.unpack("H")
-        caches.append(CacheContent(index, **{
-            name: r.section(fields, ints, cfg)
-            for name, fields, ints in _CACHE_SECTIONS}))
-    delivery = {name: r.section(fields, ints, cfg)
-                for name, fields, ints in _DELIVERY_SECTIONS}
-    if r.pos != len(data):
-        raise IntegrityError("trailing bytes after artifact")
-    if (cfg.broadcast != (delivery["broadcast_files"] is not None)
-            or (cfg.broadcast and delivery["payloads"])):
-        raise IntegrityError("the broadcast flag disagrees with the "
-                             "transcript body")
-    return SimulationArtifact(cfg, tuple(caches),
-                              DeliveryTranscript(cfg, **delivery))
-
-
-# ---- JSON rendering ----
-#
-# The text json.dumps(doc, indent=2, sort_keys=True) gives for the artifact
-# document, written without building the document: json's C encoder takes
-# no indent, and the pure-Python one walks every entry's dict.  Each value
-# is rendered at its indent, pad, as a list of fragments, and the document
-# is joined once.  A section is rendered in one step: a column of text per
-# member of its entries is interleaved with the text of a row around them.
-
 def _json_list(rows: Sequence[list[str]], pad: str,
                brackets: str = "[]") -> list[str]:
     """The rows, each a list of fragments, as one list of fragments."""
@@ -286,9 +249,19 @@ def _json_object(members: dict[str, list[str]], pad: str) -> list[str]:
 
 def _json_section(holder, name, fields, ints, num_files, pad,
                   subsets: dict[str, dict[CacheSet, str]], placing=None) -> str:
-    """One section's entries; subsets holds, per indent, each cache
-    subset's list as rendered there, once per subset and indent."""
-    columns, blocks = _columns(holder, name, fields, ints, num_files, placing)
+    """One section's entries in sorted key order: by the placing if the
+    store holds just its labels, in their order, else by a fresh one.
+    subsets holds, per indent, each cache subset's list as rendered there,
+    once per subset and indent."""
+    values = getattr(holder, name)
+    if fields and (placing is None or tuple(values) != placing[0]):
+        placing = _placing(tuple(values), len(fields))
+    _, order, columns = placing if fields else (None, None, [])
+    blocks = list(values.values() if fields else values or ())
+    if order is not None:
+        blocks = _gather(blocks, order)
+    if ints:
+        blocks = [BitBlock(v, num_files) for v in blocks]
     if not blocks:
         return "[]"
     field_pad = pad + "    "
@@ -296,10 +269,10 @@ def _json_section(holder, name, fields, ints, num_files, pad,
     members = {"bits": [str(b.length) for b in blocks],
                "hex": [b.to_bytes().hex() for b in blocks]}
     for f, (values, places) in zip(fields, columns):
-        members[f] = _gather(list(map(str, values)) if f == "file" else _memo(
-            values, memo,
-            lambda s: "".join(_json_list([[str(c)] for c in s], field_pad))),
-            places)
+        members[f] = _gather(list(map(str, values)) if f == "file" else [
+            memo[s] if s in memo else memo.setdefault(s, "".join(
+                _json_list([[str(c)] for c in s], field_pad)))
+            for s in values], places)
     # The section as one list of fragments: a row's text, split around its
     # members' values in sorted order, laid out as _json_list lays out rows.
     order, inner = sorted(members), "\n" + pad + "  "
@@ -335,7 +308,7 @@ def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
            for s in _DELIVERY_SECTIONS}}, "  ")
     doc = _json_object({
         "format": ['"maclfr-artifact"'],
-        "version": [str(VERSION)],
+        "version": [str(JSON_VERSION)],
         "config": _json_object({k: [json.dumps(v)]
                                 for k, v in config.items()}, "  "),
         "caches": caches_text,

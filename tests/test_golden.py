@@ -38,113 +38,113 @@ BROADCAST = "p-lfr-broadcast"
 # "<preset>/<kind>/<seed>" -> digest of simulation_to_bytes (transcript.bin).
 TRANSCRIPT_BIN = {
     "pairs-of-three/sp-lfr/0":
-        "c1f41a1d33c59e5fbbbcd2f9ebf702537dd6850f31297a77ce19ae65a051f542",
+        "127b1ba85e2ceb484ad982a85c808769e7cec90f3cb3ebe19fbbbdd2c9b5eebd",
     "pairs-of-three/sp-lfr/1":
-        "a838aae684330c3c347781eac0590582a90a1428ca3aa8e00129d5342307003f",
+        "467e496cb5823f242cf49b84884996bb283b7d7c95f05f656d56b7ac40e4d62a",
     "pairs-of-three/sp-lfr/2":
-        "ad8a1449d35c187b98a27c84949a31fdeaa1d40566f4c28370db829108ea80e7",
+        "f9140487285db32da118c4296605ee4e00f2bcfd7799b1e3371ee8def193f9eb",
     "pairs-of-three/p-lfr/0":
-        "015d1f64aecfaf506e02630c22bd68546e0d89df659ba356edc54d64a85a8456",
+        "44311f9737d69d03c045d1b350b38acd2025a51f0636825b78f2963f7f850ebf",
     "pairs-of-three/p-lfr/1":
-        "8c9aff4028c530d72778df15875ccc53ddb8e775d6ac3de3815cee14524608b1",
+        "738254628793a476df732d4b63a5c665c92bdd02ee830330c6283eb39e676401",
     "pairs-of-three/p-lfr/2":
-        "447b486765c665cb178671ab1422c289e0e984eb7944efea08fb9dfabdb44b18",
+        "23405bcca326fdeed9e71fb118e5e4ba1f4853354bdc9c8e64199505dc1be136",
     "pairs-of-three/s-lfr/0":
-        "b8af21ae428d283b7704a302639137a4cbbd203bed432a98ca45b2ff38ae4b01",
+        "800febba553ec9b3b1ec623491d3897dc9034add1b8598671d1c2ea8d948795d",
     "pairs-of-three/s-lfr/1":
-        "e61bb42b13887e279a6c222041b63e55276e1b1c2a2b2cb1c771a4ef9d0c05b2",
+        "314e761d2b92bfe93a10bfc3af46391d0bcdfa9876ce9d28d472ca2a42088928",
     "pairs-of-three/s-lfr/2":
-        "a110c53de10f3e223d205c8ec118faffbd3bbbe36da29404190ca48c278ed572",
+        "9fe9ff641815385e3d8319ee84219876a73bc36bb83372eff9a1c53f01eeb13b",
     "pairs-of-three/is-lfr/0":
-        "9b01713f0de06e2f9c64da80c4109b904f88a6ffcbba32685c2d3cf94d90265e",
+        "dc49d710bc7f3616de9e7f19865e29ae577e76b45d39952cecfd6cbdf54cf6d3",
     "pairs-of-three/is-lfr/1":
-        "78467dbeed5ae8f2aa8bf060e6320f91f3d6e269191564ac64c47188ff4c74ae",
+        "40954c258dedea62985229a59d238655320d990fc1d6547d19473d1a94fb5dfb",
     "pairs-of-three/is-lfr/2":
-        "3af756700b2ac83c831019e270a19e4db01c77712159e629c3c1359dcc620ab9",
+        "b0ed62f21aaef0879ff47e4dc33325a1ea93fc2d0069a61908438146302c404d",
     "pairs-of-three/lfr/0":
-        "e4c1a8ccaecccbba209ecc53ca3459d9a0dc4e83a01f8463a5e519bbbd8e77c0",
+        "31e01b7a2196aa92de08fd9707bcb014c4ffba13b11629f170e52649a6200506",
     "pairs-of-three/lfr/1":
-        "4c0e75700826a3f0258b5e9030f951cc09d39b54782fe987902c1bb6512bf54d",
+        "9fb1be08ce18196439aac399655fd6809e28a258c5856cbb69035ee993582f43",
     "pairs-of-three/lfr/2":
-        "4fbbb784673694e5d28ab8f2419d3b7746634004000e64743e7027f3b10bd658",
+        "3d53c25e82d3720d46b4f8847cdcb7ef799fe9bb778ec5229da59deb1ca19e40",
     "pairs-of-three/p-lfr-broadcast/0":
-        "82093f905dba1bb323a77991da62b7ba583a040dc782410e90a0909797fdf660",
+        "1a9abc5ae217746b82db7e9a2a442e106daacd458766fcf059ab4ace95c62c3e",
     "pairs-of-three/p-lfr-broadcast/1":
-        "865ee6073a5d92cb0180e27e1151c9f482181217529a591252c139bf9a49b985",
+        "b63cdec4be7fec20fe7735622965ed912a0785c5588a256d23b5b72fc8220c99",
     "pairs-of-three/p-lfr-broadcast/2":
-        "e51e1f5240df265d2a02f26dba75ece86dbc44794b172e78771499621058a2ae",
+        "28e8d205b36d65522e7061a5749d490c2a4348c578eccc5a36dfe2e8910063e1",
     "triples-of-five/sp-lfr/0":
-        "449bde3a7b62f3761687d5e2d55dee25d103f831104892fb742434059c3088f6",
+        "40da16fd19254632d63e2c588b34c8c611505342e945e674f1faf392a02ec767",
     "triples-of-five/sp-lfr/1":
-        "99b3401a1aa1fcfe4f8b130495939c0ce92e8ac207ae0736d667fcac3a83de42",
+        "e414a48010bb7fa468e227f7bc48161eff6585bc275b61a004cae20280c71573",
     "triples-of-five/sp-lfr/2":
-        "62a97e9324af75159ff1ad750fe2bf6e47f95300133c133cca7adaab95adf4a2",
+        "d7926be15391da562043b38822915907bf77472078fb05c5467ec4d9b0cdaf9c",
     "triples-of-five/p-lfr/0":
-        "50826bb86c6d3ef752320b0d75ff325c7ff24a18be8324f83899010739f3df6d",
+        "661a1b6a5a4351643a4fb1efe7e5844cb79560a73f3f5077a4f85d3575685d46",
     "triples-of-five/p-lfr/1":
-        "4e78a301c3bdc1f5b6a3fe0c8cc4b8f35b074fe94b6611e25a0534154a52c1a8",
+        "61d2e42162738beba461beb74b1b8c3dafd85934f3dc2409c42b9c7fdefe298e",
     "triples-of-five/p-lfr/2":
-        "3ce20859bcdb0443964003b44487732d54c628c4d5e0e82ecef48b4f7921a3e0",
+        "d8fe34f4c44cdb1cd6bd7f31af0129ba0727f2ab0ebfb13cdfe8e599bd00df02",
     "triples-of-five/s-lfr/0":
-        "f752a3f86c2576e9aa2a7d0e50b0d4a45cbe7945e048ecf7011cf10aa287073e",
+        "ac033e2c791f1ed1f9ace900990d5df067e3bc766baf95ac5e1de0674ef440c4",
     "triples-of-five/s-lfr/1":
-        "f3f441e48628910a9d8be482e7dddaf4cbf1b4cff095c206f886a0b53ada1bfe",
+        "35f765fe700dd4b9c89826ce79002e19c8f9f03aec992ceb3214c55f787a833e",
     "triples-of-five/s-lfr/2":
-        "f4ea6f69441552860433aea33d86a7b8ec0cafcd97b8e7d2c0e2d531e587e26a",
+        "f7688047f91983858de1eecc1cc11cc61baf323ccf89634de1a871208affc093",
     "triples-of-five/is-lfr/0":
-        "495b40cd844657fc2c9fbad1da0f2b16282937d001c96344d5fe41a219be2813",
+        "cf924a80459101ff151d408835e843cbff43d21c106bf0d22862fd85a06d5903",
     "triples-of-five/is-lfr/1":
-        "2aca16a8664f14d19ffdb990474cfab58c107abec881d304aca2a9c3e6d2d1b9",
+        "4627813318f66a60106ed77c4c97a748663efe6c314b75c434c24cb7b914b3ac",
     "triples-of-five/is-lfr/2":
-        "d6da1fae43c19d7324111204564841ad04049067c0d42fd158bd16b80ea4a1dd",
+        "0b83b6c6f631373a8bea6593782ef1a6fd41862ce07ff2743796e8092eed2eb3",
     "triples-of-five/lfr/0":
-        "6ebf167070f32e2240207ccd1167aa8535d954fab4aeecee40e561a050bd09f8",
+        "c810d9db8a0ea74a8cad0f857f9e1d710eedeb57e3c364b82de9e9c94eb9d596",
     "triples-of-five/lfr/1":
-        "40230cacf15eed4a2f64ccb901c4794eacb05d671affbfd3a13b7b919e44ee85",
+        "13edc53d02ee0aceb82fe466079c6e164e0ec6469e10adb584545b6ac9f10d4b",
     "triples-of-five/lfr/2":
-        "603955b930bccdfabfcbaf15b3023a0aa6a5a53709fccc1311d0b72bc281cd7c",
+        "baa762688d1c886583733539236aed761363513a38b82edbf535fe339aabeca5",
     "triples-of-five/p-lfr-broadcast/0":
-        "9226dd02316f837ed94cf4278c65e2cd01da5c48966f45573e4dbf9a9054562a",
+        "e2951aa47716d77731835fcf5ff34e8b2d8ccb8e25aed15861bd553892dbc7b5",
     "triples-of-five/p-lfr-broadcast/1":
-        "4191a6777353e96c7df241e50ceb070623e1ea5f676e6afa321818e99971ce75",
+        "ea8f47c0119e70883df05e36e98d3ad4fa3b12084aae0959661082add25e137c",
     "triples-of-five/p-lfr-broadcast/2":
-        "8313aa03e45f9c84d8ee9d0413bce5909da6a771f5e5205130af75e8983e07b4",
+        "ae5bc1d212e4435664aa86a9f2f6533cb1396b46760fc8e372a2d3b3ff567214",
     "pairs-of-five/sp-lfr/0":
-        "8c2c032c979de8dccbe2c223f65bdcacbf552892d9b3dae3dd6ce5b5275f941b",
+        "e56ecbcce1c61287171bd281c69216197bae50b7db2aae305f1bebc2b7c5b0b5",
     "pairs-of-five/sp-lfr/1":
-        "9704f25a88ad2d36ef7f1772a8687463de178c90db8472bc6a92b2ad81bbe1d9",
+        "89a6147663764bf1ba607136e570b44c1d919171bf1567d2a075cbce9a806b50",
     "pairs-of-five/sp-lfr/2":
-        "c4263f90af873ad4118ff6e8ffd02823344ead9e48b74bcefdc230d32df84eae",
+        "7c95295bd9731f314c58f54adbb3b3b99fdfb196bd23044452e245d51ce23889",
     "pairs-of-five/p-lfr/0":
-        "b25dbd495b967f4d026ba13714ab50464cce37e1d8e587d5495e329fa4567c75",
+        "0eafb6a086ae6b7f1027d945c3fa6de41a71a85891e7fc0ac5f19f7ffacb0864",
     "pairs-of-five/p-lfr/1":
-        "0505c67085c0694021469e8d805ba66376173db672431f28be5aae2d69def963",
+        "1a394ece02107ddd9251d4c7df355bc63cbafa4b62ee1ea1ca271ef20077c51e",
     "pairs-of-five/p-lfr/2":
-        "d82741607515624c852f0a7ef6c3a36cfda6ed7d4ae814c7e8f17353c1415686",
+        "c7b3c505ca7b28f55a5c67062764a72bf23741f2c831585c036a5b969f8a50a1",
     "pairs-of-five/s-lfr/0":
-        "4ab0417055651551ee6e7102e4bdb5d7609d6614069ccc8ab02d189e465b8de9",
+        "e1a96f5f8f42e6a0e499ed35ddca7c1d4fe59884c1026f76484b795c21f9310c",
     "pairs-of-five/s-lfr/1":
-        "9b7ec874d995809808102ac723b5a272f2614b836e5b135f9d14dbffc0a081eb",
+        "43f4b83d956bed2f28dace66e52fa3d477b9d70c8effadb433ab0af0ba9f915b",
     "pairs-of-five/s-lfr/2":
-        "8dfd432120d8129f31358112ded30abfab3cdd2a1b2e77f5ac4b10287050df20",
+        "fa8a8d25e3a117f8c734e5c0553ed359110d63faf01388c127e187bf409daff4",
     "pairs-of-five/is-lfr/0":
-        "18cf585cfacd1a497e4d7ceaca31a8dd83ccc22bde87b4895638bab88de5fd71",
+        "fe7047f1fe27c3ed6310fa1003a6be8aeba2e14ad762f4ffa80506cfc0c25c72",
     "pairs-of-five/is-lfr/1":
-        "9e0fc372c8626d1511b4a09949bca64ac37029cf6cad1e6e40c58828ebc988c0",
+        "ecb37d494d199f0d5a1b3c09c5b1ca25264c5b8239bd91fcfedb0ae55d7647ca",
     "pairs-of-five/is-lfr/2":
-        "28c5b7ab94d98c1deb32d0b0b418df6f1702c30ee74d3a50b6ac09cfb8fdb73d",
+        "5437ae06943e5582a0bf6bd68e3bf1f510a2345c4fe0606f6743ec7a3171b558",
     "pairs-of-five/lfr/0":
-        "2a96fbe402fd3fac28392eb6b8cf052187e64e7420f65222999d6a647fcfe731",
+        "21387d0310a4ca49ea8772056761e585ede812fadf6091c376dd123502250e61",
     "pairs-of-five/lfr/1":
-        "5df210e97c20048557a6411c17f0926bbef14836220c44e3411dfb5276a1806a",
+        "df586efd06533b23ed421c60578ec876bbf3533664c3c18f12ac1c78c638e612",
     "pairs-of-five/lfr/2":
-        "2c9eb10837318fdd8083911d23e59dcdcd71369293c74b7d6e3ea3e36ec02e33",
+        "c5d63bca30aa7d1568f08c4d70de77f9eb49589bd04264ecfe398ade96c33f58",
     "pairs-of-five/p-lfr-broadcast/0":
-        "6377d3d75466b34627ca7564cd839a2a4eeb609369ea8f92dc4929edcb46d827",
+        "aabaf30bf11e5e26f1c5c5b9605b140594e5be13159704a2ea45e13cdc04814b",
     "pairs-of-five/p-lfr-broadcast/1":
-        "fc9dbffb71e7833feec89a194d83f3f2bbc074ff85fc04a55899be9cf0d79332",
+        "b691e7c8efa2b8d86df327a245ac1955ee84c8eb06f6fb3fb52b57b9184f8243",
     "pairs-of-five/p-lfr-broadcast/2":
-        "3aeac4e9b50ecbaf4747bb2a65024f9e6577d7880582f61ad0b4888d36b89b78",
+        "9e7e56bf36b1acf0bdb9597e21d14690f4abe1b4ba3fcdb2b6789615065777f4",
 }
 
 # The same runs -> digest of simulation_to_json (transcript.json).
@@ -268,49 +268,49 @@ TRANSCRIPT_JSON = {
 OFF_PRESET_SHAPES = {"4-1-2": (3, 31), "5-4-1": (3, 22), "10-3-3": (20, 1920)}
 OFF_PRESET_ROUNDS = {
     "4-1-2/sp-lfr/0": (
-        "4e96deb99dd686e01baa08abe52d9f821dd98716feba0df876843069a10bfac8",
+        "6e98818db099e479bce4abeeb5c26becffa274b0069869871b74c30b449ac847",
         "9f124f84fda5df84da6e5a4a67f25eec41b830c649c0d2d30df56bb3e1914432"),
     "4-1-2/p-lfr/0": (
-        "93cbc4ec61faa98dcb4f1496af90880c53ca973eca4c1c795d5dae30997577c2",
+        "b290f361d8350848489d6bf6069a4b05286393dac385e6d532eb1bf513da6e21",
         "42054a4616e1af62d7fc287c099708666861547c51acd47219b6515305f1fd87"),
     "4-1-2/s-lfr/0": (
-        "0a8dc53879f8e9c06e2d53729a79e0c7208efc74d1fa9b6fc82fe9630c407353",
+        "7bfa7bd675f0a81718d6245734f10d37f94ac03ccfb8ac1c3ca8144954188211",
         "a5e5a656d4803afc5291141f9a8289f07cca43ced0cd43e786ea1938b49fff31"),
     "4-1-2/is-lfr/0": (
-        "abd2d80566aec8c5d50a593b8e22be171e3dad0df5f2227d906a2444c4f094d8",
+        "403087dbc02e19096d47add50c14f6e46c7ff7157696c821fad53a794fec516e",
         "925e08ed61bc74e33d9b9a5433c1affeb864263312b5bea3298b4dbe3d2c197c"),
     "4-1-2/lfr/0": (
-        "3943aa4f92b5517246e1085baf8dc25382d12fd7cd4ecf65f1ab7975ab782fd2",
+        "6c44cba74c4f0f5636742b6bad4d4c3bcaeabb6df6f4d83486ea17d5389aed99",
         "8aef58558690f48fc0c5e5fb6e6bf9ca96c78c1929f98a87563bea815e09bad4"),
     "5-4-1/sp-lfr/0": (
-        "072b9e6077cc7896a1f6c6c67eeb859ab0fadec48301a17f3ee3e302ef827a2c",
+        "b4a8bed1e65bc4587f4235d9a578d06e87933ff7e193862d693af6c9287bb9b8",
         "11c9a2f9ef5cdc9c26019638fa6af94b043a541347c222604390034abefab925"),
     "5-4-1/p-lfr/0": (
-        "31e6d037463218146cc077d38e8ad59c786b05424b8fc686c9d9f9e7df213f63",
+        "1cbaaff008159f49c8f86747fdfca2ffd57fb7143aa23f1bc547ad3d5e509239",
         "934364f064d7a8e2a3f8387d468fd8bef88ee40378786f1dacf5fdd3e56bfcc8"),
     "5-4-1/s-lfr/0": (
-        "efe072fa24f0de1ed2585940eedc977f0fafa0fcfc3a7e87c306bd3b84b56c5b",
+        "ea36904184bcd4ecec2dceebb9d94bb42a0d6d1bdb1da6e91113a7c6fd962d00",
         "a027a61f0b693de4091450bdcc7aa2df2814ee19ee2122c02e4c8dee76360d21"),
     "5-4-1/is-lfr/0": (
-        "b3a0853fd0fb8a5023060bbfc4f9fb773386b0227c1a1707c777dd52556b29f4",
+        "707f857ce664e647a919c0236921ed242a98ab69b96aea2c20a55776addac6a6",
         "3bd35e46dd679d8a2795d64f9894f2905da85a85a05493e9819b6afb4576cf8a"),
     "5-4-1/lfr/0": (
-        "ade75eb39639be30dcbcb64cc23c80d1b224d67cc8862a8e0c6c26c9984de65b",
+        "9be7431629f3121442bca6a3724a50ac6839098fe64fcc1df0821d5d4005a602",
         "698e7a06b522a7bd2b1fe50f3697816b322631f1fb5702c4e70e2c6fb56553c3"),
     "10-3-3/sp-lfr/1": (
-        "8f1e784655447ad8de8c6eea608c74433c77695d09931bf0f1ed32f078b52163",
+        "bd6ba4efdcf44384c1fd61db01b287bd4495aff3ce781d91f36b1c38bf4b437a",
         "79f9d696766294c176f5800ab79c82535aa9552f11cc4b3c018e3aa9263107d6"),
     "10-3-3/p-lfr/1": (
-        "5a1ae37a0a8c430741d8d1ce110133bc26cf7a49a4670afd4ae4aa03b4cbbd50",
+        "89770503a02b88e468664af5512dc337af53ef0f9a2f8c384081ee75f87f385e",
         "a1d989472845cc397b0d2c67e2e3041d6599ba142614720bb352cdb347a0fb68"),
     "10-3-3/s-lfr/1": (
-        "0f3e23f6dc83d1fd2f6635385e91943cef22d2fded59cf6314e83856f895eeb7",
+        "23586adf67a14e9ed7154dcdd21a35ff017d287a7a7fe2dc6ac835edf6f4b708",
         "2e12195ebb4a51a922eae461267e604530d2497d55a718f2ce09478af0ae7d8c"),
     "10-3-3/is-lfr/1": (
-        "31763708b4061a0985d8cefe5d974bd7ea9a8de932099634bf5c0b6f10ecf5d0",
+        "7fd3c946338ef0f2febd428ef4d747017f22c6f4fb61b11b4c35abf10eb99044",
         "673db9bfd6783eb5797d27af9939f294cf2847468072c296832e23ba9a92a3e3"),
     "10-3-3/lfr/1": (
-        "3f7373562a862f0ce5c1b063abdff404c3aec042a7b9202bf43758d2850cb76b",
+        "243c0970ece984046f326a30fd92a6efe58842b2838ec5d14f593ccc15e49a10",
         "42801d0992efbe56e42dc5be0da216ae3f56031b7d4e7c4ee1ae939deffac850"),
 }
 

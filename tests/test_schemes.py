@@ -737,7 +737,13 @@ def test_decode_is_the_same_for_the_caches_in_any_order(kind, C, r, t):
 def test_one_scheme_decodes_placements_in_turn(kind):
     # Whatever decode keeps per cache must not carry over to another
     # placement, whether the placements alternate by round or by user.
-    rounds = [simulate(config(kind, 4, 2, 1, seed=seed)) for seed in (0, 1)]
+    # Both rounds are of one config, their library and randomness drawn
+    # from the streams of seeds 0 and 1.
+    cfg = config(kind, 4, 2, 1)
+    rounds = [simulate(cfg, FileLibrary.random(
+        derive_rng(seed, "library"), cfg.num_files, cfg.file_bits),
+        randomness=ServerRandomness.draw(cfg, derive_rng(seed, "placement")))
+        for seed in (0, 1)]
     assert rounds[0].placement.caches != rounds[1].placement.caches
     scheme = Scheme(rounds[0].cfg)
 

@@ -5,22 +5,25 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
 import struct
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from maclfr import transcript
+from maclfr import indexing, transcript
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
 from maclfr.indexing import _store_labels
-from maclfr.schemes import (CacheContent, DeliveryTranscript, SchemeConfig,
-                            SchemeKind, simulate)
+from maclfr.schemes import (CacheContent, DeliveryTranscript, Scheme,
+                            SchemeConfig, SchemeKind, simulate)
 from maclfr.topology import TopologySpec
 from maclfr.transcript import (MAGIC, SimulationArtifact, artifact_from_bytes,
                                artifact_to_bytes, artifact_to_json,
                                simulation_to_bytes, simulation_to_json)
+from maclfr.verify import tiny_sweep_topologies
 
 
 def result_for(kind: SchemeKind, broadcast: bool = False):
@@ -83,12 +86,14 @@ def test_json_document_shape():
                                              (True, 2)))
 def test_broadcast_flag_must_be_a_bit_that_matches_the_body(broadcast, flag):
     # Byte 7 is the broadcast flag.  A value other than 0 or 1 is not a
-    # flag; 1 over payloads, or 0 over broadcast files, contradicts the body.
+    # flag; 1 over payloads, or 0 over broadcast files, implies rows of
+    # other widths than the body holds.
     blob = bytearray(simulation_to_bytes(result_for(SchemeKind.P_LFR,
                                                     broadcast)))
     assert blob[7] == int(broadcast)
     blob[7] = flag
-    with pytest.raises(IntegrityError, match="broadcast flag"):
+    with pytest.raises(IntegrityError, match="broadcast flag" if flag > 1
+                       else "not the [0-9]+ its header implies"):
         artifact_from_bytes(bytes(blob))
 
 
@@ -146,7 +151,8 @@ def test_header_of_no_valid_configuration_is_an_integrity_error(changes):
 @pytest.mark.parametrize("kind", tuple(SchemeKind))
 def test_random_corruption_raises_only_integrity_errors(kind):
     # Silent acceptance is allowed; any error raised must be IntegrityError,
-    # and an artifact that parses must render in both formats.
+    # and an artifact that parses must render in both formats, its rows
+    # the very bytes it was read from.
     blob = simulation_to_bytes(result_for(kind))
     rng = random.Random(f"corrupt:{kind.value}")
     for _ in range(2000):
@@ -158,29 +164,108 @@ def test_random_corruption_raises_only_integrity_errors(kind):
         except IntegrityError:
             continue
         parts = (artifact.cfg, artifact.caches, artifact.transcript)
-        artifact_to_bytes(*parts)
+        assert artifact_to_bytes(*parts) == bytes(data)
         artifact_to_json(*parts)
 
 
-@pytest.mark.parametrize("cfg, at, width", [
-    # The last masked demand, N = 2 bits, before two empty sections.
-    (SchemeConfig(TopologySpec(3, 2, 1), 2, 6, SchemeKind.SP_LFR, seed=4),
-     -17, 2),
-    # The last broadcast file, F = 6 bits, at the very end.
+@pytest.mark.parametrize("cfg, width", [
+    # The masked-demand row, three users of N = 2 bits, last in the file.
+    (SchemeConfig(TopologySpec(3, 2, 1), 2, 6, SchemeKind.SP_LFR, seed=4), 6),
+    # The broadcast-file row, three files of F = 6 bits, before an empty
+    # sent row.
     (SchemeConfig(TopologySpec(3, 2, 0), 3, 6, SchemeKind.P_LFR, seed=4,
-                  broadcast=True), -9, 6),
+                  broadcast=True), 18),
 ], ids=("masked-demand", "broadcast-file"))
-def test_a_block_of_another_width_than_the_config_fixes_is_an_integrity_error(
-        cfg, at, width):
-    # Widened to 8 bits of ones, the demand would parse as 255, which no
-    # writer takes, and the file would give a library of mixed lengths.
+def test_a_row_with_a_padding_bit_set_is_an_integrity_error(cfg, width):
+    # With its top bit set, the demand row would give a demand of 2^N and
+    # the file row a file past F bits.
     blob = simulation_to_bytes(simulate(cfg))
-    at += len(blob)
-    assert struct.unpack_from("<Q", blob, at)[0] == width
+    assert blob[-1] >> (width % 8) == 0
     artifact_from_bytes(blob)
-    with pytest.raises(IntegrityError, match=f"8 bits, not {width}"):
-        artifact_from_bytes(blob[:at] + struct.pack("<QB", 8, 255)
-                            + blob[at + 9:])
+    with pytest.raises(IntegrityError, match=f"{width} bits with a padding"):
+        artifact_from_bytes(blob[:-1] + bytes([blob[-1] | 0x80]))
+
+
+def doctored(how: str):
+    """A placed round's transcript under another config, or with one
+    section it must not hold."""
+    broadcast = how.startswith("broadcast")
+    kind = (SchemeKind.P_LFR if broadcast else SchemeKind.SP_LFR
+            if how == "cleartext" else SchemeKind.S_LFR)
+    result = simulate(SchemeConfig(TopologySpec(3, 2, 1), 3, 6, kind, seed=4,
+                                   broadcast=broadcast))
+    sent = result.transcript
+    if how == "lfr-config":
+        return result, replace(sent, cfg=replace(result.cfg,
+                                                 kind=SchemeKind.LFR))
+    return result, replace(sent, **{
+        "masked": {"masked_demands": {(9, 9): 5}},
+        "cleartext": {"cleartext_demands": dict(sent.masked_demands)},
+        "files": {"broadcast_files": (BitBlock(0, 6),) * 3},
+        "broadcast-payloads": {"payloads": {(1, 2, 3): BitBlock(0, 6)}},
+        "broadcast-demands": {"masked_demands": {(1, 2): 5}},
+    }[how])
+
+
+@pytest.mark.parametrize("how, match", [
+    ("lfr-config", "another configuration"),
+    ("masked", "holds masked_demands"),
+    ("cleartext", "holds cleartext_demands"),
+    ("files", "holds broadcast_files"),
+    ("broadcast-payloads", "holds payloads"),
+    ("broadcast-demands", "holds masked_demands"),
+])
+def test_a_transcript_of_another_round_is_refused_by_decode_and_writer(
+        how, match):
+    # An s-lfr transcript under the lfr config, or with a masked demand of
+    # no user, decoded without complaint while decode read only the fields
+    # of its kind.
+    result, transcript = doctored(how)
+    caches = result.placement.caches
+    with pytest.raises(IntegrityError, match=match):
+        Scheme(result.cfg).decode(caches, transcript, result.demands)
+    with pytest.raises(IntegrityError, match=match):
+        artifact_to_bytes(result.cfg, caches, transcript)
+
+
+# Every kind on the tiny sweep, at r = 1, r = 4 and engine-c10's shape,
+# and p-lfr in broadcast mode.
+ROUND_TRIP_CASES = [(kind, C, r, t, False) for kind in SchemeKind
+                    for C, r, t in (*tiny_sweep_topologies(), (4, 1, 2),
+                                    (5, 4, 1), (10, 3, 3))]
+ROUND_TRIP_CASES += [(SchemeKind.P_LFR, C, r, t, True)
+                     for C, r, t in ((3, 2, 0), (3, 2, 1), (4, 1, 2))]
+
+
+@pytest.mark.parametrize("kind,C,r,t,broadcast", ROUND_TRIP_CASES)
+def test_the_rows_read_back_to_the_placed_round(kind, C, r, t, broadcast):
+    topo = TopologySpec(C, r, t)
+    N, F = (20, 1920) if C == 10 else (3, 2 * topo.num_subfile_indices + 1)
+    result = simulate(SchemeConfig(topo, N, F, kind, seed=2,
+                                   broadcast=broadcast))
+    blob = simulation_to_bytes(result)
+    artifact = artifact_from_bytes(blob)
+    assert artifact.cfg == result.cfg
+    assert artifact.caches == result.placement.caches
+    assert artifact.transcript == result.transcript
+    assert artifact_to_bytes(artifact.cfg, artifact.caches,
+                             artifact.transcript) == blob
+
+
+@pytest.mark.parametrize("broadcast", (False, True))
+def test_a_header_of_a_topology_the_body_cannot_hold_builds_no_table(
+        broadcast):
+    # Changed to 40 caches, the header implies rows the 3-cache body does
+    # not hold; the reader refuses it before it builds a table of the
+    # topology, whose users alone would number C(40, 20).
+    blob = simulation_to_bytes(result_for(SchemeKind.P_LFR, broadcast))
+    blob = with_header(blob, C=40, r=20, t=10)
+    count = HEADER_AT + HEADER.size
+    blob = blob[:count] + struct.pack("<H", 40) + blob[count + 2:]
+    built = indexing._indices.cache_info().misses
+    with pytest.raises(IntegrityError, match="header implies"):
+        artifact_from_bytes(blob)
+    assert indexing._indices.cache_info().misses == built
 
 
 def twin_entries(entries, fields, width=None) -> list[dict]:
@@ -320,7 +405,8 @@ def test_json_matches_the_reference_document_at_ten_caches():
 # engine never makes.  Blocks of mixed lengths (zero, one, off the byte
 # grid, several bytes) share a section, keys go in against sorted order,
 # subsets of every size mix, and whole sections are empty.  Broadcast
-# files, which the reader holds to F bits, are cut to F bits.
+# files are cut to F bits.  Only the JSON writer renders them: the rows
+# hold just what decode accepts.
 def hand_built(broadcast: bool = False, demands=None) -> SimulationArtifact:
     kind = SchemeKind.P_LFR
     cfg = SchemeConfig(TopologySpec(3, 2, 1), 3, 6, kind, seed=11,
@@ -400,14 +486,23 @@ def test_hand_built_artifact_matches_the_reference_and_round_trips(case):
     parts = (artifact.cfg, artifact.caches, artifact.transcript)
     text = artifact_to_json(*parts)
     assert text == reference_json(as_result(artifact))
-    blob = artifact_to_bytes(*parts)
-    assert artifact_from_bytes(blob) == artifact
-    assert artifact_to_bytes(*parts) == blob
     if how == "shuffled":
         # The placed round's entries: its very bytes and text.
+        blob = artifact_to_bytes(*parts)
+        assert artifact_from_bytes(blob) == artifact
         placed = placed_round(int(C))
         assert blob == simulation_to_bytes(placed)
         assert text == simulation_to_json(placed)
+        return
+    # Stores that are not exactly their labels: the writer refuses them
+    # with the IntegrityError decode raises, naming the fault.
+    with pytest.raises(IntegrityError) as decoded:
+        Scheme(artifact.cfg).decode(artifact.caches, artifact.transcript, [])
+    fault = {None: "another kind's keys", "dropped": "lacks subfile",
+             "foreign": "not one of its labels"}[how]
+    assert fault in str(decoded.value)
+    with pytest.raises(IntegrityError, match=re.escape(str(decoded.value))):
+        artifact_to_bytes(*parts)
 
 
 @pytest.mark.parametrize("coeffs", (8, 1 << 40, -1))
@@ -415,9 +510,19 @@ def test_demand_wider_than_the_library_is_a_domain_error(coeffs):
     artifact = hand_built(demands={(1, 3): 1, (1, 2): coeffs})
     parts = (artifact.cfg, artifact.caches, artifact.transcript)
     with pytest.raises(DomainError):
-        artifact_to_bytes(*parts)
-    with pytest.raises(DomainError):
         artifact_to_json(*parts)
+    # The binary writer packs the sent row as decode does, and refuses the
+    # demand with decode's IntegrityError.
+    result = simulate(artifact.cfg)
+    transcript = replace(result.transcript, masked_demands={
+        **result.transcript.masked_demands, (1, 2): coeffs})
+    caches = result.placement.caches
+    for write in (lambda: artifact_to_bytes(result.cfg, caches, transcript),
+                  lambda: Scheme(result.cfg).decode(caches, transcript,
+                                                    result.demands)):
+        with pytest.raises(IntegrityError,
+                           match=r"masked demand of \(1, 2\) under 2\^3"):
+            write()
 
 
 def test_the_ten_cache_render_plan_holds_arrays_not_entries():
@@ -451,9 +556,11 @@ def test_the_writers_build_no_plan_larger_than_the_caches(C, r, t, N, held):
                                 {}, {}, {}) for c in range(1, C + 1))
     parts = (cfg, caches, DeliveryTranscript(cfg, {}, {}, {}, None))
     built = transcript._render_plan.cache_info().misses
-    assert artifact_from_bytes(artifact_to_bytes(*parts)).caches == caches
     assert json.loads(artifact_to_json(*parts))["config"]["N"] == N
     assert transcript._render_plan.cache_info().misses == built
+    # The rows hold only stores that are exactly their labels.
+    with pytest.raises(IntegrityError, match="cache 1 (lacks|holds) subfile"):
+        artifact_to_bytes(*parts)
 
 
 def test_json_peak_memory_stays_near_the_text_length():
