@@ -119,21 +119,28 @@ def coded_block_bit_length(key_bits: int, code: MdsCode) -> int:
 
 
 def encode_key(key: BitBlock, code: MdsCode) -> tuple[BitBlock, ...]:
-    """Cut the key into k sub-keys and emit the n coded blocks.
+    """encode_row of the key, as blocks."""
+    bits = coded_block_bit_length(key.length, code)
+    return tuple(BitBlock(v, bits)
+                 for v in encode_row(key.value, key.length, code))
+
+
+def encode_row(key: int, key_bits: int, code: MdsCode) -> tuple[int, ...]:
+    """Cut the key of key_bits into k sub-keys and emit the n coded blocks.
 
     Sub-keys are zero padded to whole field symbols before the matrix
     product, so each coded block is coded_block_bit_length(...) bits; with
     the binary special cases that equals the raw sub-key size.  Each block
     is a sum of packed sub-keys scaled by generator entries.
     """
+    if key < 0 or key >> key_bits:
+        raise DomainError(f"key does not fit in {key_bits} bits")
     k = code.dimension
-    sub_bits = subkey_bit_length(key.length, code)
+    sub_bits = subkey_bit_length(key_bits, code)
     symbols = -(-sub_bits // code.symbol_bits)
     mask = (1 << sub_bits) - 1
-    subkeys = [(key.value >> (i * sub_bits)) & mask for i in range(k)]
-    bits = symbols * code.symbol_bits
-    return tuple(BitBlock(_combine(code.field, code.column(j), subkeys,
-                                   symbols), bits)
+    subkeys = [(key >> (i * sub_bits)) & mask for i in range(k)]
+    return tuple(_combine(code.field, code.column(j), subkeys, symbols)
                  for j in range(1, code.length + 1))
 
 
@@ -171,6 +178,19 @@ def _inverse(code: MdsCode, positions: tuple[int, ...]
 def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
                key_bits: int) -> BitBlock:
     """Recover the key from any k (column index, coded block) pairs."""
+    expected = coded_block_bit_length(key_bits, code)
+    for p, b in blocks:
+        if b.length != expected:
+            raise DomainError(f"block at {p} has {b.length} bits, "
+                              f"expected {expected}")
+    return BitBlock(decode_row([(p, b.value) for p, b in blocks], code,
+                               key_bits), key_bits)
+
+
+def decode_row(blocks: Sequence[tuple[int, int]], code: MdsCode,
+               key_bits: int) -> int:
+    """decode_key on (column index, value) pairs, each value a coded
+    block of coded_block_bit_length(key_bits, code) bits."""
     k = code.dimension
     if len(blocks) != k:
         raise DomainError(f"need exactly {k} blocks, got {len(blocks)}")
@@ -182,14 +202,13 @@ def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
     for p, b in blocks:
         if not 1 <= p <= code.length:
             raise DomainError(f"position {p} outside [1, {code.length}]")
-        if b.length != expected:
-            raise DomainError(f"block at {p} has {b.length} bits, "
-                              f"expected {expected}")
-    received = [b.value for _, b in blocks]
+        if b < 0 or b >> expected:
+            raise DomainError(f"block at {p} does not fit {expected} bits")
+    received = [b for _, b in blocks]
     symbols = expected // code.symbol_bits
     mask = (1 << sub_bits) - 1
     key = 0
     for i, row in enumerate(decoding_matrix(code, positions)):
         subkey = _combine(code.field, row, received, symbols)
         key |= (subkey & mask) << (i * sub_bits)
-    return BitBlock(key & ((1 << key_bits) - 1), key_bits)
+    return key & ((1 << key_bits) - 1)

@@ -50,11 +50,15 @@ from .indexing import _decode_plan, _indices, _store_labels
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, random_demands, subfile_bit_length,
                       subpacketize)
-from .mds import (MdsCode, build_code, coded_block_bit_length, decode_key,
-                  encode_key, subkey_bit_length)
+# Keys are shared and coded as rows: the engine calls the row forms of
+# split, reconstruct, encode_key and decode_key by those names.
+from .mds import (MdsCode, build_code, coded_block_bit_length,
+                  decode_row as decode_key, encode_row as encode_key,
+                  subkey_bit_length)
 from .rows import (_combinations, _cut, _gather, _images, _join, _listed,
                    _narrow, _wide, _widen, _words)
-from .shamir import ShareSet, reconstruct, split
+from .shamir import (ShareSet, reconstruct_row as reconstruct,
+                     split_row as split)
 from .topology import CacheSet, TopologySpec
 
 # The interpreter's built-in SHA-256, as random takes its SHA-512: hashlib
@@ -300,8 +304,9 @@ class CacheContent:
 
     @property
     def stored_bits(self) -> int:
-        return sum(b.length for store in ("subfiles",) + _KEY_STORES
-                   for b in getattr(self, store).values())
+        stores = [getattr(self, store) for store in ("subfiles",) + _KEY_STORES]
+        return sum(len(s) * s.bits if isinstance(s, _Store)
+                   else sum(b.length for b in s.values()) for s in stores)
 
 
 @dataclass(frozen=True)
@@ -365,15 +370,16 @@ class Scheme:
     decode checks the round once, whole, and decode_rows, one row function
     on the topology's _DecodePlan, decodes it.  A Scheme holds only what
     __init__ built, tables of its config, and keeps none of a round; mds
-    caches the MDS inverses.  BitBlocks appear only where blocks enter and
-    leave.
+    caches the MDS inverses.  Placed and delivered stores are held as their
+    rows, so a BitBlock is cut only where a store is read by label, and
+    decode builds one per demand.
     """
 
     def __init__(self, cfg: SchemeConfig):
         self.cfg = cfg
         self.topo = cfg.topo
         self.kind = cfg.kind
-        (self._rank, self._slots, self._members, self._rows,
+        (self._rank, _, self._members, self._rows,
          stored, self._senders) = _indices(cfg.topo)
         # Per cache, its subfiles by (rank, T) and by label: none in broadcast.
         empty = tuple(() for _ in stored)
@@ -413,12 +419,13 @@ class Scheme:
         table = subpacketize(library, self.topo)
         sb = table.subfile_bits
         piece = (1 << sb) - 1
-        # One block per (file, T), shared by the caches that hold it.
-        blocks = [] if cfg.broadcast else [
-            [BitBlock((image >> (k * sb)) & piece, sb) for image in table.images]
+        # Per subfile index T, every file's piece T in turn: a cache's row
+        # joins the pieces of the T naming it, lex in T.
+        pieces = [] if cfg.broadcast else [
+            _join([(image >> (k * sb)) & piece for image in table.images], sb)
             for k in range(len(self._rank))]
-        subfiles = [dict(zip(labels, chain.from_iterable(
-                        blocks[k] for k, _ in held)))
+        subfiles = [_blocks(_join([pieces[k] for k, _ in held],
+                                  cfg.num_files * sb), labels, sb)
                     for labels, held in zip(self._subfile_places, self._stored)]
         caches = self._place_keys(randomness, subfiles, table)
         sizes = {c.stored_bits for c in caches}
@@ -438,15 +445,16 @@ class Scheme:
         return PlacementResult(tuple(caches), randomness, memory, table)
 
     def _place_keys(self, randomness: ServerRandomness,
-                    subfiles: list[dict[tuple[int, CacheSet], BitBlock]],
-                    table: SubfileTable) -> list[CacheContent]:
+                    subfiles: list[Mapping], table: SubfileTable
+                    ) -> list[CacheContent]:
         """Store each cache's key material, cut from its key row: threshold
         shares of the superposed keys, whole payload keys, MDS-coded ones,
         or nothing."""
         return [self._content(c, stores, row) for c, (stores, (row, _)) in
                 enumerate(zip(subfiles, self.key_rows(randomness, table)), 1)]
 
-    def _content(self, c: int, subfiles: dict, key_row: int) -> CacheContent:
+    def _content(self, c: int, subfiles: Mapping, key_row: int
+                 ) -> CacheContent:
         """Cache c with the subfiles and its key material cut from its key
         row: with _blocks, the inverse of _cache_rows."""
         stores: dict = {store: {} for store in _KEY_STORES}
@@ -499,7 +507,7 @@ class Scheme:
             superposed = [(keys >> (s * sb) ^ masked[u] >> (k * sb)) & piece
                           for s, u, k in zip(plan.sends, plan.owners,
                                              plan.ranks)]
-            shares = split(BitBlock(_join(superposed, wb), len(superposed) * wb),
+            shares = split(_join(superposed, wb), len(superposed) * wb,
                            self.topo.access_degree, cfg.key_field,
                            coefficients=randomness.share_coefficients).shares
             bits = len(superposed) // K * wb  # a cut: one user's slots
@@ -511,11 +519,11 @@ class Scheme:
         pieces: list[list[int]] = [[] for _ in range(self.topo.num_caches)]
         if self.kind.stores_keys_whole or self.kind.stores_keys_coded:
             for s, S in enumerate(self._members):
-                key = BitBlock((keys >> (s * sb)) & piece, sb)
-                blocks = (encode_key(key, cfg.key_code)
+                key = (keys >> (s * sb)) & piece
+                blocks = (encode_key(key, sb, cfg.key_code)
                           if self.kind.stores_keys_coded else [key] * len(S))
                 for c, block in zip(S, blocks):  # block j to S's j-th cache
-                    pieces[c - 1].append(block.value)
+                    pieces[c - 1].append(block)
         bits = self._key_bits
         return [(_join(row, bits), len(row) * bits) for row in pieces]
 
@@ -692,7 +700,7 @@ class Scheme:
                       width) for j in range(r)))
             piece = (1 << cfg.subfile_bits) - 1  # a share block pads a key
             keys = [key & piece for key in _cut(
-                reconstruct(shares).value, len(users) * P, bits)]
+                reconstruct(shares), len(users) * P, bits)]
             return [keys[at * P:(at + 1) * P] for at in range(len(users))]
         if not self.kind.stores_keys_whole and not self.kind.stores_keys_coded:
             return [[0] * P for _ in users]
@@ -725,10 +733,10 @@ class Scheme:
             if not slots:
                 continue
             width = len(slots) * bits
-            blocks = [BitBlock(_join(_gather(entries, _gather(at, slots)),
-                                     bits), width) for at in plan.keys]
+            blocks = [_join(_gather(entries, _gather(at, slots)), bits)
+                      for at in plan.keys]
             wide = decode_key(list(zip(positions, blocks)), code,
-                              code.dimension * width).value
+                              code.dimension * width)
             # Sub-key row h holds each slot's sub-key h at stride bits.
             found = [0] * len(slots)
             for h in range(code.dimension):
@@ -811,10 +819,12 @@ def _row(store: Mapping, labels, bits: int, owner: str,
          what: str) -> tuple[int, int]:
     """The store's blocks under the labels side by side, as (value,
     width).  The store must hold exactly the labels, each block bits long,
-    or IntegrityError names the first fault.  A store that holds just the
-    labels, in order, as placement fills one, is read in its own order."""
-    blocks = (store.values() if list(store) == list(labels) else
-              [store[label] for label in labels if label in store])
+    or IntegrityError names the first fault.  A row-backed store of the
+    labels and bits, as placement and delivery fill one, is its row."""
+    if isinstance(store, _Store) and store.bits == bits and (
+            store.labels is labels or store.labels == labels):
+        return store.row, len(labels) * bits
+    blocks = [store[label] for label in labels if label in store]
     values = [block.value for block in blocks if block.length == bits]
     if len(values) != len(labels) or len(store) != len(labels):
         known = set(labels)
@@ -830,11 +840,47 @@ def _row(store: Mapping, labels, bits: int, owner: str,
             len(values) * bits)
 
 
-def _blocks(row: int, labels: Sequence, bits: int) -> dict:
-    """The inverse of _row: the row cut into blocks of bits, one a label,
-    in turn."""
-    return dict(zip(labels, [BitBlock(v, bits)
-                             for v in _cut(row, len(labels), bits)]))
+class _Store(Mapping):
+    """A read-only store held as its row: the i-th label's block is the
+    bits-wide value at bit i * bits.  Iteration and len read the labels;
+    the first read of a block, values() or items() cuts the whole row
+    into BitBlocks, once, and keeps them."""
+
+    def __init__(self, labels: Sequence, bits: int, row: int):
+        self.labels, self.bits, self.row = labels, bits, row
+
+    @cached_property
+    def _held(self) -> dict:
+        return dict(zip(self.labels, [BitBlock(v, self.bits) for v in
+                                      _cut(self.row, len(self.labels),
+                                           self.bits)]))
+
+    def __getitem__(self, label) -> BitBlock:
+        return self._held[label]
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def values(self):
+        return self._held.values()
+
+    def items(self):
+        return self._held.items()
+
+    def __repr__(self) -> str:
+        return repr(self._held)
+
+
+def _blocks(row: int, labels: Sequence, bits: int) -> _Store:
+    """The inverse of _row: the row as a store of blocks of bits, one a
+    label, in turn; IntegrityError for a row wider than those blocks."""
+    if row >> (len(labels) * bits):
+        raise IntegrityError(f"a row wider than {len(labels)} blocks of "
+                             f"{bits} bits")
+    return _Store(labels, bits, row)
 
 
 def _library(cfg: SchemeConfig, row: int) -> DeliveryTranscript:

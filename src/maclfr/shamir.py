@@ -66,7 +66,14 @@ class ShareSet:
 
 def split(secret: BitBlock, share_count: int, field: BinaryField,
           coefficients: Sequence[int] = ()) -> ShareSet:
-    """Split the secret into share_count shares.
+    """split_row of the block's value and length."""
+    return split_row(secret.value, secret.length, share_count, field,
+                     coefficients)
+
+
+def split_row(secret: int, bits: int, share_count: int, field: BinaryField,
+              coefficients: Sequence[int] = ()) -> ShareSet:
+    """Split the secret of bits into share_count shares.
 
     The coefficients of the hiding polynomials come as planes, one per
     blind b = 0 .. share_count - 2, each holding coefficient b of symbol s
@@ -74,9 +81,11 @@ def split(secret: BitBlock, share_count: int, field: BinaryField,
     being the constant itself.  Horner's rule then evaluates every
     symbol's polynomial at once, scaling the packed block by the point.
     """
+    if secret < 0 or secret >> bits:
+        raise DomainError(f"secret does not fit in {bits} bits")
     points = canonical_evaluation_points(field, share_count)
     l = field.exponent
-    symbols = -(-secret.length // l)
+    symbols = -(-bits // l)
     planes = list(coefficients)
     if len(planes) != share_count - 1:
         raise UsageError(
@@ -90,8 +99,8 @@ def split(secret: BitBlock, share_count: int, field: BinaryField,
         acc = 0
         for plane in reversed(planes):
             acc = field.mul_packed(x, acc ^ plane, symbols)
-        shares.append(acc ^ secret.value)
-    return ShareSet(field, secret.length, tuple(shares))
+        shares.append(acc ^ secret)
+    return ShareSet(field, bits, tuple(shares))
 
 
 def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
@@ -106,6 +115,11 @@ def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
 
 
 def reconstruct(shares: ShareSet) -> BitBlock:
+    """reconstruct_row as a block of the secret's length."""
+    return BitBlock(reconstruct_row(shares), shares.secret_bits)
+
+
+def reconstruct_row(shares: ShareSet) -> int:
     """Interpolate every symbol's constant term and drop the tail padding.
 
     The Lagrange weights at zero of the canonical points are derived once
@@ -118,8 +132,7 @@ def reconstruct(shares: ShareSet) -> BitBlock:
     acc = 0
     for y, weight in zip(shares.shares, weights):
         acc ^= field.mul_packed(weight, y, symbols)
-    bits = shares.secret_bits
-    return BitBlock(acc & ((1 << bits) - 1), bits)
+    return acc & ((1 << shares.secret_bits) - 1)
 
 
 def leakage_check(num_symbols: int, share_count: int, field: BinaryField,

@@ -6,10 +6,12 @@ row and its key row as Scheme._cache_rows packs them, then the payload
 row and the sent row of Scheme._transcript_rows, so it holds exactly the
 rounds Scheme.decode accepts, and reading it back cuts each row by the
 store labels that placement and delivery cut it by.  transcript.json is
-per label, with hex-encoded blocks for eyeballing.  Both are byte-exact
-functions of their inputs (rows and blocks are zero padded, JSON entries
-written in canonical sorted order), so identical (config, seed) runs
-serialize identically.
+per label, with hex-encoded blocks for eyeballing: a store held as its
+row is rendered from one conversion of the row to bytes, each block
+padded to whole bytes, and any other store block by block.  Both are
+byte-exact functions of their inputs (rows and blocks are zero padded,
+JSON entries written in canonical sorted order), so identical (config,
+seed) runs serialize identically.
 
 Each JSON section is rendered in one step from its placing: the places
 that sort its entries, and per key field its distinct values and each
@@ -35,9 +37,10 @@ from typing import Sequence
 from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .indexing import _store_labels
-from .rows import _gather
+from .rows import _cut, _gather, _join
 from .schemes import (CacheContent, DeliveryTranscript, Scheme, SchemeConfig,
-                      SchemeKind, SimulationResult, _blocks, _library)
+                      SchemeKind, SimulationResult, _blocks, _library,
+                      _Store)
 from .topology import CacheSet, TopologySpec
 
 MAGIC = b"MALF"
@@ -257,17 +260,26 @@ def _json_section(holder, name, fields, ints, num_files, pad,
     if fields and (placing is None or tuple(values) != placing[0]):
         placing = _placing(tuple(values), len(fields))
     _, order, columns = placing if fields else (None, None, [])
-    blocks = list(values.values() if fields else values or ())
-    if order is not None:
-        blocks = _gather(blocks, order)
-    if ints:
-        blocks = [BitBlock(v, num_files) for v in blocks]
-    if not blocks:
+    count = len(values or ())
+    if not count:
         return "[]"
+    if isinstance(values, _Store):
+        bits, size = values.bits, -(-values.bits // 8)
+        row = values.row if bits % 8 == 0 else _join(
+            _cut(values.row, count, bits), 8 * size)
+        hexes = row.to_bytes(count * size, "little").hex(" ", -size).split()
+        lengths = [str(bits)] * count
+    else:
+        blocks = list(values.values() if fields else values)
+        if ints:
+            blocks = [BitBlock(v, num_files) for v in blocks]
+        hexes = [b.to_bytes().hex() for b in blocks]
+        lengths = [str(b.length) for b in blocks]
+    if order is not None:
+        hexes, lengths = _gather(hexes, order), _gather(lengths, order)
     field_pad = pad + "    "
     memo = subsets.setdefault(field_pad, {})
-    members = {"bits": [str(b.length) for b in blocks],
-               "hex": [b.to_bytes().hex() for b in blocks]}
+    members = {"bits": lengths, "hex": hexes}
     for f, (values, places) in zip(fields, columns):
         members[f] = _gather(list(map(str, values)) if f == "file" else [
             memo[s] if s in memo else memo.setdefault(s, "".join(
@@ -280,10 +292,10 @@ def _json_section(holder, name, fields, ints, num_files, pad,
                                  for f in order}, pad + "  ")).split("\0")
     text[-1], close = text[-1] + "," + inner, text[-1] + "\n" + pad + "]"
     step = 2 * len(order) + 1
-    out = [None] * (step * len(blocks))
+    out = [None] * (step * count)
     for i in range(step):
         out[i::step] = (members[order[i // 2]] if i % 2
-                        else [text[i // 2]] * len(blocks))
+                        else [text[i // 2]] * count)
     out[0], out[-1] = "[" + inner + out[0], close
     return "".join(out)
 

@@ -253,16 +253,17 @@ class BilinearModel:
     cross: tuple[Mapping[int, int], ...]
 
     def at(self, w: int, z: int) -> int:
-        acc = self.base
-        for i, a in enumerate(self.lib):
-            if (w >> i) & 1:
-                acc ^= a
-        for j, (c, col) in enumerate(zip(self.inp, self.cross)):
-            if (z >> j) & 1:
-                acc ^= c
-                for i, x in col.items():
-                    if (w >> i) & 1:
-                        acc ^= x
+        acc, bits = self.base, w
+        while bits:  # only the set bits of w and z, lowest first
+            acc ^= self.lib[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
+        while z:
+            j = (z & -z).bit_length() - 1
+            acc ^= self.inp[j]
+            for i, x in self.cross[j].items():
+                if (w >> i) & 1:
+                    acc ^= x
+            z &= z - 1
         return acc
 
 

@@ -15,7 +15,8 @@ import pytest
 from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, IntegrityError, UsageError
 from maclfr.mds import (MdsCode, build_code, coded_block_bit_length,
-                        decode_key, encode_key, subkey_bit_length)
+                        decode_key, decode_row, encode_key, encode_row,
+                        subkey_bit_length)
 
 SHAPES = ((1, 1), (2, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4),
           (7, 3), (8, 5))
@@ -116,6 +117,20 @@ def test_decode_validation():
         build_code(2, 3)
     with pytest.raises(UsageError):
         code.column(5)
+
+
+def test_the_row_forms_code_as_the_block_forms_and_check_widths():
+    code = build_code(5, 3)
+    key = BitBlock(0b101100111, 9)
+    blocks = encode_key(key, code)
+    assert encode_row(key.value, 9, code) == tuple(b.value for b in blocks)
+    picked = [(p, blocks[p - 1].value) for p in (2, 4, 5)]
+    assert decode_row(picked, code, 9) == key.value
+    with pytest.raises(DomainError):
+        encode_row(1 << 9, 9, code)
+    wide = 1 << coded_block_bit_length(9, code)
+    with pytest.raises(DomainError):
+        decode_row([(2, wide)] + picked[1:], code, 9)
 
 
 def test_singular_submatrix_rejected():

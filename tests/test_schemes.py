@@ -37,6 +37,7 @@ from maclfr.schemes import (CacheContent, RandomnessLayout, Scheme,
                             _join, derive_rng, simulate)
 from maclfr.mds import MdsCode, decode_key
 from maclfr.topology import TopologySpec, share_index_of_cache
+from maclfr.transcript import artifact_to_bytes
 from maclfr.verify import check_correctness, tiny_config, tiny_sweep_topologies
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -405,6 +406,82 @@ def test_doctored_transcript_is_detected():
     silent = replace(result.transcript, cleartext_demands={})
     with pytest.raises(IntegrityError):
         scheme.decode(caches, silent, result.demands[:1])
+
+
+@pytest.mark.parametrize("kind", (SchemeKind.SP_LFR, SchemeKind.IS_LFR))
+def test_a_round_builds_blocks_only_for_what_is_read_by_label(kind,
+                                                              monkeypatch):
+    # Placed and delivered stores are held as their rows: place, deliver
+    # and the binary writer build no BitBlock, decode builds one per
+    # demand, and the first read of a store by label cuts that store once.
+    cfg = config(kind, 5, 2, 2)
+    library = FileLibrary.random(derive_rng(1, "library"), cfg.num_files,
+                                 cfg.file_bits)
+    demands = random_demands(cfg.topo, cfg.num_files, derive_rng(1, "demands"))
+    scheme, built, real = Scheme(cfg), [], BitBlock.__post_init__
+
+    def counted(block):
+        built.append(block)
+        real(block)
+
+    def blocks_built(step):
+        del built[:]
+        return step(), len(built)
+
+    monkeypatch.setattr(BitBlock, "__post_init__", counted)
+    placement, count = blocks_built(lambda: scheme.place(library))
+    assert count == 0
+    transcript, count = blocks_built(lambda: scheme.deliver(
+        placement.randomness, placement.table, demands))
+    assert count == 0
+    _, count = blocks_built(lambda: artifact_to_bytes(
+        cfg, placement.caches, transcript))
+    assert count == 0
+    decoded, count = blocks_built(lambda: scheme.decode(
+        placement.caches, transcript, demands))
+    assert count == len(demands) == len(cfg.topo.users())
+    assert decoded == [linear_combination(d, library) for d in demands]
+    cache = placement.caches[0]
+    for store in (cache.subfiles, getattr(cache, scheme._key_store),
+                  transcript.payloads):
+        first, second = list(store)[:2]
+        _, count = blocks_built(lambda: store[first])
+        assert count == len(store)
+        _, count = blocks_built(lambda: (store[second], store[first],
+                                         list(store.values())))
+        assert count == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stores_of_another_width_are_refused_as_their_dicts_are(kind):
+    # Caches placed at 2-bit subfiles, decoded by a scheme of 3-bit ones
+    # on the same topology: the row-backed stores take the checked path
+    # and raise what plain dict copies of them raise.
+    topo = TopologySpec(4, 2, 1)
+    b = topo.num_subfile_indices
+    narrow, wide = (simulate(SchemeConfig(topo, 3, F, kind, seed=2))
+                    for F in (2 * b, 3 * b))
+    caches = narrow.placement.caches
+    plain = [replace(c, **{name: dict(getattr(c, name)) for name in (
+        "subfiles", "key_shares", "whole_keys", "coded_subkeys")})
+        for c in caches]
+    messages = []
+    for held in (caches, plain):
+        with pytest.raises(IntegrityError) as error:
+            Scheme(wide.cfg).decode(held, wide.transcript, wide.demands)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+    assert "of 2 bits, expected 3" in messages[0]
+
+
+def test_a_row_wider_than_its_blocks_is_an_integrity_error():
+    labels = ("a", "b", "c")
+    store = schemes._blocks(0b10_01_11, labels, 2)
+    assert dict(store) == {"a": BitBlock(3, 2), "b": BitBlock(1, 2),
+                           "c": BitBlock(2, 2)}
+    for row in (1 << 6, -1):
+        with pytest.raises(IntegrityError, match="a row wider than 3 blocks"):
+            schemes._blocks(row, labels, 2)
 
 
 def decode_setup(kind: SchemeKind, C: int = 4, r: int = 2, t: int = 1,
@@ -907,7 +984,7 @@ def slot_by_slot_key_rows(cfg, randomness, table) -> list[tuple[int, int]]:
                     key ^= image >> (indices.index(T) * sb) & piece
             planes = [plane >> (x * wb) & ((1 << wb) - 1)
                       for plane in randomness.share_coefficients]
-            shares = schemes.split(BitBlock(key, sb), len(g), cfg.key_field,
+            shares = schemes.split(key, sb, len(g), cfg.key_field,
                                    coefficients=planes).shares
             for c, share in zip(g, shares):
                 rows[c - 1].append(share)
@@ -961,7 +1038,7 @@ def slot_by_slot_decode_rows(scheme, users, payload_row, sent_row,
         files = [sum(v << (k * sb) for v, (k, _) in zip(values[i::n], stored))
                  for i in range(n)]
         caches[c] = files, [schemes._combination(files, d) for d in sent]
-    decoded = []
+    decoded, slots = [], indexing._indices(scheme.topo)[1]
     for g, keys in zip(users, scheme._keys(users, key_rows)):
         u, value, held = ranks[g], 0, [0] * len(sent)
         for c in g:
@@ -969,7 +1046,7 @@ def slot_by_slot_decode_rows(scheme, users, payload_row, sent_row,
             value |= schemes._combination(files, demand_row >> (u * n))
             held = [h | x for h, x in zip(held, combos)]
         for T, key in zip(scheme._rows[g], keys):
-            k, S = scheme._slots[(g, T)]
+            k, S = slots[(g, T)]
             s = list(scheme._members).index(S)
             acc = payload_row >> (s * sb) ^ key
             for v, j in scheme._senders[s]:

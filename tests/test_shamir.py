@@ -18,8 +18,8 @@ from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.gf import binary_field, exponent_for_share_count
 from maclfr.shamir import (ShareSet, canonical_evaluation_points,
-                           leakage_check, reconstruct, share_set_from_blocks,
-                           split)
+                           leakage_check, reconstruct, reconstruct_row,
+                           share_set_from_blocks, split, split_row)
 
 
 def field_for(share_count: int):
@@ -107,6 +107,17 @@ def test_tail_padding_is_dropped():
                    drawn_planes(random.Random(0), secret, 2, field))
     assert shares.share_bits == 4
     assert reconstruct(shares) == secret
+
+
+def test_the_row_forms_share_as_the_block_forms_and_check_the_width():
+    field = binary_field(2)
+    secret = BitBlock(0b10110, 5)
+    planes = drawn_planes(random.Random(1), secret, 3, field)
+    shares = split(secret, 3, field, planes)
+    assert split_row(secret.value, 5, 3, field, planes) == shares
+    assert reconstruct_row(shares) == secret.value
+    with pytest.raises(DomainError):
+        split_row(1 << 5, 5, 3, field, planes)
 
 
 def test_validation_errors():

@@ -401,6 +401,65 @@ def test_json_matches_the_reference_document_at_ten_caches():
     assert simulation_to_json(result) == reference_json(result)
 
 
+# Every kind on the tiny sweep with 1-, 2- and 3-bit subfiles, at r = 1
+# and at C = 10 (16-bit subfiles), and p-lfr in broadcast mode.
+STORE_CASES = [(kind, C, r, t, False) for kind in SchemeKind
+               for C, r, t in (*tiny_sweep_topologies(), (4, 1, 2), (10, 3, 3))]
+STORE_CASES += [(SchemeKind.P_LFR, 3, 2, 1, True)]
+CACHE_STORES = ("subfiles", "key_shares", "whole_keys", "coded_subkeys")
+
+
+def placed_labels(cfg: SchemeConfig, c: int, store: str) -> list:
+    """The labels cache c's store holds, in placement order, from the
+    topology alone."""
+    topo, N = cfg.topo, cfg.num_files
+    key_store = ("key_shares" if cfg.kind.masks_demands else "coded_subkeys"
+                 if cfg.kind.stores_keys_coded else "whole_keys"
+                 if cfg.kind.stores_keys_whole else None)
+    if cfg.broadcast or store not in ("subfiles", key_store):
+        return []
+    if store == "subfiles":
+        return [(i, T) for T in topo.subfile_indices() if c in T
+                for i in range(1, N + 1)]
+    if store == "key_shares":
+        return [(g, T) for g in topo.users() if c in g
+                for T in topo.subfile_indices() if not set(g) & set(T)]
+    return [S for S in topo.transmission_indices() if c in S]
+
+
+@pytest.mark.parametrize("kind,C,r,t,broadcast", STORE_CASES)
+def test_placed_stores_read_and_render_as_their_dicts(kind, C, r, t,
+                                                      broadcast):
+    topo = TopologySpec(C, r, t)
+    b = topo.num_subfile_indices
+    for N, F in ([(20, 1920)] if C == 10 else [(3, b), (2, 2 * b), (3, 3 * b)]):
+        result = simulate(SchemeConfig(topo, N, F, kind, seed=5,
+                                       broadcast=broadcast))
+        cfg, caches = result.cfg, result.placement.caches
+        held = [(getattr(content, name), placed_labels(cfg, content.index,
+                                                       name))
+                for content in caches for name in CACHE_STORES]
+        held.append((result.transcript.payloads, [] if broadcast else
+                     list(topo.transmission_indices())))
+        for store, labels in held:
+            plain = dict(store)
+            assert store == plain and plain == store
+            assert list(store) == list(plain) == labels
+            assert len(store) == len(labels)
+            with pytest.raises(KeyError):
+                store[(0, ())]
+            assert (0, ()) not in store
+        plain_caches = tuple(replace(content, **{
+            name: dict(getattr(content, name)) for name in CACHE_STORES})
+            for content in caches)
+        plain_transcript = replace(result.transcript,
+                                   payloads=dict(result.transcript.payloads))
+        assert artifact_to_json(cfg, plain_caches, plain_transcript) == (
+            simulation_to_json(result))
+        assert artifact_to_bytes(cfg, plain_caches, plain_transcript) == (
+            simulation_to_bytes(result))
+
+
 # Hand-built artifacts: no scheme places these, so they reach what the
 # engine never makes.  Blocks of mixed lengths (zero, one, off the byte
 # grid, several bytes) share a section, keys go in against sorted order,
