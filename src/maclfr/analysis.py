@@ -14,10 +14,9 @@ broadcast point (0, N).
 Two evaluation modes: the ideal mode (file_bits None) assumes the file
 size divides everything and returns the closed forms above; the
 F-dependent mode keeps the exact ceilings of an actual placement at that
-file size.  Values in the F-dependent mode coincide with measured
-placements whenever the relevant block sizes land on symbol boundaries
-(the share term always does; the coded-key term needs the sub-key to fill
-whole field symbols).
+file size, so its values equal the measured placement at every F: a
+subfile of ceil(F / binom(C, t)) bits, a share block padded to whole
+symbols, and an is-lfr coded block of mds.coded_block_bit_length bits.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from math import comb
 
 from .errors import DomainError
 from .gf import exponent_for_share_count
+from .mds import build_code, coded_block_bit_length
 from .schemes import SchemeKind
 from .topology import TopologySpec
 
@@ -77,7 +77,10 @@ def _key_memory(kind: SchemeKind, topo: TopologySpec, file_bits: int | None
     keys = comb(C - 1, t + r - 1)
     if kind is SchemeKind.S_LFR:
         return keys * _piece(file_bits, b)
-    return keys * _piece(file_bits, r * b)  # is-lfr: a coded 1/r of each key
+    # is-lfr: a coded 1/r of each key, at F a block of whole symbols.
+    return keys * (_piece(None, r * b) if file_bits is None else Fraction(
+        coded_block_bit_length(-(-file_bits // b), build_code(t + r, r)),
+        file_bits))
 
 
 def point(kind: SchemeKind, num_caches: int, access_degree: int,

@@ -79,7 +79,7 @@ class DemandVector:
         return (self.coeffs >> (file_index - 1)) & 1
 
     def supported_files(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.num_files + 1) if self.coefficient(i))
+        return tuple(i + 1 for i in range(self.num_files) if self.coeffs >> i & 1)
 
     @classmethod
     def one_hot(cls, user: CacheSet, file_index: int, num_files: int
@@ -159,7 +159,7 @@ def linear_combination(demand: DemandVector, library: FileLibrary) -> BitBlock:
             f"{library.num_files}")
     acc = BitBlock.zeros(library.file_bits)
     for i in demand.supported_files():
-        acc ^= library.file(i)
+        acc ^= library.files[i - 1]
     return acc
 
 

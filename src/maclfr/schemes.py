@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
 from typing import Mapping, Sequence
 
@@ -163,7 +163,8 @@ def _combination(images: Sequence[int], coeffs: int) -> int:
 def randomness_order(cfg: SchemeConfig) -> list[tuple[str, int, int]]:
     """Every value the server draws before a round, as runs (tag, count,
     bits) in the canonical order; draw() takes count getrandbits(bits) per
-    run, run by run.
+    run, run by run, or the same stream as one getrandbits(32 count) for
+    the coef run (test_draw_takes_the_stream_of_one_call_per_value).
 
     The "key" run holds one payload key per transmission index, in lex
     order, for every kind but lfr; p-lfr draws them and then pins them to
@@ -185,12 +186,22 @@ def randomness_order(cfg: SchemeConfig) -> list[tuple[str, int, int]]:
     return runs
 
 
-def _planes(cfg: SchemeConfig, coefs: Sequence[int]) -> tuple[int, ...]:
-    """The coef run's values as the r - 1 planes split() takes: plane b
-    holds blind b of symbol k at bit k l.  Without masked demands, none."""
+def _planes(cfg: SchemeConfig, row: int, count: int, width: int
+            ) -> tuple[int, ...]:
+    """The coef run's count values as the r - 1 planes split() takes:
+    plane b holds blind b of symbol k at bit k l.  Value i is the top l
+    bits of the row's width-bit unit i.  The row is written out in binary,
+    unit count - 1 first, and one slice a bit position cuts a plane's
+    digits out of every (r - 1)-th unit.  Without masked demands, none."""
     blinds = cfg.topo.access_degree - 1 if cfg.kind.masks_demands else 0
-    l = cfg.key_field.exponent
-    return tuple(_join(coefs[b::blinds], l) for b in range(blinds))
+    l, planes = cfg.key_field.exponent, []
+    digits = format(row, f"0{count * width}b").encode()
+    for b in range(blinds):
+        plane = bytearray(l * (count // blinds))
+        for j in range(l):
+            plane[j::l] = digits[(blinds - 1 - b) * width + j::blinds * width]
+        planes.append(int(plane, 2))
+    return tuple(planes)
 
 
 @dataclass(frozen=True)
@@ -214,13 +225,21 @@ class ServerRandomness:
     @classmethod
     def draw(cls, cfg: SchemeConfig, rng: random.Random) -> "ServerRandomness":
         """Draw every run of randomness_order(cfg), in that order, and join
-        each run into its row; p-lfr's drawn keys are dropped."""
-        runs = {tag: [rng.getrandbits(bits) for _ in range(count)]
-                for tag, count, bits in randomness_order(cfg)}
-        keys = runs["key"] if cfg.kind.has_payload_keys else ()
-        return cls(_join(keys, cfg.subfile_bits),
-                   _join(runs.get("mask", ()), cfg.num_files),
-                   _planes(cfg, runs.get("coef", ())))
+        each run into its row; p-lfr's drawn keys are dropped.  CPython's
+        Mersenne Twister serves getrandbits(l) as the top l bits of its
+        next 32-bit word and getrandbits(32 n) as its next n words, the
+        first lowest, so the coef run is one getrandbits(32 count)
+        (test_draw_takes_the_stream_of_one_call_per_value pins it)."""
+        rows: dict = {}
+        for tag, count, bits in randomness_order(cfg):
+            u = -(-bits // 8)  # the coef run: the top u bytes of each word
+            rows[tag] = _planes(cfg, int.from_bytes(memoryview(
+                rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+            ).cast("BH"[u - 1])[4 // u - 1::4 // u], "little"), count, 8 * u
+            ) if tag == "coef" else _join(
+                [rng.getrandbits(bits) for _ in range(count)], bits)
+        return cls(rows["key"] if cfg.kind.has_payload_keys else 0,
+                   rows.get("mask", 0), rows.get("coef", ()))
 
 
 @dataclass(frozen=True)
@@ -258,8 +277,8 @@ class RandomnessLayout:
     def _plan(self) -> tuple:
         """The shift and mask of the key, mask and coef rows in a value,
         (0, 0) for a run left out, and the function that deals the coef
-        row into planes: the row itself at r = 2, cut and dealt at r > 2,
-        zero planes without a coef run."""
+        row into planes: the row itself at r = 2, _planes' at r > 2, zero
+        planes without a coef run."""
         at, rows = 0, {}
         for tag, count, bits in self.runs:
             rows[tag] = (at, (1 << count * bits) - 1)
@@ -273,13 +292,13 @@ class RandomnessLayout:
         elif blinds == 1:
             deal = lambda row: (row,)
         else:
-            deal = lambda row: _planes(cfg, _cut(row, *coefs))
+            deal = lambda row: _planes(cfg, row, *coefs)
         return (*(rows.get(tag, (0, 0)) for tag in ("key", "mask", "coef")),
                 deal)
 
     def unpack(self, value: int) -> ServerRandomness:
-        """Slice out each run's row by _plan; only the coef run is cut into
-        values, to be dealt into its planes, and only when r > 2."""
+        """Slice out each run's row by _plan; only the coef run is dealt
+        into its planes, and only when r > 2."""
         if value < 0 or value >> self.total_bits:
             raise DomainError(f"value does not fit in {self.total_bits} bits")
         (k, keys), (m, masks), (c, coefs), deal = self._plan
@@ -517,14 +536,22 @@ class Scheme:
             return [(_join([cuts[x] for x in at], bits), len(at) * bits)
                     for at in plan.holds]
         pieces: list[list[int]] = [[] for _ in range(self.topo.num_caches)]
+        bits, M = self._key_bits, len(self._members)
         if self.kind.stores_keys_whole or self.kind.stores_keys_coded:
+            whole = _cut(keys, M, sb)
+            rows = repeat(whole)
+            if self.kind.stores_keys_coded:
+                # Sub-key i of every key side by side at the block stride,
+                # as _coded_keys decodes a class: one encode_key codes all.
+                code = cfg.key_code
+                k, sub = code.dimension, subkey_bit_length(sb, code)
+                subkeys = _cut(_join(whole, k * sub), k * M, sub)
+                rows = [_cut(row, M, bits) for row in encode_key(_join(
+                    [_join(subkeys[i::k], bits) for i in range(k)], M * bits),
+                    k * M * bits, code)]
             for s, S in enumerate(self._members):
-                key = (keys >> (s * sb)) & piece
-                blocks = (encode_key(key, sb, cfg.key_code)
-                          if self.kind.stores_keys_coded else [key] * len(S))
-                for c, block in zip(S, blocks):  # block j to S's j-th cache
-                    pieces[c - 1].append(block)
-        bits = self._key_bits
+                for c, row in zip(S, rows):  # block j to S's j-th cache
+                    pieces[c - 1].append(row[s])
         return [(_join(row, bits), len(row) * bits) for row in pieces]
 
     # -- delivery --

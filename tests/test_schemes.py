@@ -101,6 +101,21 @@ def test_measured_memory_and_rate_match_closed_forms(kind, C, r, t):
     assert Fraction(payload_bits, cfg.file_bits) == expected.rate
 
 
+@pytest.mark.parametrize("C", range(3, 8))
+def test_measured_memory_equals_the_point_at_every_file_size(C):
+    # The F-dependent mode charges what placement stores, padding and all:
+    # every kind, every (r, t), N = 2 and F one to three times the subfile
+    # count, where is-lfr's coded blocks pad to whole symbols.
+    for r in range(1, C + 1):
+        for t in range(C - r + 1):
+            for F in (comb(C, t), 2 * comb(C, t), 3 * comb(C, t)):
+                for kind in ALL_KINDS:
+                    cfg = config(kind, C, r, t, N=2, F=F)
+                    library = FileLibrary.random(derive_rng(0, "library"), 2, F)
+                    assert Scheme(cfg).place(library).memory == point(
+                        kind, C, r, t, 2, F).memory, (kind, C, r, t, F)
+
+
 def test_placement_is_symmetric_and_demand_independent():
     cfg = config(SchemeKind.SP_LFR, 4, 2, 1)
     scheme = Scheme(cfg)
@@ -260,6 +275,44 @@ def test_draw_agrees_with_layout_unpack(kind, C, r, t):
         drawn = ServerRandomness.draw(cfg, rng)
         assert layout.unpack(value) == drawn
         assert rng.getrandbits(64) == replay.getrandbits(64)
+
+
+def drawn_by_value(cfg, rng) -> ServerRandomness:
+    """draw() as its docstring states it: count getrandbits(bits) a run,
+    run by run; the key and mask values side by side, p-lfr's keys
+    dropped, and plane b every (r - 1)-th coef value from the b-th on."""
+    runs = {tag: [rng.getrandbits(bits) for _ in range(count)]
+            for tag, count, bits in schemes.randomness_order(cfg)}
+    joined = lambda values, bits: sum(v << (i * bits)
+                                      for i, v in enumerate(values))
+    blinds, l = cfg.topo.access_degree - 1, cfg.key_field.exponent
+    coefs = runs.get("coef", [])
+    return ServerRandomness(
+        joined(runs.get("key", []), cfg.subfile_bits)
+        if cfg.kind.has_payload_keys else 0,
+        joined(runs.get("mask", []), cfg.num_files),
+        tuple(joined(coefs[b::blinds], l) for b in range(blinds))
+        if coefs else ())
+
+
+DRAW_SHAPES = [*((C, r, t, 2, None) for C, r, t in tiny_sweep_topologies()),
+               (5, 2, 2, 3, None), (10, 3, 3, 20, 1920),
+               *((r, r, 0, 2, 13) for r in range(4, 9)),
+               *((r + 1, r, 1, 3, 29) for r in range(4, 9)),
+               (256, 256, 0, 2, 7), (600, 600, 0, 2, 7)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("C,r,t,N,F", DRAW_SHAPES)
+def test_draw_takes_the_stream_of_one_call_per_value(kind, C, r, t, N, F):
+    # draw() takes the coef run in one getrandbits(32 count), which is
+    # count getrandbits(l) in CPython's Mersenne Twister: the same values
+    # and the same generator state after, at l = 2 to 4, 9 and 10.
+    cfg = config(kind, C, r, t, N=N, F=F)
+    for seed in (0, 1):
+        rng, replay = derive_rng(seed, "placement"), derive_rng(seed, "placement")
+        assert ServerRandomness.draw(cfg, rng) == drawn_by_value(cfg, replay)
+        assert rng.getstate() == replay.getstate()
 
 
 @pytest.mark.parametrize("width", (1, 2, 3, 16, 64, 65, 1920))
@@ -1016,6 +1069,42 @@ def test_masked_key_rows_equal_one_split_per_slot(kind, C, r, t, N, F):
     now = indexing._decode_plan.cache_info()
     assert (now.hits, now.misses) == (cached.hits + 2, cached.misses)
     assert indexing._decode_plan(cfg.topo) is plan
+
+
+def transmission_by_transmission_coded_key_rows(cfg, randomness
+                                                 ) -> list[tuple[int, int]]:
+    """is-lfr's key rows, one encode_row per transmission S, lex: block j
+    of S's key to S's j-th cache, each cache's blocks in lex S order."""
+    topo, sb, code = cfg.topo, cfg.subfile_bits, cfg.key_code
+    bits = mds.coded_block_bit_length(sb, code)
+    rows = [[] for _ in range(topo.num_caches)]
+    for s, S in enumerate(topo.transmission_indices()):
+        key = randomness.payload_keys >> (s * sb) & ((1 << sb) - 1)
+        for c, block in zip(S, mds.encode_row(key, sb, code)):
+            rows[c - 1].append(block)
+    return [(sum(v << (i * bits) for i, v in enumerate(row)), len(row) * bits)
+            for row in rows]
+
+
+@pytest.mark.parametrize("C,r,t,N,F", list(dict.fromkeys(
+    MASKED_KEY_SHAPES + CODED_KEY_SHAPES)))
+def test_coded_key_rows_equal_one_encode_per_transmission(C, r, t, N, F,
+                                                          monkeypatch):
+    cfg = config(SchemeKind.IS_LFR, C, r, t, N=N, F=F, seed=4)
+    randomness = ServerRandomness.draw(cfg, derive_rng(5, "placement"))
+    table = subpacketize(FileLibrary.random(derive_rng(6, "library"), N,
+                                            cfg.file_bits), cfg.topo)
+    expected = transmission_by_transmission_coded_key_rows(cfg, randomness)
+    # One encode_key codes every key of the round, and key_rows leaves the
+    # Scheme as __init__ built it.
+    calls, real = [], schemes.encode_key
+    monkeypatch.setattr(schemes, "encode_key",
+                        lambda *args: calls.append(args) or real(*args))
+    for scheme in (Scheme(cfg), Scheme(replace(cfg, seed=9))):
+        before = dict(vars(scheme))
+        assert scheme.key_rows(randomness, table) == expected
+        assert vars(scheme) == before
+    assert len(calls) == 2
 
 
 def slot_by_slot_decode_rows(scheme, users, payload_row, sent_row,
