@@ -29,7 +29,7 @@ from math import comb
 
 from .errors import DomainError
 from .gf import exponent_for_share_count
-from .mds import build_code, coded_block_bit_length
+from .mds import field_exponent
 from .schemes import SchemeKind
 from .topology import TopologySpec
 
@@ -77,10 +77,10 @@ def _key_memory(kind: SchemeKind, topo: TopologySpec, file_bits: int | None
     keys = comb(C - 1, t + r - 1)
     if kind is SchemeKind.S_LFR:
         return keys * _piece(file_bits, b)
-    # is-lfr: a coded 1/r of each key, at F a block of whole symbols.
-    return keys * (_piece(None, r * b) if file_bits is None else Fraction(
-        coded_block_bit_length(-(-file_bits // b), build_code(t + r, r)),
-        file_bits))
+    # is-lfr: a coded 1/r of each key, at F a block of whole m-bit symbols,
+    # m the exponent of the code's field.
+    m = field_exponent(t + r, r)
+    return keys * m * _piece(file_bits, m * r * b)
 
 
 def point(kind: SchemeKind, num_caches: int, access_degree: int,

@@ -78,23 +78,27 @@ def _verify_mds(code: MdsCode) -> None:
             raise DomainError(f"generator is not MDS: columns {cols} singular")
 
 
+def field_exponent(length: int, dimension: int) -> int:
+    """The exponent of the field build_code(length, dimension) codes over:
+    1 for the binary shapes, else the smallest l with 2^l > length."""
+    return 1 if dimension in (1, length - 1, length) else length.bit_length()
+
+
 def build_code(length: int, dimension: int) -> MdsCode:
     if not 1 <= dimension <= length:
         raise DomainError(
             f"need 1 <= dimension <= length, got ({length}, {dimension})")
     n, k = length, dimension
-    gf2 = binary_field(1)
+    field = binary_field(field_exponent(n, k))
     if k == n:
         rows = [[1 if j == i else 0 for j in range(n)] for i in range(k)]
-        code = MdsCode(n, k, gf2, tuple(tuple(r) for r in rows))
+        code = MdsCode(n, k, field, tuple(tuple(r) for r in rows))
     elif n == k + 1:
         rows = [[1 if j == i else 0 for j in range(k)] + [1] for i in range(k)]
-        code = MdsCode(n, k, gf2, tuple(tuple(r) for r in rows))
+        code = MdsCode(n, k, field, tuple(tuple(r) for r in rows))
     elif k == 1:
-        code = MdsCode(n, k, gf2, ((1,) * n,))
+        code = MdsCode(n, k, field, ((1,) * n,))
     else:
-        exponent = next(l for l in range(1, 17) if (1 << l) > n)
-        field = binary_field(exponent)
         # Cauchy block: rows indexed by 0..k-1, columns by k..n-1, entry
         # 1 / (x_i + y_j); distinct values keep every minor nonsingular.
         rows = []

@@ -1,26 +1,22 @@
 """Serialization of simulation artifacts.
 
 Two formats carry a round's configuration, every cache's contents and the
-delivery transcript.  transcript.bin is packed rows: per cache its subfile
-row and its key row as Scheme._cache_rows packs them, then the payload
-row and the sent row of Scheme._transcript_rows, so it holds exactly the
-rounds Scheme.decode accepts, and reading it back cuts each row by the
+delivery transcript, both written from the rows decode checks: per cache,
+1 to C, its subfile row and its key row as Scheme._cache_rows packs them,
+then the payload row and the sent row of Scheme._transcript_rows.  So both
+writers refuse, with decode's errors, every round Scheme.decode refuses.
+transcript.bin is those rows, and reading it back cuts each row by the
 store labels that placement and delivery cut it by.  transcript.json is
-per label, with hex-encoded blocks for eyeballing: a store held as its
-row is rendered from one conversion of the row to bytes, each block
-padded to whole bytes, and any other store block by block.  Both are
-byte-exact functions of their inputs (rows and blocks are zero padded,
-JSON entries written in canonical sorted order), so identical (config,
-seed) runs serialize identically.
+per label, with hex-encoded blocks, each padded to whole bytes.  Both are
+byte-exact functions of the round (rows and blocks are zero padded, JSON
+entries in canonical sorted order), so identical (config, seed) runs
+serialize identically.
 
-Each JSON section is rendered in one step from its placing: the places
-that sort its entries, and per key field its distinct values and each
-entry's place among them, so a distinct value is rendered once (a cache
-subset once per indent) and each column is one gather.  The render plan
-holds, per topology and file count, the placing of each store placement
-fills.  Any store keyed otherwise (stores built by hand, a label missing
-or foreign) and every delivery section is placed afresh, its keys sorted
-once, and a section is joined from one list of fragments.
+Each JSON section is rendered in one step from its row and the placing of
+its labels: the places that sort them, and per key field its distinct
+values and each entry's place among them, so a distinct value is rendered
+once (a cache subset once per indent) and each column is one gather.  The
+render plan holds the placings, per topology, file count and section.
 """
 
 from __future__ import annotations
@@ -34,13 +30,11 @@ from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
-from .indexing import _store_labels
+from .indexing import _indices, _store_labels
 from .rows import _cut, _gather, _join
 from .schemes import (CacheContent, DeliveryTranscript, Scheme, SchemeConfig,
-                      SchemeKind, SimulationResult, _blocks, _library,
-                      _Store)
+                      SchemeKind, SimulationResult, _blocks, _library)
 from .topology import CacheSet, TopologySpec
 
 MAGIC = b"MALF"
@@ -52,25 +46,16 @@ JSON_VERSION = 1
 _HEADER = struct.Struct("<HBBHHHIQQH")
 _ROWS = len(MAGIC) + _HEADER.size
 
-# The JSON document's sections in order: each cache's four stores, then
-# the four parts of the delivery.  Each is named after its CacheContent or
-# DeliveryTranscript attribute and its JSON key, and lists its key fields;
-# the third column marks values held as N-bit ints, rendered as N-bit
-# blocks.  A "file" field is an int and every other field a cache subset;
-# a one-field key is the bare field.  A keyless section is a list kept in
-# order, None when empty.
-SECTIONS = (
-    ("subfiles", ("file", "T"), False),
-    ("key_shares", ("user", "T"), False),
-    ("whole_keys", ("S",), False),
-    ("coded_subkeys", ("S",), False),
-    ("payloads", ("S",), False),
-    ("masked_demands", ("user",), True),
-    ("cleartext_demands", ("user",), True),
-    ("broadcast_files", (), False),
-)
-_CACHE_SECTIONS = SECTIONS[:4]
-_DELIVERY_SECTIONS = SECTIONS[4:]
+# The JSON document's sections in order, each cache's four stores, then
+# the four parts of the delivery, by their CacheContent or
+# DeliveryTranscript attribute and JSON key, with their key fields.  A
+# "file" field is an int and every other field a cache subset; a one-field
+# key is the bare field.  A keyless section is a list kept in order.
+SECTIONS = {"subfiles": ("file", "T"), "key_shares": ("user", "T"),
+            "whole_keys": ("S",), "coded_subkeys": ("S",), "payloads": ("S",),
+            "masked_demands": ("user",), "cleartext_demands": ("user",),
+            "broadcast_files": ()}
+_CACHE_SECTIONS = tuple(SECTIONS)[:4]
 
 _KINDS = tuple(SchemeKind)  # by their code
 
@@ -91,19 +76,27 @@ class SimulationArtifact:
 # padding bits.  Every width follows from the header, so no row carries a
 # length.
 
-def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
-                      transcript: DeliveryTranscript) -> bytes:
-    """The rows of a round: stores or a transcript that Scheme.decode
-    refuses raise its IntegrityError, and caches that are not every cache
-    of the topology raise UsageError."""
-    topo, scheme = cfg.topo, Scheme(cfg)
-    C = topo.num_caches
+def _checked_rows(cfg: SchemeConfig, caches: Sequence[CacheContent],
+                  transcript: DeliveryTranscript) -> tuple:
+    """The scheme, each cache's subfile and key rows, 1 to C, and the
+    payload and sent rows, as (value, width): stores or a transcript that
+    Scheme.decode refuses raise its IntegrityError, and caches that are
+    not every cache of the topology raise UsageError."""
+    scheme, C = Scheme(cfg), cfg.topo.num_caches
     subfile_rows, key_rows = scheme._cache_rows(caches)
     if len(caches) != C:
         raise UsageError(f"an artifact holds all {C} caches, not {len(caches)}")
-    rows = [row for c in range(C)
-            for row in ((c + 1, 16), subfile_rows[c], key_rows[c])]
-    rows += scheme._transcript_rows(transcript)
+    return (scheme, list(zip(subfile_rows, key_rows)),
+            scheme._transcript_rows(transcript))
+
+
+def artifact_to_bytes(cfg: SchemeConfig, caches: Sequence[CacheContent],
+                      transcript: DeliveryTranscript) -> bytes:
+    """The rows of a round, as _checked_rows checks them."""
+    _, cache_rows, sent = _checked_rows(cfg, caches, transcript)
+    topo, C = cfg.topo, cfg.topo.num_caches
+    rows = [row for c, held in enumerate(cache_rows, 1)
+            for row in ((c, 16), *held)] + list(sent)
     return b"".join([MAGIC, _HEADER.pack(
         VERSION, _KINDS.index(cfg.kind), int(cfg.broadcast), C,
         topo.access_degree, topo.replication, cfg.num_files, cfg.file_bits,
@@ -197,9 +190,9 @@ def artifact_from_bytes(data: bytes) -> SimulationArtifact:
 # member of its entries is interleaved with the text of a row around them.
 
 def _placing(labels: Sequence, width: int) -> tuple:
-    """A store's placing, keyed by the labels in their order: (labels,
-    order, columns), order the places that sort them, None if sorted, and
-    per key field of width, its distinct values, sorted, and their places."""
+    """The placing of a row's labels: (order, columns), order the places
+    that sort them, None if sorted, and per key field of width, its
+    distinct values, sorted, and their places."""
     code = "H" if len(labels) <= 1 << 16 else "I"
     order = sorted(range(len(labels)), key=labels.__getitem__)
     keys = [labels[at] for at in order]
@@ -208,27 +201,21 @@ def _placing(labels: Sequence, width: int) -> tuple:
         distinct = sorted(set(column))
         at = {value: k for k, value in enumerate(distinct)}
         columns.append((distinct, array(code, map(at.__getitem__, column))))
-    return (labels, None if order == list(range(len(labels)))
+    return (None if order == list(range(len(labels)))
             else array(code, order), columns)
 
 
 @functools.lru_cache(maxsize=None)
-def _render_plan(topo: TopologySpec, num_files: int) -> tuple[tuple, ...]:
-    """Per cache, the placings of the stores placement fills, as arrays."""
-    return tuple(zip(*([_placing(labels, len(fields)) for labels in
-                        _store_labels(topo, num_files, name)]
-                       for name, fields, _ in _CACHE_SECTIONS)))
-
-
-def _plan_for(cfg: SchemeConfig, caches: Sequence[CacheContent]) -> tuple:
-    """The render plan's placings per cache for caches in place that hold at
-    least its N t C(C, t) subfile labels and C(C, r) C(C - r, t) slots."""
-    C, r, t = cfg.topo.num_caches, cfg.topo.access_degree, cfg.topo.replication
-    held = [len(getattr(c, s[0])) for c in caches for s in _CACHE_SECTIONS]
-    if [c.index for c in caches] != list(range(1, C + 1)) or sum(held) < max(
-            cfg.num_files * t * comb(C, t), comb(C, r) * comb(C - r, t)):
-        return ((None,) * len(_CACHE_SECTIONS),) * len(caches)
-    return _render_plan(cfg.topo, cfg.num_files)
+def _render_plan(topo: TopologySpec, num_files: int, name: str
+                 ) -> tuple[tuple, ...]:
+    """The placings of a keyed section's rows, as arrays: per cache, of
+    its store's placement labels, or one of the payload row, by the lex
+    transmission indices, or of the sent row, by the lex users."""
+    _, _, members, users, *_ = _indices(topo)
+    rows = ([tuple(members)] if name == "payloads" else [tuple(users)]
+            if name.endswith("demands") else _store_labels(topo, num_files,
+                                                           name))
+    return tuple(_placing(labels, len(SECTIONS[name])) for labels in rows)
 
 
 def _json_list(rows: Sequence[list[str]], pad: str,
@@ -250,46 +237,35 @@ def _json_object(members: dict[str, list[str]], pad: str) -> list[str]:
                       pad, "{}")
 
 
-def _json_section(holder, name, fields, ints, num_files, pad,
-                  subsets: dict[str, dict[CacheSet, str]], placing=None) -> str:
-    """One section's entries in sorted key order: by the placing if the
-    store holds just its labels, in their order, else by a fresh one.
-    subsets holds, per indent, each cache subset's list as rendered there,
-    once per subset and indent."""
-    values = getattr(holder, name)
-    if fields and (placing is None or tuple(values) != placing[0]):
-        placing = _placing(tuple(values), len(fields))
-    _, order, columns = placing if fields else (None, None, [])
-    count = len(values or ())
+def _json_section(row: tuple[int, int], bits: int, placing: tuple,
+                  fields: tuple, pad: str,
+                  subsets: dict[str, dict[CacheSet, str]]) -> str:
+    """One section's entries in sorted key order: the row's values of bits
+    each, value i labelled by the placing's label i.  subsets holds, per
+    indent, each cache subset's list as rendered there, once each."""
+    value, width = row
+    count, size = width // bits, -(-bits // 8)
     if not count:
         return "[]"
-    if isinstance(values, _Store):
-        bits, size = values.bits, -(-values.bits // 8)
-        row = values.row if bits % 8 == 0 else _join(
-            _cut(values.row, count, bits), 8 * size)
-        hexes = row.to_bytes(count * size, "little").hex(" ", -size).split()
-        lengths = [str(bits)] * count
-    else:
-        blocks = list(values.values() if fields else values)
-        if ints:
-            blocks = [BitBlock(v, num_files) for v in blocks]
-        hexes = [b.to_bytes().hex() for b in blocks]
-        lengths = [str(b.length) for b in blocks]
-    if order is not None:
-        hexes, lengths = _gather(hexes, order), _gather(lengths, order)
+    if bits % 8:
+        value = _join(_cut(value, count, bits), 8 * size)
+    hexes = value.to_bytes(count * size, "little").hex(" ", -size).split()
+    order, columns = placing
     field_pad = pad + "    "
     memo = subsets.setdefault(field_pad, {})
-    members = {"bits": lengths, "hex": hexes}
+    members = {"hex": hexes if order is None else _gather(hexes, order)}
     for f, (values, places) in zip(fields, columns):
         members[f] = _gather(list(map(str, values)) if f == "file" else [
             memo[s] if s in memo else memo.setdefault(s, "".join(
                 _json_list([[str(c)] for c in s], field_pad)))
             for s in values], places)
-    # The section as one list of fragments: a row's text, split around its
-    # members' values in sorted order, laid out as _json_list lays out rows.
+    # The section as one list of fragments: a row's text, bits in place and
+    # split around its other members' values in sorted order, laid out as
+    # _json_list lays out rows.
     order, inner = sorted(members), "\n" + pad + "  "
-    text = "".join(_json_object({f: ['"\0"' if f == "hex" else "\0"]
-                                 for f in order}, pad + "  ")).split("\0")
+    text = "".join(_json_object({"bits": [str(bits)], **{
+        f: ['"\0"' if f == "hex" else "\0"] for f in order}},
+        pad + "  ")).split("\0")
     text[-1], close = text[-1] + "," + inner, text[-1] + "\n" + pad + "]"
     step = 2 * len(order) + 1
     out = [None] * (step * count)
@@ -302,22 +278,41 @@ def _json_section(holder, name, fields, ints, num_files, pad,
 
 def artifact_to_json(cfg: SchemeConfig, caches: Sequence[CacheContent],
                      transcript: DeliveryTranscript) -> str:
-    N = cfg.num_files
-    rate = transcript.rate
+    """The rows artifact_to_bytes writes, per label, as _checked_rows
+    checks them."""
+    scheme, cache_rows, (payload_row, sent_row) = _checked_rows(
+        cfg, caches, transcript)
+    N, sb = cfg.num_files, cfg.subfile_bits
     subsets: dict[str, dict[CacheSet, str]] = {}
+
+    def sections(names, held: dict, at: int, pad: str) -> dict:
+        """The named sections' text: held maps a section to its row and
+        its entries' width, and every other section is empty."""
+        out = {}
+        for name in names:
+            row, bits = held.get(name, ((0, 0), 1))
+            placing = (_render_plan(cfg.topo, N, name)[at]
+                       if row[1] and SECTIONS[name] else (None, ()))
+            out[name] = [_json_section(row, bits, placing, SECTIONS[name],
+                                       pad, subsets)]
+        return out
+
+    caches_text = _json_list([_json_object({"index": [str(c)], **sections(
+        _CACHE_SECTIONS, {"subfiles": (subfiles, sb),
+                          scheme._key_store: (keys, scheme._key_bits)},
+        c - 1, " " * 6)}, " " * 4)
+        for c, (subfiles, keys) in enumerate(cache_rows, 1)], "  ")
+    sent = "masked_demands" if cfg.kind.masks_demands else "cleartext_demands"
+    delivery = _json_object({
+        "rate": ['"%d/%d"' % transcript.rate.as_integer_ratio()], **sections(
+            tuple(SECTIONS)[4:],
+            {"broadcast_files": (payload_row, cfg.file_bits)} if cfg.broadcast
+            else {"payloads": (payload_row, sb), sent: (sent_row, N)},
+            0, " " * 4)}, "  ")
     config = {"scheme": cfg.kind.value, "C": cfg.topo.num_caches,
               "r": cfg.topo.access_degree, "t": cfg.topo.replication,
               "N": N, "F": cfg.file_bits, "seed": cfg.seed,
               "broadcast": cfg.broadcast}
-    caches_text = _json_list([_json_object({
-        "index": [str(cache.index)],
-        **{s[0]: [_json_section(cache, *s, N, " " * 6, subsets, placing)]
-           for s, placing in zip(_CACHE_SECTIONS, placings)}}, " " * 4)
-        for cache, placings in zip(caches, _plan_for(cfg, caches))], "  ")
-    delivery = _json_object({
-        "rate": [f'"{rate.numerator}/{rate.denominator}"'],
-        **{s[0]: [_json_section(transcript, *s, N, " " * 4, subsets)]
-           for s in _DELIVERY_SECTIONS}}, "  ")
     doc = _json_object({
         "format": ['"maclfr-artifact"'],
         "version": [str(JSON_VERSION)],

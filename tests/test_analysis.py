@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+from maclfr import analysis, mds
 from maclfr.analysis import (GapResult, curve, curves_to_json, format_fraction,
                              full_cache_point, lower_convex_envelope,
                              optimality_gap, point, security_memory_bound,
@@ -97,6 +98,17 @@ def test_padding_never_reduces_memory():
         ideal = point(kind, 4, 2, 1, 3).memory
         for F in (1, 5, 7, 30):
             assert point(kind, 4, 2, 1, 3, F).memory >= ideal
+
+
+def test_an_is_lfr_curve_at_a_file_size_builds_no_code(monkeypatch):
+    # A point needs only the symbol width of the (t + r, r) code, not the
+    # code, whose construction checks every minor for n <= 12.
+    def refuse(*args):
+        raise AssertionError("build_code called")
+    for module in (mds, analysis):
+        monkeypatch.setattr(module, "build_code", refuse, raising=False)
+    points = curve(SchemeKind.IS_LFR, 12, 6, 12, 600).points
+    assert len(points) == 12 - 6 + 1 + 1
 
 
 def test_envelope_is_convex_and_monotone():

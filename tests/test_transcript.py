@@ -464,9 +464,9 @@ def test_placed_stores_read_and_render_as_their_dicts(kind, C, r, t,
 # engine never makes.  Blocks of mixed lengths (zero, one, off the byte
 # grid, several bytes) share a section, keys go in against sorted order,
 # subsets of every size mix, and whole sections are empty.  Broadcast
-# files are cut to F bits.  Only the JSON writer renders them: the rows
-# hold just what decode accepts.
-def hand_built(broadcast: bool = False, demands=None) -> SimulationArtifact:
+# files are cut to F bits.  Neither writer renders them: both write the
+# rows decode checks, and decode accepts none of these.
+def hand_built(broadcast: bool = False) -> SimulationArtifact:
     kind = SchemeKind.P_LFR
     cfg = SchemeConfig(TopologySpec(3, 2, 1), 3, 6, kind, seed=11,
                        broadcast=broadcast)
@@ -485,11 +485,9 @@ def hand_built(broadcast: bool = False, demands=None) -> SimulationArtifact:
                                                      blocks)}, {}),
         CacheContent(3, {}, {}, {}, {}),
     )
-    if demands is None:
-        demands = {(2, 3): 5, (1, 3): 0, (1, 2): 7}
     transcript = DeliveryTranscript(
         cfg, {} if broadcast else {S: b for S, b in zip(subsets, blocks)},
-        demands, {(1, 2): 3} if broadcast else {},
+        {(2, 3): 5, (1, 3): 0, (1, 2): 7}, {(1, 2): 3} if broadcast else {},
         tuple(BitBlock(b.value % 64, 6) for b in blocks[::-1])
         if broadcast else None)
     return SimulationArtifact(cfg, caches, transcript)
@@ -543,40 +541,40 @@ def test_hand_built_artifact_matches_the_reference_and_round_trips(case):
     how, C = (None, 0) if isinstance(case, bool) else case.split("-")
     artifact = hand_built(case) if how is None else reshaped(how, int(C))
     parts = (artifact.cfg, artifact.caches, artifact.transcript)
-    text = artifact_to_json(*parts)
-    assert text == reference_json(as_result(artifact))
     if how == "shuffled":
         # The placed round's entries: its very bytes and text.
+        text = artifact_to_json(*parts)
+        assert text == reference_json(as_result(artifact))
         blob = artifact_to_bytes(*parts)
         assert artifact_from_bytes(blob) == artifact
         placed = placed_round(int(C))
         assert blob == simulation_to_bytes(placed)
         assert text == simulation_to_json(placed)
         return
-    # Stores that are not exactly their labels: the writer refuses them
+    # Stores that are not exactly their labels: both writers refuse them
     # with the IntegrityError decode raises, naming the fault.
     with pytest.raises(IntegrityError) as decoded:
         Scheme(artifact.cfg).decode(artifact.caches, artifact.transcript, [])
     fault = {None: "another kind's keys", "dropped": "lacks subfile",
              "foreign": "not one of its labels"}[how]
     assert fault in str(decoded.value)
-    with pytest.raises(IntegrityError, match=re.escape(str(decoded.value))):
-        artifact_to_bytes(*parts)
+    for write in (artifact_to_bytes, artifact_to_json):
+        with pytest.raises(IntegrityError,
+                           match=re.escape(str(decoded.value))):
+            write(*parts)
 
 
 @pytest.mark.parametrize("coeffs", (8, 1 << 40, -1))
-def test_demand_wider_than_the_library_is_a_domain_error(coeffs):
-    artifact = hand_built(demands={(1, 3): 1, (1, 2): coeffs})
-    parts = (artifact.cfg, artifact.caches, artifact.transcript)
-    with pytest.raises(DomainError):
-        artifact_to_json(*parts)
-    # The binary writer packs the sent row as decode does, and refuses the
-    # demand with decode's IntegrityError.
-    result = simulate(artifact.cfg)
+def test_demand_wider_than_the_library_is_an_integrity_error(coeffs):
+    # Both writers pack the sent row as decode does, and refuse the demand
+    # with decode's IntegrityError.
+    result = simulate(SchemeConfig(TopologySpec(3, 2, 1), 3, 6,
+                                   SchemeKind.P_LFR, seed=11))
     transcript = replace(result.transcript, masked_demands={
         **result.transcript.masked_demands, (1, 2): coeffs})
     caches = result.placement.caches
     for write in (lambda: artifact_to_bytes(result.cfg, caches, transcript),
+                  lambda: artifact_to_json(result.cfg, caches, transcript),
                   lambda: Scheme(result.cfg).decode(caches, transcript,
                                                     result.demands)):
         with pytest.raises(IntegrityError,
@@ -588,18 +586,27 @@ def test_the_ten_cache_render_plan_holds_arrays_not_entries():
     # The plan lives as long as the process: engine-c10's peak memory
     # carries it.  The labels it reads, which placement keeps, come first.
     topo = TopologySpec(10, 3, 3)
-    for name, _, _ in transcript._CACHE_SECTIONS:
+    for name in transcript._CACHE_SECTIONS:
         _store_labels(topo, 20, name)
+    keyed = [name for name, fields in transcript.SECTIONS.items() if fields]
     tracemalloc.start()
     try:
-        plan = transcript._render_plan.__wrapped__(topo, 20)
+        plan = {name: transcript._render_plan.__wrapped__(topo, 20, name)
+                for name in keyed}
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    (labels, order, ((files, at), _)), shares = plan[0][:2]
-    assert len(plan) == 10 and len(labels) == 20 * 36 == len(order) == len(at)
+    (order, ((files, at), _)), shares = plan["subfiles"][0], plan[
+        "key_shares"][0]
+    assert len(plan["subfiles"]) == 10 == len(plan["coded_subkeys"])
+    assert 20 * 36 == len(order) == len(at)
     assert order.typecode == "H" and files == list(range(1, 21))
-    assert shares[1] is None  # key stores are placed in sorted order
+    assert shares[0] is None  # key stores are placed in sorted order
+    # The delivery rows are lex in S and in the users: one placing each.
+    (order, ((sent, at),)), = plan["payloads"]
+    assert order is None and sent == list(topo.transmission_indices())
+    assert plan["masked_demands"] == plan["cleartext_demands"]
+    assert plan["masked_demands"][0][1][0][0] == list(topo.users())
     assert kept <= 1 << 18 and peak <= 1 << 19
 
 
@@ -609,17 +616,31 @@ def test_the_ten_cache_render_plan_holds_arrays_not_entries():
 ])
 def test_the_writers_build_no_plan_larger_than_the_caches(C, r, t, N, held):
     # The plan would hold N t C(C, t) subfile labels and r C(C, r) C(C-r, t)
-    # slot labels, whatever the caches hold: too many here, so none is built.
+    # slot labels, whatever the caches hold: too many here.  The writers
+    # hold only stores that are exactly their labels, and refuse these
+    # caches before they build any plan.
     cfg = SchemeConfig(TopologySpec(C, r, t), N, 6, SchemeKind.LFR)
     caches = tuple(CacheContent(c, {(1, (c,)): BitBlock(1, 6)} if held else {},
                                 {}, {}, {}) for c in range(1, C + 1))
     parts = (cfg, caches, DeliveryTranscript(cfg, {}, {}, {}, None))
     built = transcript._render_plan.cache_info().misses
-    assert json.loads(artifact_to_json(*parts))["config"]["N"] == N
+    for write in (artifact_to_json, artifact_to_bytes):
+        with pytest.raises(IntegrityError,
+                           match="cache 1 (lacks|holds) subfile"):
+            write(*parts)
     assert transcript._render_plan.cache_info().misses == built
-    # The rows hold only stores that are exactly their labels.
-    with pytest.raises(IntegrityError, match="cache 1 (lacks|holds) subfile"):
-        artifact_to_bytes(*parts)
+
+
+@pytest.mark.parametrize("C", (4, 10))
+def test_caches_in_any_order_are_written_one_to_C(C):
+    # Both writers write the rows of caches 1 to C in turn, whatever order
+    # the caches come in.
+    result = placed_round(C)
+    caches = result.placement.caches
+    for permuted in (caches[::-1], caches[1:] + caches[:1]):
+        parts = (result.cfg, permuted, result.transcript)
+        assert artifact_to_json(*parts) == simulation_to_json(result)
+        assert artifact_to_bytes(*parts) == simulation_to_bytes(result)
 
 
 def test_json_peak_memory_stays_near_the_text_length():
