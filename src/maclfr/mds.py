@@ -22,7 +22,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .bits import BitBlock
 from .errors import DomainError, IntegrityError, UsageError
 from .gf import BinaryField, binary_field
 
@@ -122,14 +121,7 @@ def coded_block_bit_length(key_bits: int, code: MdsCode) -> int:
     return -(-subkey_bit_length(key_bits, code) // m) * m
 
 
-def encode_key(key: BitBlock, code: MdsCode) -> tuple[BitBlock, ...]:
-    """encode_row of the key, as blocks."""
-    bits = coded_block_bit_length(key.length, code)
-    return tuple(BitBlock(v, bits)
-                 for v in encode_row(key.value, key.length, code))
-
-
-def encode_row(key: int, key_bits: int, code: MdsCode) -> tuple[int, ...]:
+def encode_key(key: int, key_bits: int, code: MdsCode) -> tuple[int, ...]:
     """Cut the key of key_bits into k sub-keys and emit the n coded blocks.
 
     Sub-keys are zero padded to whole field symbols before the matrix
@@ -179,22 +171,10 @@ def _inverse(code: MdsCode, positions: tuple[int, ...]
     return tuple(tuple(row) for row in solved)
 
 
-def decode_key(blocks: Sequence[tuple[int, BitBlock]], code: MdsCode,
-               key_bits: int) -> BitBlock:
-    """Recover the key from any k (column index, coded block) pairs."""
-    expected = coded_block_bit_length(key_bits, code)
-    for p, b in blocks:
-        if b.length != expected:
-            raise DomainError(f"block at {p} has {b.length} bits, "
-                              f"expected {expected}")
-    return BitBlock(decode_row([(p, b.value) for p, b in blocks], code,
-                               key_bits), key_bits)
-
-
-def decode_row(blocks: Sequence[tuple[int, int]], code: MdsCode,
+def decode_key(blocks: Sequence[tuple[int, int]], code: MdsCode,
                key_bits: int) -> int:
-    """decode_key on (column index, value) pairs, each value a coded
-    block of coded_block_bit_length(key_bits, code) bits."""
+    """Recover the key from any k (column index, coded block) pairs, each
+    block an int of coded_block_bit_length(key_bits, code) bits."""
     k = code.dimension
     if len(blocks) != k:
         raise DomainError(f"need exactly {k} blocks, got {len(blocks)}")

@@ -50,15 +50,11 @@ from .indexing import _decode_plan, _indices, _store_labels
 from .library import (DemandVector, FileLibrary, SubfileTable, demands_by_user,
                       linear_combination, random_demands, subfile_bit_length,
                       subpacketize)
-# Keys are shared and coded as rows: the engine calls the row forms of
-# split, reconstruct, encode_key and decode_key by those names.
-from .mds import (MdsCode, build_code, coded_block_bit_length,
-                  decode_row as decode_key, encode_row as encode_key,
-                  subkey_bit_length)
+from .mds import (MdsCode, build_code, coded_block_bit_length, decode_key,
+                  encode_key, subkey_bit_length)
 from .rows import (_combinations, _cut, _gather, _images, _join, _listed,
                    _narrow, _wide, _widen, _words)
-from .shamir import (ShareSet, reconstruct_row as reconstruct,
-                     split_row as split)
+from .shamir import ShareSet, reconstruct, split
 from .topology import CacheSet, TopologySpec
 
 # The interpreter's built-in SHA-256, as random takes its SHA-512: hashlib
@@ -114,7 +110,8 @@ class SchemeConfig:
         if self.num_files < 1:
             raise DomainError(f"need at least one file, got {self.num_files}")
         if self.file_bits < 1:
-            raise DomainError(f"files must have at least one bit")
+            raise DomainError(
+                f"files must have at least one bit, got {self.file_bits}")
         if not 0 <= self.seed <= MAX_SEED:
             raise UsageError(f"seed must fit in 64 bits, got {self.seed}")
         if self.broadcast and self.kind is not SchemeKind.P_LFR:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .bits import BitBlock
 from .errors import DomainError, ResourceLimitError, UsageError
 from .gf import BinaryField
 
@@ -64,15 +63,8 @@ class ShareSet:
         return -(-self.secret_bits // l) * l
 
 
-def split(secret: BitBlock, share_count: int, field: BinaryField,
+def split(secret: int, bits: int, share_count: int, field: BinaryField,
           coefficients: Sequence[int] = ()) -> ShareSet:
-    """split_row of the block's value and length."""
-    return split_row(secret.value, secret.length, share_count, field,
-                     coefficients)
-
-
-def split_row(secret: int, bits: int, share_count: int, field: BinaryField,
-              coefficients: Sequence[int] = ()) -> ShareSet:
     """Split the secret of bits into share_count shares.
 
     The coefficients of the hiding polynomials come as planes, one per
@@ -103,23 +95,7 @@ def split_row(secret: int, bits: int, share_count: int, field: BinaryField,
     return ShareSet(field, bits, tuple(shares))
 
 
-def share_set_from_blocks(blocks: Sequence[BitBlock], field: BinaryField,
-                          secret_bits: int) -> ShareSet:
-    """Rebuild a ShareSet from the packed share blocks in index order."""
-    expected = -(-secret_bits // field.exponent) * field.exponent
-    for b in blocks:
-        if b.length != expected:
-            raise DomainError(
-                f"share block of {b.length} bits, expected {expected}")
-    return ShareSet(field, secret_bits, tuple(b.value for b in blocks))
-
-
-def reconstruct(shares: ShareSet) -> BitBlock:
-    """reconstruct_row as a block of the secret's length."""
-    return BitBlock(reconstruct_row(shares), shares.secret_bits)
-
-
-def reconstruct_row(shares: ShareSet) -> int:
+def reconstruct(shares: ShareSet) -> int:
     """Interpolate every symbol's constant term and drop the tail padding.
 
     The Lagrange weights at zero of the canonical points are derived once

@@ -67,7 +67,7 @@ from .library import subpacketize  # noqa: F401
 from .mds import coded_block_bit_length, decode_key
 from .schemes import (CacheContent, DeliveryTranscript, RandomnessLayout, Scheme,
                       SchemeConfig, SchemeKind, derive_rng)
-from .shamir import reconstruct, share_set_from_blocks
+from .shamir import ShareSet, reconstruct
 from .topology import CacheSet, TopologySpec, share_index_of_cache
 
 DEFAULT_STATE_CAP = 1 << 28
@@ -709,8 +709,8 @@ def check_share_placement_secrecy(cfg: SchemeConfig) -> SharePlacementReport:
                 if wrong:
                     problems.append(f"a share of D[{g},{T}] has {wrong[0]} "
                                     f"bits, expected {wb}")
-                elif len(blocks) == r and reconstruct(share_set_from_blocks(
-                        blocks, cfg.key_field, sb)) != secret:
+                elif len(blocks) == r and reconstruct(ShareSet(cfg.key_field,
+                        sb, tuple(b.value for b in blocks))) != secret.value:
                     problems.append(f"shares of D[{g},{T}] do not reconstruct it")
     elif cfg.kind.stores_keys_coded:
         code = cfg.key_code
@@ -732,8 +732,8 @@ def check_share_placement_secrecy(cfg: SchemeConfig) -> SharePlacementReport:
             if wrong:
                 problems.append(f"a block of V[{S}] has {wrong[0]} bits, "
                                 f"expected {bits}")
-            elif any(decode_key([(share_index_of_cache(S, c), blocks[c])
-                                 for c in g], code, sb) != key
+            elif any(decode_key([(share_index_of_cache(S, c), blocks[c].value)
+                                 for c in g], code, sb) != key.value
                      for g in combinations(blocks, code.dimension)):
                 problems.append(f"blocks of V[{S}] do not decode to it")
     elif cfg.kind.stores_keys_whole:

@@ -33,7 +33,6 @@ from maclfr.analysis import (
     point,
     security_memory_bound,
 )
-from maclfr.bits import BitBlock
 from maclfr.gf import binary_field, exponent_for_share_count
 from maclfr.library import FileLibrary
 from maclfr.mds import build_code, decode_key, encode_key
@@ -216,11 +215,12 @@ def test_criterion_07_share_split_round_trip_and_secrecy():
     for i in range(1000):
         count = rng.randint(1, 6)
         field = binary_field(exponent_for_share_count(count))
-        secret = BitBlock.random(rng, rng.randint(1, 40))
-        symbols = -(-secret.length // field.exponent)
+        bits = rng.randint(1, 40)
+        secret = rng.getrandbits(bits)
+        symbols = -(-bits // field.exponent)
         planes = [rng.getrandbits(symbols * field.exponent)
                   for _ in range(count - 1)]
-        shares = split(secret, count, field, planes)
+        shares = split(secret, bits, count, field, planes)
         assert reconstruct(shares) == secret, (i, count)
     # Below-threshold observations: the counter over observed share tuples
     # must be the same for every secret, for every proper subset of shares.
@@ -246,17 +246,18 @@ def test_criterion_08_coded_key_every_subset_decodes():
     for length, dimension in ((3, 2), (4, 2), (5, 3), (5, 2)):
         code = build_code(length, dimension)
         for _ in range(200):
-            key = BitBlock.random(rng, rng.randint(1, 24))
-            blocks = encode_key(key, code)
+            bits = rng.randint(1, 24)
+            key = rng.getrandbits(bits)
+            blocks = encode_key(key, bits, code)
             assert len(blocks) == length
             for chosen in combinations(range(1, length + 1), dimension):
                 picked = [(p, blocks[p - 1]) for p in chosen]
-                assert decode_key(picked, code, key.length) == key
+                assert decode_key(picked, code, bits) == key
     # The (3,2) code over GF(2) is the single-parity code, so its third
     # block is the bitwise XOR of the first two.
     parity = build_code(3, 2)
-    key = BitBlock.random(derive_rng(1008, "parity-identity"), 16)
-    b1, b2, b3 = encode_key(key, parity)
+    key = derive_rng(1008, "parity-identity").getrandbits(16)
+    b1, b2, b3 = encode_key(key, 16, parity)
     assert b3 == b1 ^ b2
     _finish(8, "coded keys decode from every subset", started)
 

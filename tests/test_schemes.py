@@ -959,10 +959,9 @@ def slot_by_slot_coded_keys(result) -> list[list[int]]:
             if set(T) & set(g):
                 continue
             S = tuple(sorted(g + T))
-            blocks = [(share_index_of_cache(S, c), caches[c - 1].coded_subkeys[S])
-                      for c in g]
-            keys[-1].append(decode_key(blocks, cfg.key_code,
-                                       cfg.subfile_bits).value)
+            blocks = [(share_index_of_cache(S, c),
+                       caches[c - 1].coded_subkeys[S].value) for c in g]
+            keys[-1].append(decode_key(blocks, cfg.key_code, cfg.subfile_bits))
     return keys
 
 
@@ -1073,14 +1072,14 @@ def test_masked_key_rows_equal_one_split_per_slot(kind, C, r, t, N, F):
 
 def transmission_by_transmission_coded_key_rows(cfg, randomness
                                                  ) -> list[tuple[int, int]]:
-    """is-lfr's key rows, one encode_row per transmission S, lex: block j
+    """is-lfr's key rows, one encode_key per transmission S, lex: block j
     of S's key to S's j-th cache, each cache's blocks in lex S order."""
     topo, sb, code = cfg.topo, cfg.subfile_bits, cfg.key_code
     bits = mds.coded_block_bit_length(sb, code)
     rows = [[] for _ in range(topo.num_caches)]
     for s, S in enumerate(topo.transmission_indices()):
         key = randomness.payload_keys >> (s * sb) & ((1 << sb) - 1)
-        for c, block in zip(S, mds.encode_row(key, sb, code)):
+        for c, block in zip(S, mds.encode_key(key, sb, code)):
             rows[c - 1].append(block)
     return [(sum(v << (i * bits) for i, v in enumerate(row)), len(row) * bits)
             for row in rows]
@@ -1355,7 +1354,7 @@ def test_config_validation():
     topo = TopologySpec(3, 2, 1)
     with pytest.raises(DomainError):
         SchemeConfig(topo, 0, 3, SchemeKind.LFR)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="got 0"):
         SchemeConfig(topo, 2, 0, SchemeKind.LFR)
     with pytest.raises(UsageError):
         SchemeConfig(topo, 2, 3, SchemeKind.LFR, seed=-1)

@@ -14,22 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maclfr.bits import BitBlock
 from maclfr.errors import DomainError, ResourceLimitError, UsageError
 from maclfr.gf import binary_field, exponent_for_share_count
 from maclfr.shamir import (ShareSet, canonical_evaluation_points,
-                           leakage_check, reconstruct, reconstruct_row,
-                           share_set_from_blocks, split, split_row)
+                           leakage_check, reconstruct, split)
 
 
 def field_for(share_count: int):
     return binary_field(exponent_for_share_count(share_count))
 
 
-def drawn_planes(rng: random.Random, secret: BitBlock, share_count: int,
+def drawn_planes(rng: random.Random, secret_bits: int, share_count: int,
                  field) -> list[int]:
-    """share_count - 1 uniform coefficient planes for the secret."""
-    symbols = -(-secret.length // field.exponent)
+    """share_count - 1 uniform coefficient planes for a secret of
+    secret_bits."""
+    symbols = -(-secret_bits // field.exponent)
     return [rng.getrandbits(symbols * field.exponent)
             for _ in range(share_count - 1)]
 
@@ -39,14 +38,13 @@ def drawn_planes(rng: random.Random, secret: BitBlock, share_count: int,
 def test_split_reconstruct_round_trip(share_count, secret_bits, seed):
     field = field_for(share_count)
     rng = random.Random(seed)
-    secret = BitBlock.random(rng, secret_bits)
-    shares = split(secret, share_count, field,
-                   drawn_planes(rng, secret, share_count, field))
+    secret = rng.getrandbits(secret_bits)
+    shares = split(secret, secret_bits, share_count, field,
+                   drawn_planes(rng, secret_bits, share_count, field))
     assert shares.share_count == share_count
     assert reconstruct(shares) == secret
-    # Packing the shares into blocks and back must not change anything.
-    blocks = [BitBlock(y, shares.share_bits) for y in shares.shares]
-    rebuilt = share_set_from_blocks(blocks, field, secret_bits)
+    # Rebuilding the set from its share values must not change anything.
+    rebuilt = ShareSet(field, secret_bits, tuple(shares.shares))
     assert reconstruct(rebuilt) == secret
 
 
@@ -54,21 +52,18 @@ def test_share_values_match_hand_evaluation():
     # One 2-bit symbol in GF(4), polynomial s + c x evaluated at 1 and 2:
     # share1 = s ^ c, share2 = s ^ (c * x) with x = 0b10.
     field = binary_field(2)
-    secret = BitBlock(0b11, 2)
-    shares = split(secret, 2, field, coefficients=[0b01])
-    assert BitBlock(shares.shares[0], shares.share_bits) == BitBlock(
-        0b11 ^ 0b01, 2)
-    assert BitBlock(shares.shares[1], shares.share_bits) == BitBlock(
-        0b11 ^ field.mul(0b01, 0b10), 2)
-    assert reconstruct(shares) == secret
+    shares = split(0b11, 2, 2, field, coefficients=[0b01])
+    assert shares.share_bits == 2
+    assert shares.shares[0] == 0b11 ^ 0b01
+    assert shares.shares[1] == 0b11 ^ field.mul(0b01, 0b10)
+    assert reconstruct(shares) == 0b11
 
 
 def test_single_share_is_the_secret():
     field = field_for(1)
-    secret = BitBlock(0b1011, 4)
-    shares = split(secret, 1, field)
-    assert BitBlock(shares.shares[0], shares.share_bits) == secret
-    assert reconstruct(shares) == secret
+    shares = split(0b1011, 4, 1, field)
+    assert (shares.shares, shares.share_bits) == ((0b1011,), 4)
+    assert reconstruct(shares) == 0b1011
 
 
 def test_fewer_than_all_shares_reveal_nothing_exhaustively():
@@ -93,50 +88,43 @@ def test_all_shares_determine_the_secret():
     # explicit reconstruction over all coefficient choices.
     field = binary_field(2)
     for secret_value in range(4):
-        secret = BitBlock(secret_value, 2)
         for c in range(4):
-            shares = split(secret, 2, field, coefficients=[c])
-            assert reconstruct(shares) == secret
+            shares = split(secret_value, 2, 2, field, coefficients=[c])
+            assert reconstruct(shares) == secret_value
 
 
 def test_tail_padding_is_dropped():
     # 3 secret bits in GF(4) symbols occupy 2 symbols = 4 bits of shares.
     field = binary_field(2)
-    secret = BitBlock(0b101, 3)
-    shares = split(secret, 2, field,
-                   drawn_planes(random.Random(0), secret, 2, field))
+    shares = split(0b101, 3, 2, field,
+                   drawn_planes(random.Random(0), 3, 2, field))
     assert shares.share_bits == 4
-    assert reconstruct(shares) == secret
+    assert reconstruct(shares) == 0b101
 
 
-def test_the_row_forms_share_as_the_block_forms_and_check_the_width():
+def test_split_checks_the_secret_width():
     field = binary_field(2)
-    secret = BitBlock(0b10110, 5)
-    planes = drawn_planes(random.Random(1), secret, 3, field)
-    shares = split(secret, 3, field, planes)
-    assert split_row(secret.value, 5, 3, field, planes) == shares
-    assert reconstruct_row(shares) == secret.value
+    planes = drawn_planes(random.Random(1), 5, 3, field)
     with pytest.raises(DomainError):
-        split_row(1 << 5, 5, 3, field, planes)
+        split(1 << 5, 5, 3, field, planes)
 
 
 def test_validation_errors():
     field = binary_field(2)
-    secret = BitBlock(0b1, 2)
     with pytest.raises(UsageError):
-        split(secret, 2, field)  # no coefficient planes
+        split(0b1, 2, 2, field)  # no coefficient planes
     with pytest.raises(UsageError):
-        split(secret, 2, field, coefficients=[1, 2])  # one plane per blind
+        split(0b1, 2, 2, field, coefficients=[1, 2])  # one plane per blind
     with pytest.raises(DomainError):
-        split(secret, 2, field, coefficients=[1 << 2])  # wider than 1 symbol
+        split(0b1, 2, 2, field, coefficients=[1 << 2])  # wider than 1 symbol
     with pytest.raises(DomainError):
-        split(secret, 2, field, coefficients=[-1])
+        split(0b1, 2, 2, field, coefficients=[-1])
     with pytest.raises(DomainError):
         canonical_evaluation_points(field, 4)
     with pytest.raises(DomainError):
         canonical_evaluation_points(field, 0)
     with pytest.raises(DomainError):
-        share_set_from_blocks([BitBlock(0, 2), BitBlock(0, 4)], field, 2)
+        ShareSet(field, 2, (0, 1 << 2))  # a share wider than the secret's
 
 
 def test_share_set_derives_its_count_and_width_and_checks_shares():
@@ -173,9 +161,10 @@ def test_reconstruct_inverts_split_for_small_share_counts():
         field = field_for(share_count)
         for secret_bits in (1, field.exponent, 5 * field.exponent + 1):
             for _ in range(20):
-                secret = BitBlock.random(rng, secret_bits)
-                shares = split(secret, share_count, field,
-                               drawn_planes(rng, secret, share_count, field))
+                secret = rng.getrandbits(secret_bits)
+                shares = split(secret, secret_bits, share_count, field,
+                               drawn_planes(rng, secret_bits, share_count,
+                                            field))
                 assert reconstruct(shares) == secret, (share_count, secret)
 
 
@@ -213,30 +202,29 @@ def test_packed_split_and_reconstruct_match_a_per_symbol_reference():
         weights = field.lagrange_weights_at_zero(points)
         for secret_bits in (1, l, 7 * l + 1):
             count = -(-secret_bits // l)
-            secret = BitBlock.random(rng, secret_bits)
+            secret = rng.getrandbits(secret_bits)
             rows = [tuple(rng.randrange(field.order)
                           for _ in range(share_count - 1))
                     for _ in range(count)]
             planes = [packed([row[b] for row in rows], l)
                       for b in range(share_count - 1)]
-            shares = split(secret, share_count, field, coefficients=planes)
-            sym = symbols_of(secret.value, l, count)
+            shares = split(secret, secret_bits, share_count, field,
+                           coefficients=planes)
+            assert shares.share_bits == count * l
+            sym = symbols_of(secret, l, count)
             for j, x in enumerate(points, 1):
                 expected = [field.poly_eval((v,) + row, x)
                             for v, row in zip(sym, rows)]
-                assert BitBlock(shares.shares[j - 1],
-                                shares.share_bits) == BitBlock(
-                    packed(expected, l), count * l)
+                assert shares.shares[j - 1] == packed(expected, l)
             # Reconstruction of arbitrary share values, consistent or not.
-            blocks = [BitBlock.random(rng, count * l) for _ in points]
-            columns = [symbols_of(b.value, l, count) for b in blocks]
+            blocks = tuple(rng.getrandbits(count * l) for _ in points)
+            columns = [symbols_of(b, l, count) for b in blocks]
             expected = []
             for s in range(count):
                 acc = 0
                 for column, w in zip(columns, weights):
                     acc ^= field.mul(column[s], w)
                 expected.append(acc)
-            rebuilt = reconstruct(share_set_from_blocks(blocks, field,
-                                                        secret_bits))
+            rebuilt = reconstruct(ShareSet(field, secret_bits, blocks))
             value = packed(expected, l) & ((1 << secret_bits) - 1)
-            assert rebuilt == BitBlock(value, secret_bits)
+            assert rebuilt == value

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import maclfr
+from maclfr import mds, schemes, shamir
 from maclfr.schemes import Scheme, SchemeKind, simulate
 from maclfr.verify import tiny_config
 
@@ -50,6 +51,17 @@ def test_installing_the_tracer_misses_no_hook():
         assert not t.missing
     finally:
         t.uninstall()
+
+
+def test_the_engine_calls_the_public_key_primitives():
+    # The shamir.* and mds.* spans hook the key primitives in schemes, by
+    # the names the engine calls; each must be its module's one public
+    # form, so the spans time it and a second form cannot return unnoticed.
+    for module, names in ((shamir, ("split", "reconstruct")),
+                          (mds, ("encode_key", "decode_key"))):
+        for name in names:
+            assert (getattr(schemes, name) is getattr(module, name)
+                    is getattr(maclfr, name)), name
 
 
 def module_imports(body):

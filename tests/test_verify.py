@@ -1309,7 +1309,7 @@ def test_a_wrong_coded_block_is_a_problem(monkeypatch):
 
 def test_a_key_share_of_the_wrong_length_is_a_problem(monkeypatch):
     # Each cache's first share grows by one bit, so every cache keeps one
-    # size; the audit once raised DomainError from share_set_from_blocks.
+    # size; the audit once raised DomainError rebuilding the share set.
     def longer(caches):
         out = []
         for c in caches:
